@@ -2,11 +2,10 @@
 // discipline: once any code passes a struct field (or package-level
 // variable) to a sync/atomic operation, every other access to that
 // location must also go through sync/atomic. The deadline daemon's
-// dead flags, the shard counts, and the serving counters in
-// internal/sched rely on exactly this invariant — one forgotten raw
-// load turns "expiry never contends with dispatch" into a data race
-// the race detector only catches when the interleaving happens to
-// occur in a test run.
+// dead flags and the serving counters in internal/sched rely on
+// exactly this invariant — one forgotten raw load turns "expiry never
+// contends with dispatch" into a data race the race detector only
+// catches when the interleaving happens to occur in a test run.
 package atomicfield
 
 import (

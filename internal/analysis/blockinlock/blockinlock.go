@@ -15,8 +15,7 @@
 // blocking constructs lexically under a Lock in the same function.
 // sync.Cond.Wait is exempt — it requires the lock by contract — and so
 // is any channel operation reachable only through a select that has a
-// default clause (the scheduler's wakeAll uses exactly that shape for
-// its non-blocking wake tokens).
+// default clause (the shape of a non-blocking wake token).
 package blockinlock
 
 import (

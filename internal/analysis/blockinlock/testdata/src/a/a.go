@@ -90,8 +90,8 @@ func (g *G) condWait() {
 
 func (g *G) ready() bool { return true }
 
-// nonBlockingWake is the scheduler's wakeAll shape: sends under the
-// lock, but every send sits behind a default clause.
+// nonBlockingWake is a wake token: sends under the lock, but every
+// send sits behind a default clause.
 func (g *G) nonBlockingWake() {
 	g.mu.Lock()
 	select {

@@ -2,13 +2,13 @@
 // reports cycles as potential deadlocks. An edge A→B is recorded
 // whenever lock B is acquired while A is held — directly, or
 // transitively through calls to same-package functions (a function
-// that locks histMu adds a held→histMu edge at every call site that
+// that locks nodesMu adds a held→nodesMu edge at every call site that
 // holds a lock). Two goroutines traversing a cycle's edges in opposite
 // directions can each block on the lock the other holds.
 //
 // Legal orders are declared in the analyzed source:
 //
-//	//eugene:lockorder shard.mu before Live.policyMu
+//	//eugene:lockorder Router.devMu before Router.nodesMu
 //
 // names a permitted edge (the left lock may be held while acquiring
 // the right). Declared edges are excluded from cycle detection, and an
@@ -17,7 +17,7 @@
 // locks the package never acquires are reported as stale.
 //
 // Locks are identified by the types.Object of their field or variable,
-// so distinct instances sharing a field (two shards' mu) collapse to
+// so distinct instances sharing a field (two nodes' mu) collapse to
 // one node; self-edges from such instance pairs are therefore skipped
 // rather than reported (hand-over-hand locking of siblings is
 // indistinguishable from re-acquisition at this granularity).

@@ -1,6 +1,6 @@
 // Package failpoint is Eugene's fault-injection framework: named sites
 // planted at proven-fragile seams (snapshot save/rename, pool teardown
-// mid-batch, shard drain during stop, HTTP handler I/O, cluster proxy
+// mid-batch, queue drain during stop, HTTP handler I/O, cluster proxy
 // forwarding and snapshot replication) that chaos tests — or an
 // operator via the EUGENE_FAILPOINTS environment variable — can arm
 // with error, delay, or panic actions.

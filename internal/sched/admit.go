@@ -32,24 +32,30 @@ func (e *ErrOverloaded) Error() string {
 }
 
 // ewma is a lock-free exponentially weighted moving average: float64
-// bits in an atomic word, CAS-updated, zero meaning "no observations
-// yet". Readers see a torn-free value with one atomic load.
+// bits in an atomic word, CAS-updated. Readers see a torn-free value
+// with one atomic load.
 type ewma struct{ bits atomic.Uint64 }
 
 // Load returns the current average (0 before the first observation).
 func (e *ewma) Load() float64 { return math.Float64frombits(e.bits.Load()) }
 
-// Observe folds x in with weight alpha (the first observation seeds
-// the average directly).
+// Observe folds x in with weight alpha, reading zero as "no
+// observations yet": the first observation seeds the average directly.
 func (e *ewma) Observe(alpha, x float64) {
+	if e.bits.Load() == 0 && e.bits.CompareAndSwap(0, math.Float64bits(x)) {
+		return
+	}
+	e.fold(alpha, x)
+}
+
+// fold is the plain from-zero update v += alpha·(x − v): for a rate,
+// where 0 is a value ("nothing observed so far was a hit") and not the
+// absence of one.
+func (e *ewma) fold(alpha, x float64) {
 	for {
 		old := e.bits.Load()
 		v := math.Float64frombits(old)
-		if v == 0 {
-			v = x
-		} else {
-			v += alpha * (x - v)
-		}
+		v += alpha * (x - v)
 		if e.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
@@ -153,7 +159,7 @@ func (l *Live) noteDecision(rejected bool) {
 	if rejected {
 		x = 1.0
 	}
-	l.adm.rejectRate.Observe(rejectAlpha, x)
+	l.adm.rejectRate.fold(rejectAlpha, x)
 	r := l.adm.rejectRate.Load()
 	var lvl int32
 	switch {

@@ -112,6 +112,26 @@ func TestDegradeLadderClimbsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestDegradeLadderIgnoresOneRejection pins the rejection rate as a
+// plain from-zero average: after any run of admissions one refusal
+// moves it by rejectAlpha, far below the first rung. (Seeded by its
+// first non-zero observation, it jumped to 1.0 and the pool straight to
+// the f32 tier.)
+func TestDegradeLadderIgnoresOneRejection(t *testing.T) {
+	gauge := new(atomic.Int32)
+	l := newAdmitLive(t, 1, time.Millisecond, 0, gauge)
+	for i := 0; i < 1000; i++ {
+		l.noteDecision(false)
+	}
+	l.noteDecision(true)
+	if lvl := l.DegradeLevel(); lvl != DegradeNone {
+		t.Fatalf("level after 1000 admits and one reject = %d, want %d", lvl, DegradeNone)
+	}
+	if g := int(gauge.Load()); g != DegradeNone {
+		t.Fatalf("gauge = %d, want %d", g, DegradeNone)
+	}
+}
+
 func TestGroupCapSizedBySlack(t *testing.T) {
 	l := newAdmitLive(t, 1, 100*time.Millisecond, 0, nil)
 	warmAdmission(l, time.Millisecond, 3)

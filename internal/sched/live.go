@@ -191,9 +191,9 @@ type LiveStats struct {
 // counts incarnations so that stale deadline-heap entries from a
 // previous life can never flag the next one (see expEntry).
 //
-// Ownership discipline: between stages a task belongs to exactly one
-// shard (access under that shard's mutex); during a stage it belongs to
-// the executing worker. Only the owner reads or writes state/hidden and
+// Ownership discipline: between stages a task belongs to the ready
+// queue (access under Live.mu); during a stage it belongs to the
+// executing worker. Only the owner reads or writes state/hidden and
 // only the owner finalizes, so no per-task lock guards them. The
 // deadline daemon communicates exclusively through the dead flag.
 type liveTask struct {
@@ -210,7 +210,7 @@ type liveTask struct {
 	// task finishes or the executor swaps the row out.
 	ownsBuf bool
 	// dead is set by the deadline daemon and checked lock-free at stage
-	// boundaries: expiry notification never touches shard or dispatch
+	// boundaries: expiry notification never touches queue or dispatch
 	// state.
 	dead atomic.Bool
 	// reuseMu serializes the daemon's gen check against pool reuse; it
@@ -273,80 +273,34 @@ func (h *expHeap) popMin() expEntry {
 	return e
 }
 
-// shard is one worker's run queue: ready tasks bucketed by the stage
-// they will run next, so coalescing a same-stage group is one bucket
-// scan instead of a pass over every pending task. count mirrors the
-// bucket total atomically for lock-free "is there work anywhere"
-// checks.
-type shard struct {
-	mu      sync.Mutex
-	buckets [][]*liveTask
-	count   atomic.Int64
-
-	// pick scratch, guarded by mu.
-	states []*TaskState
-	flat   []*liveTask
-}
-
-// putLocked adds a ready task to its stage bucket; callers hold mu and
-// adjust count themselves.
-//eugene:noalloc
-func (sh *shard) putLocked(t *liveTask) {
-	s := t.state.Executed
-	for len(sh.buckets) <= s {
-		sh.buckets = append(sh.buckets, nil)
-	}
-	sh.buckets[s] = append(sh.buckets[s], t)
-}
-
-// Live is the real-time counterpart of Simulate: a sharded
-// work-stealing executor. Each worker goroutine owns a deque of ready
-// tasks (bucketed per stage), runs policy-picked same-stage groups as
-// batched forward passes, carries survivors straight into their next
-// stage itself (worker-resident continuation — no cross-goroutine
-// handoff between stages), and steals from sibling shards when its own
-// is empty. A deadline daemon — one timer over a min-heap of expiries —
-// flags overdue tasks through per-task atomic bits; owners observe the
-// flag at stage boundaries, so expiry never contends with dispatch. It
-// mirrors the paper's user-space scheduler + TensorFlow process pool +
-// named-pipe reporting, with shared-memory queues in place of pipes.
-//
-// Lock order (enforced by the lockorder analyzer): a worker holding its
-// shard lock may consult the shared policy (takeLocal → Pick) and may
-// publish finished-task latencies (drainShard → sweep → finalize →
-// recordFinish), so shard.mu nests outside both. The reverse direction
-// is a deadlock against a sibling worker and is reported at the
-// acquisition site.
-//
-//eugene:lockorder shard.mu before Live.policyMu
-//eugene:lockorder shard.mu before Live.histMu
+// Live is the real-time counterpart of Simulate and the paper's
+// RTDeepIoT scheduler (Section III): one ready queue, one Policy that
+// picks the globally best (task, stage) from it, and a pool of workers.
+// Ready tasks are bucketed by the stage they will run next, so a worker
+// coalesces the policy's pick with up to MaxBatch same-stage tasks into
+// one batched forward pass by scanning one bucket, and puts the
+// survivors back on the queue for whichever worker is free next. A
+// deadline daemon — one timer over a min-heap of expiries — flags
+// overdue tasks through per-task atomic bits; owners observe the flag at
+// stage boundaries, so expiry never contends with dispatch. It mirrors
+// the paper's user-space scheduler + TensorFlow process pool +
+// named-pipe reporting, with a shared-memory queue in place of pipes.
 type Live struct {
 	cfg LiveConfig
-	// policies holds one Policy per worker: forks of the configured
-	// policy when it implements ForkablePolicy (private pick state, no
-	// lock), else the shared instance in every slot guarded by
-	// policyMu. Per-worker forks keep a k-lookahead timeline coherent:
-	// each plans over its own shard, so planned task IDs stay
-	// resolvable at the next pick instead of being discarded as stale
-	// by a sibling's disjoint task set.
-	policies     []Policy
-	policyShared bool
-	// policyMu serializes Pick calls on a shared (non-forkable) policy.
-	// Picks are per dispatched group, not per task, so this is off the
-	// per-stage hot path.
-	policyMu sync.Mutex
 
 	nextID atomic.Int64
-	rr     atomic.Uint64 // round-robin shard cursor for admissions
 
-	shards []*shard
-	wake   []chan struct{}
-	parkMu sync.Mutex
-	parked []int
-	// workEpoch increments on every push and every daemon flag; workers
-	// sample it before scanning for work and refuse to park if it moved,
-	// which closes the scan-then-sleep wakeup race.
-	workEpoch atomic.Uint64
+	// mu guards everything a pick touches: the ready queue, the stopped
+	// flag, the policy's pick state and the pick scratch. Workers with
+	// nothing to run sleep on work, which is signalled whenever the
+	// queue gains tasks, the daemon flags one, or the executor stops.
+	mu      sync.Mutex
+	work    *sync.Cond
+	buckets [][]*liveTask
+	stopped bool
+	policy  Policy
+	states  []*TaskState
+	flat    []*liveTask
 
 	expMu    sync.Mutex
 	expiries expHeap
@@ -360,23 +314,21 @@ type Live struct {
 	batchPool sync.Pool // *[]*liveTask
 	bufPool   sync.Pool // *[]float64: hidden-row overflow shared across workers
 
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	epoch    time.Time
+	// stopCh is closed when stopped is set, for the submitters and the
+	// daemon, which wait in selects.
+	stopCh chan struct{}
+	wg     sync.WaitGroup
+	epoch  time.Time
 
 	// Serving counters: atomics so stats recording never contends on
-	// the submit or finish hot paths; the mutex covers only the latency
-	// histogram.
+	// the submit or finish hot paths.
 	submitted  atomic.Uint64
 	answered   atomic.Uint64
 	expired    atomic.Uint64
 	unanswered atomic.Uint64
 	goodput    atomic.Uint64
 	inSystem   atomic.Int64
-	histMu     sync.Mutex
-	latHist    [latBuckets]uint64
-	latCount   uint64
+	latHist    [latBuckets]atomic.Uint64
 
 	// adm is the SLO admission-control and degradation state.
 	adm admitState
@@ -400,32 +352,16 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 	}
 	l := &Live{
 		cfg:      cfg,
+		policy:   policy,
 		expKick:  make(chan struct{}, 1),
 		admitSem: make(chan struct{}, cfg.QueueDepth),
 		stopCh:   make(chan struct{}),
 		epoch:    time.Now(),
 	}
-	l.policies = make([]Policy, cfg.Workers)
-	if f, ok := policy.(ForkablePolicy); ok {
-		l.policies[0] = policy
-		for w := 1; w < cfg.Workers; w++ {
-			l.policies[w] = f.Fork()
-		}
-	} else {
-		l.policyShared = true
-		for w := range l.policies {
-			l.policies[w] = policy
-		}
-	}
-	l.shards = make([]*shard, cfg.Workers)
-	l.wake = make([]chan struct{}, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		l.shards[w] = &shard{}
-		l.wake[w] = make(chan struct{}, 1)
-	}
-	for w := 0; w < cfg.Workers; w++ {
+	l.work = sync.NewCond(&l.mu)
+	for _, exec := range executors {
 		l.wg.Add(1)
-		go l.worker(w, executors[w])
+		go l.worker(exec)
 	}
 	l.wg.Add(1)
 	go l.daemon()
@@ -501,7 +437,7 @@ func (l *Live) addExpiry(tasks ...*liveTask) {
 
 // daemon is the deadline watchdog: one timer armed to the earliest
 // expiry. Expiring a task is a gen-checked atomic flag set — it never
-// touches shards, task state, or dispatch, so a storm of expiries
+// touches the queue, task state, or dispatch, so a storm of expiries
 // cannot stall the serving path. Owners observe the flag at the next
 // stage boundary and deliver the expired response with the last
 // completed stage's answer.
@@ -541,10 +477,12 @@ func (l *Live) daemon() {
 			e.t.reuseMu.Unlock()
 		}
 		if marked {
-			// Wake everyone: parked workers steal and finalize the
-			// flagged tasks of busy siblings.
-			l.workEpoch.Add(1)
-			l.wakeAll()
+			// Sleeping workers sweep the flagged tasks off the queue.
+			// The flags are set outside mu, so take it for the wake-up:
+			// a worker that swept just before them is by now waiting.
+			l.mu.Lock()
+			l.work.Broadcast()
+			l.mu.Unlock()
 		}
 		if !timer.Stop() {
 			select {
@@ -578,10 +516,7 @@ func (l *Live) recordFinish(stages int, expired bool, lat time.Duration) {
 			l.unanswered.Add(1)
 		}
 	}
-	l.histMu.Lock()
-	l.latHist[latBucket(lat)]++
-	l.latCount++
-	l.histMu.Unlock()
+	l.latHist[latBucket(lat)].Add(1)
 	l.inSystem.Add(-1)
 }
 
@@ -611,9 +546,9 @@ func (l *Live) finalize(t *liveTask, expired bool) {
 }
 
 // Stats returns a snapshot of the executor's serving counters. Safe to
-// call concurrently with Submit/SubmitBatch: the counters are atomics
-// and the lock is held only to copy the fixed-size histogram;
-// percentile selection happens outside it, allocation-free.
+// call concurrently with Submit/SubmitBatch: every counter is an atomic
+// and percentiles are selected from a copy of the fixed-size histogram,
+// allocation-free.
 func (l *Live) Stats() LiveStats {
 	s := LiveStats{
 		Submitted:    l.submitted.Load(),
@@ -625,10 +560,12 @@ func (l *Live) Stats() LiveStats {
 		DegradeLevel: l.DegradeLevel(),
 		QueueDepth:   int(l.inSystem.Load()),
 	}
-	l.histMu.Lock()
-	hist := l.latHist
-	n := l.latCount
-	l.histMu.Unlock()
+	var hist [latBuckets]uint64
+	var n uint64
+	for b := range hist {
+		hist[b] = l.latHist[b].Load()
+		n += hist[b]
+	}
 	if n > 0 {
 		s.P50 = histPercentile(&hist, n/2)
 		s.P99 = histPercentile(&hist, min(n-1, n*99/100))
@@ -636,101 +573,24 @@ func (l *Live) Stats() LiveStats {
 	return s
 }
 
-// pushShard places a contiguous run of ready tasks on one shard.
-// Callers bump workEpoch and wake workers themselves (once per
-// admission, not once per shard).
+// push puts ready tasks on the queue, each in the bucket of the stage
+// it runs next; once the executor has stopped it answers them as
+// expired instead, as Stop's drain would have. Waking workers for the
+// new tasks is the caller's, after the lock is released.
 //eugene:noalloc
-func (l *Live) pushShard(w int, tasks []*liveTask) {
-	sh := l.shards[w]
-	sh.mu.Lock()
+func (l *Live) push(tasks []*liveTask) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, t := range tasks {
-		sh.putLocked(t)
-	}
-	// The count must move inside the critical section: drainShard
-	// stores 0 under sh.mu after emptying the buckets, so an Add that
-	// lands after our unlock but also after a concurrent drain would
-	// leave an empty shard with a permanently positive count — and
-	// steal() would lock it on every probe forever after.
-	sh.count.Add(int64(len(tasks)))
-	sh.mu.Unlock()
-}
-
-// wakeOne unparks one worker, preferring pref (the shard that just
-// received work) when it is parked.
-func (l *Live) wakeOne(pref int) {
-	l.parkMu.Lock()
-	if len(l.parked) == 0 {
-		l.parkMu.Unlock()
-		return
-	}
-	idx := len(l.parked) - 1
-	if pref >= 0 {
-		for i, id := range l.parked {
-			if id == pref {
-				idx = i
-				break
-			}
+		if l.stopped {
+			l.finalize(t, true)
+			continue
 		}
-	}
-	id := l.parked[idx]
-	l.parked = append(l.parked[:idx], l.parked[idx+1:]...)
-	l.parkMu.Unlock()
-	select {
-	case l.wake[id] <- struct{}{}:
-	default:
-	}
-}
-
-// wakeAll unparks every worker. The sends are non-blocking (buffered
-// tokens), so holding parkMu across them is safe and avoids copying the
-// parked list.
-func (l *Live) wakeAll() {
-	l.parkMu.Lock()
-	for _, id := range l.parked {
-		select {
-		case l.wake[id] <- struct{}{}:
-		default:
+		s := t.state.Executed
+		for len(l.buckets) <= s {
+			l.buckets = append(l.buckets, nil)
 		}
-	}
-	l.parked = l.parked[:0]
-	l.parkMu.Unlock()
-}
-
-// park blocks worker id until new work arrives or the executor stops
-// (false). epoch is the workEpoch sampled before the caller's failed
-// scan: if it moved, work may have been pushed mid-scan and the worker
-// rescans instead of sleeping.
-func (l *Live) park(id int, epoch uint64) bool {
-	l.parkMu.Lock()
-	l.parked = append(l.parked, id)
-	l.parkMu.Unlock()
-	if l.workEpoch.Load() != epoch {
-		l.unpark(id)
-		return true
-	}
-	select {
-	case <-l.wake[id]:
-		return true
-	case <-l.stopCh:
-		l.unpark(id)
-		return false
-	}
-}
-
-// unpark removes id from the parked list (it may already be gone if a
-// producer popped it) and drains any stale wake token.
-func (l *Live) unpark(id int) {
-	l.parkMu.Lock()
-	for i, p := range l.parked {
-		if p == id {
-			l.parked = append(l.parked[:i], l.parked[i+1:]...)
-			break
-		}
-	}
-	l.parkMu.Unlock()
-	select {
-	case <-l.wake[id]:
-	default:
+		l.buckets[s] = append(l.buckets[s], t)
 	}
 }
 
@@ -742,7 +602,7 @@ func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Resp
 	if numStages < 1 {
 		return Response{}, fmt.Errorf("sched: task needs ≥1 stage")
 	}
-	// Refuse new work once stopped; the shards are no longer drained.
+	// Refuse new work once stopped.
 	select {
 	case <-l.stopCh:
 		return Response{}, ErrStopped
@@ -769,18 +629,8 @@ func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Resp
 	l.submitted.Add(1)
 	l.inSystem.Add(1)
 	l.addExpiry(t)
-	w := int(l.rr.Add(1) % uint64(l.cfg.Workers))
-	l.pushShard(w, []*liveTask{t})
-	l.workEpoch.Add(1)
-	l.wakeOne(w)
-	// Close the push-vs-Stop window: if Stop's final sweep ran before
-	// this push, no worker will ever scan the shard again — drain it
-	// here so the task (and the stats it incremented) is finalized.
-	select {
-	case <-l.stopCh:
-		l.drainShard(w)
-	default:
-	}
+	l.push([]*liveTask{t})
+	l.work.Signal()
 	select {
 	case r := <-t.done:
 		l.putTask(t)
@@ -795,14 +645,14 @@ func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Resp
 	}
 }
 
-// SubmitBatch enqueues len(inputs) tasks, spread round-robin across the
-// worker shards, and blocks until every task is answered or expires.
-// Responses are in input order; per-task expiry is reported through
-// Response.Expired / Response.Unanswered rather than an error, so one
-// late task does not hide the other answers. The error is reserved for
-// whole-batch failures (stopped executor, cancelled context). Like
-// Submit, it takes ownership of the input slices; the caller must not
-// mutate them.
+// SubmitBatch enqueues len(inputs) tasks in one step — every worker
+// sees the whole batch at its next pick — and blocks until every task is
+// answered or expires. Responses are in input order; per-task expiry is
+// reported through Response.Expired / Response.Unanswered rather than
+// an error, so one late task does not hide the other answers. The error
+// is reserved for whole-batch failures (stopped executor, cancelled
+// context). Like Submit, it takes ownership of the input slices; the
+// caller must not mutate them.
 func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages int) ([]Response, error) {
 	if numStages < 1 {
 		return nil, fmt.Errorf("sched: task needs ≥1 stage")
@@ -837,30 +687,8 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	l.submitted.Add(uint64(len(batch)))
 	l.inSystem.Add(int64(len(batch)))
 	l.addExpiry(batch...)
-	// Contiguous chunks per shard keep same-stage groups coalescible
-	// while spreading the batch over every worker. Chunks never drop
-	// below MaxBatch just to touch more shards: a full-size chunk keeps
-	// the GEMM batch wide, and idle workers steal their share anyway.
-	per := (len(batch) + l.cfg.Workers - 1) / l.cfg.Workers
-	if mb := min(len(batch), l.cfg.MaxBatch); per < mb {
-		per = mb
-	}
-	start := int(l.rr.Add(1) % uint64(l.cfg.Workers))
-	for c, off := 0, 0; off < len(batch); c++ {
-		end := min(off+per, len(batch))
-		l.pushShard((start+c)%l.cfg.Workers, batch[off:end])
-		off = end
-	}
-	l.workEpoch.Add(1)
-	l.wakeAll()
-	// Close the push-vs-Stop window (see Submit).
-	select {
-	case <-l.stopCh:
-		for id := range l.shards {
-			l.drainShard(id)
-		}
-	default:
-	}
+	l.push(batch)
+	l.work.Broadcast()
 	out := make([]Response, len(batch))
 	for i, t := range batch {
 		select {
@@ -883,32 +711,26 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 // Stop shuts the executor down and waits for its goroutines. Queued
 // tasks receive expired responses.
 func (l *Live) Stop() {
-	l.stopOnce.Do(func() { close(l.stopCh) })
+	l.mu.Lock()
+	if !l.stopped {
+		l.stopped = true
+		close(l.stopCh)
+	}
+	l.mu.Unlock()
+	l.work.Broadcast()
 	l.wg.Wait()
-	// Workers drain their own shards on exit; this final sweep catches
-	// tasks pushed by submissions racing the shutdown.
-	for id := range l.shards {
-		l.drainShard(id)
-	}
-}
-
-// drainShard finalizes every task still queued on one shard (expired:
-// the executor is stopping).
-func (l *Live) drainShard(id int) {
-	// Failpoint: chaos tests delay here to widen the stop-vs-submit
-	// race window while shards drain.
+	// The workers are gone and push queues nothing more, so what is
+	// queued now is all there will ever be. Failpoint: chaos tests delay
+	// here to hold tasks unanswered while their submitters see the stop.
 	failpoint.Hit("sched.drain")
-	sh := l.shards[id]
-	sh.mu.Lock()
-	for s, b := range sh.buckets {
-		for i, t := range b {
+	l.mu.Lock()
+	for _, b := range l.buckets {
+		for _, t := range b {
 			l.finalize(t, true)
-			b[i] = nil
 		}
-		sh.buckets[s] = b[:0]
 	}
-	sh.count.Store(0)
-	sh.mu.Unlock()
+	l.buckets = nil
+	l.mu.Unlock()
 }
 
 // workerState is one worker's private dispatch scratch: group/rows/dst
@@ -917,7 +739,6 @@ func (l *Live) drainShard(id int) {
 // task's buffer survives every stage in place.
 type workerState struct {
 	live *Live
-	id   int
 	exec StageExecutor
 
 	group []*liveTask
@@ -930,8 +751,8 @@ type workerState struct {
 
 // maxArenaBufs bounds one worker's lock-free hidden-row freelist;
 // overflow spills to the Live-wide sync.Pool, which also rebalances
-// buffers across workers when stealing moves tasks (the thief finalizes
-// tasks whose rows the victim allocated).
+// buffers across workers: a task is finished by whichever worker ran
+// its last stage, not by the one whose arena its row came from.
 const maxArenaBufs = 256
 
 //eugene:noalloc
@@ -988,74 +809,72 @@ func (ws *workerState) finish(t *liveTask, expired bool) {
 	ws.live.finalize(t, expired)
 }
 
-// worker is one scheduler worker: drain the local shard (policy-picked
-// same-stage groups, batched), steal when empty, park when the whole
-// system is idle.
-func (l *Live) worker(id int, exec StageExecutor) {
+// worker is one scheduler worker: take the policy's next same-stage
+// group off the queue, run it as one batched forward pass, repeat.
+func (l *Live) worker(exec StageExecutor) {
 	defer l.wg.Done()
-	ws := &workerState{live: l, id: id, exec: exec}
+	ws := &workerState{live: l, exec: exec}
 	for {
-		select {
-		case <-l.stopCh:
-			l.drainShard(id)
-			return
-		default:
-		}
-		epoch := l.workEpoch.Load()
-		group, stage := ws.takeLocal()
-		if group == nil && ws.steal() {
-			group, stage = ws.takeLocal()
-		}
+		group, stage := ws.take()
 		if group == nil {
-			if !l.park(id, epoch) {
-				l.drainShard(id)
-				return
-			}
-			continue
+			return
 		}
 		ws.run(group, stage)
 	}
 }
 
-// takeLocal sweeps the worker's own shard (finalizing daemon-flagged
-// tasks), asks the policy for a leader among the remaining ready tasks,
-// and coalesces up to MaxBatch same-stage tasks from the leader's
-// bucket into one dispatch group. Returns nil when the policy has
-// nothing runnable.
+// take blocks until the policy has a dispatch for this worker and
+// returns its group; nil means the executor has stopped.
 //eugene:noalloc
-func (ws *workerState) takeLocal() ([]*liveTask, int) {
+func (ws *workerState) take() ([]*liveTask, int) {
 	l := ws.live
-	sh := l.shards[ws.id]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ws.sweepLocked(sh)
-	states := sh.states[:0]
-	flat := sh.flat[:0]
-	for _, b := range sh.buckets {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for !l.stopped {
+		if group, stage := ws.pickLocked(); group != nil {
+			return group, stage
+		}
+		l.work.Wait()
+	}
+	return nil, 0
+}
+
+// pickLocked walks the queue once — finalizing daemon-flagged tasks,
+// listing the rest — asks the policy for a leader among those, and
+// coalesces up to MaxBatch same-stage tasks from the leader's bucket
+// into one dispatch group. Returns nil when the policy has nothing
+// runnable. Callers hold mu.
+//eugene:noalloc
+func (ws *workerState) pickLocked() ([]*liveTask, int) {
+	l := ws.live
+	states := l.states[:0]
+	flat := l.flat[:0]
+	for s, b := range l.buckets {
+		kept := b[:0]
 		for _, t := range b {
+			if t.dead.Load() {
+				ws.finish(t, true)
+				continue
+			}
+			kept = append(kept, t)
 			states = append(states, &t.state)
 			flat = append(flat, t)
 		}
+		clear(b[len(kept):])
+		l.buckets[s] = kept
 	}
-	sh.states, sh.flat = states, flat
+	l.states, l.flat = states, flat
 	if len(flat) == 0 {
 		return nil, 0
 	}
 	nowT := l.nowTicks()
-	var i int
-	if l.policyShared {
-		l.policyMu.Lock()
-		i = l.policies[ws.id].Pick(nowT, states)
-		l.policyMu.Unlock()
-	} else {
-		i = l.policies[ws.id].Pick(nowT, states)
-	}
+	i := l.policy.Pick(nowT, states)
 	if i < 0 {
 		return nil, 0
 	}
 	leader := flat[i]
 	stage := leader.state.Executed
-	bucket := sh.buckets[stage]
+	bucket := l.buckets[stage]
 	// Under admission control the group is sized by the slack of the
 	// tightest deadline among the candidates, not the fixed MaxBatch: a
 	// full-width batch in front of a nearly-due task would miss that
@@ -1079,11 +898,8 @@ func (ws *workerState) takeLocal() ([]*liveTask, int) {
 		}
 		kept = append(kept, t)
 	}
-	for i := len(kept); i < len(bucket); i++ {
-		bucket[i] = nil
-	}
-	sh.buckets[stage] = kept
-	sh.count.Add(-int64(len(group)))
+	clear(bucket[len(kept):])
+	l.buckets[stage] = kept
 	for _, t := range group {
 		t.state.InFlight = true
 	}
@@ -1091,77 +907,9 @@ func (ws *workerState) takeLocal() ([]*liveTask, int) {
 	return group, stage
 }
 
-// sweepLocked finalizes daemon-flagged tasks sitting in the shard.
-// Callers hold sh.mu.
-//eugene:noalloc
-func (ws *workerState) sweepLocked(sh *shard) {
-	var removed int64
-	for s, b := range sh.buckets {
-		kept := b[:0]
-		for _, t := range b {
-			if t.dead.Load() {
-				ws.finish(t, true)
-				removed++
-				continue
-			}
-			kept = append(kept, t)
-		}
-		for i := len(kept); i < len(b); i++ {
-			b[i] = nil
-		}
-		sh.buckets[s] = kept
-	}
-	if removed > 0 {
-		sh.count.Add(-removed)
-	}
-}
-
-// steal moves roughly half of the fullest bucket of the first non-empty
-// sibling shard into the worker's own shard and reports whether
-// anything moved. Victim locks are never held together with the
-// thief's own, so steals cannot deadlock.
-//eugene:noalloc
-func (ws *workerState) steal() bool {
-	l := ws.live
-	n := len(l.shards)
-	for off := 1; off < n; off++ {
-		v := (ws.id + off) % n
-		sh := l.shards[v]
-		if sh.count.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		best, bestN := -1, 0
-		for s, b := range sh.buckets {
-			if len(b) > bestN {
-				best, bestN = s, len(b)
-			}
-		}
-		if best < 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		take := (bestN + 1) / 2
-		b := sh.buckets[best]
-		stolen := append(ws.surv[:0], b[bestN-take:]...)
-		for i := bestN - take; i < bestN; i++ {
-			b[i] = nil
-		}
-		sh.buckets[best] = b[:bestN-take]
-		sh.count.Add(-int64(take))
-		sh.mu.Unlock()
-		ws.surv = stolen
-		l.pushShard(ws.id, stolen)
-		return true
-	}
-	return false
-}
-
 // run executes one same-stage group as a batched forward pass, commits
-// the results, and requeues survivors on the worker's own shard — the
-// continuation stays worker-resident, so the next stage needs no
-// cross-goroutine handoff and coalesces with whatever else is pending
-// locally.
+// the results, and puts the survivors back on the queue, where their
+// next stage coalesces with whatever else is pending at that stage.
 //eugene:noalloc
 func (ws *workerState) run(group []*liveTask, stage int) {
 	l := ws.live
@@ -1250,11 +998,10 @@ func (ws *workerState) run(group []*liveTask, stage int) {
 	}
 	ws.surv = surv
 	if len(surv) > 0 {
-		l.pushShard(ws.id, surv)
-		l.workEpoch.Add(1)
+		l.push(surv)
 		if len(surv) > 1 {
-			// Surplus continuations: invite a parked sibling to steal.
-			l.wakeOne(-1)
+			// More continuations than this worker's next group may take.
+			l.work.Signal()
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // allocExec is an allocation-free echo executor for AllocsPerRun
 // measurements: results live in reused scratch and hidden rows pass
 // through untouched, so every allocation the test observes belongs to
-// the scheduler itself (dispatch, steal, finalize, arena bookkeeping).
+// the scheduler itself (pick, dispatch, finalize, arena bookkeeping).
 type allocExec struct {
 	res []StageResult
 }
@@ -31,14 +31,14 @@ func (e *allocExec) ExecStageBatch(hidden [][]float64, stage int, _ [][]float64)
 // a pool submitting batches of the given size, after a warmup that
 // fills the task arena, the per-worker row freelists, and the deadline
 // heap.
-func measureLiveAllocs(t *testing.T, workers, batch int) float64 {
+func measureLiveAllocs(t *testing.T, policy Policy, workers, batch int) float64 {
 	t.Helper()
 	execs := make([]StageExecutor, workers)
 	for i := range execs {
 		execs[i] = &allocExec{}
 	}
 	l, err := NewLive(LiveConfig{Workers: workers, Deadline: 5 * time.Second, QueueDepth: 4 * batch},
-		NewFIFO(), execs)
+		policy, execs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,30 +66,35 @@ func measureLiveAllocs(t *testing.T, workers, batch int) float64 {
 }
 
 // TestLiveAllocsPerRequest is the dynamic half of the hotpathalloc
-// contract: the //eugene:noalloc annotations promise the dispatch,
-// steal, and finalize paths stay allocation-free in steady state, the
-// static analyzer rejects the obvious regressions at vet time, and this
-// test pins what escape analysis actually decides at run time. The
-// bounds leave headroom over the measured steady state (≈0.03/req at
-// one worker, ≈0.34/req at four in BENCH_serving.json) while still
+// contract: the //eugene:noalloc annotations promise the pick,
+// dispatch, and finalize paths stay allocation-free in steady state,
+// the static analyzer rejects the obvious regressions at vet time, and
+// this test pins what escape analysis actually decides at run time. The
+// bounds leave headroom over the measured steady state (≈0.03/req; the
+// sched.allocs_per_row ledger row of bench/README.md) while still
 // failing hard if pooling breaks — losing the task arena or the row
-// freelist costs several allocations per request.
+// freelist costs several allocations per request. The Greedy rows cover
+// the policy core installs: its plan runs on every dispatch and must
+// not allocate per candidate.
 func TestLiveAllocsPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the non-race CI step")
 	}
 	for _, tc := range []struct {
+		policy  Policy
 		workers int
 		batch   int
 		limit   float64
 	}{
-		{workers: 1, batch: 64, limit: 0.25},
-		{workers: 4, batch: 64, limit: 1.0},
+		{policy: NewFIFO(), workers: 1, batch: 64, limit: 0.25},
+		{policy: NewFIFO(), workers: 4, batch: 64, limit: 1.0},
+		{policy: NewGreedy(1, stubPredictor{}, "greedy-1"), workers: 1, batch: 64, limit: 0.25},
+		{policy: NewGreedy(1, stubPredictor{}, "greedy-1"), workers: 4, batch: 64, limit: 1.0},
 	} {
-		got := measureLiveAllocs(t, tc.workers, tc.batch)
-		t.Logf("workers=%d batch=%d: %.4f allocs/request", tc.workers, tc.batch, got)
+		got := measureLiveAllocs(t, tc.policy, tc.workers, tc.batch)
+		t.Logf("%s workers=%d batch=%d: %.4f allocs/request", tc.policy.Name(), tc.workers, tc.batch, got)
 		if got > tc.limit {
-			t.Errorf("workers=%d: %.4f allocs/request, budget %.2f — a hot-path pool or arena regressed", tc.workers, got, tc.limit)
+			t.Errorf("%s workers=%d: %.4f allocs/request, budget %.2f — a hot-path pool or arena regressed", tc.policy.Name(), tc.workers, got, tc.limit)
 		}
 	}
 }

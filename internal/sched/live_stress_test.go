@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"eugene/internal/failpoint"
 )
 
 // refEcho replays echoExec's deterministic per-stage function so stress
@@ -21,13 +23,30 @@ func refEcho(input []float64, stages int) (pred int, conf float64) {
 	return pred, conf
 }
 
-// TestLiveWorkStealingStress hammers a steal-heavy 8-worker executor
-// with concurrent Submit and SubmitBatch callers using random stage
-// counts, and checks every completed task's answer against the
-// sequential reference. Run under -race this exercises the sharded
-// deques, stealing, worker-resident continuation, the deadline daemon,
-// and the task/buffer arenas at once.
-func TestLiveWorkStealingStress(t *testing.T) {
+// checkConservation asserts the serving counters balance once every
+// caller has its responses: nothing is left in the system, and every
+// submitted task was either answered or expired unanswered.
+func checkConservation(t *testing.T, l *Live) LiveStats {
+	t.Helper()
+	s := l.Stats()
+	if s.QueueDepth != 0 {
+		t.Errorf("stats %+v: queue depth %d after all clients finished", s, s.QueueDepth)
+	}
+	if s.Submitted != s.Answered+s.Unanswered {
+		t.Errorf("stats %+v: submitted != answered + unanswered", s)
+	}
+	if s.Goodput > s.Answered {
+		t.Errorf("stats %+v: goodput above answered", s)
+	}
+	return s
+}
+
+// TestLiveStress hammers an 8-worker executor with concurrent Submit
+// and SubmitBatch callers using random stage counts, and checks every
+// completed task's answer against the sequential reference. Run under
+// -race this exercises the shared queue, tasks changing workers between
+// stages, the deadline daemon, and the task/buffer arenas at once.
+func TestLiveStress(t *testing.T) {
 	const (
 		workers   = 8
 		maxBatch  = 4
@@ -96,10 +115,7 @@ func TestLiveWorkStealingStress(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	s := l.Stats()
-	if s.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after all clients finished", s.QueueDepth)
-	}
+	s := checkConservation(t, l)
 	if s.Expired != 0 || s.Unanswered != 0 {
 		t.Fatalf("stats %+v: tasks expired under a one-minute deadline", s)
 	}
@@ -108,11 +124,11 @@ func TestLiveWorkStealingStress(t *testing.T) {
 	}
 }
 
-// TestLiveWorkStealingExpiryStress drives the same topology against a
+// TestLiveExpiryStress drives the same topology against a
 // deadline most tasks cannot meet: every submission must still get
 // exactly one response, per-task expiry must be reported through the
 // Response, and the counters must balance.
-func TestLiveWorkStealingExpiryStress(t *testing.T) {
+func TestLiveExpiryStress(t *testing.T) {
 	const workers = 8
 	execs := make([]StageExecutor, workers)
 	for i := range execs {
@@ -157,11 +173,71 @@ func TestLiveWorkStealingExpiryStress(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	s := l.Stats()
-	if s.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after all clients finished", s.QueueDepth)
+	checkConservation(t, l)
+}
+
+// TestLiveSlowSiblingDoesNotStrandBatch holds one of two workers in a
+// slow dispatch and submits a 64-row batch: the free worker must run
+// every stage of every row without waiting for its sibling.
+func TestLiveSlowSiblingDoesNotStrandBatch(t *testing.T) {
+	const stall = 500 * time.Millisecond
+	failpoint.DisableAll()
+	failpoint.ResetCounts()
+	if err := failpoint.Enable("sched.dispatch", "1*delay("+stall.String()+")"); err != nil {
+		t.Fatal(err)
 	}
-	if s.Answered+s.Unanswered < s.Submitted {
-		t.Fatalf("stats %+v: tasks lost", s)
+	defer failpoint.DisableAll()
+
+	l, execs := newEchoLive(t, 2, 0, time.Minute, 0)
+	// The decoy's first dispatch takes the failpoint's one firing and
+	// holds its worker for the stall.
+	decoy := make(chan error, 1)
+	go func() {
+		_, err := l.Submit(context.Background(), []float64{0}, 1)
+		decoy <- err
+	}()
+	for failpoint.Counts()["sched.dispatch"] == 0 {
+		time.Sleep(time.Millisecond)
 	}
+
+	inputs := make([][]float64, 64)
+	for i := range inputs {
+		inputs[i] = []float64{float64(i)}
+	}
+	start := time.Now()
+	resps, err := l.SubmitBatch(context.Background(), inputs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= stall {
+		t.Fatalf("batch took %v: it waited out the sibling's %v stall", took, stall)
+	}
+	select {
+	case err := <-decoy:
+		t.Fatalf("decoy returned (%v) before the batch: no worker was held", err)
+	default:
+	}
+	for i, r := range resps {
+		wantPred, wantConf := refEcho(inputs[i], 3)
+		if r.Expired || r.Stages != 3 || r.Pred != wantPred || math.Abs(r.Conf-wantConf) > 1e-12 {
+			t.Errorf("row %d: %+v, want 3 stages, (%d, %v)", i, r, wantPred, wantConf)
+		}
+	}
+	// One executor ran the whole batch; the other has yet to see a row.
+	var rows [2]int
+	for w, ex := range execs {
+		e := ex.(*echoExec)
+		e.mu.Lock()
+		for _, n := range e.batches {
+			rows[w] += n
+		}
+		e.mu.Unlock()
+	}
+	if rows != [2]int{3 * 64, 0} && rows != [2]int{0, 3 * 64} {
+		t.Fatalf("rows run per worker %v, want all %d on one", rows, 3*64)
+	}
+	if err := <-decoy; err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, l)
 }

@@ -15,8 +15,25 @@ type Greedy struct {
 	// Pred supplies confidence forecasts.
 	Pred Predictor
 
-	label    string
-	timeline []int // planned task IDs, consumed front to back
+	label string
+	// timeline is the planned task IDs; entries from next on are not
+	// yet consumed. A re-plan overwrites it in place.
+	timeline []int
+	next     int
+	// cands is replan's per-task scratch, reused across plans.
+	cands []virt
+}
+
+// virt is replan's virtual per-task state, advanced as the plan grows
+// so that a k≥2 plan can schedule consecutive stages of the same task
+// using predicted confidences.
+type virt struct {
+	idx    int
+	last   int // last (virtually) executed stage index; −1 if none
+	prev   float64
+	cur    float64
+	left   int
+	weight float64
 }
 
 // NewGreedy builds an RTDeepIoT-k policy.
@@ -30,64 +47,48 @@ func NewGreedy(k int, pred Predictor, label string) *Greedy {
 // Name implements Policy.
 func (g *Greedy) Name() string { return g.label }
 
-// Fork implements ForkablePolicy: each fork plans its own timeline over
-// its worker's run queue, sharing the (read-only) predictor.
-func (g *Greedy) Fork() Policy { return NewGreedy(g.K, g.Pred, g.label) }
-
 // Pick implements Policy.
 func (g *Greedy) Pick(now Ticks, tasks []*TaskState) int {
 	for {
 		// Consume the planned timeline first, skipping entries that
 		// became stale (task finalized, expired, or picked up already).
-		for len(g.timeline) > 0 {
-			id := g.timeline[0]
-			g.timeline = g.timeline[1:]
+		for g.next < len(g.timeline) {
+			id := g.timeline[g.next]
+			g.next++
 			for i, t := range tasks {
 				if t.Task.ID == id && t.Runnable(now) {
 					return i
 				}
 			}
 		}
-		if !g.plan(now, tasks) {
+		if !g.replan(now, tasks) {
 			return -1
 		}
 	}
 }
 
-// plan rebuilds the timeline; returns false when no task is plannable.
-func (g *Greedy) plan(now Ticks, tasks []*TaskState) bool {
-	// Virtual per-task state advanced as the plan grows, so a k≥2 plan
-	// can schedule consecutive stages of the same task using predicted
-	// confidences.
-	type virt struct {
-		idx    int
-		last   int // last (virtually) executed stage index; −1 if none
-		prev   float64
-		cur    float64
-		left   int
-		total  int
-		weight float64
-	}
-	var cands []*virt
+// replan rebuilds the (exhausted) timeline; returns false when no task
+// is plannable.
+func (g *Greedy) replan(now Ticks, tasks []*TaskState) bool {
+	cands := g.cands[:0]
 	for i, t := range tasks {
 		if !t.Runnable(now) {
 			continue
 		}
-		v := &virt{
+		cands = append(cands, virt{
 			idx: i, last: t.Executed - 1,
 			prev: t.PrevConf, cur: t.Conf,
-			left: t.Remaining(), total: t.Task.NumStages,
+			left:   t.Remaining(),
 			weight: t.Task.EffectiveWeight(),
-		}
-		cands = append(cands, v)
+		})
 	}
-	if len(cands) == 0 {
-		return false
-	}
+	g.cands = cands
+	g.timeline, g.next = g.timeline[:0], 0
 	for n := 0; n < g.K; n++ {
 		var best *virt
-		bestGain := 0.0
-		for _, v := range cands {
+		var bestGain, bestPred float64
+		for c := range cands {
+			v := &cands[c]
 			if v.left == 0 {
 				continue
 			}
@@ -100,57 +101,58 @@ func (g *Greedy) plan(now Ticks, tasks []*TaskState) bool {
 			}
 			gain := (predicted - v.cur) * v.weight
 			if best == nil || gain > bestGain {
-				best, bestGain = v, gain
+				best, bestGain, bestPred = v, gain, predicted
 			}
 		}
 		if best == nil {
 			break
 		}
 		g.timeline = append(g.timeline, tasks[best.idx].Task.ID)
-		next := best.last + 1
-		var predicted float64
-		if best.last < 0 {
-			predicted = g.Pred.Prior(next)
-		} else {
-			predicted = g.Pred.Predict(best.last, best.prev, best.cur, next)
-		}
-		best.prev, best.cur = best.cur, predicted
-		best.last = next
+		best.prev, best.cur = best.cur, bestPred
+		best.last++
 		best.left--
 	}
 	return len(g.timeline) > 0
 }
 
 // RoundRobin is the paper's stage-level round-robin baseline: it cycles
-// through tasks, executing one stage per visit.
+// through tasks in ID order, executing one stage per visit. The cycle
+// is kept as the last served ID, not as a position in the candidate
+// list, because the live executor's list changes order with every
+// dispatch.
 type RoundRobin struct {
-	cursor int
+	last int
 }
 
 // NewRoundRobin builds the RR baseline.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
+func NewRoundRobin() *RoundRobin { return &RoundRobin{last: -1} }
 
 // Name implements Policy.
 func (r *RoundRobin) Name() string { return "RR" }
 
-// Fork implements ForkablePolicy (a private rotation cursor per
-// worker).
-func (r *RoundRobin) Fork() Policy { return NewRoundRobin() }
-
-// Pick implements Policy.
+// Pick implements Policy: the runnable task with the lowest ID above
+// the last one served, or, past the end of the cycle, the lowest ID.
 func (r *RoundRobin) Pick(now Ticks, tasks []*TaskState) int {
-	n := len(tasks)
-	if n == 0 {
-		return -1
-	}
-	for probe := 0; probe < n; probe++ {
-		i := (r.cursor + probe) % n
-		if tasks[i].Runnable(now) {
-			r.cursor = i + 1
-			return i
+	next, first := -1, -1
+	for i, t := range tasks {
+		if !t.Runnable(now) {
+			continue
+		}
+		id := t.Task.ID
+		if first < 0 || id < tasks[first].Task.ID {
+			first = i
+		}
+		if id > r.last && (next < 0 || id < tasks[next].Task.ID) {
+			next = i
 		}
 	}
-	return -1
+	if next < 0 {
+		next = first
+	}
+	if next >= 0 {
+		r.last = tasks[next].Task.ID
+	}
+	return next
 }
 
 // FIFO is the paper's first-come-first-served baseline: tasks run all
@@ -162,9 +164,6 @@ func NewFIFO() *FIFO { return &FIFO{} }
 
 // Name implements Policy.
 func (FIFO) Name() string { return "FIFO" }
-
-// Fork implements ForkablePolicy (FIFO is stateless).
-func (f FIFO) Fork() Policy { return f }
 
 // Pick implements Policy.
 func (FIFO) Pick(now Ticks, tasks []*TaskState) int {

@@ -105,21 +105,10 @@ type Predictor interface {
 // index into tasks of a runnable task, or −1 when nothing should run.
 // Policies may keep internal state (timelines, rotation cursors); each
 // instance is called from a single goroutine at a time (the live
-// executor either forks per worker — see ForkablePolicy — or
-// serializes calls to a shared instance).
+// executor picks under its queue lock).
 type Policy interface {
 	Name() string
 	Pick(now Ticks, tasks []*TaskState) int
-}
-
-// ForkablePolicy marks policies whose pick state (timelines, cursors)
-// should be private per scheduler worker: the live executor gives each
-// worker its own Fork, so a plan made over one worker's run queue is
-// not discarded as stale by a sibling picking from a disjoint task
-// set. Forks may share read-only components such as predictors.
-type ForkablePolicy interface {
-	Policy
-	Fork() Policy
 }
 
 // TaskOutcome records one task's fate for metrics.
