@@ -61,12 +61,15 @@ type Config struct {
 	// disables batching). Larger batches raise throughput under load at
 	// the cost of coarser per-dispatch deadline granularity.
 	MaxBatch int
-	// Parallelism caps how many cores one large GEMM may fan out over
-	// (tensor.SetParallelism): 0 leaves the process-wide default
-	// (GOMAXPROCS) untouched, 1 disables intra-op parallelism. Nonzero
-	// values are process-wide — the tensor worker pool is shared by
-	// every service in the process, so only set this from the one
-	// place that owns the decision.
+	// Parallelism caps how many cores large GEMMs may hold at once,
+	// all callers together (tensor.SetParallelism): 0 leaves the
+	// process-wide default (GOMAXPROCS) untouched, 1 keeps every GEMM
+	// on its caller. It does not multiply the workers: a GEMM too small
+	// to split into chunks that pay for a hand-off (every GEMM of a
+	// 32-row group at hidden 256) runs inline on the scheduler worker
+	// that owns it whatever this is. Nonzero values are process-wide —
+	// tensor's helpers are shared by every service in the process, so
+	// only set this from the one place that owns the decision.
 	Parallelism int
 	// DataDir enables snapshot persistence: every Train, Calibrate,
 	// BuildPredictor, and snapshot install atomically writes the

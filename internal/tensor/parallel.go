@@ -6,113 +6,197 @@ import (
 	"sync/atomic"
 )
 
-// Intra-op parallelism: large GEMMs split their row range over a shared
-// bounded pool of worker goroutines, so a single scheduler worker can
-// still use every core when it runs a big coalesced batch. The pool is
-// process-wide and submission is non-blocking — when every pool worker
-// is busy (e.g. several serving workers issue large GEMMs at once), the
-// caller simply runs its chunks inline, which degrades to the serial
-// kernel instead of queueing or deadlocking.
+// Intra-op parallelism: a GEMM splits its rows over helper goroutines
+// only when the split pays for itself and the cores are free to take it.
+//
+//   - Size. Every chunk is at least gemmGrain mul-adds, so a product
+//     under two grains runs inline on its caller without touching the
+//     pool. That covers every GEMM of the serving path: the scheduler
+//     already shares the cores by handing stages of ≤ MaxBatch rows to
+//     its workers, and one wake-up per stage is cheaper than one per
+//     GEMM.
+//   - Occupancy. The limit caps the goroutines inside over-grain
+//     products, callers and helpers together. A caller takes helpers
+//     only for the cores no other such product holds at that moment,
+//     and only helpers that are idle; it never queues a chunk. Callers
+//     are never held back, so c of them at once run max(limit, c)
+//     goroutines (one that arrives while another's helpers are
+//     mid-chunk adds itself on top until those chunks end). Products
+//     under two grains are not counted: they finish within a chunk's
+//     time, and counting them would put a shared cache line on every
+//     matvec.
 const (
 	// gemmRowTile is the register-tile height of the MatMulT kernel;
-	// parallel splits land on tile boundaries so chunked execution is
-	// bitwise identical to serial execution.
+	// splits land on tile boundaries so chunked execution is bitwise
+	// identical to serial execution.
 	gemmRowTile = 4
-	// parallelThreshold is the minimum B×M×K product worth fanning out.
-	// Measured on the serving model shapes (hidden 256): a 32×256 ·
-	// (256×256)ᵀ stage GEMM (~2M mul-adds, ≈100µs serial) parallelizes
-	// well, while per-request matvecs and small heads (<~64K mul-adds,
-	// single-digit µs) lose more to handoff than they gain.
-	parallelThreshold = 1 << 16
+	// gemmGrain is the least work, in mul-adds, worth a chunk of its
+	// own. BenchmarkMatMulTFanOut (rows × 256 × 256, serial against a
+	// forced two-way split on two cores): at 64 rows, 2 M mul-adds per
+	// chunk, the split loses (f64 296 → 326 µs, f32 167 → 189); at 128
+	// rows, 4 M per chunk, it spends the second core to break even
+	// (607 → 622, 329 → 296); at 256 rows, 8 M per chunk, it wins in
+	// both precisions (1218 → 759, 648 → 443) and keeps winning above
+	// (4096 rows: 19.3 → 10.7 ms, 10.7 → 5.9 ms).
+	gemmGrain = 1 << 23
 	// maxParallelism bounds the pool (sanity cap, not a tuning knob).
 	maxParallelism = 256
 )
 
+// gemmJob is one row range of one product. It travels by value, and run
+// is a package-level function, never a closure, so handing a chunk to a
+// helper allocates nothing.
+type gemmJob struct {
+	run             func(gemmJob)
+	dst, a, b       *Matrix
+	dst32, a32, b32 *Matrix32
+	lo, hi          int
+}
+
+// gemmHelper is one pool goroutine. Whoever receives it from
+// gemmPool.idle is the only sender on job and the only receiver on
+// done until it puts the helper back.
+type gemmHelper struct {
+	job  chan gemmJob
+	done chan struct{}
+	next *gemmHelper // the taker's list
+}
+
+func (h *gemmHelper) serve() {
+	for j := range h.job {
+		j.run(j)
+		h.done <- struct{}{}
+	}
+}
+
 var gemmPool struct {
-	limit   atomic.Int32
-	started atomic.Int32
-	mu      sync.Mutex
-	work    chan func()
+	limit atomic.Int32
+	// inKernels counts the goroutines inside over-grain products:
+	// callers, plus the helpers they reserved.
+	inKernels atomic.Int32
+	started   atomic.Int32
+	mu        sync.Mutex
+	// idle holds the helpers nobody has taken; its capacity is the most
+	// helpers that can ever exist, so putting one back never blocks.
+	idle chan *gemmHelper
 }
 
 func init() {
 	// Default to one goroutine per schedulable core, like a BLAS:
 	// explicit SetParallelism (core.Config.Parallelism, eugened
-	// -parallelism) overrides. Pool workers spawn lazily on the first
-	// over-threshold product, so merely importing tensor starts
-	// nothing.
-	n := runtime.GOMAXPROCS(0)
-	if n > maxParallelism {
-		n = maxParallelism
-	}
-	gemmPool.limit.Store(int32(n))
-	gemmPool.work = make(chan func(), maxParallelism)
+	// -parallelism) overrides. Helpers spawn lazily on the first
+	// product that splits, so merely importing tensor starts nothing.
+	gemmPool.limit.Store(int32(min(runtime.GOMAXPROCS(0), maxParallelism)))
+	gemmPool.idle = make(chan *gemmHelper, maxParallelism)
 }
 
-// SetParallelism sets how many goroutines (including the caller) one
-// large kernel may use. n ≤ 0 selects 1 (serial). The setting is
-// process-wide; raising it is cheap, lowering it only shrinks future
-// fan-out (idle pool workers cost a few KB each).
+// SetParallelism caps how many goroutines may run inside large kernels
+// at once, across all callers (see the policy at the top of this file);
+// callers are never blocked, so more concurrent callers than n simply
+// all run inline. n ≤ 0 selects 1 (no helpers). The setting is
+// process-wide; lowering it leaves the surplus helpers idle (a few KB
+// each).
 func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxParallelism {
-		n = maxParallelism
-	}
-	gemmPool.limit.Store(int32(n))
+	gemmPool.limit.Store(int32(max(1, min(n, maxParallelism))))
 }
 
 // Parallelism returns the current intra-op parallelism limit.
 func Parallelism() int { return int(gemmPool.limit.Load()) }
 
-// ensureWorkers lazily grows the pool to n-1 goroutines (the caller is
-// the nth); the atomic fast path keeps the steady state lock-free.
-func ensureWorkers(n int) {
-	if int(gemmPool.started.Load()) >= n-1 {
+// gemmChunks is the fan-out rule: how many chunks a rows-high product
+// of muladds mul-adds is split into when free cores (the caller's
+// included) are not running over-grain kernels. Each chunk is at least
+// a grain and at least a register tile.
+func gemmChunks(rows, muladds, free int) int {
+	return max(1, min(muladds/gemmGrain, rows/gemmRowTile, free))
+}
+
+// fanOut runs j over rows [0, rows), split by gemmChunks.
+//
+//eugene:noalloc
+func fanOut(j gemmJob, rows, muladds int) {
+	if gemmChunks(rows, muladds, maxParallelism) == 1 {
+		j.lo, j.hi = 0, rows
+		j.run(j)
+		return
+	}
+	// Reserve the caller's core and the helpers' in one step, so two
+	// callers arriving together cannot both take the last free core.
+	var n int32
+	for {
+		held := gemmPool.inKernels.Load()
+		n = int32(gemmChunks(rows, muladds, int(gemmPool.limit.Load()-held)))
+		if gemmPool.inKernels.CompareAndSwap(held, held+n) {
+			break
+		}
+	}
+	parallelRows(j, rows, int(n))
+	gemmPool.inKernels.Add(-n)
+}
+
+// ensureHelpers lazily grows the pool to n goroutines; the atomic fast
+// path keeps the steady state lock-free.
+func ensureHelpers(n int) {
+	n = min(n, maxParallelism)
+	if int(gemmPool.started.Load()) >= n {
 		return
 	}
 	gemmPool.mu.Lock()
-	for int(gemmPool.started.Load()) < n-1 {
-		go func() {
-			for f := range gemmPool.work {
-				f()
-			}
-		}()
+	for int(gemmPool.started.Load()) < n {
+		h := &gemmHelper{job: make(chan gemmJob, 1), done: make(chan struct{}, 1)}
+		go h.serve()
+		gemmPool.idle <- h
 		gemmPool.started.Add(1)
 	}
 	gemmPool.mu.Unlock()
 }
 
-// matMulTParallel splits dst's rows into up to p tile-aligned chunks
-// over the shared pool.
-func matMulTParallel(dst, a, b *Matrix, p int) {
-	parallelRows(a.Rows, p, func(lo, hi int) { matMulTRange(dst, a, b, lo, hi) })
+// idleHelper takes a helper that is idle now, or returns nil.
+func idleHelper() *gemmHelper {
+	select {
+	case h := <-gemmPool.idle:
+		return h
+	default:
+		return nil
+	}
 }
 
-// parallelRows splits [0, rows) into up to p tile-aligned chunks,
-// dispatches all but the first to the pool (falling back inline when
-// the pool is saturated), computes the first chunk itself, and waits.
-// Both the float64 and float32 GEMMs fan out through here, so one
-// bounded pool serves every precision.
-func parallelRows(rows, p int, rangeFn func(lo, hi int)) {
-	ensureWorkers(p)
-	chunk := (rows + p - 1) / p
-	chunk = (chunk + gemmRowTile - 1) &^ (gemmRowTile - 1)
-	var wg sync.WaitGroup
-	for lo := chunk; lo < rows; lo += chunk {
-		lo, hi := lo, min(lo+chunk, rows)
-		wg.Add(1)
-		f := func() {
-			rangeFn(lo, hi)
-			wg.Done()
+// parallelRows runs j over rows [0, rows) in up to n tile-aligned
+// chunks: one per idle helper it can take, the first on the caller.
+// With no helper idle the caller runs the whole range, which is the
+// serial kernel. Both precisions fan out through here.
+//
+//eugene:noalloc
+func parallelRows(j gemmJob, rows, n int) {
+	tiles := (rows + gemmRowTile - 1) / gemmRowTile
+	n = min(n, tiles)
+	ensureHelpers(n - 1)
+	var taken *gemmHelper
+	k := 1 // chunks: the caller's, and one per helper taken
+	for ; k < n; k++ {
+		h := idleHelper()
+		if h == nil {
+			break
 		}
-		select {
-		case gemmPool.work <- f:
-		default:
-			f()
-		}
+		h.next, taken = taken, h
 	}
-	rangeFn(0, min(chunk, rows))
-	wg.Wait()
+	// Chunk i of k covers tiles [i·tiles/k, (i+1)·tiles/k).
+	i := 1
+	for h := taken; h != nil; h = h.next {
+		j.lo, j.hi = i*tiles/k*gemmRowTile, min((i+1)*tiles/k*gemmRowTile, rows)
+		h.job <- j
+		i++
+	}
+	j.lo, j.hi = 0, min(tiles/k*gemmRowTile, rows)
+	j.run(j)
+	for h := taken; h != nil; {
+		<-h.done
+		next := h.next
+		h.next = nil
+		gemmPool.idle <- h
+		h = next
+	}
 }
+
+func runMatMulT(j gemmJob)   { matMulTRange(j.dst, j.a, j.b, j.lo, j.hi) }
+func runMatMulT32(j gemmJob) { matMulT32Range(j.dst32, j.a32, j.b32, j.lo, j.hi) }

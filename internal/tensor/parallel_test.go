@@ -1,69 +1,126 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestMatMulTParallelMatchesSerial pins the row-partitioned parallel
-// GEMM to the serial kernel. Chunks split on register-tile boundaries,
-// so results must be bitwise identical, not merely close.
-func TestMatMulTParallelMatchesSerial(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
+// overGrainRows × 256 × 256 is eight grains: MatMulT splits it whenever
+// the limit and the pool's occupancy allow.
+const overGrainRows = 1024
 
-	rng := rand.New(rand.NewSource(11))
-	for _, shape := range []struct{ m, n, k int }{
-		{64, 96, 128}, // over threshold, tile-aligned rows
+// gemmOperands returns a rows×k and an n×k operand pair in both
+// precisions, holding the same values.
+func gemmOperands(seed int64, rows, n, k int) (a, b *Matrix, a32, b32 *Matrix32) {
+	rng := rand.New(rand.NewSource(seed))
+	a32, a = randMatrix32(rng, rows, k)
+	b32, b = randMatrix32(rng, n, k)
+	return a, b, a32, b32
+}
+
+// TestGemmChunks pins the fan-out rule at the shapes that matter.
+func TestGemmChunks(t *testing.T) {
+	type shape struct{ rows, n, k int }
+	// The serving model of cmd/eugenebench at MaxBatch 32: dim 32,
+	// hidden 256, head bottlenecks 8/12/0, 10 classes.
+	serving := []shape{
+		{32, 256, 32}, {32, 256, 256}, // input projection, block layers
+		{32, 8, 256}, {32, 10, 8}, {32, 12, 256}, {32, 10, 12}, {32, 10, 256}, // heads
+	}
+	for _, s := range serving {
+		for _, free := range []int{1, 2, 8, maxParallelism} {
+			if got := gemmChunks(s.rows, s.rows*s.n*s.k, free); got != 1 {
+				t.Errorf("serving GEMM %v with %d cores free: %d chunks, want 1", s, free, got)
+			}
+		}
+	}
+	const big = 4096 * 256 * 256
+	for _, tc := range []struct {
+		name                string
+		rows, muladds, free int
+		want                int
+	}{
+		{"large product, idle pool, limit 2", 4096, big, 2, 2},
+		{"large product, idle pool, limit 8", 4096, big, 8, 8},
+		{"large product, limit 1 or every other core in kernels", 4096, big, 1, 1},
+		{"large product, more callers than cores", 4096, big, -1, 1},
+		{"large product, one core of four free besides the caller's", 4096, big, 2, 2},
+		{"chunks stay a grain each", 512, 512 * 256 * 256, 8, 4},
+		{"just under two grains", 255, 255 * 256 * 256, 8, 1},
+		{"two grains", 256, 256 * 256 * 256, 8, 2},
+		{"chunks stay a register tile each", 9, 9 * 4096 * 4096, 8, 2},
+	} {
+		if got := gemmChunks(tc.rows, tc.muladds, tc.free); got != tc.want {
+			t.Errorf("%s: %d chunks, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestParallelRowsMatchesSerial pins the row-partitioned GEMM to the
+// serial kernel in both precisions. Chunks split on register-tile
+// boundaries, so results must be bitwise identical, not merely close.
+// The shapes are under the grain, so the split is forced by calling
+// parallelRows directly.
+func TestParallelRowsMatchesSerial(t *testing.T) {
+	for _, s := range []struct{ m, n, k int }{
+		{64, 96, 128}, // tile-aligned rows
 		{61, 96, 128}, // ragged row tail inside the last chunk
 		{128, 40, 64}, // wide batch, small output
-		{9, 257, 129}, // odd everything, barely parallel
+		{9, 257, 129}, // odd everything, fewer tiles than helpers
+		{64, 64, 48},  // 16-lane f32 kernel with a scalar tail
 	} {
-		a := NewMatrix(shape.m, shape.k)
-		b := NewMatrix(shape.n, shape.k)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		for i := range b.Data {
-			b.Data[i] = rng.NormFloat64()
-		}
-		SetParallelism(1)
-		want := NewMatrix(shape.m, shape.n)
-		MatMulT(want, a, b)
+		a, b, a32, b32 := gemmOperands(11, s.m, s.n, s.k)
+		want, want32 := NewMatrix(s.m, s.n), NewMatrix32(s.m, s.n)
+		matMulTRange(want, a, b, 0, s.m)
+		matMulT32Range(want32, a32, b32, 0, s.m)
 		for _, p := range []int{2, 3, 8} {
-			SetParallelism(p)
-			got := NewMatrix(shape.m, shape.n)
-			MatMulT(got, a, b)
+			got, got32 := NewMatrix(s.m, s.n), NewMatrix32(s.m, s.n)
+			parallelRows(gemmJob{run: runMatMulT, dst: got, a: a, b: b}, s.m, p)
+			parallelRows(gemmJob{run: runMatMulT32, dst32: got32, a32: a32, b32: b32}, s.m, p)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Fatalf("shape %dx%dx%d parallelism %d: dst[%d] = %v, want %v",
-						shape.m, shape.n, shape.k, p, i, got.Data[i], want.Data[i])
+					t.Fatalf("f64 %dx%dx%d in %d chunks: dst[%d] = %v, want %v", s.m, s.n, s.k, p, i, got.Data[i], want.Data[i])
+				}
+				if got32.Data[i] != want32.Data[i] {
+					t.Fatalf("f32 %dx%dx%d in %d chunks: dst[%d] = %v, want %v", s.m, s.n, s.k, p, i, got32.Data[i], want32.Data[i])
 				}
 			}
 		}
 	}
 }
 
-// TestMatMulTParallelConcurrent runs many over-threshold GEMMs from
-// competing goroutines (the serving shape: several scheduler workers
-// sharing one intra-op pool) and checks every result; with -race this
-// also vets the pool's handoff.
-func TestMatMulTParallelConcurrent(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	SetParallelism(4)
+// TestMatMulTOverGrainMatchesSerial sends one product through the
+// public entry points that the rule does split.
+func TestMatMulTOverGrainMatchesSerial(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	const m, n, k = overGrainRows + 3, 256, 256
+	a, b, a32, b32 := gemmOperands(17, m, n, k)
+	want, want32 := NewMatrix(m, n), NewMatrix32(m, n)
+	matMulTRange(want, a, b, 0, m)
+	matMulT32Range(want32, a32, b32, 0, m)
+	for _, p := range []int{1, 2, 3, 8} {
+		SetParallelism(p)
+		got, got32 := NewMatrix(m, n), NewMatrix32(m, n)
+		MatMulT(got, a, b)
+		MatMulT32(got32, a32, b32)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] || got32.Data[i] != want32.Data[i] {
+				t.Fatalf("parallelism %d: dst[%d] = %v / %v, want %v / %v", p, i, got.Data[i], got32.Data[i], want.Data[i], want32.Data[i])
+			}
+		}
+	}
+}
 
+// TestParallelRowsConcurrent forces splits from competing goroutines
+// (several scheduler workers sharing the helpers) and checks every
+// result; with -race this also vets the hand-off.
+func TestParallelRowsConcurrent(t *testing.T) {
 	const m, n, k = 48, 64, 96
-	rng := rand.New(rand.NewSource(13))
-	a := NewMatrix(m, k)
-	b := NewMatrix(n, k)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
+	a, b, _, _ := gemmOperands(13, m, n, k)
 	want := NewMatrix(m, n)
 	matMulTRange(want, a, b, 0, m)
 
@@ -74,7 +131,7 @@ func TestMatMulTParallelConcurrent(t *testing.T) {
 			defer wg.Done()
 			got := NewMatrix(m, n)
 			for iter := 0; iter < 20; iter++ {
-				MatMulT(got, a, b)
+				parallelRows(gemmJob{run: runMatMulT, dst: got, a: a, b: b}, m, 4)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Errorf("concurrent GEMM diverged at %d", i)
@@ -85,4 +142,144 @@ func TestMatMulTParallelConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if held := gemmPool.inKernels.Load(); held != 0 {
+		t.Errorf("%d goroutines still counted inside kernels", held)
+	}
+}
+
+// blockingJob returns a job whose helper chunks report on entered and
+// then wait for release; the caller's own chunk (the one from row 0)
+// returns at once.
+func blockingJob(helpers int) (j gemmJob, entered, release chan struct{}) {
+	entered = make(chan struct{}, helpers)
+	release = make(chan struct{})
+	return gemmJob{run: func(j gemmJob) {
+		if j.lo > 0 {
+			entered <- struct{}{}
+			<-release
+		}
+	}}, entered, release
+}
+
+// TestBusyHelperDoesNotStallOtherCallers holds the pool's helpers
+// inside a chunk that does not end and then issues an over-grain
+// product from another goroutine: it must run inline and return, not
+// wait for a helper.
+func TestBusyHelperDoesNotStallOtherCallers(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	ensureHelpers(1)
+	helpers := int(gemmPool.started.Load()) // other tests may have started more
+
+	block, entered, release := blockingJob(helpers)
+	owner := make(chan struct{})
+	go func() {
+		defer close(owner)
+		parallelRows(block, (helpers+1)*gemmRowTile, helpers+1)
+	}()
+	for i := 0; i < helpers; i++ {
+		<-entered
+	}
+
+	const m, n, k = overGrainRows, 256, 256
+	a, b, _, _ := gemmOperands(19, m, n, k)
+	want, got := NewMatrix(m, n), NewMatrix(m, n)
+	matMulTRange(want, a, b, 0, m)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		MatMulT(got, a, b)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Error("an over-grain product waited for a busy helper")
+	}
+	close(release)
+	<-owner
+	<-finished
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("dst[%d] = %v, want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestOccupancyCapsHelpers holds both cores of a limit of two inside
+// one caller's product and checks that a second caller's large product
+// takes no helper although idle ones exist, and that the count of
+// goroutines in kernels returns to zero.
+func TestOccupancyCapsHelpers(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	ensureHelpers(2) // one for the first caller, one left idle
+
+	block, entered, release := blockingJob(1)
+	const rows, muladds = 4096, 4096 * 256 * 256
+	owner := make(chan struct{})
+	go func() {
+		defer close(owner)
+		fanOut(block, rows, muladds)
+	}()
+	<-entered
+	if held := gemmPool.inKernels.Load(); held != 2 {
+		t.Errorf("%d goroutines counted inside kernels, want the caller and its helper", held)
+	}
+
+	var chunks [][2]int // appended by the one goroutine that runs fanOut below
+	fanOut(gemmJob{run: func(j gemmJob) { chunks = append(chunks, [2]int{j.lo, j.hi}) }}, rows, muladds)
+	if len(chunks) != 1 || chunks[0] != [2]int{0, rows} {
+		t.Errorf("second caller ran chunks %v, want [0, %d) inline", chunks, rows)
+	}
+	close(release)
+	<-owner
+	if held := gemmPool.inKernels.Load(); held != 0 {
+		t.Errorf("%d goroutines still counted inside kernels", held)
+	}
+}
+
+// TestFanOutAllocs is the dynamic half of //eugene:noalloc on MatMulT
+// and MatMulT32 for a product that does split.
+func TestFanOutAllocs(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	const m, n, k = overGrainRows, 256, 256
+	a, b, a32, b32 := gemmOperands(23, m, n, k)
+	dst, dst32 := NewMatrix(m, n), NewMatrix32(m, n)
+	MatMulT(dst, a, b) // starts the helper
+	if avg := testing.AllocsPerRun(20, func() { MatMulT(dst, a, b) }); avg != 0 {
+		t.Errorf("MatMulT: %v allocs per fanned-out product, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { MatMulT32(dst32, a32, b32) }); avg != 0 {
+		t.Errorf("MatMulT32: %v allocs per fanned-out product, want 0", avg)
+	}
+}
+
+// BenchmarkMatMulTFanOut is the measurement gemmGrain cites: rows × 256
+// × 256 in both precisions, serial (p=1) against a split forced over
+// every core, whatever the rule would have decided.
+func BenchmarkMatMulTFanOut(b *testing.B) {
+	const n, k = 256, 256
+	procs := runtime.GOMAXPROCS(0)
+	for _, rows := range []int{32, 64, 128, 256, 512, 4096} {
+		x, w, x32, w32 := gemmOperands(1, rows, n, k)
+		for _, prec := range []struct {
+			name string
+			job  gemmJob
+		}{
+			{"f64", gemmJob{run: runMatMulT, dst: NewMatrix(rows, n), a: x, b: w}},
+			{"f32", gemmJob{run: runMatMulT32, dst32: NewMatrix32(rows, n), a32: x32, b32: w32}},
+		} {
+			for _, p := range []int{1, procs} {
+				b.Run(fmt.Sprintf("%s/rows=%d/p=%d", prec.name, rows, p), func(b *testing.B) {
+					b.ReportAllocs()
+					parallelRows(prec.job, rows, p) // starts the helpers
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						parallelRows(prec.job, rows, p)
+					}
+				})
+			}
+		}
+	}
 }

@@ -114,10 +114,10 @@ func MatMul(dst, a, b *Matrix) {
 // of four: each weight row is streamed once per four batch samples
 // instead of once per sample, which is what makes a B-row batch
 // materially cheaper than B separate matvecs; single-row calls fall
-// through to the unrolled dot kernel. Products large enough to clear
-// parallelThreshold fan their row range out over the shared bounded
-// worker pool (see SetParallelism); the split is at tile boundaries, so
-// the parallel result is bitwise identical to the serial one.
+// through to the unrolled dot kernel. Products of several gemmGrain split
+// their rows over idle helper goroutines (see parallel.go); the split is
+// at tile boundaries, so the result is bitwise identical to the serial
+// one.
 //eugene:noalloc
 func MatMulT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
@@ -126,12 +126,7 @@ func MatMulT(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if p := Parallelism(); p > 1 && a.Rows >= 2*gemmRowTile &&
-		a.Rows*b.Rows*a.Cols >= parallelThreshold {
-		matMulTParallel(dst, a, b, p)
-		return
-	}
-	matMulTRange(dst, a, b, 0, a.Rows)
+	fanOut(gemmJob{run: runMatMulT, dst: dst, a: a, b: b}, a.Rows, a.Rows*b.Rows*a.Cols)
 }
 
 // matMulTRange runs the MatMulT kernel over rows [lo, hi) of a/dst.

@@ -81,9 +81,10 @@ func Narrow(dst []float32, src []float64) {
 // are processed in register tiles of four so each weight row is
 // streamed once per four batch samples; with AVX2+FMA the inner loop
 // runs 8 lanes per register — twice the float64 kernel's width — via
-// dot4FMA32. Products large enough to clear parallelThreshold fan out
-// over the same bounded worker pool as the float64 GEMM (tile-aligned
-// splits, so the parallel result is bitwise identical to serial).
+// dot4FMA32. Large products split their rows by the same rule and over
+// the same helpers as the float64 GEMM (tile-aligned splits, so the
+// result is bitwise identical to serial).
+//eugene:noalloc
 func MatMulT32(dst, a, b *Matrix32) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT32 shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -91,15 +92,11 @@ func MatMulT32(dst, a, b *Matrix32) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT32 dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if p := Parallelism(); p > 1 && a.Rows >= 2*gemmRowTile &&
-		a.Rows*b.Rows*a.Cols >= parallelThreshold {
-		parallelRows(a.Rows, p, func(lo, hi int) { matMulT32Range(dst, a, b, lo, hi) })
-		return
-	}
-	matMulT32Range(dst, a, b, 0, a.Rows)
+	fanOut(gemmJob{run: runMatMulT32, dst32: dst, a32: a, b32: b}, a.Rows, a.Rows*b.Rows*a.Cols)
 }
 
 // matMulT32Range runs the MatMulT32 kernel over rows [lo, hi) of a/dst.
+//eugene:noalloc
 func matMulT32Range(dst, a, b *Matrix32, lo, hi int) {
 	n := a.Cols
 	n16 := 0

@@ -56,26 +56,6 @@ func TestMatMulT32MatchesF64Reference(t *testing.T) {
 	}
 }
 
-func TestMatMulT32ParallelBitwiseIdentical(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	rng := rand.New(rand.NewSource(11))
-	// Large enough to clear parallelThreshold: 64×48·(48×64)ᵀ ≈ 196K.
-	a32, _ := randMatrix32(rng, 64, 48)
-	b32, _ := randMatrix32(rng, 64, 48)
-	SetParallelism(1)
-	serial := NewMatrix32(64, 64)
-	MatMulT32(serial, a32, b32)
-	SetParallelism(4)
-	par := NewMatrix32(64, 64)
-	MatMulT32(par, a32, b32)
-	for i, v := range par.Data {
-		if v != serial.Data[i] {
-			t.Fatalf("parallel MatMulT32 diverges from serial at %d: %v vs %v", i, v, serial.Data[i])
-		}
-	}
-}
-
 func TestDot32AndAxpy32(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 3, 4, 7, 16, 33} {
