@@ -106,9 +106,9 @@ func servingBench(out string, rounds int) error {
 		inputs[i], _ = test.Sample(i % test.Len())
 	}
 
-	// One trained model shared by every cell: each service clones (or
-	// freezes) it per worker anyway, and retraining per cell would swamp
-	// the benchmark.
+	// One trained model shared by every cell: each service freezes it
+	// for its own pool anyway, and retraining per cell would swamp the
+	// benchmark.
 	fmt.Fprintln(os.Stderr, "benchtab: training the serving benchmark model...")
 	opts := core.DefaultTrainOptions(synth.Dim, synth.Classes)
 	opts.Model.Hidden = hidden
@@ -271,7 +271,7 @@ func servingBench(out string, rounds int) error {
 // stage), plus the prediction taken there — is identical.
 func exitAgreement(model *staged.Model, test *dataset.Set) (float64, error) {
 	m64 := model.Clone()
-	frozen, err := staged.Freeze32(model)
+	frozen, err := staged.Freeze[float32](model)
 	if err != nil {
 		return 0, fmt.Errorf("freezing bench model: %w", err)
 	}

@@ -144,14 +144,22 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr, name string, stack
 	if !ok || !tv.IsType() || len(call.Args) != 1 {
 		return
 	}
-	if !types.IsInterface(tv.Type) {
+	if !isInterface(tv.Type) {
 		return
 	}
 	argT := pass.TypesInfo.TypeOf(call.Args[0])
-	if argT == nil || types.IsInterface(argT) || guarded(stack) || inPanic(stack) {
+	if argT == nil || isInterface(argT) || guarded(stack) || inPanic(stack) {
 		return
 	}
 	pass.Reportf(call.Pos(), "%s is //eugene:noalloc but converts to an interface type (boxes the value)", name)
+}
+
+// isInterface reports whether values of type t are interface values.
+// go/types counts a type parameter among the interface types; a value
+// of one (T(v) in a generic kernel) is a concrete value.
+func isInterface(t types.Type) bool {
+	_, isParam := types.Unalias(t).(*types.TypeParam)
+	return !isParam && types.IsInterface(t)
 }
 
 func checkCompositeLit(pass *analysis.Pass, lit *ast.CompositeLit, name string, stack []ast.Node) {

@@ -102,6 +102,30 @@ func failurePath(n int) {
 	}
 }
 
+// The inference kernels are generic over the element type; the
+// annotation must bind a generic function and a method on a generic
+// receiver like any other, and T(v) is arithmetic, not boxing.
+type mat[T float32 | float64] struct{ data []T }
+
+//eugene:noalloc
+func genericKernel[T float32 | float64](dst *mat[T], src []float64) {
+	for i, v := range src {
+		dst.data[i] = T(v) + T(1)
+	}
+	tmp := make([]T, len(src)) // want `genericKernel is //eugene:noalloc but calls make outside a len/cap/nil guard`
+	_ = tmp
+	_ = any(dst.data[0]) // want `converts to an interface type`
+}
+
+//eugene:noalloc
+func (m *mat[T]) ensure(n int) []T {
+	if cap(m.data) < n {
+		m.data = make([]T, n)
+	}
+	out := &mat[T]{data: m.data[:n]} // want `allocates with &mat\[T\]\{\.\.\.\}`
+	return out.data
+}
+
 // free is unannotated: it may allocate.
 func free() []int { return make([]int, 8) }
 

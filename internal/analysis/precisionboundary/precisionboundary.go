@@ -1,15 +1,22 @@
 // Package precisionboundary keeps the scheduler precision-blind: the
 // f32 (and soon int8) serving tiers live entirely behind the float64
-// ExecStageBatch boundary, so float32 values and the *32 kernel types
-// must not leak into exported signatures outside the packages that
-// own them (internal/tensor, internal/nn, internal/staged,
-// internal/snapshot). Everything else — sched, core, service, cache,
-// cmd — exchanges float64 only, which is what lets a new precision
-// tier land without touching the scheduler or its arenas.
+// ExecStageBatch boundary, so float32 values and the inference
+// engine's generic types instantiated at float32 (tensor.Mat[float32],
+// nn.Program[float32], staged.Frozen[float32], under any alias) must
+// not leak into exported signatures outside the packages that own them
+// (internal/tensor, internal/nn, internal/staged, internal/snapshot).
+// Everything else — sched, core, service, cache, cmd — exchanges
+// float64 only, which is what lets a new precision tier land without
+// touching the scheduler or its arenas.
+//
+// A precision type is recognised by structure, not by name: aliases
+// are resolved, and a generic type is as precise as its type
+// arguments — float32 among them, or a type parameter whose constraint
+// admits float32, makes it a tier type. The float64 instantiation is
+// ordinary API.
 package precisionboundary
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -21,14 +28,15 @@ import (
 // packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "precisionboundary",
-	Doc: `forbid float32/Matrix32 types in exported API outside the precision packages
+	Doc: `forbid float32 and float32-instantiated types in exported API outside the precision packages
 
 Exported functions, methods, struct fields, variables, and type
 definitions outside internal/tensor, internal/nn, internal/staged, and
-internal/snapshot must not mention float32, complex64, or the *32
-types those packages define (Matrix32, Program32, Frozen32, ...). The
-scheduler and service layers stay precision-blind behind the float64
-ExecStageBatch contract.`,
+internal/snapshot must not mention float32, complex64, or a generic
+type instantiated at them (tensor.Mat[float32], staged.Frozen[float32],
+their aliases Matrix32 and Frozen32, or an open type parameter that
+admits float32). The scheduler and service layers stay precision-blind
+behind the float64 ExecStageBatch contract.`,
 	Run: run,
 }
 
@@ -39,16 +47,6 @@ var allowed = []string{
 	"internal/staged",
 	"internal/snapshot",
 	"internal/analysis", // the analyzers talk about these types by name
-}
-
-// ownerPkgs are the packages whose exported *32 named types are
-// treated as precision-tier types wherever they appear.
-var ownerPkgs = map[string]bool{}
-
-func init() {
-	for _, a := range allowed {
-		ownerPkgs["eugene/"+a] = true
-	}
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -105,8 +103,14 @@ func checkType(pass *analysis.Pass, s *ast.TypeSpec) {
 	if obj == nil {
 		return
 	}
-	// For a struct, only exported fields are API; for other types the
-	// whole definition is.
+	// An alias is API for everything it names; for a struct definition
+	// only exported fields are; for other types the whole definition is.
+	if s.Assign.IsValid() {
+		if bad := findF32(obj.Type()); bad != "" {
+			pass.Reportf(s.Name.Pos(), "exported type %s is an alias of %s: float32 types must stay behind the float64 ExecStageBatch boundary", s.Name.Name, bad)
+		}
+		return
+	}
 	if st, ok := obj.Type().Underlying().(*types.Struct); ok {
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
@@ -159,6 +163,7 @@ func findF32(t types.Type) string {
 }
 
 func find(t types.Type, seen map[types.Type]bool) string {
+	t = types.Unalias(t)
 	if seen[t] {
 		return ""
 	}
@@ -172,11 +177,21 @@ func find(t types.Type, seen map[types.Type]bool) string {
 			return "complex64"
 		}
 	case *types.Named:
-		obj := t.Obj()
-		if obj.Pkg() != nil && ownerPkgs[obj.Pkg().Path()] && strings.Contains(obj.Name(), "32") {
-			return fmt.Sprintf("%s.%s", obj.Pkg().Name(), obj.Name())
+		// A generic type is as precise as what it is instantiated at.
+		// Named types are not expanded otherwise (time.Time etc.).
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if find(t.TypeArgs().At(i), seen) != "" {
+				return types.TypeString(t, (*types.Package).Name)
+			}
 		}
-		// Do not expand foreign named types (time.Time etc.).
+	case *types.TypeParam:
+		return find(t.Constraint().Underlying(), seen)
+	case *types.Union:
+		for i := 0; i < t.Len(); i++ {
+			if s := find(t.Term(i).Type(), seen); s != "" {
+				return s
+			}
+		}
 	case *types.Pointer:
 		return find(t.Elem(), seen)
 	case *types.Slice:
@@ -210,6 +225,11 @@ func find(t types.Type, seen map[types.Type]bool) string {
 	case *types.Interface:
 		for i := 0; i < t.NumMethods(); i++ {
 			if s := find(t.Method(i).Type(), seen); s != "" {
+				return s
+			}
+		}
+		for i := 0; i < t.NumEmbeddeds(); i++ {
+			if s := find(t.EmbeddedType(i), seen); s != "" {
 				return s
 			}
 		}

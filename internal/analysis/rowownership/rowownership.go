@@ -480,9 +480,11 @@ func isIntLit(x ast.Expr, v int64) bool {
 	return tv.Value == "0" && v == 0 || tv.Value == "1" && v == 1
 }
 
-// calleeSignature returns the signature of a call's static callee.
+// calleeSignature returns the signature of a call's static callee; for
+// a generic callee, instantiated explicitly (convert[float64](...)) or
+// by inference, the generic one, whose parameter names are what count.
 func calleeSignature(pass *analysis.Pass, call *ast.CallExpr) *types.Signature {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := uninstantiated(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
 			return fn.Signature()
@@ -495,9 +497,22 @@ func calleeSignature(pass *analysis.Pass, call *ast.CallExpr) *types.Signature {
 	return nil
 }
 
+// uninstantiated strips parentheses and explicit type arguments from a
+// call's function expression.
+func uninstantiated(fun ast.Expr) ast.Expr {
+	switch x := ast.Unparen(fun).(type) {
+	case *ast.IndexExpr:
+		return ast.Unparen(x.X)
+	case *ast.IndexListExpr:
+		return ast.Unparen(x.X)
+	default:
+		return x
+	}
+}
+
 // calleeName renders the callee for diagnostics.
 func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := uninstantiated(call.Fun).(type) {
 	case *ast.Ident:
 		return fun.Name
 	case *ast.SelectorExpr:

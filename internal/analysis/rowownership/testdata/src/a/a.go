@@ -61,6 +61,40 @@ func (b *bad) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([]
 	return out, nil
 }
 
+// engine is the shape the repo's one ExecStageBatch has since the f64
+// and f32 engines merged: a method on a generic receiver whose row
+// writes go through a generic convert(dst, src). Both must stay visible.
+type engine[T float32 | float64] struct{ scr []T }
+
+func convert[D, S float32 | float64](dst []D, src []S) {
+	for i, v := range src {
+		dst[i] = D(v)
+	}
+}
+
+func (e *engine[T]) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []int) {
+	out := make([][]float64, len(hidden))
+	for i := range hidden {
+		row := hidden[i]
+		convert(e.scr, row) // reading an input row: legal
+		switch {
+		case stage > 0 && cap(row) >= 4:
+			row = row[:4]
+		case i < len(dst) && cap(dst[i]) >= 4:
+			row = dst[i][:4]
+		default:
+			row = make([]float64, 4)
+		}
+		convert(row, e.scr) // every path re-bound or guarded: legal
+		out[i] = row
+	}
+	for _, row := range hidden {
+		convert(row, e.scr)             // want `passing as dst to convert may modify a stage-0 input row`
+		convert[float64, T](row, e.scr) // want `passing as dst to convert may modify a stage-0 input row`
+	}
+	return out, nil
+}
+
 // caller hands rows over and then writes through them: the executor's
 // arenas may still reference every one of those rows.
 func caller(m *model, rows [][]float64) {

@@ -84,17 +84,19 @@ type Config struct {
 	// sched.ErrOverloaded (HTTP 429 + Retry-After) instead of queued,
 	// dispatch groups are sized by deadline slack, and under sustained
 	// rejection pressure the pool sheds load — forcing earlier
-	// early-exit stages and, when the model freezes to f32, serving the
-	// reduced-precision tier — before turning clients away.
+	// early-exit stages and, on a float64 pool, serving the float32
+	// freeze of the model — before turning clients away.
 	Admission bool
-	// Precision selects the serving arithmetic: "f64" (or empty, the
-	// default) serves with the float64 training weights; "f32" freezes
-	// each model into packed float32 weights at pool start
-	// (staged.Freeze32) and runs the inference hot path through the
-	// 8-lane f32 SIMD kernels — roughly half the weight/activation
-	// memory traffic and twice the AVX2 arithmetic width, at a
-	// confidence accuracy easily inside calibration noise. Training,
-	// calibration, and snapshots stay float64 regardless.
+	// Precision selects the element type a pool's one inference engine
+	// is instantiated at. Either way the model is compiled once at pool
+	// start (staged.Freeze) and every worker runs a clone of that
+	// compile, sharing its weights. "f64" (or empty, the default)
+	// compiles over the model's own float64 weights, no copy; "f32"
+	// packs them into float32 and runs the 8-lane f32 SIMD kernels —
+	// roughly half the weight/activation memory traffic and twice the
+	// AVX2 arithmetic width, at a confidence accuracy easily inside
+	// calibration noise. Training, calibration, and snapshots stay
+	// float64 regardless.
 	Precision string
 }
 
@@ -460,15 +462,15 @@ func checkWidth(name string, want int, input []float64) error {
 }
 
 // stageBatchModel is the contract both serving precisions share:
-// *staged.Model (float64) and *staged.Frozen32 (packed float32
-// weights) execute one stage for a same-stage batch over caller-owned
-// float64 hidden rows, so the scheduler is precision-blind.
+// staged.Frozen at float64 and at float32 execute one stage for a
+// same-stage batch over caller-owned float64 hidden rows, so the
+// scheduler is precision-blind.
 type stageBatchModel interface {
 	ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []staged.StageOutput)
 	NumStages() int
 }
 
-// execAdapter adapts a staged model clone (either precision) to
+// execAdapter adapts a frozen-model clone (either precision) to
 // sched.StageExecutor. Like the model's own scratch, the adapter's
 // result buffer is owned by the single worker goroutine driving it.
 type execAdapter struct {
@@ -512,6 +514,53 @@ func (e *execAdapter) ExecStageBatch(hidden [][]float64, stage int, dst [][]floa
 // NumStages implements sched.StageExecutor.
 func (e *execAdapter) NumStages() int { return e.m.NumStages() }
 
+// frozenClones freezes m once at T and returns one clone per worker. The
+// clones share the freeze's weights — at float64 those are m's own — so
+// a pool holds one weight set whatever its size.
+func frozenClones[T tensor.Float](m *staged.Model, workers int) ([]stageBatchModel, error) {
+	f, err := staged.Freeze[T](m)
+	if err != nil {
+		return nil, err
+	}
+	clones := make([]stageBatchModel, workers)
+	for i := range clones {
+		clones[i] = f.Clone()
+	}
+	return clones, nil
+}
+
+// newExecs builds the executors of a pool serving m, one per worker, at
+// the configured precision. With degrade set (admission control) a
+// float64 pool also carries the float32 freeze as its degradation tier:
+// when the scheduler's ladder reaches DegradeTier, workers serve the
+// cheaper model instead of rejecting more traffic. A model the compiler
+// rejects (staged.Freeze) gets no pool at either precision.
+func (s *Service) newExecs(name string, m *staged.Model, degrade *atomic.Int32) ([]sched.StageExecutor, error) {
+	freeze := frozenClones[float64]
+	if s.cfg.Precision == PrecisionF32 {
+		freeze = frozenClones[float32]
+	}
+	primary, err := freeze(m, s.cfg.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: freezing %q for serving: %w", name, err)
+	}
+	var tier []stageBatchModel
+	if degrade != nil && s.cfg.Precision != PrecisionF32 {
+		if tier, err = frozenClones[float32](m, s.cfg.Workers); err != nil {
+			return nil, fmt.Errorf("core: freezing %q for the f32 tier: %w", name, err)
+		}
+	}
+	execs := make([]sched.StageExecutor, s.cfg.Workers)
+	for i := range execs {
+		ad := &execAdapter{m: primary[i]}
+		if tier != nil {
+			ad.alt, ad.degrade = tier[i], degrade
+		}
+		execs[i] = ad
+	}
+	return execs, nil
+}
+
 // liveFor returns (starting if necessary) the live executor for a model.
 // Entries are immutable once published, so reading entry.Model outside
 // the lock is safe.
@@ -552,37 +601,9 @@ func (s *Service) liveFor(name string) (*sched.Live, int, error) {
 	if s.cfg.Admission {
 		degrade = new(atomic.Int32)
 	}
-	execs := make([]sched.StageExecutor, s.cfg.Workers)
-	if s.cfg.Precision == PrecisionF32 {
-		// Freeze once, clone per worker: clones share the packed f32
-		// weight buffers (read-only after freezing), so the pool costs
-		// one half-size weight copy total instead of Workers full-size
-		// float64 copies.
-		frozen, err := staged.Freeze32(entry.Model)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: freezing %q for f32 serving: %w", name, err)
-		}
-		for i := range execs {
-			execs[i] = &execAdapter{m: frozen.Clone()}
-		}
-	} else {
-		// Under admission control the pool also carries a frozen f32
-		// variant as its degradation tier: when the scheduler's ladder
-		// reaches DegradeTier, workers serve the cheaper model instead
-		// of rejecting more traffic. Models that cannot freeze (f32
-		// requires the packed layout) simply skip the tier.
-		var frozen *staged.Frozen32
-		if degrade != nil {
-			frozen, _ = staged.Freeze32(entry.Model)
-		}
-		for i := range execs {
-			ad := &execAdapter{m: entry.Model.Clone()}
-			if frozen != nil {
-				ad.alt = frozen.Clone()
-				ad.degrade = degrade
-			}
-			execs[i] = ad
-		}
+	execs, err := s.newExecs(name, entry.Model, degrade)
+	if err != nil {
+		return nil, 0, err
 	}
 	lv, err := sched.NewLive(sched.LiveConfig{
 		Workers:       s.cfg.Workers,

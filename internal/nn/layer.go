@@ -1,8 +1,13 @@
-// Package nn is a from-scratch neural-network engine: layers with
-// explicit forward/backward passes, losses (including the entropy-
-// regularized calibration loss of Eugene Eq. 4), and an SGD optimizer.
-// It is the substrate on which internal/staged builds the multi-exit
-// residual networks served by the Eugene scheduler.
+// Package nn is a from-scratch neural-network engine in two halves.
+// The training engine is the layer tree: layers with explicit
+// forward/backward passes, losses (including the entropy-regularized
+// calibration loss of Eugene Eq. 4), and an SGD optimizer, all float64.
+// The inference engine is Program (program.go): a trained tree compiled
+// once into a flat op list at float64 or float32, which is what
+// internal/staged serves the multi-exit residual networks from. The
+// tree's own inference-mode Forward stays as the unfused reference the
+// program is tested against, and as the only path for what Compile
+// rejects (convolutions, Monte-Carlo dropout).
 //
 // Batches are dense matrices (internal/tensor) with one sample per row.
 // All randomness is injected through *rand.Rand so training is fully
@@ -24,7 +29,10 @@ import (
 // with respect to its input, accumulating parameter gradients internally.
 //
 // Layers own scratch buffers and are therefore not safe for concurrent
-// use; clone the model per goroutine (see Sequential.Clone).
+// use. Concurrent inference does not clone trees: it compiles one
+// Program and clones that, which shares the weights. Clone is for work
+// that needs its own parameters (calibration fine-tuning a copy of a
+// published model).
 type Layer interface {
 	// Forward computes the layer output for batch x. When train is
 	// true, stochastic layers (Dropout) sample masks and layers cache
@@ -115,20 +123,6 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	d.gin = ensure(d.gin, gradOut.Rows, d.In)
 	tensor.MatMul(d.gin, gradOut, d.W)
 	return d.gin
-}
-
-// forwardReLU computes relu(x·Wᵀ + b) with the fused bias+ReLU kernel,
-// saving the separate ReLU pass over the batch. Inference only: nothing
-// is cached, so Backward must not follow. Used by Sequential.Forward when
-// a ReLU directly follows this layer and train is false.
-func (d *Dense) forwardReLU(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != d.In {
-		panic(fmt.Sprintf("nn: Dense(%d→%d) got input width %d", d.In, d.Out, x.Cols))
-	}
-	d.out = ensure(d.out, x.Rows, d.Out)
-	tensor.MatMulT(d.out, x, d.W)
-	tensor.AddRowVectorReLU(d.out, d.B)
-	return d.out
 }
 
 // Params implements Layer.

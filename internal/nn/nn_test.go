@@ -404,3 +404,34 @@ func TestAdamZeroesGrads(t *testing.T) {
 		t.Fatal("Adam.Step must move against the gradient")
 	}
 }
+
+// TestDenseBackwardScratchReuse checks that the persistent gw/gb scratch
+// accumulates gradients identically across repeated Backward calls.
+func TestDenseBackwardScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	d := NewDense(rng, 4, 3)
+	x := tensor.NewMatrix(2, 4)
+	g := tensor.NewMatrix(2, 3)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
+	d.Forward(x, true)
+	d.Backward(g)
+	once := append([]float64(nil), d.GradW.Data...)
+	onceB := append([]float64(nil), d.GradB...)
+	d.Forward(x, true)
+	d.Backward(g)
+	for i, v := range d.GradW.Data {
+		if math.Abs(v-2*once[i]) > 1e-12 {
+			t.Fatalf("GradW[%d] = %v after two passes, want %v", i, v, 2*once[i])
+		}
+	}
+	for i, v := range d.GradB {
+		if math.Abs(v-2*onceB[i]) > 1e-12 {
+			t.Fatalf("GradB[%d] = %v after two passes, want %v", i, v, 2*onceB[i])
+		}
+	}
+}

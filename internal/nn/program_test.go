@@ -1,0 +1,218 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"eugene/internal/tensor"
+)
+
+// perType runs one test body at each element type a program compiles
+// to.
+func perType(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+// buildTestNet mirrors a staged-model stage: Dense→ReLU, a residual
+// block with fused ReLU, a Dense inside a nested Sequential whose ReLU
+// sits outside it (fusable only once the nesting is inlined), dropout
+// (inference identity), and a final linear head.
+func buildTestNet(rng *rand.Rand, in, hidden, out int) *Sequential {
+	return NewSequential(
+		NewDense(rng, in, hidden),
+		NewReLU(),
+		NewResidual(NewSequential(
+			NewDense(rng, hidden, hidden),
+			NewReLU(),
+			NewDense(rng, hidden, hidden),
+		)),
+		NewReLU(),
+		NewSequential(NewDense(rng, hidden, hidden)),
+		NewReLU(),
+		NewDropout(rng, 0.2),
+		NewDense(rng, hidden, out),
+	)
+}
+
+// randBatch draws a batch at T and its exact float64 image, the tree's
+// input.
+func randBatch[T tensor.Float](rng *rand.Rand, rows, cols int) (*tensor.Mat[T], *tensor.Matrix) {
+	x, x64 := tensor.New[T](rows, cols), tensor.NewMatrix(rows, cols)
+	for i := range x.Data {
+		v := T(rng.NormFloat64())
+		x.Data[i], x64.Data[i] = v, float64(v)
+	}
+	return x, x64
+}
+
+// TestCompileMatchesTreeForward pins the compiled program — ReLU fusion,
+// dropout elision, inlined nesting — to the tree's plain layer-by-layer
+// inference forward, which fuses nothing, for batch sizes on both sides
+// of the GEMM's 4-row register tile. The float64 program runs the same
+// kernels on the same weights in the same order, so it must agree
+// exactly (== : a fused ReLU keeps -0 where the ReLU layer writes +0);
+// the float32 program to float32 tolerance.
+func TestCompileMatchesTreeForward(t *testing.T) {
+	perType(t, testCompileMatchesTreeForward[float64], testCompileMatchesTreeForward[float32])
+}
+
+func testCompileMatchesTreeForward[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const in, hidden, out = 13, 40, 5
+	net := buildTestNet(rng, in, hidden, out)
+	prog, err := Compile[T](net, in)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if prog.Out != out {
+		t.Fatalf("compiled Out = %d, want %d", prog.Out, out)
+	}
+	tol := 0.0
+	if _, f32 := any(T(0)).(float32); f32 {
+		tol = 1e-4
+	}
+	for _, rows := range []int{1, 3, 8, 9} {
+		x, x64 := randBatch[T](rng, rows, in)
+		want := net.Forward(x64, false)
+		got := prog.Forward(x)
+		if got.Rows != rows || got.Cols != out {
+			t.Fatalf("forward shape %dx%d, want %dx%d", got.Rows, got.Cols, rows, out)
+		}
+		for i := range got.Data {
+			diff := math.Abs(float64(got.Data[i]) - want.Data[i])
+			if diff > tol*math.Max(1, math.Abs(want.Data[i])) {
+				t.Fatalf("rows=%d output [%d] = %v, want %v (Δ %v)", rows, i, got.Data[i], want.Data[i], diff)
+			}
+		}
+	}
+}
+
+func TestCompileStandaloneReLUAndInputIntact(t *testing.T) {
+	perType(t, testCompileStandaloneReLU[float64], testCompileStandaloneReLU[float32])
+}
+
+func testCompileStandaloneReLU[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	// Leading ReLU has no fusable predecessor; must not write the
+	// caller's input in place.
+	net := NewSequential(NewReLU(), NewDense(rng, 4, 3))
+	prog, err := Compile[T](net, 4)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	x, x64 := randBatch[T](rng, 2, 4)
+	orig := append([]T(nil), x.Data...)
+	got := prog.Forward(x)
+	for i := range x.Data {
+		if x.Data[i] != orig[i] {
+			t.Fatalf("Forward mutated its input at %d", i)
+		}
+	}
+	want := net.Forward(x64, false)
+	for i := range want.Data {
+		if math.Abs(float64(got.Data[i])-want.Data[i]) > 1e-5 {
+			t.Fatalf("output [%d] = %v, want %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+func TestCompileRejectsMCDropoutAndWidthMismatch(t *testing.T) {
+	perType(t, testCompileRejects[float64], testCompileRejects[float32])
+}
+
+func testCompileRejects[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	drop := NewDropout(rng, 0.2)
+	drop.MC = true
+	if _, err := Compile[T](NewSequential(drop), 4); err == nil {
+		t.Fatal("Compile accepted MC dropout")
+	}
+	if _, err := Compile[T](NewDense(rng, 5, 3), 4); err == nil {
+		t.Fatal("Compile accepted a width mismatch")
+	}
+	if _, err := Compile[T](NewResidual(NewDense(rng, 4, 3)), 4); err == nil {
+		t.Fatal("Compile accepted a non-square residual body")
+	}
+	conv, err := NewConv2D(rng, tensor.ConvShape{InChannels: 1, OutChannels: 1, Height: 2, Width: 2, Kernel: 1, Stride: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile[T](conv, 4); err == nil {
+		t.Fatal("Compile accepted a convolution")
+	}
+}
+
+// TestCompileF64AliasesTreeWeights: the float64 program holds no weight
+// copy. It reads the tree's own buffers, so a parameter update made
+// after Compile is what the next Forward serves.
+func TestCompileF64AliasesTreeWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	dense := NewDense(rng, 3, 2)
+	prog, err := Compile[float64](dense, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &prog.ops[0].w.Data[0] != &dense.W.Data[0] || &prog.ops[0].b[0] != &dense.B[0] {
+		t.Fatal("float64 program copied the tree's weights")
+	}
+	x, _ := randBatch[float64](rng, 1, 3)
+	before := prog.Forward(x).Data[0]
+	for _, p := range dense.Params() {
+		for i := range p.Value {
+			p.Value[i] += 1
+		}
+	}
+	if after := prog.Forward(x).Data[0]; after == before {
+		t.Fatal("program served stale weights after a parameter update")
+	}
+}
+
+func TestProgramCloneSharesWeightsNotScratch(t *testing.T) {
+	perType(t, testProgramClone[float64], testProgramClone[float32])
+}
+
+func testProgramClone[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const in, hidden, out = 6, 12, 3
+	net := buildTestNet(rng, in, hidden, out)
+	prog, err := Compile[T](net, in)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	x, _ := randBatch[T](rng, 4, in)
+	c := prog.Clone()
+	ref := append([]T(nil), prog.Forward(x).Data...)
+	c.Forward(x)
+	for i := range prog.ops {
+		if prog.ops[i].w != nil && &c.ops[i].w.Data[0] != &prog.ops[i].w.Data[0] {
+			t.Fatalf("op %d: clone copied weights instead of sharing them", i)
+		}
+		if &c.ops[i].out.Data[0] == &prog.ops[i].out.Data[0] {
+			t.Fatalf("op %d: clone shares scratch", i)
+		}
+	}
+
+	// Concurrent forwards on independent clones must agree (and be
+	// race-free under -race).
+	done := make(chan []T, 2)
+	for k := 0; k < 2; k++ {
+		clone := prog.Clone()
+		go func() {
+			var last []T
+			for rep := 0; rep < 50; rep++ {
+				last = clone.Forward(x).Data
+			}
+			done <- append([]T(nil), last...)
+		}()
+	}
+	for k := 0; k < 2; k++ {
+		got := <-done
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("concurrent clone output [%d] = %v, want %v", i, got[i], ref[i])
+			}
+		}
+	}
+}

@@ -17,29 +17,12 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward implements Layer. At inference (train=false) a Dense or
-// Residual layer directly followed by a ReLU runs through a fused
-// kernel (bias+ReLU, shortcut-add+ReLU), skipping the separate
-// activation pass; the fusions are skipped during training because
-// ReLU.Backward needs its cached mask.
+// Forward implements Layer: every layer in turn, fused with nothing
+// (fusion is the compiled Program's business).
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	out := x
-	for i := 0; i < len(s.Layers); i++ {
-		if !train && i+1 < len(s.Layers) {
-			if _, ok := s.Layers[i+1].(*ReLU); ok {
-				switch l := s.Layers[i].(type) {
-				case *Dense:
-					out = l.forwardReLU(out)
-					i++
-					continue
-				case *Residual:
-					out = l.forwardReLU(out)
-					i++
-					continue
-				}
-			}
-		}
-		out = s.Layers[i].Forward(out, train)
+	for _, l := range s.Layers {
+		out = l.Forward(out, train)
 	}
 	return out
 }
@@ -89,16 +72,6 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	fy := r.Body.Forward(x, train)
 	r.out = ensure(r.out, x.Rows, x.Cols)
 	tensor.Add(r.out, x, fy)
-	return r.out
-}
-
-// forwardReLU computes relu(x + f(x)) with the fused shortcut-add+ReLU
-// kernel. Inference only: nothing is cached for Backward. Used by
-// Sequential.Forward when a ReLU directly follows this block.
-func (r *Residual) forwardReLU(x *tensor.Matrix) *tensor.Matrix {
-	fy := r.Body.Forward(x, false)
-	r.out = ensure(r.out, x.Rows, x.Cols)
-	tensor.AddReLU(r.out, x, fy)
 	return r.out
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestExecStageBatchAllocs is the dynamic half of the hotpathalloc
 // contract on the batched forward path (the //eugene:noalloc
-// annotations on Model.ExecStageBatch and Frozen32.ExecStageBatch):
+// annotation on Frozen.ExecStageBatch, at both element types):
 // once the packed batch matrices and unpack scratch have been sized by
 // a warmup, a full stage-by-stage chain over a batch must run
 // allocation-free — stage outputs land in the caller's dst rows or
@@ -44,7 +44,7 @@ func TestExecStageBatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f32, err := Freeze32(m)
+		f32, err := Freeze[float32](m)
 		if err != nil {
 			t.Fatal(err)
 		}

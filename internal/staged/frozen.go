@@ -7,48 +7,50 @@ import (
 	"eugene/internal/tensor"
 )
 
-// Frozen32 is a staged model frozen for float32 serving: every stage's
-// stem/body/head is a compiled nn.Program32 over packed f32 weights.
-// It satisfies the same ExecStageBatch(hidden, stage, dst) contract as
-// *Model — hidden states cross stage boundaries as []float64 rows, so
-// the live scheduler, its hidden-row arenas, and task migration between
-// workers need no structural change; only the inside of a stage runs in
-// float32. Confidences are computed in float64 from the f32 logits to
-// keep the early-exit surface as close to the f64 model's as possible.
+// Frozen is a staged model compiled for serving at element type T: every
+// stage's stem/body/head is an nn.Program, and ExecStageBatch below is
+// the one body in the repository that packs task rows, runs a stage and
+// unpacks the result. Hidden states cross stage boundaries as []float64
+// rows whatever T is, so the live scheduler, its hidden-row arenas and
+// task migration between workers are precision-blind; only the inside of
+// a stage runs at T. Confidences are computed in float64 from the
+// logits, to keep a reduced tier's early-exit surface as close to the
+// float64 model's as its logits allow.
 //
-// Like *Model, a Frozen32 owns scratch and must be driven from one
-// goroutine; Clone (cheap — packed weights are shared, read-only) gives
-// each worker its own.
-type Frozen32 struct {
+// Frozen[float64] aliases the model's weights (see nn.Compile), so it
+// costs scratch only; Frozen[float32] packs a half-size copy. A Frozen
+// owns scratch and must be driven from one goroutine; Clone (cheap —
+// weights are shared, read-only) gives each worker its own.
+type Frozen[T tensor.Float] struct {
 	In      int
-	Hidden  int
 	Classes int
 	// Widths is the trunk width at each stage's output.
 	Widths []int
 
-	stem   *nn.Program32
-	bodies []*nn.Program32
-	heads  []*nn.Program32
+	stem   *nn.Program[T]
+	bodies []*nn.Program[T]
+	heads  []*nn.Program[T]
 
 	// Inference scratch reused across ExecStageBatch calls.
-	scrIn    *tensor.Matrix32
+	scrIn    *tensor.Mat[T]
 	scrProbs *tensor.Matrix // B×Classes float64 probabilities
 	scrOuts  []StageOutput
 	scrHid   [][]float64
 }
 
-// Freeze32 compiles a trained model into its float32 serving form. The
-// model is only read; it can keep serving float64 traffic concurrently.
-// Models using Monte-Carlo dropout are rejected (MC sampling is a
-// float64 calibration baseline).
-func Freeze32(m *Model) (*Frozen32, error) {
-	f := &Frozen32{
-		In:      m.In,
-		Hidden:  m.Hidden,
-		Classes: m.Classes,
-		Widths:  append([]int(nil), m.Widths...),
-	}
-	stem, err := nn.Compile32(m.Stem, m.In)
+// Frozen32 is Frozen[float32]. cmd/eugenebench names it.
+type Frozen32 = Frozen[float32]
+
+// Freeze32 is Freeze[float32]. cmd/eugenebench names it.
+func Freeze32(m *Model) (*Frozen32, error) { return Freeze[float32](m) }
+
+// Freeze compiles a trained model into its serving form at T. The model
+// is only read. Models the compiler has no ops for — convolutional
+// trunks (NewConv), Monte-Carlo dropout — are rejected; they run through
+// Predict, ExecStage and Runner.
+func Freeze[T tensor.Float](m *Model) (*Frozen[T], error) {
+	f := &Frozen[T]{In: m.In, Classes: m.Classes, Widths: append([]int(nil), m.Widths...)}
+	stem, err := nn.Compile[T](m.Stem, m.In)
 	if err != nil {
 		return nil, fmt.Errorf("staged: freezing stem: %w", err)
 	}
@@ -61,14 +63,14 @@ func Freeze32(m *Model) (*Frozen32, error) {
 		if s > 0 {
 			prev = m.Widths[s-1]
 		}
-		body, err := nn.Compile32(st.Body, prev)
+		body, err := nn.Compile[T](st.Body, prev)
 		if err != nil {
 			return nil, fmt.Errorf("staged: freezing stage %d body: %w", s, err)
 		}
 		if body.Out != m.Widths[s] {
 			return nil, fmt.Errorf("staged: frozen stage %d body outputs width %d, want %d", s, body.Out, m.Widths[s])
 		}
-		head, err := nn.Compile32(st.Head, m.Widths[s])
+		head, err := nn.Compile[T](st.Head, m.Widths[s])
 		if err != nil {
 			return nil, fmt.Errorf("staged: freezing stage %d head: %w", s, err)
 		}
@@ -82,30 +84,25 @@ func Freeze32(m *Model) (*Frozen32, error) {
 }
 
 // NumStages returns the number of exit stages.
-func (f *Frozen32) NumStages() int { return len(f.bodies) }
+func (f *Frozen[T]) NumStages() int { return len(f.bodies) }
 
-// WeightBytes returns the packed f32 parameter footprint in bytes —
-// half the float64 model's weight traffic.
-func (f *Frozen32) WeightBytes() int {
-	n := f.stem.WeightBytes()
+// Weights returns every weight matrix the frozen model reads (stem, then
+// each stage's body and head): the buffers themselves, shared by every
+// Clone. Read-only.
+func (f *Frozen[T]) Weights() []*tensor.Mat[T] {
+	ws := f.stem.Weights()
 	for i := range f.bodies {
-		n += f.bodies[i].WeightBytes() + f.heads[i].WeightBytes()
+		ws = append(append(ws, f.bodies[i].Weights()...), f.heads[i].Weights()...)
 	}
-	return n
+	return ws
 }
 
-// Clone returns a frozen model for use by another goroutine. Packed
-// weights are shared (immutable after Freeze32); only scratch is
-// per-clone, so a worker pool over one frozen model costs one weight
-// copy total instead of one per worker.
-func (f *Frozen32) Clone() *Frozen32 {
-	c := &Frozen32{
-		In:      f.In,
-		Hidden:  f.Hidden,
-		Classes: f.Classes,
-		Widths:  append([]int(nil), f.Widths...),
-		stem:    f.stem.Clone(),
-	}
+// Clone returns a frozen model for use by another goroutine. Weights are
+// shared (never written after Freeze); only scratch is per-clone, so a
+// worker pool over one frozen model holds one weight set, not one per
+// worker.
+func (f *Frozen[T]) Clone() *Frozen[T] {
+	c := &Frozen[T]{In: f.In, Classes: f.Classes, Widths: f.Widths, stem: f.stem.Clone()}
 	for i := range f.bodies {
 		c.bodies = append(c.bodies, f.bodies[i].Clone())
 		c.heads = append(c.heads, f.heads[i].Clone())
@@ -113,19 +110,30 @@ func (f *Frozen32) Clone() *Frozen32 {
 	return c
 }
 
-// ExecStageBatch executes one stage for a batch of tasks that are all
-// at the same stage, under the exact contract of Model.ExecStageBatch:
-// hidden holds one task's float64 state per row (raw inputs for stage
-// 0, stage s−1 trunk activations otherwise); dst rows with capacity are
-// reused for outputs; stage-0 input rows are only read, while stage>0
-// rows may be reused in place. Returned slices and StageOutputs are
-// scratch, valid until the next call; Probs is omitted.
+// ExecStageBatch executes one stage for a batch of tasks that are all at
+// the same stage: hidden holds one task's state per row (raw inputs for
+// stage 0, stage s−1 trunk activations otherwise). The whole batch flows
+// through the stem/body/head as single B-row matrix multiplications —
+// one GEMM per Dense layer instead of B GEMVs — which is what makes
+// scheduler-level batching pay at the compute layer.
 //
-// Rows are narrowed to float32 on entry and the new trunk activations
-// widened back on exit; the conversions are O(B·W) against the stage's
-// O(B·W²) GEMMs, so the f32 compute win dominates.
+// dst is the caller's (worker-local) scratch handle: when dst[i] has
+// capacity for the stage's output width, task i's new hidden state is
+// written there instead of a freshly carved slab row, which lets the
+// live executor recycle hidden buffers across tasks. dst may be nil or
+// shorter than the batch.
+//
+// Ownership: input rows are only read for stage 0 (callers may retain
+// raw inputs), while for stage > 0 the output rows reuse the input rows'
+// capacity when wide enough. The returned outer slices and StageOutputs
+// are scratch, valid until the next call on this Frozen; Probs is
+// omitted on this path.
+//
+// Rows are converted to T on entry and the new trunk activations back to
+// float64 on exit; the conversions are O(B·W) against the stage's
+// O(B·W²) GEMMs.
 //eugene:noalloc
-func (f *Frozen32) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []StageOutput) {
+func (f *Frozen[T]) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []StageOutput) {
 	b := len(hidden)
 	if b == 0 {
 		return nil, nil
@@ -142,20 +150,20 @@ func (f *Frozen32) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64
 			panic(fmt.Sprintf("staged: ExecStageBatch stage %d input width %d, want %d", stage, len(row), wantIn))
 		}
 	}
-	// Pack task rows into the reused f32 batch matrix.
-	f.scrIn = tensor.Ensure32(f.scrIn, b, wantIn)
+	// Pack task rows into the reused batch matrix.
+	f.scrIn = tensor.Ensure(f.scrIn, b, wantIn)
 	for i, row := range hidden {
-		tensor.Narrow(f.scrIn.Row(i), row)
+		tensor.Convert(f.scrIn.Row(i), row)
 	}
 	h := f.scrIn
 	if stage == 0 {
 		h = f.stem.Forward(h)
 	}
 	h = f.bodies[stage].Forward(h)
-	// Unpack the new hidden states into per-task float64 rows, with the
-	// same buffer-reuse ladder as the f64 model: the task's own row
-	// (stage > 0), else the caller's dst scratch row, else a fresh slab
-	// (stage-0 inputs are never written).
+	// Unpack the new hidden states into per-task rows: reuse the task's
+	// own buffer in place (stage > 0), else the caller's scratch row,
+	// else carve from a fresh slab (the caller's stage-0 input buffers
+	// are never written).
 	outW := f.Widths[stage]
 	if cap(f.scrHid) < b {
 		f.scrHid = make([][]float64, b)
@@ -176,12 +184,12 @@ func (f *Frozen32) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64
 			row = slab[:outW:outW]
 			slab = slab[outW:]
 		}
-		tensor.Widen(row, h.Row(i))
+		tensor.Convert(row, h.Row(i))
 		out[i] = row
 	}
 	logits := f.heads[stage].Forward(h)
 	f.scrProbs = tensor.Ensure(f.scrProbs, b, f.Classes)
-	tensor.Softmax32Into(f.scrProbs, logits)
+	tensor.Softmax(f.scrProbs, logits)
 	if cap(f.scrOuts) < b {
 		f.scrOuts = make([]StageOutput, b)
 	}

@@ -13,7 +13,9 @@ import (
 //
 // A Runner borrows the model it was created from; because layers own
 // scratch buffers, all Runners of one *Model must run on the same
-// goroutine. For parallel serving, give each worker its own model clone.
+// goroutine. It runs the layer tree one sample at a time, which makes it
+// the reference the batched engine (Frozen) is tested against, not the
+// serving path.
 type Runner struct {
 	model  *Model
 	hidden []float64
@@ -64,10 +66,10 @@ func (r *Runner) RunStage() StageOutput {
 // ExecStage executes one stage of the model on an explicit hidden state:
 // for stage 0, hidden is the raw input sample; for stage s>0 it is the
 // trunk activation returned by stage s−1. It returns the new hidden
-// state and the stage's exit output. Because the hidden state is
-// caller-owned, a task can migrate between worker-local model clones
-// across stages — the mechanism the live executor uses. The input slice
-// is only read, never written.
+// state and the stage's exit output. The hidden state is caller-owned
+// and the input slice is only read, never written. This is the
+// single-sample reference on the layer tree, and the only stage executor
+// for models Freeze rejects.
 func (m *Model) ExecStage(hidden []float64, stage int) ([]float64, StageOutput) {
 	m.checkStageInput(len(hidden), stage)
 	in := tensor.FromSlice(1, len(hidden), hidden)
@@ -82,100 +84,35 @@ func (m *Model) ExecStage(hidden []float64, stage int) ([]float64, StageOutput) 
 	// Copy the hidden state out of the layer-owned buffer so the next
 	// stage survives other tasks of this model interleaving.
 	next := append([]float64(nil), h.Row(0)...)
-	m.scrProbs1 = tensor.Ensure(m.scrProbs1, 1, m.Classes)
-	probs := m.scrProbs1
-	logits := s.Head.Forward(h, false)
-	tensor.Softmax(probs, logits)
-	pred, conf := tensor.ArgMax(probs.Row(0))
-	return next, StageOutput{
-		Stage: stage,
-		Pred:  pred,
-		Conf:  conf,
-		Probs: append([]float64(nil), probs.Row(0)...),
-	}
+	return next, exitOutput(stage, s.Head.Forward(h, false))
 }
 
-// ExecStageBatch executes one stage for a batch of tasks that are all at
-// the same stage: hidden holds one task's state per row (raw inputs for
-// stage 0, stage s−1 trunk activations otherwise). The whole batch flows
-// through the stem/body/head as single B-row matrix multiplications —
-// one GEMM per Dense layer instead of B GEMVs — which is what makes
-// scheduler-level batching pay at the compute layer.
-//
-// dst is the caller's (worker-local) scratch handle: when dst[i] has
-// capacity for the stage's output width, task i's new hidden state is
-// written there instead of a freshly carved slab row, which lets the
-// live executor recycle hidden buffers across tasks. dst may be nil or
-// shorter than the batch.
-//
-// Ownership: input rows are only read for stage 0 (callers may retain
-// raw inputs), while for stage > 0 the output rows reuse the input rows'
-// capacity when wide enough. The returned outer slices and StageOutputs
-// are scratch, valid until the next Exec call on this model; Probs is
-// omitted on this path.
+// exitOutput turns one sample's logits into the stage's exit tuple, with
+// its own copy of the probabilities.
+func exitOutput(stage int, logits *tensor.Matrix) StageOutput {
+	probs := tensor.NewMatrix(1, logits.Cols)
+	tensor.Softmax(probs, logits)
+	pred, conf := tensor.ArgMax(probs.Data)
+	return StageOutput{Stage: stage, Pred: pred, Conf: conf, Probs: probs.Data}
+}
+
+// ExecStageBatch runs one stage for a same-stage batch on the model's
+// own float64 compile (Frozen.ExecStageBatch has the contract), built on
+// first use. The compile aliases the layers' weights, so training steps
+// taken between calls are served; like the rest of a Model it is
+// owner-goroutine only. It panics for a model Freeze rejects.
+// cmd/eugenebench calls it: its staged rung and its pools drive a
+// *Model.
 //eugene:noalloc
 func (m *Model) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []StageOutput) {
-	b := len(hidden)
-	if b == 0 {
-		return nil, nil
-	}
-	wantIn := m.In
-	if stage > 0 {
-		wantIn = m.Widths[stage-1]
-	}
-	for _, row := range hidden {
-		m.checkStageInput(len(row), stage)
-	}
-	// Pack task rows into the reused batch matrix.
-	m.scrIn = tensor.Ensure(m.scrIn, b, wantIn)
-	for i, row := range hidden {
-		copy(m.scrIn.Row(i), row)
-	}
-	h := m.scrIn
-	if stage == 0 {
-		h = m.Stem.Forward(h, false)
-	}
-	s := m.Stages[stage]
-	h = s.Body.Forward(h, false)
-	// Unpack the new hidden states into per-task rows: reuse the task's
-	// own buffer in place (stage > 0), else the caller's scratch row,
-	// else carve from a fresh slab (the caller's stage-0 input buffers
-	// are never written).
-	outW := m.Widths[stage]
-	if cap(m.scrHid) < b {
-		m.scrHid = make([][]float64, b)
-	}
-	out := m.scrHid[:b]
-	var slab []float64
-	for i := 0; i < b; i++ {
-		row := hidden[i]
-		switch {
-		case stage > 0 && cap(row) >= outW:
-			row = row[:outW]
-		case i < len(dst) && cap(dst[i]) >= outW:
-			row = dst[i][:outW]
-		default:
-			if len(slab) < outW {
-				slab = make([]float64, (b-i)*outW)
-			}
-			row = slab[:outW:outW]
-			slab = slab[outW:]
+	if m.frozen == nil {
+		f, err := Freeze[float64](m)
+		if err != nil {
+			panic(fmt.Sprintf("staged: ExecStageBatch: %v", err))
 		}
-		copy(row, h.Row(i))
-		out[i] = row
+		m.frozen = f
 	}
-	logits := s.Head.Forward(h, false)
-	m.scrProbsB = tensor.Ensure(m.scrProbsB, b, m.Classes)
-	tensor.Softmax(m.scrProbsB, logits)
-	if cap(m.scrOuts) < b {
-		m.scrOuts = make([]StageOutput, b)
-	}
-	outs := m.scrOuts[:b]
-	for i := 0; i < b; i++ {
-		pred, conf := tensor.ArgMax(m.scrProbsB.Row(i))
-		outs[i] = StageOutput{Stage: stage, Pred: pred, Conf: conf}
-	}
-	return out, outs
+	return m.frozen.ExecStageBatch(hidden, stage, dst)
 }
 
 // checkStageInput panics on an out-of-range stage or a hidden-state width

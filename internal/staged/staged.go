@@ -4,6 +4,13 @@
 // execution early once confidence is high enough, and expose the
 // per-stage (prediction, confidence) tuples the RTDeepIoT scheduler
 // consumes.
+//
+// Model is the trainable form, layer trees in float64; Frozen is the
+// form that is served, the model compiled once at float64 or float32
+// (Freeze), one clone per worker over shared weights. The model's own
+// Predict, ExecStage and Runner run the trees one sample at a time:
+// the reference the batched engine is tested against, and the path for
+// what Freeze rejects (NewConv, Monte-Carlo dropout).
 package staged
 
 import (
@@ -20,9 +27,10 @@ type Stage struct {
 	Head nn.Layer // hidden → classes (logits)
 }
 
-// Model is a stem plus a sequence of stages. It is not safe for
-// concurrent use; serve concurrently by cloning one model per worker
-// (mirroring the paper's pool of worker processes).
+// Model is a stem plus a sequence of stages: the layer trees training
+// builds. It is not safe for concurrent use. Serving does not clone it:
+// Freeze compiles it once and each worker of the pool (the paper's pool
+// of worker processes) gets a Frozen.Clone, which shares the weights.
 type Model struct {
 	Stem    nn.Layer
 	Stages  []*Stage
@@ -32,14 +40,9 @@ type Model struct {
 	// Widths is the trunk width at each stage's output.
 	Widths []int
 
-	// Inference scratch reused across ExecStage/ExecStageBatch/Predict
-	// calls (owner-goroutine only, like the layers' own buffers). Clone
-	// deliberately leaves these nil: they are lazily sized on first use.
-	scrIn     *tensor.Matrix
-	scrProbs1 *tensor.Matrix // 1×Classes, single-sample paths
-	scrProbsB *tensor.Matrix // B×Classes, batch path
-	scrOuts   []StageOutput
-	scrHid    [][]float64
+	// frozen is what ExecStageBatch runs (owner-goroutine only, like the
+	// layers' own buffers). Clone leaves it nil.
+	frozen *Frozen[float64]
 }
 
 // Config describes the paper-style staged residual network.
@@ -231,7 +234,9 @@ func FromParts(stem nn.Layer, stages []*Stage, in, hidden, classes int, widths [
 // NumStages returns the number of exit stages.
 func (m *Model) NumStages() int { return len(m.Stages) }
 
-// Clone deep-copies the model for use by another goroutine.
+// Clone deep-copies the model, parameters and gradient buffers
+// included: for work that changes or trains a copy (calibration), not
+// for serving.
 func (m *Model) Clone() *Model {
 	c := &Model{
 		Stem:    m.Stem.Clone(),
@@ -319,20 +324,10 @@ func (m *Model) Predict(x []float64, upTo int) []StageOutput {
 	in := tensor.FromSlice(1, len(x), x)
 	h := m.Stem.Forward(in, false)
 	outs := make([]StageOutput, 0, upTo+1)
-	m.scrProbs1 = tensor.Ensure(m.scrProbs1, 1, m.Classes)
-	probs := m.scrProbs1
 	for i := 0; i <= upTo; i++ {
 		s := m.Stages[i]
 		h = s.Body.Forward(h, false)
-		logits := s.Head.Forward(h, false)
-		tensor.Softmax(probs, logits)
-		pred, conf := tensor.ArgMax(probs.Row(0))
-		outs = append(outs, StageOutput{
-			Stage: i,
-			Pred:  pred,
-			Conf:  conf,
-			Probs: append([]float64(nil), probs.Row(0)...),
-		})
+		outs = append(outs, exitOutput(i, s.Head.Forward(h, false)))
 	}
 	return outs
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,15 @@ import (
 // triple-loop references over randomized shapes, including empty and
 // 1×1 edge cases. Unrolling changes the floating-point summation order,
 // so comparisons allow a small relative tolerance.
+//
+// The references are float64 and stay naive. A kernel that is generic
+// over Float is checked at both element types against the same
+// reference: operands are drawn at T and the reference runs on their
+// exact float64 image, so the only divergence left is the kernel's own
+// rounding — for float32 that (and the FMA micro-kernel's fused
+// rounding) is legitimately in the low bits, hence a float32-scale
+// tolerance there. What must hold exactly is shape discipline and
+// parallel-vs-serial bitwise equality.
 
 func refMatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
@@ -72,6 +82,47 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// perType runs one test body at each element type.
+func perType(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+// randMat draws a matrix at T and its exact float64 image.
+func randMat[T Float](rng *rand.Rand, rows, cols int) (*Mat[T], *Matrix) {
+	m := New[T](rows, cols)
+	m64 := NewMatrix(rows, cols)
+	for i := range m.Data {
+		v := T(rng.NormFloat64())
+		m.Data[i] = v
+		m64.Data[i] = float64(v)
+	}
+	return m, m64
+}
+
+// closeTo compares a kernel result at T against its float64 reference:
+// float64 to closeEnough's 1e-9, float32 to a tolerance sized to float32
+// accumulation error over n terms.
+func closeTo[T Float](got T, want float64, n int) bool {
+	tol := 1e-9
+	if _, f32 := any(got).(float32); f32 {
+		tol = 1e-5 * math.Sqrt(float64(max(n, 1)))
+	}
+	return math.Abs(float64(got)-want) <= tol*math.Max(math.Abs(want), 1)
+}
+
+func assertCloseTo[T Float](t *testing.T, op string, got *Mat[T], want *Matrix, n int) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s shape %dx%d, want %dx%d", op, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if !closeTo(got.Data[i], want.Data[i], n) {
+			t.Fatalf("%s element %d: got %v, want ≈ %v", op, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // closeEnough compares with a relative-absolute hybrid tolerance that
 // absorbs summation-order differences from the unrolled kernels.
 func closeEnough(a, b float64) bool {
@@ -119,13 +170,25 @@ func TestMatMulMatchesReference(t *testing.T) {
 }
 
 func TestMatMulTMatchesReference(t *testing.T) {
+	perType(t, testMatMulTMatchesReference[float64], testMatMulTMatchesReference[float32])
+}
+
+func testMatMulTMatchesReference[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, s := range kernelShapes(rng) {
+	// On top of the unroll-boundary shapes: inner widths that straddle
+	// the 8- and 16-lane SIMD boundaries, the 4-row register tile, and
+	// single-row/column cases.
+	shapes := append(kernelShapes(rng), [][3]int{ // rows(a), cols, rows(b)
+		{1, 5, 3}, {3, 16, 2}, {4, 16, 4}, {5, 17, 7}, {8, 31, 9},
+		{8, 32, 9}, {13, 33, 11}, {16, 48, 16}, {2, 100, 64},
+	}...)
+	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
-		a, b := randMatrix(rng, m, k), randMatrix(rng, n, k)
-		got := NewMatrix(m, n)
-		MatMulT(got, a, b)
-		assertMatricesClose(t, "MatMulT", got, refMatMulT(a, b))
+		a, a64 := randMat[T](rng, m, k)
+		b, b64 := randMat[T](rng, n, k)
+		got := New[T](m, n)
+		MatMulTOf(got, a, b)
+		assertCloseTo(t, fmt.Sprintf("MatMulT %v", s), got, refMatMulT(a64, b64), k)
 	}
 }
 
@@ -140,34 +203,119 @@ func TestTMatMulMatchesReference(t *testing.T) {
 	}
 }
 
-func TestAddRowVectorReLUMatchesReference(t *testing.T) {
+func TestFusedKernelsMatchReference(t *testing.T) {
+	perType(t, testFusedKernelsMatchReference[float64], testFusedKernelsMatchReference[float32])
+}
+
+func testFusedKernelsMatchReference[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, s := range kernelShapes(rng) {
+	for _, s := range append(kernelShapes(rng), [3]int{6, 0, 9}) {
 		rows, cols := s[0], s[2]
-		m := randMatrix(rng, rows, cols)
-		v := make([]float64, cols)
-		for i := range v {
-			v[i] = rng.NormFloat64()
+		m, m64 := randMat[T](rng, rows, cols)
+		v, v64 := randMat[T](rng, 1, cols)
+		want := refAddRowVectorReLU(m64, v64.Data)
+		AddRowVectorReLU(m, v.Data)
+		assertCloseTo(t, "AddRowVectorReLU", m, want, 1)
+
+		a, a64 := randMat[T](rng, rows, cols)
+		b, b64 := randMat[T](rng, rows, cols)
+		for i := range a64.Data {
+			a64.Data[i] = math.Max(0, a64.Data[i]+b64.Data[i])
 		}
-		want := refAddRowVectorReLU(m, v)
-		AddRowVectorReLU(m, v)
-		assertMatricesClose(t, "AddRowVectorReLU", m, want)
+		dst := New[T](rows, cols)
+		AddReLU(dst, a, b)
+		assertCloseTo(t, "AddReLU", dst, a64, 1)
+		for i := range b64.Data {
+			b64.Data[i] = math.Max(0, b64.Data[i])
+		}
+		ReLU(dst, b)
+		assertCloseTo(t, "ReLU", dst, b64, 1)
+		AddReLU(dst, a, b)
+		// dst aliasing b (the compiled residual's in-place add).
+		AddReLU(b, a, b)
+		for i, v := range b.Data {
+			if v != dst.Data[i] {
+				t.Fatalf("aliased AddReLU [%d] = %v, want %v", i, v, dst.Data[i])
+			}
+		}
 	}
 }
 
 func TestDotMatchesReference(t *testing.T) {
+	perType(t, testDotMatchesReference[float64], testDotMatchesReference[float32])
+}
+
+func testDotMatchesReference[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 33, 100} {
-		a := make([]float64, n)
-		b := make([]float64, n)
+		a, a64 := randMat[T](rng, 1, n)
+		b, b64 := randMat[T](rng, 1, n)
 		var want float64
-		for i := range a {
-			a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
-			want += a[i] * b[i]
+		for i := range a64.Data {
+			want += a64.Data[i] * b64.Data[i]
 		}
-		if got := Dot(a, b); !closeEnough(got, want) {
-			t.Fatalf("Dot(len %d) = %v, want %v", n, got, want)
+		if got := dotUnrolled(a.Data, b.Data); !closeTo(got, want, n) {
+			t.Fatalf("dotUnrolled(len %d) = %v, want %v", n, got, want)
 		}
+	}
+}
+
+// TestSoftmaxF32LogitsMatchF64 pins the reduced tier's confidence
+// surface: the same logits at float32 give the float64 probabilities to
+// float32 precision, and rows still sum to one in float64.
+func TestSoftmaxF32LogitsMatchF64(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	l32, l64 := randMat[float32](rng, 5, 7)
+	got := NewMatrix(5, 7)
+	Softmax(got, l32)
+	want := NewMatrix(5, 7)
+	Softmax(want, l64)
+	for i := range got.Data {
+		if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-6 {
+			t.Fatalf("Softmax(f32 logits) [%d] = %v, want ≈ %v (Δ %v)", i, got.Data[i], want.Data[i], d)
+		}
+	}
+	for r := 0; r < 5; r++ {
+		var sum float64
+		for _, v := range got.Row(r) {
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("softmax row %d sums to %v", r, sum)
+		}
+	}
+}
+
+func TestConvertRoundTrip(t *testing.T) {
+	src := []float32{0, 1.5, -2.25, 3e-8}
+	wide := make([]float64, len(src))
+	Convert(wide, src)
+	back := make([]float32, len(src))
+	Narrow(back, wide)
+	for i := range src {
+		if back[i] != src[i] {
+			t.Fatalf("Convert round trip [%d]: %v != %v", i, back[i], src[i])
+		}
+	}
+}
+
+func TestEnsureReuses(t *testing.T) {
+	perType(t, testEnsureReuses[float64], testEnsureReuses[float32])
+}
+
+func testEnsureReuses[T Float](t *testing.T) {
+	m := New[T](4, 8)
+	base := &m.Data[0]
+	got := Ensure(m, 2, 16)
+	if &got.Data[0] != base {
+		t.Fatal("Ensure reallocated despite sufficient capacity")
+	}
+	if got.Rows != 2 || got.Cols != 16 {
+		t.Fatalf("Ensure shape %dx%d", got.Rows, got.Cols)
+	}
+	grown := Ensure(got, 10, 10)
+	if grown.Rows != 10 || grown.Cols != 10 || len(grown.Data) != 100 {
+		t.Fatalf("Ensure grow shape %dx%d len %d", grown.Rows, grown.Cols, len(grown.Data))
 	}
 }
 
@@ -189,4 +337,38 @@ func TestMatMulZeroEntries(t *testing.T) {
 	gotT := NewMatrix(8, 5)
 	TMatMul(gotT, a, c)
 	assertMatricesClose(t, "TMatMul/sparse", gotT, refTMatMul(a, c))
+}
+
+// BenchmarkFusedKernels is the measurement behind "the generic kernels
+// cost nothing": the element-wise kernels of the compiled forward pass
+// at the serving shape (a MaxBatch group at hidden 256), at both element
+// types. CHANGES.md (PR 15) quotes it against the hand-written per-type
+// bodies these replaced.
+func BenchmarkFusedKernels(b *testing.B) {
+	b.Run("f64", benchFusedKernels[float64])
+	b.Run("f32", benchFusedKernels[float32])
+}
+
+func benchFusedKernels[T Float](b *testing.B) {
+	const rows, cols = 32, 256
+	rng := rand.New(rand.NewSource(1))
+	m, _ := randMat[T](rng, rows, cols)
+	a, _ := randMat[T](rng, rows, cols)
+	v, _ := randMat[T](rng, 1, cols)
+	dst, probs := New[T](rows, cols), NewMatrix(rows, cols)
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"AddRowVectorReLU", func() { AddRowVectorReLU(m, v.Data) }},
+		{"AddReLU", func() { AddReLU(dst, m, a) }},
+		{"Softmax", func() { Softmax(probs, a) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+		})
+	}
 }

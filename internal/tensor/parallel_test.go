@@ -17,8 +17,8 @@ const overGrainRows = 1024
 // precisions, holding the same values.
 func gemmOperands(seed int64, rows, n, k int) (a, b *Matrix, a32, b32 *Matrix32) {
 	rng := rand.New(rand.NewSource(seed))
-	a32, a = randMatrix32(rng, rows, k)
-	b32, b = randMatrix32(rng, n, k)
+	a32, a = randMat[float32](rng, rows, k)
+	b32, b = randMat[float32](rng, n, k)
 	return a, b, a32, b32
 }
 

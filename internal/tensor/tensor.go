@@ -3,6 +3,16 @@
 // convolution via im2col, and the element-wise kernels required for
 // forward and backward passes.
 //
+// The matrix and the kernels the inference engine runs (Ensure, Add,
+// AddReLU, AddRowVector, AddRowVectorReLU, ReLU, Softmax, Convert) have
+// one generic body over Float; training stays in float64 (gradient noise
+// compounds across epochs), so the backward-pass kernels are float64
+// only. Per element type there is only what the hardware forces: the
+// AVX2+FMA micro-kernels, their scalar fallbacks and the register-tile
+// loop around each (MatMulT, MatMulT32) — a ymm register holds 4 float64
+// lanes or 8 float32 lanes, which together with the halved memory
+// traffic is what the float32 serving tier buys.
+//
 // The package is deliberately small and allocation-conscious: every hot
 // routine accepts destination buffers so the training loop in
 // internal/nn can reuse scratch space across batches.
@@ -13,21 +23,39 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major matrix of float64 values. The zero value is
-// an empty matrix; use NewMatrix to allocate a sized one.
-type Matrix struct {
+// Float is the set of element types the kernels are instantiated at. It
+// is closed (no ~): every instantiation needs a GEMM micro-kernel of its
+// own, see MatMulTOf.
+type Float interface{ float32 | float64 }
+
+// Mat is a dense row-major matrix. The zero value is an empty matrix;
+// use New to allocate a sized one.
+type Mat[T Float] struct {
 	Rows int
 	Cols int
-	Data []float64
+	Data []T
 }
 
-// NewMatrix allocates a zeroed rows×cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// Matrix is the float64 matrix: what training, calibration and every
+// boundary outside the inference engine exchange.
+type Matrix = Mat[float64]
+
+// Matrix32 is the float32 matrix. cmd/eugenebench names it.
+type Matrix32 = Mat[float32]
+
+// New allocates a zeroed rows×cols matrix.
+func New[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid matrix shape %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// NewMatrix allocates a zeroed rows×cols float64 matrix.
+func NewMatrix(rows, cols int) *Matrix { return New[float64](rows, cols) }
+
+// NewMatrix32 is New[float32]. cmd/eugenebench names it.
+func NewMatrix32(rows, cols int) *Matrix32 { return New[float32](rows, cols) }
 
 // FromSlice wraps data as a rows×cols matrix without copying. The caller
 // must ensure len(data) == rows*cols.
@@ -39,34 +67,31 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 }
 
 // At returns the element at row r, column c.
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
+func (m *Mat[T]) At(r, c int) T { return m.Data[r*m.Cols+c] }
 
 // Set stores v at row r, column c.
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
+func (m *Mat[T]) Set(r, c int, v T) { m.Data[r*m.Cols+c] = v }
 
 // Row returns a view (not a copy) of row r.
-func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
+func (m *Mat[T]) Row(r int) []T { return m.Data[r*m.Cols : (r+1)*m.Cols] }
 
 // Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	out := New[T](m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
 
 // Zero resets every element to zero.
-func (m *Matrix) Zero() {
+func (m *Mat[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
-// Shape returns (rows, cols).
-func (m *Matrix) Shape() (int, int) { return m.Rows, m.Cols }
-
 // String renders a compact description, useful in test failures.
-func (m *Matrix) String() string {
-	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
+func (m *Mat[T]) String() string {
+	return fmt.Sprintf("Mat[%T](%dx%d)", *new(T), m.Rows, m.Cols)
 }
 
 // Ensure returns m reshaped to rows×cols, reusing its backing array when
@@ -74,7 +99,7 @@ func (m *Matrix) String() string {
 // serving path), otherwise a new matrix. Callers must overwrite every
 // element of the result: stale data from a previous shape is not cleared.
 //eugene:noalloc
-func Ensure(m *Matrix, rows, cols int) *Matrix {
+func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 	if m != nil && m.Rows == rows && m.Cols == cols {
 		return m
 	}
@@ -82,7 +107,7 @@ func Ensure(m *Matrix, rows, cols int) *Matrix {
 		m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
 		return m
 	}
-	return NewMatrix(rows, cols)
+	return New[T](rows, cols)
 }
 
 // MatMul computes dst = a·b. dst must be a.Rows×b.Cols and distinct from
@@ -168,6 +193,73 @@ func matMulTRange(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// MatMulT32 computes dst = a·bᵀ in float32: MatMulT's contract, register
+// tile and fan-out rule (tile-aligned splits over the same helpers, so
+// the result is bitwise identical to serial), with 8 lanes per ymm
+// register via dot4FMA32 where MatMulT has 4.
+//eugene:noalloc
+func MatMulT32(dst, a, b *Matrix32) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulT32 shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulT32 dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
+	}
+	fanOut(gemmJob{run: runMatMulT32, dst32: dst, a32: a, b32: b}, a.Rows, a.Rows*b.Rows*a.Cols)
+}
+
+// matMulT32Range runs the MatMulT32 kernel over rows [lo, hi) of a/dst.
+//eugene:noalloc
+func matMulT32Range(dst, a, b *Matrix32, lo, hi int) {
+	n := a.Cols
+	n16 := 0
+	if hasAVX2FMA {
+		n16 = n &^ 15
+	}
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := a.Row(i)[:n], a.Row(i + 1)[:n], a.Row(i + 2)[:n], a.Row(i + 3)[:n]
+		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
+		for j := 0; j < b.Rows; j++ {
+			brow := b.Row(j)[:n]
+			var s0, s1, s2, s3 float32
+			k := 0
+			if n16 > 0 {
+				s0, s1, s2, s3 = dot4FMA32(&a0[0], &a1[0], &a2[0], &a3[0], &brow[0], n16)
+				k = n16
+			}
+			for ; k < n; k++ {
+				bk := brow[k]
+				s0 += a0[k] * bk
+				s1 += a1[k] * bk
+				s2 += a2[k] * bk
+				s3 += a3[k] * bk
+			}
+			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < hi; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			drow[j] = dotUnrolled(arow, b.Row(j))
+		}
+	}
+}
+
+// MatMulTOf is dst = a·bᵀ for code that is generic over the element
+// type: it hands the product to T's entry point, once per GEMM. This is
+// the one place the type set of Float is enumerated; a new precision
+// tier adds a case here and a micro-kernel.
+func MatMulTOf[T Float](dst, a, b *Mat[T]) {
+	switch d := any(dst).(type) {
+	case *Matrix:
+		MatMulT(d, any(a).(*Matrix), any(b).(*Matrix))
+	case *Matrix32:
+		MatMulT32(d, any(a).(*Matrix32), any(b).(*Matrix32))
+	}
+}
+
 // TMatMul computes dst = aᵀ·b, i.e. dst[i][j] = Σ_k a[k][i]·b[k][j].
 // dst must be a.Cols×b.Cols.
 func TMatMul(dst, a, b *Matrix) {
@@ -190,11 +282,12 @@ func TMatMul(dst, a, b *Matrix) {
 }
 
 // dotUnrolled is the 4-way unrolled inner-product kernel behind Dot and
-// MatMulT. Four independent accumulators break the add-latency dependency
-// chain; lengths must match (callers check).
+// the single-row tail of MatMulT/MatMulT32. Four independent accumulators
+// break the add-latency dependency chain; lengths must match (callers
+// check).
 //eugene:noalloc
-func dotUnrolled(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
+func dotUnrolled[T Float](a, b []T) T {
+	var s0, s1, s2, s3 T
 	n := len(a)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -226,28 +319,14 @@ func axpyUnrolled(dst []float64, alpha float64, src []float64) {
 	}
 }
 
-// Add computes dst[i] = a[i] + b[i] element-wise; shapes must match.
-func Add(dst, a, b *Matrix) {
+// Add computes dst[i] = a[i] + b[i] element-wise; shapes must match. dst
+// may alias a or b.
+//eugene:noalloc
+func Add[T Float](dst, a, b *Mat[T]) {
 	checkSameShape("Add", a, b)
 	checkSameShape("Add", dst, a)
 	for i := range a.Data {
 		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// Sub computes dst[i] = a[i] - b[i] element-wise.
-func Sub(dst, a, b *Matrix) {
-	checkSameShape("Sub", a, b)
-	checkSameShape("Sub", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// Scale multiplies every element of m by s in place.
-func Scale(m *Matrix, s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
 	}
 }
 
@@ -261,7 +340,8 @@ func AXPY(dst *Matrix, alpha float64, src *Matrix) {
 
 // AddRowVector adds vector v (length m.Cols) to every row of m in place;
 // the standard bias broadcast.
-func AddRowVector(m *Matrix, v []float64) {
+//eugene:noalloc
+func AddRowVector[T Float](m *Mat[T], v []T) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVector vector length %d != cols %d", len(v), m.Cols))
 	}
@@ -275,8 +355,9 @@ func AddRowVector(m *Matrix, v []float64) {
 
 // AddReLU computes dst[i] = max(0, a[i]+b[i]) element-wise; the fused
 // shortcut-connection + activation kernel (a residual block's output is
-// almost always followed by a ReLU).
-func AddReLU(dst, a, b *Matrix) {
+// almost always followed by a ReLU). dst may alias a or b.
+//eugene:noalloc
+func AddReLU[T Float](dst, a, b *Mat[T]) {
 	checkSameShape("AddReLU", a, b)
 	checkSameShape("AddReLU", dst, a)
 	for i := range a.Data {
@@ -292,7 +373,8 @@ func AddReLU(dst, a, b *Matrix) {
 // applies ReLU in place: m[r][c] = max(0, m[r][c]+v[c]). Fusing the bias
 // broadcast with the activation saves one full pass over the batch on the
 // Dense→ReLU pairs that dominate the staged-model forward path.
-func AddRowVectorReLU(m *Matrix, v []float64) {
+//eugene:noalloc
+func AddRowVectorReLU[T Float](m *Mat[T], v []T) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVectorReLU vector length %d != cols %d", len(v), m.Cols))
 	}
@@ -307,6 +389,35 @@ func AddRowVectorReLU(m *Matrix, v []float64) {
 		}
 	}
 }
+
+// ReLU applies max(0, src[i]) element-wise into dst; shapes must match.
+// dst may alias src.
+//eugene:noalloc
+func ReLU[T Float](dst, src *Mat[T]) {
+	checkSameShape("ReLU", dst, src)
+	for i, v := range src.Data {
+		if v < 0 {
+			v = 0
+		}
+		dst.Data[i] = v
+	}
+}
+
+// Convert copies src into dst, converting the element type; lengths must
+// match. The inference engine's stage boundary: hidden rows cross it as
+// float64 whatever the stage computes in.
+//eugene:noalloc
+func Convert[D, S Float](dst []D, src []S) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: Convert length mismatch %d vs %d", len(dst), len(src)))
+	}
+	for i, v := range src {
+		dst[i] = D(v)
+	}
+}
+
+// Narrow is Convert from float64 to float32. cmd/eugenebench names it.
+func Narrow(dst []float32, src []float64) { Convert(dst, src) }
 
 // ColSums accumulates the per-column sums of m into dst (length m.Cols);
 // the bias-gradient reduction.
@@ -325,10 +436,15 @@ func ColSums(dst []float64, m *Matrix) {
 	}
 }
 
-// Softmax writes the row-wise softmax of src into dst (shapes must match).
-// It is numerically stable (subtracts the row max before exponentiation).
+// Softmax writes the row-wise softmax of the logits src into the float64
+// probability matrix dst (shapes must match). It is numerically stable
+// (subtracts the row max before exponentiation). Whatever the logits'
+// type, the exponentials and the normalization run in float64:
+// confidences feed the scheduler's early-exit comparisons, so a reduced
+// tier spends the few extra cycles here to keep its confidence surface
+// as close to the float64 model's as its logits allow.
 //eugene:noalloc
-func Softmax(dst, src *Matrix) {
+func Softmax[T Float](dst *Matrix, src *Mat[T]) {
 	checkSameShape("Softmax", dst, src)
 	for r := 0; r < src.Rows; r++ {
 		in := src.Row(r)
@@ -341,7 +457,7 @@ func Softmax(dst, src *Matrix) {
 		}
 		var sum float64
 		for c, v := range in {
-			e := math.Exp(v - maxv)
+			e := math.Exp(float64(v - maxv))
 			out[c] = e
 			sum += e
 		}
@@ -350,24 +466,6 @@ func Softmax(dst, src *Matrix) {
 			out[c] *= inv
 		}
 	}
-}
-
-// LogSumExp returns log(Σ exp(v)) computed stably.
-func LogSumExp(v []float64) float64 {
-	maxv := math.Inf(-1)
-	for _, x := range v {
-		if x > maxv {
-			maxv = x
-		}
-	}
-	if math.IsInf(maxv, -1) {
-		return maxv
-	}
-	var sum float64
-	for _, x := range v {
-		sum += math.Exp(x - maxv)
-	}
-	return maxv + math.Log(sum)
 }
 
 // Entropy returns the Shannon entropy (nats) of probability vector p.
@@ -402,16 +500,7 @@ func Dot(a, b []float64) float64 {
 	return dotUnrolled(a, b)
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x * x
-	}
-	return math.Sqrt(sum)
-}
-
-func checkSameShape(op string, a, b *Matrix) {
+func checkSameShape[A, B Float](op string, a *Mat[A], b *Mat[B]) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}

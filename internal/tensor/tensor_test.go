@@ -112,21 +112,13 @@ func TestMatMulShapePanics(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestAddAXPY(t *testing.T) {
 	a := FromSlice(1, 3, []float64{1, 2, 3})
 	b := FromSlice(1, 3, []float64{10, 20, 30})
 	dst := NewMatrix(1, 3)
 	Add(dst, a, b)
 	if dst.Data[2] != 33 {
 		t.Fatalf("Add = %v", dst.Data)
-	}
-	Sub(dst, b, a)
-	if dst.Data[0] != 9 {
-		t.Fatalf("Sub = %v", dst.Data)
-	}
-	Scale(dst, 2)
-	if dst.Data[1] != 36 {
-		t.Fatalf("Scale = %v", dst.Data)
 	}
 	AXPY(dst, -1, dst.Clone())
 	for _, v := range dst.Data {
@@ -203,16 +195,6 @@ func TestSoftmaxStability(t *testing.T) {
 	}
 }
 
-func TestLogSumExp(t *testing.T) {
-	v := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	if got := LogSumExp(v); !almostEqual(got, math.Log(6), 1e-12) {
-		t.Fatalf("LogSumExp = %v, want log(6)", got)
-	}
-	if got := LogSumExp([]float64{-1e9, -1e9}); math.IsNaN(got) {
-		t.Fatalf("LogSumExp underflow produced NaN")
-	}
-}
-
 func TestEntropy(t *testing.T) {
 	uniform := []float64{0.25, 0.25, 0.25, 0.25}
 	if got := Entropy(uniform); !almostEqual(got, math.Log(4), 1e-12) {
@@ -242,12 +224,9 @@ func TestEntropyNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
+func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v", got)
-	}
-	if got := Norm2([]float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("Norm2 = %v", got)
 	}
 }
 
