@@ -289,13 +289,7 @@ func RestoreSubset(net *nn.Sequential, hot []int, in int) (*SubsetModel, error) 
 func (s *SubsetModel) InputWidth() int { return s.in }
 
 // Params returns the parameter count (the device-footprint proxy).
-func (s *SubsetModel) Params() int {
-	var n int
-	for _, p := range s.Net.Params() {
-		n += len(p.Value)
-	}
-	return n
-}
+func (s *SubsetModel) Params() int { return nn.ParamCount(s.Net) }
 
 // TrainSubset trains a reduced model on the hot classes: samples of
 // other classes become the "other" category. hidden controls the model

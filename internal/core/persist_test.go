@@ -14,17 +14,10 @@ import (
 	"eugene/internal/sched"
 )
 
-// persistConfig pins MaxBatch to 1: the bitwise restart guarantee is
-// "same computation → same bits", but a task's summation path depends
-// on how many same-stage tasks the scheduler happens to coalesce (the
-// 4-row register tile sums in a different order than the single-row
-// kernel), so group composition — which is timing-dependent — must be
-// held fixed for a bit-exact comparison.
 func persistConfig(dir string) Config {
 	return Config{
 		Workers: 2, Deadline: 5 * time.Second, QueueDepth: 32, Lookahead: 1,
-		MaxBatch: 1,
-		DataDir:  dir,
+		DataDir: dir,
 	}
 }
 

@@ -58,7 +58,10 @@ type Param struct {
 }
 
 // Dense is a fully connected layer: y = x·Wᵀ + b, with W of shape
-// out×in.
+// out×in. GradW and GradB are nil until Backward or Params first needs
+// them: a layer that is only ever served — every layer of a model
+// installed from a snapshot, on every replica — never pays for gradient
+// buffers the size of its weights.
 type Dense struct {
 	In, Out int
 	W       *tensor.Matrix // Out×In
@@ -76,12 +79,10 @@ type Dense struct {
 // NewDense constructs a dense layer with He-initialized weights.
 func NewDense(rng *rand.Rand, in, out int) *Dense {
 	d := &Dense{
-		In:    in,
-		Out:   out,
-		W:     tensor.NewMatrix(out, in),
-		B:     make([]float64, out),
-		GradW: tensor.NewMatrix(out, in),
-		GradB: make([]float64, out),
+		In:  in,
+		Out: out,
+		W:   tensor.NewMatrix(out, in),
+		B:   make([]float64, out),
 	}
 	std := math.Sqrt(2.0 / float64(in))
 	for i := range d.W.Data {
@@ -99,8 +100,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		d.x = x
 	}
 	d.out = ensure(d.out, x.Rows, d.Out)
-	tensor.MatMulT(d.out, x, d.W)
-	tensor.AddRowVector(d.out, d.B)
+	tensor.Dense(d.out, x, d.W, d.B, false)
 	return d.out
 }
 
@@ -109,6 +109,7 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if d.x == nil {
 		panic("nn: Dense.Backward before Forward(train=true)")
 	}
+	d.ensureGrads()
 	// dW += gradOutᵀ · x ; accumulate into GradW via persistent scratch.
 	d.gw = ensure(d.gw, d.Out, d.In)
 	tensor.TMatMul(d.gw, gradOut, d.x)
@@ -125,8 +126,20 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return d.gin
 }
 
+// ensureGrads allocates the gradient accumulators on first use. It
+// writes the layer, so like Forward and Backward it is for the goroutine
+// that owns the tree; readers of a shared tree count parameters with
+// ParamCount.
+func (d *Dense) ensureGrads() {
+	if d.GradW == nil {
+		d.GradW = tensor.NewMatrix(d.Out, d.In)
+		d.GradB = make([]float64, d.Out)
+	}
+}
+
 // Params implements Layer.
 func (d *Dense) Params() []Param {
+	d.ensureGrads()
 	return []Param{
 		{Name: "W", Value: d.W.Data, Grad: d.GradW.Data},
 		{Name: "b", Value: d.B, Grad: d.GradB},
@@ -135,15 +148,12 @@ func (d *Dense) Params() []Param {
 
 // Clone implements Layer.
 func (d *Dense) Clone() Layer {
-	c := &Dense{
-		In:    d.In,
-		Out:   d.Out,
-		W:     d.W.Clone(),
-		B:     append([]float64(nil), d.B...),
-		GradW: tensor.NewMatrix(d.Out, d.In),
-		GradB: make([]float64, d.Out),
+	return &Dense{
+		In:  d.In,
+		Out: d.Out,
+		W:   d.W.Clone(),
+		B:   append([]float64(nil), d.B...),
 	}
-	return c
 }
 
 // ReLU applies max(0, x) element-wise.
@@ -156,26 +166,19 @@ type ReLU struct {
 // NewReLU constructs a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
+// Forward implements Layer. Both loops are branch-free in the data: a
+// pre-activation's sign is as good as random from one element to the
+// next, and a branch on it mispredicts about every other time.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	r.out = ensure(r.out, x.Rows, x.Cols)
+	tensor.ReLU(r.out, x)
 	if train {
 		if cap(r.mask) < len(x.Data) {
 			r.mask = make([]bool, len(x.Data))
 		}
 		r.mask = r.mask[:len(x.Data)]
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			r.out.Data[i] = v
-			if train {
-				r.mask[i] = true
-			}
-		} else {
-			r.out.Data[i] = 0
-			if train {
-				r.mask[i] = false
-			}
+		for i, v := range x.Data {
+			r.mask[i] = v > 0
 		}
 	}
 	return r.out

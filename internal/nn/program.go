@@ -12,8 +12,10 @@ import (
 // element type T — and every decision about what inference does is
 // taken there and nowhere else: a ReLU is fused into the Dense or
 // Residual op before it, inference-identity Dropout disappears, nested
-// Sequentials are inlined. A program never writes its weights, so
-// clones for concurrent workers share them; only scratch is per clone.
+// Sequentials are inlined. A dense op, fused or not, is then one call —
+// tensor.Dense computes x·Wᵀ + b and the ReLU in a single pass over the
+// output. A program never writes its weights, so clones for concurrent
+// workers share them; only scratch is per clone.
 //
 // The float64 program aliases the tree's own weight buffers (no copy: a
 // published model is immutable, and a model still being trained sees
@@ -140,23 +142,27 @@ func (p *Program[T]) Forward(x *tensor.Mat[T]) *tensor.Mat[T] {
 }
 
 // runOps executes a compiled op sequence. Every op writes only its own
-// scratch, so a residual's saved input (the running x) stays intact
-// while its body executes — no defensive copy needed.
+// scratch (a residual: its body's), so a residual's saved input (the
+// running x) stays intact while its body executes — no defensive copy
+// needed.
 func runOps[T tensor.Float](ops []op[T], x *tensor.Mat[T]) *tensor.Mat[T] {
 	for i := range ops {
 		op := &ops[i]
 		switch op.kind {
 		case opDense:
 			op.out = tensor.Ensure(op.out, x.Rows, op.w.Rows)
-			tensor.MatMulTOf(op.out, x, op.w)
-			if op.relu {
-				tensor.AddRowVectorReLU(op.out, op.b)
-			} else {
-				tensor.AddRowVector(op.out, op.b)
-			}
+			tensor.Dense(op.out, x, op.w, op.b, op.relu)
 		case opResidual:
+			// The sum goes where the body left its result: that is the
+			// body's last op's scratch, which nothing reads again, so a
+			// block holds two batch-sized buffers, not three. Only a
+			// body with no ops hands back x itself, which is not ours.
 			h := runOps(op.body, x)
-			op.out = tensor.Ensure(op.out, x.Rows, x.Cols)
+			if len(op.body) == 0 {
+				op.out = tensor.Ensure(op.out, x.Rows, x.Cols)
+			} else {
+				op.out = h
+			}
 			if op.relu {
 				tensor.AddReLU(op.out, x, h)
 			} else {

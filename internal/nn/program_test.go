@@ -50,10 +50,10 @@ func randBatch[T tensor.Float](rng *rand.Rand, rows, cols int) (*tensor.Mat[T], 
 // TestCompileMatchesTreeForward pins the compiled program — ReLU fusion,
 // dropout elision, inlined nesting — to the tree's plain layer-by-layer
 // inference forward, which fuses nothing, for batch sizes on both sides
-// of the GEMM's 4-row register tile. The float64 program runs the same
-// kernels on the same weights in the same order, so it must agree
-// exactly (== : a fused ReLU keeps -0 where the ReLU layer writes +0);
-// the float32 program to float32 tolerance.
+// of the dense kernel's 3-row register tile. The float64 program runs
+// the same kernels on the same weights in the same order, so it must
+// agree exactly (== : a fused ReLU keeps -0 where the ReLU layer writes
+// +0); the float32 program to float32 tolerance.
 func TestCompileMatchesTreeForward(t *testing.T) {
 	perType(t, testCompileMatchesTreeForward[float64], testCompileMatchesTreeForward[float32])
 }
@@ -97,7 +97,14 @@ func testCompileStandaloneReLU[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	// Leading ReLU has no fusable predecessor; must not write the
 	// caller's input in place.
-	net := NewSequential(NewReLU(), NewDense(rng, 4, 3))
+	testInputIntact[T](t, rng, NewSequential(NewReLU(), NewDense(rng, 4, 3)))
+	// Nor may a leading residual whose body compiles to nothing: it sums
+	// into its body's buffer, and here the body's result is the input.
+	testInputIntact[T](t, rng, NewSequential(NewResidual(NewDropout(rng, 0.2)), NewReLU(), NewDense(rng, 4, 3)))
+}
+
+func testInputIntact[T tensor.Float](t *testing.T, rng *rand.Rand, net *Sequential) {
+	t.Helper()
 	prog, err := Compile[T](net, 4)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)

@@ -131,6 +131,28 @@ func OutputWidth(root Layer, in int) (int, error) {
 	}
 }
 
+// ParamCount returns the number of trainable scalars under root. It only
+// reads the tree, so unlike Params — which hands out gradient buffers and
+// allocates them on first use — it is safe on a model that is being
+// served, and leaves it without gradients.
+func ParamCount(root Layer) int {
+	switch l := root.(type) {
+	case *Dense:
+		return len(l.W.Data) + len(l.B)
+	case *Conv2D:
+		return len(l.K.Data) + len(l.B)
+	case *Residual:
+		return ParamCount(l.Body)
+	case *Sequential:
+		n := 0
+		for _, c := range l.Layers {
+			n += ParamCount(c)
+		}
+		return n
+	}
+	return 0
+}
+
 // SetMCDropout toggles Monte-Carlo dropout on every Dropout layer
 // reachable from root. Used by the RDeepSense calibration baseline.
 func SetMCDropout(root Layer, on bool) {

@@ -184,17 +184,13 @@ func NodePrune(d1, d2 *nn.Dense, keep int) (*nn.Dense, *nn.Dense, []int, error) 
 
 	n1 := &nn.Dense{
 		In: d1.In, Out: keep,
-		W:     tensor.NewMatrix(keep, d1.In),
-		B:     make([]float64, keep),
-		GradW: tensor.NewMatrix(keep, d1.In),
-		GradB: make([]float64, keep),
+		W: tensor.NewMatrix(keep, d1.In),
+		B: make([]float64, keep),
 	}
 	n2 := &nn.Dense{
 		In: keep, Out: d2.Out,
-		W:     tensor.NewMatrix(d2.Out, keep),
-		B:     append([]float64(nil), d2.B...),
-		GradW: tensor.NewMatrix(d2.Out, keep),
-		GradB: make([]float64, d2.Out),
+		W: tensor.NewMatrix(d2.Out, keep),
+		B: append([]float64(nil), d2.B...),
 	}
 	for i, h := range kept {
 		copy(n1.W.Row(i), d1.W.Row(h))

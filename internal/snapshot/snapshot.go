@@ -750,13 +750,7 @@ func (d *decoder) layer(depth int) (nn.Layer, error) {
 		if len(w) != in*out || len(b) != out {
 			return nil, fmt.Errorf("snapshot: dense %d→%d with %d weights, %d biases", in, out, len(w), len(b))
 		}
-		return &nn.Dense{
-			In: in, Out: out,
-			W:     tensor.FromSlice(out, in, w),
-			B:     b,
-			GradW: tensor.NewMatrix(out, in),
-			GradB: make([]float64, out),
-		}, nil
+		return &nn.Dense{In: in, Out: out, W: tensor.FromSlice(out, in, w), B: b}, nil
 	case tagReLU:
 		return nn.NewReLU(), nil
 	case tagDropout:

@@ -12,6 +12,7 @@ import (
 	"eugene/internal/cache"
 	"eugene/internal/dataset"
 	"eugene/internal/gp"
+	"eugene/internal/nn"
 	"eugene/internal/sched"
 	"eugene/internal/staged"
 	"eugene/internal/tensor"
@@ -93,9 +94,10 @@ func sampleInputs(dim, n int, seed int64) [][]float64 {
 	return out
 }
 
-func TestModelRoundTripBitwise(t *testing.T) {
-	// Property: train → snapshot → restore must give bitwise-identical
-	// inference, single-sample and batched, plus identical metadata.
+// smallModel returns an untrained three-stage model on 8 features and
+// the set to train it on.
+func smallModel(t *testing.T) (*staged.Model, *dataset.Set) {
+	t.Helper()
 	cfg := dataset.SynthConfig{
 		Classes: 3, Dim: 8, ModesPerClass: 1,
 		TrainSize: 120, TestSize: 40,
@@ -112,6 +114,13 @@ func TestModelRoundTripBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, train
+}
+
+func TestModelRoundTripBitwise(t *testing.T) {
+	// Property: train → snapshot → restore must give bitwise-identical
+	// inference, single-sample and batched, plus identical metadata.
+	m, train := smallModel(t)
 	tcfg := staged.DefaultTrainConfig()
 	tcfg.Epochs = 3
 	if _, err := m.Train(tcfg, train); err != nil {
@@ -221,6 +230,95 @@ func TestModelRoundTripBitwise(t *testing.T) {
 		if a, b := orig.Pred.Predict(0, 0, c, 2), got.Pred.Predict(0, 0, c, 2); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("predict(%v): %v != %v", c, b, a)
 		}
+	}
+}
+
+// gradientBuffers counts the Dense layers under the model that hold
+// gradient accumulators.
+func gradientBuffers(m *staged.Model) int {
+	var count func(l nn.Layer) int
+	count = func(l nn.Layer) int {
+		switch l := l.(type) {
+		case *nn.Dense:
+			if l.GradW != nil || l.GradB != nil {
+				return 1
+			}
+		case *nn.Residual:
+			return count(l.Body)
+		case *nn.Sequential:
+			n := 0
+			for _, c := range l.Layers {
+				n += count(c)
+			}
+			return n
+		}
+		return 0
+	}
+	n := count(m.Stem)
+	for _, s := range m.Stages {
+		n += count(s.Body) + count(s.Head)
+	}
+	return n
+}
+
+// TestRestoredModelHoldsNoGradients pins what a replica pays for a model
+// it only serves: installed from a snapshot, compiled and run, it holds
+// weights and nothing the size of them besides. Gradient buffers appear
+// when training touches the model, and training a restored model works.
+func TestRestoredModelHoldsNoGradients(t *testing.T) {
+	m, train := smallModel(t)
+	if n := gradientBuffers(m); n != 0 {
+		t.Fatalf("a new model holds %d gradient buffers before training", n)
+	}
+	tcfg := staged.DefaultTrainConfig()
+	tcfg.Epochs = 2
+	first, err := m.Train(tcfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gradientBuffers(m) == 0 {
+		t.Fatal("training allocated no gradient buffers")
+	}
+	var buf bytes.Buffer
+	if err := EncodeModel(&buf, &ModelSnapshot{Model: m, Alpha: 0.5, StageAccs: m.EvalAllStages(train), Pred: goldenSnapshot(t).Pred}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeModel(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := got.Model
+
+	// Serve it: the compiled engine at both precisions, every stage.
+	f64, err := staged.Freeze[float64](restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f32, err := staged.Freeze32(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hid, hid32 := sampleInputs(8, 5, 3), sampleInputs(8, 5, 3)
+	pool, pool32 := f64.Clone(), f32.Clone()
+	for s := 0; s < restored.NumStages(); s++ {
+		hid, _ = pool.ExecStageBatch(hid, s, nil)
+		hid32, _ = pool32.ExecStageBatch(hid32, s, nil)
+	}
+	restored.Predict(sampleInputs(8, 1, 4)[0], restored.NumStages()-1)
+	if n := gradientBuffers(restored); n != 0 {
+		t.Fatalf("a restored model holds %d gradient buffers after being compiled and served", n)
+	}
+
+	// Train it further.
+	second, err := restored.Train(tcfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gradientBuffers(restored) == 0 {
+		t.Fatal("training the restored model allocated no gradient buffers")
+	}
+	if math.IsNaN(second) || second >= first {
+		t.Fatalf("loss after two more epochs on the restored model %v, after the first two %v", second, first)
 	}
 }
 

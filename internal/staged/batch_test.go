@@ -36,14 +36,14 @@ func randRows(rng *rand.Rand, n, width int) [][]float64 {
 // ExecStageBatch stage by stage must produce the per-task predictions,
 // confidences, and hidden states of B independent ExecStage chains, and
 // keep the buffer-ownership contract (stage-0 inputs never written).
-// The batch path's SIMD GEMM tile sums in a different order than the
-// single-row kernel, so float64 is compared to a tight numerical
-// tolerance rather than bitwise; float32 to float32 tolerance.
+// The dense kernel reduces a row the same way whatever it is batched
+// with, and the tree runs the same kernel one row at a time, so float64
+// must agree exactly; float32 to float32 tolerance.
 func TestExecStageBatchMatchesExecStage(t *testing.T) {
 	// float64 goes through Model.ExecStageBatch, so the delegation to
 	// the model's own freeze is what is checked.
 	t.Run("f64", func(t *testing.T) {
-		testExecStageBatchMatchesExecStage(t, 1e-9, func(m *Model) execFn { return m.ExecStageBatch })
+		testExecStageBatchMatchesExecStage(t, 0, func(m *Model) execFn { return m.ExecStageBatch })
 	})
 	t.Run("f32", func(t *testing.T) {
 		testExecStageBatchMatchesExecStage(t, 1e-4, func(m *Model) execFn {

@@ -339,12 +339,5 @@ func (m *Model) StageCostFLOPs(l int) float64 {
 	if l < 0 || l >= len(m.Stages) {
 		panic(fmt.Sprintf("staged: stage %d outside [0,%d)", l, len(m.Stages)))
 	}
-	var flops float64
-	for _, p := range m.Stages[l].Body.Params() {
-		flops += 2 * float64(len(p.Value))
-	}
-	for _, p := range m.Stages[l].Head.Params() {
-		flops += 2 * float64(len(p.Value))
-	}
-	return flops
+	return 2 * float64(nn.ParamCount(m.Stages[l].Body)+nn.ParamCount(m.Stages[l].Head))
 }

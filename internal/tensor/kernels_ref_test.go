@@ -8,10 +8,11 @@ import (
 )
 
 // Differential tests pinning the optimized matmul kernels (unrolled
-// inner loops, branchless accumulation, fused bias+ReLU) against naive
-// triple-loop references over randomized shapes, including empty and
-// 1×1 edge cases. Unrolling changes the floating-point summation order,
-// so comparisons allow a small relative tolerance.
+// inner loops, branchless accumulation, the dense kernel's fused
+// bias+ReLU) against naive triple-loop references over randomized shapes,
+// including empty and 1×1 edge cases. Unrolling changes the
+// floating-point summation order, so comparisons allow a small relative
+// tolerance.
 //
 // The references are float64 and stay naive. A kernel that is generic
 // over Float is checked at both element types against the same
@@ -19,8 +20,8 @@ import (
 // exact float64 image, so the only divergence left is the kernel's own
 // rounding — for float32 that (and the FMA micro-kernel's fused
 // rounding) is legitimately in the low bits, hence a float32-scale
-// tolerance there. What must hold exactly is shape discipline and
-// parallel-vs-serial bitwise equality.
+// tolerance there. What must hold exactly is shape discipline, and that
+// a row's result does not depend on its batch (batch_test.go).
 
 func refMatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
@@ -64,12 +65,10 @@ func refTMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-func refAddRowVectorReLU(m *Matrix, v []float64) *Matrix {
+func refReLU(m *Matrix) *Matrix {
 	out := m.Clone()
-	for r := 0; r < out.Rows; r++ {
-		for c := 0; c < out.Cols; c++ {
-			out.Set(r, c, math.Max(0, out.At(r, c)+v[c]))
-		}
+	for i, v := range out.Data {
+		out.Data[i] = math.Max(0, v)
 	}
 	return out
 }
@@ -169,26 +168,93 @@ func TestMatMulMatchesReference(t *testing.T) {
 	}
 }
 
-func TestMatMulTMatchesReference(t *testing.T) {
-	perType(t, testMatMulTMatchesReference[float64], testMatMulTMatchesReference[float32])
+func TestDenseMatchesReference(t *testing.T) {
+	perType(t, testDenseMatchesReference[float64], testDenseMatchesReference[float32])
 }
 
-func testMatMulTMatchesReference[T Float](t *testing.T) {
+func testDenseMatchesReference[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	// On top of the unroll-boundary shapes: inner widths that straddle
-	// the 8- and 16-lane SIMD boundaries, the 4-row register tile, and
-	// single-row/column cases.
+	// the 4- and 8-lane SIMD steps (the served stem is 32 wide, the head
+	// bottlenecks 8 and 12), row counts around the 3-row register tile,
+	// output counts around the 4-wide output group (the heads have 10),
+	// and single-row/column cases.
 	shapes := append(kernelShapes(rng), [][3]int{ // rows(a), cols, rows(b)
 		{1, 5, 3}, {3, 16, 2}, {4, 16, 4}, {5, 17, 7}, {8, 31, 9},
 		{8, 32, 9}, {13, 33, 11}, {16, 48, 16}, {2, 100, 64},
+		{32, 256, 10}, {7, 12, 10}, {6, 8, 10}, {64, 32, 256}, {3, 7, 5},
 	}...)
+	for i := 0; i < 8; i++ {
+		shapes = append(shapes, [3]int{1 + rng.Intn(9), 1 + rng.Intn(70), 1 + rng.Intn(14)})
+	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, a64 := randMat[T](rng, m, k)
 		b, b64 := randMat[T](rng, n, k)
+		bias, bias64 := randMat[T](rng, 1, n)
+		product := refMatMulT(a64, b64)
+		biased := product.Clone()
+		for r := 0; r < m; r++ {
+			for c := 0; c < n; c++ {
+				biased.Data[r*n+c] += bias64.Data[c]
+			}
+		}
 		got := New[T](m, n)
-		MatMulTOf(got, a, b)
-		assertCloseTo(t, fmt.Sprintf("MatMulT %v", s), got, refMatMulT(a64, b64), k)
+		Dense(got, a, b, nil, false)
+		assertCloseTo(t, fmt.Sprintf("Dense %v, no bias", s), got, product, k)
+		Dense(got, a, b, bias.Data, false)
+		assertCloseTo(t, fmt.Sprintf("Dense %v, bias", s), got, biased, k)
+		Dense(got, a, b, bias.Data, true)
+		assertCloseTo(t, fmt.Sprintf("Dense %v, bias and ReLU", s), got, refReLU(biased), k)
+	}
+}
+
+// TestReLUPropagatesNaN pins NaN in, NaN out on every path that floors at
+// zero: the dense kernel's epilogue (VMAXPD returns its second source on
+// NaN, so operand order matters there) and the element-wise kernels.
+func TestReLUPropagatesNaN(t *testing.T) {
+	perType(t, testReLUPropagatesNaN[float64], testReLUPropagatesNaN[float32])
+}
+
+func testReLUPropagatesNaN[T Float](t *testing.T) {
+	nan := T(math.NaN())
+	isNaN := func(v T) bool { return v != v }
+	for _, m := range []int{1, 2, 3, 4} {
+		a, w := New[T](m, 9), New[T](5, 9)
+		for i := range w.Data {
+			w.Data[i] = 1
+		}
+		a.Data[(m-1)*9+8] = nan // last row, in the k tail
+		bias := make([]T, 5)
+		for _, relu := range []bool{false, true} {
+			dst := New[T](m, 5)
+			Dense(dst, a, w, bias, relu)
+			for i, v := range dst.Data {
+				if want := i >= (m-1)*5; isNaN(v) != want {
+					t.Fatalf("Dense m=%d relu=%v [%d] = %v, NaN wanted: %v", m, relu, i, v, want)
+				}
+			}
+		}
+		bias[2] = nan
+		dst := New[T](m, 5)
+		a.Data[(m-1)*9+8] = 0
+		Dense(dst, a, w, bias, true)
+		for i, v := range dst.Data {
+			if want := i%5 == 2; isNaN(v) != want {
+				t.Fatalf("Dense m=%d, NaN bias [%d] = %v, NaN wanted: %v", m, i, v, want)
+			}
+		}
+	}
+	x, zero := New[T](1, 3), New[T](1, 3)
+	x.Data[1] = nan
+	dst := New[T](1, 3)
+	ReLU(dst, x)
+	if !isNaN(dst.Data[1]) || dst.Data[0] != 0 {
+		t.Fatalf("ReLU(NaN) = %v", dst.Data)
+	}
+	AddReLU(dst, x, zero)
+	if !isNaN(dst.Data[1]) || dst.Data[0] != 0 {
+		t.Fatalf("AddReLU(NaN) = %v", dst.Data)
 	}
 }
 
@@ -211,12 +277,6 @@ func testFusedKernelsMatchReference[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, s := range append(kernelShapes(rng), [3]int{6, 0, 9}) {
 		rows, cols := s[0], s[2]
-		m, m64 := randMat[T](rng, rows, cols)
-		v, v64 := randMat[T](rng, 1, cols)
-		want := refAddRowVectorReLU(m64, v64.Data)
-		AddRowVectorReLU(m, v.Data)
-		assertCloseTo(t, "AddRowVectorReLU", m, want, 1)
-
 		a, a64 := randMat[T](rng, rows, cols)
 		b, b64 := randMat[T](rng, rows, cols)
 		for i := range a64.Data {
@@ -339,11 +399,12 @@ func TestMatMulZeroEntries(t *testing.T) {
 	assertMatricesClose(t, "TMatMul/sparse", gotT, refTMatMul(a, c))
 }
 
-// BenchmarkFusedKernels is the measurement behind "the generic kernels
-// cost nothing": the element-wise kernels of the compiled forward pass
-// at the serving shape (a MaxBatch group at hidden 256), at both element
-// types. CHANGES.md (PR 15) quotes it against the hand-written per-type
-// bodies these replaced.
+// BenchmarkFusedKernels times the element-wise kernels the compiled
+// forward pass still runs as passes of their own, at the serving shape (a
+// MaxBatch group at hidden 256) and both element types. Their inputs are
+// fixed and mixed-sign, so a kernel that branched on an element's sign
+// would pay for it on every iteration, as it does on real
+// pre-activations.
 func BenchmarkFusedKernels(b *testing.B) {
 	b.Run("f64", benchFusedKernels[float64])
 	b.Run("f32", benchFusedKernels[float32])
@@ -354,13 +415,12 @@ func benchFusedKernels[T Float](b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m, _ := randMat[T](rng, rows, cols)
 	a, _ := randMat[T](rng, rows, cols)
-	v, _ := randMat[T](rng, 1, cols)
 	dst, probs := New[T](rows, cols), NewMatrix(rows, cols)
 	for _, k := range []struct {
 		name string
 		run  func()
 	}{
-		{"AddRowVectorReLU", func() { AddRowVectorReLU(m, v.Data) }},
+		{"ReLU", func() { ReLU(dst, m) }},
 		{"AddReLU", func() { AddReLU(dst, m, a) }},
 		{"Softmax", func() { Softmax(probs, a) }},
 	} {
@@ -369,6 +429,46 @@ func benchFusedKernels[T Float](b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k.run()
 			}
+		})
+	}
+}
+
+// BenchmarkMatMulTRows is the product at every group size the scheduler
+// can form against 256×256 weights, in GFLOP/s: full register tiles,
+// ragged ones, and the one-to-three-row groups of single-sample traffic.
+func BenchmarkMatMulTRows(b *testing.B) {
+	b.Run("f64", func(b *testing.B) { benchDense[float64](b, []int{1, 2, 3, 4, 5, 7, 8, 27, 32, 61, 64}, false) })
+	b.Run("f32", func(b *testing.B) { benchDense[float32](b, []int{1, 2, 3, 4, 5, 7, 8, 27, 32, 61, 64}, false) })
+}
+
+// BenchmarkDenseOp is the whole op of the compiled forward pass, product
+// plus bias plus ReLU, at the two group sizes the benchmark's batches
+// form. The pre-activations are recomputed from mixed-sign operands on
+// every iteration, which is what an epilogue that branches on their sign
+// cannot hide from.
+func BenchmarkDenseOp(b *testing.B) {
+	b.Run("f64", func(b *testing.B) { benchDense[float64](b, []int{32, 64}, true) })
+	b.Run("f32", func(b *testing.B) { benchDense[float32](b, []int{32, 64}, true) })
+}
+
+func benchDense[T Float](b *testing.B, rowCounts []int, epilogue bool) {
+	const n, k = 256, 256
+	rng := rand.New(rand.NewSource(1))
+	w, _ := randMat[T](rng, n, k)
+	var bias []T
+	if epilogue {
+		v, _ := randMat[T](rng, 1, n)
+		bias = v.Data
+	}
+	for _, rows := range rowCounts {
+		x, _ := randMat[T](rng, rows, k)
+		dst := New[T](rows, n)
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Dense(dst, x, w, bias, epilogue)
+			}
+			b.ReportMetric(2*float64(rows*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }

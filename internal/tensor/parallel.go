@@ -26,18 +26,14 @@ import (
 //     time, and counting them would put a shared cache line on every
 //     matvec.
 const (
-	// gemmRowTile is the register-tile height of the MatMulT kernel;
-	// splits land on tile boundaries so chunked execution is bitwise
-	// identical to serial execution.
-	gemmRowTile = 4
 	// gemmGrain is the least work, in mul-adds, worth a chunk of its
 	// own. BenchmarkMatMulTFanOut (rows × 256 × 256, serial against a
-	// forced two-way split on two cores): at 64 rows, 2 M mul-adds per
-	// chunk, the split loses (f64 296 → 326 µs, f32 167 → 189); at 128
-	// rows, 4 M per chunk, it spends the second core to break even
-	// (607 → 622, 329 → 296); at 256 rows, 8 M per chunk, it wins in
-	// both precisions (1218 → 759, 648 → 443) and keeps winning above
-	// (4096 rows: 19.3 → 10.7 ms, 10.7 → 5.9 ms).
+	// forced two-way split on two cores, medians of three): at 64 rows,
+	// 2 M mul-adds per chunk, the split loses (f64 268 → 284 µs, f32 142
+	// → 158); at 128 rows, 4 M per chunk, it wins in one precision and
+	// loses in the other (548 → 440, 252 → 298); at 256 rows, 8 M per
+	// chunk, it wins in both (1081 → 717, 553 → 473) and keeps winning
+	// above (4096 rows: 15.4 → 9.8 ms, 9.5 → 5.7 ms).
 	gemmGrain = 1 << 23
 	// maxParallelism bounds the pool (sanity cap, not a tuning knob).
 	maxParallelism = 256
@@ -50,6 +46,9 @@ type gemmJob struct {
 	run             func(gemmJob)
 	dst, a, b       *Matrix
 	dst32, a32, b32 *Matrix32
+	bias            []float64
+	bias32          []float32
+	relu            bool
 	lo, hi          int
 }
 
@@ -108,7 +107,7 @@ func Parallelism() int { return int(gemmPool.limit.Load()) }
 // included) are not running over-grain kernels. Each chunk is at least
 // a grain and at least a register tile.
 func gemmChunks(rows, muladds, free int) int {
-	return max(1, min(muladds/gemmGrain, rows/gemmRowTile, free))
+	return max(1, min(muladds/gemmGrain, rows/denseRowTile, free))
 }
 
 // fanOut runs j over rows [0, rows), split by gemmChunks.
@@ -161,14 +160,17 @@ func idleHelper() *gemmHelper {
 	}
 }
 
-// parallelRows runs j over rows [0, rows) in up to n tile-aligned
-// chunks: one per idle helper it can take, the first on the caller.
-// With no helper idle the caller runs the whole range, which is the
-// serial kernel. Both precisions fan out through here.
+// parallelRows runs j over rows [0, rows) in up to n chunks: one per
+// idle helper it can take, the first on the caller. Chunks begin on
+// register-tile boundaries so that no chunk but the last runs a ragged
+// tile; the result is the serial one bit for bit wherever they begin,
+// because the kernel reduces a row the same way in any tile. With no
+// helper idle the caller runs the whole range. Both precisions fan out
+// through here.
 //
 //eugene:noalloc
 func parallelRows(j gemmJob, rows, n int) {
-	tiles := (rows + gemmRowTile - 1) / gemmRowTile
+	tiles := (rows + denseRowTile - 1) / denseRowTile
 	n = min(n, tiles)
 	ensureHelpers(n - 1)
 	var taken *gemmHelper
@@ -183,11 +185,11 @@ func parallelRows(j gemmJob, rows, n int) {
 	// Chunk i of k covers tiles [i·tiles/k, (i+1)·tiles/k).
 	i := 1
 	for h := taken; h != nil; h = h.next {
-		j.lo, j.hi = i*tiles/k*gemmRowTile, min((i+1)*tiles/k*gemmRowTile, rows)
+		j.lo, j.hi = i*tiles/k*denseRowTile, min((i+1)*tiles/k*denseRowTile, rows)
 		h.job <- j
 		i++
 	}
-	j.lo, j.hi = 0, min(tiles/k*gemmRowTile, rows)
+	j.lo, j.hi = 0, min(tiles/k*denseRowTile, rows)
 	j.run(j)
 	for h := taken; h != nil; {
 		<-h.done
@@ -197,6 +199,3 @@ func parallelRows(j gemmJob, rows, n int) {
 		h = next
 	}
 }
-
-func runMatMulT(j gemmJob)   { matMulTRange(j.dst, j.a, j.b, j.lo, j.hi) }
-func runMatMulT32(j gemmJob) { matMulT32Range(j.dst32, j.a32, j.b32, j.lo, j.hi) }

@@ -52,7 +52,7 @@ func TestGemmChunks(t *testing.T) {
 		{"chunks stay a grain each", 512, 512 * 256 * 256, 8, 4},
 		{"just under two grains", 255, 255 * 256 * 256, 8, 1},
 		{"two grains", 256, 256 * 256 * 256, 8, 2},
-		{"chunks stay a register tile each", 9, 9 * 4096 * 4096, 8, 2},
+		{"chunks stay a register tile each", 9, 9 * 4096 * 4096, 8, 3},
 	} {
 		if got := gemmChunks(tc.rows, tc.muladds, tc.free); got != tc.want {
 			t.Errorf("%s: %d chunks, want %d", tc.name, got, tc.want)
@@ -61,10 +61,10 @@ func TestGemmChunks(t *testing.T) {
 }
 
 // TestParallelRowsMatchesSerial pins the row-partitioned GEMM to the
-// serial kernel in both precisions. Chunks split on register-tile
-// boundaries, so results must be bitwise identical, not merely close.
-// The shapes are under the grain, so the split is forced by calling
-// parallelRows directly.
+// serial kernel in both precisions. A row's result does not depend on
+// the rows around it (TestDenseIsBatchInvariant), so results must be
+// bitwise identical, not merely close. The shapes are under the grain, so
+// the split is forced by calling parallelRows directly.
 func TestParallelRowsMatchesSerial(t *testing.T) {
 	for _, s := range []struct{ m, n, k int }{
 		{64, 96, 128}, // tile-aligned rows
@@ -75,12 +75,12 @@ func TestParallelRowsMatchesSerial(t *testing.T) {
 	} {
 		a, b, a32, b32 := gemmOperands(11, s.m, s.n, s.k)
 		want, want32 := NewMatrix(s.m, s.n), NewMatrix32(s.m, s.n)
-		matMulTRange(want, a, b, 0, s.m)
-		matMulT32Range(want32, a32, b32, 0, s.m)
+		runDense64(gemmJob{dst: want, a: a, b: b, hi: s.m})
+		runDense32(gemmJob{dst32: want32, a32: a32, b32: b32, hi: s.m})
 		for _, p := range []int{2, 3, 8} {
 			got, got32 := NewMatrix(s.m, s.n), NewMatrix32(s.m, s.n)
-			parallelRows(gemmJob{run: runMatMulT, dst: got, a: a, b: b}, s.m, p)
-			parallelRows(gemmJob{run: runMatMulT32, dst32: got32, a32: a32, b32: b32}, s.m, p)
+			parallelRows(gemmJob{run: runDense64, dst: got, a: a, b: b}, s.m, p)
+			parallelRows(gemmJob{run: runDense32, dst32: got32, a32: a32, b32: b32}, s.m, p)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("f64 %dx%dx%d in %d chunks: dst[%d] = %v, want %v", s.m, s.n, s.k, p, i, got.Data[i], want.Data[i])
@@ -100,8 +100,8 @@ func TestMatMulTOverGrainMatchesSerial(t *testing.T) {
 	const m, n, k = overGrainRows + 3, 256, 256
 	a, b, a32, b32 := gemmOperands(17, m, n, k)
 	want, want32 := NewMatrix(m, n), NewMatrix32(m, n)
-	matMulTRange(want, a, b, 0, m)
-	matMulT32Range(want32, a32, b32, 0, m)
+	runDense64(gemmJob{dst: want, a: a, b: b, hi: m})
+	runDense32(gemmJob{dst32: want32, a32: a32, b32: b32, hi: m})
 	for _, p := range []int{1, 2, 3, 8} {
 		SetParallelism(p)
 		got, got32 := NewMatrix(m, n), NewMatrix32(m, n)
@@ -122,7 +122,7 @@ func TestParallelRowsConcurrent(t *testing.T) {
 	const m, n, k = 48, 64, 96
 	a, b, _, _ := gemmOperands(13, m, n, k)
 	want := NewMatrix(m, n)
-	matMulTRange(want, a, b, 0, m)
+	runDense64(gemmJob{dst: want, a: a, b: b, hi: m})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -131,7 +131,7 @@ func TestParallelRowsConcurrent(t *testing.T) {
 			defer wg.Done()
 			got := NewMatrix(m, n)
 			for iter := 0; iter < 20; iter++ {
-				parallelRows(gemmJob{run: runMatMulT, dst: got, a: a, b: b}, m, 4)
+				parallelRows(gemmJob{run: runDense64, dst: got, a: a, b: b}, m, 4)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Errorf("concurrent GEMM diverged at %d", i)
@@ -175,7 +175,7 @@ func TestBusyHelperDoesNotStallOtherCallers(t *testing.T) {
 	owner := make(chan struct{})
 	go func() {
 		defer close(owner)
-		parallelRows(block, (helpers+1)*gemmRowTile, helpers+1)
+		parallelRows(block, (helpers+1)*denseRowTile, helpers+1)
 	}()
 	for i := 0; i < helpers; i++ {
 		<-entered
@@ -184,7 +184,7 @@ func TestBusyHelperDoesNotStallOtherCallers(t *testing.T) {
 	const m, n, k = overGrainRows, 256, 256
 	a, b, _, _ := gemmOperands(19, m, n, k)
 	want, got := NewMatrix(m, n), NewMatrix(m, n)
-	matMulTRange(want, a, b, 0, m)
+	runDense64(gemmJob{dst: want, a: a, b: b, hi: m})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
@@ -267,8 +267,8 @@ func BenchmarkMatMulTFanOut(b *testing.B) {
 			name string
 			job  gemmJob
 		}{
-			{"f64", gemmJob{run: runMatMulT, dst: NewMatrix(rows, n), a: x, b: w}},
-			{"f32", gemmJob{run: runMatMulT32, dst32: NewMatrix32(rows, n), a32: x32, b32: w32}},
+			{"f64", gemmJob{run: runDense64, dst: NewMatrix(rows, n), a: x, b: w}},
+			{"f32", gemmJob{run: runDense32, dst32: NewMatrix32(rows, n), a32: x32, b32: w32}},
 		} {
 			for _, p := range []int{1, procs} {
 				b.Run(fmt.Sprintf("%s/rows=%d/p=%d", prec.name, rows, p), func(b *testing.B) {

@@ -35,20 +35,24 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0.
 func xgetbv() (eax, edx uint32)
 
-// dot4FMA computes four dot products sharing one right-hand vector:
-// sR = Σ_k aR[k]·b[k] for the first n elements, n a multiple of 8
-// (callers handle the tail). It is the AVX2+FMA body of MatMulT's
-// 4-row register tile — one b load is reused across four batch rows,
-// with two 4-wide FMA accumulator chains per row.
+// denseTile64 is the AVX2+FMA dense micro-kernel: for the m rows of a
+// (1 ≤ m ≤ 3) and all n rows of b, each k long and contiguous,
+//
+//	dst[r·n+j] = Σ_k a[r·k+kk]·b[j·k+kk] + bias[j]
+//
+// floored at zero when relu is set; bias may be nil. n and k are at
+// least 1. The loop over b's rows runs inside, four at a time; every
+// output is one FMA chain over k folded in one fixed order, so it has
+// the same bits whatever m it was computed at (simd_amd64.s has the
+// layout).
 //
 //go:noescape
-func dot4FMA(a0, a1, a2, a3, b *float64, n int) (s0, s1, s2, s3 float64)
+func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool)
 
-// dot4FMA32 is the float32 twin of dot4FMA: four dot products sharing
-// one right-hand vector, n a multiple of 16 (callers handle the tail).
-// Each ymm register holds 8 float32 lanes — twice the float64 kernel's
-// width — which is the arithmetic half of the f32 serving tier's win
-// (the other half is halved memory traffic).
+// denseTile32 is denseTile64 in float32: 8 lanes to the register, so
+// half the k steps for the same loads and FMAs — the arithmetic half of
+// what the float32 serving tier buys (the other is halved weight
+// traffic).
 //
 //go:noescape
-func dot4FMA32(a0, a1, a2, a3, b *float32, n int) (s0, s1, s2, s3 float32)
+func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool)

@@ -4,15 +4,15 @@ package tensor
 
 // hasAVX2FMA is false off amd64 (or under the noasm build tag, which CI
 // uses to keep the scalar fallback exercised); the portable
-// unrolled-scalar kernels run everywhere.
+// unrolled-scalar kernel runs everywhere.
 const hasAVX2FMA = false
 
-// dot4FMA is never called when hasAVX2FMA is false.
-func dot4FMA(a0, a1, a2, a3, b *float64, n int) (s0, s1, s2, s3 float64) {
-	panic("tensor: dot4FMA without AVX2/FMA support")
+// denseTile64 is never called when hasAVX2FMA is false.
+func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool) {
+	panic("tensor: denseTile64 without AVX2/FMA support")
 }
 
-// dot4FMA32 is never called when hasAVX2FMA is false.
-func dot4FMA32(a0, a1, a2, a3, b *float32, n int) (s0, s1, s2, s3 float32) {
-	panic("tensor: dot4FMA32 without AVX2/FMA support")
+// denseTile32 is never called when hasAVX2FMA is false.
+func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
+	panic("tensor: denseTile32 without AVX2/FMA support")
 }

@@ -3,15 +3,16 @@
 // convolution via im2col, and the element-wise kernels required for
 // forward and backward passes.
 //
-// The matrix and the kernels the inference engine runs (Ensure, Add,
-// AddReLU, AddRowVector, AddRowVectorReLU, ReLU, Softmax, Convert) have
-// one generic body over Float; training stays in float64 (gradient noise
-// compounds across epochs), so the backward-pass kernels are float64
-// only. Per element type there is only what the hardware forces: the
-// AVX2+FMA micro-kernels, their scalar fallbacks and the register-tile
-// loop around each (MatMulT, MatMulT32) — a ymm register holds 4 float64
-// lanes or 8 float32 lanes, which together with the halved memory
-// traffic is what the float32 serving tier buys.
+// The matrix and the kernels the inference engine runs (Ensure, Dense,
+// Add, AddReLU, ReLU, Softmax, Convert) have one generic body over Float;
+// training stays in float64 (gradient noise compounds across epochs), so
+// the backward-pass kernels are float64 only. Per element type there is
+// only what the hardware forces: the AVX2+FMA dense micro-kernel and the
+// row-tile loop around it (runDense64, runDense32) — a ymm register holds
+// 4 float64 lanes or 8 float32 lanes, which together with the halved
+// memory traffic is what the float32 serving tier buys. Dense is the
+// whole fully connected layer in one pass — product, bias, ReLU — and a
+// row's result never depends on the rows it was multiplied with.
 //
 // The package is deliberately small and allocation-conscious: every hot
 // routine accepts destination buffers so the training loop in
@@ -24,8 +25,8 @@ import (
 )
 
 // Float is the set of element types the kernels are instantiated at. It
-// is closed (no ~): every instantiation needs a GEMM micro-kernel of its
-// own, see MatMulTOf.
+// is closed (no ~): every instantiation needs a dense micro-kernel of its
+// own, see Dense.
 type Float interface{ float32 | float64 }
 
 // Mat is a dense row-major matrix. The zero value is an empty matrix;
@@ -133,130 +134,123 @@ func MatMul(dst, a, b *Matrix) {
 }
 
 // MatMulT computes dst = a·bᵀ, i.e. dst[i][j] = Σ_k a[i][k]·b[j][k].
-// dst must be a.Rows×b.Rows. This is the layout Dense forward passes
-// use (weights stored out×in), so a row of b is one output neuron's
-// contiguous weight vector. Rows of a are processed in register tiles
-// of four: each weight row is streamed once per four batch samples
-// instead of once per sample, which is what makes a B-row batch
-// materially cheaper than B separate matvecs; single-row calls fall
-// through to the unrolled dot kernel. Products of several gemmGrain split
-// their rows over idle helper goroutines (see parallel.go); the split is
-// at tile boundaries, so the result is bitwise identical to the serial
-// one.
+// dst must be a.Rows×b.Rows. It is Dense with no bias and no ReLU — the
+// same kernel, fan-out rule and reduction order — for callers that want
+// the bare product: the im2col convolution, cmd/eugenebench's GEMM rung.
 //eugene:noalloc
-func MatMulT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulT dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	fanOut(gemmJob{run: runMatMulT, dst: dst, a: a, b: b}, a.Rows, a.Rows*b.Rows*a.Cols)
-}
+func MatMulT(dst, a, b *Matrix) { dense64(dst, a, b, nil, false) }
 
-// matMulTRange runs the MatMulT kernel over rows [lo, hi) of a/dst.
+// MatMulT32 is MatMulT in float32.
 //eugene:noalloc
-func matMulTRange(dst, a, b *Matrix, lo, hi int) {
-	n := a.Cols
-	n8 := 0
-	if hasAVX2FMA {
-		n8 = n &^ 7
-	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := a.Row(i)[:n], a.Row(i + 1)[:n], a.Row(i + 2)[:n], a.Row(i + 3)[:n]
-		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)[:n]
-			var s0, s1, s2, s3 float64
-			k := 0
-			if n8 > 0 {
-				s0, s1, s2, s3 = dot4FMA(&a0[0], &a1[0], &a2[0], &a3[0], &brow[0], n8)
-				k = n8
-			}
-			for ; k < n; k++ {
-				bk := brow[k]
-				s0 += a0[k] * bk
-				s1 += a1[k] * bk
-				s2 += a2[k] * bk
-				s3 += a3[k] * bk
-			}
-			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = dotUnrolled(arow, b.Row(j))
-		}
-	}
-}
+func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, false) }
 
-// MatMulT32 computes dst = a·bᵀ in float32: MatMulT's contract, register
-// tile and fan-out rule (tile-aligned splits over the same helpers, so
-// the result is bitwise identical to serial), with 8 lanes per ymm
-// register via dot4FMA32 where MatMulT has 4.
-//eugene:noalloc
-func MatMulT32(dst, a, b *Matrix32) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT32 shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulT32 dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	fanOut(gemmJob{run: runMatMulT32, dst32: dst, a32: a, b32: b}, a.Rows, a.Rows*b.Rows*a.Cols)
-}
-
-// matMulT32Range runs the MatMulT32 kernel over rows [lo, hi) of a/dst.
-//eugene:noalloc
-func matMulT32Range(dst, a, b *Matrix32, lo, hi int) {
-	n := a.Cols
-	n16 := 0
-	if hasAVX2FMA {
-		n16 = n &^ 15
-	}
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0, a1, a2, a3 := a.Row(i)[:n], a.Row(i + 1)[:n], a.Row(i + 2)[:n], a.Row(i + 3)[:n]
-		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)[:n]
-			var s0, s1, s2, s3 float32
-			k := 0
-			if n16 > 0 {
-				s0, s1, s2, s3 = dot4FMA32(&a0[0], &a1[0], &a2[0], &a3[0], &brow[0], n16)
-				k = n16
-			}
-			for ; k < n; k++ {
-				bk := brow[k]
-				s0 += a0[k] * bk
-				s1 += a1[k] * bk
-				s2 += a2[k] * bk
-				s3 += a3[k] * bk
-			}
-			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			drow[j] = dotUnrolled(arow, b.Row(j))
-		}
-	}
-}
-
-// MatMulTOf is dst = a·bᵀ for code that is generic over the element
-// type: it hands the product to T's entry point, once per GEMM. This is
-// the one place the type set of Float is enumerated; a new precision
-// tier adds a case here and a micro-kernel.
-func MatMulTOf[T Float](dst, a, b *Mat[T]) {
+// Dense computes the fully connected layer dst = a·wᵀ + bias, floored at
+// zero when relu is set: dst[i][j] = Σ_k a[i][k]·w[j][k] + bias[j]. dst
+// must be a.Rows×w.Rows and distinct from the operands; w is stored
+// out×in, so a row of w is one output neuron's contiguous weights, and
+// bias (length w.Rows) may be nil for none. This is the one place the
+// type set of Float is enumerated: it hands the layer to T's kernel, once
+// per call, and a new precision tier adds a case here and a micro-kernel.
+//
+// With AVX2 and FMA the whole layer is one pass of the assembly
+// micro-kernel (denseTile64, denseTile32): rows of a in register tiles
+// of denseRowTile, each weight row streamed once per tile, bias and ReLU
+// applied to the sums before they are stored. A ragged last tile and a
+// one-row call run the same kernel at a lower row count. Without them
+// every output is dotUnrolled plus the same epilogue. Either way an
+// output is reduced over k in one fixed order, so a row's result does not
+// depend on how many rows it was batched with or where in the batch it
+// sat: Dense on rows [0, m) equals m one-row calls bit for bit, and a
+// product split over helper goroutines (parallel.go) equals the serial
+// one. NaN propagates; results differ across builds (FMA rounds once).
+func Dense[T Float](dst, a, w *Mat[T], bias []T, relu bool) {
 	switch d := any(dst).(type) {
 	case *Matrix:
-		MatMulT(d, any(a).(*Matrix), any(b).(*Matrix))
+		b, _ := any(bias).([]float64)
+		dense64(d, any(a).(*Matrix), any(w).(*Matrix), b, relu)
 	case *Matrix32:
-		MatMulT32(d, any(a).(*Matrix32), any(b).(*Matrix32))
+		b, _ := any(bias).([]float32)
+		dense32(d, any(a).(*Matrix32), any(w).(*Matrix32), b, relu)
+	}
+}
+
+//eugene:noalloc
+func dense64(dst, a, w *Matrix, bias []float64, relu bool) {
+	checkDense(dst, a, w, bias)
+	fanOut(gemmJob{run: runDense64, dst: dst, a: a, b: w, bias: bias, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
+}
+
+//eugene:noalloc
+func dense32(dst, a, w *Matrix32, bias []float32, relu bool) {
+	checkDense(dst, a, w, bias)
+	fanOut(gemmJob{run: runDense32, dst32: dst, a32: a, b32: w, bias32: bias, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
+}
+
+func checkDense[T Float](dst, a, w *Mat[T], bias []T) {
+	if a.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: Dense shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, w.Rows, w.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != w.Rows {
+		panic(fmt.Sprintf("tensor: Dense dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, w.Rows))
+	}
+	if bias != nil && len(bias) != w.Rows {
+		panic(fmt.Sprintf("tensor: Dense bias length %d != %d outputs", len(bias), w.Rows))
+	}
+}
+
+// denseRowTile is the most rows of a one micro-kernel call takes.
+const denseRowTile = 3
+
+// runDense64 is Dense over rows [j.lo, j.hi) of a and dst at float64.
+//eugene:noalloc
+func runDense64(j gemmJob) {
+	n, k := j.b.Rows, j.a.Cols
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		denseScalar(j.dst, j.a, j.b, j.bias, j.relu, j.lo, j.hi)
+		return
+	}
+	var bias *float64
+	if j.bias != nil {
+		bias = &j.bias[0]
+	}
+	for i := j.lo; i < j.hi; i += denseRowTile {
+		denseTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, min(denseRowTile, j.hi-i), n, k, j.relu)
+	}
+}
+
+// runDense32 is runDense64 at float32.
+//eugene:noalloc
+func runDense32(j gemmJob) {
+	n, k := j.b32.Rows, j.a32.Cols
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		denseScalar(j.dst32, j.a32, j.b32, j.bias32, j.relu, j.lo, j.hi)
+		return
+	}
+	var bias *float32
+	if j.bias32 != nil {
+		bias = &j.bias32[0]
+	}
+	for i := j.lo; i < j.hi; i += denseRowTile {
+		denseTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, min(denseRowTile, j.hi-i), n, k, j.relu)
+	}
+}
+
+// denseScalar is Dense over rows [lo, hi) in portable Go: the only path
+// off amd64, under -tags noasm and on a CPU without AVX2 and FMA.
+//eugene:noalloc
+func denseScalar[T Float](dst, a, w *Mat[T], bias []T, relu bool, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow, drow := a.Row(i), dst.Row(i)
+		for j := range drow {
+			s := dotUnrolled(arow, w.Row(j))
+			if bias != nil {
+				s += bias[j]
+			}
+			if relu {
+				s = max(s, 0)
+			}
+			drow[j] = s
+		}
 	}
 }
 
@@ -282,9 +276,8 @@ func TMatMul(dst, a, b *Matrix) {
 }
 
 // dotUnrolled is the 4-way unrolled inner-product kernel behind Dot and
-// the single-row tail of MatMulT/MatMulT32. Four independent accumulators
-// break the add-latency dependency chain; lengths must match (callers
-// check).
+// the portable Dense. Four independent accumulators break the
+// add-latency dependency chain; lengths must match (callers check).
 //eugene:noalloc
 func dotUnrolled[T Float](a, b []T) T {
 	var s0, s1, s2, s3 T
@@ -338,68 +331,33 @@ func AXPY(dst *Matrix, alpha float64, src *Matrix) {
 	}
 }
 
-// AddRowVector adds vector v (length m.Cols) to every row of m in place;
-// the standard bias broadcast.
-//eugene:noalloc
-func AddRowVector[T Float](m *Mat[T], v []T) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector vector length %d != cols %d", len(v), m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] += v[c]
-		}
-	}
-}
-
 // AddReLU computes dst[i] = max(0, a[i]+b[i]) element-wise; the fused
 // shortcut-connection + activation kernel (a residual block's output is
-// almost always followed by a ReLU). dst may alias a or b.
+// almost always followed by a ReLU). dst may alias a or b. The floor is
+// the max builtin, not a comparison: pre-activations change sign from
+// one element to the next, and a branch on them mispredicts about every
+// other time (some 11 cycles an element against one). NaN propagates.
 //eugene:noalloc
 func AddReLU[T Float](dst, a, b *Mat[T]) {
 	checkSameShape("AddReLU", a, b)
 	checkSameShape("AddReLU", dst, a)
-	for i := range a.Data {
-		s := a.Data[i] + b.Data[i]
-		if s < 0 {
-			s = 0
-		}
-		dst.Data[i] = s
+	// Slices in locals, lengths tied: no header reload and no bounds
+	// check per element, which is half this loop's time.
+	x := a.Data
+	y, d := b.Data[:len(x)], dst.Data[:len(x)]
+	for i, v := range x {
+		d[i] = max(v+y[i], 0)
 	}
 }
 
-// AddRowVectorReLU adds vector v (length m.Cols) to every row of m and
-// applies ReLU in place: m[r][c] = max(0, m[r][c]+v[c]). Fusing the bias
-// broadcast with the activation saves one full pass over the batch on the
-// Dense→ReLU pairs that dominate the staged-model forward path.
-//eugene:noalloc
-func AddRowVectorReLU[T Float](m *Mat[T], v []T) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVectorReLU vector length %d != cols %d", len(v), m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			s := row[c] + v[c]
-			if s < 0 {
-				s = 0
-			}
-			row[c] = s
-		}
-	}
-}
-
-// ReLU applies max(0, src[i]) element-wise into dst; shapes must match.
-// dst may alias src.
+// ReLU applies max(0, src[i]) element-wise into dst, branch-free like
+// AddReLU; shapes must match. dst may alias src.
 //eugene:noalloc
 func ReLU[T Float](dst, src *Mat[T]) {
 	checkSameShape("ReLU", dst, src)
+	d := dst.Data[:len(src.Data)]
 	for i, v := range src.Data {
-		if v < 0 {
-			v = 0
-		}
-		dst.Data[i] = v
+		d[i] = max(v, 0)
 	}
 }
 

@@ -98,7 +98,9 @@ func TestMatMulShapePanics(t *testing.T) {
 		{"bad dst", func() { MatMul(NewMatrix(3, 3), NewMatrix(2, 3), NewMatrix(3, 2)) }},
 		{"add mismatch", func() { Add(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 3)) }},
 		{"from slice", func() { FromSlice(2, 2, []float64{1}) }},
-		{"row vector", func() { AddRowVector(NewMatrix(2, 2), []float64{1}) }},
+		{"dense inner", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4), nil, false) }},
+		{"dense dst", func() { Dense(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3), nil, false) }},
+		{"dense bias", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), []float64{1}, false) }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,9 +130,8 @@ func TestAddAXPY(t *testing.T) {
 	}
 }
 
-func TestAddRowVectorAndColSums(t *testing.T) {
-	m := NewMatrix(3, 2)
-	AddRowVector(m, []float64{1, -2})
+func TestColSums(t *testing.T) {
+	m := FromSlice(3, 2, []float64{1, -2, 1, -2, 1, -2})
 	sums := make([]float64, 2)
 	ColSums(sums, m)
 	if sums[0] != 3 || sums[1] != -6 {
