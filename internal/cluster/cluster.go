@@ -241,7 +241,8 @@ func (c Config) newNode(base string) *node {
 
 // newProxyTransport pools connections per replica: the router holds one
 // long-lived connection set to each node instead of redialing per
-// forwarded request.
+// forwarded request. The write buffer is service.Client's, for its
+// reason: a batch's headers and body leave in one write.
 func newProxyTransport() *http.Transport {
 	t, ok := http.DefaultTransport.(*http.Transport)
 	if !ok {
@@ -250,6 +251,7 @@ func newProxyTransport() *http.Transport {
 	t = t.Clone()
 	t.MaxIdleConns = 256
 	t.MaxIdleConnsPerHost = 64
+	t.WriteBufferSize = 64 << 10
 	return t
 }
 

@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,43 +35,11 @@ var (
 	snapErr   error
 )
 
-func testSnapshots(t *testing.T) ([]byte, []byte, []float64) {
+func testSnapshots(t testing.TB) ([]byte, []byte, []float64) {
 	t.Helper()
 	snapOnce.Do(func() {
-		synth := dataset.SynthConfig{
-			Classes: 2, Dim: 8, ModesPerClass: 1,
-			TrainSize: 40, TestSize: 8,
-			NoiseLo: 0.4, NoiseHi: 1.0, Overlap: 0.1,
-		}
-		for i, out := range []*[]byte{&snapA, &snapB} {
-			train, test, err := dataset.SynthCIFAR(synth, int64(31+i))
-			if err != nil {
-				snapErr = err
-				return
-			}
-			opts := core.DefaultTrainOptions(synth.Dim, synth.Classes)
-			opts.Model.Hidden = 8
-			opts.Train.Epochs = 1
-			svc, err := core.NewService(core.DefaultConfig())
-			if err != nil {
-				snapErr = err
-				return
-			}
-			if _, err := svc.Train("m", train, opts); err != nil {
-				svc.Close()
-				snapErr = err
-				return
-			}
-			raw, err := svc.SnapshotBytes("m")
-			svc.Close()
-			if err != nil {
-				snapErr = err
-				return
-			}
-			*out = raw
-			if i == 0 {
-				snapInput, _ = test.Sample(0)
-			}
+		if snapA, snapInput, snapErr = trainSnapshot(8, 31); snapErr == nil {
+			snapB, _, snapErr = trainSnapshot(8, 32)
 		}
 	})
 	if snapErr != nil {
@@ -75,18 +48,84 @@ func testSnapshots(t *testing.T) ([]byte, []byte, []float64) {
 	return snapA, snapB, snapInput
 }
 
+// trainSnapshot trains a tiny two-class model over dim features and
+// returns its snapshot and one input row for it.
+func trainSnapshot(dim int, seed int64) ([]byte, []float64, error) {
+	synth := dataset.SynthConfig{
+		Classes: 2, Dim: dim, ModesPerClass: 1,
+		TrainSize: 40, TestSize: 8,
+		NoiseLo: 0.4, NoiseHi: 1.0, Overlap: 0.1,
+	}
+	train, test, err := dataset.SynthCIFAR(synth, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := core.DefaultTrainOptions(synth.Dim, synth.Classes)
+	opts.Model.Hidden = 8
+	opts.Train.Epochs = 1
+	svc, err := core.NewService(core.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	defer svc.Close()
+	if _, err := svc.Train("m", train, opts); err != nil {
+		return nil, nil, err
+	}
+	raw, err := svc.SnapshotBytes("m")
+	input, _ := test.Sample(0)
+	return raw, input, err
+}
+
 // testReplica is one in-process eugened node.
 type testReplica struct {
 	svc *core.Service
 	srv *httptest.Server
+	// watch names the devices whose trackers kill records before they
+	// die with the node; dead, offeredAtDeath and observedAtDeath are
+	// what it recorded.
+	watch           []string
+	dead            bool
+	offeredAtDeath  uint64
+	observedAtDeath map[string]int
 }
 
 // kill severs every open connection and tears the node down with no
-// drain — the in-process analog of kill -9.
+// drain — the in-process analog of kill -9. The handlers have returned
+// once srv.Close has, so the counters read there are final.
 func (r *testReplica) kill() {
 	r.srv.CloseClientConnections()
 	r.srv.Close()
+	r.offeredAtDeath = r.offered()
+	r.observedAtDeath = make(map[string]int, len(r.watch))
+	for _, dev := range r.watch {
+		r.observedAtDeath[dev] = r.observed(dev)
+	}
+	r.dead = true
 	r.svc.Close()
+}
+
+// offered counts what model "m"'s scheduler on this node has been
+// offered: the tasks it took and the tasks it refused at admission.
+func (r *testReplica) offered() uint64 {
+	if r.dead {
+		return r.offeredAtDeath
+	}
+	st := r.svc.Stats()["m"]
+	return st.Submitted + st.Rejected
+}
+
+// observed counts the observations this node's tracker for device has
+// taken. Every observation multiplies the tracker's scale by 1/decay, so
+// the scale's logarithm is the count.
+func (r *testReplica) observed(device string) int {
+	if r.dead {
+		return r.observedAtDeath[device]
+	}
+	_, ts, err := r.svc.ExportDeviceState(device)
+	if err != nil {
+		return 0 // no tracker here
+	}
+	return int(math.Round(math.Log(ts.Inc) / -math.Log(ts.Decay)))
 }
 
 // testFleet is N replicas behind one started Router.
@@ -98,7 +137,7 @@ type testFleet struct {
 	killed   map[int]bool
 }
 
-func newTestFleet(t *testing.T, n int, mut func(*Config)) *testFleet {
+func newTestFleet(t testing.TB, n int, mut func(*Config)) *testFleet {
 	t.Helper()
 	f := &testFleet{killed: make(map[int]bool)}
 	urls := make([]string, n)
@@ -162,6 +201,43 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
+// fleetCounts is one reading of the counters conservation is stated in.
+type fleetCounts struct {
+	proxied uint64 // attempts the router sent
+	offered uint64 // tasks the replicas' schedulers took or refused
+	failed  uint64 // attempts that ended in no response: each one either started a failover or failed a pinned request
+}
+
+func (f *testFleet) counts() fleetCounts {
+	st := f.router.Status()
+	c := fleetCounts{proxied: st.Proxied, failed: st.Failovers + st.PinnedFailures}
+	for _, r := range f.replicas {
+		c.offered += r.offered()
+	}
+	return c
+}
+
+// assertConserved checks the router's books over a stretch in which
+// only single-row infers flowed and every anonymous one was answered:
+// each attempt the router sent reached exactly one replica's scheduler,
+// except that an attempt that ended in a transport error may have died
+// before it (the router cannot know which; a kill -9 cuts both kinds).
+// So proxied = offered + the failed attempts that never arrived, and
+// with no failed attempt the two are equal.
+func (f *testFleet) assertConserved(t *testing.T, before fleetCounts) {
+	t.Helper()
+	now := f.counts()
+	proxied, offered, failed := now.proxied-before.proxied, now.offered-before.offered, now.failed-before.failed
+	t.Logf("conservation: proxied %d, offered to schedulers %d, failed attempts %d", proxied, offered, failed)
+	if offered > proxied {
+		t.Fatalf("replicas were offered %d tasks but the router sent only %d attempts: something was delivered twice", offered, proxied)
+	}
+	if proxied > offered+failed {
+		t.Fatalf("router sent %d attempts, replicas were offered %d and only %d attempts failed: %d answered attempts never reached a scheduler",
+			proxied, offered, failed, proxied-offered-failed)
+	}
+}
+
 // A snapshot PUT through the router must land on every replica with
 // the same content version, and inference must flow end to end.
 func TestClusterReplicatesSnapshotToAllNodes(t *testing.T) {
@@ -189,10 +265,11 @@ func TestClusterReplicatesSnapshotToAllNodes(t *testing.T) {
 	}
 }
 
-// Kill one of two replicas under a storm of concurrent idempotent
-// requests: every request must get exactly one answer (no losses — the
-// survivors absorb the failovers) and the router must report at least
-// one successful failover.
+// Kill one of two replicas under a storm of concurrent requests: every
+// idempotent request must get exactly one answer (no losses — the
+// survivors absorb the failovers), every device-tagged one answered 2xx
+// must have been observed exactly once, and the router's count of
+// attempts must balance against what the replicas' schedulers saw.
 func TestKillReplicaMidStormNoLostIdempotentRequests(t *testing.T) {
 	snap, _, input := testSnapshots(t)
 	f := newTestFleet(t, 2, nil)
@@ -201,8 +278,24 @@ func TestKillReplicaMidStormNoLostIdempotentRequests(t *testing.T) {
 		t.Fatalf("PutSnapshot: %v", err)
 	}
 
-	const workers, perWorker = 16, 20
+	// The storm itself is anonymous, so that the kill is felt by requests
+	// that can fail over. Once it has been felt — a failover, or the
+	// victim's ejection — taggers join with device-tagged requests, each
+	// for a device of its own. Those pin to one replica and are never
+	// replayed, so the ones pinned to the victim fail until it is ejected;
+	// what must hold is that each one answered 2xx was observed exactly
+	// once, and each one that failed was attempted exactly once.
+	const workers, perWorker, taggers = 16, 20, 4
+	devices := make([]string, taggers)
+	for w := range devices {
+		devices[w] = fmt.Sprintf("storm-dev-%d", w)
+	}
+	for _, r := range f.replicas {
+		r.watch = devices
+	}
+	before := f.counts()
 	var ok, failed atomic.Int64
+	tagOK, tagFailed := make([]int, taggers), make([]int, taggers)
 	var wg sync.WaitGroup
 	var killOnce sync.Once
 	start := make(chan struct{})
@@ -224,6 +317,26 @@ func TestKillReplicaMidStormNoLostIdempotentRequests(t *testing.T) {
 			}
 		}()
 	}
+	for w := 0; w < taggers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				st := f.router.Status()
+				if st.Failovers > 0 || slices.ContainsFunc(st.Nodes, func(n service.ClusterNodeStatus) bool { return !n.Healthy }) {
+					break
+				}
+			}
+			for i := 0; i < perWorker; i++ {
+				if _, err := f.cli.InferObserved(ctx, "m", devices[w], input); err != nil {
+					tagFailed[w]++
+				} else {
+					tagOK[w]++
+				}
+			}
+		}(w)
+	}
 	close(start)
 	wg.Wait()
 
@@ -233,9 +346,31 @@ func TestKillReplicaMidStormNoLostIdempotentRequests(t *testing.T) {
 	if failed.Load() != 0 {
 		t.Fatalf("%d idempotent requests failed; the surviving replica should have absorbed them", failed.Load())
 	}
+	f.assertConserved(t, before)
+	for w, dev := range devices {
+		observed := 0
+		for _, r := range f.replicas {
+			observed += r.observed(dev)
+		}
+		// A request that failed may still have been delivered (the kill
+		// cut its answer, not its arrival); one that succeeded was
+		// delivered once.
+		if observed < tagOK[w] || observed > tagOK[w]+tagFailed[w] {
+			t.Fatalf("device %s: %d requests answered 2xx and %d failed, but the fleet observed %d: a delivery was lost or repeated",
+				dev, tagOK[w], tagFailed[w], observed)
+		}
+	}
 	st := f.router.Status()
 	if st.Failovers < 1 {
 		t.Fatalf("no failovers recorded; the kill should have forced at least one (status: %+v)", st)
+	}
+	pinnedFailed := 0
+	for _, n := range tagFailed {
+		pinnedFailed += n
+	}
+	if st.PinnedFailures != uint64(pinnedFailed) {
+		t.Fatalf("%d device-tagged requests failed but the router counts %d pinned failures: a pinned request was retried, or failed unattempted",
+			pinnedFailed, st.PinnedFailures)
 	}
 	// The dead node must end up ejected.
 	waitFor(t, 2*time.Second, "killed node ejection", func() bool {
@@ -608,5 +743,132 @@ func TestRestartedEmptyReplicaGetsRepushed(t *testing.T) {
 	}
 	if _, err := f.cli.Infer(ctx, "m", input); err != nil {
 		t.Fatalf("infer through router after restart: %v", err)
+	}
+}
+
+// Single-attempt routes stream: the router holds no body it could never
+// resend, only caps it. A body over the route's cap — declared by
+// Content-Length or discovered while streaming a chunked upload — is
+// answered 413, the same answer a replica gives, without the replica
+// being blamed for the failed exchange.
+func TestPinnedRouteStreamsAndCapsBody(t *testing.T) {
+	snap, _, _ := testSnapshots(t)
+	f := newTestFleet(t, 2, nil)
+	ctx := context.Background()
+	if err := f.cli.PutSnapshot(ctx, "m", snap); err != nil {
+		t.Fatalf("PutSnapshot: %v", err)
+	}
+	big := make([]byte, service.MaxDeviceStateBody+1)
+	put := func(body io.Reader) int {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPut, f.rsrv.URL+"/v1/devices/streamed/state", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("PUT state through the router: %v", err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := put(bytes.NewReader(big)); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body with a Content-Length: status %d, want 413", got)
+	}
+	// io.MultiReader hides the length: the request goes out chunked.
+	if got := put(io.MultiReader(bytes.NewReader(big))); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized chunked body: status %d, want 413", got)
+	}
+	st := f.router.Status()
+	for _, n := range st.Nodes {
+		if !n.Healthy || n.ConsecutiveFailures != 0 {
+			t.Fatalf("node %s blamed for a client's oversized body: %+v", n.Base, n)
+		}
+	}
+	// A body inside the cap still streams through to the replica, which
+	// refuses it for what it is (not a tracker state): the replica's 400.
+	if got := put(bytes.NewReader(big[:1024])); got != http.StatusBadRequest {
+		t.Fatalf("small garbage state: status %d, want the replica's 400", got)
+	}
+	if err := f.cli.Observe(ctx, "streamed", "m", 0, 1); err != nil {
+		t.Fatalf("observe after the oversized uploads: %v", err)
+	}
+}
+
+// An upload the client abandons on a streamed route fails inside the
+// router's exchange with the replica, but it is the client's failure:
+// twice the ejection threshold of them, on the routes that stream, leave
+// the owner healthy with no failure counted against it.
+func TestAbortedUploadDoesNotBlameNode(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	addr := strings.TrimPrefix(f.rsrv.URL, "http://")
+	for i, target := range []string{
+		"PUT /v1/devices/aborted/state", "POST /v1/devices/aborted/observe", "POST /v1/models/m/train",
+		"PUT /v1/devices/aborted/state", "POST /v1/devices/aborted/observe", "POST /v1/models/m/train",
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ten bytes of a promised thousand, then the sending half closes:
+		// the router's read of the body ends in an unexpected EOF, and the
+		// answer it writes can still be read.
+		fmt.Fprintf(conn, "%s HTTP/1.1\r\nHost: router\r\nContent-Length: 1000\r\n\r\n0123456789", target)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("upload %d (%s): reading the router's answer: %v", i, target, err)
+		}
+		_ = resp.Body.Close()
+		_ = conn.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("upload %d (%s): status %d, want 400", i, target, resp.StatusCode)
+		}
+	}
+	st := f.router.Status()
+	if st.PinnedFailures != 0 {
+		t.Fatalf("pinned failures = %d after aborted uploads, want 0", st.PinnedFailures)
+	}
+	for _, n := range st.Nodes {
+		if !n.Healthy || n.ConsecutiveFailures != 0 || n.Ejections != 0 {
+			t.Fatalf("node %s blamed for a client's aborted upload: %+v", n.Base, n)
+		}
+	}
+}
+
+// A pinned request is attempted exactly once: with the forward seam
+// failing every call, one pinned request makes one attempt, where an
+// anonymous one makes as many as the retry policy allows.
+func TestPinnedRequestAttemptedOnce(t *testing.T) {
+	snap, _, input := testSnapshots(t)
+	f := newTestFleet(t, 3, nil)
+	ctx := context.Background()
+	if err := f.cli.PutSnapshot(ctx, "m", snap); err != nil {
+		t.Fatalf("PutSnapshot: %v", err)
+	}
+	if err := failpoint.Enable("cluster.proxy.forward", "error(connection reset)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disable("cluster.proxy.forward")
+
+	hits := func() int64 { return failpoint.Counts()["cluster.proxy.forward"] }
+	before := hits()
+	if _, err := f.cli.InferObserved(ctx, "m", "once-dev", input); err == nil {
+		t.Fatal("pinned infer through a failing seam must fail")
+	}
+	if got := hits() - before; got != 1 {
+		t.Fatalf("pinned request made %d attempts, want exactly 1", got)
+	}
+	before = hits()
+	if _, err := f.cli.Infer(ctx, "m", input); err == nil {
+		t.Fatal("anonymous infer through a failing seam must fail once attempts run out")
+	}
+	if got := hits() - before; got != 3 {
+		t.Fatalf("anonymous request made %d attempts, want one per node (3)", got)
+	}
+	if got := f.router.Status().PinnedFailures; got != 1 {
+		t.Fatalf("pinned failures = %d, want 1", got)
 	}
 }

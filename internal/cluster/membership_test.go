@@ -220,6 +220,7 @@ func TestDrainWithHandoffMidStormPreservesDecisions(t *testing.T) {
 	}
 
 	// Anonymous infer storm running through the whole drain.
+	counted := f.counts()
 	var failed atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -253,6 +254,7 @@ func TestDrainWithHandoffMidStormPreservesDecisions(t *testing.T) {
 	if failed.Load() != 0 {
 		t.Fatalf("%d idempotent requests lost during the drain", failed.Load())
 	}
+	f.assertConserved(t, counted)
 
 	st := f.router.Status()
 	if len(st.Nodes) != 2 {

@@ -2,32 +2,20 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"eugene/internal/failpoint"
 	"eugene/internal/service"
-)
-
-// Request-body caps, mirroring the replica server's own limits: the
-// router buffers bodies to make failover possible (a consumed stream
-// cannot be resent), so the caps bound router memory exactly as they
-// bound replica memory.
-const (
-	maxProxyTrainBody   = 256 << 20
-	maxProxySnapshot    = 256 << 20
-	maxProxyInferBody   = 1 << 20
-	maxProxyBatchBody   = 32 << 20
-	maxProxyObserveBody = 4 << 10
-	maxProxyDeviceState = 64 << 10
-	maxProxyAdminBody   = 4 << 10
 )
 
 // routes registers the router's HTTP surface: the full replica /v1 API
@@ -51,15 +39,15 @@ func (r *Router) routes() {
 	// Model mutations run on the model's rendezvous primary; train,
 	// calibrate, and predictor change the snapshot, so the router pulls
 	// the result and replicates it to the rest of the fleet.
-	r.mux.HandleFunc("POST /v1/models/{name}/train", r.mutateModel(maxProxyTrainBody, true))
-	r.mux.HandleFunc("POST /v1/models/{name}/calibrate", r.mutateModel(maxProxyTrainBody, true))
-	r.mux.HandleFunc("POST /v1/models/{name}/predictor", r.mutateModel(maxProxyTrainBody, true))
+	r.mux.HandleFunc("POST /v1/models/{name}/train", r.mutateModel(true))
+	r.mux.HandleFunc("POST /v1/models/{name}/calibrate", r.mutateModel(true))
+	r.mux.HandleFunc("POST /v1/models/{name}/predictor", r.mutateModel(true))
 	// Reduce computes a subset model from the primary's retained
 	// training data; it does not change the served model.
-	r.mux.HandleFunc("POST /v1/models/{name}/reduce", r.mutateModel(maxProxyTrainBody, false))
+	r.mux.HandleFunc("POST /v1/models/{name}/reduce", r.mutateModel(false))
 
-	r.mux.HandleFunc("POST /v1/models/{name}/infer", r.handleInfer(maxProxyInferBody))
-	r.mux.HandleFunc("POST /v1/models/{name}/infer-batch", r.handleInfer(maxProxyBatchBody))
+	r.mux.HandleFunc("POST /v1/models/{name}/infer", r.handleInfer(service.MaxInferBody))
+	r.mux.HandleFunc("POST /v1/models/{name}/infer-batch", r.handleInfer(service.MaxBatchBody))
 
 	r.mux.HandleFunc("GET /v1/models/{name}/snapshot", r.handleSnapshotGet)
 	r.mux.HandleFunc("PUT /v1/models/{name}/snapshot", r.handleSnapshotPut)
@@ -69,18 +57,18 @@ func (r *Router) routes() {
 	// node-local by design: all device traffic pins to the device's
 	// rendezvous owner and never fails over — replaying an observation
 	// would double-count it, and no other node has the tracker anyway.
-	r.mux.HandleFunc("POST /v1/devices/{id}/observe", r.pinnedDevice(maxProxyObserveBody))
+	r.mux.HandleFunc("POST /v1/devices/{id}/observe", r.pinnedDevice(service.MaxObserveBody))
 	r.mux.HandleFunc("GET /v1/devices/{id}/cache-decision", r.pinnedDevice(0))
 	r.mux.HandleFunc("GET /v1/devices/{id}/subset-model", r.pinnedDevice(0))
 	r.mux.HandleFunc("GET /v1/devices/{id}/state", r.pinnedDevice(0))
-	r.mux.HandleFunc("PUT /v1/devices/{id}/state", r.pinnedDevice(maxProxyDeviceState))
+	r.mux.HandleFunc("PUT /v1/devices/{id}/state", r.pinnedDevice(service.MaxDeviceStateBody))
 }
 
 // ServeHTTP implements http.Handler.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) { r.mux.ServeHTTP(w, req) }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz: the router is ready while it is not draining and at
@@ -88,18 +76,18 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // cannot serve, and upstream load balancers should know.
 func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if r.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if len(r.healthyNodes()) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy replicas"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy replicas"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (r *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, r.Status())
+	service.WriteJSON(w, http.StatusOK, r.Status())
 }
 
 // membershipStatus maps a membership error to its admin-API status.
@@ -118,40 +106,35 @@ func membershipStatus(err error) int {
 }
 
 func (r *Router) handleNodeAdd(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req, maxProxyAdminBody)
-	if !ok {
-		return
-	}
 	var in service.AddNodeRequest
-	if err := json.Unmarshal(body, &in); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !service.DecodeBody(w, req, service.MaxAdminBody, &in) {
 		return
 	}
 	if err := r.AddNode(req.Context(), in.Base); err != nil {
-		writeError(w, membershipStatus(err), err)
+		service.WriteError(w, membershipStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, service.MembershipResponse{Status: "added", Base: in.Base})
+	service.WriteJSON(w, http.StatusOK, service.MembershipResponse{Status: "added", Base: in.Base})
 }
 
 func (r *Router) handleNodeRemove(w http.ResponseWriter, req *http.Request) {
 	base := req.PathValue("id")
 	lost, err := r.RemoveNode(base)
 	if err != nil {
-		writeError(w, membershipStatus(err), err)
+		service.WriteError(w, membershipStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, service.MembershipResponse{Status: "removed", Base: base, LostTrackers: lost})
+	service.WriteJSON(w, http.StatusOK, service.MembershipResponse{Status: "removed", Base: base, LostTrackers: lost})
 }
 
 func (r *Router) handleNodeDrain(w http.ResponseWriter, req *http.Request) {
 	base := req.PathValue("id")
 	devices, handoffs, err := r.DrainNode(req.Context(), base)
 	if err != nil {
-		writeError(w, membershipStatus(err), err)
+		service.WriteError(w, membershipStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, service.DrainResponse{Base: base, Devices: devices, Handoffs: handoffs})
+	service.WriteJSON(w, http.StatusOK, service.DrainResponse{Base: base, Devices: devices, Handoffs: handoffs})
 }
 
 // handleStats aggregates /v1/stats across healthy replicas: counters
@@ -179,7 +162,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 			out.Models[name] = agg
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleModels returns the union of the router store and every healthy
@@ -202,16 +185,16 @@ func (r *Router) handleModels(w http.ResponseWriter, req *http.Request) {
 	for n := range names {
 		out = append(out, n)
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"models": out})
+	service.WriteJSON(w, http.StatusOK, map[string][]string{"models": out})
 }
 
 func (r *Router) handleVersion(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("name")
 	if _, version, ok := r.store.get(name); ok {
-		writeJSON(w, http.StatusOK, service.VersionResponse{Version: version})
+		service.WriteJSON(w, http.StatusOK, service.VersionResponse{Version: version})
 		return
 	}
-	writeError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown model %q", name))
+	service.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: unknown model %q", name))
 }
 
 // handleSnapshotGet serves the stored snapshot directly; a model the
@@ -232,17 +215,17 @@ func (r *Router) handleSnapshotGet(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleSnapshotPut(w http.ResponseWriter, req *http.Request) {
-	raw, ok := readBody(w, req, maxProxySnapshot)
+	raw, ok := service.ReadBody(w, req, service.MaxSnapshotBody, nil)
 	if !ok {
 		return
 	}
 	version, installed, err := r.installSnapshot(req.Context(), req.PathValue("name"), raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// String values only: the client decodes this as map[string]string.
-	writeJSON(w, http.StatusOK, map[string]string{
+	service.WriteJSON(w, http.StatusOK, map[string]string{
 		"status": "ok", "version": version,
 		"installed": strconv.Itoa(installed),
 	})
@@ -252,10 +235,10 @@ func (r *Router) handleSnapshotPut(w http.ResponseWriter, req *http.Request) {
 // failover: replaying a train on an ambiguous failure would train
 // twice). When the mutation changes the snapshot, the router pulls the
 // primary's new bundle into the store and replicates it.
-func (r *Router) mutateModel(maxBody int64, replicates bool) http.HandlerFunc {
+func (r *Router) mutateModel(replicates bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		name := req.PathValue("name")
-		n, status := r.forward(w, req, route{key: "model/" + name, maxBody: maxBody})
+		n, status := r.forward(w, req, route{key: "model/" + name, maxBody: service.MaxTrainBody})
 		if n == nil || status != http.StatusOK || !replicates {
 			return
 		}
@@ -286,21 +269,21 @@ func (r *Router) mutateModel(maxBody int64, replicates bool) http.HandlerFunc {
 // observation side effect must not be replayed), anonymous requests
 // load-balance by least-outstanding and fail over freely — inference
 // without a device tag is pure compute.
+//
+// This is the one route whose body the router holds, being the one that
+// may have to send it twice: read once into a pooled buffer and looked
+// at once, for the top-level device member, by the replica decoder's own
+// scanner (service.PeekDevice). A body the replica will refuse is
+// forwarded as it came; the replica owns the 400.
 func (r *Router) handleInfer(maxBody int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
-		body, ok := readBody(w, req, maxBody)
+		body, ok := service.ReadBodyBuf(w, req, maxBody)
 		if !ok {
 			return
 		}
-		var tag struct {
-			Device string `json:"device"`
-		}
-		// Malformed JSON is forwarded untouched: the replica owns
-		// request validation and will answer 400.
-		_ = json.Unmarshal(body, &tag)
 		rt := route{body: body, failover: true}
-		if tag.Device != "" {
-			rt = route{body: body, key: "dev/" + tag.Device}
+		if device := service.PeekDevice(body.B); device != "" {
+			rt = route{body: body, key: "dev/" + device}
 		}
 		r.forward(w, req, rt)
 	}
@@ -317,36 +300,35 @@ func (r *Router) pinnedDevice(maxBody int64) http.HandlerFunc {
 // route describes how one request may travel: a non-empty key pins it
 // to the key's rendezvous owner; failover permits retrying surviving
 // replicas on transient failure (only ever true for requests with no
-// side effects). body, when already read by the handler, is used as
-// the resend buffer; otherwise maxBody caps reading it here.
+// side effects).
+//
+// body, read by the handler, can be sent again and is what a failover
+// route carries; forward takes the buffer over and returns it to the pool
+// when nothing can still be reading it. Every other route is attempted
+// exactly once, so its body is never held: it streams from the client's
+// connection to the replica's, capped at maxBody on the way.
 type route struct {
 	key      string
 	failover bool
-	body     []byte
+	body     *service.BodyBuf
 	maxBody  int64
 }
 
 // forward proxies one request according to rt, returning the node that
 // produced the final response (nil if none did) and the status sent.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, rt route) (*node, int) {
-	body := rt.body
-	if body == nil && req.Body != nil && req.Method != http.MethodGet {
-		var ok bool
-		if body, ok = readBody(w, req, rt.maxBody); !ok {
-			return nil, http.StatusBadRequest
-		}
-	}
 	healthy := r.healthyNodes()
 	if len(healthy) == 0 {
-		writeError(w, http.StatusServiceUnavailable, errors.New("cluster: no healthy replicas"))
+		service.WriteError(w, http.StatusServiceUnavailable, errors.New("cluster: no healthy replicas"))
 		return nil, http.StatusServiceUnavailable
 	}
 
 	maxAttempts := 1
+	var tried map[*node]bool
 	if rt.failover && r.cfg.Retry.MaxAttempts > 1 {
 		maxAttempts = r.cfg.Retry.MaxAttempts
+		tried = make(map[*node]bool, maxAttempts)
 	}
-	tried := make(map[*node]bool, maxAttempts)
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		var n *node
@@ -358,7 +340,9 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, rt route) (*n
 		if n == nil {
 			break // every healthy node already tried
 		}
-		tried[n] = true
+		if tried != nil {
+			tried[n] = true
+		}
 		if attempt > 0 {
 			// A failover consumes a router-wide retry token: during a
 			// fleet-wide outage the budget empties and failures surface
@@ -368,36 +352,32 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, rt route) (*n
 			}
 			r.failovers.Add(1)
 		}
-		resp, err := r.attempt(req, n, rt, body)
-		if err != nil {
-			lastErr = err
-			if n.health.onFailure(err) {
-				r.cfg.Logf("cluster: ejected %s: %v", n.base, err)
+		status, err := r.attempt(w, req, n, rt, attempt > 0)
+		if err == nil {
+			// A 200 means the replica read the whole request before it
+			// answered; after anything else — an earlier attempt that
+			// failed, an answer sent without reading — a transport's write
+			// loop may still hold the bytes, and the buffer is dropped.
+			if rt.body != nil && attempt == 0 && status == http.StatusOK {
+				rt.body.Release()
 			}
-			if !rt.failover {
-				break
-			}
-			// Recompute the healthy set: the failure may just have
-			// ejected the node, and a pinned key would otherwise re-pick
-			// it forever.
-			healthy = r.healthyNodes()
-			if len(healthy) == 0 {
-				break
-			}
-			continue
+			return n, status
 		}
-		// A response arrived: the node is alive, whatever the status.
-		n.health.onSuccess()
-		if attempt > 0 {
-			r.failoverBudget.Credit(r.cfg.Retry.Budget)
+		if errors.Is(err, errClient) {
+			// Its upload outgrew the route's cap or stopped short, or it
+			// hung up: not the node's fault, and no failed attempt.
+			service.WriteBodyError(w, "reading request", err)
+			return nil, http.StatusBadRequest
 		}
-		if dev, ok := strings.CutPrefix(rt.key, "dev/"); ok && resp.status < 400 {
-			// The node answered for this device, so its tracker (and the
-			// observation the request may have carried) lives there now.
-			r.recordOwner(dev, n.base)
+		lastErr = err
+		if n.health.onFailure(err) {
+			r.cfg.Logf("cluster: ejected %s: %v", n.base, err)
 		}
-		r.relay(w, n, resp)
-		return n, resp.status
+		// Recompute the healthy set: the failure may just have ejected
+		// the node, and a pinned key would otherwise re-pick it forever.
+		if healthy = r.healthyNodes(); len(healthy) == 0 {
+			break
+		}
 	}
 	if lastErr == nil {
 		lastErr = errors.New("cluster: no replica available")
@@ -405,29 +385,22 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, rt route) (*n
 	if !rt.failover {
 		r.pinnedFailures.Add(1)
 	}
-	writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: forwarding failed: %w", lastErr))
+	service.WriteError(w, http.StatusBadGateway, fmt.Errorf("cluster: forwarding failed: %w", lastErr))
 	return nil, http.StatusBadGateway
 }
 
-// proxyResponse is one fully-buffered replica response.
-type proxyResponse struct {
-	status      int
-	contentType string
-	retryAfter  string
-	body        []byte
-}
-
-// attempt sends the request once to node n. A transport failure, a
-// gateway-transient status (502/503/504), or an injected proxy fault
-// returns an error (the caller decides on failover); every other
-// response — including 429 and definitive 4xx/5xx — returns buffered
-// for relay.
-func (r *Router) attempt(req *http.Request, n *node, rt route, body []byte) (*proxyResponse, error) {
+// attempt sends the request once to node n and, when n answers with
+// anything it means, streams that answer to w and returns its status. A
+// transport failure, a gateway-transient status (502/503/504), or an
+// injected proxy fault returns an error with nothing written to w (the
+// caller decides on failover); every other response — including 429 and
+// definitive 4xx/5xx — is relayed.
+func (r *Router) attempt(w http.ResponseWriter, req *http.Request, n *node, rt route, failedOver bool) (int, error) {
 	// Chaos seam: a fault here models the router losing the replica
 	// between routing decision and dispatch (connection reset on a just
 	// killed process) — exactly the window failover exists for.
 	if err := failpoint.Inject("cluster.proxy.forward"); err != nil {
-		return nil, err
+		return 0, err
 	}
 	ctx := req.Context()
 	if rt.failover {
@@ -439,9 +412,21 @@ func (r *Router) attempt(req *http.Request, n *node, rt route, body []byte) (*pr
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 		defer cancel()
 	}
-	out, err := http.NewRequestWithContext(ctx, req.Method, n.base+req.URL.RequestURI(), bytes.NewReader(body))
+	var body io.Reader
+	var upload *sideReader
+	switch {
+	case rt.body != nil:
+		body = bytes.NewReader(rt.body.B)
+	case req.ContentLength != 0 && req.Method != http.MethodGet:
+		upload = &sideReader{r: http.MaxBytesReader(w, req.Body, rt.maxBody)}
+		body = upload
+	}
+	out, err := http.NewRequestWithContext(ctx, req.Method, n.base+req.URL.RequestURI(), body)
 	if err != nil {
-		return nil, err
+		return 0, err
+	}
+	if rt.body == nil {
+		out.ContentLength = req.ContentLength
 	}
 	if ct := req.Header.Get("Content-Type"); ct != "" {
 		out.Header.Set("Content-Type", ct)
@@ -451,94 +436,107 @@ func (r *Router) attempt(req *http.Request, n *node, rt route, body []byte) (*pr
 	defer n.outstanding.Add(-1)
 	resp, err := r.proxy.Do(out)
 	if err != nil {
-		return nil, err
+		if cerr := cmp.Or(upload.failure(), req.Context().Err()); cerr != nil {
+			err = fmt.Errorf("%w: %w", errClient, cerr)
+		}
+		return 0, err
 	}
 	defer resp.Body.Close()
-	buf, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("reading response from %s: %w", n.base, err)
-	}
 	switch resp.StatusCode {
 	case http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		// Transient per the client's own retryable() taxonomy: the
 		// replica is draining, mid-restart, or faulted at a seam. Let
 		// the caller fail over instead of relaying.
-		return nil, &service.ServerError{Status: resp.StatusCode, Msg: string(buf)}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10)) // enough for the error text
+		return 0, &service.ServerError{Status: resp.StatusCode, Msg: string(msg)}
 	}
-	return &proxyResponse{
-		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
-		body:        buf,
-	}, nil
+	// A response arrived: the node is alive, whatever the status.
+	n.health.onSuccess()
+	if failedOver {
+		r.failoverBudget.Credit(r.cfg.Retry.Budget)
+	}
+	if dev, ok := strings.CutPrefix(rt.key, "dev/"); ok && resp.StatusCode < 400 {
+		// The node answered for this device, so its tracker (and the
+		// observation the request may have carried) lives there now.
+		r.recordOwner(dev, n.base)
+	}
+	r.relay(w, n, resp)
+	return resp.StatusCode, nil
 }
 
-// relay writes a buffered replica response to the client, rewriting
-// Retry-After on 429s with the node's adaptive drain floor: the
-// scheduler's hint is clamped to [10ms, 2s] by design, but the router
-// has watched the node's /v1/stats and knows how long its actual
-// backlog needs — retrying sooner than that is guaranteed to meet the
-// same full queue. The larger of hint and floor wins; the router never
-// invites a retry earlier than the replica asked for.
-func (r *Router) relay(w http.ResponseWriter, n *node, resp *proxyResponse) {
-	if resp.contentType != "" {
-		w.Header().Set("Content-Type", resp.contentType)
+// relay streams a replica's response to the client: status,
+// Content-Type and Content-Length as they came, the body copied through
+// a pooled buffer and never held. Retry-After on a 429 is rewritten with
+// the node's adaptive drain floor: the scheduler's hint is clamped to
+// [10ms, 2s] by design, but the router has watched the node's /v1/stats
+// and knows how long its actual backlog needs — retrying sooner than
+// that is guaranteed to meet the same full queue. The larger of hint
+// and floor wins; the router never invites a retry earlier than the
+// replica asked for.
+func (r *Router) relay(w http.ResponseWriter, n *node, resp *http.Response) {
+	h := w.Header()
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		h.Set("Content-Type", ct)
 	}
-	if resp.status == http.StatusTooManyRequests {
-		secs := int64(0)
-		if s, err := strconv.ParseInt(resp.retryAfter, 10, 64); err == nil {
-			secs = s
-		}
+	retryAfter := resp.Header.Get("Retry-After")
+	if resp.StatusCode == http.StatusTooManyRequests {
+		secs, _ := strconv.ParseInt(retryAfter, 10, 64)
 		if floor := n.drain.Floor(); floor > 0 {
-			floorSecs := int64((floor + time.Second - 1) / time.Second)
-			if floorSecs > secs {
-				secs = floorSecs
-			}
+			secs = max(secs, int64((floor+time.Second-1)/time.Second))
 		}
+		retryAfter = ""
 		if secs > 0 {
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+			retryAfter = strconv.FormatInt(secs, 10)
 		}
-	} else if resp.retryAfter != "" {
-		w.Header().Set("Retry-After", resp.retryAfter)
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
+	if retryAfter != "" {
+		h.Set("Retry-After", retryAfter)
+	}
+	if resp.ContentLength >= 0 {
+		h.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
+	w.WriteHeader(resp.StatusCode)
+	// Once the status is out there is no failing over: a replica lost
+	// mid-body leaves the response short of its Content-Length, which the
+	// server turns into a closed connection and the client's transport
+	// into an error.
+	chunk := relayChunks.Get().(*[]byte)
+	body := &sideReader{r: resp.Body}
+	// The bare Writer has no ReadFrom, so the copy goes through chunk.
+	_, _ = io.CopyBuffer(struct{ io.Writer }{w}, body, *chunk)
+	relayChunks.Put(chunk)
+	if err := body.failure(); err != nil { // a client that left is not worth a line
+		r.cfg.Logf("cluster: relaying %s's response: %v", n.base, err)
+	}
 }
 
-// readBody buffers a request body under limit (0 = maxProxyTrainBody),
-// writing the error response itself on failure.
-func readBody(w http.ResponseWriter, req *http.Request, limit int64) ([]byte, bool) {
-	if limit <= 0 {
-		limit = maxProxyTrainBody
-	}
-	req.Body = http.MaxBytesReader(w, req.Body, limit)
-	raw, err := io.ReadAll(req.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		}
-		return nil, false
-	}
-	return raw, true
+var relayChunks = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// sideReader keeps the error its side of a copy failed with, which the
+// copier reports without saying whose it was: the transport returns a
+// client's failed upload as its own error, io.Copy a replica's short
+// response like a client's closed connection. Atomic because a transport
+// may still be reading a request body after Do has returned.
+type sideReader struct {
+	r   io.Reader
+	err atomic.Pointer[error]
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
+func (s *sideReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF {
+		s.err.Store(&err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)+1))
-	w.WriteHeader(status)
-	_, _ = w.Write(append(raw, '\n'))
+	return n, err
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, service.ErrorResponse{Error: err.Error()})
+// failure returns what reading failed with; nil also for a nil receiver.
+func (s *sideReader) failure() error {
+	if s == nil || s.err.Load() == nil {
+		return nil
+	}
+	return *s.err.Load()
 }
+
+// errClient marks an attempt that failed on the client's side.
+var errClient = errors.New("client")

@@ -171,6 +171,11 @@ func newSharedTransport() *http.Transport {
 	t = t.Clone()
 	t.MaxIdleConns = 128
 	t.MaxIdleConnsPerHost = 32
+	// Room for a 64-row batch's headers and body together: the request
+	// then leaves in one write, where the default 4 KiB buffer sends the
+	// body on in pieces through a 32 KiB copy buffer allocated per
+	// request.
+	t.WriteBufferSize = 64 << 10
 	return t
 }
 
@@ -438,7 +443,9 @@ func (c *Client) BuildPredictor(ctx context.Context, name string, data *dataset.
 // duplicate submission is safe.
 func (c *Client) Infer(ctx context.Context, name string, input []float64) (*InferResponse, error) {
 	var out InferResponse
-	if err := c.postIdempotent(ctx, fmt.Sprintf("/v1/models/%s/infer", url.PathEscape(name)), InferRequest{Input: input}, &out); err != nil {
+	err := c.postInfer(ctx, fmt.Sprintf("/v1/models/%s/infer", url.PathEscape(name)), true, &out,
+		func(dst []byte) ([]byte, error) { return appendInferRequest(dst, input, "") })
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -448,7 +455,9 @@ func (c *Client) Infer(ctx context.Context, name string, input []float64) (*Infe
 // returns one result per input, in order. Retried like Infer.
 func (c *Client) InferBatch(ctx context.Context, name string, inputs [][]float64) ([]InferResponse, error) {
 	var out InferBatchResponse
-	if err := c.postIdempotent(ctx, fmt.Sprintf("/v1/models/%s/infer-batch", url.PathEscape(name)), InferBatchRequest{Inputs: inputs}, &out); err != nil {
+	err := c.postInfer(ctx, fmt.Sprintf("/v1/models/%s/infer-batch", url.PathEscape(name)), true, &out,
+		func(dst []byte) ([]byte, error) { return appendInferBatchRequest(dst, inputs, "") })
+	if err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -460,10 +469,45 @@ func (c *Client) InferBatch(ctx context.Context, name string, inputs [][]float64
 // double-count the observation.
 func (c *Client) InferObserved(ctx context.Context, name, device string, input []float64) (*InferResponse, error) {
 	var out InferResponse
-	if err := c.post(ctx, fmt.Sprintf("/v1/models/%s/infer", url.PathEscape(name)), InferRequest{Input: input, Device: device}, &out); err != nil {
+	err := c.postInfer(ctx, fmt.Sprintf("/v1/models/%s/infer", url.PathEscape(name)), false, &out,
+		func(dst []byte) ([]byte, error) { return appendInferRequest(dst, input, device) })
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// postInfer encodes an infer request into a pooled buffer and posts it:
+// under the retry policy when idempotent (inference is pure compute — a
+// duplicate submission computes the same answer twice), once otherwise.
+// The buffer goes back to the pool only if every attempt made ended in
+// a 200 whose body has been read and closed: a server answers 200 after
+// reading the whole request, so the transport is done with the bytes,
+// whereas after a failed attempt, or an answer sent without reading (a
+// 413, say), its write loop may still hold them, and the buffer is left
+// to the collector.
+func (c *Client) postInfer(ctx context.Context, path string, idempotent bool, out any, encode func(dst []byte) ([]byte, error)) error {
+	body := GetBodyBuf()
+	var err error
+	if body.B, err = encode(body.B[:0]); err != nil {
+		body.Release()
+		return fmt.Errorf("service: encoding request: %w", err)
+	}
+	clean := true
+	attempt := func(base string) error {
+		err := c.postRawTo(ctx, base, path, body.B, out)
+		clean = clean && err == nil
+		return err
+	}
+	if idempotent {
+		err = c.doIdempotent(ctx, attempt)
+	} else {
+		err = attempt(c.currentBase())
+	}
+	if clean {
+		body.Release()
+	}
+	return err
 }
 
 // Snapshot downloads the named model's full snapshot (model weights,
@@ -792,17 +836,6 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		return fmt.Errorf("service: encoding request: %w", err)
 	}
 	return c.postRaw(ctx, path, raw, out)
-}
-
-// postIdempotent is post with retries: safe only for operations whose
-// replay is harmless (inference is pure compute — a duplicate submission
-// computes the same answer twice, it does not mutate the registry).
-func (c *Client) postIdempotent(ctx context.Context, path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("service: encoding request: %w", err)
-	}
-	return c.doIdempotent(ctx, func(base string) error { return c.postRawTo(ctx, base, path, raw, out) })
 }
 
 // postRaw sends one POST attempt against the current endpoint.

@@ -140,7 +140,7 @@ func TestDeviceStatePutRejectsBadPayloads(t *testing.T) {
 	}
 
 	// Oversized body: 413 from MaxBytesReader, before any decode.
-	if got := status(c.PutDeviceState(ctx, "d", make([]byte, maxDeviceStateBody+1))); got != http.StatusRequestEntityTooLarge {
+	if got := status(c.PutDeviceState(ctx, "d", make([]byte, MaxDeviceStateBody+1))); got != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized payload: status %d; want 413", got)
 	}
 
@@ -188,7 +188,7 @@ func TestClientFailsOverAcrossRouters(t *testing.T) {
 	var aDead atomic.Bool
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, StatsResponse{Models: map[string]ModelStats{}})
+		WriteJSON(w, http.StatusOK, StatsResponse{Models: map[string]ModelStats{}})
 	})
 	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if aDead.Load() {
@@ -243,11 +243,11 @@ func TestClientFailsOverAcrossRouters(t *testing.T) {
 // the admission-control backpressure.
 func TestClientDoesNotFailOverOn429(t *testing.T) {
 	overloaded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusTooManyRequests, errors.New("overloaded"))
+		WriteError(w, http.StatusTooManyRequests, errors.New("overloaded"))
 	}))
 	defer overloaded.Close()
 	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, StatsResponse{Models: map[string]ModelStats{}})
+		WriteJSON(w, http.StatusOK, StatsResponse{Models: map[string]ModelStats{}})
 	}))
 	defer other.Close()
 

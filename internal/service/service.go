@@ -4,6 +4,18 @@
 // builds, and submit inference tasks that the RTDeepIoT scheduler
 // executes under a latency constraint. A matching Go client lives in
 // client.go.
+//
+// Everything on the wire is JSON. The two shapes that carry rows,
+// InferRequest and InferBatchRequest, are written and read by the codec
+// in wire.go — an append-based encoder and a single-pass decoder over
+// the buffered body, which take exactly the grammar encoding/json takes
+// for those structs (wire.go's comment lists its corners) and are held
+// to it by differential tests with encoding/json as the oracle:
+// FuzzInferBody, FuzzPeekDevice, TestInferEncoderMatchesEncodingJSON.
+// Every other request, and every response, goes through encoding/json.
+// The HTTP helpers here (WriteJSON, WriteError, ReadBody, the Max*Body
+// caps, BodyBuf) are the one set the replica and the cluster router
+// both use.
 package service
 
 import (
@@ -286,19 +298,23 @@ type Server struct {
 // Readiness probes observe the change on their next poll.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Request-body caps (http.MaxBytesReader). Dataset-bearing requests get
-// a generous cap; the inference hot path gets a small one so a
+// Request-body caps, the one table of them: the replica's handlers and
+// the cluster router's routes both read it. Dataset-bearing requests
+// get a generous cap; the inference hot path gets a small one so a
 // misbehaving client cannot buffer hundreds of megabytes into a worker.
 const (
-	maxTrainBody   = 256 << 20 // train/calibrate/predictor/reduce payloads
-	maxSnapshot    = 256 << 20 // PUT snapshot
-	maxInferBody   = 1 << 20   // single-sample infer
-	maxBatchBody   = 32 << 20  // infer-batch
-	maxObserveBody = 4 << 10   // device observations
-	// maxDeviceStateBody caps PUT /v1/devices/{id}/state: a tracker
+	MaxTrainBody    = 256 << 20 // train/calibrate/predictor/reduce payloads
+	MaxSnapshotBody = 256 << 20 // PUT snapshot
+	MaxInferBody    = 1 << 20   // single-sample infer
+	MaxBatchBody    = 32 << 20  // infer-batch
+	MaxObserveBody  = 4 << 10   // device observations
+	// MaxDeviceStateBody caps PUT /v1/devices/{id}/state: a tracker
 	// state is a few floats per class, so 64 KiB covers thousands of
 	// classes while keeping a hostile migration payload small.
-	maxDeviceStateBody = 64 << 10
+	MaxDeviceStateBody = 64 << 10
+	// MaxAdminBody caps a cluster router's membership requests
+	// (AddNodeRequest: one URL).
+	MaxAdminBody = 4 << 10
 )
 
 // NewServer builds the HTTP front end.
@@ -325,56 +341,132 @@ func NewServer(svc *core.Service) *Server {
 	return s
 }
 
-// decodeBody JSON-decodes a capped request body into v, writing the
+// DecodeBody JSON-decodes a capped request body into v, writing the
 // error response (413 for an oversized body, 400 otherwise) itself and
-// returning false on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		}
+// returning false on failure. The infer endpoints do not come through
+// here: they read the body whole (ReadBody) and decode it with the
+// codec in wire.go.
+func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		WriteBodyError(w, "decoding request", err)
 		return false
 	}
 	return true
+}
+
+// WriteBodyError answers a request whose body could not be taken in:
+// 413 when err is the cap of an http.MaxBytesReader, 400 with what
+// failed otherwise.
+func WriteBodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	WriteError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", what, err))
+}
+
+// bodyPresize bounds how much ReadBody allocates on a Content-Length
+// header's word, and how large a buffer the body pool keeps: a longer
+// body grows the buffer as its bytes actually arrive.
+const bodyPresize = 1 << 20
+
+// ReadBody reads the whole request body, capped at limit, into buf
+// (from its start; nil allocates) and returns the filled buffer, grown
+// if it had to be. The buffer is sized once from Content-Length when
+// the header is there and honest. On failure ReadBody has written the
+// error response and returns false.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, bool) {
+	buf = buf[:0]
+	// One byte beyond the body, so that the read that reports EOF has
+	// somewhere to go.
+	if want := int(min(max(r.ContentLength, 511), limit, bodyPresize)) + 1; cap(buf) < want {
+		buf = make([]byte, 0, want)
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, true
+		}
+		if err != nil {
+			WriteBodyError(w, "reading request", err)
+			return buf, false
+		}
+	}
+}
+
+// BodyBuf is a pooled buffer for the bytes of one request body: the
+// replica reads an infer body into one, the router reads the bodies it
+// may have to send twice, the client encodes into one. Whoever holds it
+// owns B; Release hands both back. Only bytes are pooled, never decoded
+// rows: sched.Live keeps a request's rows after Submit returns early,
+// so nothing downstream of the decoder can say when a row is free.
+type BodyBuf struct{ B []byte }
+
+var bodyPool = sync.Pool{New: func() any { return new(BodyBuf) }}
+
+// GetBodyBuf takes a buffer from the pool; its contents are stale.
+func GetBodyBuf() *BodyBuf { return bodyPool.Get().(*BodyBuf) }
+
+// Release returns b to the pool. A buffer something may still be
+// reading — the request body of an HTTP attempt that failed or was
+// answered without being read, whose transport may still be writing
+// it out — must be dropped instead.
+func (b *BodyBuf) Release() {
+	if cap(b.B) <= bodyPresize+1 {
+		bodyPool.Put(b)
+	}
+}
+
+// ReadBodyBuf is ReadBody into a pooled buffer, which the caller
+// Releases (or drops) when done with the bytes.
+func ReadBodyBuf(w http.ResponseWriter, r *http.Request, limit int64) (*BodyBuf, bool) {
+	bb := GetBodyBuf()
+	var ok bool
+	if bb.B, ok = ReadBody(w, r, limit, bb.B); !ok {
+		bb.Release()
+		return nil, false
+	}
+	return bb, true
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"models": s.svc.Models()})
+	WriteJSON(w, http.StatusOK, map[string][]string{"models": s.svc.Models()})
 }
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req TrainRequest
-	if !decodeBody(w, r, maxTrainBody, &req) {
+	if !DecodeBody(w, r, MaxTrainBody, &req) {
 		return
 	}
 	set, err := req.Data.ToSet()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Classes < 2 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("classes %d must be ≥2", req.Classes))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("classes %d must be ≥2", req.Classes))
 		return
 	}
 	opts := core.DefaultTrainOptions(set.X.Cols, req.Classes)
@@ -398,18 +490,18 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TrainResponse{Name: entry.Name, StageAccs: entry.StageAccs})
+	WriteJSON(w, http.StatusOK, TrainResponse{Name: entry.Name, StageAccs: entry.StageAccs})
 }
 
 func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var payload DataPayload
-	if !decodeBody(w, r, maxTrainBody, &payload) {
+	if !DecodeBody(w, r, MaxTrainBody, &payload) {
 		return
 	}
 	set, err := payload.ToSet()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	alpha, err := s.svc.Calibrate(name, set, calib.DefaultEntropyCalibConfig())
@@ -417,35 +509,42 @@ func (s *Server) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CalibrateResponse{Alpha: alpha})
+	WriteJSON(w, http.StatusOK, CalibrateResponse{Alpha: alpha})
 }
 
 func (s *Server) handlePredictor(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var payload DataPayload
-	if !decodeBody(w, r, maxTrainBody, &payload) {
+	if !DecodeBody(w, r, MaxTrainBody, &payload) {
 		return
 	}
 	set, err := payload.ToSet()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.svc.BuildPredictor(name, set, sched.DefaultGPPredictorConfig()); err != nil {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	body, ok := ReadBodyBuf(w, r, MaxInferBody)
+	if !ok {
+		return
+	}
 	var req InferRequest
-	if !decodeBody(w, r, maxInferBody, &req) {
+	err := decodeInferRequest(body.B, &req)
+	body.Release() // the decoded request shares nothing with it
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if len(req.Input) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty input"))
+		WriteError(w, http.StatusBadRequest, errors.New("empty input"))
 		return
 	}
 	// Chaos seam: an injected fault here models a handler-side I/O
@@ -455,15 +554,15 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	// The decoded slice is freshly allocated by the JSON decoder, so
-	// handing ownership to Infer (which makes no defensive copy) is safe.
+	// The decoder allocated the row for this request alone, so handing
+	// ownership to Infer (which makes no defensive copy) is safe.
 	resp, err := s.svc.Infer(r.Context(), name, req.Input)
 	if err != nil && !errors.Is(err, sched.ErrUnanswered) {
 		writeFailure(w, err)
 		return
 	}
 	s.observeAnswer(req.Device, name, resp)
-	writeJSON(w, http.StatusOK, InferResponse{
+	WriteJSON(w, http.StatusOK, InferResponse{
 		Pred:      resp.Pred,
 		Conf:      resp.Conf,
 		Stages:    resp.Stages,
@@ -474,17 +573,24 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	body, ok := ReadBodyBuf(w, r, MaxBatchBody)
+	if !ok {
+		return
+	}
 	var req InferBatchRequest
-	if !decodeBody(w, r, maxBatchBody, &req) {
+	err := decodeInferBatchRequest(body.B, &req)
+	body.Release()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if len(req.Inputs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	for i, in := range req.Inputs {
 		if len(in) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("empty input at index %d", i))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("empty input at index %d", i))
 			return
 		}
 	}
@@ -492,8 +598,8 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	// Like handleInfer, the decoded slices are fresh; InferBatch takes
-	// ownership without copying.
+	// Like handleInfer, the decoded rows are this request's own;
+	// InferBatch takes ownership without copying.
 	resps, err := s.svc.InferBatch(r.Context(), name, req.Inputs)
 	if err != nil {
 		writeFailure(w, err)
@@ -523,7 +629,7 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 		// Best-effort, like observeAnswer.
 		_ = s.svc.Observe(req.Device, name, class, n)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // observeAnswer feeds one answered prediction into the device's
@@ -562,46 +668,38 @@ func (s *Server) handleSnapshotVersion(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, VersionResponse{Version: snapshot.VersionOf(raw)})
+	WriteJSON(w, http.StatusOK, VersionResponse{Version: snapshot.VersionOf(raw)})
 }
 
 func (s *Server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxSnapshot)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("snapshot exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading snapshot: %w", err))
-		}
+	raw, ok := ReadBody(w, r, MaxSnapshotBody, nil)
+	if !ok {
 		return
 	}
 	if err := s.svc.InstallSnapshotBytes(r.PathValue("name"), raw); err != nil {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req ReduceRequest
-	if !decodeBody(w, r, maxTrainBody, &req) {
+	if !DecodeBody(w, r, MaxTrainBody, &req) {
 		return
 	}
 	switch req.Precision {
 	case "", core.PrecisionF64, core.PrecisionF32:
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", req.Precision))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", req.Precision))
 		return
 	}
 	var set *dataset.Set
 	if req.Data != nil {
 		var err error
 		if set, err = req.Data.ToSet(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
@@ -621,21 +719,21 @@ func precisionParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	case "", core.PrecisionF64, core.PrecisionF32:
 		return p, true
 	}
-	writeError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", p))
+	WriteError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", p))
 	return "", false
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	device := r.PathValue("id")
 	var req ObserveRequest
-	if !decodeBody(w, r, maxObserveBody, &req) {
+	if !DecodeBody(w, r, MaxObserveBody, &req) {
 		return
 	}
 	if err := s.svc.Observe(device, req.Model, req.Class, req.Count); err != nil {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleCacheDecision(w http.ResponseWriter, r *http.Request) {
@@ -644,7 +742,7 @@ func (s *Server) handleCacheDecision(w http.ResponseWriter, r *http.Request) {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CacheDecisionResponse{
+	WriteJSON(w, http.StatusOK, CacheDecisionResponse{
 		Model:        d.Model,
 		Cache:        d.Cache,
 		Hot:          d.Hot,
@@ -663,7 +761,7 @@ func (s *Server) handleSubsetModel(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("hidden"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad hidden %q", v))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad hidden %q", v))
 			return
 		}
 		hidden = n
@@ -671,7 +769,7 @@ func (s *Server) handleSubsetModel(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("epochs"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad epochs %q", v))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad epochs %q", v))
 			return
 		}
 		epochs = n
@@ -696,7 +794,7 @@ func (s *Server) handleDeviceStateGet(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	if err := snapshot.EncodeDeviceState(&buf, &snapshot.DeviceState{Model: model, Tracker: ts}); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -710,28 +808,20 @@ func (s *Server) handleDeviceStateGet(w http.ResponseWriter, r *http.Request) {
 // matching the target model), so a truncated or cross-model migration
 // is rejected with a 4xx and the device's existing state is untouched.
 func (s *Server) handleDeviceStatePut(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxDeviceStateBody)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("device state exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("reading device state: %w", err))
-		}
+	raw, ok := ReadBody(w, r, MaxDeviceStateBody, nil)
+	if !ok {
 		return
 	}
 	ds, err := snapshot.DecodeDeviceState(bytes.NewReader(raw))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.svc.ImportDeviceState(r.PathValue("id"), ds.Model, ds.Tracker); err != nil {
 		writeFailure(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // writeSubset serializes a reduced model into the wire response; f32
@@ -743,10 +833,10 @@ func writeSubset(w http.ResponseWriter, sub *cache.SubsetModel, f32 bool) {
 		encode = snapshot.EncodeSubsetF32
 	}
 	if err := encode(&buf, sub); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubsetModelResponse{
+	WriteJSON(w, http.StatusOK, SubsetModelResponse{
 		Hot:      sub.Hot,
 		Params:   sub.Params(),
 		Snapshot: buf.Bytes(),
@@ -770,7 +860,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			P99MS:        float64(st.P99.Microseconds()) / 1000,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // statusFor maps a core/sched error to an HTTP status. Typed errors are
@@ -820,7 +910,7 @@ func writeFailure(w http.ResponseWriter, err error) {
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeError(w, statusFor(err), err)
+	WriteError(w, statusFor(err), err)
 }
 
 // encodeBuf is a pooled JSON encode buffer: responses are marshaled
@@ -842,7 +932,8 @@ var encodePool = sync.Pool{New: func() any {
 // pinning its buffer in the pool forever.
 const encodePoolMaxCap = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as JSON, the Content-Length set.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	e := encodePool.Get().(*encodeBuf)
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
@@ -865,6 +956,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+// WriteError answers with status and err as the JSON error body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }
