@@ -98,7 +98,6 @@ func run() error {
 	lookahead := flag.Int("lookahead", 1, "RTDeepIoT scheduler lookahead k")
 	queue := flag.Int("queue", 256, "admission queue depth")
 	maxBatch := flag.Int("maxbatch", 0, "same-stage tasks coalesced per batched forward pass (0 = default, 1 disables)")
-	parallelism := flag.Int("parallelism", 0, "cores large GEMMs may hold at once, all callers together; a batch-sized GEMM is too small to split and runs on its worker (0 = GOMAXPROCS, 1 = never split)")
 	precision := flag.String("precision", "", "serving precision: f64 (default) or f32 (frozen float32 weights, 8-lane SIMD hot path)")
 	admission := flag.Bool("admission", true, "SLO admission control: reject requests predicted to miss their deadline (429 + Retry-After) and degrade gracefully under overload")
 	dataDir := flag.String("data-dir", "", "snapshot directory: persist models on train/calibrate/predictor and restore them on boot (empty = in-memory only)")
@@ -138,15 +137,14 @@ func run() error {
 	}
 
 	svc, err := core.NewService(core.Config{
-		Workers:     *workers,
-		Deadline:    *deadline,
-		QueueDepth:  *queue,
-		Lookahead:   *lookahead,
-		MaxBatch:    *maxBatch,
-		Parallelism: *parallelism,
-		Precision:   *precision,
-		Admission:   *admission,
-		DataDir:     *dataDir,
+		Workers:    *workers,
+		Deadline:   *deadline,
+		QueueDepth: *queue,
+		Lookahead:  *lookahead,
+		MaxBatch:   *maxBatch,
+		Precision:  *precision,
+		Admission:  *admission,
+		DataDir:    *dataDir,
 	})
 	if err != nil {
 		return err
@@ -202,8 +200,8 @@ func run() error {
 		done <- srv.Shutdown(sctx)
 	}()
 
-	log.Printf("eugened listening on %s (workers=%d deadline=%v k=%d maxbatch=%d parallelism=%d precision=%s admission=%v)",
-		*addr, *workers, *deadline, *lookahead, effectiveMaxBatch, *parallelism, effectivePrecision, *admission)
+	log.Printf("eugened listening on %s (workers=%d deadline=%v k=%d maxbatch=%d precision=%s admission=%v)",
+		*addr, *workers, *deadline, *lookahead, effectiveMaxBatch, effectivePrecision, *admission)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

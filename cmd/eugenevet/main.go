@@ -1,16 +1,16 @@
 // Command eugenevet runs the repo's custom analyzers (internal/analysis)
-// over Go packages. It supports two modes:
+// as a go vet tool:
 //
-//	eugenevet [flags] [packages]     standalone: load, check, report
-//	go vet -vettool=$(which eugenevet) ./...
+//	go vet -vettool=$(which eugenevet) -strict ./...
 //
-// In vettool mode it speaks the cmd/go unitchecker protocol: -V=full
-// for build caching, -flags to enumerate its flags, and a single
-// JSON .cfg argument describing one compilation unit. Diagnostics go
-// to stderr; the exit status is 1 when any diagnostic is reported.
+// It speaks the cmd/go unitchecker protocol: -V=full for build caching,
+// -flags to enumerate its flags, and a single JSON .cfg argument
+// describing one compilation unit. Diagnostics go to stderr; the exit
+// status is 1 when any diagnostic is reported.
 //
-// Use -list to print the analyzers and their one-line docs; disable an
-// individual analyzer with -<name>=false.
+// Use -list to print the analyzers and their one-line docs. The whole
+// suite always runs; the one way to silence a finding is a
+// //lint:ignore directive, which -strict audits.
 package main
 
 import (
@@ -49,11 +49,6 @@ func main() {
 	// Accepted for go vet compatibility; eugenevet always prints plain text.
 	flag.Bool("json", false, "no effect (accepted for go vet compatibility)")
 	flag.Int("c", -1, "no effect (accepted for go vet compatibility)")
-
-	enabled := map[string]*bool{}
-	for _, a := range analyzers {
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+firstLine(a.Doc))
-	}
 	flag.Parse()
 
 	if *printflags {
@@ -67,19 +62,11 @@ func main() {
 		os.Exit(0)
 	}
 
-	var active []*analysis.Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], active, *strict)
-		return
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		log.Fatal("run me through go vet: go vet -vettool=$(which eugenevet) -strict ./...")
 	}
-	runStandalone(args, active, *strict)
+	runUnit(args[0], analyzers, *strict)
 }
 
 func firstLine(doc string) string {
@@ -89,47 +76,23 @@ func firstLine(doc string) string {
 	return doc
 }
 
-// runStandalone loads packages with the go command and checks them.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, strict bool) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fset, pkgs, err := load.Packages(cwd, patterns...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exit := 0
-	for _, pkg := range pkgs {
-		if reportAll(fset, pkg.Syntax, pkg.Types, pkg.TypesInfo, pkg.Dir, pkg.IgnoredFiles, analyzers, strict) {
-			exit = 1
-		}
-	}
-	os.Exit(exit)
-}
-
 // reportAll runs the analyzers over one package and prints surviving
 // diagnostics; it reports whether any were printed. With strict, the
 // package's //lint:ignore directives are audited afterwards: a
 // directive that suppressed nothing, or that names an analyzer the
 // suite does not have, is itself a finding.
-func reportAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, dir string, ignored []string, analyzers []*analysis.Analyzer, strict bool) bool {
+func reportAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer, strict bool) bool {
 	sup := analysis.NewSuppressor(fset, files)
 	found := false
 	for _, a := range analyzers {
 		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
-			Analyzer:     a,
-			Fset:         fset,
-			Files:        files,
-			Pkg:          pkg,
-			TypesInfo:    info,
-			Dir:          dir,
-			IgnoredFiles: ignored,
-			Report:       func(d analysis.Diagnostic) { diags = append(diags, d) },
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 		}
 		if _, err := a.Run(pass); err != nil {
 			log.Fatalf("%s: %v", a.Name, err)
@@ -143,7 +106,7 @@ func reportAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 		}
 	}
 	if strict {
-		sup.Audit(suite.All(), analyzers, func(d analysis.Diagnostic) {
+		sup.Audit(analyzers, func(d analysis.Diagnostic) {
 			fmt.Fprintf(os.Stderr, "%s: %s [strict]\n", fset.Position(d.Pos), d.Message)
 			found = true
 		})
@@ -156,11 +119,9 @@ func reportAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info 
 type unitConfig struct {
 	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	Standard                  map[string]bool
@@ -231,7 +192,7 @@ func runUnit(configFile string, analyzers []*analysis.Analyzer, strict bool) {
 		log.Fatal(err)
 	}
 
-	found := reportAll(fset, files, pkg, info, cfg.Dir, cfg.IgnoredFiles, analyzers, strict)
+	found := reportAll(fset, files, pkg, info, analyzers, strict)
 	writeVetx()
 	if found {
 		os.Exit(1)

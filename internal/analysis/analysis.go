@@ -5,12 +5,11 @@
 //
 // The analyzers in the subpackages machine-enforce invariants that
 // previously lived only in comments and reviewer memory — the
-// take-ownership contract on stage-0 hidden rows, the atomic-only
-// access discipline on concurrently-read fields, the sync.Pool arena
-// pairing in the scheduler, the float64 precision boundary around the
-// scheduler, and the scalar-fallback parity of every asm kernel. See
-// cmd/eugenevet for the driver (standalone and `go vet -vettool`
-// modes) and CONTRIBUTING.md for the invariant-to-analyzer map.
+// atomic-only access discipline on concurrently-read fields, the
+// sync.Pool arena pairing in the scheduler, the float64 precision
+// boundary around the scheduler, the lock order. See cmd/eugenevet for
+// the driver (`go vet -vettool`) and CONTRIBUTING.md for the table of
+// invariants and what enforces each.
 package analysis
 
 import (
@@ -22,10 +21,9 @@ import (
 	"strings"
 )
 
-// An Analyzer is one static check. Name must be a valid identifier (it
-// doubles as the driver's enable/disable flag name and the key in
-// //lint:ignore directives); Doc's first line is the one-line summary
-// printed by `eugenevet -list`.
+// An Analyzer is one static check. Name is the key in //lint:ignore
+// directives; Doc's first line is the one-line summary printed by
+// `eugenevet -list`.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -44,13 +42,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Dir is the package's source directory. IgnoredFiles lists .go
-	// files in Dir excluded by build constraints; analyzers that must
-	// reason across build-tag boundaries (asmparity) parse them with
-	// Fset so their positions stay valid.
-	Dir          string
-	IgnoredFiles []string
-
 	Report func(Diagnostic)
 }
 
@@ -66,7 +57,7 @@ type Diagnostic struct {
 }
 
 // Validate rejects duplicate or unnamed analyzers before a driver runs
-// them (flag names and ignore directives key on Name).
+// them (ignore directives key on Name).
 func Validate(analyzers []*Analyzer) error {
 	seen := map[string]bool{}
 	for _, a := range analyzers {
@@ -114,9 +105,9 @@ func (d *ignoreDirective) matches(name string, file string, line int) bool {
 }
 
 // Suppressor filters diagnostics through the //lint:ignore directives
-// of a package's files. Drivers build one per package and apply it to
-// every analyzer's output so suppression behaves identically in
-// standalone and `go vet -vettool` runs.
+// of a package's files. The driver and analysistest build one per
+// package and apply it to every analyzer's output, so fixtures see the
+// suppression `go vet -vettool` runs apply.
 type Suppressor struct {
 	directives []ignoreDirective
 }
@@ -160,40 +151,29 @@ func (s *Suppressor) Suppressed(fset *token.FileSet, name string, pos token.Pos)
 }
 
 // Audit reports the directives that cannot be justified after every
-// analyzer in ran has been applied through this Suppressor: directives
-// naming an analyzer outside the suite (a typo silently suppresses
-// nothing, or worse, a future analyzer), and stale directives none of
-// whose named analyzers produced a diagnostic to suppress — the code
-// they excused has been fixed or rewritten, and keeping them would
-// blind the next genuine finding on that line. A directive is only
-// called stale when every analyzer it names was actually run (suite
-// lists every analyzer that exists, ran the subset applied through this
-// Suppressor), so partial runs (-<analyzer>=false) never misreport.
+// analyzer in suite has been applied through this Suppressor:
+// directives naming an analyzer outside the suite (a typo silently
+// suppresses nothing, or worse, a future analyzer), and stale
+// directives none of whose named analyzers produced a diagnostic to
+// suppress — the code they excused has been fixed or rewritten, and
+// keeping them would blind the next genuine finding on that line.
 // Wildcard ("*") directives are exempt from staleness but still
 // reported here as unauditable: they must name their analyzers.
-func (s *Suppressor) Audit(suite, ran []*Analyzer, report func(Diagnostic)) {
+func (s *Suppressor) Audit(suite []*Analyzer, report func(Diagnostic)) {
 	known := map[string]bool{}
 	for _, a := range suite {
 		known[a.Name] = true
-	}
-	applied := map[string]bool{}
-	for _, a := range ran {
-		applied[a.Name] = true
 	}
 	for i := range s.directives {
 		d := &s.directives[i]
 		var unknown []string
 		wildcard := false
-		allRan := true
 		for _, name := range d.analyzers {
 			switch {
 			case name == "*":
 				wildcard = true
 			case !known[name]:
 				unknown = append(unknown, name)
-				allRan = false
-			case !applied[name]:
-				allRan = false
 			}
 		}
 		switch {
@@ -201,7 +181,7 @@ func (s *Suppressor) Audit(suite, ran []*Analyzer, report func(Diagnostic)) {
 			report(Diagnostic{Pos: d.pos, Message: "lint:ignore * suppresses every analyzer and cannot be audited; name the analyzers being suppressed"})
 		case len(unknown) > 0:
 			report(Diagnostic{Pos: d.pos, Message: fmt.Sprintf("lint:ignore names unknown analyzer(s) %s; it suppresses nothing", strings.Join(unknown, ", "))})
-		case allRan && !d.used:
+		case !d.used:
 			report(Diagnostic{Pos: d.pos, Message: fmt.Sprintf("stale lint:ignore: %s no longer report anything here; delete the directive", strings.Join(d.analyzers, ", "))})
 		}
 	}

@@ -17,7 +17,6 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -50,26 +49,14 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	if err != nil {
 		t.Fatalf("%s: reading fixture dir: %v", a.Name, err)
 	}
-	var selected, ignored []string
-	ctx := build.Default
+	var selected []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		ok, err := ctx.MatchFile(dir, e.Name())
-		if err != nil {
-			t.Fatalf("%s: matching %s: %v", a.Name, e.Name(), err)
-		}
-		if ok {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
 			selected = append(selected, filepath.Join(dir, e.Name()))
-		} else {
-			ignored = append(ignored, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Strings(selected)
-	sort.Strings(ignored)
 	if len(selected) == 0 {
-		t.Fatalf("%s: fixture %s has no buildable Go files", a.Name, pkg)
+		t.Fatalf("%s: fixture %s has no Go files", a.Name, pkg)
 	}
 
 	fset := token.NewFileSet()
@@ -104,19 +91,17 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:     a,
-		Fset:         fset,
-		Files:        files,
-		Pkg:          tpkg,
-		TypesInfo:    info,
-		Dir:          dir,
-		IgnoredFiles: ignored,
-		Report:       func(d analysis.Diagnostic) { diags = append(diags, d) },
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     files,
+		Pkg:       tpkg,
+		TypesInfo: info,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
 	if _, err := a.Run(pass); err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
-	// Apply //lint:ignore suppression exactly as the drivers do, so
+	// Apply //lint:ignore suppression exactly as the driver does, so
 	// fixtures can assert that annotated drops stay silent.
 	sup := analysis.NewSuppressor(fset, files)
 	kept := diags[:0]
@@ -127,7 +112,7 @@ func runOne(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	}
 	diags = kept
 
-	wants := collectWants(t, a.Name, fset, files, ignored)
+	wants := collectWants(t, a.Name, fset, files)
 	checkDiags(t, a.Name, fset, diags, wants)
 }
 
@@ -140,13 +125,11 @@ type want struct {
 	matched bool
 }
 
-// collectWants parses `// want` comments from the type-checked files
-// and from the build-tag-excluded fixture files (asmparity reports
-// into those).
-func collectWants(t *testing.T, name string, fset *token.FileSet, files []*ast.File, ignored []string) []*want {
+// collectWants parses `// want` comments from the fixture files.
+func collectWants(t *testing.T, name string, fset *token.FileSet, files []*ast.File) []*want {
 	t.Helper()
 	var wants []*want
-	add := func(f *ast.File) {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//")
@@ -172,16 +155,6 @@ func collectWants(t *testing.T, name string, fset *token.FileSet, files []*ast.F
 				}
 			}
 		}
-	}
-	for _, f := range files {
-		add(f)
-	}
-	for _, path := range ignored {
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		add(f)
 	}
 	return wants
 }

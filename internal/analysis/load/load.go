@@ -1,11 +1,9 @@
-// Package load type-checks Go packages for the analysis driver using
+// Package load resolves imports for the analysistest fixtures using
 // only the standard library and the go command: `go list -export`
-// compiles dependencies into the build cache and reports their export
-// data files, which go/importer's gc importer reads back, and the
-// target packages themselves are parsed and type-checked from source
-// so analyzers see syntax trees with full type information. This is
-// the offline, zero-dependency subset of golang.org/x/tools/go/packages
-// that eugenevet's standalone mode and the analysistest fixtures need.
+// compiles the imported packages into the build cache and reports
+// their export data files, which go/importer's gc importer reads back.
+// (Under `go vet -vettool`, cmd/go hands eugenevet the export data
+// itself.)
 package load
 
 import (
@@ -14,38 +12,18 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 )
 
-// Package is one type-checked target package.
-type Package struct {
-	ImportPath   string
-	Dir          string
-	GoFiles      []string
-	IgnoredFiles []string // build-tag-excluded .go files in Dir
-	Syntax       []*ast.File
-	Types        *types.Package
-	TypesInfo    *types.Info
-}
-
 // listedPackage mirrors the `go list -json` fields the loader uses.
 type listedPackage struct {
-	ImportPath     string
-	Dir            string
-	Export         string
-	Standard       bool
-	DepOnly        bool
-	GoFiles        []string
-	CgoFiles       []string
-	IgnoredGoFiles []string
-	Error          *struct{ Err string }
+	ImportPath string
+	Export     string
 }
 
 // goList runs `go list -e -export -deps -json` in dir for the given
@@ -53,7 +31,7 @@ type listedPackage struct {
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,CgoFiles,IgnoredGoFiles,Error",
+		"-json=ImportPath,Export",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -89,81 +67,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 		}
 		return os.Open(file)
 	})
-}
-
-// Packages loads, parses, and type-checks the packages matching
-// patterns (resolved relative to dir, e.g. "./..."). Dependencies come
-// from compiled export data; the matched packages themselves are
-// checked from source. Packages that fail to list, parse, or
-// type-check produce an error — analyzers require well-typed input.
-func Packages(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, nil, err
-	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	var out []*Package
-	for _, p := range listed {
-		if p.DepOnly || p.Standard {
-			continue
-		}
-		if p.Error != nil {
-			return nil, nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if len(p.CgoFiles) > 0 {
-			return nil, nil, fmt.Errorf("load: %s uses cgo (unsupported)", p.ImportPath)
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := check(fset, imp, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, pkg)
-	}
-	return fset, out, nil
-}
-
-// check parses and type-checks one listed package from source.
-func check(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Package, error) {
-	var files []*ast.File
-	var paths []string
-	for _, name := range p.GoFiles {
-		path := filepath.Join(p.Dir, name)
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("load: %v", err)
-		}
-		files = append(files, f)
-		paths = append(paths, path)
-	}
-	info := NewInfo()
-	conf := &types.Config{Importer: imp}
-	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("load: type-checking %s: %v", p.ImportPath, err)
-	}
-	ignored := make([]string, 0, len(p.IgnoredGoFiles))
-	for _, name := range p.IgnoredGoFiles {
-		ignored = append(ignored, filepath.Join(p.Dir, name))
-	}
-	return &Package{
-		ImportPath:   p.ImportPath,
-		Dir:          p.Dir,
-		GoFiles:      paths,
-		IgnoredFiles: ignored,
-		Syntax:       files,
-		Types:        tpkg,
-		TypesInfo:    info,
-	}, nil
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.

@@ -4,16 +4,12 @@ package suite
 
 import (
 	"eugene/internal/analysis"
-	"eugene/internal/analysis/asmparity"
 	"eugene/internal/analysis/atomicfield"
 	"eugene/internal/analysis/blockinlock"
-	"eugene/internal/analysis/goroutineleak"
 	"eugene/internal/analysis/hotpathalloc"
 	"eugene/internal/analysis/lockorder"
 	"eugene/internal/analysis/poolput"
 	"eugene/internal/analysis/precisionboundary"
-	"eugene/internal/analysis/retryctx"
-	"eugene/internal/analysis/rowownership"
 	"eugene/internal/analysis/uncheckederr"
 )
 
@@ -22,14 +18,10 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicfield.Analyzer,
 		poolput.Analyzer,
-		rowownership.Analyzer,
 		precisionboundary.Analyzer,
-		asmparity.Analyzer,
 		uncheckederr.Analyzer,
-		retryctx.Analyzer,
 		lockorder.Analyzer,
 		blockinlock.Analyzer,
 		hotpathalloc.Analyzer,
-		goroutineleak.Analyzer,
 	}
 }

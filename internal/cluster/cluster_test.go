@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"eugene/internal/dataset"
 	"eugene/internal/failpoint"
 	"eugene/internal/service"
+	"eugene/internal/tensor"
 )
 
 // Two distinct tiny model snapshots, trained once per test binary:
@@ -235,6 +237,76 @@ func (f *testFleet) assertConserved(t *testing.T, before fleetCounts) {
 	if proxied > offered+failed {
 		t.Fatalf("router sent %d attempts, replicas were offered %d and only %d attempts failed: %d answered attempts never reached a scheduler",
 			proxied, offered, failed, proxied-offered-failed)
+	}
+}
+
+// TestRouterCloseJoinsItsGoroutines: Close returns promptly, and once
+// the servers around the Router are down as well the process is back to
+// the goroutines it had before Start. A loop that stops watching r.stop
+// fails here in seconds and by name. It is the package's first test
+// because every later one that closes a Router would hang on the same
+// defect until the ten-minute timeout, and say less.
+func TestRouterCloseJoinsItsGoroutines(t *testing.T) {
+	// tensor's GEMM helpers live as long as the process and are nobody's
+	// to join: start them before the baseline is taken.
+	rows := 128 * tensor.Parallelism()
+	tensor.MatMulT(tensor.NewMatrix(rows, 256), tensor.NewMatrix(rows, 256), tensor.NewMatrix(256, 256))
+	base := runtime.NumGoroutine()
+
+	mux := readyOKMux(nil)
+	mux.HandleFunc("POST /v1/models/m/infer", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, `{"pred":0}`)
+	})
+	replica := httptest.NewServer(mux)
+	defer replica.Close()
+	router, err := New(Config{
+		Nodes:         []string{replica.URL},
+		ProbeInterval: 10 * time.Millisecond,
+		SyncInterval:  10 * time.Millisecond,
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router.Start(context.Background())
+	front := httptest.NewServer(router)
+	defer front.Close()
+	for i := 0; i < 8; i++ {
+		resp, err := http.Post(front.URL+"/v1/models/m/infer", "application/json", strings.NewReader(`{"input":[1]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		if cerr := resp.Body.Close(); err != nil || cerr != nil {
+			t.Fatalf("infer %d through the router: reading the answer: %v, %v", i, err, cerr)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("infer %d through the router: status %d", i, resp.StatusCode)
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		router.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("cluster.Router.Close has not returned after 2s: a loop that Start launched is not watching r.stop")
+	}
+	// The keep-alive connections on both sides of the Router end with
+	// their servers.
+	front.Close()
+	replica.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 2s after Router.Close, %d before Start; still running:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

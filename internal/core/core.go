@@ -61,16 +61,6 @@ type Config struct {
 	// disables batching). Larger batches raise throughput under load at
 	// the cost of coarser per-dispatch deadline granularity.
 	MaxBatch int
-	// Parallelism caps how many cores large GEMMs may hold at once,
-	// all callers together (tensor.SetParallelism): 0 leaves the
-	// process-wide default (GOMAXPROCS) untouched, 1 keeps every GEMM
-	// on its caller. It does not multiply the workers: a GEMM too small
-	// to split into chunks that pay for a hand-off (every GEMM of a
-	// 32-row group at hidden 256) runs inline on the scheduler worker
-	// that owns it whatever this is. Nonzero values are process-wide —
-	// tensor's helpers are shared by every service in the process, so
-	// only set this from the one place that owns the decision.
-	Parallelism int
 	// DataDir enables snapshot persistence: every Train, Calibrate,
 	// BuildPredictor, and snapshot install atomically writes the
 	// model's bundle to <DataDir>/<name>.snap, and NewService restores
@@ -114,7 +104,7 @@ func DefaultConfig() Config {
 
 // Validate reports an error for degenerate configurations.
 func (c Config) Validate() error {
-	if c.Workers < 1 || c.Deadline <= 0 || c.QueueDepth < 1 || c.Lookahead < 1 || c.MaxBatch < 0 || c.Parallelism < 0 {
+	if c.Workers < 1 || c.Deadline <= 0 || c.QueueDepth < 1 || c.Lookahead < 1 || c.MaxBatch < 0 {
 		return fmt.Errorf("core: bad config %+v", c)
 	}
 	switch c.Precision {
@@ -149,6 +139,21 @@ type Service struct {
 // ErrClosed is returned for operations on a closed service.
 var ErrClosed = errors.New("core: service closed")
 
+// Conditions a caller (internal/service, for one) tells apart with
+// errors.Is. Each text is the phrase its messages have always carried,
+// so wrapping the sentinel with %w where the phrase stood leaves every
+// message as it was.
+var (
+	ErrUnknownModel        = errors.New("core: unknown model")
+	ErrUnknownDevice       = errors.New("core: unknown device")
+	ErrEmptyDevice         = errors.New("core: empty device id")
+	ErrInputWidth          = errors.New("input width")
+	ErrClassRange          = errors.New("outside model")
+	ErrInstall             = errors.New("core: installing") // snapshot decode or validation failed
+	ErrCachingNotJustified = errors.New("core: caching not justified")
+	ErrNoTrainingData      = errors.New("core: no training data retained")
+)
+
 // ErrBadDeviceState is returned when an imported device state cannot be
 // installed: the tracker's class count does not match the target model,
 // or the state fails structural validation. It maps to a 400 over HTTP
@@ -162,9 +167,6 @@ var ErrBadDeviceState = errors.New("core: bad device state")
 func NewService(cfg Config) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Parallelism > 0 {
-		tensor.SetParallelism(cfg.Parallelism)
 	}
 	s := &Service{
 		cfg:       cfg,
@@ -456,7 +458,7 @@ func (s *Service) InferBatch(ctx context.Context, name string, inputs [][]float6
 // and take the whole process down.
 func checkWidth(name string, want int, input []float64) error {
 	if len(input) != want {
-		return fmt.Errorf("core: model %q wants input width %d, got %d", name, want, len(input))
+		return fmt.Errorf("core: model %q wants %w %d, got %d", name, ErrInputWidth, want, len(input))
 	}
 	return nil
 }
@@ -570,7 +572,7 @@ func (s *Service) liveFor(name string) (*sched.Live, int, error) {
 	live := s.serving[name]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("core: unknown model %q", name)
+		return nil, 0, fmt.Errorf("%w %q", ErrUnknownModel, name)
 	}
 	if live != nil {
 		return live, entry.Model.NumStages(), nil
@@ -584,7 +586,7 @@ func (s *Service) liveFor(name string) (*sched.Live, int, error) {
 	// between the RLock and here, and the pool must serve the current
 	// model.
 	if entry, ok = s.models[name]; !ok {
-		return nil, 0, fmt.Errorf("core: unknown model %q", name)
+		return nil, 0, fmt.Errorf("%w %q", ErrUnknownModel, name)
 	}
 	if live = s.serving[name]; live != nil { // raced; someone else started it
 		return live, entry.Model.NumStages(), nil
@@ -642,7 +644,7 @@ func (s *Service) Reduce(name string, train *dataset.Set, hot []int, hidden, epo
 		train = s.trainData[name]
 		s.mu.RUnlock()
 		if train == nil {
-			return nil, fmt.Errorf("core: no training data retained for %q; supply data with the reduction request", name)
+			return nil, fmt.Errorf("%w for %q; supply data with the reduction request", ErrNoTrainingData, name)
 		}
 	}
 	if hidden == 0 {
@@ -704,7 +706,7 @@ func (s *Service) InstallSnapshotBytes(name string, data []byte) error {
 	}
 	snap, err := snapshot.DecodeModel(bytes.NewReader(data))
 	if err != nil {
-		return fmt.Errorf("core: installing %q: %w", name, err)
+		return fmt.Errorf("%w %q: %w", ErrInstall, name, err)
 	}
 	entry := &ModelEntry{
 		Name:      name,
@@ -757,7 +759,7 @@ type CacheDecision struct {
 // resets the stream.
 func (s *Service) deviceFor(device, model string) (*deviceState, error) {
 	if device == "" {
-		return nil, fmt.Errorf("core: empty device id")
+		return nil, ErrEmptyDevice
 	}
 	entry, err := s.get(model)
 	if err != nil {
@@ -790,7 +792,7 @@ func (s *Service) Observe(device, model string, class, count int) error {
 		count = 1
 	}
 	if class < 0 || class >= st.tracker.Classes() {
-		return fmt.Errorf("core: class %d outside model %q's %d classes", class, model, st.tracker.Classes())
+		return fmt.Errorf("core: class %d %w %q's %d classes", class, ErrClassRange, model, st.tracker.Classes())
 	}
 	st.tracker.ObserveN(class, count)
 	return nil
@@ -804,7 +806,7 @@ func (s *Service) CacheDecision(device string) (CacheDecision, error) {
 	st, ok := s.devices[device]
 	s.devMu.Unlock()
 	if !ok {
-		return CacheDecision{}, fmt.Errorf("core: unknown device %q (no observations yet)", device)
+		return CacheDecision{}, fmt.Errorf("%w %q (no observations yet)", ErrUnknownDevice, device)
 	}
 	hot, share := st.policy.DecideShare(st.tracker)
 	return CacheDecision{
@@ -827,7 +829,7 @@ func (s *Service) ExportDeviceState(device string) (string, cache.TrackerState, 
 	st, ok := s.devices[device]
 	s.devMu.Unlock()
 	if !ok {
-		return "", cache.TrackerState{}, fmt.Errorf("core: unknown device %q (no observations yet)", device)
+		return "", cache.TrackerState{}, fmt.Errorf("%w %q (no observations yet)", ErrUnknownDevice, device)
 	}
 	return st.model, st.tracker.Export(), nil
 }
@@ -839,7 +841,7 @@ func (s *Service) ExportDeviceState(device string) (string, cache.TrackerState, 
 // otherwise ErrBadDeviceState, and nothing is installed.
 func (s *Service) ImportDeviceState(device, model string, ts cache.TrackerState) error {
 	if device == "" {
-		return fmt.Errorf("core: empty device id")
+		return ErrEmptyDevice
 	}
 	entry, err := s.get(model)
 	if err != nil {
@@ -871,7 +873,7 @@ func (s *Service) DeviceSubset(device string, hidden, epochs int) (*cache.Subset
 		return nil, CacheDecision{}, err
 	}
 	if !d.Cache {
-		return nil, d, fmt.Errorf("core: caching not justified for device %q yet (%.0f observations)", device, d.Observations)
+		return nil, d, fmt.Errorf("%w for device %q yet (%.0f observations)", ErrCachingNotJustified, device, d.Observations)
 	}
 	s.devMu.Lock()
 	st, ok := s.devices[device]
@@ -983,7 +985,7 @@ func (s *Service) get(name string) (*ModelEntry, error) {
 	defer s.mu.RUnlock()
 	entry, ok := s.models[name]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown model %q", name)
+		return nil, fmt.Errorf("%w %q", ErrUnknownModel, name)
 	}
 	return entry, nil
 }

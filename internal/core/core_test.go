@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"eugene/internal/dataset"
 	"eugene/internal/sched"
 	"eugene/internal/staged"
+	"eugene/internal/tensor"
 )
 
 func testData(t *testing.T) (*dataset.Set, *dataset.Set) {
@@ -47,6 +49,53 @@ func testService(t *testing.T) (*Service, *dataset.Set, *dataset.Set) {
 		t.Fatal(err)
 	}
 	return svc, train, test
+}
+
+// TestServiceCloseJoinsItsGoroutines: Close stops every model's
+// sched.Live, returns promptly, and leaves the process with the
+// goroutines it had before the service existed. A worker or daemon that
+// stops watching its stop channel fails here in seconds and by name. It
+// is the package's first test because every later one closes a Service
+// in its cleanup, and would hang on the same defect until the
+// ten-minute timeout.
+func TestServiceCloseJoinsItsGoroutines(t *testing.T) {
+	// tensor's GEMM helpers live as long as the process and are nobody's
+	// to join: start them before the baseline is taken.
+	rows := 128 * tensor.Parallelism()
+	tensor.MatMulT(tensor.NewMatrix(rows, 256), tensor.NewMatrix(rows, 256), tensor.NewMatrix(256, 256))
+	base := runtime.NumGoroutine()
+
+	svc, _, test := testService(t)
+	batch := make([][]float64, 16)
+	for i := range batch {
+		batch[i], _ = test.Sample(i)
+	}
+	if _, err := svc.InferBatch(context.Background(), "demo", batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Infer(context.Background(), "demo", batch[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("core.Service.Close has not returned after 2s: a sched.Live goroutine is not watching its stop channel")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 2s after Service.Close, %d before NewService; still running:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -96,14 +145,63 @@ func TestInferRejectsWrongWidth(t *testing.T) {
 	}
 }
 
-func TestInferUnknownModel(t *testing.T) {
-	svc, err := NewService(DefaultConfig())
+// TestErrorsCarrySentinelsAndKeepTheirText: internal/service picks the
+// HTTP status by errors.Is on these sentinels, and clients have been
+// shown these texts since before the sentinels existed.
+func TestErrorsCarrySentinelsAndKeepTheirText(t *testing.T) {
+	svc, _, _ := testService(t)
+	entry, err := svc.Entry("demo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-	if _, err := svc.Infer(context.Background(), "nope", []float64{1}); err == nil {
-		t.Fatal("expected unknown-model error")
+	if _, err := svc.Register("bare", entry.Model); err != nil { // no training data retained
+		t.Fatal(err)
+	}
+	if err := svc.Observe("dev", "demo", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cases := []struct {
+		is   error
+		text string
+		get  func() error
+	}{
+		{ErrUnknownModel, `core: unknown model "nope"`, func() error {
+			_, err := svc.Infer(ctx, "nope", []float64{1})
+			return err
+		}},
+		{ErrInputWidth, `core: model "demo" wants input width 12, got 3`, func() error {
+			_, err := svc.Infer(ctx, "demo", []float64{1, 2, 3})
+			return err
+		}},
+		{ErrEmptyDevice, `core: empty device id`, func() error { return svc.Observe("", "demo", 0, 1) }},
+		{ErrClassRange, `core: class 99 outside model "demo"'s 4 classes`, func() error { return svc.Observe("dev", "demo", 99, 1) }},
+		{ErrUnknownDevice, `core: unknown device "ghost" (no observations yet)`, func() error {
+			_, err := svc.CacheDecision("ghost")
+			return err
+		}},
+		{ErrCachingNotJustified, `core: caching not justified for device "dev" yet (1 observations)`, func() error {
+			_, _, err := svc.DeviceSubset("dev", 0, 0)
+			return err
+		}},
+		{ErrNoTrainingData, `core: no training data retained for "bare"; supply data with the reduction request`, func() error {
+			_, err := svc.Reduce("bare", nil, []int{0, 1}, 0, 0)
+			return err
+		}},
+		{ErrInstall, `core: installing "x": `, func() error { return svc.InstallSnapshotBytes("x", []byte("junk")) }},
+	}
+	for _, c := range cases {
+		err := c.get()
+		if !errors.Is(err, c.is) {
+			t.Errorf("%v: not errors.Is %q", err, c.is)
+		}
+		got := fmt.Sprint(err)
+		if c.is == ErrInstall { // its message goes on with the decoder's own error
+			got = got[:min(len(got), len(c.text))]
+		}
+		if got != c.text {
+			t.Errorf("message %q, want %q", err, c.text)
+		}
 	}
 }
 

@@ -112,6 +112,12 @@ var ErrUnanswered = errors.New("sched: deadline before first stage completed")
 // ErrStopped is returned for submissions after Stop.
 var ErrStopped = errors.New("sched: executor stopped")
 
+// ErrBatchTooLarge is wrapped by SubmitBatch's error for a batch of
+// more rows than QueueDepth: no amount of waiting admits it, unlike an
+// ErrOverloaded, so a caller must not retry it. Its text is the phrase
+// that message has always carried.
+var ErrBatchTooLarge = errors.New("exceeds queue depth")
+
 // The latency histogram behind Stats percentiles: geometric buckets,
 // latBucketsPerOctave per power of two, spanning 1µs to ~2^40µs (≈13
 // days). Recording a finish is one increment and a Stats call copies a
@@ -661,7 +667,7 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 		return nil, nil
 	}
 	if len(inputs) > l.cfg.QueueDepth {
-		return nil, fmt.Errorf("sched: batch of %d exceeds queue depth %d", len(inputs), l.cfg.QueueDepth)
+		return nil, fmt.Errorf("sched: batch of %d %w %d", len(inputs), ErrBatchTooLarge, l.cfg.QueueDepth)
 	}
 	select {
 	case <-l.stopCh:

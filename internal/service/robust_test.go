@@ -28,9 +28,19 @@ func TestStatusForTypedErrors(t *testing.T) {
 		{&sched.ErrOverloaded{RetryAfter: time.Second}, http.StatusTooManyRequests},
 		{fmt.Errorf("wrapped: %w", &sched.ErrOverloaded{}), http.StatusTooManyRequests},
 		{&failpoint.Error{Site: "s", Msg: "injected"}, http.StatusServiceUnavailable},
-		// Legacy string fallbacks still map.
-		{errors.New(`core: unknown model "x"`), http.StatusNotFound},
-		{errors.New("sched: batch of 9 exceeds queue depth 8"), http.StatusTooManyRequests},
+		{fmt.Errorf("%w %q", core.ErrUnknownModel, "x"), http.StatusNotFound},
+		// Permanent, so not the 429 a client would retry.
+		{fmt.Errorf("sched: batch of 9 %w 8", sched.ErrBatchTooLarge), http.StatusRequestEntityTooLarge},
+		{core.ErrUnknownDevice, http.StatusNotFound},
+		{core.ErrInputWidth, http.StatusBadRequest},
+		{core.ErrEmptyDevice, http.StatusBadRequest},
+		{core.ErrClassRange, http.StatusBadRequest},
+		{core.ErrInstall, http.StatusBadRequest},
+		{core.ErrBadDeviceState, http.StatusBadRequest},
+		{core.ErrCachingNotJustified, http.StatusConflict},
+		{core.ErrNoTrainingData, http.StatusConflict},
+		// Only the sentinel decides: the words alone do not.
+		{errors.New(`core: unknown model "x"`), http.StatusInternalServerError},
 		{errors.New("anything else"), http.StatusInternalServerError},
 	}
 	for _, c := range cases {
@@ -198,6 +208,42 @@ func TestClientRetryRespectsContext(t *testing.T) {
 	}
 	if got := calls.Load(); got > 5 {
 		t.Fatalf("%d attempts inside a 60ms context at 50ms backoff", got)
+	}
+}
+
+// countingTransport counts the requests a Client sends.
+type countingTransport struct{ sent atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.sent.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// A batch of more rows than the scheduler's queue can ever hold is
+// refused for good: 413, which no retry policy replays. As a 429 (what
+// it used to be) a resilient client sent it four times, spending three
+// of the retry tokens that genuinely transient failures need.
+func TestOversizedBatchIsRefusedOnceNotRetried(t *testing.T) {
+	c, train, test := testServer(t) // QueueDepth 32
+	trainDemo(t, c, train)
+	var wire countingTransport
+	rc := NewResilientClient(c.Base)
+	rc.HTTP = &http.Client{Transport: &wire}
+
+	rows := make([][]float64, 33)
+	for i := range rows {
+		rows[i], _ = test.Sample(i)
+	}
+	_, err := rc.InferBatch(context.Background(), "demo", rows)
+	var se *ServerError
+	if !errors.As(err, &se) || se.Status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("InferBatch of 33 rows into a queue of 32: %v, want a 413 ServerError", err)
+	}
+	if want := "sched: batch of 33 exceeds queue depth 32"; se.Msg != want {
+		t.Fatalf("error text %q, want %q", se.Msg, want)
+	}
+	if got := wire.sent.Load(); got != 1 {
+		t.Fatalf("the oversized batch cost %d requests, want 1", got)
 	}
 }
 

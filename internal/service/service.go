@@ -26,7 +26,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -863,36 +862,30 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// statusFor maps a core/sched error to an HTTP status. Typed errors are
-// matched with errors.Is / errors.As; the string fallback below covers
-// only legacy fmt.Errorf paths that have no sentinel yet.
+// statusFor maps a core/sched error to an HTTP status by errors.Is /
+// errors.As alone, so rewording a message cannot change a status.
 func statusFor(err error) int {
 	var ov *sched.ErrOverloaded
 	var fp *failpoint.Error
 	switch {
 	case errors.As(err, &ov):
 		return http.StatusTooManyRequests
+	case errors.Is(err, sched.ErrBatchTooLarge): // permanent, unlike a 429: clients must not retry it
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, core.ErrClosed), errors.Is(err, sched.ErrStopped):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrBadDeviceState):
-		return http.StatusBadRequest
 	case errors.As(err, &fp): // injected faults read as transient
 		return http.StatusServiceUnavailable
-	}
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, "unknown model"), strings.Contains(msg, "unknown device"):
+	case errors.Is(err, core.ErrUnknownModel), errors.Is(err, core.ErrUnknownDevice):
 		return http.StatusNotFound
-	case strings.Contains(msg, "input width"),
-		strings.Contains(msg, "empty device"),
-		strings.Contains(msg, "outside model"),
-		strings.Contains(msg, "installing"): // snapshot decode/validation
+	case errors.Is(err, core.ErrBadDeviceState),
+		errors.Is(err, core.ErrInputWidth),
+		errors.Is(err, core.ErrEmptyDevice),
+		errors.Is(err, core.ErrClassRange),
+		errors.Is(err, core.ErrInstall):
 		return http.StatusBadRequest
-	case strings.Contains(msg, "caching not justified"),
-		strings.Contains(msg, "no training data retained"):
+	case errors.Is(err, core.ErrCachingNotJustified), errors.Is(err, core.ErrNoTrainingData):
 		return http.StatusConflict
-	case strings.Contains(msg, "exceeds queue depth"):
-		return http.StatusTooManyRequests
 	}
 	return http.StatusInternalServerError
 }

@@ -1,6 +1,7 @@
 package staged
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -60,6 +61,14 @@ func TestExecStageBatchMatchesExecStage(t *testing.T) {
 }
 
 func testExecStageBatchMatchesExecStage(t *testing.T, tol float64, engine func(*Model) execFn) {
+	for _, b := range []int{1, 6} {
+		t.Run(fmt.Sprintf("B=%d", b), func(t *testing.T) {
+			testExecStageBatchRows(t, b, tol, engine)
+		})
+	}
+}
+
+func testExecStageBatchRows(t *testing.T, b int, tol float64, engine func(*Model) execFn) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := Config{
 		In: 12, Hidden: 24, Classes: 4,
@@ -77,8 +86,15 @@ func testExecStageBatchMatchesExecStage(t *testing.T, tol float64, engine func(*
 	// one path cannot mask a bug in the other.
 	single := m.Clone()
 
-	const b = 6
+	// The input rows carry spare capacity beyond the widest stage
+	// output, as the rows core.InferBatch's callers pass do (only the
+	// wire decoder cuts rows to cap == len): with cap == len the
+	// in-place branch could not fire on them and the ownership check
+	// below would pass whatever the engine did.
 	inputs := randRows(rng, b, cfg.In)
+	for i, row := range inputs {
+		inputs[i] = append(make([]float64, 0, 64), row...)
+	}
 	pristine := make([][]float64, b)
 	batchHidden := make([][]float64, b)
 	singleHidden := make([][]float64, b)
@@ -103,6 +119,16 @@ func testExecStageBatchMatchesExecStage(t *testing.T, tol float64, engine func(*
 		if len(next) != b || len(outs) != b {
 			t.Fatalf("stage %d: batch returned %d hidden, %d outputs", stage, len(next), len(outs))
 		}
+		// Stage-0 ownership contract: the raw input slices are never
+		// written by the batch path. Checked before the reference chain
+		// reads the same rows.
+		for i := range inputs {
+			for j := range inputs[i] {
+				if inputs[i][j] != pristine[i][j] {
+					t.Fatalf("stage %d wrote input row %d at %d: callers keep their rows", stage, i, j)
+				}
+			}
+		}
 		for i := 0; i < b; i++ {
 			wantHidden, want := single.ExecStage(singleHidden[i], stage)
 			singleHidden[i] = wantHidden
@@ -125,16 +151,6 @@ func testExecStageBatchMatchesExecStage(t *testing.T, tol float64, engine func(*
 		// the batch scratch like the live executor does.
 		for i := 0; i < b; i++ {
 			batchHidden[i] = next[i]
-		}
-	}
-
-	// Stage-0 ownership contract: the raw input slices are never
-	// written by the batch path.
-	for i := range inputs {
-		for j := range inputs[i] {
-			if inputs[i][j] != pristine[i][j] {
-				t.Fatalf("input %d mutated at %d", i, j)
-			}
 		}
 	}
 }

@@ -82,9 +82,9 @@ var gemmPool struct {
 
 func init() {
 	// Default to one goroutine per schedulable core, like a BLAS:
-	// explicit SetParallelism (core.Config.Parallelism, eugened
-	// -parallelism) overrides. Helpers spawn lazily on the first
-	// product that splits, so merely importing tensor starts nothing.
+	// explicit SetParallelism overrides. Helpers spawn lazily on the
+	// first product that splits, so merely importing tensor starts
+	// nothing.
 	gemmPool.limit.Store(int32(min(runtime.GOMAXPROCS(0), maxParallelism)))
 	gemmPool.idle = make(chan *gemmHelper, maxParallelism)
 }
