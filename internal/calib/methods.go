@@ -47,14 +47,11 @@ func (e *StageEval) MeanECE(m int) (float64, error) {
 // EvalUncalibrated runs the model deterministically over the set and
 // collects per-stage confidences — the paper's "Uncalibrated" row.
 func EvalUncalibrated(m *staged.Model, set *dataset.Set) *StageEval {
-	s := m.NumStages()
-	ev := newStageEval(s, set.Len())
-	for i := 0; i < set.Len(); i++ {
-		x, y := set.Sample(i)
-		outs := m.Predict(x, s-1)
+	ev := newStageEval(m.NumStages(), set.Len())
+	for i, outs := range m.PredictRows(set.X) {
 		for j, o := range outs {
 			ev.Confs[j][i] = o.Conf
-			ev.Correct[j][i] = o.Pred == y
+			ev.Correct[j][i] = o.Pred == set.Labels[i]
 		}
 	}
 	return ev
@@ -252,16 +249,11 @@ func scaledECE(logits [][]float64, labels []int, scale float64, bins int) (float
 // logits up to a per-sample constant, which softmax ignores) for every
 // sample, so the scale optimization needs no further network passes.
 func stageLogits(m *staged.Model, set *dataset.Set) ([][][]float64, []int) {
-	stages := m.NumStages()
-	logits := make([][][]float64, stages)
+	logits := make([][][]float64, m.NumStages())
 	for s := range logits {
 		logits[s] = make([][]float64, set.Len())
 	}
-	labels := make([]int, set.Len())
-	for i := 0; i < set.Len(); i++ {
-		x, y := set.Sample(i)
-		labels[i] = y
-		outs := m.Predict(x, stages-1)
+	for i, outs := range m.PredictRows(set.X) {
 		for s, o := range outs {
 			lg := make([]float64, len(o.Probs))
 			for c, p := range o.Probs {
@@ -270,7 +262,7 @@ func stageLogits(m *staged.Model, set *dataset.Set) ([][][]float64, []int) {
 			logits[s][i] = lg
 		}
 	}
-	return logits, labels
+	return logits, set.Labels
 }
 
 // fitHeadScale gradient-descends one stage's logit scale s on the Eq. 4
@@ -283,6 +275,7 @@ func fitHeadScale(logits [][]float64, labels []int, alpha float64, iters int, lr
 	classes := len(logits[0])
 	probs := tensor.NewMatrix(1, classes)
 	scaled := tensor.NewMatrix(1, classes)
+	lp := make([]float64, classes)
 	for it := 0; it < iters; it++ {
 		var grad float64
 		for i, z := range logits {
@@ -291,7 +284,10 @@ func fitHeadScale(logits [][]float64, labels []int, alpha float64, iters int, lr
 			}
 			tensor.Softmax(probs, scaled)
 			p := probs.Row(0)
-			h := tensor.Entropy(p)
+			var h float64
+			if alpha != 0 {
+				h = nn.EntropyLogs(p, lp)
+			}
 			// dL/d(s·z_j), then chain through z_j.
 			for c := range p {
 				g := p[c]
@@ -299,8 +295,7 @@ func fitHeadScale(logits [][]float64, labels []int, alpha float64, iters int, lr
 					g -= 1
 				}
 				if alpha != 0 {
-					lp := math.Log(math.Max(p[c], 1e-12))
-					g += alpha * (-p[c] * (lp + h))
+					g += alpha * (-p[c] * (lp[c] + h))
 				}
 				grad += g * z[c]
 			}
@@ -356,26 +351,9 @@ func TemperatureScale(m *staged.Model, val *dataset.Set, bins int) ([]float64, e
 		return nil, fmt.Errorf("calib: bins %d must be positive", bins)
 	}
 	stages := m.NumStages()
-	// Collect logits per stage once.
-	logitsPerStage := make([][][]float64, stages)
-	labels := make([]int, val.Len())
-	for s := range logitsPerStage {
-		logitsPerStage[s] = make([][]float64, val.Len())
-	}
-	for i := 0; i < val.Len(); i++ {
-		x, y := val.Sample(i)
-		labels[i] = y
-		outs := m.Predict(x, stages-1)
-		for s, o := range outs {
-			// Recover logits up to a constant from log-probs; softmax
-			// temperature on log p equals temperature on logits.
-			lg := make([]float64, len(o.Probs))
-			for c, p := range o.Probs {
-				lg[c] = math.Log(math.Max(p, 1e-12))
-			}
-			logitsPerStage[s][i] = lg
-		}
-	}
+	// Collect logits per stage once: softmax temperature on log p equals
+	// temperature on logits.
+	logitsPerStage, labels := stageLogits(m, val)
 	temps := make([]float64, stages)
 	grid := []float64{0.5, 0.67, 0.8, 1, 1.25, 1.5, 2, 3, 4}
 	for s := 0; s < stages; s++ {
@@ -417,9 +395,7 @@ func EvalWithTemperature(m *staged.Model, set *dataset.Set, temps []float64) (*S
 	ev := newStageEval(stages, set.Len())
 	probs := tensor.NewMatrix(1, m.Classes)
 	scaled := tensor.NewMatrix(1, m.Classes)
-	for i := 0; i < set.Len(); i++ {
-		x, y := set.Sample(i)
-		outs := m.Predict(x, stages-1)
+	for i, outs := range m.PredictRows(set.X) {
 		for s, o := range outs {
 			for c, p := range o.Probs {
 				scaled.Data[c] = math.Log(math.Max(p, 1e-12)) / temps[s]
@@ -427,7 +403,7 @@ func EvalWithTemperature(m *staged.Model, set *dataset.Set, temps []float64) (*S
 			tensor.Softmax(probs, scaled)
 			pred, conf := tensor.ArgMax(probs.Row(0))
 			ev.Confs[s][i] = conf
-			ev.Correct[s][i] = pred == y
+			ev.Correct[s][i] = pred == set.Labels[i]
 		}
 	}
 	return ev, nil

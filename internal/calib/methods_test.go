@@ -7,6 +7,7 @@ import (
 
 	"eugene/internal/dataset"
 	"eugene/internal/staged"
+	"eugene/internal/tensor"
 )
 
 // trainedModel trains a small staged model that overfits enough to be
@@ -194,5 +195,87 @@ func TestTemperatureScale(t *testing.T) {
 	}
 	if _, err := EvalWithTemperature(m, holdout, temps[:1]); err == nil {
 		t.Fatal("expected temperature-count error")
+	}
+}
+
+// oldFitHeadScale is fitHeadScale as it was before it took one log per
+// class: tensor.Entropy for H, then math.Log again for each class's
+// gradient term. It is the reference the new one must match bit for bit.
+func oldFitHeadScale(logits [][]float64, labels []int, alpha float64, iters int, lr float64) float64 {
+	scale := 1.0
+	classes := len(logits[0])
+	probs := tensor.NewMatrix(1, classes)
+	scaled := tensor.NewMatrix(1, classes)
+	for it := 0; it < iters; it++ {
+		var grad float64
+		for i, z := range logits {
+			for c, v := range z {
+				scaled.Data[c] = scale * v
+			}
+			tensor.Softmax(probs, scaled)
+			p := probs.Row(0)
+			h := tensor.Entropy(p)
+			for c := range p {
+				g := p[c]
+				if c == labels[i] {
+					g -= 1
+				}
+				if alpha != 0 {
+					lp := math.Log(math.Max(p[c], 1e-12))
+					g += alpha * (-p[c] * (lp + h))
+				}
+				grad += g * z[c]
+			}
+		}
+		grad /= float64(len(logits))
+		scale -= lr * grad
+		if scale < 0.01 {
+			scale = 0.01
+		}
+	}
+	return scale
+}
+
+// TestFitHeadScaleMatchesTwoLogs: on random logits from mild to
+// saturated — rows where the losing classes' probabilities fall below
+// 1e-12 and, at the largest spreads, underflow to exactly zero — the
+// fitted scale is the old formula's, bit for bit, at every α sign.
+func TestFitHeadScaleMatchesTwoLogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, spread := range []float64{0.5, 3, 30, 400} {
+		logits := make([][]float64, 40)
+		labels := make([]int, len(logits))
+		for i := range logits {
+			logits[i] = make([]float64, 6)
+			for c := range logits[i] {
+				logits[i][c] = spread * rng.NormFloat64()
+			}
+			labels[i] = rng.Intn(6)
+		}
+		for _, alpha := range []float64{0, 0.1, -0.1, 0.5, -2} {
+			got, want := fitHeadScale(logits, labels, alpha, 60, 0.03), oldFitHeadScale(logits, labels, alpha, 60, 0.03)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("spread %v α %v: scale %v, the two-log formula gives %v", spread, alpha, got, want)
+			}
+		}
+	}
+}
+
+// TestEntropyCalibrateAlphaPinned: on this file's fixture, at
+// TestEntropyCalibrateImprovesECE's grid, the chosen α is the one the
+// parent commit of the one-log change (11f1ca5) chose, -0.5, on both
+// kernel paths (AVX2; -tags noasm).
+func TestEntropyCalibrateAlphaPinned(t *testing.T) {
+	m, _, test := trainedModel(t)
+	val, _ := test.Split(150)
+	cfg := DefaultEntropyCalibConfig()
+	cfg.Epochs = 8
+	cfg.Alphas = []float64{0.25, 0.5, 1}
+	_, alpha, err := EntropyCalibrate(m, val, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alpha != -0.5 {
+		t.Fatalf("α = %v, the parent chose -0.5", alpha)
 	}
 }

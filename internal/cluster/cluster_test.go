@@ -910,6 +910,41 @@ func TestAbortedUploadDoesNotBlameNode(t *testing.T) {
 	}
 }
 
+// A training payload the replica refuses is the client's error all the
+// way out: the replica's 400 is relayed, and the node is not blamed. At
+// the parent commit a label outside the classes, or a dim whose product
+// with the sample count overflows, panicked the replica's handler;
+// net/http dropped the connection, and the router counted the EOF
+// against the node — FailThreshold (3) such requests ejected a healthy
+// primary. Six are sent here.
+func TestRefusedTrainingPayloadDoesNotBlameNode(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	for i := 0; i < 3; i++ {
+		for _, body := range []string{
+			`{"data":{"dim":2,"x":[1,2,3,4],"labels":[0,7]},"classes":2}`,
+			`{"data":{"dim":4611686018427387904,"x":[],"labels":[0,1,0,1]},"classes":2}`,
+		} {
+			resp, err := http.Post(f.rsrv.URL+"/v1/models/m/train", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("train %.50s: %v", body, err)
+			}
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("train %.50s: status %d, want the replica's 400", body, resp.StatusCode)
+			}
+		}
+	}
+	st := f.router.Status()
+	if st.PinnedFailures != 0 {
+		t.Fatalf("pinned failures = %d after refused payloads, want 0", st.PinnedFailures)
+	}
+	for _, n := range st.Nodes {
+		if !n.Healthy || n.ConsecutiveFailures != 0 || n.Ejections != 0 {
+			t.Fatalf("node %s blamed for a refused payload: %+v", n.Base, n)
+		}
+	}
+}
+
 // A pinned request is attempted exactly once: with the forward seam
 // failing every call, one pinned request makes one attempt, where an
 // anonymous one makes as many as the retry policy allows.

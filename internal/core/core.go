@@ -149,6 +149,7 @@ var (
 	ErrEmptyDevice         = errors.New("core: empty device id")
 	ErrInputWidth          = errors.New("input width")
 	ErrClassRange          = errors.New("outside model")
+	ErrLabelRange          = errors.New("core: label out of range")
 	ErrInstall             = errors.New("core: installing") // snapshot decode or validation failed
 	ErrCachingNotJustified = errors.New("core: caching not justified")
 	ErrNoTrainingData      = errors.New("core: no training data retained")
@@ -280,6 +281,9 @@ func (s *Service) Train(name string, train *dataset.Set, opts TrainOptions) (*Mo
 	if err != nil {
 		return nil, fmt.Errorf("core: building model %q: %w", name, err)
 	}
+	if err := checkSet(name, m, train); err != nil {
+		return nil, err
+	}
 	if _, err := m.Train(opts.Train, train); err != nil {
 		return nil, fmt.Errorf("core: training model %q: %w", name, err)
 	}
@@ -324,6 +328,9 @@ func (s *Service) Calibrate(name string, calibSet *dataset.Set, cfg calib.Entrop
 	if err != nil {
 		return 0, err
 	}
+	if err := checkSet(name, entry.Model, calibSet); err != nil {
+		return 0, err
+	}
 	// Work on a private clone: forward passes mutate layer scratch
 	// buffers, and the published model may be serving concurrent
 	// Calibrate/BuildPredictor calls.
@@ -363,6 +370,9 @@ func (s *Service) Calibrate(name string, calibSet *dataset.Set, cfg calib.Entrop
 func (s *Service) BuildPredictor(name string, data *dataset.Set, cfg sched.GPPredictorConfig) error {
 	entry, err := s.get(name)
 	if err != nil {
+		return err
+	}
+	if err := checkSet(name, entry.Model, data); err != nil {
 		return err
 	}
 	// Clone for the same reason as Calibrate: keep forward-pass scratch
@@ -459,6 +469,20 @@ func (s *Service) InferBatch(ctx context.Context, name string, inputs [][]float6
 func checkWidth(name string, want int, input []float64) error {
 	if len(input) != want {
 		return fmt.Errorf("core: model %q wants %w %d, got %d", name, ErrInputWidth, want, len(input))
+	}
+	return nil
+}
+
+// checkSet rejects a labelled set m cannot be fit on: rows of another
+// width panic its forward pass, and a label outside its classes panics
+// training's loss or, in calibration and the predictor's curves, scores
+// every row as wrong and fits to nothing.
+func checkSet(name string, m *staged.Model, set *dataset.Set) error {
+	if set.X.Cols != m.In {
+		return fmt.Errorf("core: model %q wants %w %d, got %d", name, ErrInputWidth, m.In, set.X.Cols)
+	}
+	if err := set.CheckLabels(m.Classes); err != nil {
+		return fmt.Errorf("%w for model %q: %v", ErrLabelRange, name, err)
 	}
 	return nil
 }

@@ -27,6 +27,16 @@ func (s *Set) Len() int { return len(s.Labels) }
 // Sample returns a view of the i-th feature row and its label.
 func (s *Set) Sample(i int) ([]float64, int) { return s.X.Row(i), s.Labels[i] }
 
+// CheckLabels reports the first label outside [0, classes).
+func (s *Set) CheckLabels(classes int) error {
+	for i, y := range s.Labels {
+		if y < 0 || y >= classes {
+			return fmt.Errorf("dataset: sample %d has label %d outside [0,%d)", i, y, classes)
+		}
+	}
+	return nil
+}
+
 // Subset copies the samples at the given indices into a new Set.
 func (s *Set) Subset(idx []int) *Set {
 	out := &Set{X: tensor.NewMatrix(len(idx), s.X.Cols), Labels: make([]int, len(idx))}

@@ -22,6 +22,10 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 	probs := tensor.NewMatrix(logits.Rows, logits.Cols)
 	tensor.Softmax(probs, logits)
 	invB := 1 / float64(logits.Rows)
+	var lp []float64
+	if alpha != 0 {
+		lp = make([]float64, logits.Cols)
+	}
 	var loss float64
 	for r := 0; r < logits.Rows; r++ {
 		p := probs.Row(r)
@@ -33,7 +37,7 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 		loss += -math.Log(math.Max(p[y], 1e-12))
 		var h float64
 		if alpha != 0 {
-			h = tensor.Entropy(p)
+			h = EntropyLogs(p, lp)
 			loss += alpha * h
 		}
 		for c := range p {
@@ -42,13 +46,38 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 				g[c] -= 1
 			}
 			if alpha != 0 {
-				lp := math.Log(math.Max(p[c], 1e-12))
-				g[c] += alpha * (-p[c] * (lp + h))
+				g[c] += alpha * (-p[c] * (lp[c] + h))
 			}
 			g[c] *= invB
 		}
 	}
 	return loss * invB
+}
+
+// logFloor is log(1e-12): the Eq. 4 gradient's log p for p below 1e-12.
+var logFloor = math.Log(1e-12)
+
+// EntropyLogs returns the entropy H(p) of a probability vector,
+// tensor.Entropy(p) bit for bit, and writes into lp the clamped logs the
+// Eq. 4 gradient takes, lp[c] = log(max(p[c], 1e-12)) bit for bit. Where
+// the two logs agree (p ≥ 1e-12: every class but a saturated row's
+// losers) it takes one math.Log for both.
+func EntropyLogs(p, lp []float64) float64 {
+	var h float64
+	for c, v := range p {
+		l := logFloor
+		if !(v < 1e-12) { // v ≥ 1e-12, or NaN
+			l = math.Log(math.Max(v, 1e-12))
+		}
+		lp[c] = l
+		if v > 0 {
+			if v < 1e-12 {
+				l = math.Log(v)
+			}
+			h -= v * l
+		}
+	}
+	return h
 }
 
 // MSE computes the mean squared error between pred and target and writes

@@ -435,3 +435,87 @@ func TestDenseBackwardScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseBackwardAllocs pins the backward pass's steady state: after
+// the first call has sized the gradient buffers and the scratch, a
+// Dense.Backward at the benchmark's training shape (a batch of 20 through
+// 256 → 256) allocates nothing — both products run inline, under the
+// fan-out grain.
+func TestDenseBackwardAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := NewDense(rng, 256, 256)
+	x, g := tensor.NewMatrix(20, 256), tensor.NewMatrix(20, 256)
+	for i := range x.Data {
+		x.Data[i], g.Data[i] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	d.Forward(x, true)
+	d.Backward(g)
+	if n := testing.AllocsPerRun(20, func() { d.Backward(g) }); n != 0 {
+		t.Fatalf("Dense.Backward: %v allocations per call after the first, want 0", n)
+	}
+}
+
+// oldSoftmaxCEGrad is SoftmaxCE's α ≠ 0 gradient as it was before
+// EntropyLogs: tensor.Entropy for H and a second math.Log per class.
+func oldSoftmaxCEGrad(p []float64, y int, alpha float64) []float64 {
+	h := tensor.Entropy(p)
+	g := make([]float64, len(p))
+	for c := range p {
+		g[c] = p[c]
+		if c == y {
+			g[c] -= 1
+		}
+		lp := math.Log(math.Max(p[c], 1e-12))
+		g[c] += alpha * (-p[c] * (lp + h))
+	}
+	return g
+}
+
+// TestEntropyLogsMatchesTwoLogs holds EntropyLogs to the two formulas it
+// replaces, bit for bit, on rows that are mild, saturated past 1e-12 and
+// saturated to exact zeros, and on the subnormal, zero and NaN entries a
+// probability vector can carry; and SoftmaxCE's gradient, which now uses
+// it, to the old gradient.
+func TestEntropyLogsMatchesTwoLogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	rows := [][]float64{
+		{1e-12, 5e-13, 0, math.Copysign(0, -1), 5e-324, 1e-300, 0.25, 1 - 0.25},
+		{math.NaN(), 0.5, 0.5, 1e-13},
+	}
+	for _, scale := range []float64{1, 10, 40, 200, 800} {
+		logits := tensor.NewMatrix(6, 7)
+		for i := range logits.Data {
+			logits.Data[i] = scale * rng.NormFloat64()
+		}
+		probs := tensor.NewMatrix(6, 7)
+		tensor.Softmax(probs, logits)
+		for r := 0; r < probs.Rows; r++ {
+			rows = append(rows, probs.Row(r))
+		}
+		for _, alpha := range []float64{0.5, -0.3} {
+			labels := []int{0, 1, 2, 3, 4, 5}
+			grad := tensor.NewMatrix(6, 7)
+			SoftmaxCE(grad, logits, labels, alpha)
+			invB := 1 / float64(len(labels))
+			for r, y := range labels {
+				for c, w := range oldSoftmaxCEGrad(probs.Row(r), y, alpha) {
+					if got, want := grad.At(r, c), w*invB; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("scale %v α %v: SoftmaxCE grad[%d][%d] = %v, the two-log formula gives %v", scale, alpha, r, c, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, p := range rows {
+		lp := make([]float64, len(p))
+		h := EntropyLogs(p, lp)
+		if want := tensor.Entropy(p); math.Float64bits(h) != math.Float64bits(want) {
+			t.Fatalf("EntropyLogs(%v) = %v, tensor.Entropy gives %v", p, h, want)
+		}
+		for c, v := range p {
+			if want := math.Log(math.Max(v, 1e-12)); math.Float64bits(lp[c]) != math.Float64bits(want) {
+				t.Fatalf("EntropyLogs(%v) log [%d] = %v, want %v", p, c, lp[c], want)
+			}
+		}
+	}
+}

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +38,9 @@ func TestStatusForTypedErrors(t *testing.T) {
 		{core.ErrInputWidth, http.StatusBadRequest},
 		{core.ErrEmptyDevice, http.StatusBadRequest},
 		{core.ErrClassRange, http.StatusBadRequest},
+		{core.ErrLabelRange, http.StatusBadRequest},
+		{fmt.Errorf("%w for model %q: sample 1 has label 7", core.ErrLabelRange, "m"), http.StatusBadRequest},
+		{fmt.Errorf(`core: model "m" wants %w 4, got 2`, core.ErrInputWidth), http.StatusBadRequest},
 		{core.ErrInstall, http.StatusBadRequest},
 		{core.ErrBadDeviceState, http.StatusBadRequest},
 		{core.ErrCachingNotJustified, http.StatusConflict},
@@ -302,4 +308,126 @@ func TestInferChaosWithFailpoints(t *testing.T) {
 	if counts["service.infer"] != 8 || counts["service.infer-batch"] == 0 {
 		t.Fatalf("failpoint counts = %v", counts)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer a server's error log may write to from
+// its connection goroutines while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// payloadJSON is a DataPayload body of rows samples of dim values, with
+// the given labels.
+func payloadJSON(dim int, labels ...int) string {
+	x := make([]float64, dim*len(labels))
+	for i := range x {
+		x[i] = float64(i%7) / 7
+	}
+	body, _ := json.Marshal(DataPayload{Dim: dim, X: x, Labels: labels})
+	return string(body)
+}
+
+// Training data the model cannot take is the client's error: every body
+// below gets a 400 from the replica, and none reaches a panic inside a
+// handler. At the parent commit five of them panicked their handler
+// (labels 7 and -1, the overflowing dim, both wrong-width sets): net/http
+// logged "http: panic serving" and dropped the connection, an EOF that a
+// router in front counts against the node. Three more were answered 200
+// — the negative hidden trained at the default width, and calibration
+// and the predictor fit to labels no head can output — and the negative
+// reduce width was a 500.
+func TestMalformedTrainingDataIs400(t *testing.T) {
+	svc, err := core.NewService(core.Config{Workers: 1, Deadline: time.Second, QueueDepth: 8, Lookahead: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	var serverLog lockedBuffer
+	ts := httptest.NewUnstartedServer(NewServer(svc))
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	var ok DataPayload
+	if err := json.Unmarshal([]byte(payloadJSON(3, 0, 1, 2, 0, 1, 2, 0, 1)), &ok); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Train(ctx, "m", TrainRequest{Data: ok, Classes: 3, Hidden: 8, Stages: 2, Blocks: 1, Epochs: 1}); err != nil {
+		t.Fatalf("training on a valid set: %v", err)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/models/n/train", `{"data":{"dim":2,"x":[1,2,3,4],"labels":[0,7]},"classes":2}`},
+		{"/v1/models/n/train", `{"data":{"dim":4611686018427387904,"x":[],"labels":[0,1,0,1]},"classes":2}`},
+		{"/v1/models/n/train", `{"data":{"dim":1,"x":[1,2],"labels":[0,-1]},"classes":2}`},
+		{"/v1/models/n/train", `{"data":{"dim":1,"x":[1,2],"labels":[0,1]},"classes":2,"hidden":-1}`},
+		{"/v1/models/n/train", `{"data":{"dim":1,"x":[1,2],"labels":[0,1]},"classes":2,"epochs":-5}`},
+		{"/v1/models/m/calibrate", payloadJSON(3, 0, 1, 2, 3, 0, 1)},
+		{"/v1/models/m/calibrate", payloadJSON(2, 0, 1, 2, 0, 1, 2)},
+		{"/v1/models/m/predictor", payloadJSON(3, 0, 9, 1, 2)},
+		{"/v1/models/m/predictor", payloadJSON(5, 0, 1, 2, 0)},
+		{"/v1/models/m/reduce", `{"hot":[0],"hidden":-2}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s %.60s: %v", tc.path, tc.body, err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %.60s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	if l := serverLog.String(); strings.Contains(l, "panic") {
+		t.Fatalf("a handler panicked:\n%s", l)
+	}
+}
+
+// FuzzTrainRequest holds the train handler's validation to its promise
+// on arbitrary bodies: decoding and TrainRequest.options never panic,
+// and a set they accept has Dim values per sample and every label in
+// [0, Classes) — what training indexes with.
+func FuzzTrainRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"data":{"dim":2,"x":[1,2,3,4],"labels":[0,1]},"classes":2}`,
+		`{"data":{"dim":2,"x":[1,2,3,4],"labels":[0,7]},"classes":2}`,
+		`{"data":{"dim":4611686018427387904,"x":[],"labels":[0,1,0,1]},"classes":2}`,
+		`{"data":{"dim":-1,"x":[1],"labels":[0]},"classes":2,"hidden":-3,"stages":2}`,
+		`{"data":{"dim":1,"x":[1,2,3],"labels":[2,1,0]},"classes":3,"blocks":1,"epochs":1,"seed":9}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req TrainRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+			return
+		}
+		set, opts, err := req.options()
+		if err != nil {
+			return
+		}
+		if rows := len(set.Labels); set.X.Rows != rows || set.X.Cols != req.Data.Dim || len(set.X.Data) != rows*req.Data.Dim {
+			t.Fatalf("accepted %d labels as a %dx%d matrix of %d values (dim %d)", rows, set.X.Rows, set.X.Cols, len(set.X.Data), req.Data.Dim)
+		}
+		for i, y := range set.Labels {
+			if y < 0 || y >= req.Classes {
+				t.Fatalf("accepted label %d at sample %d for %d classes", y, i, req.Classes)
+			}
+		}
+		if m := opts.Model; m.In != req.Data.Dim || m.Classes != req.Classes || m.Hidden < 1 || m.StageCount < 1 || m.BlocksPerStage < 1 || opts.Train.Epochs < 1 {
+			t.Fatalf("accepted options %+v for %s", opts, body)
+		}
+	})
 }

@@ -49,16 +49,25 @@ type DataPayload struct {
 	Labels []int     `json:"labels"`
 }
 
-// ToSet validates and converts the payload.
+// ToSet validates and converts the payload. The shape is checked by
+// division, not by multiplying Dim by the sample count: that product
+// overflows for a large enough Dim and would let a short X through.
+// Labels must be non-negative; their upper bound is the model's class
+// count, which the payload does not carry.
 func (p *DataPayload) ToSet() (*dataset.Set, error) {
 	if p.Dim < 1 {
 		return nil, fmt.Errorf("service: dim %d must be positive", p.Dim)
 	}
-	if len(p.X) != p.Dim*len(p.Labels) {
+	if len(p.X)%p.Dim != 0 || len(p.X)/p.Dim != len(p.Labels) {
 		return nil, fmt.Errorf("service: %d values for %d samples of dim %d", len(p.X), len(p.Labels), p.Dim)
 	}
 	if len(p.Labels) == 0 {
 		return nil, errors.New("service: empty dataset")
+	}
+	for i, y := range p.Labels {
+		if y < 0 {
+			return nil, fmt.Errorf("service: sample %d has negative label %d", i, y)
+		}
 	}
 	return &dataset.Set{
 		X:      tensor.FromSlice(len(p.Labels), p.Dim, p.X),
@@ -82,6 +91,43 @@ type TrainRequest struct {
 	Blocks int   `json:"blocks,omitempty"`
 	Epochs int   `json:"epochs,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
+}
+
+// options validates the request and returns the set and options to
+// train on: a request it accepts has every label in [0, Classes), and a
+// negative size is refused rather than read as the default.
+func (r *TrainRequest) options() (*dataset.Set, core.TrainOptions, error) {
+	set, err := r.Data.ToSet()
+	if err != nil {
+		return nil, core.TrainOptions{}, err
+	}
+	if r.Classes < 2 {
+		return nil, core.TrainOptions{}, fmt.Errorf("classes %d must be ≥2", r.Classes)
+	}
+	if err := set.CheckLabels(r.Classes); err != nil {
+		return nil, core.TrainOptions{}, err
+	}
+	if r.Hidden < 0 || r.Stages < 0 || r.Blocks < 0 || r.Epochs < 0 {
+		return nil, core.TrainOptions{}, fmt.Errorf("hidden %d, stages %d, blocks %d, epochs %d: none may be negative (0 is the default)",
+			r.Hidden, r.Stages, r.Blocks, r.Epochs)
+	}
+	opts := core.DefaultTrainOptions(set.X.Cols, r.Classes)
+	if r.Hidden > 0 {
+		opts.Model.Hidden = r.Hidden
+	}
+	if r.Stages > 0 {
+		opts.Model.StageCount = r.Stages
+	}
+	if r.Blocks > 0 {
+		opts.Model.BlocksPerStage = r.Blocks
+	}
+	if r.Epochs > 0 {
+		opts.Train.Epochs = r.Epochs
+	}
+	if r.Seed != 0 {
+		opts.Seed = r.Seed
+	}
+	return set, opts, nil
 }
 
 // TrainResponse reports training results.
@@ -459,30 +505,10 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, MaxTrainBody, &req) {
 		return
 	}
-	set, err := req.Data.ToSet()
+	set, opts, err := req.options()
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
-	}
-	if req.Classes < 2 {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("classes %d must be ≥2", req.Classes))
-		return
-	}
-	opts := core.DefaultTrainOptions(set.X.Cols, req.Classes)
-	if req.Hidden > 0 {
-		opts.Model.Hidden = req.Hidden
-	}
-	if req.Stages > 0 {
-		opts.Model.StageCount = req.Stages
-	}
-	if req.Blocks > 0 {
-		opts.Model.BlocksPerStage = req.Blocks
-	}
-	if req.Epochs > 0 {
-		opts.Train.Epochs = req.Epochs
-	}
-	if req.Seed != 0 {
-		opts.Seed = req.Seed
 	}
 	entry, err := s.svc.Train(name, set, opts)
 	if err != nil {
@@ -694,6 +720,10 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", req.Precision))
 		return
 	}
+	if req.Hidden < 0 || req.Epochs < 0 {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("hidden %d, epochs %d: neither may be negative (0 is the default)", req.Hidden, req.Epochs))
+		return
+	}
 	var set *dataset.Set
 	if req.Data != nil {
 		var err error
@@ -882,6 +912,7 @@ func statusFor(err error) int {
 		errors.Is(err, core.ErrInputWidth),
 		errors.Is(err, core.ErrEmptyDevice),
 		errors.Is(err, core.ErrClassRange),
+		errors.Is(err, core.ErrLabelRange),
 		errors.Is(err, core.ErrInstall):
 		return http.StatusBadRequest
 	case errors.Is(err, core.ErrCachingNotJustified), errors.Is(err, core.ErrNoTrainingData):

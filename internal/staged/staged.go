@@ -282,6 +282,10 @@ type StageOutput struct {
 
 // ForwardAll runs the batch through every stage and returns per-stage
 // logits. When train is true, activations are cached for Backward.
+//
+// The logit matrices are the heads' own output buffers, not copies: the
+// next forward pass through the model (ForwardAll, Predict, ExecStage,
+// a Runner) overwrites them. Read or copy what is needed before that.
 func (m *Model) ForwardAll(x *tensor.Matrix, train bool) []*tensor.Matrix {
 	h := m.Stem.Forward(x, train)
 	logits := make([]*tensor.Matrix, len(m.Stages))
@@ -330,6 +334,48 @@ func (m *Model) Predict(x []float64, upTo int) []StageOutput {
 		outs = append(outs, exitOutput(i, s.Head.Forward(h, false)))
 	}
 	return outs
+}
+
+// predictBlock is the most rows PredictRows sends through one forward
+// pass. A block's largest product (64 × 256 × 256 at the served shape)
+// stays under tensor's fan-out grain, so evaluation runs on its caller's
+// core as the one-row passes did.
+const predictBlock = 64
+
+// PredictRows is Predict through the whole network for every row of x:
+// out[i] is Predict(x.Row(i), NumStages()-1), bit for bit, because the
+// dense kernel's result for a row does not depend on the rows it is
+// batched with and every other layer works row by row. The rows go
+// through ForwardAll in blocks of up to predictBlock, so a set costs a
+// forward pass per block instead of one per row. The one exception is
+// Monte-Carlo dropout, whose masks are drawn in block order rather than
+// row order: same distribution, other draws.
+func (m *Model) PredictRows(x *tensor.Matrix) [][]StageOutput {
+	stages := len(m.Stages)
+	out := make([][]StageOutput, x.Rows)
+	flat := make([]StageOutput, x.Rows*stages)
+	// Stage s's probabilities for every row, contiguous so that one
+	// Softmax per block and stage fills them.
+	probs := make([]float64, stages*x.Rows*m.Classes)
+	for lo := 0; lo < x.Rows; lo += predictBlock {
+		hi := min(lo+predictBlock, x.Rows)
+		block := tensor.FromSlice(hi-lo, x.Cols, x.Data[lo*x.Cols:hi*x.Cols])
+		// The logits are layer scratch: consumed here, before the next
+		// block's pass overwrites them.
+		for s, logits := range m.ForwardAll(block, false) {
+			p := tensor.FromSlice(hi-lo, m.Classes, probs[(s*x.Rows+lo)*m.Classes:(s*x.Rows+hi)*m.Classes])
+			tensor.Softmax(p, logits)
+			for i := lo; i < hi; i++ {
+				row := p.Row(i - lo)
+				pred, conf := tensor.ArgMax(row)
+				flat[i*stages+s] = StageOutput{Stage: s, Pred: pred, Conf: conf, Probs: row[:len(row):len(row)]}
+			}
+		}
+	}
+	for i := range out {
+		out[i] = flat[i*stages : (i+1)*stages : (i+1)*stages]
+	}
+	return out
 }
 
 // StageCostFLOPs estimates the floating-point cost of executing stage l

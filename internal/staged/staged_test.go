@@ -7,6 +7,7 @@ import (
 
 	"eugene/internal/dataset"
 	"eugene/internal/nn"
+	"eugene/internal/tensor"
 )
 
 func tinyConfig() Config {
@@ -200,6 +201,12 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 	if _, err := m2.Train(cfg, train); err == nil {
 		t.Fatal("expected error for width mismatch")
 	}
+	// A label outside the classes is an error, not the loss's panic.
+	bad := train.Subset([]int{0, 1, 2})
+	bad.Labels[1] = 7
+	if _, err := m.Train(cfg, bad); err == nil {
+		t.Fatal("expected error for label 7 of 3 classes")
+	}
 }
 
 func TestCloneIndependentPredictions(t *testing.T) {
@@ -318,5 +325,52 @@ func TestMCDropoutChangesHeadOutputs(t *testing.T) {
 	}
 	if !differed {
 		t.Fatal("MC dropout never changed the head output")
+	}
+}
+
+// TestPredictRowsMatchesPredict holds the batched evaluation pass to the
+// one-row reference bit for bit — prediction, confidence and every
+// probability at every stage — at odd row counts inside one block and
+// across block boundaries, on the served trunk's shape (thin bottleneck
+// heads, dropout that is the identity at inference) and on a
+// convolutional model.
+func TestPredictRowsMatchesPredict(t *testing.T) {
+	dense, err := New(rand.New(rand.NewSource(12)), Config{
+		In: 32, Hidden: 64, Classes: 10, StageCount: 3, BlocksPerStage: 2,
+		HeadBottlenecks: []int{8, 12, 0}, HeadDropout: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := NewConv(rand.New(rand.NewSource(13)), DefaultConvConfig(2, 6, 6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range []*Model{dense, conv} {
+		for _, rows := range []int{1, 3, 7, 63, 64, 65, 131} {
+			x := tensor.NewMatrix(rows, m.In)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			got := m.PredictRows(x)
+			if len(got) != rows {
+				t.Fatalf("%d rows in, %d out", rows, len(got))
+			}
+			for i, outs := range got {
+				want := m.Predict(x.Row(i), m.NumStages()-1)
+				for s, o := range outs {
+					w := want[s]
+					if o.Stage != s || o.Pred != w.Pred || math.Float64bits(o.Conf) != math.Float64bits(w.Conf) || len(o.Probs) != len(w.Probs) {
+						t.Fatalf("%d rows, row %d stage %d: batched %+v, Predict %+v", rows, i, s, o, w)
+					}
+					for c, p := range o.Probs {
+						if math.Float64bits(p) != math.Float64bits(w.Probs[c]) {
+							t.Fatalf("%d rows, row %d stage %d: P(class %d) = %v batched, %v by Predict", rows, i, s, c, p, w.Probs[c])
+						}
+					}
+				}
+			}
+		}
 	}
 }

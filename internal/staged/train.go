@@ -50,6 +50,9 @@ func (m *Model) Train(cfg TrainConfig, train *dataset.Set) (float64, error) {
 	if train.X.Cols != m.In {
 		return 0, fmt.Errorf("staged: training data width %d, model expects %d", train.X.Cols, m.In)
 	}
+	if err := train.CheckLabels(m.Classes); err != nil {
+		return 0, fmt.Errorf("staged: %w", err) // the loss would panic on it
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	params := m.Params()
@@ -91,10 +94,8 @@ func (m *Model) EvalStageAccuracy(set *dataset.Set, stage int) float64 {
 		return 0
 	}
 	var correct int
-	for i := 0; i < set.Len(); i++ {
-		x, y := set.Sample(i)
-		outs := m.Predict(x, stage)
-		if outs[stage].Pred == y {
+	for i, outs := range m.PredictRows(set.X) {
+		if outs[stage].Pred == set.Labels[i] {
 			correct++
 		}
 	}
@@ -108,11 +109,9 @@ func (m *Model) EvalAllStages(set *dataset.Set) []float64 {
 		return acc
 	}
 	correct := make([]int, m.NumStages())
-	for i := 0; i < set.Len(); i++ {
-		x, y := set.Sample(i)
-		outs := m.Predict(x, m.NumStages()-1)
+	for i, outs := range m.PredictRows(set.X) {
 		for s, o := range outs {
-			if o.Pred == y {
+			if o.Pred == set.Labels[i] {
 				correct[s]++
 			}
 		}
@@ -131,13 +130,11 @@ func (m *Model) ConfidenceCurves(set *dataset.Set) (conf *tensor.Matrix, correct
 	s := m.NumStages()
 	conf = tensor.NewMatrix(set.Len(), s)
 	correct = make([][]bool, set.Len())
-	for i := 0; i < set.Len(); i++ {
-		x, y := set.Sample(i)
-		outs := m.Predict(x, s-1)
+	for i, outs := range m.PredictRows(set.X) {
 		correct[i] = make([]bool, s)
 		for j, o := range outs {
 			conf.Set(i, j, o.Conf)
-			correct[i][j] = o.Pred == y
+			correct[i][j] = o.Pred == set.Labels[i]
 		}
 	}
 	return conf, correct

@@ -49,6 +49,7 @@ type gemmJob struct {
 	bias            []float64
 	bias32          []float32
 	relu            bool
+	transA          bool // runProduct64: aᵀ·b rather than a·b
 	lo, hi          int
 }
 

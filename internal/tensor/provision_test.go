@@ -1,0 +1,75 @@
+package tensor_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"eugene/internal/calib"
+	"eugene/internal/core"
+	"eugene/internal/dataset"
+	"eugene/internal/sched"
+	"eugene/internal/tensor"
+)
+
+// provisionPins is the sha256 of TestProvisioningPin's bundle as the
+// parent of the training-products kernel, commit 11f1ca5, produced it on
+// each kernel path (go test ./internal/tensor; go test -tags noasm
+// ./internal/tensor). Training runs through every product in this
+// package, so a change anywhere here — or in nn, staged, calib or gp —
+// that moves one trained bit fails this test.
+var provisionPins = map[string]string{
+	"avx2":     "81877a347ec1aa55d259ea534232065db003cc48c760f7e5623bc9ac1ca7a528",
+	"portable": "82d4cd88ae60eac1eca9149294b6e6a3e65cae41697e025167e042181761ea3c",
+}
+
+// TestProvisioningPin runs the paper's provisioning pipeline end to end
+// at a small fixed-seed shape — train, calibrate by Eq. 4, fit the GP
+// confidence predictor — and compares the model bundle's hash with the
+// one recorded from the parent commit. The shape puts a masked column
+// tail and a ragged register tile in both backward products (13 inputs,
+// 40 hidden, a 6-wide bottleneck head, 5 classes, batches of 20).
+func TestProvisioningPin(t *testing.T) {
+	path := tensor.KernelPath()
+	if path == "" {
+		t.Skip("this build may fuse the portable loops' multiply-adds (arm64, GOAMD64 ≥ v3): no recorded bundle applies")
+	}
+	train, test, err := dataset.SynthCIFAR(dataset.SynthConfig{
+		Classes: 5, Dim: 13, ModesPerClass: 2, TrainSize: 160, TestSize: 64,
+		NoiseLo: 0.4, NoiseHi: 1.2, Overlap: 0.2,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := core.NewService(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	opts := core.DefaultTrainOptions(13, 5)
+	opts.Model.Hidden = 40
+	opts.Model.StageCount = 2
+	opts.Model.BlocksPerStage = 1
+	opts.Model.HeadBottlenecks = []int{6, 0}
+	opts.Model.HeadDropout = 0
+	opts.Train.Epochs = 2
+	opts.Train.BatchSize = 20
+	opts.Seed = 3
+	if _, err := svc.Train("pin", train, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Calibrate("pin", test, calib.DefaultEntropyCalibConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.BuildPredictor("pin", test, sched.DefaultGPPredictorConfig()); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := svc.SnapshotBytes("pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(bundle)
+	if got := hex.EncodeToString(sum[:]); got != provisionPins[path] {
+		t.Fatalf("%s path: bundle sha256 %s, the parent commit's is %s — training numerics drifted", path, got, provisionPins[path])
+	}
+}

@@ -411,3 +411,244 @@ next:
 	JGT  group
 	VZEROUPPER
 	RET
+
+// The training products' micro-kernel (MatMul, TMatMul). One call
+// computes, for the m ≤ 3 rows of a tile of dst and all n columns,
+//
+//	dst[r][j] = Σ_k A(r, k)·b[k][j],  A(r, k) = a[r·ars + k·aks]
+//
+// with b and dst row stride n: ars, aks = cols(a), 1 is a·b and 1,
+// cols(a) is aᵀ·b. The j loop runs here, 16 columns at a time: m × 4
+// accumulators, zeroed, then per k in ascending order one VMULPD and one
+// VADDPD each — the two roundings Go compiles axpyUnrolled's
+// dst[i] += alpha*src[i] to at the default GOAMD64. Every output
+// therefore has the portable loops' bits; an FMA, rounding once, would
+// not. (The operands are even in the order a default build compiles them
+// to — b is the multiply's first source, the product the add's — so a
+// pair of NaNs keeps the same payload; Go promises no order, and a -race
+// build differs.) A last group of w < 16 columns loads b and stores dst
+// under masks of w leading lanes, so no byte past a row's end is touched.
+//
+// Registers: AX columns left, BX row stride of b and dst in bytes, CX k
+// steps left, DX a's k stride in bytes, SI the group's columns of b row 0,
+// DI its columns of dst row 0, R8-R10 a rows 0-2, R11 b row k, R12 the
+// byte offset of a's k, R13 the tail masks; Y0-Y11 accumulators (row r,
+// column vector c in Y(4r+c)), Y12 the b vector, Y13 products, Y14-Y15
+// a rows 0 and 1 broadcast. Row 2's a is broadcast into Y13 once per
+// column vector: there is no sixteenth register to keep it in.
+
+// 16 ones then 16 zeros (float64 lanes): four vectors loaded at lane
+// offset 16-w mask w leading lanes.
+DATA tail64<>+0(SB)/8, $-1
+DATA tail64<>+8(SB)/8, $-1
+DATA tail64<>+16(SB)/8, $-1
+DATA tail64<>+24(SB)/8, $-1
+DATA tail64<>+32(SB)/8, $-1
+DATA tail64<>+40(SB)/8, $-1
+DATA tail64<>+48(SB)/8, $-1
+DATA tail64<>+56(SB)/8, $-1
+DATA tail64<>+64(SB)/8, $-1
+DATA tail64<>+72(SB)/8, $-1
+DATA tail64<>+80(SB)/8, $-1
+DATA tail64<>+88(SB)/8, $-1
+DATA tail64<>+96(SB)/8, $-1
+DATA tail64<>+104(SB)/8, $-1
+DATA tail64<>+112(SB)/8, $-1
+DATA tail64<>+120(SB)/8, $-1
+DATA tail64<>+128(SB)/8, $0
+DATA tail64<>+136(SB)/8, $0
+DATA tail64<>+144(SB)/8, $0
+DATA tail64<>+152(SB)/8, $0
+DATA tail64<>+160(SB)/8, $0
+DATA tail64<>+168(SB)/8, $0
+DATA tail64<>+176(SB)/8, $0
+DATA tail64<>+184(SB)/8, $0
+DATA tail64<>+192(SB)/8, $0
+DATA tail64<>+200(SB)/8, $0
+DATA tail64<>+208(SB)/8, $0
+DATA tail64<>+216(SB)/8, $0
+DATA tail64<>+224(SB)/8, $0
+DATA tail64<>+232(SB)/8, $0
+DATA tail64<>+240(SB)/8, $0
+DATA tail64<>+248(SB)/8, $0
+GLOBL tail64<>(SB), RODATA|NOPTR, $256
+
+// b's column vector at byte offset off of row k into Y12: whole, or
+// under the tail mask.
+#define BVEC(off) VMOVUPD off(R11), Y12
+#define BVECTAIL(off) \
+	VMOVDQU    off(R13), Y12; \
+	VMASKMOVPD off(R11), Y12, Y12
+
+// One column vector (in Y12) against a rows 0, 0-1 or 0-2.
+#define PCOL1(c0) \
+	VMULPD Y14, Y12, Y13; \
+	VADDPD c0, Y13, c0
+#define PCOL2(c0, c1) \
+	PCOL1(c0); \
+	VMULPD Y15, Y12, Y13; \
+	VADDPD c1, Y13, c1
+#define PCOL3(c0, c1, c2) \
+	PCOL2(c0, c1); \
+	VBROADCASTSD (R10)(R12*1), Y13; \
+	VMULPD       Y13, Y12, Y12; \
+	VADDPD       c2, Y12, c2
+
+// One k step of the group for one, two or three rows; LD is BVEC or
+// BVECTAIL.
+#define PSTEP1(LD) \
+	VBROADCASTSD (R8)(R12*1), Y14; \
+	LD(0); \
+	PCOL1(Y0); \
+	LD(32); \
+	PCOL1(Y1); \
+	LD(64); \
+	PCOL1(Y2); \
+	LD(96); \
+	PCOL1(Y3); \
+	ADDQ DX, R12; \
+	ADDQ BX, R11
+#define PSTEP2(LD) \
+	VBROADCASTSD (R8)(R12*1), Y14; \
+	VBROADCASTSD (R9)(R12*1), Y15; \
+	LD(0); \
+	PCOL2(Y0, Y4); \
+	LD(32); \
+	PCOL2(Y1, Y5); \
+	LD(64); \
+	PCOL2(Y2, Y6); \
+	LD(96); \
+	PCOL2(Y3, Y7); \
+	ADDQ DX, R12; \
+	ADDQ BX, R11
+#define PSTEP3(LD) \
+	VBROADCASTSD (R8)(R12*1), Y14; \
+	VBROADCASTSD (R9)(R12*1), Y15; \
+	LD(0); \
+	PCOL3(Y0, Y4, Y8); \
+	LD(32); \
+	PCOL3(Y1, Y5, Y9); \
+	LD(64); \
+	PCOL3(Y2, Y6, Y10); \
+	LD(96); \
+	PCOL3(Y3, Y7, Y11); \
+	ADDQ DX, R12; \
+	ADDQ BX, R11
+
+// Store one row's four accumulators at rp: whole, or under the tail mask.
+#define PSTORE(c, off, rp) VMOVUPD c, off(rp)
+#define PSTORETAIL(c, off, rp) \
+	VMOVDQU    off(R13), Y12; \
+	VMASKMOVPD c, Y12, off(rp)
+#define PROW(ST, c0, c1, c2, c3, rp) \
+	ST(c0, 0, rp); \
+	ST(c1, 32, rp); \
+	ST(c2, 64, rp); \
+	ST(c3, 96, rp)
+
+// func prodTile64(dst, a, b *float64, m, n, k, ars, aks int)
+TEXT ·prodTile64(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), SI
+	MOVQ n+32(FP), AX
+	MOVQ ars+48(FP), R10
+	SHLQ $3, R10
+	LEAQ (R8)(R10*1), R9
+	ADDQ R9, R10                 // a rows 1 and 2 (read only when m reaches them)
+	MOVQ aks+56(FP), DX
+	SHLQ $3, DX
+	MOVQ AX, BX
+	SHLQ $3, BX
+
+	MOVQ AX, CX
+	ANDQ $15, CX                 // w, the last group's columns if it is partial
+	SHLQ $3, CX
+	LEAQ tail64<>+128(SB), R13
+	SUBQ CX, R13
+
+group:
+	ZERO4(VXORPD, Y0, Y1, Y2, Y3)
+	ZERO4(VXORPD, Y4, Y5, Y6, Y7)
+	ZERO4(VXORPD, Y8, Y9, Y10, Y11)
+	MOVQ SI, R11
+	XORQ R12, R12
+	MOVQ k+40(FP), CX
+	CMPQ AX, $16
+	JLT  tail
+	CMPQ m+24(FP), $2
+	JLT  full1
+	JEQ  full2
+
+full3:
+	PSTEP3(BVEC)
+	DECQ CX
+	JNZ  full3
+	JMP  store
+
+full2:
+	PSTEP2(BVEC)
+	DECQ CX
+	JNZ  full2
+	JMP  store
+
+full1:
+	PSTEP1(BVEC)
+	DECQ CX
+	JNZ  full1
+
+store:
+	PROW(PSTORE, Y0, Y1, Y2, Y3, DI)
+	CMPQ m+24(FP), $2
+	JLT  next
+	LEAQ (DI)(BX*1), R11
+	PROW(PSTORE, Y4, Y5, Y6, Y7, R11)
+	CMPQ m+24(FP), $3
+	JLT  next
+	LEAQ (DI)(BX*2), R11
+	PROW(PSTORE, Y8, Y9, Y10, Y11, R11)
+
+next:
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, AX
+	JNZ  group
+	VZEROUPPER
+	RET
+
+tail:
+	CMPQ m+24(FP), $2
+	JLT  tail1
+	JEQ  tail2
+
+tail3:
+	PSTEP3(BVECTAIL)
+	DECQ CX
+	JNZ  tail3
+	JMP  tailstore
+
+tail2:
+	PSTEP2(BVECTAIL)
+	DECQ CX
+	JNZ  tail2
+	JMP  tailstore
+
+tail1:
+	PSTEP1(BVECTAIL)
+	DECQ CX
+	JNZ  tail1
+
+tailstore:
+	PROW(PSTORETAIL, Y0, Y1, Y2, Y3, DI)
+	CMPQ m+24(FP), $2
+	JLT  done
+	LEAQ (DI)(BX*1), R11
+	PROW(PSTORETAIL, Y4, Y5, Y6, Y7, R11)
+	CMPQ m+24(FP), $3
+	JLT  done
+	LEAQ (DI)(BX*2), R11
+	PROW(PSTORETAIL, Y8, Y9, Y10, Y11, R11)
+
+done:
+	VZEROUPPER
+	RET

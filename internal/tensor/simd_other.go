@@ -16,3 +16,8 @@ func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool) {
 func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
 	panic("tensor: denseTile32 without AVX2/FMA support")
 }
+
+// prodTile64 is never called when hasAVX2FMA is false.
+func prodTile64(dst, a, b *float64, m, n, k, ars, aks int) {
+	panic("tensor: prodTile64 without AVX2 support")
+}

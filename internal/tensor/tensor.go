@@ -14,6 +14,18 @@
 // whole fully connected layer in one pass — product, bias, ReLU — and a
 // row's result never depends on the rows it was multiplied with.
 //
+// Two micro-kernels, two rounding contracts. Dense's fuses: each term is
+// one FMA, so its results differ from the portable dotUnrolled path in
+// the last bits, and that is accepted (forward passes at serving are
+// what it is built for). The backward pass's products, MatMul and
+// TMatMul, run an AVX2 kernel of their own (prodTile64) that must not
+// fuse: one VMULPD and one VADDPD per term, in the order the portable
+// loops round, so on every path they give the portable loops' bits and
+// those loops are its bitwise reference. The trained bundle — the model
+// the paper tables and the benchmark's oracle are computed from — goes
+// through them, and a kernel that changed one bit of it would change
+// what every later number means.
+//
 // The package is deliberately small and allocation-conscious: every hot
 // routine accepts destination buffers so the training loop in
 // internal/nn can reuse scratch space across batches.
@@ -111,9 +123,16 @@ func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 	return New[T](rows, cols)
 }
 
-// MatMul computes dst = a·b. dst must be a.Rows×b.Cols and distinct from
-// both operands. It uses a cache-friendly ikj loop ordering with a 4-way
-// unrolled axpy inner loop.
+// MatMul computes dst = a·b, the input gradient of the backward pass.
+// dst must be a.Rows×b.Cols and distinct from both operands. With AVX2 it
+// runs the training products' micro-kernel (prodTile64) through the
+// fan-out rule; without, the portable ikj loop (matMulPortable). Both
+// sum each output from zero in ascending k with one multiply and one add
+// per term, so the two give the same bits — the portable loop is the
+// kernel's bitwise reference. Unlike Dense, this kernel must not fuse:
+// the trained bundle, and with it the paper tables and the benchmark's
+// oracle, is computed through these products, and a fused multiply-add
+// would round them differently.
 //eugene:noalloc
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
@@ -122,6 +141,17 @@ func MatMul(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
+	if !hasAVX2FMA || b.Cols == 0 || a.Cols == 0 {
+		matMulPortable(dst, a, b)
+		return
+	}
+	fanOut(gemmJob{run: runProduct64, dst: dst, a: a, b: b}, a.Rows, a.Rows*b.Cols*a.Cols)
+}
+
+// matMulPortable is MatMul in portable Go: a cache-friendly ikj loop
+// ordering with a 4-way unrolled axpy inner loop.
+//eugene:noalloc
+func matMulPortable(dst, a, b *Matrix) {
 	dst.Zero()
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -130,6 +160,19 @@ func MatMul(dst, a, b *Matrix) {
 		for k := 0; k < a.Cols; k++ {
 			axpyUnrolled(drow, arow[k], b.Data[k*n:k*n+n])
 		}
+	}
+}
+
+// runProduct64 is MatMul (TMatMul when j.transA) over rows [j.lo, j.hi)
+// of dst, one register tile of rows at a time.
+//eugene:noalloc
+func runProduct64(j gemmJob) {
+	n, k, ars, aks := j.b.Cols, j.a.Cols, j.a.Cols, 1
+	if j.transA {
+		k, ars, aks = j.a.Rows, 1, j.a.Cols
+	}
+	for i := j.lo; i < j.hi; i += denseRowTile {
+		prodTile64(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(denseRowTile, j.hi-i), n, k, ars, aks)
 	}
 }
 
@@ -254,8 +297,11 @@ func denseScalar[T Float](dst, a, w *Mat[T], bias []T, relu bool, lo, hi int) {
 	}
 }
 
-// TMatMul computes dst = aᵀ·b, i.e. dst[i][j] = Σ_k a[k][i]·b[k][j].
-// dst must be a.Cols×b.Cols.
+// TMatMul computes dst = aᵀ·b, i.e. dst[i][j] = Σ_k a[k][i]·b[k][j]: the
+// weight gradient of the backward pass. dst must be a.Cols×b.Cols. It is
+// MatMul's kernel with a read down its columns, and like MatMul it gives
+// the bits of its portable loop (tMatMulPortable) on every path.
+//eugene:noalloc
 func TMatMul(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -263,6 +309,17 @@ func TMatMul(dst, a, b *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: TMatMul dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
+	if !hasAVX2FMA || b.Cols == 0 || a.Rows == 0 {
+		tMatMulPortable(dst, a, b)
+		return
+	}
+	fanOut(gemmJob{run: runProduct64, dst: dst, a: a, b: b, transA: true}, a.Cols, a.Cols*b.Cols*a.Rows)
+}
+
+// tMatMulPortable is TMatMul in portable Go: the kij order, so each row
+// of a and b is read once.
+//eugene:noalloc
+func tMatMulPortable(dst, a, b *Matrix) {
 	dst.Zero()
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
