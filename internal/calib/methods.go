@@ -121,30 +121,24 @@ func EvalMCDropoutRate(m *staged.Model, set *dataset.Set, k int, seed int64, rat
 
 // EntropyCalibConfig controls the Eq. 4 fine-tuning grid search.
 type EntropyCalibConfig struct {
-	// Alphas are the candidate |α| magnitudes to try; the sign is
-	// chosen automatically from the miscalibration direction.
+	// Alphas are the candidate |α| magnitudes; EntropyCalibrate tries
+	// each with both signs, plus α = 0, for every stage.
 	Alphas []float64
 	// Epochs of head-only fine-tuning per candidate.
 	Epochs int
-	// BatchSize for fine-tuning.
-	BatchSize int
 	// LR for fine-tuning.
 	LR float64
 	// Bins for the ECE objective.
 	Bins int
-	// Seed drives shuffling.
-	Seed int64
 }
 
 // DefaultEntropyCalibConfig returns the grid used by the experiments.
 func DefaultEntropyCalibConfig() EntropyCalibConfig {
 	return EntropyCalibConfig{
-		Alphas:    []float64{0.1, 0.25, 0.5, 1, 2},
-		Epochs:    12,
-		BatchSize: 32,
-		LR:        0.03,
-		Bins:      10,
-		Seed:      1,
+		Alphas: []float64{0.1, 0.25, 0.5, 1, 2},
+		Epochs: 12,
+		LR:     0.03,
+		Bins:   10,
 	}
 }
 
@@ -155,13 +149,14 @@ func DefaultEntropyCalibConfig() EntropyCalibConfig {
 // does not score on the data it tuned, and the winning configuration is
 // refit on the full calibration set.
 //
-// Two deliberate refinements over the paper's sketch (see EXPERIMENTS.md):
+// Two deliberate refinements over the paper's sketch:
 //
 //   - The fine-tuning is restricted to one scalar per head — the scale
-//     of the exit classifier's logits — optimized by gradient descent on
-//     the Eq. 4 loss. Unrestricted head fine-tuning on a small held-out
-//     calibration set overfits it, and on the (overfit) training set the
-//     exit probabilities are saturated so the Eq. 4 gradients vanish.
+//     of the exit classifier's logits — optimized by full-batch gradient
+//     descent on the Eq. 4 loss. Unrestricted head fine-tuning on a small
+//     held-out calibration set overfits it, and on the (overfit) training
+//     set the exit probabilities are saturated so the Eq. 4 gradients
+//     vanish.
 //   - α is searched over both signs per stage rather than fixing the
 //     sign from the initial miscalibration direction: the CE term's
 //     minimum is dominated by saturated wrong predictions and lands
@@ -170,10 +165,16 @@ func DefaultEntropyCalibConfig() EntropyCalibConfig {
 //     network. The paper's sign rule describes the direction relative to
 //     the current operating point; the grid realizes it automatically.
 //
+// The fits are independent of one another — every (stage, α) of the
+// grid, then every stage's refit — so they run through tensor.Each on
+// whatever cores are free, each into its own cell; the selection then
+// reads the cells in grid order, so the result does not depend on how
+// many cores ran them.
+//
 // It returns the calibrated model (the input model is not mutated) and
 // the mean of the chosen per-stage α values (reported for inspection).
 func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibConfig) (*staged.Model, float64, error) {
-	if len(cfg.Alphas) == 0 || cfg.Epochs < 1 || cfg.BatchSize < 1 || cfg.Bins < 1 {
+	if len(cfg.Alphas) == 0 || cfg.Epochs < 1 || cfg.Bins < 1 {
 		return nil, 0, fmt.Errorf("calib: bad entropy calibration config %+v", cfg)
 	}
 	if calibSet.Len() < 4 {
@@ -185,40 +186,56 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 	iters := cfg.Epochs * 25
 
 	stages := m.NumStages()
-	bestScales := make([]float64, stages)
-	bestAlphas := make([]float64, stages)
 	candidates := []float64{0}
 	for _, a := range cfg.Alphas {
 		candidates = append(candidates, a, -a)
 	}
+	type cell struct {
+		scale, ece float64
+		err        error
+	}
+	grid := make([]cell, stages*len(candidates)) // [stage][candidate]
+	tensor.Each(len(grid), func(i int) {
+		st, c := i/len(candidates), &grid[i]
+		c.scale = fitHeadScale(fitLogits[st], fitLabels, candidates[i%len(candidates)], iters, cfg.LR)
+		c.ece, c.err = scaledECE(selLogits[st], selLabels, c.scale, cfg.Bins)
+	})
+	bestScales := make([]float64, stages)
+	bestAlphas := make([]float64, stages)
 	for st := 0; st < stages; st++ {
 		bestScales[st] = 1
 		bestECE, err := scaledECE(selLogits[st], selLabels, 1, cfg.Bins)
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, alpha := range candidates {
-			scale := fitHeadScale(fitLogits[st], fitLabels, alpha, iters, cfg.LR)
-			e, err := scaledECE(selLogits[st], selLabels, scale, cfg.Bins)
-			if err != nil {
-				return nil, 0, err
+		for ci, alpha := range candidates {
+			c := grid[st*len(candidates)+ci]
+			if c.err != nil {
+				return nil, 0, c.err
 			}
-			if e < bestECE {
-				bestECE, bestScales[st], bestAlphas[st] = e, scale, alpha
+			if c.ece < bestECE {
+				bestECE, bestScales[st], bestAlphas[st] = c.ece, c.scale, alpha
 			}
 		}
 	}
-	// Refit the winning α on the full calibration set.
-	allLogits, allLabels := stageLogits(m, calibSet)
+	// Refit the winning α on the full calibration set. Split cuts it into
+	// a head and a tail in order, and PredictRows gives a row the logits
+	// it has alone, so its logits are the two halves' end to end.
+	declined := func(st int) bool { return bestScales[st] == 1 && bestAlphas[st] == 0 }
 	finalScales := make([]float64, stages)
+	tensor.Each(stages, func(st int) {
+		if declined(st) {
+			finalScales[st] = 1 // calibration declined for this stage
+			return
+		}
+		all := append(fitLogits[st][:len(fitLogits[st]):len(fitLogits[st])], selLogits[st]...)
+		finalScales[st] = fitHeadScale(all, calibSet.Labels, bestAlphas[st], iters, cfg.LR)
+	})
 	var alphaSum float64
 	for st := 0; st < stages; st++ {
-		if bestScales[st] == 1 && bestAlphas[st] == 0 {
-			finalScales[st] = 1 // calibration declined for this stage
-			continue
+		if !declined(st) {
+			alphaSum += bestAlphas[st]
 		}
-		finalScales[st] = fitHeadScale(allLogits[st], allLabels, bestAlphas[st], iters, cfg.LR)
-		alphaSum += bestAlphas[st]
 	}
 	return applyHeadScales(m, finalScales), alphaSum / float64(stages), nil
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -39,21 +38,21 @@ func newStore() *store {
 // any replica sees it) and records it. Returns the content version and
 // whether it changed.
 func (s *store) set(name string, raw []byte) (version string, changed bool, err error) {
-	snap, err := snapshot.DecodeModel(bytes.NewReader(raw))
+	snap, err := snapshot.UnmarshalModel(raw)
 	if err != nil {
 		return "", false, fmt.Errorf("cluster: rejecting snapshot for %q: %w", name, err)
 	}
-	var canonical bytes.Buffer
-	if err := snapshot.EncodeModel(&canonical, snap); err != nil {
+	canonical, err := snapshot.MarshalModel(snap, false)
+	if err != nil {
 		return "", false, fmt.Errorf("cluster: re-encoding snapshot for %q: %w", name, err)
 	}
-	version = snapshot.VersionOf(canonical.Bytes())
+	version = snapshot.VersionOf(canonical)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.models[name]; ok && cur.version == version {
 		return version, false, nil
 	}
-	s.models[name] = storeEntry{raw: canonical.Bytes(), version: version}
+	s.models[name] = storeEntry{raw: canonical, version: version}
 	return version, true, nil
 }
 

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -706,19 +705,14 @@ func (s *Service) SnapshotBytesPrecision(name, precision string) ([]byte, error)
 		StageAccs: entry.StageAccs,
 		Pred:      entry.Pred,
 	}
-	var buf bytes.Buffer
-	switch precision {
-	case "", PrecisionF64:
-		err = snapshot.EncodeModel(&buf, snap)
-	case PrecisionF32:
-		err = snapshot.EncodeModelF32(&buf, snap)
-	default:
+	if precision != "" && precision != PrecisionF64 && precision != PrecisionF32 {
 		return nil, fmt.Errorf("core: snapshot precision %q must be %q or %q", precision, PrecisionF64, PrecisionF32)
 	}
+	raw, err := snapshot.MarshalModel(snap, precision == PrecisionF32)
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding snapshot of %q: %w", name, err)
 	}
-	return buf.Bytes(), nil
+	return raw, nil
 }
 
 // InstallSnapshotBytes decodes a snapshot and installs it under name,
@@ -728,7 +722,7 @@ func (s *Service) InstallSnapshotBytes(name string, data []byte) error {
 	if name == "" {
 		return fmt.Errorf("core: empty model name")
 	}
-	snap, err := snapshot.DecodeModel(bytes.NewReader(data))
+	snap, err := snapshot.UnmarshalModel(data)
 	if err != nil {
 		return fmt.Errorf("%w %q: %w", ErrInstall, name, err)
 	}

@@ -98,7 +98,6 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	c.gin = ensure(c.gin, gradOut.Rows, c.InWidth())
 	c.gPosBuf = ensure(c.gPosBuf, oh*ow, s.OutChannels)
 	c.gColsBuf = ensure(c.gColsBuf, oh*ow, patch)
-	gw := tensor.NewMatrix(s.OutChannels, patch)
 	for r := 0; r < gradOut.Rows; r++ {
 		gRow := gradOut.Row(r)
 		// Reshape channel-major grad into position-major, and
@@ -114,8 +113,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			c.GradB[oc] += gb
 		}
 		cols := c.cols[r]
-		tensor.TMatMul(gw, c.gPosBuf, cols)
-		tensor.AXPY(c.GradK, 1, gw)
+		tensor.TMatMul(c.GradK, c.gPosBuf, cols)
 		tensor.MatMul(c.gColsBuf, c.gPosBuf, c.K)
 		tensor.Col2Im(c.gin.Row(r), s, c.gColsBuf)
 	}

@@ -72,8 +72,10 @@ type Dense struct {
 	x   *tensor.Matrix // cached input
 	out *tensor.Matrix
 	gin *tensor.Matrix
-	gw  *tensor.Matrix // Backward scratch: per-call weight gradient
-	gb  []float64      // Backward scratch: per-call bias gradient
+	gb  []float64 // Backward scratch: per-call bias gradient
+	// lane, when set (UseLane), runs the weight gradient's product off
+	// the backward chain.
+	lane *tensor.Lane
 }
 
 // NewDense constructs a dense layer with He-initialized weights.
@@ -110,10 +112,9 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		panic("nn: Dense.Backward before Forward(train=true)")
 	}
 	d.ensureGrads()
-	// dW += gradOutᵀ · x ; accumulate into GradW via persistent scratch.
-	d.gw = ensure(d.gw, d.Out, d.In)
-	tensor.TMatMul(d.gw, gradOut, d.x)
-	tensor.AXPY(d.GradW, 1, d.gw)
+	// dW += gradOutᵀ · x, in place; queued on the lane when there is one,
+	// and nothing further down the chain reads GradW.
+	d.lane.TMatMul(d.GradW, gradOut, d.x)
 	if len(d.gb) != d.Out {
 		d.gb = make([]float64, d.Out)
 	}
@@ -124,6 +125,27 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	d.gin = ensure(d.gin, gradOut.Rows, d.In)
 	tensor.MatMul(d.gin, gradOut, d.W)
 	return d.gin
+}
+
+// UseLane makes every Dense layer under root queue its weight gradient
+// on lane in Backward, so that the product runs beside the rest of the
+// backward chain; nil restores the synchronous call. The queued product
+// reads the layer's cached input and the gradient Backward was given,
+// buffers that in a layer tree only the next Forward or Backward
+// rewrites. So the rule is: open the lane before Backward, and wait for
+// it before reading any gradient and before the next Forward; then the
+// gradients have the synchronous call's bits.
+func UseLane(root Layer, lane *tensor.Lane) {
+	switch l := root.(type) {
+	case *Dense:
+		l.lane = lane
+	case *Residual:
+		UseLane(l.Body, lane)
+	case *Sequential:
+		for _, c := range l.Layers {
+			UseLane(c, lane)
+		}
+	}
 }
 
 // ensureGrads allocates the gradient accumulators on first use. It

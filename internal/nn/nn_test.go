@@ -253,14 +253,65 @@ func TestSGDMomentumState(t *testing.T) {
 	}
 }
 
+// TestClipGrads: ClipStep reports the norm before clipping, moves the
+// parameters by the clipped gradient, and does so with the bits of the
+// two passes it replaced — the gradients scaled in place, then Step —
+// over parameters that span several of the step's chunks, clipped and
+// not, at every parallelism.
 func TestClipGrads(t *testing.T) {
 	p := []Param{{Name: "w", Value: []float64{0, 0}, Grad: []float64{3, 4}}}
-	pre := ClipGrads(p, 1)
-	if math.Abs(pre-5) > 1e-12 {
+	if pre := NewSGD(1, 0, 0).ClipStep(p, 1); math.Abs(pre-5) > 1e-12 {
 		t.Fatalf("pre-clip norm = %v, want 5", pre)
 	}
-	if got := GradNorm(p); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("post-clip norm = %v, want 1", got)
+	if math.Abs(p[0].Value[0]+0.6) > 1e-12 || math.Abs(p[0].Value[1]+0.8) > 1e-12 || p[0].Grad[0] != 0 || p[0].Grad[1] != 0 {
+		t.Fatalf("after a clipped step: value %v, grad %v; want [-0.6 -0.8], zeros", p[0].Value, p[0].Grad)
+	}
+
+	defer tensor.SetParallelism(tensor.Parallelism())
+	rng := rand.New(rand.NewSource(9))
+	params := func() []Param {
+		var ps []Param
+		for _, n := range []int{3 * stepChunk / 2, 0, 7, stepChunk, 1} {
+			p := Param{Value: make([]float64, n), Grad: make([]float64, n)}
+			for i := range p.Value {
+				p.Value[i], p.Grad[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	for _, par := range []int{1, 2, 4} {
+		tensor.SetParallelism(par)
+		for _, maxNorm := range []float64{10, 1e9} { // clipped, and not
+			got, want := params(), []Param(nil)
+			for _, p := range got {
+				want = append(want, Param{Value: append([]float64(nil), p.Value...), Grad: append([]float64(nil), p.Grad...)})
+			}
+			a, b := NewSGD(0.05, 0.9, 1e-4), NewSGD(0.05, 0.9, 1e-4)
+			for step := 0; step < 2; step++ {
+				a.ClipStep(got, maxNorm)
+				if norm := GradNorm(want); norm > maxNorm {
+					for _, p := range want {
+						for i := range p.Grad {
+							p.Grad[i] *= maxNorm / norm
+						}
+					}
+				}
+				b.Step(want)
+				for k := range got {
+					for i := range got[k].Grad {
+						got[k].Grad[i], want[k].Grad[i] = 1, 1
+					}
+				}
+			}
+			for k := range got {
+				for i, v := range got[k].Value {
+					if math.Float64bits(v) != math.Float64bits(want[k].Value[i]) {
+						t.Fatalf("parallelism %d, max norm %v: param %d[%d] = %v, the two passes give %v", par, maxNorm, k, i, v, want[k].Value[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -439,19 +490,36 @@ func TestDenseBackwardScratchReuse(t *testing.T) {
 // TestDenseBackwardAllocs pins the backward pass's steady state: after
 // the first call has sized the gradient buffers and the scratch, a
 // Dense.Backward at the benchmark's training shape (a batch of 20 through
-// 256 → 256) allocates nothing — both products run inline, under the
-// fan-out grain.
+// 256 → 256) allocates nothing — both products run under the fan-out
+// grain — with no lane, and with an open lane taking its weight gradient
+// (on a helper, or inline where no core is free). Both give the same
+// gradients.
 func TestDenseBackwardAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := NewDense(rng, 256, 256)
 	x, g := tensor.NewMatrix(20, 256), tensor.NewMatrix(20, 256)
 	for i := range x.Data {
 		x.Data[i], g.Data[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	d.Forward(x, true)
-	d.Backward(g)
-	if n := testing.AllocsPerRun(20, func() { d.Backward(g) }); n != 0 {
-		t.Fatalf("Dense.Backward: %v allocations per call after the first, want 0", n)
+	var grads [2][]float64
+	for k := range grads {
+		d := NewDense(rand.New(rand.NewSource(6)), 256, 256)
+		var lane tensor.Lane
+		if k == 1 {
+			UseLane(d, &lane)
+			lane.Open()
+		}
+		d.Forward(x, true)
+		d.Backward(g)
+		if n := testing.AllocsPerRun(20, func() { d.Backward(g) }); n != 0 {
+			t.Errorf("Dense.Backward, lane %v: %v allocations per call after the first, want 0", k == 1, n)
+		}
+		lane.Wait()
+		grads[k] = d.GradW.Data
+	}
+	for i, v := range grads[1] {
+		if math.Float64bits(v) != math.Float64bits(grads[0][i]) {
+			t.Fatalf("GradW[%d] = %v through the lane, %v without", i, v, grads[0][i])
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"eugene/internal/tensor"
+)
 
 // SGD is stochastic gradient descent with classical momentum and L2
 // weight decay. The zero value is unusable; construct with NewSGD.
@@ -10,6 +14,9 @@ type SGD struct {
 	WeightDecay float64
 
 	velocity map[*float64][]float64
+	// vel is step's scratch: the velocity of each non-empty parameter, in
+	// order.
+	vel [][]float64
 }
 
 // NewSGD constructs an optimizer.
@@ -23,7 +30,37 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 }
 
 // Step applies one update to every parameter and zeroes the gradients.
-func (o *SGD) Step(params []Param) {
+func (o *SGD) Step(params []Param) { o.step(params, 1, false) }
+
+// ClipStep is Step with the gradients scaled down first, when their
+// global L2 norm exceeds maxNorm, to a norm of maxNorm; it returns the
+// norm before scaling. The scaling happens inside the update's one pass
+// and rounds each scaled gradient to float64 before using it, so the
+// parameters move exactly as if the gradients had been scaled in place
+// and then stepped.
+func (o *SGD) ClipStep(params []Param, maxNorm float64) float64 {
+	norm := GradNorm(params)
+	if norm <= maxNorm || norm == 0 {
+		o.step(params, 1, false)
+	} else {
+		o.step(params, maxNorm/norm, true)
+	}
+	return norm
+}
+
+// stepChunk is the most parameters one task of the update covers: small
+// enough that the 0.8 M parameters of the served model split into dozens
+// of tasks for tensor.Each to balance over the cores, large enough that
+// claiming one costs nothing beside its memory traffic.
+const stepChunk = 1 << 14
+
+// step updates every parameter, its gradient first multiplied by scale
+// when clip is set. Each element's update reads and writes only that
+// element, so the pass runs through tensor.Each in contiguous chunks of
+// the parameters laid end to end, with the bits of a serial pass.
+func (o *SGD) step(params []Param, scale float64, clip bool) {
+	vel := o.vel[:0]
+	total := 0
 	for _, p := range params {
 		if len(p.Value) == 0 {
 			continue
@@ -34,13 +71,38 @@ func (o *SGD) Step(params []Param) {
 			v = make([]float64, len(p.Value))
 			o.velocity[key] = v
 		}
-		for i := range p.Value {
-			g := p.Grad[i] + o.WeightDecay*p.Value[i]
-			v[i] = o.Momentum*v[i] - o.LR*g
-			p.Value[i] += v[i]
-			p.Grad[i] = 0
-		}
+		vel = append(vel, v)
+		total += len(p.Value)
 	}
+	o.vel = vel
+	lr, mom, wd := o.LR, o.Momentum, o.WeightDecay
+	tensor.Each((total+stepChunk-1)/stepChunk, func(c int) {
+		lo, hi := c*stepChunk, min((c+1)*stepChunk, total)
+		off, k := 0, 0
+		for _, p := range params {
+			n := len(p.Value)
+			if n == 0 {
+				continue
+			}
+			if a, b := max(lo-off, 0), min(hi-off, n); a < b {
+				value, grad, v := p.Value[a:b], p.Grad[a:b], vel[k][a:b]
+				for i := range value {
+					g := grad[i]
+					if clip {
+						g = float64(g * scale) // a rounding of its own, never fused
+					}
+					g += wd * value[i]
+					v[i] = mom*v[i] - lr*g
+					value[i] += v[i]
+					grad[i] = 0
+				}
+			}
+			if off += n; off >= hi {
+				return
+			}
+			k++
+		}
+	})
 }
 
 // ZeroGrads clears gradient accumulators without stepping; useful when a
@@ -53,8 +115,8 @@ func ZeroGrads(params []Param) {
 	}
 }
 
-// GradNorm returns the global L2 norm of all gradients; used in tests and
-// for debugging divergence.
+// GradNorm returns the global L2 norm of all gradients, summed in
+// parameter order: the figure ClipStep decides by.
 func GradNorm(params []Param) float64 {
 	var sum float64
 	for _, p := range params {
@@ -63,22 +125,6 @@ func GradNorm(params []Param) float64 {
 		}
 	}
 	return math.Sqrt(sum)
-}
-
-// ClipGrads scales gradients down so their global norm does not exceed
-// maxNorm. Returns the pre-clip norm.
-func ClipGrads(params []Param, maxNorm float64) float64 {
-	norm := GradNorm(params)
-	if norm <= maxNorm || norm == 0 {
-		return norm
-	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		for i := range p.Grad {
-			p.Grad[i] *= scale
-		}
-	}
-	return norm
 }
 
 // Adam is the Adam optimizer (Kingma & Ba): adaptive per-parameter

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"eugene/internal/failpoint"
+	"eugene/internal/tensor"
 )
 
 // StageExecutor executes stages of a staged model on explicit hidden
@@ -945,7 +946,11 @@ func (ws *workerState) run(group []*liveTask, stage int) {
 	// cost model, exactly like a genuinely slow worker.
 	dispatchStart := time.Now()
 	failpoint.Hit("sched.dispatch")
+	// The dispatch holds its core in tensor's occupancy count, so that
+	// training or calibration beside a busy pool takes no helper for it.
+	tensor.Hold()
 	hidden, res := ws.exec.ExecStageBatch(rows, stage, dst)
+	tensor.Release()
 	l.adm.observeDispatch(len(group), time.Since(dispatchStart))
 	nowT := l.nowTicks()
 	surv := ws.surv[:0]

@@ -2,9 +2,13 @@ package sched
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"eugene/internal/tensor"
 )
 
 // slowExec is a deterministic 3-stage executor with a configurable
@@ -278,5 +282,77 @@ func TestLiveStatsCountsExpiry(t *testing.T) {
 	s := l.Stats()
 	if s.Expired != 1 || s.Unanswered != 1 {
 		t.Fatalf("stats %+v, want 1 expired and unanswered", s)
+	}
+}
+
+// blockExec is a 3-stage executor whose dispatches report on entered
+// and then wait for release to close.
+type blockExec struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (e *blockExec) NumStages() int { return 3 }
+
+func (e *blockExec) ExecStageBatch(hidden [][]float64, stage int, _ [][]float64) ([][]float64, []StageResult) {
+	e.entered <- struct{}{}
+	<-e.release
+	return hidden, make([]StageResult, len(hidden))
+}
+
+// eachOverlaps runs two tensor.Each tasks, each waiting up to wait for
+// the other to be running at the same time, and reports whether they
+// were.
+func eachOverlaps(wait time.Duration) bool {
+	var active atomic.Int32
+	var overlapped atomic.Bool
+	tensor.Each(2, func(int) {
+		active.Add(1)
+		for deadline := time.Now().Add(wait); time.Now().Before(deadline) && !overlapped.Load(); runtime.Gosched() {
+			if active.Load() == 2 {
+				overlapped.Store(true)
+			}
+		}
+		active.Add(-1)
+	})
+	return overlapped.Load()
+}
+
+// TestDispatchHoldsItsCore: a dispatch holds its worker's core in
+// tensor's occupancy count for as long as it runs, so while one is in
+// flight on each of two workers (on a limit of two) tensor.Each takes no
+// helper; before and after, it does.
+func TestDispatchHoldsItsCore(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	if !eachOverlaps(10 * time.Second) {
+		t.Fatal("with both cores free, Each ran its tasks one at a time")
+	}
+	exec := &blockExec{entered: make(chan struct{}, 6), release: make(chan struct{})} // 2 tasks × 3 stages
+	l, err := NewLive(LiveConfig{Workers: 2, Deadline: time.Minute, QueueDepth: 4, MaxBatch: 1},
+		NewGreedy(1, flatPriors(), "g"), []StageExecutor{exec, exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Stop)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := l.Submit(context.Background(), []float64{1}, 3); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	<-exec.entered
+	<-exec.entered
+	if eachOverlaps(100 * time.Millisecond) {
+		t.Error("Each took a helper while a dispatch held each core")
+	}
+	close(exec.release)
+	wg.Wait()
+	if !eachOverlaps(10 * time.Second) {
+		t.Error("after the dispatches, Each ran its tasks one at a time: a dispatch kept its hold")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -31,14 +32,17 @@ import (
 // MaxBackoff), the shape that avoids synchronized retry storms from a
 // fleet of clients rejected at the same instant. A server-supplied
 // Retry-After (the 429 admission-control hint) raises the wait to at
-// least that long.
+// least that long, but never past MaxBackoff: the header is the
+// server's to send, and an hour in it must not park a caller that set no
+// deadline for an hour.
 type RetryPolicy struct {
 	// MaxAttempts bounds total tries, first attempt included (≤1 means
 	// no retries).
 	MaxAttempts int
 	// BaseBackoff is the first retry's jitter cap (0 = 50ms).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the jitter window growth (0 = 2s).
+	// MaxBackoff caps the jitter window growth and the Retry-After hint
+	// (0 = 2s).
 	MaxBackoff time.Duration
 	// Budget is the per-client retry token budget: each retry spends a
 	// token, each success restores a tenth of one, and when the bucket
@@ -290,6 +294,14 @@ func (b *RetryBudget) Credit(capacity int) {
 	}
 }
 
+// maxBackoff is MaxBackoff with its default.
+func (p *RetryPolicy) maxBackoff() time.Duration {
+	if p.MaxBackoff <= 0 {
+		return 2 * time.Second
+	}
+	return p.MaxBackoff
+}
+
 // backoffWait sleeps before retry number retry (0-based): a full-jitter
 // draw from the capped exponential window, raised to the server's
 // Retry-After hint when that is longer. Returns early with ctx.Err()
@@ -299,10 +311,7 @@ func backoffWait(ctx context.Context, p *RetryPolicy, retry int, hint time.Durat
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = 2 * time.Second
-	}
+	maxB := p.maxBackoff()
 	window := base << uint(min(retry, 30))
 	if window <= 0 || window > maxB {
 		window = maxB
@@ -341,7 +350,7 @@ func (c *Client) doIdempotent(ctx context.Context, attempt func(base string) err
 			if !c.budget.Take(p.Budget) {
 				return lastErr
 			}
-			hint := retryAfterOf(lastErr)
+			hint := min(retryAfterOf(lastErr), p.maxBackoff())
 			if floor := c.drainFloor(ctx, lastErr); floor > hint {
 				hint = floor
 			}
@@ -862,15 +871,29 @@ func (c *Client) postRawTo(ctx context.Context, base, path string, raw []byte, o
 // serverError builds the typed error for a non-OK response, capturing
 // the Retry-After hint and the JSON error body when present.
 func serverError(resp *http.Response) *ServerError {
-	se := &ServerError{Status: resp.StatusCode}
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		se.RetryAfter = time.Duration(secs) * time.Second
-	}
+	se := &ServerError{Status: resp.StatusCode, RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"))}
 	var e ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err == nil {
 		se.Msg = e.Error
 	}
 	return se
+}
+
+// parseRetryAfter reads a Retry-After header as the whole positive
+// seconds Eugene's servers send. Anything else — empty, zero, negative,
+// not a plain decimal, more seconds than a time.Duration holds, or the
+// header's HTTP-date form — is no hint (0).
+func parseRetryAfter(v string) time.Duration {
+	for _, c := range []byte(v) {
+		if c < '0' || c > '9' {
+			return 0
+		}
+	}
+	secs, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || secs <= 0 || secs > math.MaxInt64/int64(time.Second) {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }
 
 func decodeResponse(resp *http.Response, out any) error {

@@ -146,15 +146,74 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	hdr.Set("Retry-After", "1")
 	ts, _ := countdownServer(t, 1, http.StatusTooManyRequests, hdr,
 		`{"pred":0,"conf":0.9,"stages":1,"expired":false,"latency_ms":1}`)
-	c := &Client{Base: ts.URL, Retry: &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}}
+	c := &Client{Base: ts.URL, Retry: &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Second}}
 	start := time.Now()
 	if _, err := c.Infer(context.Background(), "m", []float64{1}); err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	// The jitter window caps at 2ms; only the honored header explains a
-	// ≥1s wait.
+	// The first retry's jitter window is BaseBackoff, 1ms; only the
+	// honored header explains a ≥1s wait.
 	if d := time.Since(start); d < time.Second {
 		t.Fatalf("retried after %v, want ≥1s (Retry-After: 1)", d)
+	}
+}
+
+// TestRetryAfterParse: the hint is whole positive seconds or nothing —
+// no sign, space or unit, nothing that overflows a time.Duration (the
+// two values past 9 223 372 036 s), no HTTP-date.
+func TestRetryAfterParse(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   time.Duration
+	}{
+		{"", 0},
+		{"0", 0},
+		{"-1", 0},
+		{"1", time.Second},
+		{"3600", time.Hour},
+		{"9223372036", 9223372036 * time.Second},
+		{"9223372037", 0},
+		{"18446744074", 0},
+		{"99999999999999999999", 0},
+		{" 5", 0},
+		{"+5", 0},
+		{"5s", 0},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+	} {
+		if got := parseRetryAfter(tc.header); got != tc.want {
+			t.Errorf("Retry-After %q: hint %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}
+
+// TestRetryAfterCapped: a 503 asking for an hour delays a retry under a
+// caller with no deadline by at most MaxBackoff, not by the hour.
+func TestRetryAfterCapped(t *testing.T) {
+	hdr := http.Header{}
+	hdr.Set("Retry-After", "3600")
+	ts, calls := countdownServer(t, 1, http.StatusServiceUnavailable, hdr,
+		`{"results":[{"pred":0,"conf":0.9,"stages":1,"expired":false,"latency_ms":1}]}`)
+	const maxBackoff = 200 * time.Millisecond
+	c := &Client{Base: ts.URL, Retry: &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: maxBackoff}}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.InferBatch(context.Background(), "m", [][]float64{{1}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("InferBatch: %v", err)
+		}
+	case <-time.After(maxBackoff + 10*time.Second):
+		t.Fatal("InferBatch still waiting: the Retry-After hour was obeyed")
+	}
+	if d := time.Since(start); d < maxBackoff {
+		t.Errorf("retried after %v, want the hint capped at MaxBackoff %v, not dropped", d, maxBackoff)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("%d requests, want 2", got)
 	}
 }
 

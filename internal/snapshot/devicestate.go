@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -41,8 +40,7 @@ func EncodeDeviceState(w io.Writer, s *DeviceState) error {
 	if err := s.Tracker.Validate(); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	var body bytes.Buffer
-	e := &encoder{w: &body}
+	e := newEncoder(false, len(s.Tracker.Counts))
 	e.str(s.Model)
 	e.f64(s.Tracker.Decay)
 	e.f64(s.Tracker.Inc)
@@ -51,7 +49,7 @@ func EncodeDeviceState(w io.Writer, s *DeviceState) error {
 	if e.err != nil {
 		return e.err
 	}
-	return frame(w, kindDeviceState, body.Bytes())
+	return writeFile(w, e.frame(kindDeviceState), nil)
 }
 
 // DecodeDeviceState reads a device cache state, verifying framing,
@@ -61,7 +59,11 @@ func EncodeDeviceState(w io.Writer, s *DeviceState) error {
 // compatibility with the target model is the installer's check — the
 // codec does not know the model.
 func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
-	_, body, err := deframe(r, kindDeviceState)
+	raw, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	_, body, err := deframe(raw, kindDeviceState)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +88,7 @@ func DecodeDeviceState(r io.Reader) (*DeviceState, error) {
 // str writes a length-prefixed UTF-8 string.
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
-	e.w.WriteString(s)
+	e.b = append(e.b, s...)
 }
 
 // str reads a length-prefixed string, bounded so a hostile length

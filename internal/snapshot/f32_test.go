@@ -74,26 +74,18 @@ func TestKindTagBindingRejected(t *testing.T) {
 	if err := EncodeModel(&f64Buf, s); err != nil {
 		t.Fatal(err)
 	}
-	_, body32, err := deframe(bytes.NewReader(f32Buf.Bytes()), kindModelF32)
+	_, body32, err := deframe(f32Buf.Bytes(), kindModelF32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, body64, err := deframe(bytes.NewReader(f64Buf.Bytes()), kindModel)
+	_, body64, err := deframe(f64Buf.Bytes(), kindModel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mislabeled bytes.Buffer
-	if err := frame(&mislabeled, kindModel, body32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeModel(bytes.NewReader(mislabeled.Bytes())); err == nil {
+	if _, err := UnmarshalModel(frameBody(kindModel, body32)); err == nil {
 		t.Fatal("kindModel frame with tagDense32 payloads accepted")
 	}
-	mislabeled.Reset()
-	if err := frame(&mislabeled, kindModelF32, body64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeModel(bytes.NewReader(mislabeled.Bytes())); err == nil {
+	if _, err := UnmarshalModel(frameBody(kindModelF32, body64)); err == nil {
 		t.Fatal("kindModelF32 frame with tagDense payloads accepted")
 	}
 }

@@ -28,7 +28,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -38,6 +37,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"eugene/internal/cache"
 	"eugene/internal/failpoint"
@@ -121,7 +121,8 @@ func VersionOf(raw []byte) string {
 // EncodeModel writes the bundle to w in snapshot format with float64
 // weight payloads (lossless for the training weights).
 func EncodeModel(w io.Writer, s *ModelSnapshot) error {
-	return encodeModel(w, s, false)
+	raw, err := MarshalModel(s, false)
+	return writeFile(w, raw, err)
 }
 
 // EncodeModelF32 writes the bundle with float32 dense payloads — about
@@ -129,16 +130,25 @@ func EncodeModel(w io.Writer, s *ModelSnapshot) error {
 // serving tier's precision); calibration alpha, stage accuracies, and
 // the predictor's PWL profiles stay float64.
 func EncodeModelF32(w io.Writer, s *ModelSnapshot) error {
-	return encodeModel(w, s, true)
+	raw, err := MarshalModel(s, true)
+	return writeFile(w, raw, err)
 }
 
-func encodeModel(w io.Writer, s *ModelSnapshot, f32 bool) error {
+// MarshalModel returns the bundle in snapshot format: the bytes
+// EncodeModel writes, or EncodeModelF32's when f32 is set. The body is
+// encoded into the returned slice once, behind room left for the header,
+// and framed where it lies.
+func MarshalModel(s *ModelSnapshot, f32 bool) ([]byte, error) {
 	if s == nil || s.Model == nil {
-		return fmt.Errorf("snapshot: nil model")
+		return nil, fmt.Errorf("snapshot: nil model")
 	}
-	var body bytes.Buffer
-	e := &encoder{w: &body, dense32: f32}
-	e.model(s.Model)
+	m := s.Model
+	params := nn.ParamCount(m.Stem)
+	for _, st := range m.Stages {
+		params += nn.ParamCount(st.Body) + nn.ParamCount(st.Head)
+	}
+	e := newEncoder(f32, params)
+	e.model(m)
 	e.f64(s.Alpha)
 	e.f64s(s.StageAccs)
 	e.bool(s.Pred != nil)
@@ -150,7 +160,7 @@ func encodeModel(w io.Writer, s *ModelSnapshot, f32 bool) error {
 			for to := from + 1; to < len(priors); to++ {
 				pwl := profiles[from][to]
 				if pwl == nil {
-					return fmt.Errorf("snapshot: predictor profile %d→%d missing", from, to)
+					return nil, fmt.Errorf("snapshot: predictor profile %d→%d missing", from, to)
 				}
 				e.f64s(pwl.Knots)
 				e.f64s(pwl.Vals)
@@ -158,20 +168,31 @@ func encodeModel(w io.Writer, s *ModelSnapshot, f32 bool) error {
 		}
 	}
 	if e.err != nil {
-		return e.err
+		return nil, e.err
 	}
 	kind := byte(kindModel)
 	if f32 {
 		kind = kindModelF32
 	}
-	return frame(w, kind, body.Bytes())
+	return e.frame(kind), nil
 }
 
 // DecodeModel reads a model bundle, verifying framing, checksum, and
 // structural consistency (layer widths, stage topology, predictor
 // profiles) so a malformed file cannot panic a worker later.
 func DecodeModel(r io.Reader) (*ModelSnapshot, error) {
-	kind, body, err := deframe(r, kindModel, kindModelF32)
+	raw, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return UnmarshalModel(raw)
+}
+
+// UnmarshalModel is DecodeModel on bytes the caller already holds: it
+// decodes straight from raw, with every check DecodeModel makes. The
+// result shares no memory with raw.
+func UnmarshalModel(raw []byte) (*ModelSnapshot, error) {
+	kind, body, err := deframe(raw, kindModel, kindModelF32)
 	if err != nil {
 		return nil, err
 	}
@@ -233,8 +254,7 @@ func encodeSubset(w io.Writer, m *cache.SubsetModel, f32 bool) error {
 	if m == nil || m.Net == nil {
 		return fmt.Errorf("snapshot: nil subset model")
 	}
-	var body bytes.Buffer
-	e := &encoder{w: &body, dense32: f32}
+	e := newEncoder(f32, nn.ParamCount(m.Net))
 	e.u32(uint32(m.InputWidth()))
 	e.ints(m.Hot)
 	e.layer(m.Net)
@@ -245,12 +265,16 @@ func encodeSubset(w io.Writer, m *cache.SubsetModel, f32 bool) error {
 	if f32 {
 		kind = kindSubsetF32
 	}
-	return frame(w, kind, body.Bytes())
+	return writeFile(w, e.frame(kind), nil)
 }
 
 // DecodeSubset reads a reduced device model (either precision).
 func DecodeSubset(r io.Reader) (*cache.SubsetModel, error) {
-	kind, body, err := deframe(r, kindSubset, kindSubsetF32)
+	raw, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	kind, body, err := deframe(raw, kindSubset, kindSubsetF32)
 	if err != nil {
 		return nil, err
 	}
@@ -344,41 +368,41 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// frame writes magic | version | kind | body-length | body | crc32,
-// where the checksum covers version through body.
-func frame(w io.Writer, kind byte, body []byte) error {
-	var hdr bytes.Buffer
-	hdr.WriteString(magic)
-	var meta [13]byte
-	binary.LittleEndian.PutUint32(meta[0:4], FormatVersion)
-	meta[4] = kind
-	binary.LittleEndian.PutUint64(meta[5:13], uint64(len(body)))
-	hdr.Write(meta[:])
-	crc := crc32.NewIEEE()
-	crc.Write(meta[:])
-	crc.Write(body)
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: writing header: %w", err)
+// hdrLen is a frame's header: the magic, then the version (4 bytes),
+// the kind (1) and the body's length (8).
+const hdrLen = len(magic) + 13
+
+// maxFile is the most bytes a decoder reads; a longer file fails the
+// body-length check.
+const maxFile = 1 << 31
+
+// writeFile hands an encoded file to w in one Write, or passes on the
+// encoder's error.
+func writeFile(w io.Writer, raw []byte, err error) error {
+	if err != nil {
+		return err
 	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("snapshot: writing body: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("snapshot: writing checksum: %w", err)
+	if _, err := w.Write(raw); err != nil {
+		return fmt.Errorf("snapshot: writing: %w", err)
 	}
 	return nil
 }
 
-// deframe validates magic, version, kind (one of wantKinds), length,
-// and checksum, and returns the matched kind and body bytes.
-func deframe(r io.Reader, wantKinds ...byte) (byte, []byte, error) {
-	raw, err := io.ReadAll(io.LimitReader(r, 1<<31))
+// readAll reads a file for the decoders, up to maxFile bytes.
+func readAll(r io.Reader) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(r, maxFile))
 	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot: reading: %w", err)
+		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
-	const hdrLen = len(magic) + 13
+	return raw, nil
+}
+
+// deframe validates magic, version, kind (one of wantKinds), length,
+// and checksum of the file raw, magic | version | kind | body-length |
+// body | crc32 with the checksum over version through body, and returns
+// the matched kind and the body, a subslice of raw.
+func deframe(raw []byte, wantKinds ...byte) (byte, []byte, error) {
+	raw = raw[:min(len(raw), maxFile)]
 	if len(raw) < hdrLen+4 {
 		return 0, nil, fmt.Errorf("snapshot: file truncated (%d bytes)", len(raw))
 	}
@@ -406,27 +430,49 @@ func deframe(r io.Reader, wantKinds ...byte) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("snapshot: body length %d does not match file (%d)", bodyLen, len(raw)-hdrLen-4)
 	}
 	body := raw[hdrLen : len(raw)-4]
-	crc := crc32.NewIEEE()
-	crc.Write(meta)
-	crc.Write(body)
-	if got := binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != crc.Sum32() {
-		return 0, nil, fmt.Errorf("snapshot: checksum mismatch (file %08x, computed %08x)", got, crc.Sum32())
+	sum := crc32.ChecksumIEEE(raw[len(magic) : len(raw)-4])
+	if got := binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != sum {
+		return 0, nil, fmt.Errorf("snapshot: checksum mismatch (file %08x, computed %08x)", got, sum)
 	}
 	return kind, body, nil
 }
 
-// encoder writes the little-endian body primitives, capturing the first
-// error (bytes.Buffer writes cannot fail, but the encoder is also used
-// for structural errors like unsupported layer types).
+// encoder appends the little-endian body primitives to one buffer that
+// becomes the file: newEncoder leaves room for the header in front, and
+// frame fills it in and appends the checksum. It captures the first
+// structural error, such as an unsupported layer type.
 type encoder struct {
-	w   *bytes.Buffer
+	b   []byte
 	err error
 	// dense32 selects float32 dense payloads (tagDense32) — the f32
 	// artifact kinds.
 	dense32 bool
 }
 
-func (e *encoder) u8(v byte) { e.w.WriteByte(v) }
+// newEncoder sizes the buffer for a body holding about params dense
+// weights, so that encoding a model grows it once.
+func newEncoder(dense32 bool, params int) *encoder {
+	width := 8
+	if dense32 {
+		width = 4
+	}
+	return &encoder{b: make([]byte, hdrLen, hdrLen+width*params+4096), dense32: dense32}
+}
+
+// frame completes the file around the body: magic | version | kind |
+// body-length | body | crc32, with the checksum over version through
+// body.
+func (e *encoder) frame(kind byte) []byte {
+	b := e.b
+	copy(b, magic)
+	meta := b[len(magic):hdrLen]
+	binary.LittleEndian.PutUint32(meta[0:4], FormatVersion)
+	meta[4] = kind
+	binary.LittleEndian.PutUint64(meta[5:13], uint64(len(b)-hdrLen))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(magic):]))
+}
+
+func (e *encoder) u8(v byte) { e.b = append(e.b, v) }
 func (e *encoder) bool(v bool) {
 	if v {
 		e.u8(1)
@@ -435,50 +481,46 @@ func (e *encoder) bool(v bool) {
 	}
 }
 
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.w.Write(b[:])
-}
+func (e *encoder) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 
-func (e *encoder) f64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	e.w.Write(b[:])
-}
+func (e *encoder) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 
 func (e *encoder) f64s(v []float64) {
 	e.u32(uint32(len(v)))
+	b := slices.Grow(e.b, 8*len(v))
 	for _, x := range v {
-		e.f64(x)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
+	e.b = b
 }
 
 // f32s writes v rounded to float32 bit patterns — the half-width dense
 // payload of the f32 artifact kinds.
 func (e *encoder) f32s(v []float64) {
 	e.u32(uint32(len(v)))
-	var b [4]byte
+	b := slices.Grow(e.b, 4*len(v))
 	for _, x := range v {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(float32(x)))
-		e.w.Write(b[:])
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(x)))
 	}
+	e.b = b
 }
 
 func (e *encoder) ints(v []int) {
 	e.u32(uint32(len(v)))
+	b := slices.Grow(e.b, 8*len(v))
 	for _, x := range v {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(int64(x)))
-		e.w.Write(b[:])
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(x)))
 	}
+	e.b = b
 }
 
 func (e *encoder) u32s(v []int) {
 	e.u32(uint32(len(v)))
+	b := slices.Grow(e.b, 4*len(v))
 	for _, x := range v {
-		e.u32(uint32(x))
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
 	}
+	e.b = b
 }
 
 // model encodes topology dims, the stem, and per-stage body/head layer
@@ -592,6 +634,9 @@ func (d *decoder) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
+// Each slice reader checks the element count against the body once and
+// then reads the whole run from one subslice.
+
 func (d *decoder) f64s() []float64 {
 	n := int(d.u32())
 	if d.err != nil {
@@ -601,9 +646,10 @@ func (d *decoder) f64s() []float64 {
 		d.fail("float slice of %d elements exceeds body", n)
 		return nil
 	}
+	src := d.take(8 * n)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return out
 }
@@ -619,13 +665,10 @@ func (d *decoder) f32s() []float64 {
 		d.fail("float32 slice of %d elements exceeds body", n)
 		return nil
 	}
+	src := d.take(4 * n)
 	out := make([]float64, n)
 	for i := range out {
-		b := d.take(4)
-		if b == nil {
-			return nil
-		}
-		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))
+		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
 	return out
 }
@@ -639,13 +682,10 @@ func (d *decoder) ints() []int {
 		d.fail("int slice of %d elements exceeds body", n)
 		return nil
 	}
+	src := d.take(8 * n)
 	out := make([]int, n)
 	for i := range out {
-		b := d.take(8)
-		if b == nil {
-			return nil
-		}
-		out[i] = int(int64(binary.LittleEndian.Uint64(b)))
+		out[i] = int(int64(binary.LittleEndian.Uint64(src[8*i:])))
 	}
 	return out
 }
@@ -659,9 +699,10 @@ func (d *decoder) u32s() []int {
 		d.fail("u32 slice of %d elements exceeds body", n)
 		return nil
 	}
+	src := d.take(4 * n)
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(d.u32())
+		out[i] = int(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	return out
 }

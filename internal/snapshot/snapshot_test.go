@@ -509,7 +509,7 @@ func TestDecodeRejectsStructuralLies(t *testing.T) {
 	if err := EncodeModel(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	_, body, err := deframe(bytes.NewReader(buf.Bytes()), kindModel)
+	_, body, err := deframe(buf.Bytes(), kindModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,13 +517,16 @@ func TestDecodeRejectsStructuralLies(t *testing.T) {
 	// refuse. classes is the third u32 of the body.
 	mut := append([]byte(nil), body...)
 	mut[8] = 7
-	var reframed bytes.Buffer
-	if err := frame(&reframed, kindModel, mut); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeModel(bytes.NewReader(reframed.Bytes())); err == nil {
+	if _, err := DecodeModel(bytes.NewReader(frameBody(kindModel, mut))); err == nil {
 		t.Fatal("inconsistent class count accepted")
 	}
+}
+
+// frameBody frames body as a file of the given kind.
+func frameBody(kind byte, body []byte) []byte {
+	e := newEncoder(false, 0)
+	e.b = append(e.b, body...)
+	return e.frame(kind)
 }
 
 func TestEnsureTensorFromSliceAliasSafe(t *testing.T) {

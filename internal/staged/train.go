@@ -57,6 +57,15 @@ func (m *Model) Train(cfg TrainConfig, train *dataset.Set) (float64, error) {
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	params := m.Params()
 	data := train.Subset(seq(train.Len())) // private copy; Shuffle mutates
+	// Each step's weight gradients run on a lane beside the backward
+	// chain, which none of them feeds, under nn.UseLane's rule: the step
+	// joins the lane before the norm reads them.
+	var lane tensor.Lane
+	m.useLane(&lane)
+	defer func() {
+		lane.Wait() // returns the helper if a step panicked mid-lane
+		m.useLane(nil)
+	}()
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		data.Shuffle(rng)
@@ -71,9 +80,10 @@ func (m *Model) Train(cfg TrainConfig, train *dataset.Set) (float64, error) {
 				loss += nn.SoftmaxCE(g, lg, labels, 0)
 				grads[i] = g
 			}
+			lane.Open()
 			m.Backward(grads)
-			nn.ClipGrads(params, 5)
-			opt.Step(params)
+			lane.Wait()
+			opt.ClipStep(params, 5)
 			epochLoss += loss
 			batches++
 		})
@@ -138,6 +148,15 @@ func (m *Model) ConfidenceCurves(set *dataset.Set) (conf *tensor.Matrix, correct
 		}
 	}
 	return conf, correct
+}
+
+// useLane points every dense layer of the model at lane (nil: none).
+func (m *Model) useLane(lane *tensor.Lane) {
+	nn.UseLane(m.Stem, lane)
+	for _, s := range m.Stages {
+		nn.UseLane(s.Body, lane)
+		nn.UseLane(s.Head, lane)
+	}
 }
 
 func seq(n int) []int {

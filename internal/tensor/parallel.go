@@ -6,25 +6,41 @@ import (
 	"sync/atomic"
 )
 
-// Intra-op parallelism: a GEMM splits its rows over helper goroutines
-// only when the split pays for itself and the cores are free to take it.
+// Intra-op parallelism: work splits over helper goroutines only when the
+// split pays for itself and the cores are free to take it.
 //
-//   - Size. Every chunk is at least gemmGrain mul-adds, so a product
-//     under two grains runs inline on its caller without touching the
-//     pool. That covers every GEMM of the serving path: the scheduler
-//     already shares the cores by handing stages of ≤ MaxBatch rows to
-//     its workers, and one wake-up per stage is cheaper than one per
-//     GEMM.
-//   - Occupancy. The limit caps the goroutines inside over-grain
-//     products, callers and helpers together. A caller takes helpers
-//     only for the cores no other such product holds at that moment,
-//     and only helpers that are idle; it never queues a chunk. Callers
-//     are never held back, so c of them at once run max(limit, c)
-//     goroutines (one that arrives while another's helpers are
+//   - Size. Every chunk of a GEMM is at least gemmGrain mul-adds, so a
+//     product under two grains runs inline on its caller without
+//     touching the pool. That covers every GEMM of the serving path: the
+//     scheduler already shares the cores by handing stages of ≤ MaxBatch
+//     rows to its workers, and one wake-up per stage is cheaper than one
+//     per GEMM.
+//   - Occupancy. The limit caps the goroutines that hold a core: callers
+//     inside over-grain products, in Each or with a lane open, the
+//     helpers they reserved, and every serving dispatch in flight (Hold).
+//     A caller takes helpers only for the cores nothing else holds at
+//     that moment, and only helpers that are idle; it never queues work
+//     behind a busy helper and never starts a goroutine of its own.
+//     Callers are never held back, so c of them at once run max(limit,
+//     c) goroutines (one that arrives while another's helpers are
 //     mid-chunk adds itself on top until those chunks end). Products
 //     under two grains are not counted: they finish within a chunk's
 //     time, and counting them would put a shared cache line on every
 //     matvec.
+//   - Dispatches. A serving dispatch holds its core for its whole stage:
+//     one add and one subtract around ExecStageBatch, not one per GEMM.
+//     The products inside it are under two grains at every served shape
+//     (TestGemmChunks), so they never touch the count and the dispatch's
+//     hold is its core's one count. A Train or subset-model request on a
+//     replica whose workers are busy therefore takes no helper and runs
+//     on its own core.
+//   - Work that is not a product has two forms. Each spreads n
+//     independent tasks over the caller and the idle helpers. A Lane
+//     hands an ordered queue of jobs to one helper while the caller goes
+//     on; with no helper free when it opens, each job runs inline as it
+//     is queued, which is the order the work would have had without it.
+//     Every task and job writes only its own outputs, so no result
+//     depends on which goroutine ran it or on how many cores there were.
 const (
 	// gemmGrain is the least work, in mul-adds, worth a chunk of its
 	// own. BenchmarkMatMulTFanOut (rows × 256 × 256, serial against a
@@ -39,9 +55,10 @@ const (
 	maxParallelism = 256
 )
 
-// gemmJob is one row range of one product. It travels by value, and run
-// is a package-level function, never a closure, so handing a chunk to a
-// helper allocates nothing.
+// gemmJob is one piece of work for a helper: a row range of one product,
+// a share of an Each, or a lane to drain. It travels by value, and run is
+// a package-level function, never a closure, so handing a product's chunk
+// or a lane's job to a helper allocates nothing.
 type gemmJob struct {
 	run             func(gemmJob)
 	dst, a, b       *Matrix
@@ -49,7 +66,9 @@ type gemmJob struct {
 	bias            []float64
 	bias32          []float32
 	relu            bool
-	transA          bool // runProduct64: aᵀ·b rather than a·b
+	transA          bool // runProduct64: dst += aᵀ·b rather than dst = a·b
+	each            *eachJob
+	queue           chan gemmJob // runLane: the lane's jobs
 	lo, hi          int
 }
 
@@ -71,8 +90,8 @@ func (h *gemmHelper) serve() {
 
 var gemmPool struct {
 	limit atomic.Int32
-	// inKernels counts the goroutines inside over-grain products:
-	// callers, plus the helpers they reserved.
+	// inKernels counts the goroutines holding a core (see the policy at
+	// the top of this file).
 	inKernels atomic.Int32
 	started   atomic.Int32
 	mu        sync.Mutex
@@ -84,18 +103,17 @@ var gemmPool struct {
 func init() {
 	// Default to one goroutine per schedulable core, like a BLAS:
 	// explicit SetParallelism overrides. Helpers spawn lazily on the
-	// first product that splits, so merely importing tensor starts
+	// first piece of work that splits, so merely importing tensor starts
 	// nothing.
 	gemmPool.limit.Store(int32(min(runtime.GOMAXPROCS(0), maxParallelism)))
 	gemmPool.idle = make(chan *gemmHelper, maxParallelism)
 }
 
-// SetParallelism caps how many goroutines may run inside large kernels
-// at once, across all callers (see the policy at the top of this file);
-// callers are never blocked, so more concurrent callers than n simply
-// all run inline. n ≤ 0 selects 1 (no helpers). The setting is
-// process-wide; lowering it leaves the surplus helpers idle (a few KB
-// each).
+// SetParallelism caps how many goroutines may hold a core at once,
+// across all callers (see the policy at the top of this file); callers
+// are never blocked, so more concurrent callers than n simply all run
+// inline. n ≤ 0 selects 1 (no helpers). The setting is process-wide;
+// lowering it leaves the surplus helpers idle (a few KB each).
 func SetParallelism(n int) {
 	gemmPool.limit.Store(int32(max(1, min(n, maxParallelism))))
 }
@@ -103,10 +121,37 @@ func SetParallelism(n int) {
 // Parallelism returns the current intra-op parallelism limit.
 func Parallelism() int { return int(gemmPool.limit.Load()) }
 
+// Hold counts the caller's core as busy until the matching Release, so
+// that no Each, lane or product takes a helper for it meanwhile. A
+// serving dispatch holds its core for its whole stage.
+//
+//eugene:noalloc
+func Hold() { gemmPool.inKernels.Add(1) }
+
+// Release ends a Hold.
+//
+//eugene:noalloc
+func Release() { gemmPool.inKernels.Add(-1) }
+
+// reserve counts the caller and up to want-1 helpers against the limit,
+// the caller always, in one step, so two callers arriving together
+// cannot both take the last free core. It returns how many it counted.
+//
+//eugene:noalloc
+func reserve(want int) int32 {
+	for {
+		held := gemmPool.inKernels.Load()
+		n := int32(max(1, min(want, int(gemmPool.limit.Load()-held))))
+		if gemmPool.inKernels.CompareAndSwap(held, held+n) {
+			return n
+		}
+	}
+}
+
 // gemmChunks is the fan-out rule: how many chunks a rows-high product
 // of muladds mul-adds is split into when free cores (the caller's
-// included) are not running over-grain kernels. Each chunk is at least
-// a grain and at least a register tile.
+// included) are not held. Each chunk is at least a grain and at least a
+// register tile.
 func gemmChunks(rows, muladds, free int) int {
 	return max(1, min(muladds/gemmGrain, rows/denseRowTile, free))
 }
@@ -115,21 +160,13 @@ func gemmChunks(rows, muladds, free int) int {
 //
 //eugene:noalloc
 func fanOut(j gemmJob, rows, muladds int) {
-	if gemmChunks(rows, muladds, maxParallelism) == 1 {
+	want := gemmChunks(rows, muladds, maxParallelism)
+	if want == 1 {
 		j.lo, j.hi = 0, rows
 		j.run(j)
 		return
 	}
-	// Reserve the caller's core and the helpers' in one step, so two
-	// callers arriving together cannot both take the last free core.
-	var n int32
-	for {
-		held := gemmPool.inKernels.Load()
-		n = int32(gemmChunks(rows, muladds, int(gemmPool.limit.Load()-held)))
-		if gemmPool.inKernels.CompareAndSwap(held, held+n) {
-			break
-		}
-	}
+	n := reserve(want)
 	parallelRows(j, rows, int(n))
 	gemmPool.inKernels.Add(-n)
 }
@@ -151,13 +188,38 @@ func ensureHelpers(n int) {
 	gemmPool.mu.Unlock()
 }
 
-// idleHelper takes a helper that is idle now, or returns nil.
-func idleHelper() *gemmHelper {
-	select {
-	case h := <-gemmPool.idle:
-		return h
-	default:
-		return nil
+// takeHelpers takes up to n helpers that are idle now, growing the pool
+// to n first, and returns them as a list with its length.
+//
+//eugene:noalloc
+func takeHelpers(n int) (taken *gemmHelper, k int) {
+	if n <= 0 {
+		return nil, 0
+	}
+	ensureHelpers(n)
+	for ; k < n; k++ {
+		var h *gemmHelper
+		select {
+		case h = <-gemmPool.idle:
+		default:
+			return taken, k
+		}
+		h.next, taken = taken, h
+	}
+	return taken, k
+}
+
+// join waits for each helper of the list to finish its job and puts it
+// back.
+//
+//eugene:noalloc
+func join(taken *gemmHelper) {
+	for h := taken; h != nil; {
+		<-h.done
+		next := h.next
+		h.next = nil
+		gemmPool.idle <- h
+		h = next
 	}
 }
 
@@ -172,17 +234,8 @@ func idleHelper() *gemmHelper {
 //eugene:noalloc
 func parallelRows(j gemmJob, rows, n int) {
 	tiles := (rows + denseRowTile - 1) / denseRowTile
-	n = min(n, tiles)
-	ensureHelpers(n - 1)
-	var taken *gemmHelper
-	k := 1 // chunks: the caller's, and one per helper taken
-	for ; k < n; k++ {
-		h := idleHelper()
-		if h == nil {
-			break
-		}
-		h.next, taken = taken, h
-	}
+	taken, k := takeHelpers(min(n, tiles) - 1)
+	k++ // chunks: the caller's, and one per helper taken
 	// Chunk i of k covers tiles [i·tiles/k, (i+1)·tiles/k).
 	i := 1
 	for h := taken; h != nil; h = h.next {
@@ -192,11 +245,134 @@ func parallelRows(j gemmJob, rows, n int) {
 	}
 	j.lo, j.hi = 0, min(tiles/k*denseRowTile, rows)
 	j.run(j)
-	for h := taken; h != nil; {
-		<-h.done
-		next := h.next
-		h.next = nil
-		gemmPool.idle <- h
-		h = next
+	join(taken)
+}
+
+// eachJob is one Each call's tasks, shared by the goroutines running
+// them.
+type eachJob struct {
+	f    func(int)
+	n    int64
+	next atomic.Int64 // the next task to claim
+}
+
+func runEach(j gemmJob) {
+	e := j.each
+	for i := e.next.Add(1) - 1; i < e.n; i = e.next.Add(1) - 1 {
+		e.f(int(i))
 	}
+}
+
+// Each runs f(0), …, f(n-1) and returns when every call has returned.
+// The calls run on the caller and on as many idle helpers as the limit
+// leaves cores free for, each taking the lowest index not yet claimed;
+// with no helper free they run inline, in order. Every f(i) must write
+// only its own outputs: then what Each computes does not depend on which
+// goroutine ran which index, or on how many there were.
+func Each(n int, f func(i int)) {
+	if n <= 0 {
+		return
+	}
+	cores := reserve(n)
+	taken, k := takeHelpers(int(cores) - 1)
+	// Give back the cores no idle helper was found for.
+	gemmPool.inKernels.Add(int32(k+1) - cores)
+	if taken == nil {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+	} else {
+		e := &eachJob{f: f, n: int64(n)}
+		for h := taken; h != nil; h = h.next {
+			h.job <- gemmJob{run: runEach, each: e}
+		}
+		runEach(gemmJob{each: e})
+		join(taken)
+	}
+	gemmPool.inKernels.Add(-int32(k + 1))
+}
+
+// laneDepth is how many jobs a lane holds queued ahead of its helper;
+// a caller that gets further ahead waits for the helper to take one. A
+// training step queues one job per dense layer, under twenty at every
+// shape Eugene trains, so it never waits.
+const laneDepth = 32
+
+// Lane is an ordered queue of jobs that one helper runs while the caller
+// goes on, for work the caller does not need again until Wait: a layer's
+// weight gradient while the backward pass continues down the chain.
+//
+// Open takes an idle helper if the limit leaves a core free for one;
+// the helper then runs the jobs in the order they were queued. With
+// none, each job runs inline when it is queued, which is the order the
+// work would have had without a lane. A job's inputs must not change,
+// and its outputs must not be read, until Wait has returned. Every Open
+// is matched by a Wait. The zero value is a closed lane, whose jobs run
+// inline, and so is a nil *Lane. A lane belongs to the goroutine that
+// opens it, queues on it and waits for it.
+type Lane struct {
+	h     *gemmHelper // the helper draining q; nil when jobs run inline
+	cores int32       // counted by Open, given back by Wait
+	q     chan gemmJob
+}
+
+// Open starts a lane: it counts the caller's core and, if the limit
+// leaves one free and a helper is idle, the helper's.
+//
+//eugene:noalloc
+func (l *Lane) Open() {
+	if l.cores != 0 {
+		panic("tensor: Lane.Open on an open lane")
+	}
+	l.cores = reserve(2)
+	if l.cores == 2 {
+		if l.h, _ = takeHelpers(1); l.h == nil {
+			gemmPool.inKernels.Add(-1)
+			l.cores = 1
+		}
+	}
+	if l.h == nil {
+		return
+	}
+	if l.q == nil {
+		l.q = make(chan gemmJob, laneDepth)
+	}
+	l.h.job <- gemmJob{run: runLane, queue: l.q}
+}
+
+// runLane runs a lane's jobs in order until Wait's end marker, the job
+// with no run.
+func runLane(j gemmJob) {
+	for job := range j.queue {
+		if job.run == nil {
+			return
+		}
+		job.run(job)
+	}
+}
+
+// do queues j on the lane, or runs it now when the lane has no helper.
+//
+//eugene:noalloc
+func (l *Lane) do(j gemmJob) {
+	if l == nil || l.h == nil {
+		j.run(j)
+		return
+	}
+	l.q <- j
+}
+
+// Wait returns once every job queued since Open has run, and closes the
+// lane. On a closed lane, or one whose jobs ran inline, it returns at
+// once.
+//
+//eugene:noalloc
+func (l *Lane) Wait() {
+	if l.h != nil {
+		l.q <- gemmJob{}
+		join(l.h)
+		l.h = nil
+	}
+	gemmPool.inKernels.Add(-l.cores)
+	l.cores = 0
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -281,5 +282,132 @@ func BenchmarkMatMulTFanOut(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// helpersIdle reports whether every helper the pool has started is idle.
+func helpersIdle() bool { return len(gemmPool.idle) == int(gemmPool.started.Load()) }
+
+// holdAll holds every core of a limit of two and returns the undo.
+func holdAll(t *testing.T) func() {
+	t.Helper()
+	par := Parallelism()
+	SetParallelism(2)
+	ensureHelpers(2)
+	Hold()
+	Hold()
+	return func() {
+		Release()
+		Release()
+		SetParallelism(par)
+	}
+}
+
+// TestEachAndLaneInlineWhenCoresHeld: with every core held, Each and a
+// lane take no helper; tasks and jobs run on the caller, in order, a
+// lane's job before the call that queues it returns, and Wait returns at
+// once.
+func TestEachAndLaneInlineWhenCoresHeld(t *testing.T) {
+	defer holdAll(t)()
+	var order []int
+	Each(5, func(i int) {
+		if !helpersIdle() {
+			t.Errorf("task %d: a helper was taken with every core held", i)
+		}
+		order = append(order, i)
+	})
+	if fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Errorf("Each ran %v, want [0 1 2 3 4] inline", order)
+	}
+
+	var l Lane
+	l.Open()
+	if l.h != nil {
+		t.Fatal("Lane.Open took a helper with every core held")
+	}
+	order = order[:0]
+	for i := 0; i < 3; i++ {
+		l.do(gemmJob{lo: i, run: func(j gemmJob) { order = append(order, j.lo) }})
+		if len(order) != i+1 {
+			t.Fatalf("job %d had not run when do returned", i)
+		}
+	}
+	l.Wait()
+	if held := gemmPool.inKernels.Load(); held != 2 {
+		t.Errorf("%d cores counted after Wait, want the two holds", held)
+	}
+}
+
+// TestLaneRunsOnHelper: with a core free, Open takes a helper, queued
+// jobs run on it in order while the caller goes on, Wait joins it, and
+// the count returns to zero. An empty lane's Wait, a closed lane's and
+// a nil lane's do return at once.
+func TestLaneRunsOnHelper(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	ensureHelpers(1)
+
+	var l Lane
+	l.Open()
+	if l.h == nil {
+		t.Fatal("Lane.Open took no helper with a core free")
+	}
+	release := make(chan struct{})
+	var order []int // written by the helper only, read after Wait
+	l.do(gemmJob{run: func(gemmJob) { <-release }})
+	for i := 0; i < laneDepth; i++ { // a full queue behind the blocked job
+		l.do(gemmJob{lo: i, run: func(j gemmJob) { order = append(order, j.lo) }})
+	}
+	close(release) // queuing returned while the first job was blocked
+	l.Wait()
+	if len(order) != laneDepth {
+		t.Fatalf("%d of %d jobs ran before Wait returned", len(order), laneDepth)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("lane ran jobs in order %v", order)
+		}
+	}
+	if held := gemmPool.inKernels.Load(); held != 0 || !helpersIdle() {
+		t.Errorf("after Wait: %d cores counted, helpers idle %v", held, helpersIdle())
+	}
+
+	l.Open() // empty
+	l.Wait()
+	l.Wait() // closed
+	var nilLane *Lane
+	ran := false
+	nilLane.do(gemmJob{run: func(gemmJob) { ran = true }})
+	if !ran || gemmPool.inKernels.Load() != 0 {
+		t.Errorf("nil lane: job ran %v, %d cores counted", ran, gemmPool.inKernels.Load())
+	}
+}
+
+// TestEachUsesIdleHelper: with a core free, Each runs two tasks at once
+// — each waits for the other to start — and every index exactly once.
+func TestEachUsesIdleHelper(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	ensureHelpers(1)
+	var arrived atomic.Int32
+	Each(2, func(i int) {
+		arrived.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); arrived.Load() < 2; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Errorf("task %d: the other never started; Each took no helper", i)
+				return
+			}
+		}
+	})
+	const n = 1000
+	var runs [n]atomic.Int32
+	Each(n, func(i int) { runs[i].Add(1) })
+	for i := range runs {
+		if c := runs[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+	if held := gemmPool.inKernels.Load(); held != 0 {
+		t.Errorf("%d cores still counted", held)
 	}
 }

@@ -18,7 +18,8 @@ var portableFuses bool
 // (masked tails included), depths from one term to 256, and one product
 // large enough to be split over helpers. The operands mix normal values
 // with zeros of both signs, subnormals, infinities and NaNs of three
-// payloads, one of them signalling; dst starts as garbage. A NaN output
+// payloads, one of them signalling; dst starts as garbage (the same
+// garbage on both sides for TMatMul, which adds to it). A NaN output
 // must be NaN on both sides (assertBitwise has why not the same NaN).
 func TestProductKernelsMatchPortable(t *testing.T) {
 	if !hasAVX2FMA {
@@ -45,10 +46,33 @@ func checkProducts(t *testing.T, rng *rand.Rand, rows, cols, k int) {
 	MatMul(got, a, b)
 	matMulPortable(want, a, b)
 	assertBitwise(t, fmt.Sprintf("MatMul %dx%d · %dx%d", rows, k, k, cols), got, want)
-	got, want = garbageMatrix(rng, rows, cols), garbageMatrix(rng, rows, cols)
+	// TMatMul accumulates: both sides add to the same garbage.
+	got = garbageMatrix(rng, rows, cols)
+	want = got.Clone()
 	TMatMul(got, at, b)
 	tMatMulPortable(want, at, b)
 	assertBitwise(t, fmt.Sprintf("TMatMul (%dx%d)ᵀ · %dx%d", k, rows, k, cols), got, want)
+}
+
+// TestTMatMulAddsLikeScratch pins TMatMul's accumulation to what the
+// backward pass did before it accumulated in place: the product into a
+// zeroed scratch, then dst += 1·scratch. It holds bit for bit on every
+// path, the portable one included, at the training shapes' tile and
+// column tails.
+func TestTMatMulAddsLikeScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, s := range [][3]int{{20, 256, 256}, {20, 13, 40}, {7, 5, 17}, {1, 3, 300}} {
+		k, rows, cols := s[0], s[1], s[2]
+		a, b := randMatrix(rng, k, rows), randMatrix(rng, k, cols)
+		got := randMatrix(rng, rows, cols)
+		want, scratch := got.Clone(), NewMatrix(rows, cols)
+		TMatMul(got, a, b)
+		TMatMul(scratch, a, b)
+		for i, v := range scratch.Data {
+			want.Data[i] += 1 * v
+		}
+		assertBitwise(t, fmt.Sprintf("TMatMul (%dx%d)ᵀ · %dx%d", k, rows, k, cols), got, want)
+	}
 }
 
 // specialMatrix draws normal values, with one entry in five a signed zero

@@ -26,14 +26,29 @@ var provisionPins = map[string]string{
 // TestProvisioningPin runs the paper's provisioning pipeline end to end
 // at a small fixed-seed shape — train, calibrate by Eq. 4, fit the GP
 // confidence predictor — and compares the model bundle's hash with the
-// one recorded from the parent commit. The shape puts a masked column
-// tail and a ragged register tile in both backward products (13 inputs,
-// 40 hidden, a 6-wide bottleneck head, 5 classes, batches of 20).
+// one recorded from the parent commit, at parallelism 1, 2 and 4: the
+// bundle must not depend on how many cores ran it. The shape puts a
+// masked column tail and a ragged register tile in both backward
+// products (13 inputs, 40 hidden, a 6-wide bottleneck head, 5 classes,
+// batches of 20).
 func TestProvisioningPin(t *testing.T) {
 	path := tensor.KernelPath()
 	if path == "" {
 		t.Skip("this build may fuse the portable loops' multiply-adds (arm64, GOAMD64 ≥ v3): no recorded bundle applies")
 	}
+	defer tensor.SetParallelism(tensor.Parallelism())
+	for _, par := range []int{1, 2, 4} {
+		tensor.SetParallelism(par)
+		if got := provisionedBundleHash(t); got != provisionPins[path] {
+			t.Fatalf("%s path, parallelism %d: bundle sha256 %s, the parent commit's is %s — training numerics drifted", path, par, got, provisionPins[path])
+		}
+	}
+}
+
+// provisionedBundleHash provisions TestProvisioningPin's model and
+// returns its bundle's sha256.
+func provisionedBundleHash(t *testing.T) string {
+	t.Helper()
 	train, test, err := dataset.SynthCIFAR(dataset.SynthConfig{
 		Classes: 5, Dim: 13, ModesPerClass: 2, TrainSize: 160, TestSize: 64,
 		NoiseLo: 0.4, NoiseHi: 1.2, Overlap: 0.2,
@@ -69,7 +84,5 @@ func TestProvisioningPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(bundle)
-	if got := hex.EncodeToString(sum[:]); got != provisionPins[path] {
-		t.Fatalf("%s path: bundle sha256 %s, the parent commit's is %s — training numerics drifted", path, got, provisionPins[path])
-	}
+	return hex.EncodeToString(sum[:])
 }

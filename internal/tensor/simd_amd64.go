@@ -60,12 +60,13 @@ func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool)
 // prodTile64 is the training products' AVX2 micro-kernel: for the m rows
 // of a dst tile (1 ≤ m ≤ 3) and all n columns,
 //
-//	dst[r·n+j] = Σ_k a[r·ars+kk·aks]·b[kk·n+j]
+//	s = Σ_k a[r·ars+kk·aks]·b[kk·n+j]
 //
 // summed from zero in ascending k, one multiply and one add per term and
-// no FMA, so every output has the bits of the portable loops
+// no FMA, and then stored to dst[r·n+j] — or, when add is set, added to
+// it with one more add. Every output has the bits of the portable loops
 // (matMulPortable, tMatMulPortable). n and k are at least 1
 // (simd_amd64.s has the layout).
 //
 //go:noescape
-func prodTile64(dst, a, b *float64, m, n, k, ars, aks int)
+func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)

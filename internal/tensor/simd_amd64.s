@@ -418,7 +418,10 @@ next:
 //	dst[r][j] = Σ_k A(r, k)·b[k][j],  A(r, k) = a[r·ars + k·aks]
 //
 // with b and dst row stride n: ars, aks = cols(a), 1 is a·b and 1,
-// cols(a) is aᵀ·b. The j loop runs here, 16 columns at a time: m × 4
+// cols(a) is aᵀ·b. With add set (TMatMul, the weight gradient) the sums
+// are added to dst instead: one VADDPD of dst's value after the k loop,
+// which is axpyUnrolled's sum plus the portable loop's dst[j] += sum[j].
+// The j loop runs here, 16 columns at a time: m × 4
 // accumulators, zeroed, then per k in ascending order one VMULPD and one
 // VADDPD each — the two roundings Go compiles axpyUnrolled's
 // dst[i] += alpha*src[i] to at the default GOAMD64. Every output
@@ -540,14 +543,23 @@ GLOBL tail64<>(SB), RODATA|NOPTR, $256
 #define PSTORETAIL(c, off, rp) \
 	VMOVDQU    off(R13), Y12; \
 	VMASKMOVPD c, Y12, off(rp)
+
+// Add dst's values at rp to one row's four accumulators (add is set):
+// whole, or under the tail mask. One VADDPD after the k loop, so a sum
+// reaches dst as its portable loop's dst[j] += sum[j] does.
+#define PADD(c, off, rp) VADDPD off(rp), c, c
+#define PADDTAIL(c, off, rp) \
+	VMOVDQU    off(R13), Y12; \
+	VMASKMOVPD off(rp), Y12, Y13; \
+	VADDPD     Y13, c, c
 #define PROW(ST, c0, c1, c2, c3, rp) \
 	ST(c0, 0, rp); \
 	ST(c1, 32, rp); \
 	ST(c2, 64, rp); \
 	ST(c3, 96, rp)
 
-// func prodTile64(dst, a, b *float64, m, n, k, ars, aks int)
-TEXT ·prodTile64(SB), NOSPLIT, $0-64
+// func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)
+TEXT ·prodTile64(SB), NOSPLIT, $0-65
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ b+16(FP), SI
@@ -598,6 +610,19 @@ full1:
 	JNZ  full1
 
 store:
+	CMPB add+64(FP), $0
+	JEQ  storerows
+	PROW(PADD, Y0, Y1, Y2, Y3, DI)
+	CMPQ m+24(FP), $2
+	JLT  storerows
+	LEAQ (DI)(BX*1), R11
+	PROW(PADD, Y4, Y5, Y6, Y7, R11)
+	CMPQ m+24(FP), $3
+	JLT  storerows
+	LEAQ (DI)(BX*2), R11
+	PROW(PADD, Y8, Y9, Y10, Y11, R11)
+
+storerows:
 	PROW(PSTORE, Y0, Y1, Y2, Y3, DI)
 	CMPQ m+24(FP), $2
 	JLT  next
@@ -639,6 +664,19 @@ tail1:
 	JNZ  tail1
 
 tailstore:
+	CMPB add+64(FP), $0
+	JEQ  tailrows
+	PROW(PADDTAIL, Y0, Y1, Y2, Y3, DI)
+	CMPQ m+24(FP), $2
+	JLT  tailrows
+	LEAQ (DI)(BX*1), R11
+	PROW(PADDTAIL, Y4, Y5, Y6, Y7, R11)
+	CMPQ m+24(FP), $3
+	JLT  tailrows
+	LEAQ (DI)(BX*2), R11
+	PROW(PADDTAIL, Y8, Y9, Y10, Y11, R11)
+
+tailrows:
 	PROW(PSTORETAIL, Y0, Y1, Y2, Y3, DI)
 	CMPQ m+24(FP), $2
 	JLT  done

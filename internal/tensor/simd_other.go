@@ -18,6 +18,6 @@ func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
 }
 
 // prodTile64 is never called when hasAVX2FMA is false.
-func prodTile64(dst, a, b *float64, m, n, k, ars, aks int) {
+func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool) {
 	panic("tensor: prodTile64 without AVX2 support")
 }

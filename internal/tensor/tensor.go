@@ -164,7 +164,8 @@ func matMulPortable(dst, a, b *Matrix) {
 }
 
 // runProduct64 is MatMul (TMatMul when j.transA) over rows [j.lo, j.hi)
-// of dst, one register tile of rows at a time.
+// of dst, one register tile of rows at a time. TMatMul's tiles add their
+// sums to dst; MatMul's store them.
 //eugene:noalloc
 func runProduct64(j gemmJob) {
 	n, k, ars, aks := j.b.Cols, j.a.Cols, j.a.Cols, 1
@@ -172,7 +173,7 @@ func runProduct64(j gemmJob) {
 		k, ars, aks = j.a.Rows, 1, j.a.Cols
 	}
 	for i := j.lo; i < j.hi; i += denseRowTile {
-		prodTile64(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(denseRowTile, j.hi-i), n, k, ars, aks)
+		prodTile64(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(denseRowTile, j.hi-i), n, k, ars, aks, j.transA)
 	}
 }
 
@@ -297,37 +298,67 @@ func denseScalar[T Float](dst, a, w *Mat[T], bias []T, relu bool, lo, hi int) {
 	}
 }
 
-// TMatMul computes dst = aᵀ·b, i.e. dst[i][j] = Σ_k a[k][i]·b[k][j]: the
-// weight gradient of the backward pass. dst must be a.Cols×b.Cols. It is
-// MatMul's kernel with a read down its columns, and like MatMul it gives
-// the bits of its portable loop (tMatMulPortable) on every path.
+// TMatMul adds aᵀ·b to dst, i.e. dst[i][j] += Σ_k a[k][i]·b[k][j]: the
+// weight gradient of the backward pass, accumulated in place. dst must
+// be a.Cols×b.Cols. It is MatMul's kernel with a read down a's columns
+// and an epilogue that adds each tile's sums to dst, and like MatMul it
+// gives the bits of its portable loop (tMatMulPortable) on every path:
+// each sum runs from zero in ascending k and is then added to dst once,
+// which is the product into a zeroed scratch followed by dst += 1·scratch
+// bit for bit, since 1·x is exact.
 //eugene:noalloc
 func TMatMul(dst, a, b *Matrix) {
+	checkTMatMul(dst, a, b)
+	runTMatMul(gemmJob{dst: dst, a: a, b: b})
+}
+
+// TMatMul is the package's TMatMul queued on the lane: it runs on the
+// lane's helper, or now when the lane has none (a nil lane included).
+// dst is not to be read, nor a or b changed, until Wait.
+//eugene:noalloc
+func (l *Lane) TMatMul(dst, a, b *Matrix) {
+	checkTMatMul(dst, a, b)
+	l.do(gemmJob{run: runTMatMul, dst: dst, a: a, b: b})
+}
+
+func checkTMatMul(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: TMatMul dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	if !hasAVX2FMA || b.Cols == 0 || a.Rows == 0 {
-		tMatMulPortable(dst, a, b)
-		return
-	}
-	fanOut(gemmJob{run: runProduct64, dst: dst, a: a, b: b, transA: true}, a.Cols, a.Cols*b.Cols*a.Rows)
 }
 
-// tMatMulPortable is TMatMul in portable Go: the kij order, so each row
-// of a and b is read once.
+//eugene:noalloc
+func runTMatMul(j gemmJob) {
+	if !hasAVX2FMA || j.b.Cols == 0 || j.a.Rows == 0 {
+		tMatMulPortable(j.dst, j.a, j.b)
+		return
+	}
+	j.run, j.transA = runProduct64, true
+	fanOut(j, j.a.Cols, j.a.Cols*j.b.Cols*j.a.Rows)
+}
+
+// tMatMulPortable is TMatMul in portable Go: each output row summed in a
+// one-row temporary on the stack (in column blocks of its length), from
+// zero in ascending k, then added to dst.
 //eugene:noalloc
 func tMatMulPortable(dst, a, b *Matrix) {
-	dst.Zero()
+	var buf [256]float64
 	n := b.Cols
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
+	for j0 := 0; j0 < n; j0 += len(buf) {
+		j1 := min(j0+len(buf), n)
+		sum := buf[:j1-j0]
 		for i := 0; i < a.Cols; i++ {
-			drow := dst.Data[i*n : i*n+n]
-			axpyUnrolled(drow, arow[i], brow)
+			clear(sum)
+			for k := 0; k < a.Rows; k++ {
+				axpyUnrolled(sum, a.Data[k*a.Cols+i], b.Data[k*n+j0:k*n+j1])
+			}
+			drow := dst.Data[i*n+j0 : i*n+j1]
+			for c, v := range sum {
+				drow[c] += v
+			}
 		}
 	}
 }
@@ -377,14 +408,6 @@ func Add[T Float](dst, a, b *Mat[T]) {
 	checkSameShape("Add", dst, a)
 	for i := range a.Data {
 		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
-// AXPY computes dst += alpha*src element-wise.
-func AXPY(dst *Matrix, alpha float64, src *Matrix) {
-	checkSameShape("AXPY", dst, src)
-	for i := range src.Data {
-		dst.Data[i] += alpha * src.Data[i]
 	}
 }
 
