@@ -29,9 +29,6 @@ type Config struct {
 	// FailThreshold ejects a node after this many consecutive
 	// probe/request failures (0 = 3).
 	FailThreshold int
-	// ReinstateThreshold readmits an ejected node after this many
-	// consecutive half-open probe successes (0 = 2).
-	ReinstateThreshold int
 	// SyncInterval is the snapshot-replication reconcile cadence
 	// (0 = 2s). Divergent nodes are also re-pushed immediately when a
 	// new snapshot version lands.
@@ -42,13 +39,6 @@ type Config struct {
 	// fleet must not amplify load onto its survivors). nil =
 	// service.DefaultRetryPolicy.
 	Retry *service.RetryPolicy
-	// AttemptTimeout bounds one forwarded attempt on failover-safe
-	// routes, so a hung replica surfaces as a failed attempt (and a
-	// passive health signal) instead of hanging the client for its full
-	// request timeout (0 = 15s). Mutating and device-pinned routes are
-	// exempt: training legitimately runs for minutes and has exactly
-	// one legal destination.
-	AttemptTimeout time.Duration
 	// Logf receives operational events (ejections, reinstatements,
 	// replication failures); nil uses log.Printf.
 	Logf func(format string, args ...any)
@@ -62,23 +52,30 @@ func (c *Config) withDefaults() Config {
 	if out.FailThreshold <= 0 {
 		out.FailThreshold = 3
 	}
-	if out.ReinstateThreshold <= 0 {
-		out.ReinstateThreshold = 2
-	}
 	if out.SyncInterval <= 0 {
 		out.SyncInterval = 2 * time.Second
 	}
 	if out.Retry == nil {
 		out.Retry = service.DefaultRetryPolicy()
 	}
-	if out.AttemptTimeout <= 0 {
-		out.AttemptTimeout = 15 * time.Second
-	}
 	if out.Logf == nil {
 		out.Logf = log.Printf
 	}
 	return out
 }
+
+const (
+	// reinstateThreshold readmits an ejected node after this many
+	// consecutive half-open probe successes.
+	reinstateThreshold = 2
+	// attemptTimeout bounds one forwarded attempt on failover-safe
+	// routes, so a hung replica surfaces as a failed attempt (and a
+	// passive health signal) instead of hanging the client for its full
+	// request timeout. Mutating and device-pinned routes are exempt:
+	// training legitimately runs for minutes and has exactly one legal
+	// destination.
+	attemptTimeout = 15 * time.Second
+)
 
 // probeTimeout derives the per-probe deadline from the probe cadence:
 // half the interval, floored at 50ms so very tight test cadences still
@@ -102,7 +99,7 @@ type node struct {
 	// drain estimates the node's backlog drain rate from its /v1/stats
 	// counters (polled by the prober); 429s propagated from the node
 	// carry a Retry-After floored by this estimate.
-	drain *service.DrainEstimator
+	drain *drainEstimator
 	// draining marks a planned drain in progress: the node leaves the
 	// pick set (healthyNodes skips it) but stays directly reachable so
 	// the router can export its device trackers.
@@ -233,8 +230,8 @@ func (c Config) newNode(base string) *node {
 	return &node{
 		base:      base,
 		client:    service.NewClient(base),
-		health:    newHealth(c.FailThreshold, c.ReinstateThreshold),
-		drain:     &service.DrainEstimator{},
+		health:    newHealth(c.FailThreshold, reinstateThreshold),
+		drain:     &drainEstimator{},
 		installed: make(map[string]string),
 	}
 }

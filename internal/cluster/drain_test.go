@@ -1,16 +1,18 @@
-package service
+package cluster
 
 import (
 	"testing"
 	"time"
+
+	"eugene/internal/service"
 )
 
-func drainSample(goodput uint64, depth int) map[string]ModelStats {
-	return map[string]ModelStats{"m": {Goodput: goodput, QueueDepth: depth}}
+func drainSample(goodput uint64, depth int) map[string]service.ModelStats {
+	return map[string]service.ModelStats{"m": {Goodput: goodput, QueueDepth: depth}}
 }
 
 func TestDrainEstimatorFloorTracksBacklog(t *testing.T) {
-	d := &DrainEstimator{}
+	d := &drainEstimator{}
 	if f := d.Floor(); f != 0 {
 		t.Fatalf("floor before any sample = %v; want 0", f)
 	}
@@ -30,7 +32,7 @@ func TestDrainEstimatorFloorTracksBacklog(t *testing.T) {
 }
 
 func TestDrainEstimatorEmptyQueueNeedsNoWait(t *testing.T) {
-	d := &DrainEstimator{}
+	d := &drainEstimator{}
 	d.Observe(drainSample(0, 50))
 	time.Sleep(20 * time.Millisecond)
 	d.Observe(drainSample(100, 0))
@@ -40,36 +42,22 @@ func TestDrainEstimatorEmptyQueueNeedsNoWait(t *testing.T) {
 }
 
 func TestDrainEstimatorStalledReplicaCapsAtMaxFloor(t *testing.T) {
-	d := &DrainEstimator{MaxFloor: 3 * time.Second}
+	d := &drainEstimator{}
 	d.Observe(drainSample(100, 500))
 	time.Sleep(20 * time.Millisecond)
 	// Goodput frozen, queue full: the replica is stalled.
 	d.Observe(drainSample(100, 500))
-	if f := d.Floor(); f != 3*time.Second {
-		t.Fatalf("floor for stalled replica = %v; want MaxFloor (3s)", f)
+	if f := d.Floor(); f != maxFloor {
+		t.Fatalf("floor for stalled replica = %v; want maxFloor (%v)", f, maxFloor)
 	}
 }
 
 func TestDrainEstimatorFloorNeverExceedsCap(t *testing.T) {
-	d := &DrainEstimator{MaxFloor: time.Second}
+	d := &drainEstimator{}
 	d.Observe(drainSample(0, 1_000_000))
 	time.Sleep(20 * time.Millisecond)
-	d.Observe(drainSample(1, 1_000_000)) // ~50/s rate, enormous backlog
-	if f := d.Floor(); f != time.Second {
-		t.Fatalf("floor = %v; want capped at 1s", f)
-	}
-}
-
-func TestDrainEstimatorShouldSampleThrottles(t *testing.T) {
-	d := &DrainEstimator{MinSampleGap: 50 * time.Millisecond}
-	if !d.ShouldSample() {
-		t.Fatal("first ShouldSample must grant")
-	}
-	if d.ShouldSample() {
-		t.Fatal("second ShouldSample inside the gap must refuse")
-	}
-	time.Sleep(60 * time.Millisecond)
-	if !d.ShouldSample() {
-		t.Fatal("ShouldSample after the gap must grant again")
+	d.Observe(drainSample(1, 1_000_000)) // ~50/s rate, hours of backlog
+	if f := d.Floor(); f != maxFloor {
+		t.Fatalf("floor = %v; want capped at maxFloor (%v)", f, maxFloor)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // proxied requests (a node that times out under real traffic is down
 // no matter what its last probe said). FailThreshold consecutive
 // failures eject the node from routing; while ejected the prober keeps
-// running half-open — no traffic, probes only — and ReinstateThreshold
+// running half-open — no traffic, probes only — and reinstateThreshold
 // consecutive probe successes readmit it. The asymmetry is deliberate:
 // ejection must be fast (every failed request is a user-visible error),
 // reinstatement must be conservative (a flapping node readmitted too

@@ -209,7 +209,7 @@ func (r *Router) DrainNode(ctx context.Context, base string) (devices, handoffs 
 // migrate). The export is a read — on any failure the source tracker
 // is untouched and the caller aborts the drain.
 func (r *Router) handoffDevice(ctx context.Context, src *node, dev string) (string, error) {
-	hctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+	hctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	raw, err := src.client.DeviceState(hctx, dev)
 	if err != nil {

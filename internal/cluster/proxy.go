@@ -247,7 +247,7 @@ func (r *Router) mutateModel(replicates bool) http.HandlerFunc {
 		// divergent — the primary serves the new version, the rest the
 		// old — which reconcile/sync repairs; the client's mutation
 		// still succeeded.
-		pctx, cancel := context.WithTimeout(context.Background(), r.cfg.AttemptTimeout)
+		pctx, cancel := context.WithTimeout(context.Background(), attemptTimeout)
 		defer cancel()
 		raw, err := n.client.Snapshot(pctx, name, "")
 		if err != nil {
@@ -405,11 +405,11 @@ func (r *Router) attempt(w http.ResponseWriter, req *http.Request, n *node, rt r
 	ctx := req.Context()
 	if rt.failover {
 		// Failover-safe routes get a per-attempt deadline so one hung
-		// replica costs O(AttemptTimeout), not the client's patience;
+		// replica costs O(attemptTimeout), not the client's patience;
 		// pinned and mutating routes (training runs minutes) keep the
 		// caller's context untouched.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+		ctx, cancel = context.WithTimeout(ctx, attemptTimeout)
 		defer cancel()
 	}
 	var body io.Reader

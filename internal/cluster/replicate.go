@@ -190,7 +190,7 @@ func (r *Router) pushSnapshot(ctx context.Context, n *node, name, version string
 	if err := failpoint.Inject("cluster.replicate.push"); err != nil {
 		return err
 	}
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+	pctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	if err := n.client.PutSnapshot(pctx, name, raw); err != nil {
 		return err

@@ -70,8 +70,9 @@ type Client struct {
 	// idempotent requests over to the next when it dies (transport
 	// error or gateway-class 5xx) — overload (429) does not trigger
 	// failover, since a saturated fleet is saturated through every
-	// router. Non-idempotent requests never fail over; they go to the
-	// current router and report its error.
+	// router. Non-idempotent requests are never re-sent: they go to the
+	// current router and report its error, but that failure still moves
+	// later requests on to the next router.
 	Routers []string
 	// HTTP is the underlying client; nil uses the package's shared
 	// pooled client (see sharedClient). The shared client sets no
@@ -82,12 +83,6 @@ type Client struct {
 	// Retry enables bounded retries for idempotent operations; nil
 	// keeps the historical fail-fast behavior.
 	Retry *RetryPolicy
-	// Drain, when set, adapts retry backoff to the server's observed
-	// drain rate: after a 429 the client samples /v1/stats (throttled
-	// by the estimator) and raises the backoff floor to the time the
-	// replica's queue needs to drain, instead of trusting only the
-	// server's clamped Retry-After hint.
-	Drain *DrainEstimator
 
 	// budget is the retry token bucket (lazy-filled on first use).
 	budget RetryBudget
@@ -330,31 +325,49 @@ func backoffWait(ctx context.Context, p *RetryPolicy, retry int, hint time.Durat
 	}
 }
 
-// doIdempotent runs attempt under the client's retry policy, passing
-// the endpoint to aim each try at. attempt must build a fresh request
-// each call (a consumed body cannot be resent). Only idempotent
-// operations may come through here: with multiple Routers configured a
-// failed attempt advances the endpoint cursor, so a retry may replay
-// the request against a different router.
-func (c *Client) doIdempotent(ctx context.Context, attempt func(base string) error) error {
+// do is every Client call: one request per attempt (see send), tried
+// once, or under the retry policy when idempotent. in, when not nil, is
+// the body: a []byte goes as is, as octet-stream; anything else as
+// JSON.
+func (c *Client) do(ctx context.Context, method, path string, in any, idempotent bool, out any) error {
+	var body []byte
+	contentType := "application/octet-stream"
+	switch in := in.(type) {
+	case nil:
+		contentType = ""
+	case []byte:
+		body = in
+	default:
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("service: encoding request: %w", err)
+		}
+		contentType = "application/json"
+	}
+	return c.retry(ctx, idempotent, func(base string) error {
+		return c.send(ctx, method, base, path, body, contentType, out)
+	})
+}
+
+// retry runs attempt against the endpoint the router cursor points at:
+// once, or — for an idempotent call, the only kind that may be sent
+// twice — up to the retry policy's MaxAttempts. Every failed attempt is
+// reported to the cursor, so whatever kind of call met a dead router,
+// the next one goes to the following router. Moving the cursor replays
+// nothing; only a retry does.
+func (c *Client) retry(ctx context.Context, idempotent bool, attempt func(base string) error) error {
 	p := c.Retry
-	if p == nil || p.MaxAttempts <= 1 {
-		idx := c.routerIdx.Load()
-		err := attempt(c.baseList()[idx%uint64(len(c.baseList()))])
-		c.noteFailure(idx, err)
-		return err
+	tries := 1
+	if idempotent && p != nil {
+		tries = max(p.MaxAttempts, 1)
 	}
 	var lastErr error
-	for i := 0; i < p.MaxAttempts; i++ {
+	for i := range tries {
 		if i > 0 {
 			if !c.budget.Take(p.Budget) {
 				return lastErr
 			}
-			hint := min(retryAfterOf(lastErr), p.maxBackoff())
-			if floor := c.drainFloor(ctx, lastErr); floor > hint {
-				hint = floor
-			}
-			if err := backoffWait(ctx, p, i-1, hint); err != nil {
+			if err := backoffWait(ctx, p, i-1, min(retryAfterOf(lastErr), p.maxBackoff())); err != nil {
 				return lastErr
 			}
 		}
@@ -364,10 +377,12 @@ func (c *Client) doIdempotent(ctx context.Context, attempt func(base string) err
 			}
 			return err
 		}
+		bases := c.baseList()
 		idx := c.routerIdx.Load()
-		lastErr = attempt(c.baseList()[idx%uint64(len(c.baseList()))])
-		if lastErr == nil {
-			c.budget.Credit(p.Budget)
+		if lastErr = attempt(bases[idx%uint64(len(bases))]); lastErr == nil {
+			if tries > 1 {
+				c.budget.Credit(p.Budget)
+			}
 			return nil
 		}
 		c.noteFailure(idx, lastErr)
@@ -378,55 +393,44 @@ func (c *Client) doIdempotent(ctx context.Context, attempt func(base string) err
 	return lastErr
 }
 
-// drainFloor consults the drain estimator after an overload rejection:
-// it (throttled) samples /v1/stats so the estimator sees the replica's
-// current backlog and drain rate, and returns the resulting backoff
-// floor. Zero without an estimator or for non-429 failures — transport
-// errors say nothing about queue depth.
-func (c *Client) drainFloor(ctx context.Context, lastErr error) time.Duration {
-	if c.Drain == nil {
-		return 0
-	}
-	var se *ServerError
-	if !errors.As(lastErr, &se) || se.Status != http.StatusTooManyRequests {
-		return 0
-	}
-	if c.Drain.ShouldSample() {
-		// A direct, non-retrying fetch: recursing into doIdempotent from
-		// inside a backoff decision would compound retries.
-		sctx, cancel := context.WithTimeout(ctx, drainSampleTimeout)
-		var out StatsResponse
-		if err := c.fetchJSONOnce(sctx, c.currentBase()+"/v1/stats", &out); err == nil {
-			c.Drain.Observe(out.Models)
-		}
-		cancel()
-	}
-	return c.Drain.Floor()
-}
-
-// drainSampleTimeout bounds the stats poll a 429 triggers: the sample
-// informs a backoff, so a slow poll must not outlast the backoff itself.
-const drainSampleTimeout = 500 * time.Millisecond
-
-// fetchJSONOnce is a single-attempt GET + decode with no retry policy
-// applied.
-func (c *Client) fetchJSONOnce(ctx context.Context, u string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// send makes one attempt: method base+path with a fresh reader over
+// body, so that a retry never resends a half-consumed one. A non-200
+// answer is a *ServerError. A 200's body is decoded into out as JSON,
+// read whole when out is a *[]byte, and discarded when out is nil.
+func (c *Client) send(ctx context.Context, method, base, path string, body []byte, contentType string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("service: building request: %w", err)
 	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return fmt.Errorf("service: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	return decodeResponse(resp, out)
+	if resp.StatusCode != http.StatusOK {
+		return serverError(resp)
+	}
+	switch out := out.(type) {
+	case nil:
+		_, err = io.Copy(io.Discard, resp.Body)
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
+		return fmt.Errorf("service: decoding response: %w", err)
+	}
+	return nil
 }
 
 // Train uploads data and trains a model.
 func (c *Client) Train(ctx context.Context, name string, req TrainRequest) (*TrainResponse, error) {
 	var out TrainResponse
-	if err := c.post(ctx, fmt.Sprintf("/v1/models/%s/train", url.PathEscape(name)), req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, modelPath(name, "train"), req, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -435,7 +439,7 @@ func (c *Client) Train(ctx context.Context, name string, req TrainRequest) (*Tra
 // Calibrate runs entropy calibration on held-out data.
 func (c *Client) Calibrate(ctx context.Context, name string, data *dataset.Set) (float64, error) {
 	var out CalibrateResponse
-	if err := c.post(ctx, fmt.Sprintf("/v1/models/%s/calibrate", url.PathEscape(name)), FromSet(data), &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, modelPath(name, "calibrate"), FromSet(data), false, &out); err != nil {
 		return 0, err
 	}
 	return out.Alpha, nil
@@ -443,7 +447,7 @@ func (c *Client) Calibrate(ctx context.Context, name string, data *dataset.Set) 
 
 // BuildPredictor fits the GP confidence predictor.
 func (c *Client) BuildPredictor(ctx context.Context, name string, data *dataset.Set) error {
-	return c.post(ctx, fmt.Sprintf("/v1/models/%s/predictor", url.PathEscape(name)), FromSet(data), &map[string]string{})
+	return c.do(ctx, http.MethodPost, modelPath(name, "predictor"), FromSet(data), false, nil)
 }
 
 // Infer submits one sample for scheduled inference. With a Retry
@@ -452,7 +456,7 @@ func (c *Client) BuildPredictor(ctx context.Context, name string, data *dataset.
 // duplicate submission is safe.
 func (c *Client) Infer(ctx context.Context, name string, input []float64) (*InferResponse, error) {
 	var out InferResponse
-	err := c.postInfer(ctx, fmt.Sprintf("/v1/models/%s/infer", url.PathEscape(name)), true, &out,
+	err := c.postInfer(ctx, modelPath(name, "infer"), true, &out,
 		func(dst []byte) ([]byte, error) { return appendInferRequest(dst, input, "") })
 	if err != nil {
 		return nil, err
@@ -464,7 +468,7 @@ func (c *Client) Infer(ctx context.Context, name string, input []float64) (*Infe
 // returns one result per input, in order. Retried like Infer.
 func (c *Client) InferBatch(ctx context.Context, name string, inputs [][]float64) ([]InferResponse, error) {
 	var out InferBatchResponse
-	err := c.postInfer(ctx, fmt.Sprintf("/v1/models/%s/infer-batch", url.PathEscape(name)), true, &out,
+	err := c.postInfer(ctx, modelPath(name, "infer-batch"), true, &out,
 		func(dst []byte) ([]byte, error) { return appendInferBatchRequest(dst, inputs, "") })
 	if err != nil {
 		return nil, err
@@ -478,7 +482,7 @@ func (c *Client) InferBatch(ctx context.Context, name string, inputs [][]float64
 // double-count the observation.
 func (c *Client) InferObserved(ctx context.Context, name, device string, input []float64) (*InferResponse, error) {
 	var out InferResponse
-	err := c.postInfer(ctx, fmt.Sprintf("/v1/models/%s/infer", url.PathEscape(name)), false, &out,
+	err := c.postInfer(ctx, modelPath(name, "infer"), false, &out,
 		func(dst []byte) ([]byte, error) { return appendInferRequest(dst, input, device) })
 	if err != nil {
 		return nil, err
@@ -503,20 +507,25 @@ func (c *Client) postInfer(ctx context.Context, path string, idempotent bool, ou
 		return fmt.Errorf("service: encoding request: %w", err)
 	}
 	clean := true
-	attempt := func(base string) error {
-		err := c.postRawTo(ctx, base, path, body.B, out)
+	err = c.retry(ctx, idempotent, func(base string) error {
+		err := c.send(ctx, http.MethodPost, base, path, body.B, "application/json", out)
 		clean = clean && err == nil
 		return err
-	}
-	if idempotent {
-		err = c.doIdempotent(ctx, attempt)
-	} else {
-		err = attempt(c.currentBase())
-	}
+	})
 	if clean {
 		body.Release()
 	}
 	return err
+}
+
+// modelPath is the route of the named model's action.
+func modelPath(name, action string) string {
+	return "/v1/models/" + url.PathEscape(name) + "/" + action
+}
+
+// devicePath is the route of the device's action.
+func devicePath(device, action string) string {
+	return "/v1/devices/" + url.PathEscape(device) + "/" + action
 }
 
 // Snapshot downloads the named model's full snapshot (model weights,
@@ -524,30 +533,12 @@ func (c *Client) postInfer(ctx context.Context, path string, idempotent bool, ou
 // requests the half-size float32 weight payload; empty or "f64" the
 // lossless float64 form.
 func (c *Client) Snapshot(ctx context.Context, name, precision string) ([]byte, error) {
-	path := fmt.Sprintf("/v1/models/%s/snapshot", url.PathEscape(name))
+	path := modelPath(name, "snapshot")
 	if precision != "" {
 		path += "?precision=" + url.QueryEscape(precision)
 	}
 	var raw []byte
-	err := c.doIdempotent(ctx, func(base string) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-		if err != nil {
-			return fmt.Errorf("service: building request: %w", err)
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("service: fetching snapshot: %w", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return serverError(resp)
-		}
-		if raw, err = io.ReadAll(resp.Body); err != nil {
-			return fmt.Errorf("service: reading snapshot: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := c.do(ctx, http.MethodGet, path, nil, true, &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
@@ -556,24 +547,14 @@ func (c *Client) Snapshot(ctx context.Context, name, precision string) ([]byte, 
 // PutSnapshot uploads a snapshot, installing (and, when the server has
 // a data dir, persisting) it under name.
 func (c *Client) PutSnapshot(ctx context.Context, name string, raw []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, fmt.Sprintf("%s/v1/models/%s/snapshot", c.currentBase(), url.PathEscape(name)), bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("service: building request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("service: uploading snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, &map[string]string{})
+	return c.do(ctx, http.MethodPut, modelPath(name, "snapshot"), raw, false, nil)
 }
 
 // Reduce asks the server to train a reduced hot-class model; the
 // response carries the model in snapshot format (see DecodeSubset).
 func (c *Client) Reduce(ctx context.Context, name string, req ReduceRequest) (*SubsetModelResponse, error) {
 	var out SubsetModelResponse
-	if err := c.post(ctx, fmt.Sprintf("/v1/models/%s/reduce", url.PathEscape(name)), req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, modelPath(name, "reduce"), req, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -582,36 +563,17 @@ func (c *Client) Reduce(ctx context.Context, name string, req ReduceRequest) (*S
 // Observe reports count observed requests of class for device (count
 // ≤ 0 means 1).
 func (c *Client) Observe(ctx context.Context, device, model string, class, count int) error {
-	return c.post(ctx, fmt.Sprintf("/v1/devices/%s/observe", url.PathEscape(device)),
-		ObserveRequest{Model: model, Class: class, Count: count}, &map[string]string{})
+	return c.do(ctx, http.MethodPost, devicePath(device, "observe"),
+		ObserveRequest{Model: model, Class: class, Count: count}, false, nil)
 }
 
 // CacheDecision fetches the caching policy's verdict for a device.
 func (c *Client) CacheDecision(ctx context.Context, device string) (*CacheDecisionResponse, error) {
 	var out CacheDecisionResponse
-	path := fmt.Sprintf("/v1/devices/%s/cache-decision", url.PathEscape(device))
-	if err := c.getJSON(ctx, path, "fetching cache decision", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, devicePath(device, "cache-decision"), nil, true, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// getJSON fetches path (base-relative) and decodes the JSON response,
-// retrying under the client's policy (GETs are idempotent by
-// construction) and failing over across Routers when configured.
-func (c *Client) getJSON(ctx context.Context, path, what string, out any) error {
-	return c.doIdempotent(ctx, func(base string) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-		if err != nil {
-			return fmt.Errorf("service: building request: %w", err)
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("service: %s: %w", what, err)
-		}
-		defer resp.Body.Close()
-		return decodeResponse(resp, out)
-	})
 }
 
 // SubsetModel fetches (building if necessary) the reduced model the
@@ -620,7 +582,7 @@ func (c *Client) getJSON(ctx context.Context, path, what string, out any) error 
 // right choice for bandwidth-constrained devices — the decoded model
 // predicts the same classes).
 func (c *Client) SubsetModel(ctx context.Context, device string, hidden, epochs int, precision string) (*SubsetModelResponse, error) {
-	u := fmt.Sprintf("/v1/devices/%s/subset-model", url.PathEscape(device))
+	u := devicePath(device, "subset-model")
 	q := url.Values{}
 	if hidden > 0 {
 		q.Set("hidden", strconv.Itoa(hidden))
@@ -635,7 +597,7 @@ func (c *Client) SubsetModel(ctx context.Context, device string, hidden, epochs 
 		u += "?" + q.Encode()
 	}
 	var out SubsetModelResponse
-	if err := c.getJSON(ctx, u, "fetching subset model", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, u, nil, true, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -650,7 +612,7 @@ func (c *Client) DecodeSubset(resp *SubsetModelResponse) (*cache.SubsetModel, er
 // Stats fetches per-model serving counters.
 func (c *Client) Stats(ctx context.Context) (map[string]ModelStats, error) {
 	var out StatsResponse
-	if err := c.getJSON(ctx, "/v1/stats", "fetching stats", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, true, &out); err != nil {
 		return nil, err
 	}
 	return out.Models, nil
@@ -661,7 +623,7 @@ func (c *Client) Models(ctx context.Context) ([]string, error) {
 	var out struct {
 		Models []string `json:"models"`
 	}
-	if err := c.getJSON(ctx, "/v1/models", "listing models", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/models", nil, true, &out); err != nil {
 		return nil, err
 	}
 	return out.Models, nil
@@ -680,26 +642,15 @@ const DefaultProbeTimeout = 2 * time.Second
 // Ready probes the server's readiness endpoint: an error means the
 // server is absent, hung, or draining and new work should go elsewhere.
 // Without a context deadline the probe is bounded by
-// DefaultProbeTimeout rather than the client's request timeout.
+// DefaultProbeTimeout rather than the client's request timeout. A probe
+// is never retried: its answer is the state of the endpoint now.
 func (c *Client) Ready(ctx context.Context) error {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultProbeTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.currentBase()+"/v1/readyz", nil)
-	if err != nil {
-		return fmt.Errorf("service: building request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("service: readiness check: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serverError(resp)
-	}
-	return nil
+	return c.do(ctx, http.MethodGet, "/v1/readyz", nil, false, nil)
 }
 
 // ModelVersion fetches the content hash of the named model's canonical
@@ -707,8 +658,7 @@ func (c *Client) Ready(ctx context.Context) error {
 // to detect replica divergence without transferring snapshot bytes.
 func (c *Client) ModelVersion(ctx context.Context, name string) (string, error) {
 	var out VersionResponse
-	u := fmt.Sprintf("/v1/models/%s/version", url.PathEscape(name))
-	if err := c.getJSON(ctx, u, "fetching model version", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, modelPath(name, "version"), nil, true, &out); err != nil {
 		return "", err
 	}
 	return out.Version, nil
@@ -719,7 +669,7 @@ func (c *Client) ModelVersion(ctx context.Context, name string) (string, error) 
 // 404 ServerError.
 func (c *Client) ClusterStatus(ctx context.Context) (*ClusterStatusResponse, error) {
 	var out ClusterStatusResponse
-	if err := c.getJSON(ctx, "/v1/cluster", "fetching cluster status", &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, true, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -729,27 +679,8 @@ func (c *Client) ClusterStatus(ctx context.Context) (*ClusterStatusResponse, err
 // tracker) in snapshot wire format. Idempotent: reading state does not
 // disturb it, so the fetch is retried under the client's policy.
 func (c *Client) DeviceState(ctx context.Context, device string) ([]byte, error) {
-	path := fmt.Sprintf("/v1/devices/%s/state", url.PathEscape(device))
 	var raw []byte
-	err := c.doIdempotent(ctx, func(base string) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-		if err != nil {
-			return fmt.Errorf("service: building request: %w", err)
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("service: fetching device state: %w", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return serverError(resp)
-		}
-		if raw, err = io.ReadAll(resp.Body); err != nil {
-			return fmt.Errorf("service: reading device state: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := c.do(ctx, http.MethodGet, devicePath(device, "state"), nil, true, &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
@@ -761,18 +692,7 @@ func (c *Client) DeviceState(ctx context.Context, device string) ([]byte, error)
 // state is safe (it is — import replaces — but the handoff protocol
 // owns that decision).
 func (c *Client) PutDeviceState(ctx context.Context, device string, raw []byte) error {
-	u := fmt.Sprintf("%s/v1/devices/%s/state", c.currentBase(), url.PathEscape(device))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, u, bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("service: building request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("service: uploading device state: %w", err)
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, &map[string]string{})
+	return c.do(ctx, http.MethodPut, devicePath(device, "state"), raw, false, nil)
 }
 
 // AddClusterNode asks a cluster router to admit a new replica at base:
@@ -780,7 +700,7 @@ func (c *Client) PutDeviceState(ctx context.Context, device string, raw []byte) 
 // hash ring. Not retried (membership changes are not idempotent).
 func (c *Client) AddClusterNode(ctx context.Context, base string) (*MembershipResponse, error) {
 	var out MembershipResponse
-	if err := c.post(ctx, "/v1/cluster/nodes", AddNodeRequest{Base: base}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/cluster/nodes", AddNodeRequest{Base: base}, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -792,18 +712,8 @@ func (c *Client) AddClusterNode(ctx context.Context, base string) (*MembershipRe
 // the response counts the forfeited trackers. Use DrainClusterNode for
 // a planned removal.
 func (c *Client) RemoveClusterNode(ctx context.Context, base string) (*MembershipResponse, error) {
-	u := fmt.Sprintf("%s/v1/cluster/nodes/%s", c.currentBase(), url.PathEscape(base))
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
-	if err != nil {
-		return nil, fmt.Errorf("service: building request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("service: removing cluster node: %w", err)
-	}
-	defer resp.Body.Close()
 	var out MembershipResponse
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/v1/cluster/nodes/"+url.PathEscape(base), nil, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -815,57 +725,16 @@ func (c *Client) RemoveClusterNode(ctx context.Context, base string) (*Membershi
 // node removed from membership. Not retried.
 func (c *Client) DrainClusterNode(ctx context.Context, base string) (*DrainResponse, error) {
 	var out DrainResponse
-	path := fmt.Sprintf("/v1/cluster/nodes/%s/drain", url.PathEscape(base))
-	if err := c.post(ctx, path, struct{}{}, &out); err != nil {
+	path := "/v1/cluster/nodes/" + url.PathEscape(base) + "/drain"
+	if err := c.do(ctx, http.MethodPost, path, struct{}{}, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// Healthy probes the server.
+// Healthy probes the server; like Ready, it is never retried.
 func (c *Client) Healthy(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.currentBase()+"/v1/healthz", nil)
-	if err != nil {
-		return fmt.Errorf("service: building request: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("service: health check: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("service: health check status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("service: encoding request: %w", err)
-	}
-	return c.postRaw(ctx, path, raw, out)
-}
-
-// postRaw sends one POST attempt against the current endpoint.
-func (c *Client) postRaw(ctx context.Context, path string, raw []byte, out any) error {
-	return c.postRawTo(ctx, c.currentBase(), path, raw, out)
-}
-
-// postRawTo sends one POST attempt to base with a fresh body reader, so
-// retries never resend a half-consumed body.
-func (c *Client) postRawTo(ctx context.Context, base, path string, raw []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(raw))
-	if err != nil {
-		return fmt.Errorf("service: building request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("service: POST %s: %w", path, err)
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, out)
+	return c.do(ctx, http.MethodGet, "/v1/healthz", nil, false, nil)
 }
 
 // serverError builds the typed error for a non-OK response, capturing
@@ -894,14 +763,4 @@ func parseRetryAfter(v string) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-func decodeResponse(resp *http.Response, out any) error {
-	if resp.StatusCode != http.StatusOK {
-		return serverError(resp)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("service: decoding response: %w", err)
-	}
-	return nil
 }
