@@ -10,10 +10,13 @@ import (
 // it and wherever among them it sat. Dense over rows [0, m) must equal m
 // one-row calls exactly, at every row count around the register tile, at
 // ragged output counts and inner widths, with and without the epilogue,
-// in both precisions — and in every build: CI runs this under -tags noasm
+// in both precisions, on each kernel path the CPU has (the 256-bit and
+// 512-bit kernels) — and in every build: CI runs this under -tags noasm
 // too, and the scalar path is the only one off amd64.
 func TestDenseIsBatchInvariant(t *testing.T) {
-	perType(t, testDenseIsBatchInvariant[float64], testDenseIsBatchInvariant[float32])
+	perType(t,
+		func(t *testing.T) { onEachPath(t, testDenseIsBatchInvariant[float64]) },
+		func(t *testing.T) { onEachPath(t, testDenseIsBatchInvariant[float32]) })
 }
 
 func testDenseIsBatchInvariant[T Float](t *testing.T) {

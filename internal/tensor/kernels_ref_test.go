@@ -434,21 +434,23 @@ func benchFusedKernels[T Float](b *testing.B) {
 }
 
 // BenchmarkMatMulTRows is the product at every group size the scheduler
-// can form against 256×256 weights, in GFLOP/s: full register tiles,
-// ragged ones, and the one-to-three-row groups of single-sample traffic.
+// can form against 256×256 weights, in GFLOP/s, on each kernel path: full
+// register tiles of both kernels (3 and 6 rows), ragged ones, and the
+// one-to-three-row groups of single-sample traffic.
 func BenchmarkMatMulTRows(b *testing.B) {
-	b.Run("f64", func(b *testing.B) { benchDense[float64](b, []int{1, 2, 3, 4, 5, 7, 8, 27, 32, 61, 64}, false) })
-	b.Run("f32", func(b *testing.B) { benchDense[float32](b, []int{1, 2, 3, 4, 5, 7, 8, 27, 32, 61, 64}, false) })
+	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 27, 30, 32, 61, 64}
+	b.Run("f64", func(b *testing.B) { onEachPath(b, func(b *testing.B) { benchDense[float64](b, rows, false) }) })
+	b.Run("f32", func(b *testing.B) { onEachPath(b, func(b *testing.B) { benchDense[float32](b, rows, false) }) })
 }
 
 // BenchmarkDenseOp is the whole op of the compiled forward pass, product
 // plus bias plus ReLU, at the two group sizes the benchmark's batches
-// form. The pre-activations are recomputed from mixed-sign operands on
-// every iteration, which is what an epilogue that branches on their sign
-// cannot hide from.
+// form, on each kernel path. The pre-activations are recomputed from
+// mixed-sign operands on every iteration, which is what an epilogue that
+// branches on their sign cannot hide from.
 func BenchmarkDenseOp(b *testing.B) {
-	b.Run("f64", func(b *testing.B) { benchDense[float64](b, []int{32, 64}, true) })
-	b.Run("f32", func(b *testing.B) { benchDense[float32](b, []int{32, 64}, true) })
+	b.Run("f64", func(b *testing.B) { onEachPath(b, func(b *testing.B) { benchDense[float64](b, []int{32, 64}, true) }) })
+	b.Run("f32", func(b *testing.B) { onEachPath(b, func(b *testing.B) { benchDense[float32](b, []int{32, 64}, true) }) })
 }
 
 func benchDense[T Float](b *testing.B, rowCounts []int, epilogue bool) {

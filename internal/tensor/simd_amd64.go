@@ -29,6 +29,25 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
+// hasAVX512 picks the 512-bit kernels (dense512Tile64, dense512Tile32,
+// prod512Tile64) over the AVX2 ones they give the bits of: on top of
+// AVX2+FMA the CPU must advertise AVX-512 F and VL, and the OS must have
+// enabled opmask and ZMM state saving (XCR0 bits 5–7). Only the tests
+// switch it (export_test.go), to run both paths on one CPU.
+var hasAVX512 = hasAVX2FMA && detectAVX512()
+
+func detectAVX512() bool {
+	if eax, _ := xgetbv(); eax&0xe6 != 0xe6 { // XMM, YMM, opmask, ZMM state enabled
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const (
+		avx512f  = 1 << 16
+		avx512vl = 1 << 31
+	)
+	return ebx7&avx512f != 0 && ebx7&avx512vl != 0
+}
+
 // cpuid executes CPUID with the given leaf/subleaf.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -70,3 +89,23 @@ func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool)
 //
 //go:noescape
 func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)
+
+// dense512Tile64 is denseTile64 on AVX-512, bit for bit: for 2 ≤ m ≤ 6
+// rows of a and n ≥ 8 rows of b, each zmm accumulator runs two of
+// denseTile64's chains — rows 2p and 2p+1 against one b row, one per
+// 256-bit half — and every chain is folded by denseTile64's own
+// instructions (simd_amd64.s has the layout).
+//
+//go:noescape
+func dense512Tile64(dst, a, b, bias *float64, m, n, k int, relu bool)
+
+// dense512Tile32 is dense512Tile64 in float32, denseTile32's bits.
+//
+//go:noescape
+func dense512Tile32(dst, a, b, bias *float32, m, n, k int, relu bool)
+
+// prod512Tile64 is prodTile64 on AVX-512, bit for bit: 32 columns to a
+// group instead of 16, the same multiply and add per term.
+//
+//go:noescape
+func prod512Tile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)

@@ -47,6 +47,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // the group's b rows; Y0-Y11 accumulators (row r, column c in Y(4r+c)),
 // Y12-Y14 the a vectors, Y15 the b vector. After the k loop Y12-Y15 are
 // scratch, bias, floor and store mask.
+//
+// Each kernel here has a 512-bit twin further down, run where the CPU
+// has AVX-512, that gives its bits. Lanes, halves and registers there:
+// a zmm register is two of the ymm vectors above, one per 256-bit half.
+// The dense twins keep every chain above — element k of a row against a
+// b row in lane k mod lanes, accumulated in k order — and put two of
+// them in one zmm accumulator, rows 2p and 2p+1 of a in the low and high
+// half against one b row broadcast to both; after the k loop each half
+// goes back to a ymm register and through ROWOUT64/ROWOUT32 unchanged.
+// The product twin puts 8 columns in a register instead of 4.
 
 // 4 ones then 4 zeros (float64 lanes), 8 ones then 8 zeros (float32):
 // a load at lane offset lanes-r yields a mask of r leading lanes.
@@ -686,6 +696,649 @@ tailrows:
 	JLT  done
 	LEAQ (DI)(BX*2), R11
 	PROW(PSTORETAIL, Y8, Y9, Y10, Y11, R11)
+
+done:
+	VZEROUPPER
+	RET
+
+// The 512-bit dense micro-kernels (AVX-512 F and VL). One call computes
+// what denseTile64/denseTile32 compute, for 2 ≤ m ≤ 6 rows of a and
+// n ≥ 8 rows of b, with the same bits: each zmm accumulator holds two of
+// the 256-bit kernel's chains against one b row — row 2p's in its low
+// half, row 2p+1's in its high half. A k step loads rows 2p and 2p+1 into
+// one register (a 256-bit load and a VINSERTF64X4) and broadcasts the b
+// row's 256 bits to both halves (VBROADCASTF64X4), so element k still
+// lands in lane k mod lanes of its own chain, in k order, as one FMA with
+// the operands in the 256-bit kernel's order. A k tail is one more step
+// through loads under the opmask K1, which read nothing past a row's end
+// and zero the lanes they skip, as the 256-bit kernel's masked loads do.
+// After the k loop the accumulators are spilled to a 64-byte-aligned
+// block of the frame, and each half is reloaded into a ymm register and
+// folded by ROWOUT64/ROWOUT32, the 256-bit kernel's own instructions, so
+// every output is reduced in exactly its order. An odd m repeats row m-1
+// in the last register's high half and does not store it.
+//
+// b rows go in groups of eight: 3 pairs × 8 rows = 24 accumulators, fed
+// per k step by 3 pair loads and 8 broadcasts. A last group of fewer
+// than eight rows is moved back to end at row n: it recomputes outputs
+// the group before it stored, with the same bits, and stores them again,
+// so ROWOUT's store mask is all ones and nothing past the last row is
+// read.
+//
+// Registers: AX the group's first b row, BX dst row stride in bytes, CX
+// k offset (negative, counting up to 0, as in denseTile64), DX row
+// stride of a and b in bytes, R14, R15 and SI the group's b rows 0, 3
+// and 6, advanced by the k loop (row 1 is (R14)(DX*1), row 2
+// (R14)(DX*2), and so on), DI dst, R8-R13 a rows 0-5; Z0-Z23
+// accumulators (pair p, b row c in Z(8p+c)), Z24-Z26 the pairs, Z27 the
+// broadcast b step. The fold uses CX for the spill block, DX and R14 for
+// dst rows, Y0-Y3 for one row's chains and Y11-Y15 for the epilogue.
+
+// Zero the accumulators.
+#define ZERO24 \
+	ZERO4(VPXORQ, Z0, Z1, Z2, Z3); \
+	ZERO4(VPXORQ, Z4, Z5, Z6, Z7); \
+	ZERO4(VPXORQ, Z8, Z9, Z10, Z11); \
+	ZERO4(VPXORQ, Z12, Z13, Z14, Z15); \
+	ZERO4(VPXORQ, Z16, Z17, Z18, Z19); \
+	ZERO4(VPXORQ, Z20, Z21, Z22, Z23)
+
+// One pair's k step: row lo's 256 bits low, row hi's high.
+#define PAIR(lo, hi, z, y) \
+	VMOVUPD      (lo)(CX*1), y; \
+	VINSERTF64X4 $1, (hi)(CX*1), z, z
+
+// One b row's k step (at wp) against one, two or three pairs.
+#define ZCOL1(FMA, wp, c0) \
+	VBROADCASTF64X4 wp, Z27; \
+	FMA             Z24, Z27, c0
+#define ZCOL2(FMA, wp, c0, c1) \
+	ZCOL1(FMA, wp, c0); \
+	FMA Z25, Z27, c1
+#define ZCOL3(FMA, wp, c0, c1, c2) \
+	ZCOL2(FMA, wp, c0, c1); \
+	FMA Z26, Z27, c2
+
+// A full k step of the group's eight b rows for one, two or three pairs.
+#define ZADVANCE \
+	ADDQ $32, R14; \
+	ADDQ $32, R15; \
+	ADDQ $32, SI
+#define ZSTEP1(FMA) \
+	ZCOL1(FMA, (R14), Z0); \
+	ZCOL1(FMA, (R14)(DX*1), Z1); \
+	ZCOL1(FMA, (R14)(DX*2), Z2); \
+	ZCOL1(FMA, (R15), Z3); \
+	ZCOL1(FMA, (R15)(DX*1), Z4); \
+	ZCOL1(FMA, (R15)(DX*2), Z5); \
+	ZCOL1(FMA, (SI), Z6); \
+	ZCOL1(FMA, (SI)(DX*1), Z7); \
+	ZADVANCE
+#define ZSTEP2(FMA) \
+	ZCOL2(FMA, (R14), Z0, Z8); \
+	ZCOL2(FMA, (R14)(DX*1), Z1, Z9); \
+	ZCOL2(FMA, (R14)(DX*2), Z2, Z10); \
+	ZCOL2(FMA, (R15), Z3, Z11); \
+	ZCOL2(FMA, (R15)(DX*1), Z4, Z12); \
+	ZCOL2(FMA, (R15)(DX*2), Z5, Z13); \
+	ZCOL2(FMA, (SI), Z6, Z14); \
+	ZCOL2(FMA, (SI)(DX*1), Z7, Z15); \
+	ZADVANCE
+#define ZSTEP3(FMA) \
+	ZCOL3(FMA, (R14), Z0, Z8, Z16); \
+	ZCOL3(FMA, (R14)(DX*1), Z1, Z9, Z17); \
+	ZCOL3(FMA, (R14)(DX*2), Z2, Z10, Z18); \
+	ZCOL3(FMA, (R15), Z3, Z11, Z19); \
+	ZCOL3(FMA, (R15)(DX*1), Z4, Z12, Z20); \
+	ZCOL3(FMA, (R15)(DX*2), Z5, Z13, Z21); \
+	ZCOL3(FMA, (SI), Z6, Z14, Z22); \
+	ZCOL3(FMA, (SI)(DX*1), Z7, Z15, Z23); \
+	ZADVANCE
+
+// The k tail: the pair and b row loads under K1 (MLD is VMOVUPD.Z or
+// VMOVUPS.Z), then the same FMAs, for all three pairs: rows past m
+// repeat row m-1, so every load is inside a.
+#define TAILPAIR(MLD, lo, hi, z, y) \
+	MLD          (lo), K1, y; \
+	MLD          (hi), K1, Y27; \
+	VINSERTF64X4 $1, Y27, z, z
+#define TAILCOL(MLD, FMA, wp, c0, c1, c2) \
+	MLD          wp, K1, Y27; \
+	VINSERTF64X4 $1, Y27, Z27, Z27; \
+	FMA          Z24, Z27, c0; \
+	FMA          Z25, Z27, c1; \
+	FMA          Z26, Z27, c2
+#define ZTAIL(MLD, FMA) \
+	TAILPAIR(MLD, R8, R9, Z24, Y24); \
+	TAILPAIR(MLD, R10, R11, Z25, Y25); \
+	TAILPAIR(MLD, R12, R13, Z26, Y26); \
+	TAILCOL(MLD, FMA, (R14), Z0, Z8, Z16); \
+	TAILCOL(MLD, FMA, (R14)(DX*1), Z1, Z9, Z17); \
+	TAILCOL(MLD, FMA, (R14)(DX*2), Z2, Z10, Z18); \
+	TAILCOL(MLD, FMA, (R15), Z3, Z11, Z19); \
+	TAILCOL(MLD, FMA, (R15)(DX*1), Z4, Z12, Z20); \
+	TAILCOL(MLD, FMA, (R15)(DX*2), Z5, Z13, Z21); \
+	TAILCOL(MLD, FMA, (SI), Z6, Z14, Z22); \
+	TAILCOL(MLD, FMA, (SI)(DX*1), Z7, Z15, Z23)
+
+// Spill the accumulators to the block at CX: Z(i) at 64·i.
+#define SPILL4(c0, c1, c2, c3, off) \
+	VMOVUPD c0, off(CX); \
+	VMOVUPD c1, (off+64)(CX); \
+	VMOVUPD c2, (off+128)(CX); \
+	VMOVUPD c3, (off+192)(CX)
+#define SPILL24 \
+	SPILL4(Z0, Z1, Z2, Z3, 0); \
+	SPILL4(Z4, Z5, Z6, Z7, 256); \
+	SPILL4(Z8, Z9, Z10, Z11, 512); \
+	SPILL4(Z12, Z13, Z14, Z15, 768); \
+	SPILL4(Z16, Z17, Z18, Z19, 1024); \
+	SPILL4(Z20, Z21, Z22, Z23, 1280)
+
+// One row's chains for four b rows, at spill offset o (+64 per b row),
+// into Y0-Y3; then ROWOUT folds and stores them at dp.
+#define FOLDROW(ROWOUT, o, dp) \
+	VMOVUPD o(CX), Y0; \
+	VMOVUPD (o+64)(CX), Y1; \
+	VMOVUPD (o+128)(CX), Y2; \
+	VMOVUPD (o+192)(CX), Y3; \
+	ROWOUT(dp)
+
+// One half of the group's outputs — b rows 4h to 4h+3, spill offset
+// off = 256h, dst offset doff — for each of the m rows: row 1 is the
+// high half of row 0's chains (+32), rows 2 and 4 the next pairs (+512,
+// +1024); dst rows 3 and 5 are addressed from DX = DI+2·BX and R14 =
+// DI+4·BX.
+#define FOLDHALF(ROWOUT, off, doff, done) \
+	FOLDROW(ROWOUT, off, doff(DI)); \
+	FOLDROW(ROWOUT, (off+32), doff(DI)(BX*1)); \
+	CMPQ rows-40(SP), $3; \
+	JLT  done; \
+	FOLDROW(ROWOUT, (off+512), doff(DI)(BX*2)); \
+	CMPQ rows-40(SP), $4; \
+	JLT  done; \
+	FOLDROW(ROWOUT, (off+544), doff(DX)(BX*1)); \
+	CMPQ rows-40(SP), $5; \
+	JLT  done; \
+	FOLDROW(ROWOUT, (off+1024), doff(DI)(BX*4)); \
+	CMPQ rows-40(SP), $6; \
+	JLT  done; \
+	FOLDROW(ROWOUT, (off+1056), doff(R14)(BX*1))
+
+#define ROWOUT64Y(dp) ROWOUT64(Y0, Y1, Y2, Y3, dp)
+#define ROWOUT32Y(dp) ROWOUT32(Y0, Y1, Y2, Y3, X0, dp)
+
+// Point R8-R13 at a rows 0-5, rows past m repeating row m-1 (R8 a, CX
+// the row stride in bytes, R15 m).
+#define AROWS \
+	LEAQ (R8)(CX*1), R9; \
+	MOVQ R9, R10; \
+	MOVQ R9, R11; \
+	MOVQ R9, R12; \
+	MOVQ R9, R13; \
+	CMPQ R15, $3; \
+	JLT  arows; \
+	ADDQ CX, R10; \
+	MOVQ R10, R11; \
+	MOVQ R10, R12; \
+	MOVQ R10, R13; \
+	CMPQ R15, $4; \
+	JLT  arows; \
+	ADDQ CX, R11; \
+	MOVQ R11, R12; \
+	MOVQ R11, R13; \
+	CMPQ R15, $5; \
+	JLT  arows; \
+	ADDQ CX, R12; \
+	MOVQ R12, R13; \
+	CMPQ R15, $6; \
+	JLT  arows; \
+	ADDQ CX, R13; \
+arows:
+
+// Set K1 to the k tail's lanes (CX the tail's length in lanes; no lanes
+// for no tail), then pre-advance the a rows past the full steps (DX
+// their bytes) and record the k loop's starting offset.
+#define KSETUP \
+	MOVL  $1, R15; \
+	SHLL  CX, R15; \
+	DECL  R15; \
+	KMOVW R15, K1; \
+	ADDQ  DX, R8; \
+	ADDQ  DX, R9; \
+	ADDQ  DX, R10; \
+	ADDQ  DX, R11; \
+	ADDQ  DX, R12; \
+	ADDQ  DX, R13; \
+	NEGQ  DX; \
+	MOVQ  DX, negfull-24(SP)
+
+// Point R14, R15 and SI at the group's b rows 0, 3 and 6 (AX the first
+// row) and zero the accumulators.
+#define GROUP(bref) \
+	MOVQ  AX, first-32(SP); \
+	MOVQ  stride-16(SP), DX; \
+	MOVQ  AX, R14; \
+	IMULQ DX, R14; \
+	ADDQ  bref, R14; \
+	LEAQ  (R14)(DX*2), R15; \
+	ADDQ  DX, R15; \
+	LEAQ  (R15)(DX*2), SI; \
+	ADDQ  DX, SI; \
+	ZERO24
+
+// After a group: the next one, moved back to end at row n if it would
+// pass it.
+#define NEXTGROUP(nref) \
+	MOVQ first-32(SP), AX; \
+	ADDQ $8, AX; \
+	MOVQ nref, CX; \
+	CMPQ AX, CX; \
+	JGE  done; \
+	SUBQ $8, CX; \
+	CMPQ AX, CX; \
+	JLE  group; \
+	MOVQ CX, AX; \
+	JMP  group
+
+// Frame: the spill block (1536 bytes, aligned up to 64 within the
+// frame's lowest 1600), then five locals.
+//
+// func dense512Tile64(dst, a, b, bias *float64, m, n, k int, relu bool)
+TEXT ·dense512Tile64(SB), $1640-57
+	MOVQ a+8(FP), R8
+	MOVQ k+48(FP), DX
+
+	XORQ CX, CX
+	CMPB relu+56(FP), $0
+	JNE  havefloor
+	MOVQ $0xFFF0000000000000, CX // -Inf
+havefloor:
+	MOVQ CX, floor-8(SP)
+
+	MOVQ DX, CX
+	SHLQ $3, CX                  // row stride of a and b in bytes
+	MOVQ CX, stride-16(SP)
+	MOVQ m+32(FP), R15
+	MOVQ R15, rows-40(SP)
+	AROWS
+	MOVQ DX, CX
+	ANDQ $3, CX
+	ANDQ $~3, DX
+	SHLQ $3, DX                  // bytes of a row covered by full steps
+	KSETUP
+	XORQ AX, AX
+
+group:
+	GROUP(b+16(FP))
+	MOVQ  negfull-24(SP), CX
+	TESTQ CX, CX
+	JZ    tail
+	CMPQ  m+32(FP), $3
+	JLT   loop1
+	CMPQ  m+32(FP), $5
+	JLT   loop2
+
+loop3:
+	PAIR(R8, R9, Z24, Y24)
+	PAIR(R10, R11, Z25, Y25)
+	PAIR(R12, R13, Z26, Y26)
+	ZSTEP3(VFMADD231PD)
+	ADDQ $32, CX
+	JNZ  loop3
+	JMP  tail
+
+loop2:
+	PAIR(R8, R9, Z24, Y24)
+	PAIR(R10, R11, Z25, Y25)
+	ZSTEP2(VFMADD231PD)
+	ADDQ $32, CX
+	JNZ  loop2
+	JMP  tail
+
+loop1:
+	PAIR(R8, R9, Z24, Y24)
+	ZSTEP1(VFMADD231PD)
+	ADDQ $32, CX
+	JNZ  loop1
+
+tail:
+	KORTESTW K1, K1
+	JZ       fold
+	ZTAIL(VMOVUPD.Z, VFMADD231PD)
+
+fold:
+	LEAQ   63(SP), CX
+	ANDQ   $~63, CX
+	SPILL24
+	MOVQ   first-32(SP), AX
+	MOVQ   n+40(FP), BX
+	SHLQ   $3, BX
+	MOVQ   dst+0(FP), DI
+	LEAQ   (DI)(AX*8), DI        // the group's outputs in dst row 0
+	LEAQ   (DI)(BX*2), DX
+	LEAQ   (DI)(BX*4), R14
+	VXORPD Y13, Y13, Y13
+	VXORPD Y11, Y11, Y11
+	MOVQ   bias+24(FP), SI
+	TESTQ  SI, SI
+	JZ     havebias
+	VMOVUPD (SI)(AX*8), Y13
+	VMOVUPD 32(SI)(AX*8), Y11
+havebias:
+	VBROADCASTSD floor-8(SP), Y14
+	VPCMPEQQ     Y15, Y15, Y15   // store mask: every lane
+	FOLDHALF(ROWOUT64Y, 0, 0, half0)
+half0:
+	VMOVAPD Y11, Y13
+	FOLDHALF(ROWOUT64Y, 256, 32, half1)
+half1:
+	NEXTGROUP(n+40(FP))
+
+done:
+	VZEROUPPER
+	RET
+
+// func dense512Tile32(dst, a, b, bias *float32, m, n, k int, relu bool)
+//
+// dense512Tile64 at 8 lanes to the half: a k step covers 8 elements and
+// a half group's outputs are 16 bytes.
+TEXT ·dense512Tile32(SB), $1640-57
+	MOVQ a+8(FP), R8
+	MOVQ k+48(FP), DX
+
+	XORQ CX, CX
+	CMPB relu+56(FP), $0
+	JNE  havefloor
+	MOVQ $0xFF800000, CX         // -Inf
+havefloor:
+	MOVQ CX, floor-8(SP)
+
+	MOVQ DX, CX
+	SHLQ $2, CX
+	MOVQ CX, stride-16(SP)
+	MOVQ m+32(FP), R15
+	MOVQ R15, rows-40(SP)
+	AROWS
+	MOVQ DX, CX
+	ANDQ $7, CX
+	ANDQ $~7, DX
+	SHLQ $2, DX
+	KSETUP
+	XORQ AX, AX
+
+group:
+	GROUP(b+16(FP))
+	MOVQ  negfull-24(SP), CX
+	TESTQ CX, CX
+	JZ    tail
+	CMPQ  m+32(FP), $3
+	JLT   loop1
+	CMPQ  m+32(FP), $5
+	JLT   loop2
+
+loop3:
+	PAIR(R8, R9, Z24, Y24)
+	PAIR(R10, R11, Z25, Y25)
+	PAIR(R12, R13, Z26, Y26)
+	ZSTEP3(VFMADD231PS)
+	ADDQ $32, CX
+	JNZ  loop3
+	JMP  tail
+
+loop2:
+	PAIR(R8, R9, Z24, Y24)
+	PAIR(R10, R11, Z25, Y25)
+	ZSTEP2(VFMADD231PS)
+	ADDQ $32, CX
+	JNZ  loop2
+	JMP  tail
+
+loop1:
+	PAIR(R8, R9, Z24, Y24)
+	ZSTEP1(VFMADD231PS)
+	ADDQ $32, CX
+	JNZ  loop1
+
+tail:
+	KORTESTW K1, K1
+	JZ       fold
+	ZTAIL(VMOVUPS.Z, VFMADD231PS)
+
+fold:
+	LEAQ   63(SP), CX
+	ANDQ   $~63, CX
+	SPILL24
+	MOVQ   first-32(SP), AX
+	MOVQ   n+40(FP), BX
+	SHLQ   $2, BX
+	MOVQ   dst+0(FP), DI
+	LEAQ   (DI)(AX*4), DI
+	LEAQ   (DI)(BX*2), DX
+	LEAQ   (DI)(BX*4), R14
+	VXORPS X13, X13, X13
+	VXORPS X11, X11, X11
+	MOVQ   bias+24(FP), SI
+	TESTQ  SI, SI
+	JZ     havebias
+	VMOVUPS (SI)(AX*4), X13
+	VMOVUPS 16(SI)(AX*4), X11
+havebias:
+	VBROADCASTSS floor-8(SP), X14
+	VPCMPEQD     X15, X15, X15
+	FOLDHALF(ROWOUT32Y, 0, 0, half0)
+half0:
+	VMOVAPS X11, X13
+	FOLDHALF(ROWOUT32Y, 256, 16, half1)
+half1:
+	NEXTGROUP(n+40(FP))
+
+done:
+	VZEROUPPER
+	RET
+
+// The training products' 512-bit twin, prod512Tile64: prodTile64 with
+// 32 columns to a group, four zmm vectors a row. Each term is still one
+// VMULPD and one VADDPD with prodTile64's operands (b the multiply's
+// first source, the product the add's), and each output's arithmetic is
+// its own lane's, so every output has prodTile64's bits. A last group of
+// w < 32 columns loads b, and loads and stores dst, under the opmasks
+// K1-K4 (vector v's lanes of w), which touch nothing past a row's end.
+//
+// Registers as in prodTile64, with K1-K4 in place of R13's mask table
+// (R13 only builds them); Z0-Z11
+// accumulators (row r, column vector c in Z(4r+c)), Z12 the b vector,
+// Z13 products, Z14-Z16 a rows 0-2 broadcast.
+
+// b's column vector at byte offset off of row k into Z12: whole, or
+// under the tail mask kv.
+#define ZBVEC(off, kv) VMOVUPD off(R11), Z12
+#define ZBVECTAIL(off, kv) VMOVUPD.Z off(R11), kv, Z12
+
+// One column vector (in Z12) against a rows 0, 0-1 or 0-2.
+#define ZPCOL1(c0) \
+	VMULPD Z14, Z12, Z13; \
+	VADDPD c0, Z13, c0
+#define ZPCOL2(c0, c1) \
+	ZPCOL1(c0); \
+	VMULPD Z15, Z12, Z13; \
+	VADDPD c1, Z13, c1
+#define ZPCOL3(c0, c1, c2) \
+	ZPCOL2(c0, c1); \
+	VMULPD Z16, Z12, Z13; \
+	VADDPD c2, Z13, c2
+
+// One k step of the group for one, two or three rows; LD is ZBVEC or
+// ZBVECTAIL.
+#define ZPNEXT \
+	ADDQ DX, R12; \
+	ADDQ BX, R11
+#define ZPSTEP1(LD) \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	LD(0, K1); \
+	ZPCOL1(Z0); \
+	LD(64, K2); \
+	ZPCOL1(Z1); \
+	LD(128, K3); \
+	ZPCOL1(Z2); \
+	LD(192, K4); \
+	ZPCOL1(Z3); \
+	ZPNEXT
+#define ZPSTEP2(LD) \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	LD(0, K1); \
+	ZPCOL2(Z0, Z4); \
+	LD(64, K2); \
+	ZPCOL2(Z1, Z5); \
+	LD(128, K3); \
+	ZPCOL2(Z2, Z6); \
+	LD(192, K4); \
+	ZPCOL2(Z3, Z7); \
+	ZPNEXT
+#define ZPSTEP3(LD) \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	VBROADCASTSD (R10)(R12*1), Z16; \
+	LD(0, K1); \
+	ZPCOL3(Z0, Z4, Z8); \
+	LD(64, K2); \
+	ZPCOL3(Z1, Z5, Z9); \
+	LD(128, K3); \
+	ZPCOL3(Z2, Z6, Z10); \
+	LD(192, K4); \
+	ZPCOL3(Z3, Z7, Z11); \
+	ZPNEXT
+
+// Store one row's four accumulators at rp, or add dst's values to them
+// first (add is set): whole, or under the tail masks.
+#define ZPSTORE(c, off, kv, rp) VMOVUPD c, off(rp)
+#define ZPSTORETAIL(c, off, kv, rp) VMOVUPD c, kv, off(rp)
+#define ZPADD(c, off, kv, rp) VADDPD off(rp), c, c
+#define ZPADDTAIL(c, off, kv, rp) \
+	VMOVUPD.Z off(rp), kv, Z13; \
+	VADDPD    Z13, c, c
+#define ZPROW(ST, c0, c1, c2, c3, rp) \
+	ST(c0, 0, K1, rp); \
+	ST(c1, 64, K2, rp); \
+	ST(c2, 128, K3, rp); \
+	ST(c3, 192, K4, rp)
+
+// The group's m rows through ZPROW(ST).
+#define ZPROWS(ST, done, mref) \
+	ZPROW(ST, Z0, Z1, Z2, Z3, DI); \
+	CMPQ mref, $2; \
+	JLT  done; \
+	LEAQ (DI)(BX*1), R11; \
+	ZPROW(ST, Z4, Z5, Z6, Z7, R11); \
+	CMPQ mref, $3; \
+	JLT  done; \
+	LEAQ (DI)(BX*2), R11; \
+	ZPROW(ST, Z8, Z9, Z10, Z11, R11)
+
+// func prod512Tile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)
+TEXT ·prod512Tile64(SB), NOSPLIT, $0-65
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), SI
+	MOVQ n+32(FP), AX
+	MOVQ ars+48(FP), R10
+	SHLQ $3, R10
+	LEAQ (R8)(R10*1), R9
+	ADDQ R9, R10                 // a rows 1 and 2 (read only when m reaches them)
+	MOVQ aks+56(FP), DX
+	SHLQ $3, DX
+	MOVQ AX, BX
+	SHLQ $3, BX
+
+	MOVQ  AX, CX                 // w, the last group's columns if it is partial
+	ANDQ  $31, CX
+	MOVQ  $1, R13
+	SHLQ  CX, R13
+	DECQ  R13                    // w leading bits, 8 per vector
+	KMOVW R13, K1
+	SHRQ  $8, R13
+	KMOVW R13, K2
+	SHRQ  $8, R13
+	KMOVW R13, K3
+	SHRQ  $8, R13
+	KMOVW R13, K4
+
+group:
+	ZERO4(VPXORQ, Z0, Z1, Z2, Z3)
+	ZERO4(VPXORQ, Z4, Z5, Z6, Z7)
+	ZERO4(VPXORQ, Z8, Z9, Z10, Z11)
+	MOVQ SI, R11
+	XORQ R12, R12
+	MOVQ k+40(FP), CX
+	CMPQ AX, $32
+	JLT  tail
+	CMPQ m+24(FP), $2
+	JLT  full1
+	JEQ  full2
+
+full3:
+	ZPSTEP3(ZBVEC)
+	DECQ CX
+	JNZ  full3
+	JMP  store
+
+full2:
+	ZPSTEP2(ZBVEC)
+	DECQ CX
+	JNZ  full2
+	JMP  store
+
+full1:
+	ZPSTEP1(ZBVEC)
+	DECQ CX
+	JNZ  full1
+
+store:
+	CMPB add+64(FP), $0
+	JEQ  storerows
+	ZPROWS(ZPADD, storerows, m+24(FP))
+
+storerows:
+	ZPROWS(ZPSTORE, next, m+24(FP))
+
+next:
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $32, AX
+	JNZ  group
+	VZEROUPPER
+	RET
+
+tail:
+	CMPQ m+24(FP), $2
+	JLT  tail1
+	JEQ  tail2
+
+tail3:
+	ZPSTEP3(ZBVECTAIL)
+	DECQ CX
+	JNZ  tail3
+	JMP  tailstore
+
+tail2:
+	ZPSTEP2(ZBVECTAIL)
+	DECQ CX
+	JNZ  tail2
+	JMP  tailstore
+
+tail1:
+	ZPSTEP1(ZBVECTAIL)
+	DECQ CX
+	JNZ  tail1
+
+tailstore:
+	CMPB add+64(FP), $0
+	JEQ  tailrows
+	ZPROWS(ZPADDTAIL, tailrows, m+24(FP))
+
+tailrows:
+	ZPROWS(ZPSTORETAIL, done, m+24(FP))
 
 done:
 	VZEROUPPER

@@ -21,3 +21,22 @@ func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
 func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool) {
 	panic("tensor: prodTile64 without AVX2 support")
 }
+
+// hasAVX512 is never set here. It is a variable only so that the tests'
+// kernel-path switch (export_test.go) builds everywhere.
+var hasAVX512 bool
+
+// dense512Tile64 is never called when hasAVX512 is false.
+func dense512Tile64(dst, a, b, bias *float64, m, n, k int, relu bool) {
+	panic("tensor: dense512Tile64 without AVX-512 support")
+}
+
+// dense512Tile32 is never called when hasAVX512 is false.
+func dense512Tile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
+	panic("tensor: dense512Tile32 without AVX-512 support")
+}
+
+// prod512Tile64 is never called when hasAVX512 is false.
+func prod512Tile64(dst, a, b *float64, m, n, k, ars, aks int, add bool) {
+	panic("tensor: prod512Tile64 without AVX-512 support")
+}

@@ -14,6 +14,19 @@
 // whole fully connected layer in one pass — product, bias, ReLU — and a
 // row's result never depends on the rows it was multiplied with.
 //
+// Where the CPU has AVX-512 (F and VL, picked by CPUID and XCR0 alone)
+// every kernel runs a 512-bit twin with the 256-bit kernel's bits. A
+// ymm accumulator of the AVX2 dense kernel is one chain: one row of a
+// against one weight row, element k in lane k mod lanes. A zmm
+// accumulator of dense512Tile64/dense512Tile32 is two such chains side
+// by side — rows 2p and 2p+1 of a, in its low and high 256-bit halves,
+// against one weight row broadcast to both — so each chain meets the
+// same elements in the same lanes and order, and each half is folded by
+// the AVX2 kernel's own instructions. The product kernel's twin,
+// prod512Tile64, widens each register from 4 columns to 8; every column
+// is still its own sum. Same bits on both paths means the trained model,
+// the served answers and every pinned hash do not depend on which ran.
+//
 // Two micro-kernels, two rounding contracts. Dense's fuses: each term is
 // one FMA, so its results differ from the portable dotUnrolled path in
 // the last bits, and that is accepted (forward passes at serving are
@@ -125,11 +138,12 @@ func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 
 // MatMul computes dst = a·b, the input gradient of the backward pass.
 // dst must be a.Rows×b.Cols and distinct from both operands. With AVX2 it
-// runs the training products' micro-kernel (prodTile64) through the
-// fan-out rule; without, the portable ikj loop (matMulPortable). Both
-// sum each output from zero in ascending k with one multiply and one add
-// per term, so the two give the same bits — the portable loop is the
-// kernel's bitwise reference. Unlike Dense, this kernel must not fuse:
+// runs the training products' micro-kernel (prodTile64, or its 512-bit
+// twin prod512Tile64 with AVX-512) through the fan-out rule; without,
+// the portable ikj loop (matMulPortable). All three sum each output from
+// zero in ascending k with one multiply and one add per term, so they
+// give the same bits — the portable loop is the kernels' bitwise
+// reference. Unlike Dense, this kernel must not fuse:
 // the trained bundle, and with it the paper tables and the benchmark's
 // oracle, is computed through these products, and a fused multiply-add
 // would round them differently.
@@ -172,8 +186,12 @@ func runProduct64(j gemmJob) {
 	if j.transA {
 		k, ars, aks = j.a.Rows, 1, j.a.Cols
 	}
+	tile := prodTile64
+	if hasAVX512 {
+		tile = prod512Tile64
+	}
 	for i := j.lo; i < j.hi; i += denseRowTile {
-		prodTile64(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(denseRowTile, j.hi-i), n, k, ars, aks, j.transA)
+		tile(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(denseRowTile, j.hi-i), n, k, ars, aks, j.transA)
 	}
 }
 
@@ -200,7 +218,9 @@ func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, false) }
 // micro-kernel (denseTile64, denseTile32): rows of a in register tiles
 // of denseRowTile, each weight row streamed once per tile, bias and ReLU
 // applied to the sums before they are stored. A ragged last tile and a
-// one-row call run the same kernel at a lower row count. Without them
+// one-row call run the same kernel at a lower row count. With AVX-512
+// the tiles are of up to wideRowTile rows, on the 512-bit twin
+// (dense512Tile64, dense512Tile32), with the same bits. Without them
 // every output is dotUnrolled plus the same epilogue. Either way an
 // output is reduced over k in one fixed order, so a row's result does not
 // depend on how many rows it was batched with or where in the batch it
@@ -242,8 +262,18 @@ func checkDense[T Float](dst, a, w *Mat[T], bias []T) {
 	}
 }
 
-// denseRowTile is the most rows of a one micro-kernel call takes.
+// denseRowTile is the most rows of a one 256-bit micro-kernel call
+// takes, and the grain the fan-out splits rows on.
 const denseRowTile = 3
+
+// The 512-bit dense kernels take 2 to wideRowTile rows a call (pairs of
+// rows, one pair to a zmm register) against at least wideGroup weight
+// rows (one register group); a single row, and a layer of fewer outputs,
+// run the 256-bit kernel, whose bits they give.
+const (
+	wideRowTile = 6
+	wideGroup   = 8
+)
 
 // runDense64 is Dense over rows [j.lo, j.hi) of a and dst at float64.
 //eugene:noalloc
@@ -257,7 +287,13 @@ func runDense64(j gemmJob) {
 	if j.bias != nil {
 		bias = &j.bias[0]
 	}
-	for i := j.lo; i < j.hi; i += denseRowTile {
+	i := j.lo
+	if hasAVX512 && n >= wideGroup {
+		for ; j.hi-i >= 2; i += wideRowTile {
+			dense512Tile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, min(wideRowTile, j.hi-i), n, k, j.relu)
+		}
+	}
+	for ; i < j.hi; i += denseRowTile {
 		denseTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, min(denseRowTile, j.hi-i), n, k, j.relu)
 	}
 }
@@ -274,7 +310,13 @@ func runDense32(j gemmJob) {
 	if j.bias32 != nil {
 		bias = &j.bias32[0]
 	}
-	for i := j.lo; i < j.hi; i += denseRowTile {
+	i := j.lo
+	if hasAVX512 && n >= wideGroup {
+		for ; j.hi-i >= 2; i += wideRowTile {
+			dense512Tile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, min(wideRowTile, j.hi-i), n, k, j.relu)
+		}
+	}
+	for ; i < j.hi; i += denseRowTile {
 		denseTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, min(denseRowTile, j.hi-i), n, k, j.relu)
 	}
 }
