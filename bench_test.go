@@ -1,9 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact), plus serving-path throughput
-// benchmarks. Each evaluation iteration reproduces the full experiment;
-// the shared trained model is built once per process. Results print via
-// b.Log at -v, and cmd/benchtab renders the same tables with paper
-// values side by side.
+// Serving-path throughput benchmark. The paper's tables and figures are
+// tests: go test -v -run TestPaper ./internal/experiments prints them
+// beside the paper's values.
 package eugene
 
 import (
@@ -12,40 +9,26 @@ import (
 	"testing"
 	"time"
 
+	"eugene/internal/core"
 	"eugene/internal/dataset"
-	"eugene/internal/experiments"
 )
 
-var (
-	labOnce sync.Once
-	benchL  *experiments.Lab
-	labErr  error
-)
-
-// benchLab trains the paper-scale model once per process.
-func benchLab(b *testing.B) *experiments.Lab {
-	b.Helper()
-	labOnce.Do(func() {
-		benchL, labErr = experiments.NewLab(experiments.DefaultLabConfig())
-	})
-	if labErr != nil {
-		b.Fatal(labErr)
-	}
-	return benchL
-}
+// servePrecisions are the serving tiers the benchmark compares.
+var servePrecisions = []string{core.PrecisionF64, core.PrecisionF32}
 
 var (
 	serveOnce sync.Once
-	serveSvc  *Service
+	serveSvcs map[string]*Service
 	serveSet  *Set
 	serveErr  error
 )
 
-// benchServe trains one small model behind a 1-worker service, shared
-// across the serving benchmarks. One worker isolates what batching buys
-// at the compute layer: with no pool parallelism to hide behind, the
-// batched path wins only by turning per-task GEMVs into stage GEMMs.
-func benchServe(b *testing.B) (*Service, *Set) {
+// benchServe trains one small model and serves it behind a 1-worker
+// service per precision, shared across the serving benchmarks. One
+// worker isolates what batching buys at the compute layer: with no pool
+// parallelism to hide behind, the batched path wins only by turning
+// per-task GEMVs into stage GEMMs.
+func benchServe(b *testing.B) (map[string]*Service, *Set) {
 	b.Helper()
 	serveOnce.Do(func() {
 		// Paper-scale-ish stages: wide enough that per-stage compute
@@ -60,205 +43,92 @@ func benchServe(b *testing.B) (*Service, *Set) {
 			serveErr = err
 			return
 		}
-		// MaxBatch matches the benchmark batch so each stage runs as a
-		// single coalesced GEMM group.
-		svc, err := NewService(Config{Workers: 1, Deadline: time.Second, QueueDepth: 256, Lookahead: 1, MaxBatch: 64})
-		if err != nil {
-			serveErr = err
-			return
+		serveSvcs = make(map[string]*Service, len(servePrecisions))
+		var snap []byte
+		for _, prec := range servePrecisions {
+			// MaxBatch matches the benchmark batch so each stage runs as a
+			// single coalesced GEMM group.
+			svc, err := NewService(Config{Workers: 1, Deadline: time.Second, QueueDepth: 256,
+				Lookahead: 1, MaxBatch: 64, Precision: prec})
+			if err != nil {
+				serveErr = err
+				return
+			}
+			serveSvcs[prec] = svc
+			// The first service trains the model; the others install its
+			// snapshot, so every precision serves the same weights.
+			if snap == nil {
+				opts := DefaultTrainOptions(32, 3)
+				opts.Model.Hidden = 256
+				opts.Model.BlocksPerStage = 2
+				opts.Train.Epochs = 2
+				if _, serveErr = svc.Train("bench", train, opts); serveErr == nil {
+					snap, serveErr = svc.SnapshotBytes("bench")
+				}
+			} else {
+				serveErr = svc.InstallSnapshotBytes("bench", snap)
+			}
+			if serveErr != nil {
+				return
+			}
 		}
-		opts := DefaultTrainOptions(32, 3)
-		opts.Model.Hidden = 256
-		opts.Model.BlocksPerStage = 2
-		opts.Train.Epochs = 2
-		if _, err := svc.Train("bench", train, opts); err != nil {
-			serveErr = err
-			return
-		}
-		serveSvc, serveSet = svc, test
+		serveSet = test
 	})
 	if serveErr != nil {
 		b.Fatal(serveErr)
 	}
-	return serveSvc, serveSet
+	return serveSvcs, serveSet
 }
 
 // BenchmarkInferSequentialVsBatch compares N one-at-a-time Infer calls
-// against a single InferBatch over the same inputs on a 1-worker pool:
-// the batch path enqueues every task in one scheduler interaction and
-// the scheduler coalesces same-stage tasks into single batched forward
-// passes (one GEMM per Dense layer instead of one GEMV per task), where
-// the sequential path pays a full submit/answer round trip and a 1×N
-// matvec chain per sample. The req/s metric is the headline; batched
-// must beat sequential. allocs/op tracks the allocation-free kernel
-// work (note the sequential figure covers 64 requests per op, the
-// batched figure one 64-request batch per op).
+// against a single InferBatch over the same inputs on a 1-worker pool,
+// at each precision: the batch path enqueues every task in one
+// scheduler interaction and the scheduler coalesces same-stage tasks
+// into single batched forward passes (one GEMM per Dense layer instead
+// of one GEMV per task), where the sequential path pays a full
+// submit/answer round trip and a 1×N matvec chain per sample. The req/s
+// metric is the headline; batched must beat sequential, and ms/row of
+// the sequential run is a single row's latency. allocs/op tracks the
+// allocation-free kernel work (note the sequential figure covers 64
+// requests per op, the batched figure one 64-request batch per op).
 func BenchmarkInferSequentialVsBatch(b *testing.B) {
-	svc, test := benchServe(b)
+	svcs, test := benchServe(b)
 	const batch = 64
 	inputs := make([][]float64, batch)
 	for i := range inputs {
 		inputs[i], _ = test.Sample(i % test.Len())
 	}
 	ctx := context.Background()
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, x := range inputs {
-				if _, err := svc.Infer(ctx, "bench", x); err != nil {
-					b.Fatal(err)
+	report := func(b *testing.B) {
+		rows := float64(batch * b.N)
+		b.ReportMetric(rows/b.Elapsed().Seconds(), "req/s")
+		b.ReportMetric(b.Elapsed().Seconds()*1e3/rows, "ms/row")
+	}
+	for _, prec := range servePrecisions {
+		svc := svcs[prec]
+		b.Run(prec+"/sequential", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, x := range inputs {
+					if _, err := svc.Infer(ctx, "bench", x); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			resps, err := svc.InferBatch(ctx, "bench", inputs)
-			if err != nil {
-				b.Fatal(err)
+			report(b)
+		})
+		b.Run(prec+"/batched", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resps, err := svc.InferBatch(ctx, "bench", inputs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(resps) != batch {
+					b.Fatalf("%d responses", len(resps))
+				}
 			}
-			if len(resps) != batch {
-				b.Fatalf("%d responses", len(resps))
-			}
-		}
-		b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-}
-
-// BenchmarkTable1ConvProfile regenerates Table I: nonlinear conv-layer
-// execution times on the modeled device plus the learned profiler.
-func BenchmarkTable1ConvProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkFig2Reliability regenerates Figure 2: reliability diagrams
-// before and after entropy calibration.
-func BenchmarkFig2Reliability(b *testing.B) {
-	lab := benchLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := lab.Fig2(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkTable2ECE regenerates Table II: ECE of Uncalibrated,
-// RDeepSense and RTDeepIoT per stage.
-func BenchmarkTable2ECE(b *testing.B) {
-	lab := benchLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := lab.Table2(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkTable3GP regenerates Table III: MAE and R² of the GP
-// confidence-curve predictors.
-func BenchmarkTable3GP(b *testing.B) {
-	lab := benchLab(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := lab.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkFig4Schedulers regenerates Figure 4 (a, b and c): mean and
-// per-stream-std service accuracy for RTDeepIoT-k, RTDeepIoT-DC-k, RR
-// and FIFO at N ∈ {2, 5, 10, 20} concurrent tasks.
-func BenchmarkFig4Schedulers(b *testing.B) {
-	lab := benchLab(b)
-	cfg := experiments.DefaultFig4Config()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := lab.Fig4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkTable4Collab regenerates Table IV: individual vs
-// collaborative camera inference, plus the rogue/resilience extension.
-func BenchmarkTable4Collab(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkPruningAblation regenerates the Section II-B edge-vs-node
-// pruning comparison.
-func BenchmarkPruningAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Pruning(256, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkLabeling regenerates the Section II-A semi-supervised
-// labeling experiment.
-func BenchmarkLabeling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Labeling(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkCaching regenerates the Section II-B device-caching
-// experiment.
-func BenchmarkCaching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Caching(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
+			report(b)
+		})
 	}
 }

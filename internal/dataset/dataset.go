@@ -1,5 +1,5 @@
 // Package dataset generates the seeded synthetic datasets that stand in
-// for CIFAR-10 and the paper's sensor corpora (see DESIGN.md §1). The
+// for CIFAR-10 and the paper's sensor corpora. The
 // generator is constructed so that the properties the Eugene experiments
 // depend on hold: classes are multi-modal (depth helps), per-sample
 // difficulty is heterogeneous (early exits help easy inputs), and class

@@ -13,6 +13,7 @@ func TestServiceClassesQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	w := res.Stats["weighted"]["chatbot"]
 	u := res.Stats["class-blind"]["chatbot"]
 	if w.Total == 0 || u.Total == 0 {
@@ -49,6 +50,7 @@ func TestCalibAblationQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	if res.Calibrated < 0 || res.Calibrated > 1 || res.Uncalibrated < 0 || res.Uncalibrated > 1 {
 		t.Fatalf("accuracies %v / %v", res.Calibrated, res.Uncalibrated)
 	}

@@ -54,69 +54,6 @@ func TestLabConfigErrors(t *testing.T) {
 	}
 }
 
-func TestFig2Quick(t *testing.T) {
-	lab := getQuickLab(t)
-	res, err := lab.Fig2(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Uncalibrated) != 10 || len(res.Calibrated) != 10 {
-		t.Fatalf("bin counts %d/%d", len(res.Uncalibrated), len(res.Calibrated))
-	}
-	if res.UncalECE < 0 || res.UncalECE > 1 || res.CalECE < 0 || res.CalECE > 1 {
-		t.Fatalf("ECEs %v/%v", res.UncalECE, res.CalECE)
-	}
-	if !strings.Contains(res.Render(), "Figure 2") {
-		t.Fatal("render missing header")
-	}
-}
-
-func TestTable2Quick(t *testing.T) {
-	lab := getQuickLab(t)
-	res, err := lab.Table2(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ECE) != 4 {
-		t.Fatalf("methods = %d", len(res.ECE))
-	}
-	for m := range res.ECE {
-		if len(res.ECE[m]) != 3 {
-			t.Fatalf("method %d has %d stages", m, len(res.ECE[m]))
-		}
-		for s, e := range res.ECE[m] {
-			if e < 0 || e > 1 {
-				t.Fatalf("ECE[%d][%d] = %v", m, s, e)
-			}
-		}
-	}
-	if !strings.Contains(res.Render(), "Table II") {
-		t.Fatal("render missing header")
-	}
-}
-
-func TestTable3Quick(t *testing.T) {
-	lab := getQuickLab(t)
-	res, err := lab.Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Names) != 3 {
-		t.Fatalf("rows = %v", res.Names)
-	}
-	for i := range res.Names {
-		if res.MAE[i] < 0 || res.MAE[i] > 1 {
-			t.Fatalf("MAE[%d] = %v", i, res.MAE[i])
-		}
-		if res.R2[i] > 1 {
-			t.Fatalf("R2[%d] = %v", i, res.R2[i])
-		}
-	}
-	if !strings.Contains(res.Render(), "Table III") {
-		t.Fatal("render missing header")
-	}
-}
-
 func TestFig4Quick(t *testing.T) {
 	lab := getQuickLab(t)
 	cfg := Fig4Config{
@@ -178,6 +115,7 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -211,6 +149,7 @@ func TestTable4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	ind := res.Individual.DetectionAccuracy
 	col := res.Collaborative.DetectionAccuracy
 	if ind < 0.6 || ind > 0.78 {
@@ -241,6 +180,7 @@ func TestPruningShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	if len(res.Points) != 3 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -270,6 +210,7 @@ func TestLabelingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	if res.Agreement < 0.85 {
 		t.Fatalf("agreement %.3f too low", res.Agreement)
 	}
@@ -294,6 +235,7 @@ func TestCachingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + res.Render())
 	if res.HitRate < 0.4 {
 		t.Fatalf("hit rate %.3f too low for a zipf workload", res.HitRate)
 	}

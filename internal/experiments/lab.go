@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index): it trains the paper-scale
-// staged model on SynthCIFAR, calibrates it, fits the GP confidence
-// predictors, and drives the scheduler simulations, the profiler, and
-// the collaborative-camera experiments. Both cmd/benchtab and the
-// repository-level benchmarks are thin wrappers over this package.
+// evaluation: it trains the paper-scale staged model on SynthCIFAR,
+// calibrates it, fits the GP confidence predictors, and drives the
+// scheduler simulations, the profiler, and the collaborative-camera
+// experiments. Its tests print each artifact beside the paper's values
+// and gate Figure 2, Tables II and III and Figure 4 (paper_test.go):
+// go test -v -run TestPaper ./internal/experiments.
 package experiments
 
 import (
@@ -44,7 +45,7 @@ func DefaultLabConfig() LabConfig {
 	data.TrainSize = 4000
 	data.TestSize = 2000
 	// Hard enough that depth matters and the overfit network is
-	// measurably overconfident (see DESIGN.md §5.3).
+	// measurably overconfident (Figure 2's uncalibrated diagram).
 	data.ModesPerClass = 5
 	data.Overlap = 0.3
 	data.NoiseLo = 1.8
@@ -54,7 +55,8 @@ func DefaultLabConfig() LabConfig {
 	// Thin early exit heads (the paper's "thin softmax function
 	// layer"): bottlenecked stage-1/2 heads cap shallow-exit accuracy
 	// without constraining the trunk, giving the per-stage accuracy
-	// gradient of Figure 4 (≈0.70 / 0.85 / 0.86 on holdout).
+	// gradient of Figure 4 (holdout accuracies are recorded in
+	// paper_test.go, per kernel path).
 	model.HeadBottlenecks = []int{5, 8, 0}
 	model.HeadDropout = 0.25
 	train := staged.DefaultTrainConfig()

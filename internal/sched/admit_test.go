@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,6 +226,75 @@ func TestAdmissionRejectsUnderLiveOverload(t *testing.T) {
 	}
 	if st := l.Stats(); st.Rejected == 0 {
 		t.Fatalf("Stats().Rejected = 0 after %d rejections", rejected)
+	}
+}
+
+// TestAdmissionGoodputAtOverload holds admission control to paying for
+// itself: offered twice the pool's capacity, the same Live must answer
+// at least 0.95× as many requests within their deadline with admission
+// on as with it off. Stopwatch executors fix the capacity without
+// measuring it: one task is three dispatches of stageDelay, MaxBatch 1,
+// on each of workers. A request counts as goodput when it is answered,
+// not expired, and within the deadline measured from its submit call.
+func TestAdmissionGoodputAtOverload(t *testing.T) {
+	const (
+		workers    = 2
+		stageDelay = 2 * time.Millisecond
+		deadline   = 30 * time.Millisecond
+		requests   = 300
+		// Capacity is workers / (3 × stageDelay); arrivals come at twice it.
+		interval = 3 * stageDelay / (2 * workers)
+	)
+	goodput := func(admission bool) int {
+		execs := make([]StageExecutor, workers)
+		for i := range execs {
+			execs[i] = &slowExec{delay: stageDelay}
+		}
+		l, err := NewLive(LiveConfig{
+			Workers: workers, Deadline: deadline, QueueDepth: 64, MaxBatch: 1,
+			Admission: admission,
+		}, NewGreedy(1, flatPriors(), "g"), execs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Stop()
+		ctx := context.Background()
+		// Sequential traffic warms the cost model past its gate, where
+		// admission starts to decide; both pools get the same.
+		for i := 0; i < admitWarmup; i++ {
+			if _, err := l.Submit(ctx, []float64{1}, 3); err != nil {
+				t.Fatalf("warm-up submit %d (admission %v): %v", i, admission, err)
+			}
+		}
+		var good atomic.Int64
+		var wg sync.WaitGroup
+		next := time.Now()
+		for i := 0; i < requests; i++ {
+			if d := time.Until(next); d > 0 {
+				time.Sleep(d)
+			}
+			// Open loop: arrival i+1 is due interval after arrival i
+			// whatever has completed, so the offered load never throttles
+			// itself to the service rate.
+			next = next.Add(interval)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start := time.Now()
+				resp, err := l.Submit(ctx, []float64{1}, 3)
+				if err == nil && !resp.Expired && time.Since(start) <= deadline {
+					good.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		return int(good.Load())
+	}
+	off, on := goodput(false), goodput(true)
+	t.Logf("goodput at 2x capacity, %d requests: admission off %d, on %d (on/off %.2f)",
+		requests, off, on, float64(on)/float64(max(off, 1)))
+	if on == 0 || float64(on) < 0.95*float64(off) {
+		t.Fatalf("admission on answered %d requests in time, off %d: want on ≥ 0.95 × off", on, off)
 	}
 }
 
