@@ -272,9 +272,9 @@ func (r *Router) mutateModel(replicates bool) http.HandlerFunc {
 //
 // This is the one route whose body the router holds, being the one that
 // may have to send it twice: read once into a pooled buffer and looked
-// at once, for the top-level device member, by the replica decoder's own
-// scanner (service.PeekDevice). A body the replica will refuse is
-// forwarded as it came; the replica owns the 400.
+// at once, for its device tag, by the replica decoder's own code picked
+// by the same Content-Type (service.RequestDevice). A body the replica
+// will refuse is forwarded as it came; the replica owns the 400.
 func (r *Router) handleInfer(maxBody int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		body, ok := service.ReadBodyBuf(w, req, maxBody)
@@ -282,7 +282,7 @@ func (r *Router) handleInfer(maxBody int64) http.HandlerFunc {
 			return
 		}
 		rt := route{body: body, failover: true}
-		if device := service.PeekDevice(body.B); device != "" {
+		if device := service.RequestDevice(req.Header, body.B); device != "" {
 			rt = route{body: body, key: "dev/" + device}
 		}
 		r.forward(w, req, rt)

@@ -232,7 +232,11 @@ func TestAdmissionRejectsUnderLiveOverload(t *testing.T) {
 // TestAdmissionGoodputAtOverload holds admission control to paying for
 // itself: offered twice the pool's capacity, the same Live must answer
 // at least 0.95× as many requests within their deadline with admission
-// on as with it off. Stopwatch executors fix the capacity without
+// on as with it off, and with it on at least 0.6 of what the capacity
+// can serve in the span the arrivals take. Without admission almost
+// nothing meets the deadline at 2×, so the first bar alone passes an
+// admit that takes work only into an idle pool (≈ half the capacity);
+// the floor does not. Stopwatch executors fix the capacity without
 // measuring it: one task is three dispatches of stageDelay, MaxBatch 1,
 // on each of workers. A request counts as goodput when it is answered,
 // not expired, and within the deadline measured from its submit call.
@@ -291,10 +295,15 @@ func TestAdmissionGoodputAtOverload(t *testing.T) {
 		return int(good.Load())
 	}
 	off, on := goodput(false), goodput(true)
-	t.Logf("goodput at 2x capacity, %d requests: admission off %d, on %d (on/off %.2f)",
-		requests, off, on, float64(on)/float64(max(off, 1)))
+	// What the capacity serves while the arrivals come: 150 tasks.
+	capacity := float64(workers) / (3 * stageDelay).Seconds() * (requests * interval).Seconds()
+	t.Logf("goodput at 2x capacity, %d requests: admission off %d, on %d (on/off %.2f, on/capacity %.2f)",
+		requests, off, on, float64(on)/float64(max(off, 1)), float64(on)/capacity)
 	if on == 0 || float64(on) < 0.95*float64(off) {
 		t.Fatalf("admission on answered %d requests in time, off %d: want on ≥ 0.95 × off", on, off)
+	}
+	if float64(on) < 0.6*capacity {
+		t.Fatalf("admission on answered %d requests in time: want ≥ 0.6 × the %.0f the capacity serves", on, capacity)
 	}
 }
 

@@ -395,8 +395,8 @@ func (c *Client) retry(ctx context.Context, idempotent bool, attempt func(base s
 
 // send makes one attempt: method base+path with a fresh reader over
 // body, so that a retry never resends a half-consumed one. A non-200
-// answer is a *ServerError. A 200's body is decoded into out as JSON,
-// read whole when out is a *[]byte, and discarded when out is nil.
+// answer is a *ServerError. A 200's body is decoded into out (a frame or
+// JSON), read whole when out is a *[]byte, and discarded when out is nil.
 func (c *Client) send(ctx context.Context, method, base, path string, body []byte, contentType string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
 	if err != nil {
@@ -419,7 +419,15 @@ func (c *Client) send(ctx context.Context, method, base, path string, body []byt
 	case *[]byte:
 		*out, err = io.ReadAll(resp.Body)
 	default:
-		err = json.NewDecoder(resp.Body).Decode(out)
+		if !isFrame(resp.Header) {
+			err = json.NewDecoder(resp.Body).Decode(out)
+			break
+		}
+		// Sized by Content-Length, so that one allocation holds the answer.
+		b := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), MaxBatchBody)+bytes.MinRead))
+		if _, err = b.ReadFrom(resp.Body); err == nil {
+			err = decodeAnswers(b.Bytes(), out)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("service: decoding response: %w", err)
@@ -457,7 +465,7 @@ func (c *Client) BuildPredictor(ctx context.Context, name string, data *dataset.
 func (c *Client) Infer(ctx context.Context, name string, input []float64) (*InferResponse, error) {
 	var out InferResponse
 	err := c.postInfer(ctx, modelPath(name, "infer"), true, &out,
-		func(dst []byte) ([]byte, error) { return appendInferRequest(dst, input, "") })
+		func(dst []byte) ([]byte, error) { return appendFrame(dst, "", input) })
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +477,7 @@ func (c *Client) Infer(ctx context.Context, name string, input []float64) (*Infe
 func (c *Client) InferBatch(ctx context.Context, name string, inputs [][]float64) ([]InferResponse, error) {
 	var out InferBatchResponse
 	err := c.postInfer(ctx, modelPath(name, "infer-batch"), true, &out,
-		func(dst []byte) ([]byte, error) { return appendInferBatchRequest(dst, inputs, "") })
+		func(dst []byte) ([]byte, error) { return appendFrame(dst, "", inputs...) })
 	if err != nil {
 		return nil, err
 	}
@@ -483,14 +491,14 @@ func (c *Client) InferBatch(ctx context.Context, name string, inputs [][]float64
 func (c *Client) InferObserved(ctx context.Context, name, device string, input []float64) (*InferResponse, error) {
 	var out InferResponse
 	err := c.postInfer(ctx, modelPath(name, "infer"), false, &out,
-		func(dst []byte) ([]byte, error) { return appendInferRequest(dst, input, device) })
+		func(dst []byte) ([]byte, error) { return appendFrame(dst, device, input) })
 	if err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// postInfer encodes an infer request into a pooled buffer and posts it:
+// postInfer frames an infer request into a pooled buffer and posts it:
 // under the retry policy when idempotent (inference is pure compute — a
 // duplicate submission computes the same answer twice), once otherwise.
 // The buffer goes back to the pool only if every attempt made ended in
@@ -508,7 +516,7 @@ func (c *Client) postInfer(ctx context.Context, path string, idempotent bool, ou
 	}
 	clean := true
 	err = c.retry(ctx, idempotent, func(base string) error {
-		err := c.send(ctx, http.MethodPost, base, path, body.B, "application/json", out)
+		err := c.send(ctx, http.MethodPost, base, path, body.B, FrameType, out)
 		clean = clean && err == nil
 		return err
 	})

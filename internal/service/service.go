@@ -5,14 +5,14 @@
 // executes under a latency constraint. A matching Go client lives in
 // client.go.
 //
-// Everything on the wire is JSON. The two shapes that carry rows,
-// InferRequest and InferBatchRequest, are written and read by the codec
-// in wire.go — an append-based encoder and a single-pass decoder over
-// the buffered body, which take exactly the grammar encoding/json takes
-// for those structs (wire.go's comment lists its corners) and are held
-// to it by differential tests with encoding/json as the oracle:
-// FuzzInferBody, FuzzPeekDevice, TestInferEncoderMatchesEncodingJSON.
-// Every other request, and every response, goes through encoding/json.
+// The API is JSON. The two requests that carry rows are read by the
+// codec in wire.go, in either of two media types: InferRequest and
+// InferBatchRequest as JSON, by a single-pass decoder held to exactly
+// encoding/json's grammar by differential tests (FuzzInferBody,
+// FuzzPeekDevice), or FrameType, the binary frame the Go client sends
+// and a replica answers in kind (FuzzRowsFrame, FuzzAnswersFrame).
+// Every other request and response, errors included, goes through
+// encoding/json.
 // The HTTP helpers here (WriteJSON, WriteError, ReadBody, the Max*Body
 // caps, BodyBuf) are the one set the replica and the cluster router
 // both use.
@@ -561,8 +561,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	frame := isFrame(r.Header)
+	decode := decodeInferRequest
+	if frame {
+		decode = decodeFrameRequest
+	}
 	var req InferRequest
-	err := decodeInferRequest(body.B, &req)
+	err := decode(body.B, &req)
 	body.Release() // the decoded request shares nothing with it
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -587,13 +592,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeAnswer(req.Device, name, resp)
-	WriteJSON(w, http.StatusOK, InferResponse{
-		Pred:      resp.Pred,
-		Conf:      resp.Conf,
-		Stages:    resp.Stages,
-		Expired:   resp.Expired,
-		LatencyMS: float64(resp.Latency.Microseconds()) / 1000,
-	})
+	one := [1]InferResponse{inferResponse(resp)}
+	writeAnswers(w, frame, one[:], one[0])
 }
 
 func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
@@ -602,8 +602,13 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	frame := isFrame(r.Header)
+	decode := decodeInferBatchRequest
+	if frame {
+		decode = decodeFrame
+	}
 	var req InferBatchRequest
-	err := decodeInferBatchRequest(body.B, &req)
+	err := decode(body.B, &req)
 	body.Release()
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -642,19 +647,39 @@ func (s *Server) handleInferBatch(w http.ResponseWriter, r *http.Request) {
 		if byClass != nil && resp.Pred >= 0 {
 			byClass[resp.Pred]++
 		}
-		out.Results[i] = InferResponse{
-			Pred:      resp.Pred,
-			Conf:      resp.Conf,
-			Stages:    resp.Stages,
-			Expired:   resp.Expired,
-			LatencyMS: float64(resp.Latency.Microseconds()) / 1000,
-		}
+		out.Results[i] = inferResponse(resp)
 	}
 	for class, n := range byClass {
 		// Best-effort, like observeAnswer.
 		_ = s.svc.Observe(req.Device, name, class, n)
 	}
-	WriteJSON(w, http.StatusOK, out)
+	writeAnswers(w, frame, out.Results, out)
+}
+
+// inferResponse is the wire form of one scheduler answer.
+func inferResponse(resp sched.Response) InferResponse {
+	return InferResponse{
+		Pred:      resp.Pred,
+		Conf:      resp.Conf,
+		Stages:    resp.Stages,
+		Expired:   resp.Expired,
+		LatencyMS: float64(resp.Latency.Microseconds()) / 1000,
+	}
+}
+
+// writeAnswers answers a 200: results as an answer frame to a frame, v
+// as JSON to anything else.
+func writeAnswers(w http.ResponseWriter, frame bool, results []InferResponse, v any) {
+	if !frame {
+		WriteJSON(w, http.StatusOK, v)
+		return
+	}
+	out := GetBodyBuf()
+	out.B = appendAnswers(out.B[:0], results)
+	w.Header().Set("Content-Type", FrameType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(out.B)))
+	_, _ = w.Write(out.B) // an I/O failure the client already observes
+	out.Release()
 }
 
 // observeAnswer feeds one answered prediction into the device's

@@ -425,8 +425,9 @@ func TestOversizedBodiesAre413(t *testing.T) {
 	c, train, _ := testServer(t)
 	trainDemo(t, c, train)
 	ctx := context.Background()
-	// A single-sample infer body has a tight cap: ~2.5 MB of input must
-	// come back 413, decoded cleanly by the client.
+	// A single-sample infer body has a tight cap: 1 MiB of input, a
+	// frame a few bytes over it, must come back 413, decoded cleanly by
+	// the client.
 	huge := make([]float64, 1<<17)
 	for i := range huge {
 		huge[i] = 1.0 / 3

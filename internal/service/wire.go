@@ -2,23 +2,24 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The infer codec: InferRequest and InferBatchRequest cross the wire as
-// JSON, and this file is the only code that writes or reads them. The
-// encoder appends into a caller-owned buffer; the decoder walks a
-// buffered body once, parsing rows straight into one backing array per
-// request. encoding/json is the oracle, not a fallback: the encoder's
-// output is byte for byte what json.Marshal produces, and the decoder
-// accepts, rejects and decodes exactly as
-// json.NewDecoder(body).Decode(&req) does (FuzzInferBody), including
-// the corners of its grammar:
+// The infer codec: InferRequest and InferBatchRequest reach a replica as
+// JSON, the public API, or — from service.Client — as a binary frame
+// (FrameType, at the end of this file), by Content-Type, and this file
+// is the only code that reads either. The JSON decoder walks a buffered
+// body once, parsing rows straight into one backing array per request.
+// encoding/json is its oracle, not a fallback: it accepts, rejects and
+// decodes exactly as json.NewDecoder(body).Decode(&req) does
+// (FuzzInferBody), including the corners of its grammar:
 //
 //   - one top-level value, bytes after it ignored; `null` leaves the
 //     request zero; any other non-object is an error;
@@ -36,8 +37,8 @@ import (
 //   - device strings have their escapes resolved, lone surrogates and
 //     invalid UTF-8 replaced by U+FFFD.
 //
-// PeekDevice is the same scanner with nothing stored: the cluster
-// router uses it to route a body it does not otherwise read.
+// PeekDevice is the same scanner with nothing stored: through
+// RequestDevice, the cluster router routes a JSON body it does not read.
 
 // maxWireDepth is encoding/json's nesting limit.
 const maxWireDepth = 10000
@@ -47,132 +48,6 @@ var (
 	errWireSyntax = errors.New("invalid JSON")
 	errWireType   = errors.New("JSON value of the wrong type")
 )
-
-// appendInferRequest appends the JSON form of InferRequest{input,
-// device}. NaN and ±Inf have no JSON form and are an error.
-func appendInferRequest(dst []byte, input []float64, device string) ([]byte, error) {
-	dst = append(dst, `{"input":`...)
-	dst, err := appendRow(dst, input)
-	if err != nil {
-		return dst, err
-	}
-	return appendDeviceAndClose(dst, device), nil
-}
-
-// appendInferBatchRequest appends the JSON form of
-// InferBatchRequest{inputs, device}.
-func appendInferBatchRequest(dst []byte, inputs [][]float64, device string) ([]byte, error) {
-	dst = append(dst, `{"inputs":`...)
-	if inputs == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, row := range inputs {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = appendRow(dst, row); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
-	}
-	return appendDeviceAndClose(dst, device), nil
-}
-
-func appendRow(dst []byte, row []float64) ([]byte, error) {
-	if row == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, '[')
-	for i, f := range row {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if math.IsInf(f, 0) || math.IsNaN(f) {
-			return dst, fmt.Errorf("unsupported value %v at index %d", f, i)
-		}
-		// The ES6 number form encoding/json writes: plain decimals
-		// between 1e-6 and 1e21, exponents outside, shortest digits that
-		// round-trip either way.
-		format := byte('f')
-		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		dst = strconv.AppendFloat(dst, f, format, -1, 64)
-		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1] // e-09 is written e-9
-			dst = dst[:n-1]
-		}
-	}
-	return append(dst, ']'), nil
-}
-
-// appendDeviceAndClose ends the request object, with the device member
-// when there is one (the field is omitempty).
-func appendDeviceAndClose(dst []byte, device string) []byte {
-	if device != "" {
-		dst = append(dst, `,"device":`...)
-		dst = appendJSONString(dst, device)
-	}
-	return append(dst, '}')
-}
-
-// appendJSONString appends s quoted as encoding/json quotes strings:
-// controls, the quote and the backslash escaped, the HTML-unsafe <, >
-// and & and the JavaScript-unsafe U+2028 and U+2029 as \u escapes, and
-// each byte that is not UTF-8 as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
 
 // wireScan is a cursor over one buffered request body.
 type wireScan struct {
@@ -734,4 +609,172 @@ func PeekDevice(body []byte) string {
 		return ""
 	}
 	return device
+}
+
+// FrameType is the media type of the binary infer frame: the request
+// service.Client sends to /infer (one row) and /infer-batch, and a
+// replica's 200 to one (errors stay JSON). Integers and floats are
+// little-endian, and a frame is exactly as long as its counts say.
+//
+//	request: 'E' 1 (magic, version) · u16 n, n bytes of device tag ·
+//	         u32 rows, a u32 width per row · the f64 values, row by row
+//	answer:  u32 count · per row i64 pred, i64 stages, u8 expired,
+//	         f64 conf, f64 latency_ms
+const FrameType = "application/x-eugene-rows"
+
+const answerSize = 8 + 8 + 1 + 8 + 8
+
+func isFrame(h http.Header) bool { return h.Get("Content-Type") == FrameType }
+
+// appendFrame appends the request frame of rows tagged with device,
+// refusing NaN and ±Inf as the JSON API refuses them.
+func appendFrame(dst []byte, device string, rows ...[]float64) ([]byte, error) {
+	if len(device) > math.MaxUint16 {
+		return dst, fmt.Errorf("device tag of %d bytes: a frame carries at most %d", len(device), math.MaxUint16)
+	}
+	dst = binary.LittleEndian.AppendUint16(append(dst, 'E', 1), uint16(len(device)))
+	dst = binary.LittleEndian.AppendUint32(append(dst, device...), uint32(len(rows)))
+	for _, row := range rows {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(row)))
+	}
+	for _, row := range rows {
+		for i, f := range row {
+			if math.IsInf(f, 0) || math.IsNaN(f) {
+				return dst, fmt.Errorf("unsupported value %v at index %d", f, i)
+			}
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+		}
+	}
+	return dst, nil
+}
+
+// frameTag returns a request frame's device tag and what follows it; ok
+// is false for a body with no frame header.
+func frameTag(b []byte) (tag, rest []byte, ok bool) {
+	if len(b) < 8 || b[0] != 'E' || b[1] != 1 {
+		return nil, nil, false
+	}
+	n := 4 + int(binary.LittleEndian.Uint16(b[2:]))
+	if len(b) < n+4 {
+		return nil, nil, false
+	}
+	return b[4:n], b[n:], true
+}
+
+// decodeFrame is decodeInferBatchRequest for a frame. Every count is
+// checked against the body's length before anything is allocated, and
+// the rows are slices of one backing array that cannot grow into each
+// other.
+func decodeFrame(b []byte, req *InferBatchRequest) error {
+	tag, b, ok := frameTag(b)
+	if !ok {
+		return errors.New("frame: no header")
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if b = b[4:]; uint64(n) > uint64(len(b)/4) {
+		return fmt.Errorf("frame: %d rows in %d bytes", n, len(b))
+	}
+	count := int(n)
+	widths, vals := b[:4*count], b[4*count:]
+	var total uint64
+	for i := range count {
+		total += uint64(binary.LittleEndian.Uint32(widths[4*i:]))
+	}
+	if len(vals)%8 != 0 || total != uint64(len(vals)/8) {
+		return fmt.Errorf("frame: widths sum to %d values, not the %d bytes after them", total, len(vals))
+	}
+	flat := make([]float64, total)
+	for i := range flat {
+		if flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])); math.IsInf(flat[i], 0) || math.IsNaN(flat[i]) {
+			return fmt.Errorf("frame: unsupported value %v", flat[i])
+		}
+	}
+	rows := make([][]float64, count)
+	for i, off := 0, 0; i < count; i++ {
+		end := off + int(binary.LittleEndian.Uint32(widths[4*i:]))
+		rows[i], off = flat[off:end:end], end
+	}
+	req.Inputs, req.Device = rows, frameDevice(tag)
+	return nil
+}
+
+// decodeFrameRequest is decodeInferRequest for a frame of one row.
+func decodeFrameRequest(body []byte, req *InferRequest) error {
+	var batch InferBatchRequest
+	err := decodeFrame(body, &batch)
+	if err == nil && len(batch.Inputs) != 1 {
+		err = fmt.Errorf("frame: %d rows for a single infer", len(batch.Inputs))
+	}
+	if err == nil {
+		req.Input, req.Device = batch.Inputs[0], batch.Device
+	}
+	return err
+}
+
+// frameDevice is a device tag with a U+FFFD for each byte that is not
+// UTF-8, as appendUnquoted coerces one: a device keeps its tracker and
+// its rendezvous owner in either format.
+func frameDevice(tag []byte) string {
+	if utf8.Valid(tag) {
+		return string(tag)
+	}
+	return string([]rune(string(tag)))
+}
+
+// RequestDevice is the device tag of an infer request body sent with
+// header h, read as the replica reads it: PeekDevice's for JSON.
+func RequestDevice(h http.Header, body []byte) string {
+	if !isFrame(h) {
+		return PeekDevice(body)
+	}
+	tag, _, _ := frameTag(body)
+	return frameDevice(tag)
+}
+
+// appendAnswers appends the answer frame of results.
+func appendAnswers(dst []byte, results []InferResponse) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(results)))
+	for _, r := range results {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Pred))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Stages))
+		var expired byte
+		if r.Expired {
+			expired = 1
+		}
+		dst = append(dst, expired)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Conf))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.LatencyMS))
+	}
+	return dst
+}
+
+// decodeAnswers decodes an answer frame into out, an *InferResponse (one
+// answer) or an *InferBatchResponse.
+func decodeAnswers(b []byte, out any) error {
+	if len(b) < 4 || uint64(len(b)-4) != uint64(binary.LittleEndian.Uint32(b))*answerSize {
+		return fmt.Errorf("frame: answer count does not fit %d bytes", len(b))
+	}
+	count := (len(b) - 4) / answerSize
+	results := make([]InferResponse, count)
+	for i := range results {
+		a := b[4+i*answerSize:]
+		if a[16] > 1 {
+			return fmt.Errorf("frame: expired flag %d", a[16])
+		}
+		results[i] = InferResponse{
+			Pred:      int(binary.LittleEndian.Uint64(a)),
+			Stages:    int(binary.LittleEndian.Uint64(a[8:])),
+			Expired:   a[16] == 1,
+			Conf:      math.Float64frombits(binary.LittleEndian.Uint64(a[17:])),
+			LatencyMS: math.Float64frombits(binary.LittleEndian.Uint64(a[25:])),
+		}
+	}
+	if one, ok := out.(*InferResponse); ok && count == 1 {
+		*one = results[0]
+	} else if batch, ok := out.(*InferBatchResponse); ok {
+		batch.Results = results
+	} else {
+		return fmt.Errorf("frame: %d answers for a %T", count, out)
+	}
+	return nil
 }

@@ -2,14 +2,20 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"unicode"
+
+	"eugene/internal/core"
 )
 
 // wireSeeds are the bodies the differential tests start from: every
@@ -252,39 +258,50 @@ func randomDevice(rng *rand.Rand) string {
 	return string(b)
 }
 
-// The encoder writes what json.Marshal writes, byte for byte, so its
-// output decodes through encoding/json to identical bits; and what it
-// wrote decodes back through the codec to what went in.
+// The frame carries what JSON carries: a request the client frames
+// decodes on the replica to the rows and device that json.Marshal's
+// encoding of the same request decodes to, bit for bit, and the router
+// peeks the device the replica decodes.
 func TestInferEncoderMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	check := func(input []float64, inputs [][]float64, device string) {
 		t.Helper()
-		got, err := appendInferRequest(nil, input, device)
-		want, wantErr := json.Marshal(InferRequest{Input: input, Device: device})
-		if err != nil || wantErr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("InferRequest(%v, %q):\n codec %s (%v)\n json  %s (%v)", input, device, got, err, want, wantErr)
+		frame, err := appendFrame(nil, device, input)
+		if err != nil {
+			t.Fatal(err)
 		}
-		checkInferBody(t, got)
-		var back InferRequest
-		if err := decodeInferRequest(got, &back); err != nil || !sameRow(back.Input, input) {
-			t.Fatalf("InferRequest(%v) decoded back as %v (%v)", input, back.Input, err)
+		var got, want InferRequest
+		if err := decodeFrameRequest(frame, &got); err != nil {
+			t.Fatalf("frame of %v, %q: %v", input, device, err)
 		}
+		body, err := json.Marshal(InferRequest{Input: input, Device: device})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeInferRequest(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRow(got.Input, want.Input) || got.Device != want.Device {
+			t.Fatalf("InferRequest(%v, %q):\n frame %+v\n json  %+v", input, device, got, want)
+		}
+		checkFrame(t, frame)
 
-		got, err = appendInferBatchRequest(nil, inputs, device)
-		want, wantErr = json.Marshal(InferBatchRequest{Inputs: inputs, Device: device})
-		if err != nil || wantErr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("InferBatchRequest(%v, %q):\n codec %s (%v)\n json  %s (%v)", inputs, device, got, err, want, wantErr)
+		if frame, err = appendFrame(nil, device, inputs...); err != nil {
+			t.Fatal(err)
 		}
-		checkInferBody(t, got)
-		var backB InferBatchRequest
-		if err := decodeInferBatchRequest(got, &backB); err != nil || len(backB.Inputs) != len(inputs) {
-			t.Fatalf("InferBatchRequest(%v) decoded back as %v (%v)", inputs, backB.Inputs, err)
+		var gotB InferBatchRequest
+		if err := decodeFrame(frame, &gotB); err != nil {
+			t.Fatalf("frame of %v, %q: %v", inputs, device, err)
+		}
+		if gotB.Device != want.Device || len(gotB.Inputs) != len(inputs) {
+			t.Fatalf("InferBatchRequest(%v, %q) decoded as %+v", inputs, device, gotB)
 		}
 		for i := range inputs {
-			if !sameRow(backB.Inputs[i], inputs[i]) {
-				t.Fatalf("InferBatchRequest row %d: %v decoded back as %v", i, inputs[i], backB.Inputs[i])
+			if !sameRow(gotB.Inputs[i], inputs[i]) {
+				t.Fatalf("InferBatchRequest row %d: %v decoded as %v", i, inputs[i], gotB.Inputs[i])
 			}
 		}
+		checkFrame(t, frame)
 	}
 	check(nil, nil, "")
 	check([]float64{}, [][]float64{}, "d")
@@ -304,25 +321,228 @@ func TestInferEncoderMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// NaN and the infinities have no JSON form: the encoder refuses them
-// where json.Marshal does.
+// NaN and the infinities have no JSON form, and the frame takes none
+// either: the client refuses them before any request with the error
+// json.Marshal's encoder gave, and a replica answers a frame that
+// carries one with a 400.
 func TestInferEncoderRejectsNonFinite(t *testing.T) {
+	svc, err := core.NewService(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s := NewServer(svc)
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		row := []float64{1, f}
 		if _, err := json.Marshal(InferRequest{Input: row}); err == nil {
 			t.Fatalf("json.Marshal accepted %v", f)
 		}
-		if _, err := appendInferRequest(nil, row, ""); err == nil {
-			t.Fatalf("appendInferRequest accepted %v", f)
-		}
-		if _, err := appendInferBatchRequest(nil, [][]float64{{0}, row}, ""); err == nil {
-			t.Fatalf("appendInferBatchRequest accepted %v", f)
+		if _, err := appendFrame(nil, "", []float64{0}, row); err == nil || !strings.Contains(err.Error(), "unsupported value") {
+			t.Fatalf("appendFrame(%v) = %v; want an unsupported-value error", f, err)
 		}
 		c := NewClient("http://127.0.0.1:0")
 		if _, err := c.Infer(t.Context(), "m", row); err == nil || !strings.Contains(err.Error(), "encoding request") {
 			t.Fatalf("Client.Infer(%v) = %v; want an encoding error before any request", f, err)
 		}
+		// The frame of a finite row, its last value overwritten.
+		frame, err := appendFrame(nil, "", []float64{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(frame[len(frame)-8:], math.Float64bits(f))
+		for _, path := range []string{"/v1/models/m/infer", "/v1/models/m/infer-batch"} {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(frame))
+			req.Header.Set("Content-Type", FrameType)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unsupported value") {
+				t.Fatalf("%s with %v in a frame: %d %s, want 400", path, f, rec.Code, rec.Body)
+			}
+		}
 	}
+}
+
+// A device tag longer than the frame's u16 length is refused before any
+// request, not cut short into another device's tag.
+func TestFrameRefusesLongDevice(t *testing.T) {
+	long := strings.Repeat("d", 1<<16)
+	if _, err := appendFrame(nil, long[1:], []float64{1}); err != nil {
+		t.Fatalf("a %d-byte tag: %v", len(long)-1, err)
+	}
+	c := NewClient("http://127.0.0.1:0")
+	if _, err := c.InferObserved(t.Context(), "m", long, []float64{1}); err == nil || !strings.Contains(err.Error(), "encoding request") {
+		t.Fatalf("InferObserved with a %d-byte tag = %v; want an encoding error before any request", len(long), err)
+	}
+}
+
+// frameHeader is the header service.Client sends a frame with.
+var frameHeader = http.Header{"Content-Type": {FrameType}}
+
+// checkFrame decodes body as a request frame and, when it is accepted,
+// holds the result to what encoding/json gives for the same request: the
+// frame's rows and its raw device tag, put through json.Marshal and the
+// JSON decoder, come back bit for bit. What the decoder accepts it
+// allocates in proportion to the body, the router peeks the device the
+// decoder gives, and the frame is the one appendFrame writes.
+func checkFrame(t *testing.T, body []byte) {
+	t.Helper()
+	var req InferBatchRequest
+	if decodeFrame(body, &req) != nil {
+		return
+	}
+	rows, device := req.Inputs, req.Device
+	if dev := RequestDevice(frameHeader, body); dev != device {
+		t.Fatalf("frame %q: RequestDevice %q, decoded device %q", body, dev, device)
+	}
+	values := 0
+	for _, row := range rows {
+		values += len(row)
+	}
+	if 4*len(rows) > len(body) || 8*values > len(body) {
+		t.Fatalf("frame of %d bytes decoded into %d rows of %d values", len(body), len(rows), values)
+	}
+	raw := string(body[4 : 4+int(binary.LittleEndian.Uint16(body[2:]))])
+	if again, err := appendFrame(nil, raw, rows...); err != nil || !bytes.Equal(again, body) {
+		t.Fatalf("frame %q re-encodes as %q (%v)", body, again, err)
+	}
+	js, err := json.Marshal(InferBatchRequest{Inputs: rows, Device: raw})
+	if err != nil {
+		t.Fatalf("frame %q: json.Marshal: %v", body, err)
+	}
+	var want InferBatchRequest
+	if err := decodeInferBatchRequest(js, &want); err != nil {
+		t.Fatalf("frame %q as JSON %s: %v", body, js, err)
+	}
+	same := len(rows) == len(want.Inputs) && device == want.Device
+	for i := 0; same && i < len(rows); i++ {
+		same = sameRow(rows[i], want.Inputs[i])
+	}
+	if !same {
+		t.Fatalf("frame %q:\n frame %v %q\n json  %v %q", body, rows, device, want.Inputs, want.Device)
+	}
+}
+
+// frameSeeds are request frames to start fuzzing from: well formed ones
+// over the edge values and devices, and each of them cut short, grown by
+// a byte, and with its row count raised.
+func frameSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	add := func(device string, rows ...[]float64) {
+		frame, err := appendFrame(nil, device, rows...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		long := append(bytes.Clone(frame), 0)
+		more := bytes.Clone(frame)
+		more[4+len(device)]++
+		seeds = append(seeds, frame, frame[:len(frame)-1], long, more)
+	}
+	add("")
+	add("", []float64{})
+	add("fridge", edgeFloats, nil, []float64{1, 2})
+	for _, dev := range edgeDevices {
+		add(dev, []float64{1})
+	}
+	return append(seeds, nil, []byte("E"), []byte("E\x01\x00\x00\xff\xff\xff\xff"), []byte(`{"inputs":[[1]]}`))
+}
+
+func FuzzRowsFrame(f *testing.F) {
+	for _, seed := range frameSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkFrame(t, body) })
+}
+
+// A frame's counts are checked against its length before anything is
+// allocated: a header that claims 2^32 - 1 rows, or rows 2^32 - 1 wide,
+// costs the decoder no more than the error it returns.
+func TestFrameCountsCheckedBeforeAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs in the non-race CI step")
+	}
+	manyRows := []byte{'E', 1, 0, 0, 0xff, 0xff, 0xff, 0xff}
+	wideRows := append(bytes.Clone(manyRows[:4]), 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	for _, body := range [][]byte{manyRows, wideRows} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decodeFrame(body, new(InferBatchRequest))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("frame %q accepted", body)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<10 {
+			t.Fatalf("frame %q: %d bytes allocated to refuse it", body, n)
+		}
+	}
+}
+
+// The device tag is coerced to valid UTF-8 as the JSON decoder coerces
+// one, a U+FFFD per byte that is not UTF-8, so a device keeps its
+// tracker and rendezvous owner whichever format it came in.
+func TestFrameDeviceCoercedLikeJSON(t *testing.T) {
+	for _, dev := range append(edgeDevices, "\xc3(", "a\xf0\x9f\x98", "\xed\xbf\xbf", "\x80\x80") {
+		frame, err := appendFrame(nil, dev, []float64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want InferRequest
+		if err := decodeFrameRequest(frame, &got); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(InferRequest{Input: []float64{1}, Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeInferRequest(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		peeked, peekedJSON := RequestDevice(frameHeader, frame), RequestDevice(http.Header{}, body)
+		if got.Device != want.Device || peeked != want.Device || peekedJSON != want.Device {
+			t.Fatalf("device %q: frame %q (peeked %q), JSON %q (peeked %q)", dev, got.Device, peeked, want.Device, peekedJSON)
+		}
+	}
+}
+
+// checkAnswers holds the answer frame to a round trip: what the client
+// accepts, the replica writes back byte for byte; and a single infer
+// takes exactly one answer.
+func checkAnswers(t *testing.T, body []byte) {
+	t.Helper()
+	var got InferBatchResponse
+	if decodeAnswers(body, &got) != nil {
+		return
+	}
+	if again := appendAnswers(nil, got.Results); !bytes.Equal(again, body) {
+		t.Fatalf("answers %q re-encode as %q", body, again)
+	}
+	if err := decodeAnswers(body, new(InferResponse)); (err == nil) != (len(got.Results) == 1) {
+		t.Fatalf("answers %q: %d as a batch, %v as one", body, len(got.Results), err)
+	}
+}
+
+func FuzzAnswersFrame(f *testing.F) {
+	for _, results := range [][]InferResponse{
+		nil,
+		{{Pred: -1, Stages: 0, Expired: true}},
+		{{Pred: 2, Conf: 0.97, Stages: 3, LatencyMS: 1.25}, {Pred: math.MaxInt, Conf: math.Copysign(0, -1), Stages: math.MaxInt32, LatencyMS: math.NaN()}},
+		{{Pred: math.MinInt, Conf: math.SmallestNonzeroFloat64, Stages: 1, LatencyMS: math.Inf(1)}},
+	} {
+		body := appendAnswers(nil, results)
+		var back InferBatchResponse
+		if err := decodeAnswers(body, &back); err != nil || len(back.Results) != len(results) {
+			f.Fatalf("answers %+v decoded as %+v (%v)", results, back.Results, err)
+		}
+		for i, a := range results {
+			b := back.Results[i]
+			if a.Pred != b.Pred || a.Stages != b.Stages || a.Expired != b.Expired ||
+				math.Float64bits(a.Conf) != math.Float64bits(b.Conf) || math.Float64bits(a.LatencyMS) != math.Float64bits(b.LatencyMS) {
+				f.Fatalf("answer %d: %+v decoded as %+v", i, a, b)
+			}
+		}
+		f.Add(body)
+		f.Add(body[:len(body)-1])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkAnswers(t, body) })
 }
 
 // A decoded batch is one backing array cut into rows: each row starts
