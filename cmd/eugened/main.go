@@ -97,7 +97,7 @@ func run() error {
 	deadline := flag.Duration("deadline", 200*time.Millisecond, "per-request latency constraint")
 	lookahead := flag.Int("lookahead", 1, "RTDeepIoT scheduler lookahead k")
 	queue := flag.Int("queue", 256, "admission queue depth")
-	maxBatch := flag.Int("maxbatch", 0, "same-stage tasks coalesced per batched forward pass (0 = default, 1 disables)")
+	maxBatch := flag.Int("maxbatch", 0, "most same-stage tasks coalesced per batched forward pass; a worker takes that many only while its peers are busy (0 = default 64, 1 disables)")
 	precision := flag.String("precision", "", "serving precision: f64 (default) or f32 (frozen float32 weights, 8-lane SIMD hot path)")
 	admission := flag.Bool("admission", true, "SLO admission control: reject requests predicted to miss their deadline (429 + Retry-After) and degrade gracefully under overload")
 	dataDir := flag.String("data-dir", "", "snapshot directory: persist models on train/calibrate/predictor and restore them on boot (empty = in-memory only)")

@@ -80,8 +80,9 @@ type CalibConfig = calib.EntropyCalibConfig
 type PredictorConfig = sched.GPPredictorConfig
 
 // DefaultMaxBatch is the stage-batch cap used when Config.MaxBatch is 0:
-// how many same-stage tasks the scheduler coalesces into one batched
-// forward pass.
+// the most same-stage tasks the scheduler coalesces into one batched
+// forward pass, 64. A worker takes that many only while its peers are
+// busy; with workers idle it takes an even share, but not under half.
 const DefaultMaxBatch = sched.DefaultMaxBatch
 
 // DefaultConfig returns serving defaults: 4 workers, 200 ms deadline,

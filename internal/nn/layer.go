@@ -102,7 +102,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		d.x = x
 	}
 	d.out = ensure(d.out, x.Rows, d.Out)
-	tensor.Dense(d.out, x, d.W, d.B, false)
+	tensor.Dense(d.out, x, d.W, d.B, nil, false)
 	return d.out
 }
 

@@ -16,9 +16,12 @@ func perType(t *testing.T, f64, f32 func(*testing.T)) {
 }
 
 // buildTestNet mirrors a staged-model stage: Dense→ReLU, a residual
-// block with fused ReLU, a Dense inside a nested Sequential whose ReLU
-// sits outside it (fusable only once the nesting is inlined), dropout
-// (inference identity), and a final linear head.
+// block with fused ReLU whose body ends in a bias-only Dense (so the sum
+// fuses into that Dense), a residual whose body ends in a ReLU (so it
+// stays an add of its own), a residual whose body is a fused residual,
+// a Dense inside a nested Sequential whose ReLU sits outside it
+// (fusable only once the nesting is inlined), dropout (inference
+// identity), and a final linear head.
 func buildTestNet(rng *rand.Rand, in, hidden, out int) *Sequential {
 	return NewSequential(
 		NewDense(rng, in, hidden),
@@ -29,6 +32,11 @@ func buildTestNet(rng *rand.Rand, in, hidden, out int) *Sequential {
 			NewDense(rng, hidden, hidden),
 		)),
 		NewReLU(),
+		NewResidual(NewSequential(
+			NewDense(rng, hidden, hidden),
+			NewReLU(),
+		)),
+		NewResidual(NewResidual(NewDense(rng, hidden, hidden))),
 		NewSequential(NewDense(rng, hidden, hidden)),
 		NewReLU(),
 		NewDropout(rng, 0.2),
@@ -48,12 +56,13 @@ func randBatch[T tensor.Float](rng *rand.Rand, rows, cols int) (*tensor.Mat[T], 
 }
 
 // TestCompileMatchesTreeForward pins the compiled program — ReLU fusion,
-// dropout elision, inlined nesting — to the tree's plain layer-by-layer
-// inference forward, which fuses nothing, for batch sizes on both sides
-// of the dense kernel's 3-row register tile. The float64 program runs
-// the same kernels on the same weights in the same order, so it must
-// agree exactly (== : a fused ReLU keeps -0 where the ReLU layer writes
-// +0); the float32 program to float32 tolerance.
+// residual sums fused into a Dense's epilogue or left as adds, dropout
+// elision, inlined nesting, scratch slots shared by liveness — to the
+// tree's plain layer-by-layer inference forward, which fuses nothing,
+// for batch sizes on both sides of the dense kernels' register tiles.
+// The float64 program runs the same kernels on the same weights in the
+// same order, so it must agree exactly (== : a fused ReLU keeps -0 where
+// the ReLU layer writes +0); the float32 program to float32 tolerance.
 func TestCompileMatchesTreeForward(t *testing.T) {
 	perType(t, testCompileMatchesTreeForward[float64], testCompileMatchesTreeForward[float32])
 }
@@ -69,11 +78,29 @@ func testCompileMatchesTreeForward[T tensor.Float](t *testing.T) {
 	if prog.Out != out {
 		t.Fatalf("compiled Out = %d, want %d", prog.Out, out)
 	}
+	// Four residuals: the first fuses into its Dense, the second (body
+	// ends in a ReLU) stays an add, and of the nested pair the inner one
+	// fuses and the outer one (body ends in a fused Dense) is an add.
+	fused, adds := 0, 0
+	for _, o := range prog.ops {
+		if o.kind == opDense && o.res != noOperand {
+			fused++
+		}
+		if o.kind == opAdd {
+			adds++
+		}
+	}
+	if fused != 2 || adds != 2 {
+		t.Fatalf("compiled %d fused residuals and %d adds, want 2 and 2", fused, adds)
+	}
+	if prog.slots != 3 {
+		t.Fatalf("program uses %d scratch slots, want 3", prog.slots)
+	}
 	tol := 0.0
 	if _, f32 := any(T(0)).(float32); f32 {
 		tol = 1e-4
 	}
-	for _, rows := range []int{1, 3, 8, 9} {
+	for _, rows := range []int{1, 3, 8, 9, 64, 2} {
 		x, x64 := randBatch[T](rng, rows, in)
 		want := net.Forward(x64, false)
 		got := prog.Forward(x)
@@ -196,8 +223,10 @@ func testProgramClone[T tensor.Float](t *testing.T) {
 		if prog.ops[i].w != nil && &c.ops[i].w.Data[0] != &prog.ops[i].w.Data[0] {
 			t.Fatalf("op %d: clone copied weights instead of sharing them", i)
 		}
-		if &c.ops[i].out.Data[0] == &prog.ops[i].out.Data[0] {
-			t.Fatalf("op %d: clone shares scratch", i)
+	}
+	for i, b := range c.scr.bufs {
+		if b != nil && prog.scr.bufs[i] != nil && &b.Data[0] == &prog.scr.bufs[i].Data[0] {
+			t.Fatalf("slot %d: clone shares scratch", i)
 		}
 	}
 
@@ -219,6 +248,63 @@ func testProgramClone[T tensor.Float](t *testing.T) {
 		for i := range got {
 			if got[i] != ref[i] {
 				t.Fatalf("concurrent clone output [%d] = %v, want %v", i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// TestShareScratchChainsPrograms runs a stem, a stage body and a head
+// the way a frozen model does — each program's input the last one's
+// result — once on scratch of their own and once on one shared set, at
+// growing and shrinking batch sizes: the answers must be the same bits,
+// the shared set must be the three slots a body needs, and the stem's
+// input must stay intact.
+func TestShareScratchChainsPrograms(t *testing.T) {
+	perType(t, testShareScratch[float64], testShareScratch[float32])
+}
+
+func testShareScratch[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	const in, hidden, out = 7, 24, 5
+	block := func() Layer {
+		return NewResidual(NewSequential(NewDense(rng, hidden, hidden), NewReLU(), NewDense(rng, hidden, hidden)))
+	}
+	trees := []struct {
+		net Layer
+		in  int
+	}{
+		{NewSequential(NewDense(rng, in, hidden), NewReLU()), in},
+		{NewSequential(block(), NewReLU(), block(), NewReLU()), hidden},
+		{NewSequential(NewDense(rng, hidden, 6), NewReLU(), NewDense(rng, 6, out)), hidden},
+	}
+	var own, shared []*Program[T]
+	for _, tr := range trees {
+		p, err := Compile[T](tr.net, tr.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, shared = append(own, p), append(shared, p.Clone())
+	}
+	ShareScratch(shared...)
+	if n := len(shared[0].scr.bufs); n != 3 {
+		t.Fatalf("shared scratch has %d buffers, want 3", n)
+	}
+	for _, rows := range []int{3, 64, 1, 9} {
+		x, _ := randBatch[T](rng, rows, in)
+		orig := append([]T(nil), x.Data...)
+		want, got := x, x
+		for i := range own {
+			want = own[i].Forward(want)
+			got = shared[i].Forward(got)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] && !(got.Data[i] != got.Data[i] && want.Data[i] != want.Data[i]) {
+				t.Fatalf("rows=%d output [%d] = %v on shared scratch, want %v", rows, i, got.Data[i], want.Data[i])
+			}
+		}
+		for i := range x.Data {
+			if x.Data[i] != orig[i] {
+				t.Fatalf("rows=%d: the chain wrote its input at %d", rows, i)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +41,13 @@ type StageExecutor interface {
 }
 
 // DefaultMaxBatch is the stage-batch cap used when LiveConfig.MaxBatch
-// is zero: large enough that one dispatch amortizes scheduling and turns
-// per-task GEMVs into one GEMM, small enough that one batch cannot
-// monopolize a worker past typical deadlines.
-const DefaultMaxBatch = 32
+// is zero: large enough that one dispatch streams a stage's weights
+// (≈ 2 MB at the benchmark's shape) for 64 rows rather than fetching
+// them again every 32, and turns per-task GEMVs into one GEMM; small
+// enough that one batch cannot monopolize a worker past typical
+// deadlines. A worker takes the whole cap only when its peers are busy
+// (see groupSize).
+const DefaultMaxBatch = 64
 
 // LiveConfig configures the real-time executor.
 type LiveConfig struct {
@@ -204,12 +208,14 @@ type LiveStats struct {
 // only the owner finalizes, so no per-task lock guards them. The
 // deadline daemon communicates exclusively through the dead flag.
 type liveTask struct {
-	state     TaskState
-	task      Task
-	hidden    []float64
-	done      chan Response
-	start     time.Time
-	expiresAt time.Time
+	state  TaskState
+	task   Task
+	hidden []float64
+	done   chan Response
+	start  time.Time
+	// sub numbers the SubmitBatch call the task came with; zero for a
+	// single submission.
+	sub int64
 	// sem marks tasks holding an admitSem token (single submissions),
 	// released at finalize.
 	sem bool
@@ -228,11 +234,14 @@ type liveTask struct {
 
 // expEntry is one deadline-heap record. at is stored by value so heap
 // maintenance never dereferences (possibly recycled) tasks; gen is
-// compared under reuseMu before the dead flag is set.
+// compared under reuseMu before the dead flag is set. The heap holds a
+// deadline's worth of submissions (stale entries leave only when due),
+// so it grows with goodput: at is Ticks, not a time.Time, which makes an
+// entry 24 bytes rather than 40.
 type expEntry struct {
 	t   *liveTask
 	gen uint64
-	at  time.Time
+	at  Ticks
 }
 
 // expHeap orders in-system tasks by wall-clock expiry; the deadline
@@ -247,7 +256,7 @@ func (h *expHeap) push(e expEntry) {
 	s := *h
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !s[i].at.Before(s[p].at) {
+		if s[i].at >= s[p].at {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -268,10 +277,10 @@ func (h *expHeap) popMin() expEntry {
 		if c >= n {
 			break
 		}
-		if c+1 < n && s[c+1].at.Before(s[c].at) {
+		if c+1 < n && s[c+1].at < s[c].at {
 			c++
 		}
-		if !s[c].at.Before(s[i].at) {
+		if s[c].at >= s[i].at {
 			break
 		}
 		s[i], s[c] = s[c], s[i]
@@ -295,7 +304,8 @@ func (h *expHeap) popMin() expEntry {
 type Live struct {
 	cfg LiveConfig
 
-	nextID atomic.Int64
+	nextID  atomic.Int64
+	nextSub atomic.Int64
 
 	// mu guards everything a pick touches: the ready queue, the stopped
 	// flag, the policy's pick state and the pick scratch. Workers with
@@ -308,6 +318,9 @@ type Live struct {
 	policy  Policy
 	states  []*TaskState
 	flat    []*liveTask
+	// idle counts the workers waiting on work; a worker a Broadcast
+	// woke still counts until it has the lock.
+	idle int
 
 	expMu    sync.Mutex
 	expiries expHeap
@@ -405,8 +418,8 @@ func (l *Live) getTask(input []float64, numStages int) *liveTask {
 	t.hidden = input
 	t.ownsBuf = false
 	t.sem = false
+	t.sub = 0
 	t.start = now
-	t.expiresAt = now.Add(l.cfg.Deadline)
 	return t
 }
 
@@ -428,10 +441,10 @@ func (l *Live) addExpiry(tasks ...*liveTask) {
 	l.expMu.Lock()
 	kick := false
 	for _, t := range tasks {
-		if len(l.expiries) == 0 || t.expiresAt.Before(l.expiries[0].at) {
+		if len(l.expiries) == 0 || t.state.Deadline < l.expiries[0].at {
 			kick = true
 		}
-		l.expiries.push(expEntry{t: t, gen: t.gen, at: t.expiresAt})
+		l.expiries.push(expEntry{t: t, gen: t.gen, at: t.state.Deadline})
 	}
 	l.expMu.Unlock()
 	if kick {
@@ -463,13 +476,13 @@ func (l *Live) daemon() {
 		case <-l.expKick:
 		case <-timer.C:
 		}
-		now := time.Now()
+		now := l.nowTicks()
 		due = due[:0]
 		l.expMu.Lock()
-		for len(l.expiries) > 0 && !l.expiries[0].at.After(now) {
+		for len(l.expiries) > 0 && l.expiries[0].at <= now {
 			due = append(due, l.expiries.popMin())
 		}
-		var next time.Time
+		next := Ticks(-1)
 		if len(l.expiries) > 0 {
 			next = l.expiries[0].at
 		}
@@ -497,8 +510,8 @@ func (l *Live) daemon() {
 			default:
 			}
 		}
-		if !next.IsZero() {
-			timer.Reset(time.Until(next))
+		if next >= 0 {
+			timer.Reset(time.Duration(next - l.nowTicks()))
 		}
 	}
 }
@@ -588,6 +601,12 @@ func (l *Live) Stats() LiveStats {
 func (l *Live) push(tasks []*liveTask) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.pushLocked(tasks)
+}
+
+// pushLocked is push for a caller that holds mu.
+//eugene:noalloc
+func (l *Live) pushLocked(tasks []*liveTask) {
 	for _, t := range tasks {
 		if l.stopped {
 			l.finalize(t, true)
@@ -688,8 +707,11 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 		bp = &s
 	}
 	batch := (*bp)[:0]
+	sub := l.nextSub.Add(1)
 	for _, in := range inputs {
-		batch = append(batch, l.getTask(in, numStages))
+		t := l.getTask(in, numStages)
+		t.sub = sub
+		batch = append(batch, t)
 	}
 	l.submitted.Add(uint64(len(batch)))
 	l.inSystem.Add(int64(len(batch)))
@@ -817,40 +839,75 @@ func (ws *workerState) finish(t *liveTask, expired bool) {
 }
 
 // worker is one scheduler worker: take the policy's next same-stage
-// group off the queue, run it as one batched forward pass, repeat.
+// group off the queue, run it as one batched forward pass, put the
+// survivors back and take again.
+//
+// A dispatch that answered tasks yields before the next one. An answer
+// wakes its submitter onto this worker's core, where it would otherwise
+// wait until this worker ran out of work: with every core running a
+// worker, a finished call then waits for the rest of the queue, and how
+// long depends on how the callers' batches happen to interleave.
 func (l *Live) worker(exec StageExecutor) {
 	defer l.wg.Done()
 	ws := &workerState{live: l, exec: exec}
+	var surv []*liveTask
 	for {
-		group, stage := ws.take()
+		group, stage := ws.take(surv)
 		if group == nil {
 			return
 		}
-		ws.run(group, stage)
+		surv = ws.run(group, stage)
+		if len(surv) < len(group) {
+			runtime.Gosched()
+		}
 	}
 }
 
-// take blocks until the policy has a dispatch for this worker and
-// returns its group; nil means the executor has stopped.
+// take queues the survivors of this worker's last dispatch, then blocks
+// until the policy has a dispatch for it and returns its group; nil
+// means the executor has stopped. Queueing and picking are one critical
+// section, so a worker's continuations are in the bucket it picks from
+// and a sibling finishing at the same moment cannot fold its own into
+// this worker's next group.
 //eugene:noalloc
-func (ws *workerState) take() ([]*liveTask, int) {
+func (ws *workerState) take(surv []*liveTask) ([]*liveTask, int) {
 	l := ws.live
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.pushLocked(surv)
 	for !l.stopped {
 		if group, stage := ws.pickLocked(); group != nil {
+			if l.idle > 0 && len(l.flat) > len(group) {
+				// Work is left over for a worker that waits.
+				l.work.Signal()
+			}
 			return group, stage
 		}
+		l.idle++
 		l.work.Wait()
+		l.idle--
 	}
 	return nil, 0
 }
 
+// groupSize is how many of a bucket's n tasks one dispatch takes while
+// idle other workers wait for work: an even share for the picker and
+// each of them, so that a lone caller's batch still runs on every free
+// core, but never under half of maxBatch, since a smaller group streams
+// a stage's weights for too few rows, and never over maxBatch. A worker
+// whose peers are all busy takes up to maxBatch; a bucket of at most
+// maxBatch/2 tasks is never split.
+func groupSize(n, idle, maxBatch int) int {
+	share := (n + idle) / (1 + idle)
+	return min(max(share, maxBatch/2), maxBatch)
+}
+
 // pickLocked walks the queue once — finalizing daemon-flagged tasks,
 // listing the rest — asks the policy for a leader among those, and
-// coalesces up to MaxBatch same-stage tasks from the leader's bucket
-// into one dispatch group. Returns nil when the policy has nothing
-// runnable. Callers hold mu.
+// coalesces same-stage tasks from the leader's bucket, its batch-mates
+// first, into one dispatch group of at most groupSize and the admission
+// cap. Returns nil when the policy has nothing runnable. Callers hold
+// mu.
 //eugene:noalloc
 func (ws *workerState) pickLocked() ([]*liveTask, int) {
 	l := ws.live
@@ -882,28 +939,45 @@ func (ws *workerState) pickLocked() ([]*liveTask, int) {
 	leader := flat[i]
 	stage := leader.state.Executed
 	bucket := l.buckets[stage]
-	// Under admission control the group is sized by the slack of the
-	// tightest deadline among the candidates, not the fixed MaxBatch: a
-	// full-width batch in front of a nearly-due task would miss that
-	// deadline on dispatch time alone.
+	// Under admission control the group is also capped by the slack of
+	// the tightest deadline among the candidates: a full-width batch in
+	// front of a nearly-due task would miss that deadline on dispatch
+	// time alone.
 	minDeadline := leader.state.Deadline
 	for _, t := range bucket {
 		if t != leader && !t.dead.Load() && nowT < t.state.Deadline && t.state.Deadline < minDeadline {
 			minDeadline = t.state.Deadline
 		}
 	}
-	capN := l.groupCap(minDeadline - nowT)
+	capN := min(l.groupCap(minDeadline-nowT), groupSize(len(bucket), l.idle, l.cfg.MaxBatch))
+	// The leader's batch-mates come first; other submissions fill in
+	// only while the group holds less than half of MaxBatch, so singles
+	// and small batches still coalesce. A call is answered when its last
+	// row is: a group that mixed halves of two batches would tie each
+	// call to the other's slower half, and one stalled dispatch would
+	// hold two calls back rather than one.
 	group := append(ws.group[:0], leader)
 	kept := bucket[:0]
 	for _, t := range bucket {
 		if t == leader {
 			continue
 		}
-		if len(group) < capN && !t.dead.Load() && nowT < t.state.Deadline {
+		if leader.sub != 0 && t.sub == leader.sub && len(group) < capN && !t.dead.Load() && nowT < t.state.Deadline {
 			group = append(group, t)
 			continue
 		}
 		kept = append(kept, t)
+	}
+	if leader.sub == 0 || 2*len(group) < l.cfg.MaxBatch {
+		rest := kept
+		kept = kept[:0]
+		for _, t := range rest {
+			if len(group) < capN && !t.dead.Load() && nowT < t.state.Deadline {
+				group = append(group, t)
+				continue
+			}
+			kept = append(kept, t)
+		}
 	}
 	clear(bucket[len(kept):])
 	l.buckets[stage] = kept
@@ -915,10 +989,11 @@ func (ws *workerState) pickLocked() ([]*liveTask, int) {
 }
 
 // run executes one same-stage group as a batched forward pass, commits
-// the results, and puts the survivors back on the queue, where their
-// next stage coalesces with whatever else is pending at that stage.
+// the results, and returns the survivors for take to put back on the
+// queue, where their next stage coalesces with whatever else is pending
+// at that stage. They are worker scratch, valid until the next run.
 //eugene:noalloc
-func (ws *workerState) run(group []*liveTask, stage int) {
+func (ws *workerState) run(group []*liveTask, stage int) []*liveTask {
 	l := ws.live
 	rows := ws.rows[:0]
 	for _, t := range group {
@@ -1008,11 +1083,5 @@ func (ws *workerState) run(group []*liveTask, stage int) {
 		surv = append(surv, t)
 	}
 	ws.surv = surv
-	if len(surv) > 0 {
-		l.push(surv)
-		if len(surv) > 1 {
-			// More continuations than this worker's next group may take.
-			l.work.Signal()
-		}
-	}
+	return surv
 }

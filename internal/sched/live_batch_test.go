@@ -12,12 +12,13 @@ import (
 // task's hidden state, so any row mix-up inside the batched path changes
 // answers. The hidden state evolves per stage (h[0] += 1); confidence
 // and prediction are functions of (input, stage). ExecStageBatch mirrors
-// ExecStage exactly and records the dispatch sizes it saw.
+// ExecStage exactly and records the stage and size of every dispatch.
 type echoExec struct {
 	delay time.Duration
 
 	mu      sync.Mutex
 	batches []int
+	stages  []int
 }
 
 func (e *echoExec) NumStages() int { return 3 }
@@ -29,9 +30,10 @@ func (e *echoExec) result(h []float64, stage int) ([]float64, StageResult) {
 	return next, StageResult{Pred: int(h[0]), Conf: conf}
 }
 
-func (e *echoExec) record(n int) {
+func (e *echoExec) record(stage, n int) {
 	e.mu.Lock()
 	e.batches = append(e.batches, n)
+	e.stages = append(e.stages, stage)
 	e.mu.Unlock()
 }
 
@@ -40,7 +42,7 @@ func (e *echoExec) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64
 	if e.delay > 0 {
 		time.Sleep(e.delay)
 	}
-	e.record(len(hidden))
+	e.record(stage, len(hidden))
 	next := make([][]float64, len(hidden))
 	res := make([]StageResult, len(hidden))
 	for i, h := range hidden {

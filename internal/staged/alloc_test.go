@@ -31,12 +31,12 @@ func TestExecStageBatchAllocs(t *testing.T) {
 			StageWidths: []int{16, 24, 24},
 		}, 8},
 		// The model cmd/eugenebench serves, at the scheduler's MaxBatch:
-		// its block GEMMs are 2 M mul-adds each.
+		// its block GEMMs are 4 M mul-adds each.
 		{"serving", Config{
 			In: 32, Hidden: 256, Classes: 10,
 			StageCount: 3, BlocksPerStage: 2,
 			HeadBottlenecks: []int{8, 12, 0},
-		}, 32},
+		}, 64},
 	} {
 		rng := rand.New(rand.NewSource(11))
 		cfg, b := shape.cfg, shape.batch

@@ -19,8 +19,9 @@ import (
 //
 // Frozen[float64] aliases the model's weights (see nn.Compile), so it
 // costs scratch only; Frozen[float32] packs a half-size copy. A Frozen
-// owns scratch and must be driven from one goroutine; Clone (cheap —
-// weights are shared, read-only) gives each worker its own.
+// owns scratch — its programs share one set (nn.ShareScratch) — and
+// must be driven from one goroutine; Clone (cheap — weights are shared,
+// read-only) gives each worker its own.
 type Frozen[T tensor.Float] struct {
 	In      int
 	Classes int
@@ -80,7 +81,16 @@ func Freeze[T tensor.Float](m *Model) (*Frozen[T], error) {
 		f.bodies = append(f.bodies, body)
 		f.heads = append(f.heads, head)
 	}
+	f.shareScratch()
 	return f, nil
+}
+
+// shareScratch puts every program of f on one set of scratch buffers:
+// ExecStageBatch runs them one after another, each on the last one's
+// result, so a worker holds three batch-sized activations (a residual
+// block's input, its hidden layer and its sum), not one per layer.
+func (f *Frozen[T]) shareScratch() {
+	nn.ShareScratch(append(append([]*nn.Program[T]{f.stem}, f.bodies...), f.heads...)...)
 }
 
 // NumStages returns the number of exit stages.
@@ -107,6 +117,7 @@ func (f *Frozen[T]) Clone() *Frozen[T] {
 		c.bodies = append(c.bodies, f.bodies[i].Clone())
 		c.heads = append(c.heads, f.heads[i].Clone())
 	}
+	c.shareScratch()
 	return c
 }
 

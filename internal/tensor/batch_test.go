@@ -41,10 +41,10 @@ func testDenseIsBatchInvariant[T Float](t *testing.T) {
 			relu bool
 		}{{"product", nil, false}, {"bias", bias, false}, {"bias and ReLU", bias, true}} {
 			batched := New[T](s.m, s.n)
-			Dense(batched, x, weights, ep.bias, ep.relu)
+			Dense(batched, x, weights, ep.bias, nil, ep.relu)
 			alone := New[T](1, s.n)
 			for i := 0; i < s.m; i++ {
-				Dense(alone, &Mat[T]{Rows: 1, Cols: s.k, Data: x.Row(i)}, weights, ep.bias, ep.relu)
+				Dense(alone, &Mat[T]{Rows: 1, Cols: s.k, Data: x.Row(i)}, weights, ep.bias, nil, ep.relu)
 				for j, v := range alone.Data {
 					if got := batched.At(i, j); got != v {
 						t.Fatalf("%s %v: dst[%d][%d] = %v in the batch, %v alone", ep.name, s, i, j, got, v)

@@ -44,9 +44,9 @@ func testDense512MatchesAVX2[T Float](t *testing.T) {
 				}{{"product", nil, false}, {"bias", bias, false}, {"bias and ReLU", bias, true}} {
 					got, want := garbageMatrix[T](rng, m, n), garbageMatrix[T](rng, m, n)
 					UseKernelPath("avx512")
-					Dense(got, a, w, ep.bias, ep.relu)
+					Dense(got, a, w, ep.bias, nil, ep.relu)
 					UseKernelPath("avx2")
-					Dense(want, a, w, ep.bias, ep.relu)
+					Dense(want, a, w, ep.bias, nil, ep.relu)
 					assertBitwise(t, fmt.Sprintf("%s m=%d n=%d k=%d", ep.name, m, n, k), got, want)
 				}
 			}

@@ -10,8 +10,9 @@ import (
 
 // TestDenseKernelsStayInRows holds the dense kernels to simd_amd64.s's
 // promise that no load or store touches a byte past a row's end: a, the
-// weights, the bias and dst each end exactly where a PROT_NONE page
-// begins, so a kernel that reads or writes one element too far faults.
+// weights, the bias, the residual and dst each end exactly where a
+// PROT_NONE page begins, so a kernel that reads or writes one element too
+// far faults.
 // Every k residue of both precisions' lanes, with and without full steps,
 // at row counts that take every tile size and output counts that take a
 // partial group of four and a moved-back group of eight, on each kernel
@@ -25,7 +26,7 @@ func TestDenseKernelsStayInRows(t *testing.T) {
 
 func testDenseKernelsStayInRows[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	aMem, wMem, biasMem, dstMem := guarded[T](t), guarded[T](t), guarded[T](t), guarded[T](t)
+	aMem, wMem, biasMem, resMem, dstMem := guarded[T](t), guarded[T](t), guarded[T](t), guarded[T](t), guarded[T](t)
 	for k := 1; k <= 33; k++ {
 		for _, m := range []int{1, 2, 3, 5, 6, 7} {
 			for _, n := range []int{1, 3, 8, 9, 13} {
@@ -36,12 +37,17 @@ func testDenseKernelsStayInRows[T Float](t *testing.T) {
 				copy(ga.Data, a.Data)
 				copy(gw.Data, w.Data)
 				copy(gbias, bias)
+				res := specialMatrix[T](rng, m, n)
+				gres := &Mat[T]{Rows: m, Cols: n, Data: atEnd(resMem, m*n)}
+				copy(gres.Data, res.Data)
 				for _, relu := range []bool{false, true} {
-					got := &Mat[T]{Rows: m, Cols: n, Data: atEnd(dstMem, m*n)}
-					want := New[T](m, n)
-					Dense(got, ga, gw, gbias, relu)
-					Dense(want, a, w, bias, relu)
-					assertBitwise(t, fmt.Sprintf("m=%d n=%d k=%d relu=%v", m, n, k, relu), got, want)
+					for _, r := range []struct{ guarded, plain *Mat[T] }{{nil, nil}, {gres, res}} {
+						got := &Mat[T]{Rows: m, Cols: n, Data: atEnd(dstMem, m*n)}
+						want := New[T](m, n)
+						Dense(got, ga, gw, gbias, r.guarded, relu)
+						Dense(want, a, w, bias, r.plain, relu)
+						assertBitwise(t, fmt.Sprintf("m=%d n=%d k=%d relu=%v residual=%v", m, n, k, relu, r.plain != nil), got, want)
+					}
 				}
 			}
 		}

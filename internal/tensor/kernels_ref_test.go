@@ -200,11 +200,11 @@ func testDenseMatchesReference[T Float](t *testing.T) {
 			}
 		}
 		got := New[T](m, n)
-		Dense(got, a, b, nil, false)
+		Dense(got, a, b, nil, nil, false)
 		assertCloseTo(t, fmt.Sprintf("Dense %v, no bias", s), got, product, k)
-		Dense(got, a, b, bias.Data, false)
+		Dense(got, a, b, bias.Data, nil, false)
 		assertCloseTo(t, fmt.Sprintf("Dense %v, bias", s), got, biased, k)
-		Dense(got, a, b, bias.Data, true)
+		Dense(got, a, b, bias.Data, nil, true)
 		assertCloseTo(t, fmt.Sprintf("Dense %v, bias and ReLU", s), got, refReLU(biased), k)
 	}
 }
@@ -228,7 +228,7 @@ func testReLUPropagatesNaN[T Float](t *testing.T) {
 		bias := make([]T, 5)
 		for _, relu := range []bool{false, true} {
 			dst := New[T](m, 5)
-			Dense(dst, a, w, bias, relu)
+			Dense(dst, a, w, bias, nil, relu)
 			for i, v := range dst.Data {
 				if want := i >= (m-1)*5; isNaN(v) != want {
 					t.Fatalf("Dense m=%d relu=%v [%d] = %v, NaN wanted: %v", m, relu, i, v, want)
@@ -238,7 +238,7 @@ func testReLUPropagatesNaN[T Float](t *testing.T) {
 		bias[2] = nan
 		dst := New[T](m, 5)
 		a.Data[(m-1)*9+8] = 0
-		Dense(dst, a, w, bias, true)
+		Dense(dst, a, w, bias, nil, true)
 		for i, v := range dst.Data {
 			if want := i%5 == 2; isNaN(v) != want {
 				t.Fatalf("Dense m=%d, NaN bias [%d] = %v, NaN wanted: %v", m, i, v, want)
@@ -357,6 +357,26 @@ func TestConvertRoundTrip(t *testing.T) {
 			t.Fatalf("Convert round trip [%d]: %v != %v", i, back[i], src[i])
 		}
 	}
+	// Between slices of one type Convert is a copy: every bit, NaN
+	// payloads and -0 included.
+	same := []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_0000_0bad), math.Inf(-1), 5e-324, 1.5}
+	got := make([]float64, len(same))
+	Convert(got, same)
+	for i := range same {
+		if math.Float64bits(got[i]) != math.Float64bits(same[i]) {
+			t.Fatalf("same-type Convert [%d]: %#x != %#x", i, math.Float64bits(got[i]), math.Float64bits(same[i]))
+		}
+	}
+	got32 := make([]float32, len(src))
+	Convert(got32, src)
+	if allocs := testing.AllocsPerRun(10, func() { Convert(got, same); Convert(got32, src) }); allocs != 0 {
+		t.Fatalf("same-type Convert allocates %v times", allocs)
+	}
+	for i := range src {
+		if got32[i] != src[i] {
+			t.Fatalf("same-type Convert float32 [%d]: %v != %v", i, got32[i], src[i])
+		}
+	}
 }
 
 func TestEnsureReuses(t *testing.T) {
@@ -399,11 +419,14 @@ func TestMatMulZeroEntries(t *testing.T) {
 	assertMatricesClose(t, "TMatMul/sparse", gotT, refTMatMul(a, c))
 }
 
-// BenchmarkFusedKernels times the element-wise kernels the compiled
-// forward pass still runs as passes of their own, at the serving shape (a
-// MaxBatch group at hidden 256) and both element types. Their inputs are
-// fixed and mixed-sign, so a kernel that branched on an element's sign
-// would pay for it on every iteration, as it does on real
+// BenchmarkFusedKernels times the element-wise kernels a compiled
+// forward pass can still run as passes of their own, at the serving
+// shape (a MaxBatch group at hidden 256) and both element types: ReLU
+// with no op before it, AddReLU for a residual whose body does not end
+// in a Dense, and Softmax, the only one of them on the staged models'
+// serving path (their residual sums are in the dense epilogue). Their
+// inputs are fixed and mixed-sign, so a kernel that branched on an
+// element's sign would pay for it on every iteration, as it does on real
 // pre-activations.
 func BenchmarkFusedKernels(b *testing.B) {
 	b.Run("f64", benchFusedKernels[float64])
@@ -411,7 +434,7 @@ func BenchmarkFusedKernels(b *testing.B) {
 }
 
 func benchFusedKernels[T Float](b *testing.B) {
-	const rows, cols = 32, 256
+	const rows, cols = 64, 256
 	rng := rand.New(rand.NewSource(1))
 	m, _ := randMat[T](rng, rows, cols)
 	a, _ := randMat[T](rng, rows, cols)
@@ -468,7 +491,7 @@ func benchDense[T Float](b *testing.B, rowCounts []int, epilogue bool) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Dense(dst, x, w, bias, epilogue)
+				Dense(dst, x, w, bias, nil, epilogue)
 			}
 			b.ReportMetric(2*float64(rows*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

@@ -65,6 +65,8 @@ type gemmJob struct {
 	dst32, a32, b32 *Matrix32
 	bias            []float64
 	bias32          []float32
+	res             *Matrix
+	res32           *Matrix32
 	relu            bool
 	transA          bool // runProduct64: dst += aᵀ·b rather than dst = a·b
 	each            *eachJob

@@ -26,11 +26,11 @@ func gemmOperands(seed int64, rows, n, k int) (a, b *Matrix, a32, b32 *Matrix32)
 // TestGemmChunks pins the fan-out rule at the shapes that matter.
 func TestGemmChunks(t *testing.T) {
 	type shape struct{ rows, n, k int }
-	// The serving model of cmd/eugenebench at MaxBatch 32: dim 32,
+	// The serving model of cmd/eugenebench at MaxBatch 64: dim 32,
 	// hidden 256, head bottlenecks 8/12/0, 10 classes.
 	serving := []shape{
-		{32, 256, 32}, {32, 256, 256}, // input projection, block layers
-		{32, 8, 256}, {32, 10, 8}, {32, 12, 256}, {32, 10, 12}, {32, 10, 256}, // heads
+		{64, 256, 32}, {64, 256, 256}, // input projection, block layers
+		{64, 8, 256}, {64, 10, 8}, {64, 12, 256}, {64, 10, 12}, {64, 10, 256}, // heads
 	}
 	for _, s := range serving {
 		for _, free := range []int{1, 2, 8, maxParallelism} {

@@ -57,16 +57,16 @@ func xgetbv() (eax, edx uint32)
 // denseTile64 is the AVX2+FMA dense micro-kernel: for the m rows of a
 // (1 ≤ m ≤ 3) and all n rows of b, each k long and contiguous,
 //
-//	dst[r·n+j] = Σ_k a[r·k+kk]·b[j·k+kk] + bias[j]
+//	dst[r·n+j] = Σ_k a[r·k+kk]·b[j·k+kk] + bias[j] + res[r·n+j]
 //
-// floored at zero when relu is set; bias may be nil. n and k are at
-// least 1. The loop over b's rows runs inside, four at a time; every
-// output is one FMA chain over k folded in one fixed order, so it has
-// the same bits whatever m it was computed at (simd_amd64.s has the
-// layout).
+// floored at zero when relu is set; bias and res may be nil, and res is
+// not dst. n and k are at least 1. The loop over b's rows runs inside,
+// four at a time; every output is one FMA chain over k folded in one
+// fixed order, so it has the same bits whatever m it was computed at
+// (simd_amd64.s has the layout).
 //
 //go:noescape
-func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool)
+func denseTile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
 
 // denseTile32 is denseTile64 in float32: 8 lanes to the register, so
 // half the k steps for the same loads and FMAs — the arithmetic half of
@@ -74,7 +74,7 @@ func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool)
 // traffic).
 //
 //go:noescape
-func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool)
+func denseTile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
 
 // prodTile64 is the training products' AVX2 micro-kernel: for the m rows
 // of a dst tile (1 ≤ m ≤ 3) and all n columns,
@@ -97,12 +97,12 @@ func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)
 // instructions (simd_amd64.s has the layout).
 //
 //go:noescape
-func dense512Tile64(dst, a, b, bias *float64, m, n, k int, relu bool)
+func dense512Tile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
 
 // dense512Tile32 is dense512Tile64 in float32, denseTile32's bits.
 //
 //go:noescape
-func dense512Tile32(dst, a, b, bias *float32, m, n, k int, relu bool)
+func dense512Tile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
 
 // prod512Tile64 is prodTile64 on AVX-512, bit for bit: 32 columns to a
 // group instead of 16, the same multiply and add per term.

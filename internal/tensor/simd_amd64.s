@@ -24,29 +24,32 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // The dense micro-kernels. One call computes, for the m ≤ 3 rows of a
 // and every one of the n rows of b,
 //
-//	dst[r][j] = max(Σ_k a[r][k]·b[j][k] + bias[j], floor)
+//	dst[r][j] = max((Σ_k a[r][k]·b[j][k] + bias[j]) + res[r][j], floor)
 //
-// with a and b contiguous along k (row stride k), dst row stride n, bias
-// nil for none and floor 0 (relu) or -Inf. The j loop runs here, in
-// groups of four b rows; rows × 4 accumulators, one per output, each a
-// single FMA chain over k, so a group is 4, 8 or 12 independent chains
-// fed by m+4 loads per k step. A k tail (k mod lanes) is one more step
-// through masked loads, so element k always lands in lane k mod lanes.
-// Each row's four accumulators are then reduced together, transposing as
-// they fold, into one vector of four outputs: bias, floor and a masked
-// store (the last group may have fewer than four b rows; its surplus
-// accumulators recompute b row j and are not stored). Every output is
-// therefore reduced in one order — lane sums in k order, then
-// (l0+l1)+(l2+l3), at float32 that for each half and low + high half —
-// whatever m, whatever the group: a row's result does not depend on
-// which rows shared its tile.
+// with a and b contiguous along k (row stride k), dst and res row
+// stride n, bias and res nil for none (no add) and floor 0 (relu) or
+// -Inf. The j loop runs here, in groups of four b rows; rows × 4
+// accumulators, one per output, each a single FMA chain over k, so a
+// group is 4, 8 or 12 independent chains fed by m+4 loads per k step.
+// A k tail (k mod lanes) is one more step through masked loads, so
+// element k always lands in lane k mod lanes. Each row's four
+// accumulators are then reduced together, transposing as they fold,
+// into one vector of four outputs: bias, the residual under the store
+// mask, floor and a masked store (the last group may have fewer than
+// four b rows; its surplus accumulators recompute b row j and are
+// neither read from res nor stored). Every output is therefore
+// reduced in one order — lane sums in k order, then (l0+l1)+(l2+l3),
+// at float32 that for each half and low + high half — whatever m,
+// whatever the group: a row's result does not depend on which rows
+// shared its tile.
 //
 // Registers: AX b rows left, BX dst row stride in bytes, CX k offset
 // (negative, counting up to 0: a and b pointers are pre-advanced past
-// the full steps), DX scratch, SI bias, DI dst, R8-R10 a rows, R11-R14
-// the group's b rows; Y0-Y11 accumulators (row r, column c in Y(4r+c)),
-// Y12-Y14 the a vectors, Y15 the b vector. After the k loop Y12-Y15 are
-// scratch, bias, floor and store mask.
+// the full steps), DX scratch, SI bias, DI dst, R15 res (advanced
+// with DI), R8-R10 a rows, R11-R14 the group's b rows; Y0-Y11
+// accumulators (row r, column c in Y(4r+c)), Y12-Y14 the a vectors,
+// Y15 the b vector. After the k loop Y12-Y15 are scratch, bias, floor
+// and store mask.
 //
 // Each kernel here has a 512-bit twin further down, run where the CPU
 // has AVX-512, that gives its bits. Lanes, halves and registers there:
@@ -55,7 +58,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // b row in lane k mod lanes, accumulated in k order — and put two of
 // them in one zmm accumulator, rows 2p and 2p+1 of a in the low and high
 // half against one b row broadcast to both; after the k loop each half
-// goes back to a ymm register and through ROWOUT64/ROWOUT32 unchanged.
+// goes back to a ymm register and through ROWOUT64/ROWOUT32 (or their
+// residual forms) unchanged.
 // The product twin puts 8 columns in a register instead of 4.
 
 // 4 ones then 4 zeros (float64 lanes), 8 ones then 8 zeros (float32):
@@ -126,33 +130,56 @@ GLOBL masks32<>(SB), RODATA|NOPTR, $64
 	LEAQ (R12)(DX*2), R14; \
 rowsdone:
 
-// Fold one row's accumulators into four float64 outputs and store them:
-// bias in Y13, floor in Y14, store mask in Y15, Y12 scratch. VMAXPD
+// Fold one row's accumulators into four float64 outputs and store them
+// at dp: bias in Y13, floor in Y14, store mask in Y15, Y12 scratch.
+// ROWOUT64R adds the residual at rp after the bias, under the store
+// mask, as Add adds a block's input to its last layer's output. VMAXPD
 // returns its second source when either is NaN; that is the sum here,
 // so NaN in is NaN out.
-#define ROWOUT64(c0, c1, c2, c3, dp) \
+#define FOLD64(c0, c1, c2, c3) \
 	VHADDPD    c1, c0, c0; \
 	VHADDPD    c3, c2, c2; \
 	VPERM2F128 $0x20, c2, c0, Y12; \
 	VPERM2F128 $0x31, c2, c0, c0; \
 	VADDPD     c0, Y12, c0; \
-	VADDPD     Y13, c0, c0; \
+	VADDPD     Y13, c0, c0
+#define STORE64(c0, dp) \
 	VMAXPD     c0, Y14, c0; \
 	VMASKMOVPD c0, Y15, dp
+#define ROWOUT64(c0, c1, c2, c3, rp, dp) \
+	FOLD64(c0, c1, c2, c3); \
+	STORE64(c0, dp)
+#define ROWOUT64R(c0, c1, c2, c3, rp, dp) \
+	FOLD64(c0, c1, c2, c3); \
+	VMASKMOVPD rp, Y15, Y12; \
+	VADDPD     Y12, c0, c0; \
+	STORE64(c0, dp)
 
-// func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool)
-TEXT ·denseTile64(SB), NOSPLIT, $32-57
+// The m ≤ 3 rows of a group through ROWOUT (ROWOUT64 or ROWOUT64R):
+// residual rows at R15, dst rows at DI, both of stride BX.
+#define OUTROWS64(ROWOUT, mref, done) \
+	ROWOUT(Y0, Y1, Y2, Y3, (R15), (DI)); \
+	CMPQ mref, $2; \
+	JLT  done; \
+	ROWOUT(Y4, Y5, Y6, Y7, (R15)(BX*1), (DI)(BX*1)); \
+	CMPQ mref, $3; \
+	JLT  done; \
+	ROWOUT(Y8, Y9, Y10, Y11, (R15)(BX*2), (DI)(BX*2))
+
+// func denseTile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
+TEXT ·denseTile64(SB), NOSPLIT, $32-65
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ b+16(FP), R11
 	MOVQ bias+24(FP), SI
-	MOVQ n+40(FP), AX
-	MOVQ k+48(FP), DX
+	MOVQ res+32(FP), R15
+	MOVQ n+48(FP), AX
+	MOVQ k+56(FP), DX
 	MOVQ AX, BX
 	SHLQ $3, BX
 
 	XORQ CX, CX
-	CMPB relu+56(FP), $0
+	CMPB relu+64(FP), $0
 	JNE  havefloor
 	MOVQ $0xFFF0000000000000, CX // -Inf
 havefloor:
@@ -192,7 +219,7 @@ group:
 	MOVQ  negfull-32(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+32(FP), $2
+	CMPQ  m+40(FP), $2
 	JLT   loop1
 	JEQ   loop2
 
@@ -234,10 +261,10 @@ tail:
 	JZ      out
 	VMOVDQU (DX), Y15
 	TAILROW(VMASKMOVPD, VFMADD231PD, R8, Y0, Y1, Y2, Y3)
-	CMPQ    m+32(FP), $2
+	CMPQ    m+40(FP), $2
 	JLT     out
 	TAILROW(VMASKMOVPD, VFMADD231PD, R9, Y4, Y5, Y6, Y7)
-	CMPQ    m+32(FP), $3
+	CMPQ    m+40(FP), $3
 	JLT     out
 	TAILROW(VMASKMOVPD, VFMADD231PD, R10, Y8, Y9, Y10, Y11)
 
@@ -256,16 +283,17 @@ havemask:
 	ADDQ    $32, SI
 havebias:
 	VBROADCASTSD floor-8(SP), Y14
-	ROWOUT64(Y0, Y1, Y2, Y3, (DI))
-	CMPQ m+32(FP), $2
-	JLT  next
-	ROWOUT64(Y4, Y5, Y6, Y7, (DI)(BX*1))
-	CMPQ m+32(FP), $3
-	JLT  next
-	ROWOUT64(Y8, Y9, Y10, Y11, (DI)(BX*2))
+	CMPQ res+32(FP), $0
+	JNE  outres
+	OUTROWS64(ROWOUT64, m+40(FP), next)
+	JMP  next
+
+outres:
+	OUTROWS64(ROWOUT64R, m+40(FP), next)
 
 next:
 	ADDQ $32, DI
+	ADDQ $32, R15
 	MOVQ stride-16(SP), DX
 	LEAQ (R11)(DX*4), R11
 	SUBQ $4, AX
@@ -273,35 +301,55 @@ next:
 	VZEROUPPER
 	RET
 
-// Fold one row's accumulators into four float32 outputs and store them:
-// bias in X13, floor in X14, store mask in X15, X12 scratch; x0 is c0's
-// low half.
-#define ROWOUT32(c0, c1, c2, c3, x0, dp) \
+// Fold one row's accumulators into four float32 outputs and store them
+// at dp: bias in X13, floor in X14, store mask in X15, X12 scratch; x0
+// is c0's low half. ROWOUT32R adds the residual at rp after the bias.
+#define FOLD32(c0, c1, c2, c3, x0) \
 	VHADDPS      c1, c0, c0; \
 	VHADDPS      c3, c2, c2; \
 	VHADDPS      c2, c0, c0; \
 	VEXTRACTF128 $1, c0, X12; \
 	VADDPS       X12, x0, x0; \
-	VADDPS       X13, x0, x0; \
-	VMAXPS       x0, X14, x0; \
-	VMASKMOVPS   x0, X15, dp
+	VADDPS       X13, x0, x0
+#define STORE32(x0, dp) \
+	VMAXPS     x0, X14, x0; \
+	VMASKMOVPS x0, X15, dp
+#define ROWOUT32(c0, c1, c2, c3, x0, rp, dp) \
+	FOLD32(c0, c1, c2, c3, x0); \
+	STORE32(x0, dp)
+#define ROWOUT32R(c0, c1, c2, c3, x0, rp, dp) \
+	FOLD32(c0, c1, c2, c3, x0); \
+	VMASKMOVPS rp, X15, X12; \
+	VADDPS     X12, x0, x0; \
+	STORE32(x0, dp)
 
-// func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool)
+// OUTROWS64 at float32.
+#define OUTROWS32(ROWOUT, mref, done) \
+	ROWOUT(Y0, Y1, Y2, Y3, X0, (R15), (DI)); \
+	CMPQ mref, $2; \
+	JLT  done; \
+	ROWOUT(Y4, Y5, Y6, Y7, X4, (R15)(BX*1), (DI)(BX*1)); \
+	CMPQ mref, $3; \
+	JLT  done; \
+	ROWOUT(Y8, Y9, Y10, Y11, X8, (R15)(BX*2), (DI)(BX*2))
+
+// func denseTile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
 //
 // denseTile64 at 8 lanes to the register: a k step covers 8 elements
 // and an output group is 16 bytes.
-TEXT ·denseTile32(SB), NOSPLIT, $32-57
+TEXT ·denseTile32(SB), NOSPLIT, $32-65
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ b+16(FP), R11
 	MOVQ bias+24(FP), SI
-	MOVQ n+40(FP), AX
-	MOVQ k+48(FP), DX
+	MOVQ res+32(FP), R15
+	MOVQ n+48(FP), AX
+	MOVQ k+56(FP), DX
 	MOVQ AX, BX
 	SHLQ $2, BX
 
 	XORQ CX, CX
-	CMPB relu+56(FP), $0
+	CMPB relu+64(FP), $0
 	JNE  havefloor
 	MOVQ $0xFF800000, CX         // -Inf
 havefloor:
@@ -341,7 +389,7 @@ group:
 	MOVQ  negfull-32(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+32(FP), $2
+	CMPQ  m+40(FP), $2
 	JLT   loop1
 	JEQ   loop2
 
@@ -383,10 +431,10 @@ tail:
 	JZ      out
 	VMOVDQU (DX), Y15
 	TAILROW(VMASKMOVPS, VFMADD231PS, R8, Y0, Y1, Y2, Y3)
-	CMPQ    m+32(FP), $2
+	CMPQ    m+40(FP), $2
 	JLT     out
 	TAILROW(VMASKMOVPS, VFMADD231PS, R9, Y4, Y5, Y6, Y7)
-	CMPQ    m+32(FP), $3
+	CMPQ    m+40(FP), $3
 	JLT     out
 	TAILROW(VMASKMOVPS, VFMADD231PS, R10, Y8, Y9, Y10, Y11)
 
@@ -405,16 +453,17 @@ havemask:
 	ADDQ    $16, SI
 havebias:
 	VBROADCASTSS floor-8(SP), X14
-	ROWOUT32(Y0, Y1, Y2, Y3, X0, (DI))
-	CMPQ m+32(FP), $2
-	JLT  next
-	ROWOUT32(Y4, Y5, Y6, Y7, X4, (DI)(BX*1))
-	CMPQ m+32(FP), $3
-	JLT  next
-	ROWOUT32(Y8, Y9, Y10, Y11, X8, (DI)(BX*2))
+	CMPQ res+32(FP), $0
+	JNE  outres
+	OUTROWS32(ROWOUT32, m+40(FP), next)
+	JMP  next
+
+outres:
+	OUTROWS32(ROWOUT32R, m+40(FP), next)
 
 next:
 	ADDQ $16, DI
+	ADDQ $16, R15
 	MOVQ stride-16(SP), DX
 	LEAQ (R11)(DX*4), R11
 	SUBQ $4, AX
@@ -732,7 +781,8 @@ done:
 // (R14)(DX*2), and so on), DI dst, R8-R13 a rows 0-5; Z0-Z23
 // accumulators (pair p, b row c in Z(8p+c)), Z24-Z26 the pairs, Z27 the
 // broadcast b step. The fold uses CX for the spill block, DX and R14 for
-// dst rows, Y0-Y3 for one row's chains and Y11-Y15 for the epilogue.
+// dst rows, R15, SI and AX for residual rows, Y0-Y3 for one row's chains
+// and Y11-Y15 for the epilogue.
 
 // Zero the accumulators.
 #define ZERO24 \
@@ -836,37 +886,41 @@ done:
 	SPILL4(Z20, Z21, Z22, Z23, 1280)
 
 // One row's chains for four b rows, at spill offset o (+64 per b row),
-// into Y0-Y3; then ROWOUT folds and stores them at dp.
-#define FOLDROW(ROWOUT, o, dp) \
+// into Y0-Y3; then ROWOUT folds them, with the residual at rp, and
+// stores them at dp.
+#define FOLDROW(ROWOUT, o, rp, dp) \
 	VMOVUPD o(CX), Y0; \
 	VMOVUPD (o+64)(CX), Y1; \
 	VMOVUPD (o+128)(CX), Y2; \
 	VMOVUPD (o+192)(CX), Y3; \
-	ROWOUT(dp)
+	ROWOUT(rp, dp)
 
 // One half of the group's outputs — b rows 4h to 4h+3, spill offset
-// off = 256h, dst offset doff — for each of the m rows: row 1 is the
-// high half of row 0's chains (+32), rows 2 and 4 the next pairs (+512,
-// +1024); dst rows 3 and 5 are addressed from DX = DI+2·BX and R14 =
-// DI+4·BX.
+// off = 256h, dst and residual offset doff — for each of the m rows: row
+// 1 is the high half of row 0's chains (+32), rows 2 and 4 the next
+// pairs (+512, +1024); dst rows 3 and 5 are addressed from DX = DI+2·BX
+// and R14 = DI+4·BX, residual rows from R15, SI = R15+2·BX and AX =
+// R15+4·BX alike.
 #define FOLDHALF(ROWOUT, off, doff, done) \
-	FOLDROW(ROWOUT, off, doff(DI)); \
-	FOLDROW(ROWOUT, (off+32), doff(DI)(BX*1)); \
+	FOLDROW(ROWOUT, off, doff(R15), doff(DI)); \
+	FOLDROW(ROWOUT, (off+32), doff(R15)(BX*1), doff(DI)(BX*1)); \
 	CMPQ rows-40(SP), $3; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+512), doff(DI)(BX*2)); \
+	FOLDROW(ROWOUT, (off+512), doff(R15)(BX*2), doff(DI)(BX*2)); \
 	CMPQ rows-40(SP), $4; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+544), doff(DX)(BX*1)); \
+	FOLDROW(ROWOUT, (off+544), doff(SI)(BX*1), doff(DX)(BX*1)); \
 	CMPQ rows-40(SP), $5; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+1024), doff(DI)(BX*4)); \
+	FOLDROW(ROWOUT, (off+1024), doff(R15)(BX*4), doff(DI)(BX*4)); \
 	CMPQ rows-40(SP), $6; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+1056), doff(R14)(BX*1))
+	FOLDROW(ROWOUT, (off+1056), doff(AX)(BX*1), doff(R14)(BX*1))
 
-#define ROWOUT64Y(dp) ROWOUT64(Y0, Y1, Y2, Y3, dp)
-#define ROWOUT32Y(dp) ROWOUT32(Y0, Y1, Y2, Y3, X0, dp)
+#define ROWOUT64Y(rp, dp) ROWOUT64(Y0, Y1, Y2, Y3, rp, dp)
+#define ROWOUT64YR(rp, dp) ROWOUT64R(Y0, Y1, Y2, Y3, rp, dp)
+#define ROWOUT32Y(rp, dp) ROWOUT32(Y0, Y1, Y2, Y3, X0, rp, dp)
+#define ROWOUT32YR(rp, dp) ROWOUT32R(Y0, Y1, Y2, Y3, X0, rp, dp)
 
 // Point R8-R13 at a rows 0-5, rows past m repeating row m-1 (R8 a, CX
 // the row stride in bytes, R15 m).
@@ -944,13 +998,13 @@ arows:
 // Frame: the spill block (1536 bytes, aligned up to 64 within the
 // frame's lowest 1600), then five locals.
 //
-// func dense512Tile64(dst, a, b, bias *float64, m, n, k int, relu bool)
-TEXT ·dense512Tile64(SB), $1640-57
+// func dense512Tile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
+TEXT ·dense512Tile64(SB), $1640-65
 	MOVQ a+8(FP), R8
-	MOVQ k+48(FP), DX
+	MOVQ k+56(FP), DX
 
 	XORQ CX, CX
-	CMPB relu+56(FP), $0
+	CMPB relu+64(FP), $0
 	JNE  havefloor
 	MOVQ $0xFFF0000000000000, CX // -Inf
 havefloor:
@@ -959,7 +1013,7 @@ havefloor:
 	MOVQ DX, CX
 	SHLQ $3, CX                  // row stride of a and b in bytes
 	MOVQ CX, stride-16(SP)
-	MOVQ m+32(FP), R15
+	MOVQ m+40(FP), R15
 	MOVQ R15, rows-40(SP)
 	AROWS
 	MOVQ DX, CX
@@ -974,9 +1028,9 @@ group:
 	MOVQ  negfull-24(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+32(FP), $3
+	CMPQ  m+40(FP), $3
 	JLT   loop1
-	CMPQ  m+32(FP), $5
+	CMPQ  m+40(FP), $5
 	JLT   loop2
 
 loop3:
@@ -1012,7 +1066,7 @@ fold:
 	ANDQ   $~63, CX
 	SPILL24
 	MOVQ   first-32(SP), AX
-	MOVQ   n+40(FP), BX
+	MOVQ   n+48(FP), BX
 	SHLQ   $3, BX
 	MOVQ   dst+0(FP), DI
 	LEAQ   (DI)(AX*8), DI        // the group's outputs in dst row 0
@@ -1028,27 +1082,41 @@ fold:
 havebias:
 	VBROADCASTSD floor-8(SP), Y14
 	VPCMPEQQ     Y15, Y15, Y15   // store mask: every lane
+	MOVQ         res+32(FP), R15
+	LEAQ         (R15)(AX*8), R15 // the group's residuals in row 0
+	LEAQ         (R15)(BX*2), SI
+	LEAQ         (R15)(BX*4), AX
+	CMPQ         res+32(FP), $0
+	JNE          foldres
 	FOLDHALF(ROWOUT64Y, 0, 0, half0)
 half0:
 	VMOVAPD Y11, Y13
 	FOLDHALF(ROWOUT64Y, 256, 32, half1)
 half1:
-	NEXTGROUP(n+40(FP))
+	NEXTGROUP(n+48(FP))
+
+foldres:
+	FOLDHALF(ROWOUT64YR, 0, 0, half0r)
+half0r:
+	VMOVAPD Y11, Y13
+	FOLDHALF(ROWOUT64YR, 256, 32, half1r)
+half1r:
+	NEXTGROUP(n+48(FP))
 
 done:
 	VZEROUPPER
 	RET
 
-// func dense512Tile32(dst, a, b, bias *float32, m, n, k int, relu bool)
+// func dense512Tile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
 //
 // dense512Tile64 at 8 lanes to the half: a k step covers 8 elements and
 // a half group's outputs are 16 bytes.
-TEXT ·dense512Tile32(SB), $1640-57
+TEXT ·dense512Tile32(SB), $1640-65
 	MOVQ a+8(FP), R8
-	MOVQ k+48(FP), DX
+	MOVQ k+56(FP), DX
 
 	XORQ CX, CX
-	CMPB relu+56(FP), $0
+	CMPB relu+64(FP), $0
 	JNE  havefloor
 	MOVQ $0xFF800000, CX         // -Inf
 havefloor:
@@ -1057,7 +1125,7 @@ havefloor:
 	MOVQ DX, CX
 	SHLQ $2, CX
 	MOVQ CX, stride-16(SP)
-	MOVQ m+32(FP), R15
+	MOVQ m+40(FP), R15
 	MOVQ R15, rows-40(SP)
 	AROWS
 	MOVQ DX, CX
@@ -1072,9 +1140,9 @@ group:
 	MOVQ  negfull-24(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+32(FP), $3
+	CMPQ  m+40(FP), $3
 	JLT   loop1
-	CMPQ  m+32(FP), $5
+	CMPQ  m+40(FP), $5
 	JLT   loop2
 
 loop3:
@@ -1110,7 +1178,7 @@ fold:
 	ANDQ   $~63, CX
 	SPILL24
 	MOVQ   first-32(SP), AX
-	MOVQ   n+40(FP), BX
+	MOVQ   n+48(FP), BX
 	SHLQ   $2, BX
 	MOVQ   dst+0(FP), DI
 	LEAQ   (DI)(AX*4), DI
@@ -1126,12 +1194,26 @@ fold:
 havebias:
 	VBROADCASTSS floor-8(SP), X14
 	VPCMPEQD     X15, X15, X15
+	MOVQ         res+32(FP), R15
+	LEAQ         (R15)(AX*4), R15
+	LEAQ         (R15)(BX*2), SI
+	LEAQ         (R15)(BX*4), AX
+	CMPQ         res+32(FP), $0
+	JNE          foldres
 	FOLDHALF(ROWOUT32Y, 0, 0, half0)
 half0:
 	VMOVAPS X11, X13
 	FOLDHALF(ROWOUT32Y, 256, 16, half1)
 half1:
-	NEXTGROUP(n+40(FP))
+	NEXTGROUP(n+48(FP))
+
+foldres:
+	FOLDHALF(ROWOUT32YR, 0, 0, half0r)
+half0r:
+	VMOVAPS X11, X13
+	FOLDHALF(ROWOUT32YR, 256, 16, half1r)
+half1r:
+	NEXTGROUP(n+48(FP))
 
 done:
 	VZEROUPPER

@@ -8,12 +8,12 @@ package tensor
 const hasAVX2FMA = false
 
 // denseTile64 is never called when hasAVX2FMA is false.
-func denseTile64(dst, a, b, bias *float64, m, n, k int, relu bool) {
+func denseTile64(dst, a, b, bias, res *float64, m, n, k int, relu bool) {
 	panic("tensor: denseTile64 without AVX2/FMA support")
 }
 
 // denseTile32 is never called when hasAVX2FMA is false.
-func denseTile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
+func denseTile32(dst, a, b, bias, res *float32, m, n, k int, relu bool) {
 	panic("tensor: denseTile32 without AVX2/FMA support")
 }
 
@@ -27,12 +27,12 @@ func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool) {
 var hasAVX512 bool
 
 // dense512Tile64 is never called when hasAVX512 is false.
-func dense512Tile64(dst, a, b, bias *float64, m, n, k int, relu bool) {
+func dense512Tile64(dst, a, b, bias, res *float64, m, n, k int, relu bool) {
 	panic("tensor: dense512Tile64 without AVX-512 support")
 }
 
 // dense512Tile32 is never called when hasAVX512 is false.
-func dense512Tile32(dst, a, b, bias *float32, m, n, k int, relu bool) {
+func dense512Tile32(dst, a, b, bias, res *float32, m, n, k int, relu bool) {
 	panic("tensor: dense512Tile32 without AVX-512 support")
 }
 

@@ -11,8 +11,9 @@
 // row-tile loop around it (runDense64, runDense32) — a ymm register holds
 // 4 float64 lanes or 8 float32 lanes, which together with the halved
 // memory traffic is what the float32 serving tier buys. Dense is the
-// whole fully connected layer in one pass — product, bias, ReLU — and a
-// row's result never depends on the rows it was multiplied with.
+// whole fully connected layer in one pass — product, bias, a residual
+// block's shortcut, ReLU — and a row's result never depends on the rows
+// it was multiplied with.
 //
 // Where the CPU has AVX-512 (F and VL, picked by CPUID and XCR0 alone)
 // every kernel runs a 512-bit twin with the 256-bit kernel's bits. A
@@ -200,26 +201,31 @@ func runProduct64(j gemmJob) {
 // same kernel, fan-out rule and reduction order — for callers that want
 // the bare product: the im2col convolution, cmd/eugenebench's GEMM rung.
 //eugene:noalloc
-func MatMulT(dst, a, b *Matrix) { dense64(dst, a, b, nil, false) }
+func MatMulT(dst, a, b *Matrix) { dense64(dst, a, b, nil, nil, false) }
 
 // MatMulT32 is MatMulT in float32.
 //eugene:noalloc
-func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, false) }
+func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, nil, false) }
 
-// Dense computes the fully connected layer dst = a·wᵀ + bias, floored at
-// zero when relu is set: dst[i][j] = Σ_k a[i][k]·w[j][k] + bias[j]. dst
-// must be a.Rows×w.Rows and distinct from the operands; w is stored
-// out×in, so a row of w is one output neuron's contiguous weights, and
-// bias (length w.Rows) may be nil for none. This is the one place the
-// type set of Float is enumerated: it hands the layer to T's kernel, once
-// per call, and a new precision tier adds a case here and a micro-kernel.
+// Dense computes the fully connected layer dst = a·wᵀ + bias + res,
+// floored at zero when relu is set: dst[i][j] = Σ_k a[i][k]·w[j][k] +
+// bias[j] + res[i][j]. dst must be a.Rows×w.Rows and distinct from the
+// operands; w is stored out×in, so a row of w is one output neuron's
+// contiguous weights, bias (length w.Rows) may be nil for none, and res,
+// dst's shape, may be nil for none. res is a residual block's shortcut:
+// the block's input, added after the bias and before the floor, rounding
+// as Add after a bias-only Dense does ((s + bias) + res is res + (s +
+// bias) bit for bit), so a block's last layer and its sum are one pass.
+// This is the one place the type set of Float is enumerated: it hands the
+// layer to T's kernel, once per call, and a new precision tier adds a
+// case here and a micro-kernel.
 //
 // With AVX2 and FMA the whole layer is one pass of the assembly
 // micro-kernel (denseTile64, denseTile32): rows of a in register tiles
-// of denseRowTile, each weight row streamed once per tile, bias and ReLU
-// applied to the sums before they are stored. A ragged last tile and a
-// one-row call run the same kernel at a lower row count. With AVX-512
-// the tiles are of up to wideRowTile rows, on the 512-bit twin
+// of denseRowTile, each weight row streamed once per tile, bias, residual
+// and ReLU applied to the sums before they are stored. A ragged last tile
+// and a one-row call run the same kernel at a lower row count. With
+// AVX-512 the tiles are of up to wideRowTile rows, on the 512-bit twin
 // (dense512Tile64, dense512Tile32), with the same bits. Without them
 // every output is dotUnrolled plus the same epilogue. Either way an
 // output is reduced over k in one fixed order, so a row's result does not
@@ -227,30 +233,30 @@ func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, false) }
 // sat: Dense on rows [0, m) equals m one-row calls bit for bit, and a
 // product split over helper goroutines (parallel.go) equals the serial
 // one. NaN propagates; results differ across builds (FMA rounds once).
-func Dense[T Float](dst, a, w *Mat[T], bias []T, relu bool) {
+func Dense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool) {
 	switch d := any(dst).(type) {
 	case *Matrix:
 		b, _ := any(bias).([]float64)
-		dense64(d, any(a).(*Matrix), any(w).(*Matrix), b, relu)
+		dense64(d, any(a).(*Matrix), any(w).(*Matrix), b, any(res).(*Matrix), relu)
 	case *Matrix32:
 		b, _ := any(bias).([]float32)
-		dense32(d, any(a).(*Matrix32), any(w).(*Matrix32), b, relu)
+		dense32(d, any(a).(*Matrix32), any(w).(*Matrix32), b, any(res).(*Matrix32), relu)
 	}
 }
 
 //eugene:noalloc
-func dense64(dst, a, w *Matrix, bias []float64, relu bool) {
-	checkDense(dst, a, w, bias)
-	fanOut(gemmJob{run: runDense64, dst: dst, a: a, b: w, bias: bias, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
+func dense64(dst, a, w *Matrix, bias []float64, res *Matrix, relu bool) {
+	checkDense(dst, a, w, bias, res)
+	fanOut(gemmJob{run: runDense64, dst: dst, a: a, b: w, bias: bias, res: res, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
 }
 
 //eugene:noalloc
-func dense32(dst, a, w *Matrix32, bias []float32, relu bool) {
-	checkDense(dst, a, w, bias)
-	fanOut(gemmJob{run: runDense32, dst32: dst, a32: a, b32: w, bias32: bias, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
+func dense32(dst, a, w *Matrix32, bias []float32, res *Matrix32, relu bool) {
+	checkDense(dst, a, w, bias, res)
+	fanOut(gemmJob{run: runDense32, dst32: dst, a32: a, b32: w, bias32: bias, res32: res, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
 }
 
-func checkDense[T Float](dst, a, w *Mat[T], bias []T) {
+func checkDense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T]) {
 	if a.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: Dense shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, w.Rows, w.Cols))
 	}
@@ -259,6 +265,12 @@ func checkDense[T Float](dst, a, w *Mat[T], bias []T) {
 	}
 	if bias != nil && len(bias) != w.Rows {
 		panic(fmt.Sprintf("tensor: Dense bias length %d != %d outputs", len(bias), w.Rows))
+	}
+	if res != nil {
+		checkSameShape("Dense residual", res, dst)
+		if len(res.Data) > 0 && &res.Data[0] == &dst.Data[0] {
+			panic("tensor: Dense residual is dst")
+		}
 	}
 }
 
@@ -280,21 +292,22 @@ const (
 func runDense64(j gemmJob) {
 	n, k := j.b.Rows, j.a.Cols
 	if !hasAVX2FMA || n == 0 || k == 0 {
-		denseScalar(j.dst, j.a, j.b, j.bias, j.relu, j.lo, j.hi)
+		denseScalar(j.dst, j.a, j.b, j.bias, j.res, j.relu, j.lo, j.hi)
 		return
 	}
-	var bias *float64
-	if j.bias != nil {
-		bias = &j.bias[0]
+	bias := rowAt(j.bias, 0)
+	var res []float64
+	if j.res != nil {
+		res = j.res.Data
 	}
 	i := j.lo
 	if hasAVX512 && n >= wideGroup {
 		for ; j.hi-i >= 2; i += wideRowTile {
-			dense512Tile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, min(wideRowTile, j.hi-i), n, k, j.relu)
+			dense512Tile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, rowAt(res, i*n), min(wideRowTile, j.hi-i), n, k, j.relu)
 		}
 	}
 	for ; i < j.hi; i += denseRowTile {
-		denseTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, min(denseRowTile, j.hi-i), n, k, j.relu)
+		denseTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, rowAt(res, i*n), min(denseRowTile, j.hi-i), n, k, j.relu)
 	}
 }
 
@@ -303,34 +316,48 @@ func runDense64(j gemmJob) {
 func runDense32(j gemmJob) {
 	n, k := j.b32.Rows, j.a32.Cols
 	if !hasAVX2FMA || n == 0 || k == 0 {
-		denseScalar(j.dst32, j.a32, j.b32, j.bias32, j.relu, j.lo, j.hi)
+		denseScalar(j.dst32, j.a32, j.b32, j.bias32, j.res32, j.relu, j.lo, j.hi)
 		return
 	}
-	var bias *float32
-	if j.bias32 != nil {
-		bias = &j.bias32[0]
+	bias := rowAt(j.bias32, 0)
+	var res []float32
+	if j.res32 != nil {
+		res = j.res32.Data
 	}
 	i := j.lo
 	if hasAVX512 && n >= wideGroup {
 		for ; j.hi-i >= 2; i += wideRowTile {
-			dense512Tile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, min(wideRowTile, j.hi-i), n, k, j.relu)
+			dense512Tile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, rowAt(res, i*n), min(wideRowTile, j.hi-i), n, k, j.relu)
 		}
 	}
 	for ; i < j.hi; i += denseRowTile {
-		denseTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, min(denseRowTile, j.hi-i), n, k, j.relu)
+		denseTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, rowAt(res, i*n), min(denseRowTile, j.hi-i), n, k, j.relu)
 	}
+}
+
+// rowAt is &s[i], or nil for a nil s: an optional operand's row for a
+// kernel.
+//eugene:noalloc
+func rowAt[T Float](s []T, i int) *T {
+	if s == nil {
+		return nil
+	}
+	return &s[i]
 }
 
 // denseScalar is Dense over rows [lo, hi) in portable Go: the only path
 // off amd64, under -tags noasm and on a CPU without AVX2 and FMA.
 //eugene:noalloc
-func denseScalar[T Float](dst, a, w *Mat[T], bias []T, relu bool, lo, hi int) {
+func denseScalar[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow, drow := a.Row(i), dst.Row(i)
 		for j := range drow {
 			s := dotUnrolled(arow, w.Row(j))
 			if bias != nil {
 				s += bias[j]
+			}
+			if res != nil {
+				s += res.Data[i*res.Cols+j]
 			}
 			if relu {
 				s = max(s, 0)
@@ -454,8 +481,9 @@ func Add[T Float](dst, a, b *Mat[T]) {
 }
 
 // AddReLU computes dst[i] = max(0, a[i]+b[i]) element-wise; the fused
-// shortcut-connection + activation kernel (a residual block's output is
-// almost always followed by a ReLU). dst may alias a or b. The floor is
+// shortcut-connection + activation kernel of a residual block whose body
+// does not end in a Dense (one that does takes its shortcut in Dense's
+// epilogue). dst may alias a or b. The floor is
 // the max builtin, not a comparison: pre-activations change sign from
 // one element to the next, and a branch on them mispredicts about every
 // other time (some 11 cycles an element against one). NaN propagates.
@@ -485,11 +513,17 @@ func ReLU[T Float](dst, src *Mat[T]) {
 
 // Convert copies src into dst, converting the element type; lengths must
 // match. The inference engine's stage boundary: hidden rows cross it as
-// float64 whatever the stage computes in.
+// float64 whatever the stage computes in. Between slices of one type it
+// is copy, a memmove rather than an element loop.
 //eugene:noalloc
 func Convert[D, S Float](dst []D, src []S) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Convert length mismatch %d vs %d", len(dst), len(src)))
+	}
+	//lint:ignore hotpathalloc a pointer boxes without allocating and the assertion keeps it from escaping; TestConvertRoundTrip's AllocsPerRun holds it at zero
+	if same, ok := any(&dst).(*[]S); ok {
+		copy(*same, src)
+		return
 	}
 	for i, v := range src {
 		dst[i] = D(v)

@@ -98,9 +98,9 @@ func TestMatMulShapePanics(t *testing.T) {
 		{"bad dst", func() { MatMul(NewMatrix(3, 3), NewMatrix(2, 3), NewMatrix(3, 2)) }},
 		{"add mismatch", func() { Add(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 3)) }},
 		{"from slice", func() { FromSlice(2, 2, []float64{1}) }},
-		{"dense inner", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4), nil, false) }},
-		{"dense dst", func() { Dense(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3), nil, false) }},
-		{"dense bias", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), []float64{1}, false) }},
+		{"dense inner", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4), nil, nil, false) }},
+		{"dense dst", func() { Dense(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3), nil, nil, false) }},
+		{"dense bias", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), []float64{1}, nil, false) }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
