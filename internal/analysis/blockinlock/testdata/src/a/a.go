@@ -51,7 +51,7 @@ func (g *G) chanOps() {
 	g.mu.Lock()
 	g.ch <- 1 // want `channel send may block while holding G\.mu`
 	<-g.ch    // want `channel receive may block while holding G\.mu`
-	select { // want `select without a default clause blocks while holding G\.mu`
+	select {  // want `select without a default clause blocks while holding G\.mu`
 	case v := <-g.ch:
 		_ = v
 	}
@@ -74,8 +74,8 @@ func (g *G) httpLocked(cl *http.Client, req *http.Request) {
 func (g *G) fileLocked(f *os.File, buf []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	_, _ = f.Read(buf)    // want `call to File\.Read blocks while holding G\.mu`
-	_, _ = io.ReadAll(f)  // want `call to io\.ReadAll blocks while holding G\.mu`
+	_, _ = f.Read(buf)   // want `call to File\.Read blocks while holding G\.mu`
+	_, _ = io.ReadAll(f) // want `call to io\.ReadAll blocks while holding G\.mu`
 }
 
 // condWait is the contract exemption: sync.Cond.Wait must hold the

@@ -523,6 +523,7 @@ func (e *execAdapter) model() stageBatchModel {
 // through the model as one batched forward pass, writing new hidden
 // states into the worker's dst scratch rows when they fit. The returned
 // slices are adapter/model scratch, valid until the next Exec call.
+//
 //eugene:noalloc
 func (e *execAdapter) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []sched.StageResult) {
 	next, outs := e.model().ExecStageBatch(hidden, stage, dst)

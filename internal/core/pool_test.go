@@ -8,19 +8,23 @@ import (
 	"testing"
 	"time"
 
+	"eugene/internal/nn"
 	"eugene/internal/staged"
 	"eugene/internal/tensor"
 )
 
 // TestUnfreezableModelStartsNoPool pins the one behaviour for a model
-// the inference compiler rejects (here a convolutional trunk): at either
-// precision the first Infer returns the freeze error, naming the model,
-// and no pool is started. The model still answers through the layer
-// tree (Predict).
+// the inference compiler rejects (here one with Monte-Carlo dropout
+// heads): at either precision the first Infer returns the freeze error,
+// naming the model, and no pool is started. The model still answers
+// through the layer tree (Predict).
 func TestUnfreezableModelStartsNoPool(t *testing.T) {
-	conv, err := staged.NewConv(rand.New(rand.NewSource(1)), staged.DefaultConvConfig(1, 4, 4, 3))
+	mc, err := staged.New(rand.New(rand.NewSource(1)), staged.Config{In: 6, Hidden: 8, Classes: 3, StageCount: 2, BlocksPerStage: 1, HeadDropout: 0.2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range mc.Stages {
+		nn.SetMCDropout(s.Head, true)
 	}
 	for _, precision := range []string{PrecisionF64, PrecisionF32} {
 		for _, admission := range []bool{false, true} {
@@ -28,11 +32,11 @@ func TestUnfreezableModelStartsNoPool(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := svc.Register("conv", conv); err != nil {
+			if _, err := svc.Register("mc", mc); err != nil {
 				t.Fatal(err)
 			}
-			_, err = svc.Infer(context.Background(), "conv", make([]float64, conv.In))
-			if err == nil || !strings.Contains(err.Error(), `freezing "conv"`) {
+			_, err = svc.Infer(context.Background(), "mc", make([]float64, mc.In))
+			if err == nil || !strings.Contains(err.Error(), `freezing "mc"`) {
 				t.Errorf("%s admission=%v: Infer error = %v, want the freeze error naming the model", precision, admission, err)
 			}
 			if n := len(svc.Stats()); n != 0 {
@@ -41,8 +45,8 @@ func TestUnfreezableModelStartsNoPool(t *testing.T) {
 			svc.Close()
 		}
 	}
-	if outs := conv.Predict(make([]float64, conv.In), conv.NumStages()-1); len(outs) != conv.NumStages() {
-		t.Fatalf("conv Predict returned %d outputs", len(outs))
+	if outs := mc.Predict(make([]float64, mc.In), mc.NumStages()-1); len(outs) != mc.NumStages() {
+		t.Fatalf("MC dropout Predict returned %d outputs", len(outs))
 	}
 }
 

@@ -7,7 +7,7 @@
 // internal/staged serves the multi-exit residual networks from. The
 // tree's own inference-mode Forward stays as the unfused reference the
 // program is tested against, and as the only path for what Compile
-// rejects (convolutions, Monte-Carlo dropout).
+// rejects (Monte-Carlo dropout).
 //
 // Batches are dense matrices (internal/tensor) with one sample per row.
 // All randomness is injected through *rand.Rand so training is fully

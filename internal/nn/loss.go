@@ -80,51 +80,6 @@ func EntropyLogs(p, lp []float64) float64 {
 	return h
 }
 
-// MSE computes the mean squared error between pred and target and writes
-// the gradient with respect to pred into gradPred.
-func MSE(gradPred, pred, target *tensor.Matrix) float64 {
-	if pred.Rows != target.Rows || pred.Cols != target.Cols {
-		panic(fmt.Sprintf("nn: MSE shape mismatch %dx%d vs %dx%d", pred.Rows, pred.Cols, target.Rows, target.Cols))
-	}
-	n := float64(len(pred.Data))
-	var loss float64
-	for i := range pred.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += d * d
-		gradPred.Data[i] = 2 * d / n
-	}
-	return loss / n
-}
-
-// GaussianNLL computes the heteroscedastic Gaussian negative log-
-// likelihood used by RDeepSense-style uncertainty heads. pred holds
-// interleaved (mean, logVar) column pairs: column 2i is the mean of
-// output i and column 2i+1 its log-variance. target has one column per
-// output. Gradients are written into gradPred.
-func GaussianNLL(gradPred, pred, target *tensor.Matrix) float64 {
-	if pred.Cols != 2*target.Cols || pred.Rows != target.Rows {
-		panic(fmt.Sprintf("nn: GaussianNLL pred %dx%d incompatible with target %dx%d", pred.Rows, pred.Cols, target.Rows, target.Cols))
-	}
-	invN := 1 / float64(pred.Rows*target.Cols)
-	var loss float64
-	for r := 0; r < pred.Rows; r++ {
-		p := pred.Row(r)
-		g := gradPred.Row(r)
-		t := target.Row(r)
-		for i := 0; i < target.Cols; i++ {
-			mu, logVar := p[2*i], p[2*i+1]
-			// Clamp log-variance for numerical stability.
-			logVar = math.Max(-10, math.Min(10, logVar))
-			invVar := math.Exp(-logVar)
-			d := mu - t[i]
-			loss += 0.5 * (logVar + d*d*invVar)
-			g[2*i] = d * invVar * invN
-			g[2*i+1] = 0.5 * (1 - d*d*invVar) * invN
-		}
-	}
-	return loss * invN
-}
-
 // Accuracy returns the fraction of rows of logits whose arg-max equals
 // the label.
 func Accuracy(logits *tensor.Matrix, labels []int) float64 {

@@ -77,33 +77,6 @@ func TestResidualGradCheck(t *testing.T) {
 	gradCheck(t, model, x, []int{0, 2, 1, 1}, 0, 1e-4)
 }
 
-func TestConvGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	shape := tensor.ConvShape{InChannels: 2, OutChannels: 3, Height: 5, Width: 5, Kernel: 3, Stride: 1, Pad: 1}
-	conv, err := NewConv2D(rng, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := NewSequential(
-		conv,
-		NewReLU(),
-		NewGlobalAvgPool(3, 25),
-		NewDense(rng, 3, 4),
-	)
-	x := tensor.NewMatrix(2, 2*5*5)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	gradCheck(t, model, x, []int{1, 3}, 0, 1e-4)
-}
-
-func TestConvInvalidShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := NewConv2D(rng, tensor.ConvShape{}); err == nil {
-		t.Fatal("expected error for zero conv shape")
-	}
-}
-
 // TestInputGradCheck verifies Backward's returned input gradient, which
 // residual connections and multi-stage backprop rely on.
 func TestInputGradCheck(t *testing.T) {
@@ -341,46 +314,6 @@ func TestCloneIndependence(t *testing.T) {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("clone output differs at %d", i)
 		}
-	}
-}
-
-func TestGaussianNLLGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pred := tensor.NewMatrix(3, 4) // 2 outputs → 4 cols (mean, logVar)
-	target := tensor.NewMatrix(3, 2)
-	for i := range pred.Data {
-		pred.Data[i] = rng.NormFloat64() * 0.5
-	}
-	for i := range target.Data {
-		target.Data[i] = rng.NormFloat64()
-	}
-	grad := tensor.NewMatrix(3, 4)
-	GaussianNLL(grad, pred, target)
-	const eps = 1e-6
-	for i := range pred.Data {
-		orig := pred.Data[i]
-		pred.Data[i] = orig + eps
-		lp := GaussianNLL(tensor.NewMatrix(3, 4), pred, target)
-		pred.Data[i] = orig - eps
-		lm := GaussianNLL(tensor.NewMatrix(3, 4), pred, target)
-		pred.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-grad.Data[i]) > 1e-5*(1+math.Abs(num)) {
-			t.Fatalf("NLL grad[%d]: analytic %v vs numeric %v", i, grad.Data[i], num)
-		}
-	}
-}
-
-func TestMSE(t *testing.T) {
-	pred := tensor.FromSlice(1, 2, []float64{1, 2})
-	target := tensor.FromSlice(1, 2, []float64{0, 0})
-	grad := tensor.NewMatrix(1, 2)
-	loss := MSE(grad, pred, target)
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("MSE = %v, want 2.5", loss)
-	}
-	if math.Abs(grad.Data[0]-1) > 1e-12 || math.Abs(grad.Data[1]-2) > 1e-12 {
-		t.Fatalf("MSE grad = %v", grad.Data)
 	}
 }
 

@@ -78,9 +78,9 @@ type scratch[T tensor.Float] struct{ bufs []*tensor.Mat[T] }
 
 // Compile flattens a trained layer tree into a program at T. in is the
 // tree's input width; the returned program's Out is its verified output
-// width. Two inputs are rejected: layer types with no op (Conv2D), and
-// Monte-Carlo dropout, which samples masks per forward pass — both run
-// on the tree (Forward, staged.Model.Predict/ExecStage).
+// width. Two inputs are rejected: layer types with no op, and
+// Monte-Carlo dropout, which samples masks per forward pass and runs on
+// the tree (Forward, staged.Model.Predict/ExecStage).
 func Compile[T tensor.Float](root Layer, in int) (*Program[T], error) {
 	if in < 1 {
 		return nil, fmt.Errorf("nn: Compile input width %d must be positive", in)

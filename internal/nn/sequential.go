@@ -139,8 +139,6 @@ func ParamCount(root Layer) int {
 	switch l := root.(type) {
 	case *Dense:
 		return len(l.W.Data) + len(l.B)
-	case *Conv2D:
-		return len(l.K.Data) + len(l.B)
 	case *Residual:
 		return ParamCount(l.Body)
 	case *Sequential:

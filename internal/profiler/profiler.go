@@ -4,7 +4,9 @@
 // Table I, measurement generation, and a piecewise-linear regression
 // profiler that learns a predictive latency model by recursively
 // splitting the configuration space and fitting linear models per
-// region.
+// region. Convolutions appear here only as configurations (ConvShape)
+// to time and learn from; the repository executes none — its multi-exit
+// trunk (internal/staged) is dense.
 package profiler
 
 import (
@@ -12,8 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"eugene/internal/tensor"
 )
 
 // DeviceModel is the synthetic stand-in for the paper's Nexus 5: it maps
@@ -52,7 +52,7 @@ func DefaultDevice() DeviceModel {
 
 // TimeMS returns the modeled execution time in milliseconds of one
 // forward pass of shape s. With NoiseStd > 0, rng must be non-nil.
-func (d DeviceModel) TimeMS(s tensor.ConvShape, rng *rand.Rand) float64 {
+func (d DeviceModel) TimeMS(s ConvShape, rng *rand.Rand) float64 {
 	util := math.Pow(float64(s.OutChannels)/d.UtilSat, d.UtilExp)
 	if util > 1 {
 		util = 1
@@ -86,9 +86,35 @@ func TableI() []TableIConfig {
 	}
 }
 
+// ConvShape is a 2-D convolution layer's configuration: square kernels,
+// stride Stride and padding Pad over InChannels input planes of
+// Height×Width. It is what the device model times.
+type ConvShape struct {
+	InChannels  int
+	OutChannels int
+	Height      int
+	Width       int
+	Kernel      int
+	Stride      int
+	Pad         int
+}
+
+// OutHeight returns the output plane height.
+func (s ConvShape) OutHeight() int { return (s.Height+2*s.Pad-s.Kernel)/s.Stride + 1 }
+
+// OutWidth returns the output plane width.
+func (s ConvShape) OutWidth() int { return (s.Width+2*s.Pad-s.Kernel)/s.Stride + 1 }
+
+// FLOPs returns the multiply-accumulate count (counting each MAC as two
+// floating-point operations) for one forward pass of this convolution.
+func (s ConvShape) FLOPs() float64 {
+	return 2 * float64(s.OutHeight()) * float64(s.OutWidth()) *
+		float64(s.OutChannels) * float64(s.InChannels) * float64(s.Kernel*s.Kernel)
+}
+
 // ShapeFor builds the Table I conv shape for (in, out) channels.
-func ShapeFor(in, out int) tensor.ConvShape {
-	return tensor.ConvShape{
+func ShapeFor(in, out int) ConvShape {
+	return ConvShape{
 		InChannels:  in,
 		OutChannels: out,
 		Height:      224,

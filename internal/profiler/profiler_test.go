@@ -176,3 +176,29 @@ func TestPredictNonNegative(t *testing.T) {
 		}
 	}
 }
+
+func TestConvShapeOutputDims(t *testing.T) {
+	s := ConvShape{InChannels: 3, OutChannels: 4, Height: 8, Width: 10, Kernel: 3, Stride: 1, Pad: 1}
+	if s.OutHeight() != 8 || s.OutWidth() != 10 {
+		t.Fatalf("same-pad output = %dx%d, want 8x10", s.OutHeight(), s.OutWidth())
+	}
+	s.Stride = 2
+	if s.OutHeight() != 4 || s.OutWidth() != 5 {
+		t.Fatalf("stride-2 output = %dx%d, want 4x5", s.OutHeight(), s.OutWidth())
+	}
+}
+
+func TestConvShapeFLOPs(t *testing.T) {
+	// Table I configuration CNN1: 8 in, 32 out, 3x3, 224x224, same pad.
+	// Under the standard 2·MACs convention this is 231.2 MFLOPs. (The
+	// paper reports 452.4 M under its own convention; ratios between
+	// configs are identical.)
+	cnn1 := ConvShape{InChannels: 8, OutChannels: 32, Height: 224, Width: 224, Kernel: 3, Stride: 1, Pad: 1}
+	cnn2 := ConvShape{InChannels: 32, OutChannels: 8, Height: 224, Width: 224, Kernel: 3, Stride: 1, Pad: 1}
+	if math.Abs(cnn1.FLOPs()/1e6-231.2) > 1.0 {
+		t.Fatalf("CNN1 FLOPs = %.1f M, want ≈231.2 M", cnn1.FLOPs()/1e6)
+	}
+	if cnn1.FLOPs() != cnn2.FLOPs() {
+		t.Fatalf("CNN1 and CNN2 must have identical FLOPs: %v vs %v", cnn1.FLOPs(), cnn2.FLOPs())
+	}
+}

@@ -397,6 +397,7 @@ func (l *Live) nowTicks() Ticks { return Ticks(time.Since(l.epoch)) }
 // Executors never write to stage-0 inputs (see StageExecutor), so the
 // slice stays intact even when a task outlives its caller via context
 // cancellation or an executor-stop retry.
+//
 //eugene:noalloc
 func (l *Live) getTask(input []float64, numStages int) *liveTask {
 	t, _ := l.taskPool.Get().(*liveTask)
@@ -427,6 +428,7 @@ func (l *Live) getTask(input []float64, numStages int) *liveTask {
 // call it, and only after reading the response: at that point the
 // owner has dropped every reference and the done channel is empty.
 // Stale deadline-heap entries are neutralized by the gen counter.
+//
 //eugene:noalloc
 func (l *Live) putTask(t *liveTask) {
 	t.hidden = nil
@@ -517,6 +519,7 @@ func (l *Live) daemon() {
 }
 
 // recordFinish folds one finished task into the serving counters.
+//
 //eugene:noalloc
 func (l *Live) recordFinish(stages int, expired bool, lat time.Duration) {
 	if stages > 0 {
@@ -542,6 +545,7 @@ func (l *Live) recordFinish(stages int, expired bool, lat time.Duration) {
 
 // finalize delivers a task's response. Callers must own the task; the
 // buffered channel makes the send non-blocking.
+//
 //eugene:noalloc
 func (l *Live) finalize(t *liveTask, expired bool) {
 	st := &t.state
@@ -597,6 +601,7 @@ func (l *Live) Stats() LiveStats {
 // it runs next; once the executor has stopped it answers them as
 // expired instead, as Stop's drain would have. Waking workers for the
 // new tasks is the caller's, after the lock is released.
+//
 //eugene:noalloc
 func (l *Live) push(tasks []*liveTask) {
 	l.mu.Lock()
@@ -605,6 +610,7 @@ func (l *Live) push(tasks []*liveTask) {
 }
 
 // pushLocked is push for a caller that holds mu.
+//
 //eugene:noalloc
 func (l *Live) pushLocked(tasks []*liveTask) {
 	for _, t := range tasks {
@@ -828,6 +834,7 @@ func sameBase(a, b []float64) bool {
 }
 
 // finish recycles the task's arena row and delivers its response.
+//
 //eugene:noalloc
 func (ws *workerState) finish(t *liveTask, expired bool) {
 	if t.ownsBuf {
@@ -869,6 +876,7 @@ func (l *Live) worker(exec StageExecutor) {
 // section, so a worker's continuations are in the bucket it picks from
 // and a sibling finishing at the same moment cannot fold its own into
 // this worker's next group.
+//
 //eugene:noalloc
 func (ws *workerState) take(surv []*liveTask) ([]*liveTask, int) {
 	l := ws.live
@@ -908,6 +916,7 @@ func groupSize(n, idle, maxBatch int) int {
 // first, into one dispatch group of at most groupSize and the admission
 // cap. Returns nil when the policy has nothing runnable. Callers hold
 // mu.
+//
 //eugene:noalloc
 func (ws *workerState) pickLocked() ([]*liveTask, int) {
 	l := ws.live
@@ -992,6 +1001,7 @@ func (ws *workerState) pickLocked() ([]*liveTask, int) {
 // the results, and returns the survivors for take to put back on the
 // queue, where their next stage coalesces with whatever else is pending
 // at that stage. They are worker scratch, valid until the next run.
+//
 //eugene:noalloc
 func (ws *workerState) run(group []*liveTask, stage int) []*liveTask {
 	l := ws.live

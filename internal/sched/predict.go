@@ -215,20 +215,6 @@ func (d *DCPredictor) Predict(last int, prev, cur float64, target int) float64 {
 	return clamp01(cur + slope*float64(target-last))
 }
 
-// Priors extracts per-stage mean confidences from training curves;
-// shared by both predictors.
-func Priors(curves *tensor.Matrix) []float64 {
-	priors := make([]float64, curves.Cols)
-	for s := 0; s < curves.Cols; s++ {
-		var sum float64
-		for i := 0; i < curves.Rows; i++ {
-			sum += curves.At(i, s)
-		}
-		priors[s] = sum / float64(curves.Rows)
-	}
-	return priors
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

@@ -339,14 +339,7 @@ func testFreezeRejects[T tensor.Float](t *testing.T) {
 	if _, err := Freeze[T](m); err == nil {
 		t.Fatal("Freeze accepted MC dropout")
 	}
-	conv, err := NewConv(rng, ConvConfig{Channels: 1, Height: 4, Width: 4, Filters: 2, Classes: 3, StageCount: 1, BlocksPerStage: 1, Kernel: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Freeze[T](conv); err == nil {
-		t.Fatal("Freeze accepted a convolutional trunk")
-	}
-	if outs := conv.Predict(make([]float64, 16), 0); len(outs) != 1 {
-		t.Fatalf("conv Predict returned %d outputs", len(outs))
+	if outs := m.Predict(make([]float64, 6), 1); len(outs) != 2 {
+		t.Fatalf("MC dropout Predict returned %d outputs", len(outs))
 	}
 }

@@ -46,9 +46,9 @@ type Frozen32 = Frozen[float32]
 func Freeze32(m *Model) (*Frozen32, error) { return Freeze[float32](m) }
 
 // Freeze compiles a trained model into its serving form at T. The model
-// is only read. Models the compiler has no ops for — convolutional
-// trunks (NewConv), Monte-Carlo dropout — are rejected; they run through
-// Predict, ExecStage and Runner.
+// is only read. Models the compiler has no ops for — Monte-Carlo
+// dropout — are rejected; they run through Predict, ExecStage and
+// Runner.
 func Freeze[T tensor.Float](m *Model) (*Frozen[T], error) {
 	f := &Frozen[T]{In: m.In, Classes: m.Classes, Widths: append([]int(nil), m.Widths...)}
 	stem, err := nn.Compile[T](m.Stem, m.In)
@@ -143,6 +143,7 @@ func (f *Frozen[T]) Clone() *Frozen[T] {
 // Rows are converted to T on entry and the new trunk activations back to
 // float64 on exit; the conversions are O(B·W) against the stage's
 // O(B·W²) GEMMs.
+//
 //eugene:noalloc
 func (f *Frozen[T]) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []StageOutput) {
 	b := len(hidden)

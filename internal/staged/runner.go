@@ -21,8 +21,6 @@ type Runner struct {
 	hidden []float64
 	next   int
 	probs  *tensor.Matrix
-	last   StageOutput
-	hasOut bool
 }
 
 // NewRunner prepares stage-by-stage execution of x. The stem runs lazily
@@ -45,10 +43,6 @@ func (r *Runner) NextStage() int { return r.next }
 // Done reports whether every stage has executed.
 func (r *Runner) Done() bool { return r.next >= len(r.model.Stages) }
 
-// Last returns the most recent exit output; ok is false before any stage
-// has run.
-func (r *Runner) Last() (StageOutput, bool) { return r.last, r.hasOut }
-
 // RunStage executes the next stage and returns its exit output.
 // It panics if the runner is already done.
 func (r *Runner) RunStage() StageOutput {
@@ -57,10 +51,8 @@ func (r *Runner) RunStage() StageOutput {
 	}
 	hidden, out := r.model.ExecStage(r.hidden, r.next)
 	r.hidden = hidden
-	r.last = out
-	r.hasOut = true
 	r.next++
-	return r.last
+	return out
 }
 
 // ExecStage executes one stage of the model on an explicit hidden state:
@@ -103,6 +95,7 @@ func exitOutput(stage int, logits *tensor.Matrix) StageOutput {
 // owner-goroutine only. It panics for a model Freeze rejects.
 // cmd/eugenebench calls it: its staged rung and its pools drive a
 // *Model.
+//
 //eugene:noalloc
 func (m *Model) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []StageOutput) {
 	if m.frozen == nil {

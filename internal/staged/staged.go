@@ -10,7 +10,7 @@
 // (Freeze), one clone per worker over shared weights. The model's own
 // Predict, ExecStage and Runner run the trees one sample at a time:
 // the reference the batched engine is tested against, and the path for
-// what Freeze rejects (NewConv, Monte-Carlo dropout).
+// what Freeze rejects (Monte-Carlo dropout).
 package staged
 
 import (
@@ -376,14 +376,4 @@ func (m *Model) PredictRows(x *tensor.Matrix) [][]StageOutput {
 		out[i] = flat[i*stages : (i+1)*stages : (i+1)*stages]
 	}
 	return out
-}
-
-// StageCostFLOPs estimates the floating-point cost of executing stage l
-// on one sample (body plus head), from parameter counts. The scheduler
-// uses these as relative stage costs.
-func (m *Model) StageCostFLOPs(l int) float64 {
-	if l < 0 || l >= len(m.Stages) {
-		panic(fmt.Sprintf("staged: stage %d outside [0,%d)", l, len(m.Stages)))
-	}
-	return 2 * float64(nn.ParamCount(m.Stages[l].Body)+nn.ParamCount(m.Stages[l].Head))
 }

@@ -256,19 +256,6 @@ func TestConfidenceCurvesShape(t *testing.T) {
 	}
 }
 
-func TestStageCostFLOPsPositiveAndConsistent(t *testing.T) {
-	m, _ := New(rand.New(rand.NewSource(11)), tinyConfig())
-	for s := 0; s < m.NumStages(); s++ {
-		if m.StageCostFLOPs(s) <= 0 {
-			t.Fatalf("stage %d cost not positive", s)
-		}
-	}
-	// All stages are structurally identical here.
-	if m.StageCostFLOPs(0) != m.StageCostFLOPs(2) {
-		t.Fatal("identical stages should have identical cost")
-	}
-}
-
 func TestHeadParamsSubset(t *testing.T) {
 	m, _ := New(rand.New(rand.NewSource(12)), tinyConfig())
 	all := len(m.Params())
@@ -332,42 +319,35 @@ func TestMCDropoutChangesHeadOutputs(t *testing.T) {
 // one-row reference bit for bit — prediction, confidence and every
 // probability at every stage — at odd row counts inside one block and
 // across block boundaries, on the served trunk's shape (thin bottleneck
-// heads, dropout that is the identity at inference) and on a
-// convolutional model.
+// heads, dropout that is the identity at inference).
 func TestPredictRowsMatchesPredict(t *testing.T) {
-	dense, err := New(rand.New(rand.NewSource(12)), Config{
+	m, err := New(rand.New(rand.NewSource(12)), Config{
 		In: 32, Hidden: 64, Classes: 10, StageCount: 3, BlocksPerStage: 2,
 		HeadBottlenecks: []int{8, 12, 0}, HeadDropout: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := NewConv(rand.New(rand.NewSource(13)), DefaultConvConfig(2, 6, 6, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(14))
-	for _, m := range []*Model{dense, conv} {
-		for _, rows := range []int{1, 3, 7, 63, 64, 65, 131} {
-			x := tensor.NewMatrix(rows, m.In)
-			for i := range x.Data {
-				x.Data[i] = rng.NormFloat64()
-			}
-			got := m.PredictRows(x)
-			if len(got) != rows {
-				t.Fatalf("%d rows in, %d out", rows, len(got))
-			}
-			for i, outs := range got {
-				want := m.Predict(x.Row(i), m.NumStages()-1)
-				for s, o := range outs {
-					w := want[s]
-					if o.Stage != s || o.Pred != w.Pred || math.Float64bits(o.Conf) != math.Float64bits(w.Conf) || len(o.Probs) != len(w.Probs) {
-						t.Fatalf("%d rows, row %d stage %d: batched %+v, Predict %+v", rows, i, s, o, w)
-					}
-					for c, p := range o.Probs {
-						if math.Float64bits(p) != math.Float64bits(w.Probs[c]) {
-							t.Fatalf("%d rows, row %d stage %d: P(class %d) = %v batched, %v by Predict", rows, i, s, c, p, w.Probs[c])
-						}
+	for _, rows := range []int{1, 3, 7, 63, 64, 65, 131} {
+		x := tensor.NewMatrix(rows, m.In)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		got := m.PredictRows(x)
+		if len(got) != rows {
+			t.Fatalf("%d rows in, %d out", rows, len(got))
+		}
+		for i, outs := range got {
+			want := m.Predict(x.Row(i), m.NumStages()-1)
+			for s, o := range outs {
+				w := want[s]
+				if o.Stage != s || o.Pred != w.Pred || math.Float64bits(o.Conf) != math.Float64bits(w.Conf) || len(o.Probs) != len(w.Probs) {
+					t.Fatalf("%d rows, row %d stage %d: batched %+v, Predict %+v", rows, i, s, o, w)
+				}
+				for c, p := range o.Probs {
+					if math.Float64bits(p) != math.Float64bits(w.Probs[c]) {
+						t.Fatalf("%d rows, row %d stage %d: P(class %d) = %v batched, %v by Predict", rows, i, s, c, p, w.Probs[c])
 					}
 				}
 			}

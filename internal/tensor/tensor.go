@@ -1,7 +1,6 @@
 // Package tensor provides the dense numeric substrate used by the Eugene
-// neural-network engine: matrices, batched matrix multiplication, 2-D
-// convolution via im2col, and the element-wise kernels required for
-// forward and backward passes.
+// neural-network engine: matrices, batched matrix multiplication, and
+// the element-wise kernels required for forward and backward passes.
 //
 // The matrix and the kernels the inference engine runs (Ensure, Dense,
 // Add, AddReLU, ReLU, Softmax, Convert) have one generic body over Float;
@@ -125,6 +124,7 @@ func (m *Mat[T]) String() string {
 // the capacity allows (batch sizes fluctuate dispatch to dispatch on the
 // serving path), otherwise a new matrix. Callers must overwrite every
 // element of the result: stale data from a previous shape is not cleared.
+//
 //eugene:noalloc
 func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 	if m != nil && m.Rows == rows && m.Cols == cols {
@@ -148,6 +148,7 @@ func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 // the trained bundle, and with it the paper tables and the benchmark's
 // oracle, is computed through these products, and a fused multiply-add
 // would round them differently.
+//
 //eugene:noalloc
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
@@ -165,6 +166,7 @@ func MatMul(dst, a, b *Matrix) {
 
 // matMulPortable is MatMul in portable Go: a cache-friendly ikj loop
 // ordering with a 4-way unrolled axpy inner loop.
+//
 //eugene:noalloc
 func matMulPortable(dst, a, b *Matrix) {
 	dst.Zero()
@@ -181,6 +183,7 @@ func matMulPortable(dst, a, b *Matrix) {
 // runProduct64 is MatMul (TMatMul when j.transA) over rows [j.lo, j.hi)
 // of dst, one register tile of rows at a time. TMatMul's tiles add their
 // sums to dst; MatMul's store them.
+//
 //eugene:noalloc
 func runProduct64(j gemmJob) {
 	n, k, ars, aks := j.b.Cols, j.a.Cols, j.a.Cols, 1
@@ -199,11 +202,13 @@ func runProduct64(j gemmJob) {
 // MatMulT computes dst = a·bᵀ, i.e. dst[i][j] = Σ_k a[i][k]·b[j][k].
 // dst must be a.Rows×b.Rows. It is Dense with no bias and no ReLU — the
 // same kernel, fan-out rule and reduction order — for callers that want
-// the bare product: the im2col convolution, cmd/eugenebench's GEMM rung.
+// the bare product: cmd/eugenebench's GEMM rung.
+//
 //eugene:noalloc
 func MatMulT(dst, a, b *Matrix) { dense64(dst, a, b, nil, nil, false) }
 
 // MatMulT32 is MatMulT in float32.
+//
 //eugene:noalloc
 func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, nil, false) }
 
@@ -288,6 +293,7 @@ const (
 )
 
 // runDense64 is Dense over rows [j.lo, j.hi) of a and dst at float64.
+//
 //eugene:noalloc
 func runDense64(j gemmJob) {
 	n, k := j.b.Rows, j.a.Cols
@@ -312,6 +318,7 @@ func runDense64(j gemmJob) {
 }
 
 // runDense32 is runDense64 at float32.
+//
 //eugene:noalloc
 func runDense32(j gemmJob) {
 	n, k := j.b32.Rows, j.a32.Cols
@@ -337,6 +344,7 @@ func runDense32(j gemmJob) {
 
 // rowAt is &s[i], or nil for a nil s: an optional operand's row for a
 // kernel.
+//
 //eugene:noalloc
 func rowAt[T Float](s []T, i int) *T {
 	if s == nil {
@@ -347,6 +355,7 @@ func rowAt[T Float](s []T, i int) *T {
 
 // denseScalar is Dense over rows [lo, hi) in portable Go: the only path
 // off amd64, under -tags noasm and on a CPU without AVX2 and FMA.
+//
 //eugene:noalloc
 func denseScalar[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool, lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -375,6 +384,7 @@ func denseScalar[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool, l
 // each sum runs from zero in ascending k and is then added to dst once,
 // which is the product into a zeroed scratch followed by dst += 1·scratch
 // bit for bit, since 1·x is exact.
+//
 //eugene:noalloc
 func TMatMul(dst, a, b *Matrix) {
 	checkTMatMul(dst, a, b)
@@ -384,6 +394,7 @@ func TMatMul(dst, a, b *Matrix) {
 // TMatMul is the package's TMatMul queued on the lane: it runs on the
 // lane's helper, or now when the lane has none (a nil lane included).
 // dst is not to be read, nor a or b changed, until Wait.
+//
 //eugene:noalloc
 func (l *Lane) TMatMul(dst, a, b *Matrix) {
 	checkTMatMul(dst, a, b)
@@ -412,6 +423,7 @@ func runTMatMul(j gemmJob) {
 // tMatMulPortable is TMatMul in portable Go: each output row summed in a
 // one-row temporary on the stack (in column blocks of its length), from
 // zero in ascending k, then added to dst.
+//
 //eugene:noalloc
 func tMatMulPortable(dst, a, b *Matrix) {
 	var buf [256]float64
@@ -435,6 +447,7 @@ func tMatMulPortable(dst, a, b *Matrix) {
 // dotUnrolled is the 4-way unrolled inner-product kernel behind Dot and
 // the portable Dense. Four independent accumulators break the
 // add-latency dependency chain; lengths must match (callers check).
+//
 //eugene:noalloc
 func dotUnrolled[T Float](a, b []T) T {
 	var s0, s1, s2, s3 T
@@ -454,6 +467,7 @@ func dotUnrolled[T Float](a, b []T) T {
 
 // axpyUnrolled computes dst[i] += alpha*src[i] with a 4-way unrolled
 // loop; lengths must match (callers check).
+//
 //eugene:noalloc
 func axpyUnrolled(dst []float64, alpha float64, src []float64) {
 	n := len(dst)
@@ -471,6 +485,7 @@ func axpyUnrolled(dst []float64, alpha float64, src []float64) {
 
 // Add computes dst[i] = a[i] + b[i] element-wise; shapes must match. dst
 // may alias a or b.
+//
 //eugene:noalloc
 func Add[T Float](dst, a, b *Mat[T]) {
 	checkSameShape("Add", a, b)
@@ -487,6 +502,7 @@ func Add[T Float](dst, a, b *Mat[T]) {
 // the max builtin, not a comparison: pre-activations change sign from
 // one element to the next, and a branch on them mispredicts about every
 // other time (some 11 cycles an element against one). NaN propagates.
+//
 //eugene:noalloc
 func AddReLU[T Float](dst, a, b *Mat[T]) {
 	checkSameShape("AddReLU", a, b)
@@ -502,6 +518,7 @@ func AddReLU[T Float](dst, a, b *Mat[T]) {
 
 // ReLU applies max(0, src[i]) element-wise into dst, branch-free like
 // AddReLU; shapes must match. dst may alias src.
+//
 //eugene:noalloc
 func ReLU[T Float](dst, src *Mat[T]) {
 	checkSameShape("ReLU", dst, src)
@@ -515,6 +532,7 @@ func ReLU[T Float](dst, src *Mat[T]) {
 // match. The inference engine's stage boundary: hidden rows cross it as
 // float64 whatever the stage computes in. Between slices of one type it
 // is copy, a memmove rather than an element loop.
+//
 //eugene:noalloc
 func Convert[D, S Float](dst []D, src []S) {
 	if len(dst) != len(src) {
@@ -557,6 +575,7 @@ func ColSums(dst []float64, m *Matrix) {
 // confidences feed the scheduler's early-exit comparisons, so a reduced
 // tier spends the few extra cycles here to keep its confidence surface
 // as close to the float64 model's as its logits allow.
+//
 //eugene:noalloc
 func Softmax[T Float](dst *Matrix, src *Mat[T]) {
 	checkSameShape("Softmax", dst, src)
@@ -595,6 +614,7 @@ func Entropy(p []float64) float64 {
 }
 
 // ArgMax returns the index of the largest element of v, and its value.
+//
 //eugene:noalloc
 func ArgMax(v []float64) (int, float64) {
 	best, bestV := 0, math.Inf(-1)
