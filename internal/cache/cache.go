@@ -291,6 +291,13 @@ func (s *SubsetModel) InputWidth() int { return s.in }
 // Params returns the parameter count (the device-footprint proxy).
 func (s *SubsetModel) Params() int { return nn.ParamCount(s.Net) }
 
+// SubsetParamCount is the number of parameters TrainSubset builds for in
+// features, hot classes and hidden units, counted without building
+// anything. It is a float64 so that no request's sizes overflow it.
+func SubsetParamCount(in, hot, hidden int) float64 {
+	return float64(in)*float64(hidden) + float64(hidden) + float64(hidden)*float64(hot+1) + float64(hot+1)
+}
+
 // TrainSubset trains a reduced model on the hot classes: samples of
 // other classes become the "other" category. hidden controls the model
 // footprint.

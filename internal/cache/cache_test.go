@@ -388,3 +388,20 @@ func TestFreqTrackerConcurrent(t *testing.T) {
 		t.Fatalf("observations = %v, want %d", got, writers*perG)
 	}
 }
+
+// SubsetParamCount counts what TrainSubset builds.
+func TestSubsetParamCountMatchesModel(t *testing.T) {
+	train, _ := trainData(t)
+	for _, tc := range []struct {
+		hot    []int
+		hidden int
+	}{{[]int{0}, 8}, {[]int{1, 3}, 24}, {[]int{0, 1, 2, 3}, 1}} {
+		m, err := TrainSubset(train, tc.hot, tc.hidden, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SubsetParamCount(train.X.Cols, len(tc.hot), tc.hidden); got != float64(m.Params()) {
+			t.Fatalf("hot %v, hidden %d: SubsetParamCount %v, TrainSubset built %d", tc.hot, tc.hidden, got, m.Params())
+		}
+	}
+}

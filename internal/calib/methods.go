@@ -355,10 +355,6 @@ func lastDense(l nn.Layer) *nn.Dense {
 	return nil
 }
 
-func meanECEOf(m *staged.Model, set *dataset.Set, bins int) (float64, error) {
-	return EvalUncalibrated(m, set).MeanECE(bins)
-}
-
 // TemperatureScale fits a per-stage softmax temperature on val by grid
 // search minimizing ECE — the standard post-hoc baseline [11], included
 // as an extension comparator. It returns per-stage temperatures; apply

@@ -5,14 +5,9 @@
 // executes under a latency constraint. A matching Go client lives in
 // client.go.
 //
-// The API is JSON. The two requests that carry rows are read by the
-// codec in wire.go, in either of two media types: InferRequest and
-// InferBatchRequest as JSON, by a single-pass decoder held to exactly
-// encoding/json's grammar by differential tests (FuzzInferBody,
-// FuzzPeekDevice), or FrameType, the binary frame the Go client sends
-// and a replica answers in kind (FuzzRowsFrame, FuzzAnswersFrame).
-// Every other request and response, errors included, goes through
-// encoding/json.
+// The API is JSON (encoding/json), except that InferRequest and
+// InferBatchRequest may come as FrameType, the binary frame the Go client
+// sends and a replica answers in kind; wire.go reads either media type.
 // The HTTP helpers here (WriteJSON, WriteError, ReadBody, the Max*Body
 // caps, BodyBuf) are the one set the replica and the cluster router
 // both use.
@@ -20,6 +15,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,6 +116,10 @@ func (r *TrainRequest) options() (*dataset.Set, core.TrainOptions, error) {
 	}
 	if r.Blocks > 0 {
 		opts.Model.BlocksPerStage = r.Blocks
+	}
+	if n := opts.Model.ParamCount(); n > maxModelParams {
+		return nil, core.TrainOptions{}, fmt.Errorf("hidden %d, stages %d, blocks %d: %.0f parameters, more than the %d a snapshot carries",
+			r.Hidden, r.Stages, r.Blocks, n, maxModelParams)
 	}
 	if r.Epochs > 0 {
 		opts.Train.Epochs = r.Epochs
@@ -362,6 +362,30 @@ const (
 	MaxAdminBody = 4 << 10
 )
 
+// maxModelParams is the most float64 parameters one PUT snapshot body
+// carries: a request for a larger model, one the fleet could not
+// replicate, is refused before anything is built.
+const maxModelParams = MaxSnapshotBody / 8
+
+// subsetFits answers 400, and reports false, when a subset model of
+// hidden units (0: the default) over hot classes and the inputs of set,
+// or else of model, would exceed maxModelParams. An unknown model is
+// left for the core call after it to report.
+func (s *Server) subsetFits(w http.ResponseWriter, model string, set *dataset.Set, hot, hidden int) bool {
+	in := 0
+	if set != nil {
+		in = set.X.Cols
+	} else if entry, err := s.svc.Entry(model); err == nil {
+		in = entry.Model.In
+	}
+	hidden = cmp.Or(hidden, core.DefaultSubsetHidden)
+	if n := cache.SubsetParamCount(in, hot, hidden); n > maxModelParams {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("hidden %d: %.0f parameters, more than the %d a snapshot carries", hidden, n, maxModelParams))
+		return false
+	}
+	return true
+}
+
 // NewServer builds the HTTP front end.
 func NewServer(svc *core.Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux()}
@@ -389,8 +413,8 @@ func NewServer(svc *core.Service) *Server {
 // DecodeBody JSON-decodes a capped request body into v, writing the
 // error response (413 for an oversized body, 400 otherwise) itself and
 // returning false on failure. The infer endpoints do not come through
-// here: they read the body whole (ReadBody) and decode it with the
-// codec in wire.go.
+// here: they read the body whole into a pooled buffer (ReadBodyBuf) and
+// decode it by its media type with the codec in wire.go.
 func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
 		WriteBodyError(w, "decoding request", err)
@@ -757,6 +781,9 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if !s.subsetFits(w, name, set, len(req.Hot), req.Hidden) {
+		return
+	}
 	sub, err := s.svc.Reduce(name, set, req.Hot, req.Hidden, req.Epochs)
 	if err != nil {
 		writeFailure(w, err)
@@ -828,7 +855,11 @@ func (s *Server) handleSubsetModel(w http.ResponseWriter, r *http.Request) {
 		}
 		epochs = n
 	}
-	sub, _, err := s.svc.DeviceSubset(r.PathValue("id"), hidden, epochs)
+	id := r.PathValue("id")
+	if d, err := s.svc.CacheDecision(id); err == nil && !s.subsetFits(w, d.Model, nil, len(d.Hot), hidden) {
+		return
+	}
+	sub, _, err := s.svc.DeviceSubset(id, hidden, epochs)
 	if err != nil {
 		writeFailure(w, err)
 		return

@@ -349,6 +349,52 @@ func TestReduceEndpoint(t *testing.T) {
 	}
 }
 
+// A request whose model shape implies more parameters than a snapshot
+// carries is a 400 before anything is built, on every route that builds
+// a model, and the replica goes on serving.
+func TestOversizedModelShapesAre400(t *testing.T) {
+	c, train, test := testServer(t)
+	trainDemo(t, c, train)
+	ctx := context.Background()
+	if err := c.Observe(ctx, "fridge", "demo", 1, 400); err != nil {
+		t.Fatal(err)
+	}
+	const huge = 1 << 36
+	x, _ := test.Sample(0)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"train hidden", func() error {
+			_, err := c.Train(ctx, "big", TrainRequest{Data: FromSet(train), Classes: 3, Hidden: huge})
+			return err
+		}},
+		{"train stages", func() error {
+			_, err := c.Train(ctx, "big", TrainRequest{Data: FromSet(train), Classes: 3, Stages: huge})
+			return err
+		}},
+		{"train blocks", func() error {
+			_, err := c.Train(ctx, "big", TrainRequest{Data: FromSet(train), Classes: 3, Blocks: huge})
+			return err
+		}},
+		{"reduce hidden", func() error {
+			_, err := c.Reduce(ctx, "demo", ReduceRequest{Hot: []int{0}, Hidden: huge, Epochs: 1})
+			return err
+		}},
+		{"subset-model hidden", func() error {
+			_, err := c.SubsetModel(ctx, "fridge", huge, 1, "")
+			return err
+		}},
+	} {
+		if err := tc.call(); err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "parameters") {
+			t.Fatalf("%s: expected a 400 naming the parameter count, got %v", tc.name, err)
+		}
+		if _, err := c.Infer(ctx, "demo", append([]float64(nil), x...)); err != nil {
+			t.Fatalf("after %s: %v", tc.name, err)
+		}
+	}
+}
+
 func TestDeviceEndpointsEdgeCacheLoop(t *testing.T) {
 	c, train, test := testServer(t)
 	trainDemo(t, c, train)

@@ -8,9 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -18,8 +16,8 @@ import (
 	"eugene/internal/core"
 )
 
-// wireSeeds are the bodies the differential tests start from: every
-// corner of the grammar the codec's file comment names.
+// wireSeeds are the JSON bodies the fuzz tests start from: the corners
+// of encoding/json's grammar an infer body can reach.
 var wireSeeds = []string{
 	`{"input":[1,2.5,-3e2],"device":"fridge"}`,
 	`{"inputs":[[1,2],[3,4]],"device":"fridge"}`,
@@ -81,6 +79,94 @@ var wireSeeds = []string{
 	"\xef\xbb\xbf{\"input\":[1]}",
 }
 
+// postInfer answers one JSON infer request to model "m" of s in process.
+func postInfer(s *Server, route, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/m/"+route, strings.NewReader(body)))
+	return rec
+}
+
+// answered is how many results a 200 from route carries.
+func answered(t *testing.T, route string, rec *httptest.ResponseRecorder) int {
+	t.Helper()
+	if route == "infer" {
+		return 1
+	}
+	var out InferBatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("answer %q: %v", rec.Body, err)
+	}
+	return len(out.Results)
+}
+
+// TestInferJSONContract pins what the JSON infer routes answer, at the
+// API, to the corners of the grammar a caller can reach, for a model of
+// two features.
+func TestInferJSONContract(t *testing.T) {
+	s := modelServer(t, 2)
+	for _, tc := range []struct {
+		name, route, body string
+		status            int
+		rows              int    // results in a 200
+		text              string // in a 400's error
+	}{
+		{"bytes after the object ignored", "infer", `{"input":[1,2]} trailing`, 200, 1, ""},
+		{"bytes after the object ignored", "infer-batch", `{"inputs":[[1,2],[3,4]]}{"inputs":[]}`, 200, 2, ""},
+		{"upper-case key", "infer", `{"INPUT":[1,2]}`, 200, 1, ""},
+		{"upper-case key", "infer-batch", `{"INPUTS":[[1,2]]}`, 200, 1, ""},
+		{"later array wins", "infer", `{"input":[1,2,3],"input":[1,2]}`, 200, 1, ""},
+		{"later array wins", "infer", `{"input":[1,2],"input":[1,2,3]}`, 400, 0, "width"},
+		{"later array wins", "infer-batch", `{"inputs":[[1,2,3]],"inputs":[[1,2],[3,4]]}`, 200, 2, ""},
+		{"out of range", "infer", `{"input":[1e999,2]}`, 400, 0, "decoding request"},
+		{"out of range", "infer-batch", `{"inputs":[[1,2],[1e999,2]]}`, 400, 0, "decoding request"},
+		{"null body", "infer", `null`, 400, 0, "empty input"},
+		{"null body", "infer-batch", `null`, 400, 0, "empty batch"},
+		{"string for a number", "infer", `{"input":["1",2]}`, 400, 0, "decoding request"},
+		{"string for a number", "infer-batch", `{"inputs":[[1,"2"]]}`, 400, 0, "decoding request"},
+	} {
+		rec := postInfer(s, tc.route, tc.body)
+		if rec.Code != tc.status {
+			t.Fatalf("%s: /%s %s answered %d, want %d: %s", tc.name, tc.route, tc.body, rec.Code, tc.status, rec.Body)
+		}
+		if tc.status == http.StatusOK {
+			if n := answered(t, tc.route, rec); n != tc.rows {
+				t.Fatalf("%s: /%s %s answered %d results, want %d", tc.name, tc.route, tc.body, n, tc.rows)
+			}
+		} else if !strings.Contains(rec.Body.String(), tc.text) {
+			t.Fatalf("%s: /%s %s answered %s, want an error naming %q", tc.name, tc.route, tc.body, rec.Body, tc.text)
+		}
+	}
+}
+
+// FuzzInferBody posts every body to both JSON infer routes of a replica
+// serving a model of two features. Whatever the body, the answer is a
+// 200 with one result per decoded row or a 4xx, never a 5xx or a panic;
+// and on a body the replica accepts, the router's PeekDevice reads the
+// device the replica decodes.
+func FuzzInferBody(f *testing.F) {
+	for _, seed := range wireSeeds {
+		f.Add([]byte(seed))
+	}
+	s := modelServer(f, 2)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req InferBatchRequest
+		if decodeInferBatchRequest(body, &req) == nil && PeekDevice(body) != req.Device {
+			t.Fatalf("%q: PeekDevice %q, decoded device %q", body, PeekDevice(body), req.Device)
+		}
+		for _, route := range []string{"infer", "infer-batch"} {
+			rec := postInfer(s, route, string(body))
+			switch {
+			case rec.Code == http.StatusOK:
+				if n := answered(t, route, rec); route == "infer-batch" && n != len(req.Inputs) {
+					t.Fatalf("/%s %q: %d results for %d rows", route, body, n, len(req.Inputs))
+				}
+			case rec.Code < 400 || rec.Code >= 500:
+				t.Fatalf("/%s %q answered %d: %s", route, body, rec.Code, rec.Body)
+			}
+		}
+	})
+}
+
 func sameRow(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -91,76 +177,6 @@ func sameRow(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// checkInferBody decodes body as both request shapes through the codec
-// and through encoding/json, and fails on any difference.
-func checkInferBody(t *testing.T, body []byte) {
-	t.Helper()
-	var got, want InferRequest
-	gotErr := decodeInferRequest(body, &got)
-	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("InferRequest %q: codec error %v, encoding/json error %v", body, gotErr, wantErr)
-	}
-	if gotErr == nil {
-		if !sameRow(got.Input, want.Input) || got.Device != want.Device {
-			t.Fatalf("InferRequest %q:\n codec %+v\n json  %+v", body, got, want)
-		}
-		if dev := PeekDevice(body); dev != got.Device {
-			t.Fatalf("InferRequest %q: PeekDevice %q, decoded device %q", body, dev, got.Device)
-		}
-	}
-
-	var gotB, wantB InferBatchRequest
-	gotErr = decodeInferBatchRequest(body, &gotB)
-	wantErr = json.NewDecoder(bytes.NewReader(body)).Decode(&wantB)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("InferBatchRequest %q: codec error %v, encoding/json error %v", body, gotErr, wantErr)
-	}
-	if gotErr == nil {
-		same := len(gotB.Inputs) == len(wantB.Inputs) && gotB.Device == wantB.Device
-		for i := 0; same && i < len(gotB.Inputs); i++ {
-			same = sameRow(gotB.Inputs[i], wantB.Inputs[i])
-		}
-		if !same {
-			t.Fatalf("InferBatchRequest %q:\n codec %+v\n json  %+v", body, gotB, wantB)
-		}
-		if dev := PeekDevice(body); dev != gotB.Device {
-			t.Fatalf("InferBatchRequest %q: PeekDevice %q, decoded device %q", body, dev, gotB.Device)
-		}
-	}
-}
-
-// deepBody nests an unknown member's value depth arrays deep; the
-// object itself is one more level.
-func deepBody(depth int) []byte {
-	return []byte(`{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `,"input":[1]}`)
-}
-
-// The seeds, every truncation of every seed, and the nesting limit on
-// both sides, through the differential check.
-func TestInferBodyMatchesEncodingJSON(t *testing.T) {
-	for _, seed := range wireSeeds {
-		for cut := 0; cut <= len(seed); cut++ {
-			checkInferBody(t, []byte(seed[:cut]))
-		}
-	}
-	checkInferBody(t, deepBody(maxWireDepth-1))
-	checkInferBody(t, deepBody(maxWireDepth))
-	if err := decodeInferRequest(deepBody(maxWireDepth-1), new(InferRequest)); err != nil {
-		t.Fatalf("nesting %d deep must decode: %v", maxWireDepth, err)
-	}
-	if err := decodeInferRequest(deepBody(maxWireDepth), new(InferRequest)); err == nil {
-		t.Fatalf("nesting %d deep must be an error", maxWireDepth+1)
-	}
-}
-
-func FuzzInferBody(f *testing.F) {
-	for _, seed := range wireSeeds {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, body []byte) { checkInferBody(t, body) })
 }
 
 // checkPeekDevice compares PeekDevice with json.Unmarshal on the
@@ -543,68 +559,4 @@ func FuzzAnswersFrame(f *testing.F) {
 		f.Add(body[:len(body)-1])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkAnswers(t, body) })
-}
-
-// A decoded batch is one backing array cut into rows: each row starts
-// where the one before ends, and none has capacity to grow into the
-// next.
-func TestDecodedRowsShareOneBackingArray(t *testing.T) {
-	var req InferBatchRequest
-	if err := decodeInferBatchRequest([]byte(`{"inputs":[[1,2,3],[4,5,6],[7,8,9]],"device":"d"}`), &req); err != nil {
-		t.Fatal(err)
-	}
-	base := reflect.ValueOf(req.Inputs[0]).Pointer()
-	for i, row := range req.Inputs {
-		if cap(row) != len(row) {
-			t.Fatalf("row %d has %d spare capacity: an append would overwrite the next row", i, cap(row)-len(row))
-		}
-		if at := reflect.ValueOf(row).Pointer(); at != base+uintptr(i*3*8) {
-			t.Fatalf("row %d is not at offset %d of the first row's array", i, i*3)
-		}
-	}
-}
-
-// The row headers are sized by what the body proves: a narrow first row
-// before one very wide one must not buy a header per number.
-func TestDecodeBatchHeadersBoundedByRows(t *testing.T) {
-	body := `{"inputs":[[1],[0` + strings.Repeat(",0", 1<<16) + `]]}`
-	var req InferBatchRequest
-	if err := decodeInferBatchRequest([]byte(body), &req); err != nil {
-		t.Fatal(err)
-	}
-	if len(req.Inputs) != 2 || len(req.Inputs[1]) != 1<<16+1 {
-		t.Fatalf("decoded %d rows, second of %d", len(req.Inputs), len(req.Inputs[1]))
-	}
-	if cap(req.Inputs) > 3 {
-		t.Fatalf("%d row headers allocated for a body with three brackets", cap(req.Inputs))
-	}
-}
-
-// The decoder's number scan takes every form strconv prints a float64
-// in, whole, with strconv.ParseFloat's value and its verdict on range.
-func TestNumberMatchesStrconv(t *testing.T) {
-	check := func(text string) {
-		t.Helper()
-		want, err := strconv.ParseFloat(text, 64)
-		s := wireScan{b: []byte(text)}
-		got, ok, inRange := s.number()
-		if !ok || s.i != len(text) {
-			t.Fatalf("number(%q) stopped at byte %d (ok=%v)", text, s.i, ok)
-		}
-		if inRange != (err == nil) || inRange && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("number(%q) = %v (in range %v), strconv.ParseFloat gives %v (%v)", text, got, inRange, want, err)
-		}
-	}
-	for _, f := range edgeFloats {
-		check(strconv.FormatFloat(f, 'f', -1, 64))
-		check(strconv.FormatFloat(f, 'e', -1, 64))
-	}
-	for _, text := range []string{
-		"0", "-0", "0.0", "-0.0e5", "0e999", "1e999", "-1e999", "1e-999", "1E+22", "1e23",
-		"9007199254740993", "18446744073709551616", "1234567890123456789012345678901234567890",
-		"0.1000000000000000055511151231257827", "4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
-		"1.7976931348623157e308", "1.7976931348623159e308", "1e10000000000", "1e-10000000000",
-	} {
-		check(text)
-	}
 }

@@ -35,9 +35,9 @@ func wireBatch() [][]float64 {
 	return inputs
 }
 
-// wireServer is a replica serving a small model that takes wireCols
-// features, and one wireRows-row batch for it as JSON.
-func wireServer(tb testing.TB) (*Server, []byte) {
+// modelServer is a replica serving a small model "m" that takes cols
+// features.
+func modelServer(tb testing.TB, cols int) *Server {
 	tb.Helper()
 	svc, err := core.NewService(core.Config{Workers: 1, Deadline: time.Minute, QueueDepth: 256, Lookahead: 1})
 	if err != nil {
@@ -45,23 +45,31 @@ func wireServer(tb testing.TB) (*Server, []byte) {
 	}
 	tb.Cleanup(svc.Close)
 	train, _, err := dataset.SynthCIFAR(dataset.SynthConfig{
-		Classes: 3, Dim: wireCols, ModesPerClass: 1, TrainSize: 60, TestSize: 3,
+		Classes: 3, Dim: cols, ModesPerClass: 1, TrainSize: 60, TestSize: 3,
 		NoiseLo: 0.4, NoiseHi: 1.0, Overlap: 0.1,
 	}, 5)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opts := core.DefaultTrainOptions(wireCols, 3)
+	opts := core.DefaultTrainOptions(cols, 3)
 	opts.Model.Hidden = 8
 	opts.Train.Epochs = 1
 	if _, err := svc.Train("m", train, opts); err != nil {
 		tb.Fatal(err)
 	}
+	return NewServer(svc)
+}
+
+// wireServer is modelServer for wireCols features, and one wireRows-row
+// batch for it as JSON.
+func wireServer(tb testing.TB) (*Server, []byte) {
+	tb.Helper()
+	s := modelServer(tb, wireCols)
 	body, err := json.Marshal(InferBatchRequest{Inputs: wireBatch()})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return NewServer(svc), body
+	return s, body
 }
 
 // serveBatch answers one infer-batch request of media type contentType
@@ -78,20 +86,10 @@ func serveBatch(tb testing.TB, s *Server, contentType string, body []byte, reade
 	}
 }
 
-// TestInferBatchHandlerAllocs pins what one 64 × 32 infer-batch costs
-// in allocations from Server.ServeHTTP down, the test's own request
-// included: the service.allocs_per_row ledger row times 64. With
-// encoding/json decoding into [][]float64 the figure was ≈ 430 (one
-// row slice and its regrowths per row, the decoder's buffer growing to
-// the body); the budget is an order of magnitude under it, and the
-// measured value less than half the budget.
-func TestInferBatchHandlerAllocs(t *testing.T) {
-	s, body := wireServer(t)
-	checkHandlerAllocs(t, s, "application/json", body)
-}
-
-// TestInferBatchFrameHandlerAllocs is TestInferBatchHandlerAllocs for the
-// same batch as a frame, answered in a frame, at the same budget.
+// TestInferBatchFrameHandlerAllocs pins what one 64 × 32 infer-batch
+// sent as a frame, and answered in one, costs in allocations from
+// Server.ServeHTTP down, the test's own request included. The measured
+// value is under half the budget.
 func TestInferBatchFrameHandlerAllocs(t *testing.T) {
 	s, _ := wireServer(t)
 	body, err := appendFrame(nil, "", wireBatch()...)
@@ -167,7 +165,7 @@ func TestClientInferAllocs(t *testing.T) {
 }
 
 // TestInferCodecAllocs pins the codec's own allocations on a 64 × 32
-// batch: either decoder makes the row headers and the one backing
+// batch: the frame decoder makes the row headers and the one backing
 // array, the frame encoder and either untagged peek make nothing.
 func TestInferCodecAllocs(t *testing.T) {
 	if raceEnabled {
@@ -188,12 +186,6 @@ func TestInferCodecAllocs(t *testing.T) {
 		limit float64
 		run   func()
 	}{
-		{"decode", 2, func() {
-			var req InferBatchRequest
-			if err := decodeInferBatchRequest(body, &req); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"peek", 0, func() { _ = PeekDevice(body) }},
 		{"frame encode", 0, func() { buf, _ = appendFrame(buf[:0], "", inputs...) }},
 		{"frame decode", 2, func() {
@@ -252,7 +244,7 @@ func BenchmarkWirePath(b *testing.B) {
 		})
 	}
 	// The router's peek: an untagged JSON batch is ruled out by three
-	// byte searches, a tagged one is scanned to its end (the tag may
+	// byte searches, a tagged one is decoded to its end (the tag may
 	// repeat); a frame's tag is read at its offset.
 	tagged, err := json.Marshal(InferBatchRequest{Inputs: inputs, Device: "fridge"})
 	if err != nil {

@@ -177,6 +177,36 @@ func New(rng *rand.Rand, cfg Config) (*Model, error) {
 	return m, nil
 }
 
+// ParamCount is the number of parameters New builds for c, a Config
+// Validate accepts, counted without building anything: a float64, which
+// no request's sizes overflow.
+func (c Config) ParamCount() float64 {
+	dense := func(in, out int) float64 { return float64(in)*float64(out) + float64(out) }
+	if c.StageWidths == nil && c.HeadBottlenecks == nil {
+		// Every stage alike: no loop over a StageCount a caller chose.
+		w := c.Hidden
+		return dense(c.In, w) + float64(c.StageCount)*(float64(c.BlocksPerStage)*2*dense(w, w)+dense(w, c.Classes))
+	}
+	n, prev := 0.0, c.In
+	for s := range c.StageCount {
+		w := c.Hidden
+		if c.StageWidths != nil {
+			w = c.StageWidths[s]
+		}
+		if s == 0 || prev != w {
+			n += dense(prev, w) // the stem, or a projection between widths
+		}
+		prev = w
+		headIn := w
+		if c.HeadBottlenecks != nil && c.HeadBottlenecks[s] > 0 {
+			headIn = c.HeadBottlenecks[s]
+			n += dense(w, headIn)
+		}
+		n += float64(c.BlocksPerStage)*2*dense(w, w) + dense(headIn, c.Classes)
+	}
+	return n
+}
+
 // FromParts reassembles a model from decoded components (the snapshot
 // restore path), validating the full topology: widths must chain
 // In→Widths[0] through the stem, Widths[s-1]→Widths[s] through each

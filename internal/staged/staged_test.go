@@ -354,3 +354,23 @@ func TestPredictRowsMatchesPredict(t *testing.T) {
 		}
 	}
 }
+
+// Config.ParamCount counts what New builds, for every shape option.
+func TestParamCountMatchesModel(t *testing.T) {
+	ladder := Config{In: 5, Hidden: 8, Classes: 4, StageCount: 3, BlocksPerStage: 2, StageWidths: []int{4, 8, 8}}
+	necks := ladder
+	necks.HeadBottlenecks = []int{3, 0, 2}
+	for _, cfg := range []Config{tinyConfig(), DefaultConfig(32, 10), {In: 1, Hidden: 1, Classes: 2, StageCount: 1, BlocksPerStage: 1}, ladder, necks} {
+		m, err := New(rand.New(rand.NewSource(1)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := nn.ParamCount(m.Stem)
+		for _, s := range m.Stages {
+			built += nn.ParamCount(s.Body) + nn.ParamCount(s.Head)
+		}
+		if got := cfg.ParamCount(); got != float64(built) {
+			t.Fatalf("%+v: ParamCount %v, New built %d", cfg, got, built)
+		}
+	}
+}
