@@ -191,7 +191,8 @@ func Pruning(size int, seed int64) (*PruningResult, error) {
 		x[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, size)
-	denseNS := timeNS(func() { reduce.DenseMatVec(dst, d1.W, x) })
+	w1 := reduce.OutIn(d1)
+	denseNS := timeNS(func() { reduce.DenseMatVec(dst, w1, x) })
 	res := &PruningResult{Size: size}
 	for _, comp := range []float64{0.5, 0.7, 0.9} {
 		csr, err := reduce.EdgePrune(d1, comp)
@@ -207,8 +208,8 @@ func Pruning(size int, seed int64) (*PruningResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		small := make([]float64, keep)
-		nodeNS := timeNS(func() { reduce.DenseMatVec(small, n1.W, x) })
+		small, wn := make([]float64, keep), reduce.OutIn(n1)
+		nodeNS := timeNS(func() { reduce.DenseMatVec(small, wn, x) })
 		res.Points = append(res.Points, PruningPoint{
 			Compression: comp,
 			EdgeNS:      edgeNS,

@@ -55,16 +55,23 @@ type Param struct {
 	Name  string
 	Value []float64
 	Grad  []float64
+	// Out is, for a dense layer's in×out weights, out; 0 otherwise.
+	// GradNorm reads such a gradient output by output, the order the
+	// snapshot stores the weights in.
+	Out int
 }
 
-// Dense is a fully connected layer: y = x·Wᵀ + b, with W of shape
-// out×in. GradW and GradB are nil until Backward or Params first needs
-// them: a layer that is only ever served — every layer of a model
-// installed from a snapshot, on every replica — never pays for gradient
-// buffers the size of its weights.
+// Dense is a fully connected layer: y = x·W + b, with W of shape in×out
+// — row i holds input i's weight to every output, the layout
+// tensor.Dense's outer product streams — while a snapshot keeps the
+// weights out×in on disk, as it always has (internal/snapshot transposes
+// on the way in and out). GradW, the same shape as W, and GradB are nil
+// until Backward or Params first needs them: a layer that is only ever
+// served — every layer of a model installed from a snapshot, on every
+// replica — never pays for gradient buffers the size of its weights.
 type Dense struct {
 	In, Out int
-	W       *tensor.Matrix // Out×In
+	W       *tensor.Matrix // In×Out
 	B       []float64
 	GradW   *tensor.Matrix
 	GradB   []float64
@@ -72,24 +79,25 @@ type Dense struct {
 	x   *tensor.Matrix // cached input
 	out *tensor.Matrix
 	gin *tensor.Matrix
-	gb  []float64 // Backward scratch: per-call bias gradient
+	// Backward scratch for the input gradient: gradOutᵀ and ginᵀ.
+	gT, ginT *tensor.Matrix
+	gb       []float64 // Backward scratch: per-call bias gradient
 	// lane, when set (UseLane), runs the weight gradient's product off
 	// the backward chain.
 	lane *tensor.Lane
 }
 
-// NewDense constructs a dense layer with He-initialized weights.
+// NewDense constructs a dense layer with He-initialized weights, drawn
+// output by output (each output's in weights in turn) and stored
+// transposed.
 func NewDense(rng *rand.Rand, in, out int) *Dense {
-	d := &Dense{
-		In:  in,
-		Out: out,
-		W:   tensor.NewMatrix(out, in),
-		B:   make([]float64, out),
-	}
+	drawn := tensor.NewMatrix(out, in)
 	std := math.Sqrt(2.0 / float64(in))
-	for i := range d.W.Data {
-		d.W.Data[i] = rng.NormFloat64() * std
+	for i := range drawn.Data {
+		drawn.Data[i] = rng.NormFloat64() * std
 	}
+	d := &Dense{In: in, Out: out, W: tensor.NewMatrix(in, out), B: make([]float64, out)}
+	tensor.Transpose(d.W, drawn)
 	return d
 }
 
@@ -112,9 +120,9 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		panic("nn: Dense.Backward before Forward(train=true)")
 	}
 	d.ensureGrads()
-	// dW += gradOutᵀ · x, in place; queued on the lane when there is one,
+	// dW += xᵀ · gradOut, in place; queued on the lane when there is one,
 	// and nothing further down the chain reads GradW.
-	d.lane.TMatMul(d.GradW, gradOut, d.x)
+	d.lane.TMatMul(d.GradW, d.x, gradOut)
 	if len(d.gb) != d.Out {
 		d.gb = make([]float64, d.Out)
 	}
@@ -122,8 +130,15 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	for i := range d.GradB {
 		d.GradB[i] += d.gb[i]
 	}
+	// gin = gradOut · Wᵀ, each element summed from zero in ascending
+	// output order with one multiply and one add a term (MatMul), as
+	// (W · gradOutᵀ)ᵀ: the product kernel reads W's rows where they lie.
+	d.gT = ensure(d.gT, d.Out, gradOut.Rows)
+	tensor.Transpose(d.gT, gradOut)
+	d.ginT = ensure(d.ginT, d.In, gradOut.Rows)
+	tensor.MatMul(d.ginT, d.W, d.gT)
 	d.gin = ensure(d.gin, gradOut.Rows, d.In)
-	tensor.MatMul(d.gin, gradOut, d.W)
+	tensor.Transpose(d.gin, d.ginT)
 	return d.gin
 }
 
@@ -154,7 +169,7 @@ func UseLane(root Layer, lane *tensor.Lane) {
 // ParamCount.
 func (d *Dense) ensureGrads() {
 	if d.GradW == nil {
-		d.GradW = tensor.NewMatrix(d.Out, d.In)
+		d.GradW = tensor.NewMatrix(d.In, d.Out)
 		d.GradB = make([]float64, d.Out)
 	}
 }
@@ -163,7 +178,7 @@ func (d *Dense) ensureGrads() {
 func (d *Dense) Params() []Param {
 	d.ensureGrads()
 	return []Param{
-		{Name: "W", Value: d.W.Data, Grad: d.GradW.Data},
+		{Name: "W", Value: d.W.Data, Grad: d.GradW.Data, Out: d.Out},
 		{Name: "b", Value: d.B, Grad: d.GradB},
 	}
 }

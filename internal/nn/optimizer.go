@@ -116,12 +116,22 @@ func ZeroGrads(params []Param) {
 }
 
 // GradNorm returns the global L2 norm of all gradients, summed in
-// parameter order: the figure ClipStep decides by.
+// parameter order, a dense layer's weight gradient output by output (see
+// Param.Out) so that the sum does not depend on how the weights are laid
+// out in memory: the figure ClipStep decides by.
 func GradNorm(params []Param) float64 {
 	var sum float64
 	for _, p := range params {
-		for _, g := range p.Grad {
-			sum += g * g
+		if p.Out == 0 {
+			for _, g := range p.Grad {
+				sum += g * g
+			}
+			continue
+		}
+		for o := range p.Out {
+			for i := o; i < len(p.Grad); i += p.Out {
+				sum += p.Grad[i] * p.Grad[i]
+			}
 		}
 	}
 	return math.Sqrt(sum)

@@ -14,7 +14,7 @@ import (
 // a residual block whose body ends in a bias-only Dense becomes that
 // Dense with the block's input as its residual operand, inference-
 // identity Dropout disappears, nested Sequentials are inlined. A dense
-// op is then one call — tensor.Dense computes x·Wᵀ + b, the shortcut
+// op is then one call — tensor.Dense computes x·W + b, the shortcut
 // and the ReLU in a single pass over the output — so a residual block
 // of the staged models is two kernel calls and no element-wise pass.
 //
@@ -34,7 +34,7 @@ import (
 
 // op kinds.
 const (
-	opDense = iota // x·Wᵀ + b, plus a residual operand, optionally fused ReLU
+	opDense = iota // x·W + b, plus a residual operand, optionally fused ReLU
 	opAdd          // a residual sum the dense epilogue cannot take, optionally fused ReLU
 	opReLU         // standalone max(0, x) (no fusable predecessor)
 )
@@ -50,7 +50,7 @@ const (
 // scratch slots, counted from the slot the program's input occupies.
 type op[T tensor.Float] struct {
 	kind int
-	w    *tensor.Mat[T] // dense: Out×In weights
+	w    *tensor.Mat[T] // dense: In×Out weights
 	b    []T            // dense: bias
 	relu bool           // fuse ReLU after this op's output
 	in   int            // operand
@@ -111,7 +111,7 @@ func (c *compiler[T]) compile(root Layer, in, v, fence int) (int, int, error) {
 		if l.In != in {
 			return 0, 0, fmt.Errorf("nn: Compile dense expects width %d, got %d", l.In, in)
 		}
-		if l.W == nil || l.W.Rows != l.Out || l.W.Cols != l.In || len(l.B) != l.Out {
+		if l.W == nil || l.W.Rows != l.In || l.W.Cols != l.Out || len(l.B) != l.Out {
 			return 0, 0, fmt.Errorf("nn: Compile dense %d→%d has inconsistent buffers", l.In, l.Out)
 		}
 		w, b := weightsAt[T](l)
@@ -217,7 +217,7 @@ func weightsAt[T tensor.Float](l *Dense) (*tensor.Mat[T], []T) {
 	if w, ok := any(l.W).(*tensor.Mat[T]); ok {
 		return w, any(l.B).([]T)
 	}
-	w, b := tensor.New[T](l.Out, l.In), make([]T, l.Out)
+	w, b := tensor.New[T](l.In, l.Out), make([]T, l.Out)
 	tensor.Convert(w.Data, l.W.Data)
 	tensor.Convert(b, l.B)
 	return w, b
@@ -250,7 +250,7 @@ func (p *Program[T]) Forward(x *tensor.Mat[T]) *tensor.Mat[T] {
 		in := operand(bufs, x, base, op.in)
 		cols := in.Cols
 		if op.kind == opDense {
-			cols = op.w.Rows
+			cols = op.w.Cols
 		}
 		s := (op.out + base) % len(bufs)
 		bufs[s] = tensor.Ensure(bufs[s], x.Rows, cols)

@@ -102,7 +102,7 @@ func OutputWidth(root Layer, in int) (int, error) {
 		if l.In != in {
 			return 0, fmt.Errorf("nn: dense expects width %d, got %d", l.In, in)
 		}
-		if l.Out < 1 || l.W == nil || l.W.Rows != l.Out || l.W.Cols != l.In || len(l.B) != l.Out {
+		if l.Out < 1 || l.W == nil || l.W.Rows != l.In || l.W.Cols != l.Out || len(l.B) != l.Out {
 			return 0, fmt.Errorf("nn: dense %d→%d has inconsistent buffers", l.In, l.Out)
 		}
 		return l.Out, nil

@@ -81,7 +81,7 @@ func (c *CSR) ToDense() *tensor.Matrix {
 }
 
 // DenseMatVec is the dense reference dst = M·x used for timing
-// comparisons.
+// comparisons; a layer's M is OutIn's.
 func DenseMatVec(dst []float64, m *tensor.Matrix, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("reduce: DenseMatVec dims %d→%d for %dx%d", len(x), len(dst), m.Rows, m.Cols))
@@ -117,34 +117,43 @@ func MagnitudeThreshold(m *tensor.Matrix, sparsity float64) (float64, error) {
 	return mags[k-1], nil
 }
 
+// OutIn returns a dense layer's weights out×in — a row per output
+// neuron, the orientation M·x and its sparse form walk — from the in×out
+// matrix nn.Dense keeps.
+func OutIn(d *nn.Dense) *tensor.Matrix {
+	m := tensor.NewMatrix(d.Out, d.In)
+	tensor.Transpose(m, d.W)
+	return m
+}
+
 // EdgePrune removes the smallest-magnitude fraction of weights from a
-// dense layer, returning the resulting sparse representation. This is
-// the approach the paper critiques: storage shrinks, but computation
-// does not shrink proportionally.
+// dense layer, returning the resulting sparse representation of its
+// out×in matrix (OutIn). This is the approach the paper critiques:
+// storage shrinks, but computation does not shrink proportionally.
 func EdgePrune(d *nn.Dense, sparsity float64) (*CSR, error) {
 	th, err := MagnitudeThreshold(d.W, sparsity)
 	if err != nil {
 		return nil, err
 	}
-	return FromDense(d.W, th), nil
+	return FromDense(OutIn(d), th), nil
 }
 
 // NodeScore ranks hidden units of a Dense→activation→Dense block by the
 // L2 energy of their incoming and outgoing weights (a simple stand-in
 // for DeepIoT's compressor-critic importance).
 func NodeScore(w1, w2 *tensor.Matrix) ([]float64, error) {
-	// w1 is hidden×in (incoming rows); w2 is out×hidden (outgoing cols).
-	if w1.Rows != w2.Cols {
-		return nil, fmt.Errorf("reduce: hidden dim mismatch %d vs %d", w1.Rows, w2.Cols)
+	// w1 is in×hidden (incoming columns); w2 is hidden×out (outgoing rows).
+	if w1.Cols != w2.Rows {
+		return nil, fmt.Errorf("reduce: hidden dim mismatch %d vs %d", w1.Cols, w2.Rows)
 	}
-	scores := make([]float64, w1.Rows)
-	for h := 0; h < w1.Rows; h++ {
+	scores := make([]float64, w1.Cols)
+	for h := range scores {
 		var s float64
-		for _, v := range w1.Row(h) {
+		for c := 0; c < w1.Rows; c++ {
+			v := w1.At(c, h)
 			s += v * v
 		}
-		for r := 0; r < w2.Rows; r++ {
-			v := w2.At(r, h)
+		for _, v := range w2.Row(h) {
 			s += v * v
 		}
 		scores[h] = s
@@ -184,20 +193,20 @@ func NodePrune(d1, d2 *nn.Dense, keep int) (*nn.Dense, *nn.Dense, []int, error) 
 
 	n1 := &nn.Dense{
 		In: d1.In, Out: keep,
-		W: tensor.NewMatrix(keep, d1.In),
+		W: tensor.NewMatrix(d1.In, keep),
 		B: make([]float64, keep),
 	}
 	n2 := &nn.Dense{
 		In: keep, Out: d2.Out,
-		W: tensor.NewMatrix(d2.Out, keep),
+		W: tensor.NewMatrix(keep, d2.Out),
 		B: append([]float64(nil), d2.B...),
 	}
 	for i, h := range kept {
-		copy(n1.W.Row(i), d1.W.Row(h))
-		n1.B[i] = d1.B[h]
-		for r := 0; r < d2.Out; r++ {
-			n2.W.Set(r, i, d2.W.At(r, h))
+		for c := 0; c < d1.In; c++ {
+			n1.W.Set(c, i, d1.W.At(c, h))
 		}
+		n1.B[i] = d1.B[h]
+		copy(n2.W.Row(i), d2.W.Row(h))
 	}
 	return n1, n2, kept, nil
 }

@@ -137,11 +137,11 @@ func TestNodeScoreAndPrune(t *testing.T) {
 	d2 := nn.NewDense(rng, 8, 4)
 	// Make hidden unit 5 overwhelmingly important and unit 2 dead.
 	for c := 0; c < 6; c++ {
-		d1.W.Set(5, c, 10)
-		d1.W.Set(2, c, 0)
+		d1.W.Set(c, 5, 10)
+		d1.W.Set(c, 2, 0)
 	}
 	for r := 0; r < 4; r++ {
-		d2.W.Set(r, 2, 0)
+		d2.W.Set(2, r, 0)
 	}
 	scores, err := NodeScore(d1.W, d2.W)
 	if err != nil {
@@ -189,10 +189,10 @@ func TestNodePrunePreservesKeptComputation(t *testing.T) {
 	// Zero out the bottom half of hidden units entirely.
 	for h := 0; h < 5; h++ {
 		for c := 0; c < 5; c++ {
-			d1.W.Set(h, c, 0)
+			d1.W.Set(c, h, 0)
 		}
 		for r := 0; r < 3; r++ {
-			d2.W.Set(r, h, 0)
+			d2.W.Set(h, r, 0)
 		}
 	}
 	n1, n2, _, err := NodePrune(d1, d2, 5)

@@ -447,6 +447,8 @@ type encoder struct {
 	// dense32 selects float32 dense payloads (tagDense32) — the f32
 	// artifact kinds.
 	dense32 bool
+	// wt is scratch for a dense layer's weights in the file's order.
+	wt *tensor.Matrix
 }
 
 // newEncoder sizes the buffer for a body holding about params dense
@@ -542,19 +544,24 @@ func (e *encoder) model(m *staged.Model) {
 func (e *encoder) layer(l nn.Layer) {
 	switch l := l.(type) {
 	case *nn.Dense:
+		tag, floats := byte(tagDense), e.f64s
 		if e.dense32 {
-			e.u8(tagDense32)
-			e.u32(uint32(l.In))
-			e.u32(uint32(l.Out))
-			e.f32s(l.W.Data)
-			e.f32s(l.B)
+			tag, floats = tagDense32, e.f32s
+		}
+		if l.W.Rows != l.In || l.W.Cols != l.Out {
+			if e.err == nil {
+				e.err = fmt.Errorf("snapshot: dense %d→%d has %dx%d weights", l.In, l.Out, l.W.Rows, l.W.Cols)
+			}
 			break
 		}
-		e.u8(tagDense)
+		// The format keeps the weights out×in, a row per output.
+		e.wt = tensor.Ensure(e.wt, l.Out, l.In)
+		tensor.Transpose(e.wt, l.W)
+		e.u8(tag)
 		e.u32(uint32(l.In))
 		e.u32(uint32(l.Out))
-		e.f64s(l.W.Data)
-		e.f64s(l.B)
+		floats(e.wt.Data)
+		floats(l.B)
 	case *nn.ReLU:
 		e.u8(tagReLU)
 	case *nn.Dropout:
@@ -774,14 +781,11 @@ func (d *decoder) layer(depth int) (nn.Layer, error) {
 		}
 		in := int(d.u32())
 		out := int(d.u32())
-		var w, b []float64
+		floats := d.f64s
 		if tag == tagDense32 {
-			w = d.f32s()
-			b = d.f32s()
-		} else {
-			w = d.f64s()
-			b = d.f64s()
+			floats = d.f32s
 		}
+		w, b := floats(), floats()
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -791,7 +795,10 @@ func (d *decoder) layer(depth int) (nn.Layer, error) {
 		if len(w) != in*out || len(b) != out {
 			return nil, fmt.Errorf("snapshot: dense %d→%d with %d weights, %d biases", in, out, len(w), len(b))
 		}
-		return &nn.Dense{In: in, Out: out, W: tensor.FromSlice(out, in, w), B: b}, nil
+		// The file's out×in weights, in the in×out layout nn.Dense keeps.
+		wt := tensor.NewMatrix(in, out)
+		tensor.Transpose(wt, tensor.FromSlice(out, in, w))
+		return &nn.Dense{In: in, Out: out, W: wt, B: b}, nil
 	case tagReLU:
 		return nn.NewReLU(), nil
 	case tagDropout:

@@ -12,7 +12,9 @@ import (
 // ragged output counts and inner widths, with and without the epilogue,
 // in both precisions, on each kernel path the CPU has (the 256-bit and
 // 512-bit kernels) — and in every build: CI runs this under -tags noasm
-// too, and the scalar path is the only one off amd64.
+// too, and the scalar path is the only one off amd64. The row counts
+// take every register tile of one to six rows and ragged ends, the
+// output counts partial blocks of every kernel's width.
 func TestDenseIsBatchInvariant(t *testing.T) {
 	perType(t,
 		func(t *testing.T) { onEachPath(t, testDenseIsBatchInvariant[float64]) },
@@ -30,7 +32,7 @@ func testDenseIsBatchInvariant[T Float](t *testing.T) {
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(int64(31 + s.m)))
 		x, _ := randMat[T](rng, s.m, s.k)
-		weights, _ := randMat[T](rng, s.n, s.k)
+		weights, _ := randMat[T](rng, s.k, s.n)
 		bias := make([]T, s.n)
 		for j := range bias {
 			bias[j] = T(j%5) - 2

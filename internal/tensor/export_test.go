@@ -2,19 +2,26 @@ package tensor
 
 import "runtime"
 
-// cpuAVX512 is what CPUID said, kept while a test switches paths.
-var cpuAVX512 = hasAVX512
+// cpuAVX2 and cpuAVX512 are what CPUID said, kept while a test switches
+// paths.
+var cpuAVX2, cpuAVX512 = hasAVX2FMA, hasAVX512
 
 // KernelPath names the path training's arithmetic takes in this test
-// binary, for provision_test.go: "avx2" (the dense FMA kernel forward,
-// prodTile64 backward), "avx512" (their 512-bit twins, with the same
-// bits), "portable" (the Go loops, unfused), or "" where the compiler may
-// fuse the portable loops and no pin applies (GOAMD64 v3 and above;
-// arm64 and other targets).
+// binary, for provision_test.go: "avx2" (the AVX2 kernels), "avx512"
+// (their 512-bit twins), "portable" (the Go loops), or "" where the
+// compiler may fuse the portable products' multiply-adds and no pin
+// applies (GOAMD64 v3 and above; arm64 and other targets). All three
+// paths give the same bits.
 func KernelPath() string {
-	switch {
-	case portableFuses || runtime.GOARCH != "amd64":
+	if portableFuses || runtime.GOARCH != "amd64" {
 		return ""
+	}
+	return currentPath()
+}
+
+// currentPath is the path the kernels take now.
+func currentPath() string {
+	switch {
 	case hasAVX512:
 		return "avx512"
 	case hasAVX2FMA:
@@ -24,8 +31,8 @@ func KernelPath() string {
 }
 
 // KernelPaths lists, in KernelPath's names, every path this test binary
-// can take on this CPU: "avx2" and, where the CPU has AVX-512, "avx512";
-// "portable"; or none where KernelPath is "".
+// can take on this CPU: "portable" and, where the CPU has them, "avx2"
+// and "avx512"; or none where KernelPath is "".
 func KernelPaths() []string {
 	if KernelPath() == "" {
 		return nil
@@ -33,23 +40,27 @@ func KernelPaths() []string {
 	return kernelPaths()
 }
 
-// kernelPaths is KernelPaths for the kernels alone: the dense kernels
-// are assembly, which the compiler cannot fuse, so they have a path to
-// test wherever KernelPath has none.
+// kernelPaths is KernelPaths for the kernels alone: the dense and dot
+// kernels' Go form is math.FMA, which the compiler cannot split, so they
+// have a path to test wherever KernelPath has none.
 func kernelPaths() []string {
-	switch {
-	case cpuAVX512:
-		return []string{"avx2", "avx512"}
-	case hasAVX2FMA:
-		return []string{"avx2"}
+	paths := []string{"portable"}
+	if cpuAVX2 {
+		paths = append(paths, "avx2")
 	}
-	return []string{"portable"}
+	if cpuAVX512 {
+		paths = append(paths, "avx512")
+	}
+	return paths
 }
 
 // UseKernelPath makes the kernels take path, one of KernelPaths (or
-// kernelPaths), until the next call. It switches a package variable: a
+// kernelPaths), until the next call. It switches package variables: a
 // test that calls it must not run in parallel with one that computes.
-func UseKernelPath(path string) { hasAVX512 = path == "avx512" }
+func UseKernelPath(path string) {
+	hasAVX2FMA = path != "portable" && cpuAVX2
+	hasAVX512 = path == "avx512"
+}
 
 // onEachPath runs f as a subtest (or sub-benchmark) per kernel path this
 // CPU has, named for it, and leaves the path as it found it. On a CPU
@@ -58,12 +69,12 @@ func onEachPath[R interface {
 	Run(string, func(R)) bool
 	Skip(...any)
 }](r R, f func(R)) {
-	defer func(was bool) { hasAVX512 = was }(hasAVX512)
+	defer UseKernelPath(currentPath())
 	for _, path := range kernelPaths() {
 		UseKernelPath(path)
 		r.Run(path, f)
 	}
-	if hasAVX2FMA && !cpuAVX512 {
+	if cpuAVX2 && !cpuAVX512 {
 		r.Run("avx512", func(r R) { r.Skip(noAVX512) })
 	}
 }

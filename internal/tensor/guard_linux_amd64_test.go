@@ -10,14 +10,14 @@ import (
 
 // TestDenseKernelsStayInRows holds the dense kernels to simd_amd64.s's
 // promise that no load or store touches a byte past a row's end: a, the
-// weights, the bias, the residual and dst each end exactly where a
-// PROT_NONE page begins, so a kernel that reads or writes one element too
-// far faults.
-// Every k residue of both precisions' lanes, with and without full steps,
-// at row counts that take every tile size and output counts that take a
-// partial group of four and a moved-back group of eight, on each kernel
-// path the CPU has; each result must also equal the same product on
-// ordinary memory.
+// weights (so their last row k-1), the bias, the residual and dst each
+// end exactly where a PROT_NONE page begins, so a kernel that reads or
+// writes one element too far faults. At depths from one input to 33, at
+// row counts that take every tile size of one to six rows and a ragged
+// one after a full tile, and at output counts that take partial and full
+// column blocks of every kernel (8 and 32 float64, 16 and 64 float32)
+// and one past them, on each kernel path the CPU has; each result must
+// also equal the same layer on ordinary memory.
 func TestDenseKernelsStayInRows(t *testing.T) {
 	perType(t,
 		func(t *testing.T) { onEachPath(t, testDenseKernelsStayInRows[float64]) },
@@ -28,11 +28,11 @@ func testDenseKernelsStayInRows[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	aMem, wMem, biasMem, resMem, dstMem := guarded[T](t), guarded[T](t), guarded[T](t), guarded[T](t), guarded[T](t)
 	for k := 1; k <= 33; k++ {
-		for _, m := range []int{1, 2, 3, 5, 6, 7} {
-			for _, n := range []int{1, 3, 8, 9, 13} {
-				a, w, bias := specialMatrix[T](rng, m, k), specialMatrix[T](rng, n, k), specialMatrix[T](rng, 1, n).Data
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7} {
+			for _, n := range []int{1, 3, 8, 9, 13, 16, 17, 31, 32, 33, 63, 64, 65} {
+				a, w, bias := specialMatrix[T](rng, m, k), specialMatrix[T](rng, k, n), specialMatrix[T](rng, 1, n).Data
 				ga := &Mat[T]{Rows: m, Cols: k, Data: atEnd(aMem, m*k)}
-				gw := &Mat[T]{Rows: n, Cols: k, Data: atEnd(wMem, n*k)}
+				gw := &Mat[T]{Rows: k, Cols: n, Data: atEnd(wMem, k*n)}
 				gbias := atEnd(biasMem, n)
 				copy(ga.Data, a.Data)
 				copy(gw.Data, w.Data)
@@ -54,12 +54,13 @@ func testDenseKernelsStayInRows[T Float](t *testing.T) {
 	}
 }
 
-// guarded maps a page of T followed by a PROT_NONE page, unmapped when
-// the test ends.
+// guarded maps guardedBytes of T followed by a PROT_NONE page, unmapped
+// when the test ends.
 func guarded[T Float](t *testing.T) []T {
 	t.Helper()
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	data := (guardedBytes + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, data+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +69,15 @@ func guarded[T Float](t *testing.T) []T {
 			t.Error(err)
 		}
 	})
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[data:], syscall.PROT_NONE); err != nil {
 		t.Fatal(err)
 	}
 	var zero T
-	return unsafe.Slice((*T)(unsafe.Pointer(&mem[0])), page/int(unsafe.Sizeof(zero)))
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[0])), data/int(unsafe.Sizeof(zero)))
 }
+
+// guardedBytes holds the largest operand above: 33×65 float64 weights.
+const guardedBytes = 33 * 65 * 8
 
 // atEnd is the last n elements of mem: they end at the guard page.
 func atEnd[T Float](mem []T, n int) []T { return mem[len(mem)-n:] }

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// Differential tests pinning the optimized matmul kernels (unrolled
-// inner loops, branchless accumulation, the dense kernel's fused
-// bias+ReLU) against naive triple-loop references over randomized shapes,
-// including empty and 1×1 edge cases. Unrolling changes the
-// floating-point summation order, so comparisons allow a small relative
-// tolerance.
+// Differential tests pinning the optimized matmul kernels (the dense
+// kernel's fused bias+ReLU, the dot kernel's lanes, the products'
+// unrolled loops) against naive triple-loop references over randomized
+// shapes, including empty and 1×1 edge cases. Fused multiply-adds and
+// lane folds change the rounding, so comparisons allow a small relative
+// tolerance; product_test.go and dense_test.go hold the kernels to their
+// exact Go definitions.
 //
 // The references are float64 and stay naive. A kernel that is generic
 // over Float is checked at both element types against the same
@@ -174,12 +175,11 @@ func TestDenseMatchesReference(t *testing.T) {
 
 func testDenseMatchesReference[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	// On top of the unroll-boundary shapes: inner widths that straddle
-	// the 4- and 8-lane SIMD steps (the served stem is 32 wide, the head
-	// bottlenecks 8 and 12), row counts around the 3-row register tile,
-	// output counts around the 4-wide output group (the heads have 10),
-	// and single-row/column cases.
-	shapes := append(kernelShapes(rng), [][3]int{ // rows(a), cols, rows(b)
+	// On top of the unroll-boundary shapes: inner widths of the served
+	// stem (32) and head bottlenecks (8 and 12), row counts around the
+	// 6-row register tile, output counts around the 8- to 64-column
+	// blocks (the heads have 10), and single-row/column cases.
+	shapes := append(kernelShapes(rng), [][3]int{ // rows(a), inputs, outputs
 		{1, 5, 3}, {3, 16, 2}, {4, 16, 4}, {5, 17, 7}, {8, 31, 9},
 		{8, 32, 9}, {13, 33, 11}, {16, 48, 16}, {2, 100, 64},
 		{32, 256, 10}, {7, 12, 10}, {6, 8, 10}, {64, 32, 256}, {3, 7, 5},
@@ -190,9 +190,9 @@ func testDenseMatchesReference[T Float](t *testing.T) {
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, a64 := randMat[T](rng, m, k)
-		b, b64 := randMat[T](rng, n, k)
+		b, b64 := randMat[T](rng, k, n)
 		bias, bias64 := randMat[T](rng, 1, n)
-		product := refMatMulT(a64, b64)
+		product := refMatMul(a64, b64)
 		biased := product.Clone()
 		for r := 0; r < m; r++ {
 			for c := 0; c < n; c++ {
@@ -220,7 +220,7 @@ func testReLUPropagatesNaN[T Float](t *testing.T) {
 	nan := T(math.NaN())
 	isNaN := func(v T) bool { return v != v }
 	for _, m := range []int{1, 2, 3, 4} {
-		a, w := New[T](m, 9), New[T](5, 9)
+		a, w := New[T](m, 9), New[T](9, 5)
 		for i := range w.Data {
 			w.Data[i] = 1
 		}
@@ -314,8 +314,8 @@ func testDotMatchesReference[T Float](t *testing.T) {
 		for i := range a64.Data {
 			want += a64.Data[i] * b64.Data[i]
 		}
-		if got := dotUnrolled(a.Data, b.Data); !closeTo(got, want, n) {
-			t.Fatalf("dotUnrolled(len %d) = %v, want %v", n, got, want)
+		if got := dotLanes(a.Data, b.Data); !closeTo(got, want, n) {
+			t.Fatalf("dotLanes(len %d) = %v, want %v", n, got, want)
 		}
 	}
 }
@@ -413,6 +413,8 @@ func TestMatMulZeroEntries(t *testing.T) {
 	got := NewMatrix(6, 5)
 	MatMul(got, a, b)
 	assertMatricesClose(t, "MatMul/sparse", got, refMatMul(a, b))
+	Dense(got, a, b, nil, nil, false)
+	assertMatricesClose(t, "Dense/sparse", got, refMatMul(a, b))
 	c := randMatrix(rng, 6, 5)
 	gotT := NewMatrix(8, 5)
 	TMatMul(gotT, a, c)
@@ -456,11 +458,11 @@ func benchFusedKernels[T Float](b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulTRows is the product at every group size the scheduler
-// can form against 256×256 weights, in GFLOP/s, on each kernel path: full
-// register tiles of both kernels (3 and 6 rows), ragged ones, and the
-// one-to-three-row groups of single-sample traffic.
-func BenchmarkMatMulTRows(b *testing.B) {
+// BenchmarkDenseRows is the dense product at every group size the
+// scheduler can form against 256×256 weights, in GFLOP/s, on each kernel
+// path: full 6-row register tiles, ragged ones, and the one-to-five-row
+// groups of single-sample traffic.
+func BenchmarkDenseRows(b *testing.B) {
 	rows := []int{1, 2, 3, 4, 5, 6, 7, 8, 27, 30, 32, 61, 64}
 	b.Run("f64", func(b *testing.B) { onEachPath(b, func(b *testing.B) { benchDense[float64](b, rows, false) }) })
 	b.Run("f32", func(b *testing.B) { onEachPath(b, func(b *testing.B) { benchDense[float32](b, rows, false) }) })
@@ -479,7 +481,7 @@ func BenchmarkDenseOp(b *testing.B) {
 func benchDense[T Float](b *testing.B, rowCounts []int, epilogue bool) {
 	const n, k = 256, 256
 	rng := rand.New(rand.NewSource(1))
-	w, _ := randMat[T](rng, n, k)
+	w, _ := randMat[T](rng, k, n)
 	var bias []T
 	if epilogue {
 		v, _ := randMat[T](rng, 1, n)

@@ -155,7 +155,7 @@ func reserve(want int) int32 {
 // included) are not held. Each chunk is at least a grain and at least a
 // register tile.
 func gemmChunks(rows, muladds, free int) int {
-	return max(1, min(muladds/gemmGrain, rows/denseRowTile, free))
+	return max(1, min(muladds/gemmGrain, rows/narrowTile, free))
 }
 
 // fanOut runs j over rows [0, rows), split by gemmChunks.
@@ -235,17 +235,17 @@ func join(taken *gemmHelper) {
 //
 //eugene:noalloc
 func parallelRows(j gemmJob, rows, n int) {
-	tiles := (rows + denseRowTile - 1) / denseRowTile
+	tiles := (rows + narrowTile - 1) / narrowTile
 	taken, k := takeHelpers(min(n, tiles) - 1)
 	k++ // chunks: the caller's, and one per helper taken
 	// Chunk i of k covers tiles [i·tiles/k, (i+1)·tiles/k).
 	i := 1
 	for h := taken; h != nil; h = h.next {
-		j.lo, j.hi = i*tiles/k*denseRowTile, min((i+1)*tiles/k*denseRowTile, rows)
+		j.lo, j.hi = i*tiles/k*narrowTile, min((i+1)*tiles/k*narrowTile, rows)
 		h.job <- j
 		i++
 	}
-	j.lo, j.hi = 0, min(tiles/k*denseRowTile, rows)
+	j.lo, j.hi = 0, min(tiles/k*narrowTile, rows)
 	j.run(j)
 	join(taken)
 }

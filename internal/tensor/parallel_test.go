@@ -61,12 +61,32 @@ func TestGemmChunks(t *testing.T) {
 	}
 }
 
-// TestParallelRowsMatchesSerial pins the row-partitioned GEMM to the
-// serial kernel in both precisions. A row's result does not depend on
-// the rows around it (TestDenseIsBatchInvariant), so results must be
-// bitwise identical, not merely close. The shapes are under the grain, so
-// the split is forced by calling parallelRows directly.
+// TestParallelRowsMatchesSerial pins the row-partitioned GEMMs, MatMulT
+// and Dense, to their serial kernels in both precisions. A row's result
+// does not depend on the rows around it (TestDenseIsBatchInvariant), so
+// results must be bitwise identical, not merely close. The shapes are
+// under the grain, so the split is forced by calling parallelRows
+// directly.
 func TestParallelRowsMatchesSerial(t *testing.T) {
+	check := func(name string, run, run32 func(gemmJob), a, b *Matrix, a32, b32 *Matrix32, m, n int) {
+		t.Helper()
+		want, want32 := NewMatrix(m, n), NewMatrix32(m, n)
+		run(gemmJob{dst: want, a: a, b: b, hi: m})
+		run32(gemmJob{dst32: want32, a32: a32, b32: b32, hi: m})
+		for _, p := range []int{2, 3, 8} {
+			got, got32 := NewMatrix(m, n), NewMatrix32(m, n)
+			parallelRows(gemmJob{run: run, dst: got, a: a, b: b}, m, p)
+			parallelRows(gemmJob{run: run32, dst32: got32, a32: a32, b32: b32}, m, p)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s f64 in %d chunks: dst[%d] = %v, want %v", name, p, i, got.Data[i], want.Data[i])
+				}
+				if got32.Data[i] != want32.Data[i] {
+					t.Fatalf("%s f32 in %d chunks: dst[%d] = %v, want %v", name, p, i, got32.Data[i], want32.Data[i])
+				}
+			}
+		}
+	}
 	for _, s := range []struct{ m, n, k int }{
 		{64, 96, 128}, // tile-aligned rows
 		{61, 96, 128}, // ragged row tail inside the last chunk
@@ -75,22 +95,10 @@ func TestParallelRowsMatchesSerial(t *testing.T) {
 		{64, 64, 48},  // 16-lane f32 kernel with a scalar tail
 	} {
 		a, b, a32, b32 := gemmOperands(11, s.m, s.n, s.k)
-		want, want32 := NewMatrix(s.m, s.n), NewMatrix32(s.m, s.n)
-		runDense64(gemmJob{dst: want, a: a, b: b, hi: s.m})
-		runDense32(gemmJob{dst32: want32, a32: a32, b32: b32, hi: s.m})
-		for _, p := range []int{2, 3, 8} {
-			got, got32 := NewMatrix(s.m, s.n), NewMatrix32(s.m, s.n)
-			parallelRows(gemmJob{run: runDense64, dst: got, a: a, b: b}, s.m, p)
-			parallelRows(gemmJob{run: runDense32, dst32: got32, a32: a32, b32: b32}, s.m, p)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("f64 %dx%dx%d in %d chunks: dst[%d] = %v, want %v", s.m, s.n, s.k, p, i, got.Data[i], want.Data[i])
-				}
-				if got32.Data[i] != want32.Data[i] {
-					t.Fatalf("f32 %dx%dx%d in %d chunks: dst[%d] = %v, want %v", s.m, s.n, s.k, p, i, got32.Data[i], want32.Data[i])
-				}
-			}
-		}
+		_, w, _, w32 := gemmOperands(12, 0, s.k, s.n) // k×n: Dense's weights
+		name := fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k)
+		check("MatMulT "+name, runMatMulT64, runMatMulT32, a, b, a32, b32, s.m, s.n)
+		check("Dense "+name, runDense64, runDense32, a, w, a32, w32, s.m, s.n)
 	}
 }
 
@@ -101,8 +109,8 @@ func TestMatMulTOverGrainMatchesSerial(t *testing.T) {
 	const m, n, k = overGrainRows + 3, 256, 256
 	a, b, a32, b32 := gemmOperands(17, m, n, k)
 	want, want32 := NewMatrix(m, n), NewMatrix32(m, n)
-	runDense64(gemmJob{dst: want, a: a, b: b, hi: m})
-	runDense32(gemmJob{dst32: want32, a32: a32, b32: b32, hi: m})
+	runMatMulT64(gemmJob{dst: want, a: a, b: b, hi: m})
+	runMatMulT32(gemmJob{dst32: want32, a32: a32, b32: b32, hi: m})
 	for _, p := range []int{1, 2, 3, 8} {
 		SetParallelism(p)
 		got, got32 := NewMatrix(m, n), NewMatrix32(m, n)
@@ -123,7 +131,7 @@ func TestParallelRowsConcurrent(t *testing.T) {
 	const m, n, k = 48, 64, 96
 	a, b, _, _ := gemmOperands(13, m, n, k)
 	want := NewMatrix(m, n)
-	runDense64(gemmJob{dst: want, a: a, b: b, hi: m})
+	runMatMulT64(gemmJob{dst: want, a: a, b: b, hi: m})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -132,7 +140,7 @@ func TestParallelRowsConcurrent(t *testing.T) {
 			defer wg.Done()
 			got := NewMatrix(m, n)
 			for iter := 0; iter < 20; iter++ {
-				parallelRows(gemmJob{run: runDense64, dst: got, a: a, b: b}, m, 4)
+				parallelRows(gemmJob{run: runMatMulT64, dst: got, a: a, b: b}, m, 4)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Errorf("concurrent GEMM diverged at %d", i)
@@ -176,7 +184,7 @@ func TestBusyHelperDoesNotStallOtherCallers(t *testing.T) {
 	owner := make(chan struct{})
 	go func() {
 		defer close(owner)
-		parallelRows(block, (helpers+1)*denseRowTile, helpers+1)
+		parallelRows(block, (helpers+1)*narrowTile, helpers+1)
 	}()
 	for i := 0; i < helpers; i++ {
 		<-entered
@@ -185,7 +193,7 @@ func TestBusyHelperDoesNotStallOtherCallers(t *testing.T) {
 	const m, n, k = overGrainRows, 256, 256
 	a, b, _, _ := gemmOperands(19, m, n, k)
 	want, got := NewMatrix(m, n), NewMatrix(m, n)
-	runDense64(gemmJob{dst: want, a: a, b: b, hi: m})
+	runMatMulT64(gemmJob{dst: want, a: a, b: b, hi: m})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
@@ -268,8 +276,8 @@ func BenchmarkMatMulTFanOut(b *testing.B) {
 			name string
 			job  gemmJob
 		}{
-			{"f64", gemmJob{run: runDense64, dst: NewMatrix(rows, n), a: x, b: w}},
-			{"f32", gemmJob{run: runDense32, dst32: NewMatrix32(rows, n), a32: x32, b32: w32}},
+			{"f64", gemmJob{run: runMatMulT64, dst: NewMatrix(rows, n), a: x, b: w}},
+			{"f32", gemmJob{run: runMatMulT32, dst32: NewMatrix32(rows, n), a32: x32, b32: w32}},
 		} {
 			for _, p := range []int{1, procs} {
 				b.Run(fmt.Sprintf("%s/rows=%d/p=%d", prec.name, rows, p), func(b *testing.B) {

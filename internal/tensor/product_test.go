@@ -24,7 +24,7 @@ var portableFuses bool
 // output must be NaN on both sides (assertBitwise has why not the same
 // NaN).
 func TestProductKernelsMatchPortable(t *testing.T) {
-	if !hasAVX2FMA {
+	if !cpuAVX2 {
 		t.Skip("no AVX2 kernel in this build or on this CPU: MatMul and TMatMul are the portable loops")
 	}
 	if portableFuses {

@@ -10,13 +10,13 @@ import (
 // two passes it replaces in a compiled residual block: Dense without it,
 // then Add of the residual, or AddReLU when the block floors. On every
 // kernel path at both precisions; at one row and every tile after it, at
-// output counts below, inside and past the 512-bit kernels' group of
-// eight (a partial and a moved-back last group), at every lane tail of
-// the depth; with and without a bias; over operands that mix zeros of
-// both signs, subnormals, infinities and NaNs. Without the floor every
-// bit must match (a NaN matching any NaN): (s + b) + r is r + (s + b).
-// With it the values must be equal under ==, the dense kernels'
-// convention: a fused ReLU keeps -0 where AddReLU writes +0.
+// output counts below, inside and past the kernels' column blocks, at
+// depths from one input to the trunk's 256; with and without a bias;
+// over operands that mix zeros of both signs, subnormals, infinities and
+// NaNs. Without the floor every bit must match (a NaN matching any NaN):
+// (s + b) + r is r + (s + b). With it the values must be equal under ==,
+// the dense kernels' convention: a fused ReLU keeps -0 where AddReLU
+// writes +0.
 func TestDenseResidualMatchesUnfused(t *testing.T) {
 	perType(t,
 		func(t *testing.T) { onEachPath(t, testDenseResidualMatchesUnfused[float64]) },
@@ -25,9 +25,9 @@ func TestDenseResidualMatchesUnfused(t *testing.T) {
 
 func testDenseResidualMatchesUnfused[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	for _, n := range []int{1, 3, 4, 7, 8, 9, 17, 256} {
+	for _, n := range []int{1, 3, 4, 7, 8, 9, 17, 33, 65, 256} {
 		for _, k := range []int{1, 3, 4, 5, 8, 9, 17, 256} {
-			w, bias := specialMatrix[T](rng, n, k), specialMatrix[T](rng, 1, n).Data
+			w, bias := specialMatrix[T](rng, k, n), specialMatrix[T](rng, 1, n).Data
 			for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 13, 64} {
 				a, res := specialMatrix[T](rng, m, k), specialMatrix[T](rng, m, n)
 				for _, b := range [][]T{nil, bias} {

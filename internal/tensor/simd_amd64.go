@@ -5,7 +5,8 @@ package tensor
 // hasAVX2FMA gates the AVX2+FMA micro-kernels behind runtime CPU
 // detection: the CPU must advertise FMA and AVX2, and the OS must have
 // enabled XMM/YMM state saving (OSXSAVE + XCR0 bits 1–2). When false,
-// the portable unrolled-scalar kernels run instead.
+// the portable Go kernels run instead, with the same bits. Only the
+// tests switch it (export_test.go), to run every path on one CPU.
 var hasAVX2FMA = detectAVX2FMA()
 
 func detectAVX2FMA() bool {
@@ -29,8 +30,9 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// hasAVX512 picks the 512-bit kernels (dense512Tile64, dense512Tile32,
-// prod512Tile64) over the AVX2 ones they give the bits of: on top of
+// hasAVX512 picks the 512-bit kernels (outer512Tile64, outer512Tile32,
+// dot512Tile64, dot512Tile32, prod512Tile64) over the AVX2 ones they
+// give the bits of: on top of
 // AVX2+FMA the CPU must advertise AVX-512 F and VL, and the OS must have
 // enabled opmask and ZMM state saving (XCR0 bits 5–7). Only the tests
 // switch it (export_test.go), to run both paths on one CPU.
@@ -54,27 +56,53 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0.
 func xgetbv() (eax, edx uint32)
 
-// denseTile64 is the AVX2+FMA dense micro-kernel: for the m rows of a
+// outerTile64 is the AVX2+FMA dense micro-kernel: for the m rows of a
+// (1 ≤ m ≤ 6, row stride k) and one block of cols ≤ 8 columns of w (row
+// stride n, k rows),
+//
+//	dst[r·n+j] = floor((Σ_k a[r·k+kk]·w[kk·n+j] + bias[j]) + res[r·n+j])
+//
+// summed from +0 in ascending k, one FMA per term, with floor the relu
+// floor (a NaN or -0 sum passes) or none; bias and res may be nil, and
+// res is not dst. k is at least 1. Every output is one chain in one
+// lane, so it has denseScalar's bits (simd_amd64.s has the layout).
+//
+//go:noescape
+func outerTile64(dst, a, w, bias, res *float64, m, n, k, cols int, relu bool)
+
+// outerTile32 is outerTile64 in float32, on blocks of 16 columns.
+//
+//go:noescape
+func outerTile32(dst, a, w, bias, res *float32, m, n, k, cols int, relu bool)
+
+// outer512Tile64 is outerTile64 on AVX-512, on blocks of 32 columns.
+//
+//go:noescape
+func outer512Tile64(dst, a, w, bias, res *float64, m, n, k, cols int, relu bool)
+
+// outer512Tile32 is outerTile32 on AVX-512, on blocks of 64 columns.
+//
+//go:noescape
+func outer512Tile32(dst, a, w, bias, res *float32, m, n, k, cols int, relu bool)
+
+// dotTile64 is MatMulT's AVX2+FMA micro-kernel: for the m rows of a
 // (1 ≤ m ≤ 3) and all n rows of b, each k long and contiguous,
 //
-//	dst[r·n+j] = Σ_k a[r·k+kk]·b[j·k+kk] + bias[j] + res[r·n+j]
+//	dst[r·n+j] = Σ_k a[r·k+kk]·b[j·k+kk]
 //
-// floored at zero when relu is set; bias and res may be nil, and res is
-// not dst. n and k are at least 1. The loop over b's rows runs inside,
-// four at a time; every output is one FMA chain over k folded in one
-// fixed order, so it has the same bits whatever m it was computed at
-// (simd_amd64.s has the layout).
+// with element kk in lane kk mod 4 of one FMA chain, the lanes folded as
+// (l0+l1)+(l2+l3) and +0 added: dotLanes' bits. The loop over b's rows
+// runs inside, four at a time. n and k are at least 1 (simd_amd64.s has
+// the layout).
 //
 //go:noescape
-func denseTile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
+func dotTile64(dst, a, b *float64, m, n, k int)
 
-// denseTile32 is denseTile64 in float32: 8 lanes to the register, so
-// half the k steps for the same loads and FMAs — the arithmetic half of
-// what the float32 serving tier buys (the other is halved weight
-// traffic).
+// dotTile32 is dotTile64 in float32: 8 lanes to the register, folded
+// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
 //
 //go:noescape
-func denseTile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
+func dotTile32(dst, a, b *float32, m, n, k int)
 
 // prodTile64 is the training products' AVX2 micro-kernel: for the m rows
 // of a dst tile (1 ≤ m ≤ 3) and all n columns,
@@ -83,26 +111,26 @@ func denseTile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
 //
 // summed from zero in ascending k, one multiply and one add per term and
 // no FMA, and then stored to dst[r·n+j] — or, when add is set, added to
-// it with one more add. Every output has the bits of the portable loops
-// (matMulPortable, tMatMulPortable). n and k are at least 1
-// (simd_amd64.s has the layout).
+// it with one more add. Every output has the bits of the portable loop
+// (tMatMulPortable). n and k are at least 1 (simd_amd64.s has the
+// layout).
 //
 //go:noescape
 func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)
 
-// dense512Tile64 is denseTile64 on AVX-512, bit for bit: for 2 ≤ m ≤ 6
+// dot512Tile64 is dotTile64 on AVX-512, bit for bit: for 2 ≤ m ≤ 6
 // rows of a and n ≥ 8 rows of b, each zmm accumulator runs two of
-// denseTile64's chains — rows 2p and 2p+1 against one b row, one per
-// 256-bit half — and every chain is folded by denseTile64's own
+// dotTile64's chains — rows 2p and 2p+1 against one b row, one per
+// 256-bit half — and every chain is folded by dotTile64's own
 // instructions (simd_amd64.s has the layout).
 //
 //go:noescape
-func dense512Tile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
+func dot512Tile64(dst, a, b *float64, m, n, k int)
 
-// dense512Tile32 is dense512Tile64 in float32, denseTile32's bits.
+// dot512Tile32 is dot512Tile64 in float32, dotTile32's bits.
 //
 //go:noescape
-func dense512Tile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
+func dot512Tile32(dst, a, b *float32, m, n, k int)
 
 // prod512Tile64 is prodTile64 on AVX-512, bit for bit: 32 columns to a
 // group instead of 16, the same multiply and add per term.

@@ -21,45 +21,43 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// The dense micro-kernels. One call computes, for the m ≤ 3 rows of a
-// and every one of the n rows of b,
+// The dot micro-kernels: MatMulT and MatMulT32, dst = a·bᵀ with b stored
+// out×in. One call computes, for the m ≤ 3 rows of a and every one of
+// the n rows of b,
 //
-//	dst[r][j] = max((Σ_k a[r][k]·b[j][k] + bias[j]) + res[r][j], floor)
+//	dst[r][j] = Σ_k a[r][k]·b[j][k]
 //
-// with a and b contiguous along k (row stride k), dst and res row
-// stride n, bias and res nil for none (no add) and floor 0 (relu) or
-// -Inf. The j loop runs here, in groups of four b rows; rows × 4
+// with a and b contiguous along k (row stride k) and dst row stride n.
+// The j loop runs here, in groups of four b rows; rows × 4
 // accumulators, one per output, each a single FMA chain over k, so a
 // group is 4, 8 or 12 independent chains fed by m+4 loads per k step.
 // A k tail (k mod lanes) is one more step through masked loads, so
-// element k always lands in lane k mod lanes. Each row's four
-// accumulators are then reduced together, transposing as they fold,
-// into one vector of four outputs: bias, the residual under the store
-// mask, floor and a masked store (the last group may have fewer than
-// four b rows; its surplus accumulators recompute b row j and are
-// neither read from res nor stored). Every output is therefore
-// reduced in one order — lane sums in k order, then (l0+l1)+(l2+l3),
-// at float32 that for each half and low + high half — whatever m,
-// whatever the group: a row's result does not depend on which rows
-// shared its tile.
+// element k always lands in lane k mod lanes (a lane the tail skips
+// adds +0). Each row's four accumulators are then reduced together,
+// transposing as they fold, into one vector of four outputs, +0 is
+// added and the vector is stored under a mask (the last group may have
+// fewer than four b rows; its surplus accumulators recompute b row j
+// and are not stored). Every output is therefore reduced in one order —
+// lane sums in k order, then (l0+l1)+(l2+l3), at float32 that for each
+// half and low + high half, then + 0 — whatever m, whatever the group:
+// a row's result does not depend on which rows shared its tile, and
+// dotLanes in tensor.go is the same arithmetic in Go.
 //
 // Registers: AX b rows left, BX dst row stride in bytes, CX k offset
 // (negative, counting up to 0: a and b pointers are pre-advanced past
-// the full steps), DX scratch, SI bias, DI dst, R15 res (advanced
-// with DI), R8-R10 a rows, R11-R14 the group's b rows; Y0-Y11
-// accumulators (row r, column c in Y(4r+c)), Y12-Y14 the a vectors,
-// Y15 the b vector. After the k loop Y12-Y15 are scratch, bias, floor
-// and store mask.
+// the full steps), DX scratch, DI dst, R8-R10 a rows, R11-R14 the
+// group's b rows; Y0-Y11 accumulators (row r, column c in Y(4r+c)),
+// Y12-Y14 the a vectors, Y15 the b vector. After the k loop Y12 is
+// scratch, Y13 +0 and Y15 the store mask.
 //
 // Each kernel here has a 512-bit twin further down, run where the CPU
 // has AVX-512, that gives its bits. Lanes, halves and registers there:
 // a zmm register is two of the ymm vectors above, one per 256-bit half.
-// The dense twins keep every chain above — element k of a row against a
+// The dot twins keep every chain above — element k of a row against a
 // b row in lane k mod lanes, accumulated in k order — and put two of
 // them in one zmm accumulator, rows 2p and 2p+1 of a in the low and high
 // half against one b row broadcast to both; after the k loop each half
-// goes back to a ymm register and through ROWOUT64/ROWOUT32 (or their
-// residual forms) unchanged.
+// goes back to a ymm register and through ROWOUT64/ROWOUT32 unchanged.
 // The product twin puts 8 columns in a register instead of 4.
 
 // 4 ones then 4 zeros (float64 lanes), 8 ones then 8 zeros (float32):
@@ -130,64 +128,40 @@ GLOBL masks32<>(SB), RODATA|NOPTR, $64
 	LEAQ (R12)(DX*2), R14; \
 rowsdone:
 
-// Fold one row's accumulators into four float64 outputs and store them
-// at dp: bias in Y13, floor in Y14, store mask in Y15, Y12 scratch.
-// ROWOUT64R adds the residual at rp after the bias, under the store
-// mask, as Add adds a block's input to its last layer's output. VMAXPD
-// returns its second source when either is NaN; that is the sum here,
-// so NaN in is NaN out.
-#define FOLD64(c0, c1, c2, c3) \
+// Fold one row's accumulators into four float64 outputs, add +0 (Y13)
+// and store them at dp under the store mask in Y15; Y12 scratch.
+#define ROWOUT64(c0, c1, c2, c3, dp) \
 	VHADDPD    c1, c0, c0; \
 	VHADDPD    c3, c2, c2; \
 	VPERM2F128 $0x20, c2, c0, Y12; \
 	VPERM2F128 $0x31, c2, c0, c0; \
 	VADDPD     c0, Y12, c0; \
-	VADDPD     Y13, c0, c0
-#define STORE64(c0, dp) \
-	VMAXPD     c0, Y14, c0; \
+	VADDPD     Y13, c0, c0; \
 	VMASKMOVPD c0, Y15, dp
-#define ROWOUT64(c0, c1, c2, c3, rp, dp) \
-	FOLD64(c0, c1, c2, c3); \
-	STORE64(c0, dp)
-#define ROWOUT64R(c0, c1, c2, c3, rp, dp) \
-	FOLD64(c0, c1, c2, c3); \
-	VMASKMOVPD rp, Y15, Y12; \
-	VADDPD     Y12, c0, c0; \
-	STORE64(c0, dp)
 
-// The m ≤ 3 rows of a group through ROWOUT (ROWOUT64 or ROWOUT64R):
-// residual rows at R15, dst rows at DI, both of stride BX.
-#define OUTROWS64(ROWOUT, mref, done) \
-	ROWOUT(Y0, Y1, Y2, Y3, (R15), (DI)); \
+// The m ≤ 3 rows of a group through ROWOUT64: dst rows at DI, stride BX.
+#define OUTROWS64(mref, done) \
+	ROWOUT64(Y0, Y1, Y2, Y3, (DI)); \
 	CMPQ mref, $2; \
 	JLT  done; \
-	ROWOUT(Y4, Y5, Y6, Y7, (R15)(BX*1), (DI)(BX*1)); \
+	ROWOUT64(Y4, Y5, Y6, Y7, (DI)(BX*1)); \
 	CMPQ mref, $3; \
 	JLT  done; \
-	ROWOUT(Y8, Y9, Y10, Y11, (R15)(BX*2), (DI)(BX*2))
+	ROWOUT64(Y8, Y9, Y10, Y11, (DI)(BX*2))
 
-// func denseTile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
-TEXT ·denseTile64(SB), NOSPLIT, $32-65
+// func dotTile64(dst, a, b *float64, m, n, k int)
+TEXT ·dotTile64(SB), NOSPLIT, $24-48
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ b+16(FP), R11
-	MOVQ bias+24(FP), SI
-	MOVQ res+32(FP), R15
-	MOVQ n+48(FP), AX
-	MOVQ k+56(FP), DX
+	MOVQ n+32(FP), AX
+	MOVQ k+40(FP), DX
 	MOVQ AX, BX
 	SHLQ $3, BX
 
-	XORQ CX, CX
-	CMPB relu+64(FP), $0
-	JNE  havefloor
-	MOVQ $0xFFF0000000000000, CX // -Inf
-havefloor:
-	MOVQ CX, floor-8(SP)
-
 	MOVQ DX, CX
 	SHLQ $3, CX                  // row stride of a and b in bytes
-	MOVQ CX, stride-16(SP)
+	MOVQ CX, stride-8(SP)
 	LEAQ (R8)(CX*1), R9
 	LEAQ (R9)(CX*1), R10
 
@@ -199,7 +173,7 @@ havefloor:
 	SHLQ  $3, CX
 	SUBQ  CX, R12
 notail:
-	MOVQ R12, tailmask-24(SP)
+	MOVQ R12, tailmask-16(SP)
 
 	ANDQ $~3, DX
 	SHLQ $3, DX                  // bytes of a row covered by full steps
@@ -208,18 +182,18 @@ notail:
 	ADDQ DX, R10
 	ADDQ DX, R11
 	NEGQ DX
-	MOVQ DX, negfull-32(SP)
+	MOVQ DX, negfull-24(SP)
 
 group:
-	MOVQ stride-16(SP), DX
+	MOVQ stride-8(SP), DX
 	GROUPROWS
 	ZERO4(VXORPD, Y0, Y1, Y2, Y3)
 	ZERO4(VXORPD, Y4, Y5, Y6, Y7)
 	ZERO4(VXORPD, Y8, Y9, Y10, Y11)
-	MOVQ  negfull-32(SP), CX
+	MOVQ  negfull-24(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+40(FP), $2
+	CMPQ  m+24(FP), $2
 	JLT   loop1
 	JEQ   loop2
 
@@ -256,15 +230,15 @@ loop1:
 	JNZ  loop1
 
 tail:
-	MOVQ    tailmask-24(SP), DX
+	MOVQ    tailmask-16(SP), DX
 	TESTQ   DX, DX
 	JZ      out
 	VMOVDQU (DX), Y15
 	TAILROW(VMASKMOVPD, VFMADD231PD, R8, Y0, Y1, Y2, Y3)
-	CMPQ    m+40(FP), $2
+	CMPQ    m+24(FP), $2
 	JLT     out
 	TAILROW(VMASKMOVPD, VFMADD231PD, R9, Y4, Y5, Y6, Y7)
-	CMPQ    m+40(FP), $3
+	CMPQ    m+24(FP), $3
 	JLT     out
 	TAILROW(VMASKMOVPD, VFMADD231PD, R10, Y8, Y9, Y10, Y11)
 
@@ -277,87 +251,55 @@ havemask:
 	LEAQ    masks64<>(SB), CX
 	VMOVDQU (CX)(DX*8), Y15
 	VXORPD  Y13, Y13, Y13
-	TESTQ   SI, SI
-	JZ      havebias
-	VMASKMOVPD (SI), Y15, Y13
-	ADDQ    $32, SI
-havebias:
-	VBROADCASTSD floor-8(SP), Y14
-	CMPQ res+32(FP), $0
-	JNE  outres
-	OUTROWS64(ROWOUT64, m+40(FP), next)
-	JMP  next
-
-outres:
-	OUTROWS64(ROWOUT64R, m+40(FP), next)
+	OUTROWS64(m+24(FP), next)
 
 next:
 	ADDQ $32, DI
-	ADDQ $32, R15
-	MOVQ stride-16(SP), DX
+	MOVQ stride-8(SP), DX
 	LEAQ (R11)(DX*4), R11
 	SUBQ $4, AX
 	JGT  group
 	VZEROUPPER
 	RET
 
-// Fold one row's accumulators into four float32 outputs and store them
-// at dp: bias in X13, floor in X14, store mask in X15, X12 scratch; x0
-// is c0's low half. ROWOUT32R adds the residual at rp after the bias.
-#define FOLD32(c0, c1, c2, c3, x0) \
+// Fold one row's accumulators into four float32 outputs, add +0 (X13)
+// and store them at dp under the store mask in X15; X12 scratch, x0 c0's
+// low half.
+#define ROWOUT32(c0, c1, c2, c3, x0, dp) \
 	VHADDPS      c1, c0, c0; \
 	VHADDPS      c3, c2, c2; \
 	VHADDPS      c2, c0, c0; \
 	VEXTRACTF128 $1, c0, X12; \
 	VADDPS       X12, x0, x0; \
-	VADDPS       X13, x0, x0
-#define STORE32(x0, dp) \
-	VMAXPS     x0, X14, x0; \
-	VMASKMOVPS x0, X15, dp
-#define ROWOUT32(c0, c1, c2, c3, x0, rp, dp) \
-	FOLD32(c0, c1, c2, c3, x0); \
-	STORE32(x0, dp)
-#define ROWOUT32R(c0, c1, c2, c3, x0, rp, dp) \
-	FOLD32(c0, c1, c2, c3, x0); \
-	VMASKMOVPS rp, X15, X12; \
-	VADDPS     X12, x0, x0; \
-	STORE32(x0, dp)
+	VADDPS       X13, x0, x0; \
+	VMASKMOVPS   x0, X15, dp
 
 // OUTROWS64 at float32.
-#define OUTROWS32(ROWOUT, mref, done) \
-	ROWOUT(Y0, Y1, Y2, Y3, X0, (R15), (DI)); \
+#define OUTROWS32(mref, done) \
+	ROWOUT32(Y0, Y1, Y2, Y3, X0, (DI)); \
 	CMPQ mref, $2; \
 	JLT  done; \
-	ROWOUT(Y4, Y5, Y6, Y7, X4, (R15)(BX*1), (DI)(BX*1)); \
+	ROWOUT32(Y4, Y5, Y6, Y7, X4, (DI)(BX*1)); \
 	CMPQ mref, $3; \
 	JLT  done; \
-	ROWOUT(Y8, Y9, Y10, Y11, X8, (R15)(BX*2), (DI)(BX*2))
+	ROWOUT32(Y8, Y9, Y10, Y11, X8, (DI)(BX*2))
 
-// func denseTile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
+// func dotTile32(dst, a, b *float32, m, n, k int)
 //
-// denseTile64 at 8 lanes to the register: a k step covers 8 elements
+// dotTile64 at 8 lanes to the register: a k step covers 8 elements
 // and an output group is 16 bytes.
-TEXT ·denseTile32(SB), NOSPLIT, $32-65
+TEXT ·dotTile32(SB), NOSPLIT, $24-48
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
 	MOVQ b+16(FP), R11
-	MOVQ bias+24(FP), SI
-	MOVQ res+32(FP), R15
-	MOVQ n+48(FP), AX
-	MOVQ k+56(FP), DX
+	MOVQ n+32(FP), AX
+	MOVQ k+40(FP), DX
 	MOVQ AX, BX
 	SHLQ $2, BX
 
-	XORQ CX, CX
-	CMPB relu+64(FP), $0
-	JNE  havefloor
-	MOVQ $0xFF800000, CX         // -Inf
-havefloor:
-	MOVQ CX, floor-8(SP)
-
 	MOVQ DX, CX
 	SHLQ $2, CX
-	MOVQ CX, stride-16(SP)
+	MOVQ CX, stride-8(SP)
 	LEAQ (R8)(CX*1), R9
 	LEAQ (R9)(CX*1), R10
 
@@ -369,7 +311,7 @@ havefloor:
 	SHLQ  $2, CX
 	SUBQ  CX, R12
 notail:
-	MOVQ R12, tailmask-24(SP)
+	MOVQ R12, tailmask-16(SP)
 
 	ANDQ $~7, DX
 	SHLQ $2, DX
@@ -378,18 +320,18 @@ notail:
 	ADDQ DX, R10
 	ADDQ DX, R11
 	NEGQ DX
-	MOVQ DX, negfull-32(SP)
+	MOVQ DX, negfull-24(SP)
 
 group:
-	MOVQ stride-16(SP), DX
+	MOVQ stride-8(SP), DX
 	GROUPROWS
 	ZERO4(VXORPS, Y0, Y1, Y2, Y3)
 	ZERO4(VXORPS, Y4, Y5, Y6, Y7)
 	ZERO4(VXORPS, Y8, Y9, Y10, Y11)
-	MOVQ  negfull-32(SP), CX
+	MOVQ  negfull-24(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+40(FP), $2
+	CMPQ  m+24(FP), $2
 	JLT   loop1
 	JEQ   loop2
 
@@ -426,15 +368,15 @@ loop1:
 	JNZ  loop1
 
 tail:
-	MOVQ    tailmask-24(SP), DX
+	MOVQ    tailmask-16(SP), DX
 	TESTQ   DX, DX
 	JZ      out
 	VMOVDQU (DX), Y15
 	TAILROW(VMASKMOVPS, VFMADD231PS, R8, Y0, Y1, Y2, Y3)
-	CMPQ    m+40(FP), $2
+	CMPQ    m+24(FP), $2
 	JLT     out
 	TAILROW(VMASKMOVPS, VFMADD231PS, R9, Y4, Y5, Y6, Y7)
-	CMPQ    m+40(FP), $3
+	CMPQ    m+24(FP), $3
 	JLT     out
 	TAILROW(VMASKMOVPS, VFMADD231PS, R10, Y8, Y9, Y10, Y11)
 
@@ -447,24 +389,11 @@ havemask:
 	LEAQ    masks32<>+16(SB), CX
 	VMOVDQU (CX)(DX*4), X15
 	VXORPS  X13, X13, X13
-	TESTQ   SI, SI
-	JZ      havebias
-	VMASKMOVPS (SI), X15, X13
-	ADDQ    $16, SI
-havebias:
-	VBROADCASTSS floor-8(SP), X14
-	CMPQ res+32(FP), $0
-	JNE  outres
-	OUTROWS32(ROWOUT32, m+40(FP), next)
-	JMP  next
-
-outres:
-	OUTROWS32(ROWOUT32R, m+40(FP), next)
+	OUTROWS32(m+24(FP), next)
 
 next:
 	ADDQ $16, DI
-	ADDQ $16, R15
-	MOVQ stride-16(SP), DX
+	MOVQ stride-8(SP), DX
 	LEAQ (R11)(DX*4), R11
 	SUBQ $4, AX
 	JGT  group
@@ -750,8 +679,8 @@ done:
 	VZEROUPPER
 	RET
 
-// The 512-bit dense micro-kernels (AVX-512 F and VL). One call computes
-// what denseTile64/denseTile32 compute, for 2 ≤ m ≤ 6 rows of a and
+// The 512-bit dot micro-kernels (AVX-512 F and VL). One call computes
+// what dotTile64/dotTile32 compute, for 2 ≤ m ≤ 6 rows of a and
 // n ≥ 8 rows of b, with the same bits: each zmm accumulator holds two of
 // the 256-bit kernel's chains against one b row — row 2p's in its low
 // half, row 2p+1's in its high half. A k step loads rows 2p and 2p+1 into
@@ -775,14 +704,14 @@ done:
 // read.
 //
 // Registers: AX the group's first b row, BX dst row stride in bytes, CX
-// k offset (negative, counting up to 0, as in denseTile64), DX row
+// k offset (negative, counting up to 0, as in dotTile64), DX row
 // stride of a and b in bytes, R14, R15 and SI the group's b rows 0, 3
 // and 6, advanced by the k loop (row 1 is (R14)(DX*1), row 2
 // (R14)(DX*2), and so on), DI dst, R8-R13 a rows 0-5; Z0-Z23
 // accumulators (pair p, b row c in Z(8p+c)), Z24-Z26 the pairs, Z27 the
 // broadcast b step. The fold uses CX for the spill block, DX and R14 for
-// dst rows, R15, SI and AX for residual rows, Y0-Y3 for one row's chains
-// and Y11-Y15 for the epilogue.
+// dst rows, Y0-Y3 for one row's chains and Y12, Y13 and Y15 for
+// ROWOUT64/ROWOUT32.
 
 // Zero the accumulators.
 #define ZERO24 \
@@ -886,41 +815,37 @@ done:
 	SPILL4(Z20, Z21, Z22, Z23, 1280)
 
 // One row's chains for four b rows, at spill offset o (+64 per b row),
-// into Y0-Y3; then ROWOUT folds them, with the residual at rp, and
-// stores them at dp.
-#define FOLDROW(ROWOUT, o, rp, dp) \
+// into Y0-Y3; then ROWOUT folds them and stores them at dp.
+#define FOLDROW(ROWOUT, o, dp) \
 	VMOVUPD o(CX), Y0; \
 	VMOVUPD (o+64)(CX), Y1; \
 	VMOVUPD (o+128)(CX), Y2; \
 	VMOVUPD (o+192)(CX), Y3; \
-	ROWOUT(rp, dp)
+	ROWOUT(dp)
 
 // One half of the group's outputs — b rows 4h to 4h+3, spill offset
-// off = 256h, dst and residual offset doff — for each of the m rows: row
-// 1 is the high half of row 0's chains (+32), rows 2 and 4 the next
-// pairs (+512, +1024); dst rows 3 and 5 are addressed from DX = DI+2·BX
-// and R14 = DI+4·BX, residual rows from R15, SI = R15+2·BX and AX =
-// R15+4·BX alike.
+// off = 256h, dst offset doff — for each of the m rows: row 1 is the
+// high half of row 0's chains (+32), rows 2 and 4 the next pairs (+512,
+// +1024); dst rows 3 and 5 are addressed from DX = DI+2·BX and R14 =
+// DI+4·BX.
 #define FOLDHALF(ROWOUT, off, doff, done) \
-	FOLDROW(ROWOUT, off, doff(R15), doff(DI)); \
-	FOLDROW(ROWOUT, (off+32), doff(R15)(BX*1), doff(DI)(BX*1)); \
+	FOLDROW(ROWOUT, off, doff(DI)); \
+	FOLDROW(ROWOUT, (off+32), doff(DI)(BX*1)); \
 	CMPQ rows-40(SP), $3; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+512), doff(R15)(BX*2), doff(DI)(BX*2)); \
+	FOLDROW(ROWOUT, (off+512), doff(DI)(BX*2)); \
 	CMPQ rows-40(SP), $4; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+544), doff(SI)(BX*1), doff(DX)(BX*1)); \
+	FOLDROW(ROWOUT, (off+544), doff(DX)(BX*1)); \
 	CMPQ rows-40(SP), $5; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+1024), doff(R15)(BX*4), doff(DI)(BX*4)); \
+	FOLDROW(ROWOUT, (off+1024), doff(DI)(BX*4)); \
 	CMPQ rows-40(SP), $6; \
 	JLT  done; \
-	FOLDROW(ROWOUT, (off+1056), doff(AX)(BX*1), doff(R14)(BX*1))
+	FOLDROW(ROWOUT, (off+1056), doff(R14)(BX*1))
 
-#define ROWOUT64Y(rp, dp) ROWOUT64(Y0, Y1, Y2, Y3, rp, dp)
-#define ROWOUT64YR(rp, dp) ROWOUT64R(Y0, Y1, Y2, Y3, rp, dp)
-#define ROWOUT32Y(rp, dp) ROWOUT32(Y0, Y1, Y2, Y3, X0, rp, dp)
-#define ROWOUT32YR(rp, dp) ROWOUT32R(Y0, Y1, Y2, Y3, X0, rp, dp)
+#define ROWOUT64Y(dp) ROWOUT64(Y0, Y1, Y2, Y3, dp)
+#define ROWOUT32Y(dp) ROWOUT32(Y0, Y1, Y2, Y3, X0, dp)
 
 // Point R8-R13 at a rows 0-5, rows past m repeating row m-1 (R8 a, CX
 // the row stride in bytes, R15 m).
@@ -996,24 +921,17 @@ arows:
 	JMP  group
 
 // Frame: the spill block (1536 bytes, aligned up to 64 within the
-// frame's lowest 1600), then five locals.
+// frame's lowest 1600), then four locals.
 //
-// func dense512Tile64(dst, a, b, bias, res *float64, m, n, k int, relu bool)
-TEXT ·dense512Tile64(SB), $1640-65
+// func dot512Tile64(dst, a, b *float64, m, n, k int)
+TEXT ·dot512Tile64(SB), $1640-48
 	MOVQ a+8(FP), R8
-	MOVQ k+56(FP), DX
-
-	XORQ CX, CX
-	CMPB relu+64(FP), $0
-	JNE  havefloor
-	MOVQ $0xFFF0000000000000, CX // -Inf
-havefloor:
-	MOVQ CX, floor-8(SP)
+	MOVQ k+40(FP), DX
 
 	MOVQ DX, CX
 	SHLQ $3, CX                  // row stride of a and b in bytes
 	MOVQ CX, stride-16(SP)
-	MOVQ m+40(FP), R15
+	MOVQ m+24(FP), R15
 	MOVQ R15, rows-40(SP)
 	AROWS
 	MOVQ DX, CX
@@ -1028,9 +946,9 @@ group:
 	MOVQ  negfull-24(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+40(FP), $3
+	CMPQ  m+24(FP), $3
 	JLT   loop1
-	CMPQ  m+40(FP), $5
+	CMPQ  m+24(FP), $5
 	JLT   loop2
 
 loop3:
@@ -1065,67 +983,37 @@ fold:
 	LEAQ   63(SP), CX
 	ANDQ   $~63, CX
 	SPILL24
-	MOVQ   first-32(SP), AX
-	MOVQ   n+48(FP), BX
-	SHLQ   $3, BX
-	MOVQ   dst+0(FP), DI
-	LEAQ   (DI)(AX*8), DI        // the group's outputs in dst row 0
-	LEAQ   (DI)(BX*2), DX
-	LEAQ   (DI)(BX*4), R14
-	VXORPD Y13, Y13, Y13
-	VXORPD Y11, Y11, Y11
-	MOVQ   bias+24(FP), SI
-	TESTQ  SI, SI
-	JZ     havebias
-	VMOVUPD (SI)(AX*8), Y13
-	VMOVUPD 32(SI)(AX*8), Y11
-havebias:
-	VBROADCASTSD floor-8(SP), Y14
-	VPCMPEQQ     Y15, Y15, Y15   // store mask: every lane
-	MOVQ         res+32(FP), R15
-	LEAQ         (R15)(AX*8), R15 // the group's residuals in row 0
-	LEAQ         (R15)(BX*2), SI
-	LEAQ         (R15)(BX*4), AX
-	CMPQ         res+32(FP), $0
-	JNE          foldres
+	MOVQ     first-32(SP), AX
+	MOVQ     n+32(FP), BX
+	SHLQ     $3, BX
+	MOVQ     dst+0(FP), DI
+	LEAQ     (DI)(AX*8), DI      // the group's outputs in dst row 0
+	LEAQ     (DI)(BX*2), DX
+	LEAQ     (DI)(BX*4), R14
+	VXORPD   Y13, Y13, Y13
+	VPCMPEQQ Y15, Y15, Y15       // store mask: every lane
 	FOLDHALF(ROWOUT64Y, 0, 0, half0)
 half0:
-	VMOVAPD Y11, Y13
 	FOLDHALF(ROWOUT64Y, 256, 32, half1)
 half1:
-	NEXTGROUP(n+48(FP))
-
-foldres:
-	FOLDHALF(ROWOUT64YR, 0, 0, half0r)
-half0r:
-	VMOVAPD Y11, Y13
-	FOLDHALF(ROWOUT64YR, 256, 32, half1r)
-half1r:
-	NEXTGROUP(n+48(FP))
+	NEXTGROUP(n+32(FP))
 
 done:
 	VZEROUPPER
 	RET
 
-// func dense512Tile32(dst, a, b, bias, res *float32, m, n, k int, relu bool)
+// func dot512Tile32(dst, a, b *float32, m, n, k int)
 //
-// dense512Tile64 at 8 lanes to the half: a k step covers 8 elements and
+// dot512Tile64 at 8 lanes to the half: a k step covers 8 elements and
 // a half group's outputs are 16 bytes.
-TEXT ·dense512Tile32(SB), $1640-65
+TEXT ·dot512Tile32(SB), $1640-48
 	MOVQ a+8(FP), R8
-	MOVQ k+56(FP), DX
-
-	XORQ CX, CX
-	CMPB relu+64(FP), $0
-	JNE  havefloor
-	MOVQ $0xFF800000, CX         // -Inf
-havefloor:
-	MOVQ CX, floor-8(SP)
+	MOVQ k+40(FP), DX
 
 	MOVQ DX, CX
 	SHLQ $2, CX
 	MOVQ CX, stride-16(SP)
-	MOVQ m+40(FP), R15
+	MOVQ m+24(FP), R15
 	MOVQ R15, rows-40(SP)
 	AROWS
 	MOVQ DX, CX
@@ -1140,9 +1028,9 @@ group:
 	MOVQ  negfull-24(SP), CX
 	TESTQ CX, CX
 	JZ    tail
-	CMPQ  m+40(FP), $3
+	CMPQ  m+24(FP), $3
 	JLT   loop1
-	CMPQ  m+40(FP), $5
+	CMPQ  m+24(FP), $5
 	JLT   loop2
 
 loop3:
@@ -1177,43 +1065,20 @@ fold:
 	LEAQ   63(SP), CX
 	ANDQ   $~63, CX
 	SPILL24
-	MOVQ   first-32(SP), AX
-	MOVQ   n+48(FP), BX
-	SHLQ   $2, BX
-	MOVQ   dst+0(FP), DI
-	LEAQ   (DI)(AX*4), DI
-	LEAQ   (DI)(BX*2), DX
-	LEAQ   (DI)(BX*4), R14
-	VXORPS X13, X13, X13
-	VXORPS X11, X11, X11
-	MOVQ   bias+24(FP), SI
-	TESTQ  SI, SI
-	JZ     havebias
-	VMOVUPS (SI)(AX*4), X13
-	VMOVUPS 16(SI)(AX*4), X11
-havebias:
-	VBROADCASTSS floor-8(SP), X14
-	VPCMPEQD     X15, X15, X15
-	MOVQ         res+32(FP), R15
-	LEAQ         (R15)(AX*4), R15
-	LEAQ         (R15)(BX*2), SI
-	LEAQ         (R15)(BX*4), AX
-	CMPQ         res+32(FP), $0
-	JNE          foldres
+	MOVQ     first-32(SP), AX
+	MOVQ     n+32(FP), BX
+	SHLQ     $2, BX
+	MOVQ     dst+0(FP), DI
+	LEAQ     (DI)(AX*4), DI
+	LEAQ     (DI)(BX*2), DX
+	LEAQ     (DI)(BX*4), R14
+	VXORPS   X13, X13, X13
+	VPCMPEQD X15, X15, X15
 	FOLDHALF(ROWOUT32Y, 0, 0, half0)
 half0:
-	VMOVAPS X11, X13
 	FOLDHALF(ROWOUT32Y, 256, 16, half1)
 half1:
-	NEXTGROUP(n+48(FP))
-
-foldres:
-	FOLDHALF(ROWOUT32YR, 0, 0, half0r)
-half0r:
-	VMOVAPS X11, X13
-	FOLDHALF(ROWOUT32YR, 256, 16, half1r)
-half1r:
-	NEXTGROUP(n+48(FP))
+	NEXTGROUP(n+32(FP))
 
 done:
 	VZEROUPPER
@@ -1421,6 +1286,596 @@ tailstore:
 
 tailrows:
 	ZPROWS(ZPSTORETAIL, done, m+24(FP))
+
+done:
+	VZEROUPPER
+	RET
+
+// The dense layer's micro-kernels: an outer product over In×Out weights
+// (w stored k×n, so row k of w holds every output's weight for input k).
+// One call computes, for the m ≤ 6 rows of a tile of a and one block of
+// cols columns of w and dst,
+//
+//	dst[r][j] = max(((Σ_k a[r][k]·w[k][j]) + bias[j]) + res[r][j], floor)
+//
+// with a row stride k, w, dst and res row stride n, and floor 0 (relu)
+// or -Inf. Each output is one accumulator lane from start to end:
+// zeroed, then per ascending k one FMA of a[r][k], broadcast, against
+// row k of the block — fma(a[r][k], w[k][j], s) from s = +0, the chain
+// denseScalar runs in Go — so no lane is folded into another and there
+// is no k tail: an output's bits do not depend on m, on the block, or on
+// which kernel ran. The epilogue adds the bias, then the residual (for
+// a nil operand it adds -0 from a block of the frame instead: x + -0 is
+// x for every x, -0 included), and floors with VMAXPD, which returns its
+// second source — the sum — for a NaN or a pair of zeros, so NaN and -0
+// pass as the Go floor passes them. A block's columns past cols are
+// loaded and stored under masks, so nothing past a row's end is
+// touched, and PREFETCHT0 asks for w eight rows ahead.
+//
+// AVX-512 (outer512Tile64, outer512Tile32): blocks of 32 float64 or 64
+// float32 columns, four zmm vectors under the opmasks K1-K4; Z0-Z23 the
+// accumulators (row r, vector c in Z(4r+c)), Z24-Z27 row k of the block
+// and after the loop the bias, Z28 and Z29 the broadcasts, then the
+// floor and the residual. AVX2 (outerTile64, outerTile32): blocks of 8
+// float64 or 16 float32, two ymm vectors under masks kept in the frame
+// (Y15 holds the one in use); Y0-Y11 the accumulators (row r, vector c
+// in Y(2r+c)), Y12-Y13 row k and after the loop scratch, Y14 the
+// broadcast, then the floor.
+//
+// General registers: DI dst, R8 a's row 0 and R10 its row 3 (rows 1, 2,
+// 4 and 5 one and two R9 past them), both advanced an element a k step,
+// R9 a's row stride in bytes, R11 row k of the block, BX the row stride
+// of w, dst and res in bytes, DX the prefetch distance, CX k steps left;
+// after the loop SI the bias, R15 the residual row and R12 its stride (0
+// for the frame's -0), R13 relu.
+
+// The k loop's strides from BX = n and R9 = k (shift: log2 of the
+// element size), a's row 3 and the prefetch distance.
+#define STRIDES(shift) \
+	SHLQ shift, BX; \
+	SHLQ shift, R9; \
+	LEAQ (R8)(R9*2), R10; \
+	ADDQ R9, R10; \
+	MOVQ BX, DX; \
+	SHLQ $3, DX
+
+// The next k step (size: the element size), while k steps remain.
+#define KNEXT(size, loop) \
+	ADDQ size, R8; \
+	ADDQ size, R10; \
+	ADDQ BX, R11; \
+	DECQ CX; \
+	JNZ  loop
+
+// SI the bias and R15 the residual as given, or the frame's -0 at negz
+// where nil (R12 the residual's row stride, 0 for the -0); AX the floor:
+// neginf (-Inf), or 0 where R13 (relu) is set.
+#define OPERANDS(negz, neginf) \
+	LEAQ    negz, AX; \
+	TESTQ   SI, SI; \
+	CMOVQEQ AX, SI; \
+	MOVQ    BX, R12; \
+	XORQ    CX, CX; \
+	TESTQ   R15, R15; \
+	CMOVQEQ AX, R15; \
+	CMOVQEQ CX, R12; \
+	MOVQ    neginf, AX; \
+	TESTQ   R13, R13; \
+	CMOVQNE CX, AX
+
+// Row k of an AVX-512 block under K1-K4 (LD: VMOVUPD.Z or VMOVUPS.Z),
+// and the prefetch of row k+8.
+#define ZWLOAD(LD) \
+	LD         (R11), K1, Z24; \
+	LD         64(R11), K2, Z25; \
+	LD         128(R11), K3, Z26; \
+	LD         192(R11), K4, Z27; \
+	PREFETCHT0 (R11)(DX*1); \
+	PREFETCHT0 128(R11)(DX*1)
+
+// One a row's k step: its element at ap broadcast into z, four FMAs.
+#define ZROW(BC, FMA, ap, z, c0, c1, c2, c3) \
+	BC  ap, z; \
+	FMA Z24, z, c0; \
+	FMA Z25, z, c1; \
+	FMA Z26, z, c2; \
+	FMA Z27, z, c3
+
+// A k step of one to six rows.
+#define ZSTEPR1(LD, BC, FMA) \
+	ZWLOAD(LD); \
+	ZROW(BC, FMA, (R8), Z28, Z0, Z1, Z2, Z3)
+#define ZSTEPR2(LD, BC, FMA) \
+	ZSTEPR1(LD, BC, FMA); \
+	ZROW(BC, FMA, (R8)(R9*1), Z29, Z4, Z5, Z6, Z7)
+#define ZSTEPR3(LD, BC, FMA) \
+	ZSTEPR2(LD, BC, FMA); \
+	ZROW(BC, FMA, (R8)(R9*2), Z28, Z8, Z9, Z10, Z11)
+#define ZSTEPR4(LD, BC, FMA) \
+	ZSTEPR3(LD, BC, FMA); \
+	ZROW(BC, FMA, (R10), Z29, Z12, Z13, Z14, Z15)
+#define ZSTEPR5(LD, BC, FMA) \
+	ZSTEPR4(LD, BC, FMA); \
+	ZROW(BC, FMA, (R10)(R9*1), Z28, Z16, Z17, Z18, Z19)
+#define ZSTEPR6(LD, BC, FMA) \
+	ZSTEPR5(LD, BC, FMA); \
+	ZROW(BC, FMA, (R10)(R9*2), Z29, Z20, Z21, Z22, Z23)
+
+// One output vector: + bias b, + the residual (through Z29), the floor
+// (Z28), the masked store.
+#define ZOUTV(LD, ADD, MAX, ST, c, b, off, kv) \
+	ADD b, c, c; \
+	LD  off(R15), kv, Z29; \
+	ADD Z29, c, c; \
+	MAX c, Z28, c; \
+	ST  c, kv, off(DI)
+
+// One row's outputs, then the next row's dst and residual.
+#define ZOUTROW(LD, ADD, MAX, ST, c0, c1, c2, c3) \
+	ZOUTV(LD, ADD, MAX, ST, c0, Z24, 0, K1); \
+	ZOUTV(LD, ADD, MAX, ST, c1, Z25, 64, K2); \
+	ZOUTV(LD, ADD, MAX, ST, c2, Z26, 128, K3); \
+	ZOUTV(LD, ADD, MAX, ST, c3, Z27, 192, K4); \
+	ADDQ BX, DI; \
+	ADDQ R12, R15
+
+// The four vectors of -0 in Z24 to the frame's negz block.
+#define ZNEGZ(ST) \
+	ST Z24, negz-256(SP); \
+	ST Z24, negz-192(SP); \
+	ST Z24, negz-128(SP); \
+	ST Z24, negz-64(SP)
+
+// func outer512Tile64(dst, a, w, bias, res *float64, m, n, k, cols int, relu bool)
+TEXT ·outer512Tile64(SB), NOSPLIT, $256-73
+	MOVQ         $0x8000000000000000, AX
+	VPBROADCASTQ AX, Z24
+	ZNEGZ(VMOVUPD)
+
+	MOVQ  $64, CX                // K1-K4: the block's cols leading lanes
+	SUBQ  cols+64(FP), CX
+	MOVQ  $-1, AX
+	SHRQ  CX, AX
+	KMOVW AX, K1
+	SHRQ  $8, AX
+	KMOVW AX, K2
+	SHRQ  $8, AX
+	KMOVW AX, K3
+	SHRQ  $8, AX
+	KMOVW AX, K4
+
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ w+16(FP), R11
+	MOVQ n+48(FP), BX
+	MOVQ k+56(FP), R9
+	MOVQ R9, CX
+	STRIDES($3)
+	ZERO24
+	MOVQ m+40(FP), AX
+	CMPQ AX, $3
+	JLT  loop12
+	JEQ  loop3
+	CMPQ AX, $5
+	JLT  loop4
+	JEQ  loop5
+
+loop6:
+	ZSTEPR6(VMOVUPD.Z, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop6)
+	JMP out
+
+loop5:
+	ZSTEPR5(VMOVUPD.Z, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop5)
+	JMP out
+
+loop4:
+	ZSTEPR4(VMOVUPD.Z, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop4)
+	JMP out
+
+loop3:
+	ZSTEPR3(VMOVUPD.Z, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop3)
+	JMP out
+
+loop12:
+	CMPQ AX, $2
+	JLT  loop1
+
+loop2:
+	ZSTEPR2(VMOVUPD.Z, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop2)
+	JMP out
+
+loop1:
+	ZSTEPR1(VMOVUPD.Z, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop1)
+
+out:
+	MOVQ    bias+24(FP), SI
+	MOVQ    res+32(FP), R15
+	MOVBQZX relu+72(FP), R13
+	OPERANDS(negz-256(SP), $0xFFF0000000000000)
+	VPBROADCASTQ AX, Z28
+	VMOVUPD.Z    (SI), K1, Z24
+	VMOVUPD.Z    64(SI), K2, Z25
+	VMOVUPD.Z    128(SI), K3, Z26
+	VMOVUPD.Z    192(SI), K4, Z27
+	MOVQ         m+40(FP), AX
+	ZOUTROW(VMOVUPD.Z, VADDPD, VMAXPD, VMOVUPD, Z0, Z1, Z2, Z3)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPD.Z, VADDPD, VMAXPD, VMOVUPD, Z4, Z5, Z6, Z7)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPD.Z, VADDPD, VMAXPD, VMOVUPD, Z8, Z9, Z10, Z11)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPD.Z, VADDPD, VMAXPD, VMOVUPD, Z12, Z13, Z14, Z15)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPD.Z, VADDPD, VMAXPD, VMOVUPD, Z16, Z17, Z18, Z19)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPD.Z, VADDPD, VMAXPD, VMOVUPD, Z20, Z21, Z22, Z23)
+
+done:
+	VZEROUPPER
+	RET
+
+// func outer512Tile32(dst, a, w, bias, res *float32, m, n, k, cols int, relu bool)
+//
+// outer512Tile64 at 16 lanes to the vector: a block is 64 columns.
+TEXT ·outer512Tile32(SB), NOSPLIT, $256-73
+	MOVQ         $0x8000000080000000, AX
+	VPBROADCASTQ AX, Z24
+	ZNEGZ(VMOVUPS)
+
+	MOVQ  $64, CX
+	SUBQ  cols+64(FP), CX
+	MOVQ  $-1, AX
+	SHRQ  CX, AX
+	KMOVW AX, K1
+	SHRQ  $16, AX
+	KMOVW AX, K2
+	SHRQ  $16, AX
+	KMOVW AX, K3
+	SHRQ  $16, AX
+	KMOVW AX, K4
+
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ w+16(FP), R11
+	MOVQ n+48(FP), BX
+	MOVQ k+56(FP), R9
+	MOVQ R9, CX
+	STRIDES($2)
+	ZERO24
+	MOVQ m+40(FP), AX
+	CMPQ AX, $3
+	JLT  loop12
+	JEQ  loop3
+	CMPQ AX, $5
+	JLT  loop4
+	JEQ  loop5
+
+loop6:
+	ZSTEPR6(VMOVUPS.Z, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop6)
+	JMP out
+
+loop5:
+	ZSTEPR5(VMOVUPS.Z, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop5)
+	JMP out
+
+loop4:
+	ZSTEPR4(VMOVUPS.Z, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop4)
+	JMP out
+
+loop3:
+	ZSTEPR3(VMOVUPS.Z, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop3)
+	JMP out
+
+loop12:
+	CMPQ AX, $2
+	JLT  loop1
+
+loop2:
+	ZSTEPR2(VMOVUPS.Z, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop2)
+	JMP out
+
+loop1:
+	ZSTEPR1(VMOVUPS.Z, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop1)
+
+out:
+	MOVQ    bias+24(FP), SI
+	MOVQ    res+32(FP), R15
+	MOVBQZX relu+72(FP), R13
+	OPERANDS(negz-256(SP), $0xFF800000FF800000)
+	VPBROADCASTQ AX, Z28
+	VMOVUPS.Z    (SI), K1, Z24
+	VMOVUPS.Z    64(SI), K2, Z25
+	VMOVUPS.Z    128(SI), K3, Z26
+	VMOVUPS.Z    192(SI), K4, Z27
+	MOVQ         m+40(FP), AX
+	ZOUTROW(VMOVUPS.Z, VADDPS, VMAXPS, VMOVUPS, Z0, Z1, Z2, Z3)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPS.Z, VADDPS, VMAXPS, VMOVUPS, Z4, Z5, Z6, Z7)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPS.Z, VADDPS, VMAXPS, VMOVUPS, Z8, Z9, Z10, Z11)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPS.Z, VADDPS, VMAXPS, VMOVUPS, Z12, Z13, Z14, Z15)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPS.Z, VADDPS, VMAXPS, VMOVUPS, Z16, Z17, Z18, Z19)
+	DECQ AX
+	JZ   done
+	ZOUTROW(VMOVUPS.Z, VADDPS, VMAXPS, VMOVUPS, Z20, Z21, Z22, Z23)
+
+done:
+	VZEROUPPER
+	RET
+
+// Row k of an AVX2 block under the frame's masks (MLD: VMASKMOVPD or
+// VMASKMOVPS), and the prefetch of row k+8.
+#define YWLOAD(MLD) \
+	VMOVDQU    mask0-64(SP), Y15; \
+	MLD        (R11), Y15, Y12; \
+	VMOVDQU    mask1-32(SP), Y15; \
+	MLD        32(R11), Y15, Y13; \
+	PREFETCHT0 (R11)(DX*1)
+
+// One a row's k step: its element at ap broadcast, two FMAs.
+#define YROW(BC, FMA, ap, c0, c1) \
+	BC  ap, Y14; \
+	FMA Y12, Y14, c0; \
+	FMA Y13, Y14, c1
+
+// A k step of one to six rows.
+#define YSTEPR1(MLD, BC, FMA) \
+	YWLOAD(MLD); \
+	YROW(BC, FMA, (R8), Y0, Y1)
+#define YSTEPR2(MLD, BC, FMA) \
+	YSTEPR1(MLD, BC, FMA); \
+	YROW(BC, FMA, (R8)(R9*1), Y2, Y3)
+#define YSTEPR3(MLD, BC, FMA) \
+	YSTEPR2(MLD, BC, FMA); \
+	YROW(BC, FMA, (R8)(R9*2), Y4, Y5)
+#define YSTEPR4(MLD, BC, FMA) \
+	YSTEPR3(MLD, BC, FMA); \
+	YROW(BC, FMA, (R10), Y6, Y7)
+#define YSTEPR5(MLD, BC, FMA) \
+	YSTEPR4(MLD, BC, FMA); \
+	YROW(BC, FMA, (R10)(R9*1), Y8, Y9)
+#define YSTEPR6(MLD, BC, FMA) \
+	YSTEPR5(MLD, BC, FMA); \
+	YROW(BC, FMA, (R10)(R9*2), Y10, Y11)
+
+// One output vector under the mask at mask: + bias, + the residual, the
+// floor (Y14), the masked store.
+#define YOUTV(MLD, ADD, MAX, c, off, mask) \
+	VMOVDQU mask, Y15; \
+	MLD     off(SI), Y15, Y12; \
+	ADD     Y12, c, c; \
+	MLD     off(R15), Y15, Y12; \
+	ADD     Y12, c, c; \
+	MAX     c, Y14, c; \
+	MLD     c, Y15, off(DI)
+
+// One row's outputs, then the next row's dst and residual.
+#define YOUTROW(MLD, ADD, MAX, c0, c1) \
+	YOUTV(MLD, ADD, MAX, c0, 0, mask0-64(SP)); \
+	YOUTV(MLD, ADD, MAX, c1, 32, mask1-32(SP)); \
+	ADDQ BX, DI; \
+	ADDQ R12, R15
+
+// The frame's -0 (from AX) and the block's two masks for AX = cols: the
+// leading min(cols, lanes) lanes, then the next max(cols-lanes, 0), from
+// the table at R12 (lanes ones, then lanes zeros; scale the element
+// size).
+#define YFRAME(lanes, scale) \
+	VMOVQ        AX, X12; \
+	VPBROADCASTQ X12, Y12; \
+	VMOVDQU      Y12, negz-128(SP); \
+	VMOVDQU      Y12, negz-96(SP); \
+	MOVQ         BX, AX; \
+	MOVQ         lanes, CX; \
+	SUBQ         AX, CX; \
+	XORQ         DX, DX; \
+	CMPQ         CX, DX; \
+	CMOVQLT      DX, CX; \
+	VMOVDQU      (R12)(CX*scale), Y12; \
+	VMOVDQU      Y12, mask0-64(SP); \
+	MOVQ         lanes, CX; \
+	SHLQ         $1, CX; \
+	SUBQ         AX, CX; \
+	MOVQ         lanes, DX; \
+	CMPQ         CX, DX; \
+	CMOVQGT      DX, CX; \
+	VMOVDQU      (R12)(CX*scale), Y12; \
+	VMOVDQU      Y12, mask1-32(SP)
+
+// func outerTile64(dst, a, w, bias, res *float64, m, n, k, cols int, relu bool)
+TEXT ·outerTile64(SB), NOSPLIT, $128-73
+	MOVQ $0x8000000000000000, AX
+	MOVQ cols+64(FP), BX
+	LEAQ masks64<>(SB), R12
+	YFRAME($4, 8)
+
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ w+16(FP), R11
+	MOVQ n+48(FP), BX
+	MOVQ k+56(FP), R9
+	MOVQ R9, CX
+	STRIDES($3)
+	ZERO4(VXORPD, Y0, Y1, Y2, Y3)
+	ZERO4(VXORPD, Y4, Y5, Y6, Y7)
+	ZERO4(VXORPD, Y8, Y9, Y10, Y11)
+	MOVQ m+40(FP), AX
+	CMPQ AX, $3
+	JLT  loop12
+	JEQ  loop3
+	CMPQ AX, $5
+	JLT  loop4
+	JEQ  loop5
+
+loop6:
+	YSTEPR6(VMASKMOVPD, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop6)
+	JMP out
+
+loop5:
+	YSTEPR5(VMASKMOVPD, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop5)
+	JMP out
+
+loop4:
+	YSTEPR4(VMASKMOVPD, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop4)
+	JMP out
+
+loop3:
+	YSTEPR3(VMASKMOVPD, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop3)
+	JMP out
+
+loop12:
+	CMPQ AX, $2
+	JLT  loop1
+
+loop2:
+	YSTEPR2(VMASKMOVPD, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop2)
+	JMP out
+
+loop1:
+	YSTEPR1(VMASKMOVPD, VBROADCASTSD, VFMADD231PD)
+	KNEXT($8, loop1)
+
+out:
+	MOVQ    bias+24(FP), SI
+	MOVQ    res+32(FP), R15
+	MOVBQZX relu+72(FP), R13
+	OPERANDS(negz-128(SP), $0xFFF0000000000000)
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14
+	MOVQ         m+40(FP), AX
+	YOUTROW(VMASKMOVPD, VADDPD, VMAXPD, Y0, Y1)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPD, VADDPD, VMAXPD, Y2, Y3)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPD, VADDPD, VMAXPD, Y4, Y5)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPD, VADDPD, VMAXPD, Y6, Y7)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPD, VADDPD, VMAXPD, Y8, Y9)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPD, VADDPD, VMAXPD, Y10, Y11)
+
+done:
+	VZEROUPPER
+	RET
+
+// func outerTile32(dst, a, w, bias, res *float32, m, n, k, cols int, relu bool)
+//
+// outerTile64 at 8 lanes to the vector: a block is 16 columns.
+TEXT ·outerTile32(SB), NOSPLIT, $128-73
+	MOVQ $0x8000000080000000, AX
+	MOVQ cols+64(FP), BX
+	LEAQ masks32<>(SB), R12
+	YFRAME($8, 4)
+
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ w+16(FP), R11
+	MOVQ n+48(FP), BX
+	MOVQ k+56(FP), R9
+	MOVQ R9, CX
+	STRIDES($2)
+	ZERO4(VXORPS, Y0, Y1, Y2, Y3)
+	ZERO4(VXORPS, Y4, Y5, Y6, Y7)
+	ZERO4(VXORPS, Y8, Y9, Y10, Y11)
+	MOVQ m+40(FP), AX
+	CMPQ AX, $3
+	JLT  loop12
+	JEQ  loop3
+	CMPQ AX, $5
+	JLT  loop4
+	JEQ  loop5
+
+loop6:
+	YSTEPR6(VMASKMOVPS, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop6)
+	JMP out
+
+loop5:
+	YSTEPR5(VMASKMOVPS, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop5)
+	JMP out
+
+loop4:
+	YSTEPR4(VMASKMOVPS, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop4)
+	JMP out
+
+loop3:
+	YSTEPR3(VMASKMOVPS, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop3)
+	JMP out
+
+loop12:
+	CMPQ AX, $2
+	JLT  loop1
+
+loop2:
+	YSTEPR2(VMASKMOVPS, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop2)
+	JMP out
+
+loop1:
+	YSTEPR1(VMASKMOVPS, VBROADCASTSS, VFMADD231PS)
+	KNEXT($4, loop1)
+
+out:
+	MOVQ    bias+24(FP), SI
+	MOVQ    res+32(FP), R15
+	MOVBQZX relu+72(FP), R13
+	OPERANDS(negz-128(SP), $0xFF800000FF800000)
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14
+	MOVQ         m+40(FP), AX
+	YOUTROW(VMASKMOVPS, VADDPS, VMAXPS, Y0, Y1)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPS, VADDPS, VMAXPS, Y2, Y3)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPS, VADDPS, VMAXPS, Y4, Y5)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPS, VADDPS, VMAXPS, Y6, Y7)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPS, VADDPS, VMAXPS, Y8, Y9)
+	DECQ AX
+	JZ   done
+	YOUTROW(VMASKMOVPS, VADDPS, VMAXPS, Y10, Y11)
 
 done:
 	VZEROUPPER

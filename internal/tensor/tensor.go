@@ -6,38 +6,37 @@
 // Add, AddReLU, ReLU, Softmax, Convert) have one generic body over Float;
 // training stays in float64 (gradient noise compounds across epochs), so
 // the backward-pass kernels are float64 only. Per element type there is
-// only what the hardware forces: the AVX2+FMA dense micro-kernel and the
-// row-tile loop around it (runDense64, runDense32) — a ymm register holds
-// 4 float64 lanes or 8 float32 lanes, which together with the halved
-// memory traffic is what the float32 serving tier buys. Dense is the
-// whole fully connected layer in one pass — product, bias, a residual
-// block's shortcut, ReLU — and a row's result never depends on the rows
-// it was multiplied with.
+// only what the hardware forces: the micro-kernels and the row-tile
+// loops around them — a ymm register holds 4 float64 lanes or 8 float32
+// lanes, which together with the halved memory traffic is what the
+// float32 serving tier buys.
 //
-// Where the CPU has AVX-512 (F and VL, picked by CPUID and XCR0 alone)
-// every kernel runs a 512-bit twin with the 256-bit kernel's bits. A
-// ymm accumulator of the AVX2 dense kernel is one chain: one row of a
-// against one weight row, element k in lane k mod lanes. A zmm
-// accumulator of dense512Tile64/dense512Tile32 is two such chains side
-// by side — rows 2p and 2p+1 of a, in its low and high 256-bit halves,
-// against one weight row broadcast to both — so each chain meets the
-// same elements in the same lanes and order, and each half is folded by
-// the AVX2 kernel's own instructions. The product kernel's twin,
-// prod512Tile64, widens each register from 4 columns to 8; every column
-// is still its own sum. Same bits on both paths means the trained model,
-// the served answers and every pinned hash do not depend on which ran.
+// Dense is the whole fully connected layer in one pass — product, bias,
+// a residual block's shortcut, ReLU — over weights stored in×out, as an
+// outer product, and every output has one definition of its bits:
 //
-// Two micro-kernels, two rounding contracts. Dense's fuses: each term is
-// one FMA, so its results differ from the portable dotUnrolled path in
-// the last bits, and that is accepted (forward passes at serving are
-// what it is built for). The backward pass's products, MatMul and
-// TMatMul, run an AVX2 kernel of their own (prodTile64) that must not
-// fuse: one VMULPD and one VADDPD per term, in the order the portable
-// loops round, so on every path they give the portable loops' bits and
-// those loops are its bitwise reference. The trained bundle — the model
-// the paper tables and the benchmark's oracle are computed from — goes
-// through them, and a kernel that changed one bit of it would change
-// what every later number means.
+//	dst[r][j] = floor((s + bias[j]) + res[r][j]),
+//	s = fma(a[r][K-1], w[K-1][j], … fma(a[r][0], w[0][j], +0))
+//
+// the FMA chain over ascending k from +0, one rounding a term, then the
+// adds and the ReLU's floor (x < 0 ? +0 : x). The micro-kernels
+// (outerTile64/32 on AVX2, outer512Tile64/32 on AVX-512) keep each output
+// in one accumulator lane from start to end and denseScalar is the chain
+// in Go, so every path gives the same bits by construction: there is no
+// fold of lanes and no k tail, and a row's result never depends on the
+// rows it was multiplied with.
+//
+// The dot form — a row of a against a row of b, element k in lane k mod
+// lanes, the lanes folded in one fixed order — remains only for MatMulT
+// and MatMulT32 (dotTile64/32, dot512Tile64/32, and dotLanes, the same
+// arithmetic in Go). The backward pass's products, MatMul and TMatMul,
+// run a micro-kernel of their own (prodTile64, prod512Tile64) that must
+// not fuse: one VMULPD and one VADDPD per term, in the order the portable
+// loops round, so on every path they give the portable loops' bits. The
+// trained bundle — the model the paper tables and the benchmark's oracle
+// are computed from — goes through Dense and these products, so it is
+// the same on every path, -tags noasm included; a kernel that changed
+// one bit of it would change what every later number means.
 //
 // The package is deliberately small and allocation-conscious: every hot
 // routine accepts destination buffers so the training loop in
@@ -137,17 +136,17 @@ func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 	return New[T](rows, cols)
 }
 
-// MatMul computes dst = a·b, the input gradient of the backward pass.
-// dst must be a.Rows×b.Cols and distinct from both operands. With AVX2 it
-// runs the training products' micro-kernel (prodTile64, or its 512-bit
-// twin prod512Tile64 with AVX-512) through the fan-out rule; without,
-// the portable ikj loop (matMulPortable). All three sum each output from
-// zero in ascending k with one multiply and one add per term, so they
-// give the same bits — the portable loop is the kernels' bitwise
-// reference. Unlike Dense, this kernel must not fuse:
-// the trained bundle, and with it the paper tables and the benchmark's
-// oracle, is computed through these products, and a fused multiply-add
-// would round them differently.
+// MatMul computes dst = a·b, the input gradient of the backward pass
+// (nn.Dense computes it as (W·gᵀ)ᵀ). dst must be a.Rows×b.Cols and
+// distinct from both operands. With AVX2 it runs the training products'
+// micro-kernel (prodTile64, or its 512-bit twin prod512Tile64 with
+// AVX-512) through the fan-out rule; without, the portable ikj loop
+// (matMulPortable). All three sum each output from zero in ascending k
+// with one multiply and one add per term, so they give the same bits —
+// the portable loop is the kernels' bitwise reference. Unlike Dense and
+// MatMulT, this kernel must not fuse: the trained bundle, and with it
+// the paper tables and the benchmark's oracle, is computed through these
+// products, and a fused multiply-add would round them differently.
 //
 //eugene:noalloc
 func MatMul(dst, a, b *Matrix) {
@@ -194,50 +193,163 @@ func runProduct64(j gemmJob) {
 	if hasAVX512 {
 		tile = prod512Tile64
 	}
-	for i := j.lo; i < j.hi; i += denseRowTile {
-		tile(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(denseRowTile, j.hi-i), n, k, ars, aks, j.transA)
+	for i := j.lo; i < j.hi; i += narrowTile {
+		tile(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(narrowTile, j.hi-i), n, k, ars, aks, j.transA)
+	}
+}
+
+// Transpose writes srcᵀ into dst, which must be src.Cols×src.Rows and
+// not src. Eight source rows go at a time, so that each row of dst gets
+// eight contiguous elements while the eight rows of src are read
+// across: a row-by-row walk writes dst a cache line per element, which
+// at a 256-wide layer's row stride is four times slower.
+//
+//eugene:noalloc
+func Transpose[T Float](dst, src *Mat[T]) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: Transpose dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
+	}
+	rows, cols := src.Rows, src.Cols
+	r := 0
+	for ; r+8 <= rows; r += 8 {
+		s0, s1, s2, s3 := src.Row(r), src.Row(r+1), src.Row(r+2), src.Row(r+3)
+		s4, s5, s6, s7 := src.Row(r+4), src.Row(r+5), src.Row(r+6), src.Row(r+7)
+		for c := range cols {
+			d := dst.Data[c*rows+r : c*rows+r+8]
+			d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
+			d[4], d[5], d[6], d[7] = s4[c], s5[c], s6[c], s7[c]
+		}
+	}
+	for ; r < rows; r++ {
+		for c, v := range src.Row(r) {
+			dst.Data[c*rows+r] = v
+		}
 	}
 }
 
 // MatMulT computes dst = a·bᵀ, i.e. dst[i][j] = Σ_k a[i][k]·b[j][k].
-// dst must be a.Rows×b.Rows. It is Dense with no bias and no ReLU — the
-// same kernel, fan-out rule and reduction order — for callers that want
-// the bare product: cmd/eugenebench's GEMM rung.
+// dst must be a.Rows×b.Rows and distinct from the operands. Each output
+// is a dot product of two contiguous rows: element k in lane k mod 4 of
+// one FMA chain (mod 8 at float32), the lanes folded in one fixed order
+// and +0 added (dotLanes), whatever the path — the micro-kernels
+// dotTile64 and, with AVX-512, dot512Tile64 give dotLanes' bits. It is
+// cmd/eugenebench's GEMM rung. A row's result does not depend on the
+// rows it was multiplied with, and a product split over helper
+// goroutines (parallel.go) equals the serial one.
 //
 //eugene:noalloc
-func MatMulT(dst, a, b *Matrix) { dense64(dst, a, b, nil, nil, false) }
+func MatMulT(dst, a, b *Matrix) {
+	checkMatMulT(dst, a, b)
+	fanOut(gemmJob{run: runMatMulT64, dst: dst, a: a, b: b}, a.Rows, a.Rows*b.Rows*a.Cols)
+}
 
 // MatMulT32 is MatMulT in float32.
 //
 //eugene:noalloc
-func MatMulT32(dst, a, b *Matrix32) { dense32(dst, a, b, nil, nil, false) }
+func MatMulT32(dst, a, b *Matrix32) {
+	checkMatMulT(dst, a, b)
+	fanOut(gemmJob{run: runMatMulT32, dst32: dst, a32: a, b32: b}, a.Rows, a.Rows*b.Rows*a.Cols)
+}
 
-// Dense computes the fully connected layer dst = a·wᵀ + bias + res,
-// floored at zero when relu is set: dst[i][j] = Σ_k a[i][k]·w[j][k] +
-// bias[j] + res[i][j]. dst must be a.Rows×w.Rows and distinct from the
-// operands; w is stored out×in, so a row of w is one output neuron's
-// contiguous weights, bias (length w.Rows) may be nil for none, and res,
-// dst's shape, may be nil for none. res is a residual block's shortcut:
-// the block's input, added after the bias and before the floor, rounding
-// as Add after a bias-only Dense does ((s + bias) + res is res + (s +
-// bias) bit for bit), so a block's last layer and its sum are one pass.
-// This is the one place the type set of Float is enumerated: it hands the
-// layer to T's kernel, once per call, and a new precision tier adds a
-// case here and a micro-kernel.
+func checkMatMulT[T Float](dst, a, b *Mat[T]) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulT dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
+	}
+}
+
+// The dot kernels take up to narrowTile rows a call on AVX2, and 2 to
+// rowTile rows against at least wideGroup rows of b (one register group)
+// on AVX-512; a single row, and fewer rows of b, run the AVX2 kernel,
+// whose bits the AVX-512 one gives.
+const wideGroup = 8
+
+// runMatMulT64 is MatMulT over rows [j.lo, j.hi) of a and dst.
 //
-// With AVX2 and FMA the whole layer is one pass of the assembly
-// micro-kernel (denseTile64, denseTile32): rows of a in register tiles
-// of denseRowTile, each weight row streamed once per tile, bias, residual
-// and ReLU applied to the sums before they are stored. A ragged last tile
-// and a one-row call run the same kernel at a lower row count. With
-// AVX-512 the tiles are of up to wideRowTile rows, on the 512-bit twin
-// (dense512Tile64, dense512Tile32), with the same bits. Without them
-// every output is dotUnrolled plus the same epilogue. Either way an
-// output is reduced over k in one fixed order, so a row's result does not
-// depend on how many rows it was batched with or where in the batch it
-// sat: Dense on rows [0, m) equals m one-row calls bit for bit, and a
-// product split over helper goroutines (parallel.go) equals the serial
-// one. NaN propagates; results differ across builds (FMA rounds once).
+//eugene:noalloc
+func runMatMulT64(j gemmJob) {
+	n, k := j.b.Rows, j.a.Cols
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		matMulTScalar(j.dst, j.a, j.b, j.lo, j.hi)
+		return
+	}
+	i := j.lo
+	if hasAVX512 && n >= wideGroup {
+		for ; j.hi-i >= 2; i += rowTile {
+			dot512Tile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], min(rowTile, j.hi-i), n, k)
+		}
+	}
+	for ; i < j.hi; i += narrowTile {
+		dotTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], min(narrowTile, j.hi-i), n, k)
+	}
+}
+
+// runMatMulT32 is runMatMulT64 at float32.
+//
+//eugene:noalloc
+func runMatMulT32(j gemmJob) {
+	n, k := j.b32.Rows, j.a32.Cols
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		matMulTScalar(j.dst32, j.a32, j.b32, j.lo, j.hi)
+		return
+	}
+	i := j.lo
+	if hasAVX512 && n >= wideGroup {
+		for ; j.hi-i >= 2; i += rowTile {
+			dot512Tile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], min(rowTile, j.hi-i), n, k)
+		}
+	}
+	for ; i < j.hi; i += narrowTile {
+		dotTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], min(narrowTile, j.hi-i), n, k)
+	}
+}
+
+// matMulTScalar is MatMulT over rows [lo, hi) in portable Go.
+//
+//eugene:noalloc
+func matMulTScalar[T Float](dst, a, b *Mat[T], lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow, drow := a.Row(i), dst.Row(i)
+		for j := range drow {
+			drow[j] = dotLanes(arow, b.Row(j))
+		}
+	}
+}
+
+// Dense computes the fully connected layer dst = a·w + bias + res,
+// floored at zero when relu is set. w is stored in×out (k×n): row k
+// holds every output's weight for input k. dst must be a.Rows×w.Cols
+// and distinct from the operands, bias (length w.Cols) may be nil for
+// none, and res, dst's shape, may be nil for none. res is a residual
+// block's shortcut: the block's input, added after the bias and before
+// the floor, rounding as Add after a bias-only Dense does ((s + bias) +
+// res is res + (s + bias) bit for bit), so a block's last layer and its
+// sum are one pass. Every output has one definition of its bits:
+//
+//	dst[i][j] = floor((s + bias[j]) + res[i][j]),
+//	s = fma(a[i][K-1], w[K-1][j], … fma(a[i][0], w[0][j], +0))
+//
+// — the FMA chain over ascending k from +0, then the adds, with floor
+// the ReLU's (x < 0 ? +0 : x, so NaN and -0 pass). A nil operand is no
+// add. This is the one place the type set of Float is enumerated: it
+// hands the layer to T's kernel, once per call, and a new precision tier
+// adds a case here and a micro-kernel.
+//
+// With AVX2 and FMA the layer is the outer-product micro-kernel
+// (outerTile64, outerTile32): blocks of w's columns outside, tiles of up
+// to rowTile rows of a inside, so each block of w is fetched from memory
+// once per call and stays in cache for the tiles after the first; each
+// output is one accumulator lane over k, with bias, residual and ReLU
+// applied before the store. With AVX-512 the blocks are four times as
+// wide (outer512Tile64, outer512Tile32), and a last block of up to 8
+// float64 or 16 float32 columns — a narrow head's outputs — runs the
+// AVX2 kernel, which wastes fewer lanes on it. Without either,
+// denseScalar is the chain in Go. Every path gives the same bits, because no output's
+// sum is split over lanes or depends on its neighbours: Dense on rows
+// [0, m) equals m one-row calls bit for bit, and a product split over
+// helper goroutines (parallel.go) equals the serial one.
 func Dense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool) {
 	switch d := any(dst).(type) {
 	case *Matrix:
@@ -252,24 +364,24 @@ func Dense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool) {
 //eugene:noalloc
 func dense64(dst, a, w *Matrix, bias []float64, res *Matrix, relu bool) {
 	checkDense(dst, a, w, bias, res)
-	fanOut(gemmJob{run: runDense64, dst: dst, a: a, b: w, bias: bias, res: res, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
+	fanOut(gemmJob{run: runDense64, dst: dst, a: a, b: w, bias: bias, res: res, relu: relu}, a.Rows, a.Rows*w.Cols*a.Cols)
 }
 
 //eugene:noalloc
 func dense32(dst, a, w *Matrix32, bias []float32, res *Matrix32, relu bool) {
 	checkDense(dst, a, w, bias, res)
-	fanOut(gemmJob{run: runDense32, dst32: dst, a32: a, b32: w, bias32: bias, res32: res, relu: relu}, a.Rows, a.Rows*w.Rows*a.Cols)
+	fanOut(gemmJob{run: runDense32, dst32: dst, a32: a, b32: w, bias32: bias, res32: res, relu: relu}, a.Rows, a.Rows*w.Cols*a.Cols)
 }
 
 func checkDense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T]) {
-	if a.Cols != w.Cols {
-		panic(fmt.Sprintf("tensor: Dense shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, w.Rows, w.Cols))
+	if a.Cols != w.Rows {
+		panic(fmt.Sprintf("tensor: Dense shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, w.Rows, w.Cols))
 	}
-	if dst.Rows != a.Rows || dst.Cols != w.Rows {
-		panic(fmt.Sprintf("tensor: Dense dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, w.Rows))
+	if dst.Rows != a.Rows || dst.Cols != w.Cols {
+		panic(fmt.Sprintf("tensor: Dense dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, w.Cols))
 	}
-	if bias != nil && len(bias) != w.Rows {
-		panic(fmt.Sprintf("tensor: Dense bias length %d != %d outputs", len(bias), w.Rows))
+	if bias != nil && len(bias) != w.Cols {
+		panic(fmt.Sprintf("tensor: Dense bias length %d != %d outputs", len(bias), w.Cols))
 	}
 	if res != nil {
 		checkSameShape("Dense residual", res, dst)
@@ -279,41 +391,38 @@ func checkDense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T]) {
 	}
 }
 
-// denseRowTile is the most rows of a one 256-bit micro-kernel call
-// takes, and the grain the fan-out splits rows on.
-const denseRowTile = 3
-
-// The 512-bit dense kernels take 2 to wideRowTile rows a call (pairs of
-// rows, one pair to a zmm register) against at least wideGroup weight
-// rows (one register group); a single row, and a layer of fewer outputs,
-// run the 256-bit kernel, whose bits they give.
+// Row tiles. rowTile is the most rows of a one outer-product kernel call
+// takes (and one AVX-512 dot kernel call); narrowTile the most one AVX2
+// dot kernel call and one product kernel call take, and the grain the
+// fan-out splits rows on.
 const (
-	wideRowTile = 6
-	wideGroup   = 8
+	rowTile    = 6
+	narrowTile = 3
 )
 
 // runDense64 is Dense over rows [j.lo, j.hi) of a and dst at float64.
 //
 //eugene:noalloc
 func runDense64(j gemmJob) {
-	n, k := j.b.Rows, j.a.Cols
+	n, k := j.b.Cols, j.a.Cols
 	if !hasAVX2FMA || n == 0 || k == 0 {
 		denseScalar(j.dst, j.a, j.b, j.bias, j.res, j.relu, j.lo, j.hi)
 		return
 	}
-	bias := rowAt(j.bias, 0)
 	var res []float64
 	if j.res != nil {
 		res = j.res.Data
 	}
-	i := j.lo
-	if hasAVX512 && n >= wideGroup {
-		for ; j.hi-i >= 2; i += wideRowTile {
-			dense512Tile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, rowAt(res, i*n), min(wideRowTile, j.hi-i), n, k, j.relu)
+	for c := 0; c < n; {
+		tile, cols := outer512Tile64, min(32, n-c)
+		if !hasAVX512 || cols <= 8 {
+			tile, cols = outerTile64, min(8, n-c)
 		}
-	}
-	for ; i < j.hi; i += denseRowTile {
-		denseTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], bias, rowAt(res, i*n), min(denseRowTile, j.hi-i), n, k, j.relu)
+		for i := j.lo; i < j.hi; i += rowTile {
+			tile(&j.dst.Data[i*n+c], &j.a.Data[i*k], &j.b.Data[c], rowAt(j.bias, c), rowAt(res, i*n+c),
+				min(rowTile, j.hi-i), n, k, cols, j.relu)
+		}
+		c += cols
 	}
 }
 
@@ -321,24 +430,25 @@ func runDense64(j gemmJob) {
 //
 //eugene:noalloc
 func runDense32(j gemmJob) {
-	n, k := j.b32.Rows, j.a32.Cols
+	n, k := j.b32.Cols, j.a32.Cols
 	if !hasAVX2FMA || n == 0 || k == 0 {
 		denseScalar(j.dst32, j.a32, j.b32, j.bias32, j.res32, j.relu, j.lo, j.hi)
 		return
 	}
-	bias := rowAt(j.bias32, 0)
 	var res []float32
 	if j.res32 != nil {
 		res = j.res32.Data
 	}
-	i := j.lo
-	if hasAVX512 && n >= wideGroup {
-		for ; j.hi-i >= 2; i += wideRowTile {
-			dense512Tile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, rowAt(res, i*n), min(wideRowTile, j.hi-i), n, k, j.relu)
+	for c := 0; c < n; {
+		tile, cols := outer512Tile32, min(64, n-c)
+		if !hasAVX512 || cols <= 16 {
+			tile, cols = outerTile32, min(16, n-c)
 		}
-	}
-	for ; i < j.hi; i += denseRowTile {
-		denseTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], bias, rowAt(res, i*n), min(denseRowTile, j.hi-i), n, k, j.relu)
+		for i := j.lo; i < j.hi; i += rowTile {
+			tile(&j.dst32.Data[i*n+c], &j.a32.Data[i*k], &j.b32.Data[c], rowAt(j.bias32, c), rowAt(res, i*n+c),
+				min(rowTile, j.hi-i), n, k, cols, j.relu)
+		}
+		c += cols
 	}
 }
 
@@ -353,27 +463,97 @@ func rowAt[T Float](s []T, i int) *T {
 	return &s[i]
 }
 
-// denseScalar is Dense over rows [lo, hi) in portable Go: the only path
-// off amd64, under -tags noasm and on a CPU without AVX2 and FMA.
+// denseScalar is Dense over rows [lo, hi) in portable Go — the only path
+// off amd64, under -tags noasm and on a CPU without AVX2 and FMA, and
+// the definition the kernels give the bits of. A row of dst holds its
+// outputs' chains while a's row streams down w's rows in memory order,
+// four k steps to a pass over the row.
 //
 //eugene:noalloc
 func denseScalar[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool, lo, hi int) {
+	n := w.Cols
 	for i := lo; i < hi; i++ {
-		arow, drow := a.Row(i), dst.Row(i)
-		for j := range drow {
-			s := dotUnrolled(arow, w.Row(j))
+		drow, arow := dst.Row(i), a.Row(i)
+		clear(drow)
+		k := 0
+		for ; k+4 <= len(arow); k += 4 {
+			fmaRows(drow, arow[k:k+4], w.Data[k*n:(k+4)*n])
+		}
+		for ; k < len(arow); k++ {
+			fmaRows(drow, arow[k:k+1], w.Data[k*n:k*n+n])
+		}
+		for j, s := range drow {
 			if bias != nil {
 				s += bias[j]
 			}
 			if res != nil {
-				s += res.Data[i*res.Cols+j]
+				s += res.Data[i*n+j]
 			}
-			if relu {
-				s = max(s, 0)
+			if relu && s < 0 {
+				s = 0
 			}
 			drow[j] = s
 		}
 	}
+}
+
+// fmaRows runs len(x) k steps (one or four) of a row's chains: for
+// every j, s = dst[j], then per step q s = x[q]·w[q·n+j] + s rounded once
+// to T (the one rounding of the kernels' VFMADD231PD and VFMADD231PS),
+// and dst[j] = s; n = len(dst), and w holds len(x) rows of it.
+//
+//eugene:noalloc
+func fmaRows[T Float](dst, x, w []T) {
+	n := len(dst)
+	if d, ok := as[float64](&dst); ok {
+		x, _ := as[float64](&x)
+		w, _ := as[float64](&w)
+		if len(x) == 4 {
+			w0, w1, w2, w3 := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n]
+			for j := range d {
+				d[j] = math.FMA(x[3], w3[j], math.FMA(x[2], w2[j], math.FMA(x[1], w1[j], math.FMA(x[0], w0[j], d[j]))))
+			}
+			return
+		}
+		for j, v := range w[:n] {
+			d[j] = math.FMA(x[0], v, d[j])
+		}
+		return
+	}
+	for q, xq := range x {
+		for j, v := range w[q*n : q*n+n] {
+			dst[j] = T(fma32(float32(xq), float32(v), float32(dst[j])))
+		}
+	}
+}
+
+// fma32 is x·y + z rounded once to float32. The product of two float32
+// is exact in float64, so x·y + z is one float64 addition, but rounding
+// that sum to nearest and then to float32 can round twice the wrong way
+// (a sum just past a float32 midpoint that float64 rounds onto it). So
+// the sum is rounded to odd instead — to nearest, then, if inexact (its
+// error from TwoSum, exact here), onto its odd neighbour towards the
+// true sum — and float64's 29 extra bits make the narrowing of a
+// round-to-odd value round exactly as the sum itself would.
+//
+//eugene:noalloc
+func fma32(x, y, z float32) float32 {
+	p := float64(float64(x) * float64(y))
+	c := float64(z)
+	s := p + c
+	bp := s - c
+	// e is NaN, and s left alone, when s is infinite or NaN.
+	if e := (p - bp) + (c - (s - bp)); e != 0 && e == e {
+		if bits := math.Float64bits(s); bits&1 == 0 {
+			if (e > 0) == (s > 0) {
+				bits++
+			} else {
+				bits--
+			}
+			s = math.Float64frombits(bits)
+		}
+	}
+	return float32(s)
 }
 
 // TMatMul adds aᵀ·b to dst, i.e. dst[i][j] += Σ_k a[k][i]·b[k][j]: the
@@ -444,25 +624,77 @@ func tMatMulPortable(dst, a, b *Matrix) {
 	}
 }
 
-// dotUnrolled is the 4-way unrolled inner-product kernel behind Dot and
-// the portable Dense. Four independent accumulators break the
-// add-latency dependency chain; lengths must match (callers check).
+// dotLanes is the inner product of a and b (lengths must match) as the
+// dot kernels compute it: element k in lane k mod lanes of one FMA chain
+// from +0 (dot64, dot32), then the lanes folded and +0 added.
 //
 //eugene:noalloc
-func dotUnrolled[T Float](a, b []T) T {
-	var s0, s1, s2, s3 T
-	n := len(a)
+func dotLanes[T Float](a, b []T) T {
+	if a, ok := as[float64](&a); ok {
+		b, _ := as[float64](&b)
+		return T(dot64(a, b))
+	}
+	a32, _ := as[float32](&a)
+	b32, _ := as[float32](&b)
+	return T(dot32(a32, b32))
+}
+
+// as is *s when T is S: a generic body's way into a kernel of one type.
+//
+//eugene:noalloc
+func as[S, T Float](s *[]T) ([]S, bool) {
+	//lint:ignore hotpathalloc a pointer boxes without allocating and the assertion keeps it from escaping; TestDenseAllocs holds it at zero
+	p, ok := any(s).(*[]S)
+	if !ok {
+		return nil, false
+	}
+	return *p, true
+}
+
+// dot64 is dotLanes at float64: four lanes, folded (l0+l1)+(l2+l3). A
+// lane the last step does not reach adds +0, as the kernels' masked
+// loads make it.
+//
+//eugene:noalloc
+func dot64(a, b []float64) float64 {
+	var l0, l1, l2, l3 float64
+	b = b[:len(a)]
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+	for ; i+4 <= len(a); i += 4 {
+		l0 = math.FMA(a[i], b[i], l0)
+		l1 = math.FMA(a[i+1], b[i+1], l1)
+		l2 = math.FMA(a[i+2], b[i+2], l2)
+		l3 = math.FMA(a[i+3], b[i+3], l3)
 	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+	if r := len(a) - i; r > 0 {
+		l0 = math.FMA(a[i], b[i], l0)
+		l1, l2, l3 = l1+0, l2+0, l3+0
+		if r > 1 {
+			l1 = math.FMA(a[i+1], b[i+1], l1)
+		}
+		if r > 2 {
+			l2 = math.FMA(a[i+2], b[i+2], l2)
+		}
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (l0 + l1) + (l2 + l3) + 0
+}
+
+// dot32 is dotLanes at float32: eight lanes, folded ((l0+l1)+(l2+l3)) +
+// ((l4+l5)+(l6+l7)), a lane the last step does not reach adding +0.
+//
+//eugene:noalloc
+func dot32(a, b []float32) float32 {
+	var l [8]float32
+	b = b[:len(a)]
+	for i, v := range a {
+		l[i%8] = fma32(v, b[i], l[i%8])
+	}
+	if r := len(a) % 8; r > 0 {
+		for q := r; q < 8; q++ {
+			l[q] += 0
+		}
+	}
+	return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])) + 0
 }
 
 // axpyUnrolled computes dst[i] += alpha*src[i] with a 4-way unrolled
@@ -626,12 +858,13 @@ func ArgMax(v []float64) (int, float64) {
 	return best, bestV
 }
 
-// Dot returns the inner product of a and b (lengths must match).
+// Dot returns the inner product of a and b (lengths must match): one
+// output of MatMulT.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
-	return dotUnrolled(a, b)
+	return dotLanes(a, b)
 }
 
 func checkSameShape[A, B Float](op string, a *Mat[A], b *Mat[B]) {

@@ -98,9 +98,9 @@ func TestMatMulShapePanics(t *testing.T) {
 		{"bad dst", func() { MatMul(NewMatrix(3, 3), NewMatrix(2, 3), NewMatrix(3, 2)) }},
 		{"add mismatch", func() { Add(NewMatrix(2, 2), NewMatrix(2, 2), NewMatrix(2, 3)) }},
 		{"from slice", func() { FromSlice(2, 2, []float64{1}) }},
-		{"dense inner", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 4), nil, nil, false) }},
-		{"dense dst", func() { Dense(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(2, 3), nil, nil, false) }},
-		{"dense bias", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 3), []float64{1}, nil, false) }},
+		{"dense inner", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2), nil, nil, false) }},
+		{"dense dst", func() { Dense(NewMatrix(2, 3), NewMatrix(2, 3), NewMatrix(3, 2), nil, nil, false) }},
+		{"dense bias", func() { Dense(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(3, 2), []float64{1}, nil, false) }},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,4 +241,30 @@ func BenchmarkMatMul64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMul(dst, a, c)
 	}
+}
+
+func TestTranspose(t *testing.T) {
+	perType(t, testTranspose[float64], testTranspose[float32])
+}
+
+func testTranspose[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, s := range [][2]int{{0, 3}, {3, 0}, {1, 1}, {7, 5}, {8, 8}, {9, 13}, {17, 256}, {256, 20}} {
+		src, _ := randMat[T](rng, s[0], s[1])
+		dst := New[T](s[1], s[0])
+		Transpose(dst, src)
+		for r := 0; r < src.Rows; r++ {
+			for c := 0; c < src.Cols; c++ {
+				if dst.At(c, r) != src.At(r, c) {
+					t.Fatalf("%dx%d: dst[%d][%d] = %v, want %v", s[0], s[1], c, r, dst.At(c, r), src.At(r, c))
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Transpose into a dst of the wrong shape did not panic")
+		}
+	}()
+	Transpose(New[T](2, 3), New[T](2, 3))
 }
