@@ -55,9 +55,11 @@ type Param struct {
 	Name  string
 	Value []float64
 	Grad  []float64
-	// Out is, for a dense layer's in×out weights, out; 0 otherwise.
-	// GradNorm reads such a gradient output by output, the order the
-	// snapshot stores the weights in.
+	// Out is, for a dense layer's in×out weights, the layer's output
+	// count; 0 for every other parameter. Training's sums run over a
+	// dense layer's weights in the out×in order a snapshot stores them,
+	// whatever their layout in memory, so GradNorm reads such a gradient
+	// output by output.
 	Out int
 }
 
@@ -132,7 +134,9 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	}
 	// gin = gradOut · Wᵀ, each element summed from zero in ascending
 	// output order with one multiply and one add a term (MatMul), as
-	// (W · gradOutᵀ)ᵀ: the product kernel reads W's rows where they lie.
+	// (W · gradOutᵀ)ᵀ: the product kernel reads W's rows where they lie
+	// and runs the batch's rows as its columns, and only the two
+	// batch-sized operands are transposed.
 	d.gT = ensure(d.gT, d.Out, gradOut.Rows)
 	tensor.Transpose(d.gT, gradOut)
 	d.ginT = ensure(d.ginT, d.In, gradOut.Rows)

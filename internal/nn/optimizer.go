@@ -116,9 +116,10 @@ func ZeroGrads(params []Param) {
 }
 
 // GradNorm returns the global L2 norm of all gradients, summed in
-// parameter order, a dense layer's weight gradient output by output (see
-// Param.Out) so that the sum does not depend on how the weights are laid
-// out in memory: the figure ClipStep decides by.
+// parameter order, a dense layer's weight gradient output by output
+// (Param.Out; tensor.SumSquaresByColumn walks it) so that the sum does
+// not depend on how the weights are laid out in memory: the figure
+// ClipStep decides by.
 func GradNorm(params []Param) float64 {
 	var sum float64
 	for _, p := range params {
@@ -128,11 +129,7 @@ func GradNorm(params []Param) float64 {
 			}
 			continue
 		}
-		for o := range p.Out {
-			for i := o; i < len(p.Grad); i += p.Out {
-				sum += p.Grad[i] * p.Grad[i]
-			}
-		}
+		sum = tensor.SumSquaresByColumn(sum, tensor.FromSlice(len(p.Grad)/p.Out, p.Out, p.Grad))
 	}
 	return math.Sqrt(sum)
 }

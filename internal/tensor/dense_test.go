@@ -79,35 +79,6 @@ func testDenseMatchesPortable[T Float](t *testing.T) {
 	}
 }
 
-// TestMatMulTMatchesPortable pins MatMulT and MatMulT32 to dotLanes bit
-// for bit on every kernel path, at row counts around both dot kernels'
-// tiles, output counts around their groups of four and eight b rows, and
-// depths around every lane tail, over the same special operands.
-func TestMatMulTMatchesPortable(t *testing.T) {
-	perType(t, testMatMulTMatchesPortable[float64], testMatMulTMatchesPortable[float32])
-}
-
-func testMatMulTMatchesPortable[T Float](t *testing.T) {
-	defer UseKernelPath(currentPath())
-	rng := rand.New(rand.NewSource(36))
-	for _, n := range append(upTo(17), 256) {
-		for _, k := range append(upTo(9), 15, 16, 17, 31, 32, 33, 256) {
-			b := specialMatrix[T](rng, n, k)
-			for _, m := range append(upTo(13), 64) {
-				a := specialMatrix[T](rng, m, k)
-				want := garbageMatrix[T](rng, m, n)
-				matMulTScalar(want, a, b, 0, m)
-				for _, path := range kernelPaths() {
-					UseKernelPath(path)
-					got := garbageMatrix[T](rng, m, n)
-					matMulT(got, a, b)
-					assertBitwise(t, fmt.Sprintf("%s m=%d n=%d k=%d", path, m, n, k), got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestFMA32RoundsOnce pins fma32 to x·y + z computed exactly and rounded
 // once to float32. The first case is one that float32(math.FMA(x, y, z))
 // rounds twice the wrong way: the exact sum lies 2^-70 below a float32
@@ -164,9 +135,9 @@ func upTo(n int) []int {
 }
 
 // TestDenseAllocs is the dynamic half of //eugene:noalloc on Dense and
-// MatMulT at both precisions, on every kernel path: the portable loops
-// reach their float64 and float32 bodies through pointer assertions,
-// which must not allocate.
+// Transpose at both precisions, on every kernel path: they reach their
+// float64 and float32 bodies through pointer assertions, which must not
+// allocate.
 func TestDenseAllocs(t *testing.T) {
 	perType(t,
 		func(t *testing.T) { onEachPath(t, testDenseAllocs[float64]) },
@@ -177,14 +148,14 @@ func testDenseAllocs[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	a, _ := randMat[T](rng, 7, 9)
 	w, _ := randMat[T](rng, 9, 13)
-	b, _ := randMat[T](rng, 13, 9)
 	res, _ := randMat[T](rng, 7, 13)
 	bias := make([]T, 13)
 	dst := New[T](7, 13)
 	if avg := testing.AllocsPerRun(20, func() { Dense(dst, a, w, bias, res, true) }); avg != 0 {
 		t.Errorf("Dense: %v allocs per call, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(20, func() { matMulT(dst, a, b) }); avg != 0 {
-		t.Errorf("MatMulT: %v allocs per call, want 0", avg)
+	at := New[T](9, 7)
+	if avg := testing.AllocsPerRun(20, func() { Transpose(at, a) }); avg != 0 {
+		t.Errorf("Transpose: %v allocs per call, want 0", avg)
 	}
 }

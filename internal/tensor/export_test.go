@@ -40,9 +40,9 @@ func KernelPaths() []string {
 	return kernelPaths()
 }
 
-// kernelPaths is KernelPaths for the kernels alone: the dense and dot
-// kernels' Go form is math.FMA, which the compiler cannot split, so they
-// have a path to test wherever KernelPath has none.
+// kernelPaths is KernelPaths for the kernels alone: the dense kernel's
+// Go form is math.FMA, which the compiler cannot split, so it has a path
+// to test wherever KernelPath has none.
 func kernelPaths() []string {
 	paths := []string{"portable"}
 	if cpuAVX2 {

@@ -81,3 +81,48 @@ const guardedBytes = 33 * 65 * 8
 
 // atEnd is the last n elements of mem: they end at the guard page.
 func atEnd[T Float](mem []T, n int) []T { return mem[len(mem)-n:] }
+
+// TestTrainingKernelsStayInRows is TestDenseKernelsStayInRows for the
+// kernels training runs besides Dense: MatMul's product kernel (with
+// its narrow last column groups of 1–8, 9–16 and 17–24 float64), the
+// transpose kernel and the clip norm's column walk, whose prefetches
+// run past the matrix and must not fault. Every operand ends at a
+// PROT_NONE page, and each result must equal the one on ordinary memory.
+func TestTrainingKernelsStayInRows(t *testing.T) {
+	onEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(39))
+		aMem, bMem, dstMem := guarded[float64](t), guarded[float64](t), guarded[float64](t)
+		for _, k := range []int{1, 2, 5, 9, 20} {
+			for _, m := range []int{1, 2, 3, 4, 7} {
+				for _, n := range []int{1, 7, 8, 9, 16, 17, 20, 24, 25, 33, 65} {
+					a, b := specialMatrix[float64](rng, m, k), specialMatrix[float64](rng, k, n)
+					ga := &Matrix{Rows: m, Cols: k, Data: atEnd(aMem, m*k)}
+					gb := &Matrix{Rows: k, Cols: n, Data: atEnd(bMem, k*n)}
+					copy(ga.Data, a.Data)
+					copy(gb.Data, b.Data)
+					got := &Matrix{Rows: m, Cols: n, Data: atEnd(dstMem, m*n)}
+					want := NewMatrix(m, n)
+					MatMul(got, ga, gb)
+					MatMul(want, a, b)
+					assertBitwise(t, fmt.Sprintf("MatMul m=%d n=%d k=%d", m, n, k), got, want)
+				}
+			}
+		}
+		for _, rows := range []int{1, 3, 4, 5, 8, 12, 13, 16, 40} {
+			for _, cols := range []int{1, 4, 7, 8, 12, 16, 17, 40} {
+				src := specialMatrix[float64](rng, rows, cols)
+				gsrc := &Matrix{Rows: rows, Cols: cols, Data: atEnd(aMem, rows*cols)}
+				copy(gsrc.Data, src.Data)
+				got := &Matrix{Rows: cols, Cols: rows, Data: atEnd(dstMem, rows*cols)}
+				want := NewMatrix(cols, rows)
+				Transpose(got, gsrc)
+				Transpose(want, src)
+				assertBitwise(t, fmt.Sprintf("Transpose %dx%d", rows, cols), got, want)
+				sum, wantSum := SumSquaresByColumn(0, gsrc), SumSquaresByColumn(0, src)
+				if sum != wantSum && (sum == sum || wantSum == wantSum) {
+					t.Fatalf("SumSquaresByColumn %dx%d: %v, want %v", rows, cols, sum, wantSum)
+				}
+			}
+		}
+	})
+}

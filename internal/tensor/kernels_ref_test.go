@@ -314,8 +314,8 @@ func testDotMatchesReference[T Float](t *testing.T) {
 		for i := range a64.Data {
 			want += a64.Data[i] * b64.Data[i]
 		}
-		if got := dotLanes(a.Data, b.Data); !closeTo(got, want, n) {
-			t.Fatalf("dotLanes(len %d) = %v, want %v", n, got, want)
+		if got := dotUnrolled(a.Data, b.Data); !closeTo(got, want, n) {
+			t.Fatalf("dotUnrolled(len %d) = %v, want %v", n, got, want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestProductKernelsMatchPortable(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		for rows := 1; rows <= 7; rows++ {
-			for _, cols := range []int{1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 256} {
+			for _, cols := range []int{1, 3, 4, 5, 8, 9, 15, 16, 17, 20, 24, 25, 31, 32, 33, 52, 63, 256} {
 				for _, k := range []int{1, 2, 3, 20, 33, 256} {
 					checkProducts(t, rng, rows, cols, k)
 				}

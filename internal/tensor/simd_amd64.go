@@ -5,8 +5,9 @@ package tensor
 // hasAVX2FMA gates the AVX2+FMA micro-kernels behind runtime CPU
 // detection: the CPU must advertise FMA and AVX2, and the OS must have
 // enabled XMM/YMM state saving (OSXSAVE + XCR0 bits 1–2). When false,
-// the portable Go kernels run instead, with the same bits. Only the
-// tests switch it (export_test.go), to run every path on one CPU.
+// the portable Go kernels run instead, with the same bits (MatMulT, the
+// benchmark's GEMM rung, aside). Only the tests switch it
+// (export_test.go), to run every path on one CPU.
 var hasAVX2FMA = detectAVX2FMA()
 
 func detectAVX2FMA() bool {
@@ -91,8 +92,8 @@ func outer512Tile32(dst, a, w, bias, res *float32, m, n, k, cols int, relu bool)
 //	dst[r·n+j] = Σ_k a[r·k+kk]·b[j·k+kk]
 //
 // with element kk in lane kk mod 4 of one FMA chain, the lanes folded as
-// (l0+l1)+(l2+l3) and +0 added: dotLanes' bits. The loop over b's rows
-// runs inside, four at a time. n and k are at least 1 (simd_amd64.s has
+// (l0+l1)+(l2+l3) and +0 added. The loop over b's rows runs inside,
+// four at a time. n and k are at least 1 (simd_amd64.s has
 // the layout).
 //
 //go:noescape
@@ -133,7 +134,24 @@ func dot512Tile64(dst, a, b *float64, m, n, k int)
 func dot512Tile32(dst, a, b *float32, m, n, k int)
 
 // prod512Tile64 is prodTile64 on AVX-512, bit for bit: 32 columns to a
-// group instead of 16, the same multiply and add per term.
+// group instead of 16, the same multiply and add per term; a last group
+// of at most 24 columns (the input gradient's batch of 20) runs only the
+// ⌈w/8⌉ vectors it needs.
 //
 //go:noescape
 func prod512Tile64(dst, a, b *float64, m, n, k, ars, aks int, add bool)
+
+// transposeBlocks64 is Transpose's AVX2 kernel: dst[c·dstStride+r] =
+// src[r·srcStride+c] for r < rows and c < cols, both positive multiples
+// of 4, in 4×4 register blocks (simd_amd64.s has the layout).
+//
+//go:noescape
+func transposeBlocks64(dst, src *float64, rows, cols, dstStride, srcStride int)
+
+// sumSquaresStrips64 is SumSquaresByColumn's AVX2 kernel over the first
+// 8·strips columns of src, a rows × stride row-major matrix, with rows a
+// positive multiple of 4 and a and b scratch buffers of 8·rows elements
+// each (simd_amd64.s has the layout).
+//
+//go:noescape
+func sumSquaresStrips64(sum float64, src *float64, rows, strips, stride int, a, b *float64) float64

@@ -40,8 +40,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // and are not stored). Every output is therefore reduced in one order —
 // lane sums in k order, then (l0+l1)+(l2+l3), at float32 that for each
 // half and low + high half, then + 0 — whatever m, whatever the group:
-// a row's result does not depend on which rows shared its tile, and
-// dotLanes in tensor.go is the same arithmetic in Go.
+// a row's result does not depend on which rows shared its tile.
 //
 // Registers: AX b rows left, BX dst row stride in bytes, CX k offset
 // (negative, counting up to 0: a and b pointers are pre-advanced past
@@ -1157,6 +1156,83 @@ done:
 	ZPCOL3(Z3, Z7, Z11); \
 	ZPNEXT
 
+// The k steps of a last group of w ≤ 24 columns over only its first
+// v = ⌈w/8⌉ column vectors, v = 1, 2 or 3 (ZPSTEPmVv for m rows): no
+// multiply or add is spent on a vector whose lanes are all masked off,
+// and each lane's terms are the four-vector loop's.
+#define ZPSTEP1V1 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL1(Z0); \
+	ZPNEXT
+#define ZPSTEP2V1 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL2(Z0, Z4); \
+	ZPNEXT
+#define ZPSTEP3V1 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	VBROADCASTSD (R10)(R12*1), Z16; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL3(Z0, Z4, Z8); \
+	ZPNEXT
+#define ZPSTEP1V2 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL1(Z0); \
+	ZBVECTAIL(64, K2); \
+	ZPCOL1(Z1); \
+	ZPNEXT
+#define ZPSTEP2V2 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL2(Z0, Z4); \
+	ZBVECTAIL(64, K2); \
+	ZPCOL2(Z1, Z5); \
+	ZPNEXT
+#define ZPSTEP3V2 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	VBROADCASTSD (R10)(R12*1), Z16; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL3(Z0, Z4, Z8); \
+	ZBVECTAIL(64, K2); \
+	ZPCOL3(Z1, Z5, Z9); \
+	ZPNEXT
+#define ZPSTEP1V3 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL1(Z0); \
+	ZBVECTAIL(64, K2); \
+	ZPCOL1(Z1); \
+	ZBVECTAIL(128, K3); \
+	ZPCOL1(Z2); \
+	ZPNEXT
+#define ZPSTEP2V3 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL2(Z0, Z4); \
+	ZBVECTAIL(64, K2); \
+	ZPCOL2(Z1, Z5); \
+	ZBVECTAIL(128, K3); \
+	ZPCOL2(Z2, Z6); \
+	ZPNEXT
+#define ZPSTEP3V3 \
+	VBROADCASTSD (R8)(R12*1), Z14; \
+	VBROADCASTSD (R9)(R12*1), Z15; \
+	VBROADCASTSD (R10)(R12*1), Z16; \
+	ZBVECTAIL(0, K1); \
+	ZPCOL3(Z0, Z4, Z8); \
+	ZBVECTAIL(64, K2); \
+	ZPCOL3(Z1, Z5, Z9); \
+	ZBVECTAIL(128, K3); \
+	ZPCOL3(Z2, Z6, Z10); \
+	ZPNEXT
+
 // Store one row's four accumulators at rp, or add dst's values to them
 // first (add is set): whole, or under the tail masks.
 #define ZPSTORE(c, off, kv, rp) VMOVUPD c, off(rp)
@@ -1258,6 +1334,12 @@ next:
 	RET
 
 tail:
+	CMPQ AX, $8
+	JLE  tailv1
+	CMPQ AX, $16
+	JLE  tailv2
+	CMPQ AX, $24
+	JLE  tailv3
 	CMPQ m+24(FP), $2
 	JLT  tail1
 	JEQ  tail2
@@ -1278,6 +1360,76 @@ tail1:
 	ZPSTEP1(ZBVECTAIL)
 	DECQ CX
 	JNZ  tail1
+	JMP  tailstore
+
+tailv1:
+	CMPQ m+24(FP), $2
+	JLT  tail1v1
+	JEQ  tail2v1
+
+tail3v1:
+	ZPSTEP3V1
+	DECQ CX
+	JNZ  tail3v1
+	JMP  tailstore
+
+tail2v1:
+	ZPSTEP2V1
+	DECQ CX
+	JNZ  tail2v1
+	JMP  tailstore
+
+tail1v1:
+	ZPSTEP1V1
+	DECQ CX
+	JNZ  tail1v1
+	JMP  tailstore
+
+tailv2:
+	CMPQ m+24(FP), $2
+	JLT  tail1v2
+	JEQ  tail2v2
+
+tail3v2:
+	ZPSTEP3V2
+	DECQ CX
+	JNZ  tail3v2
+	JMP  tailstore
+
+tail2v2:
+	ZPSTEP2V2
+	DECQ CX
+	JNZ  tail2v2
+	JMP  tailstore
+
+tail1v2:
+	ZPSTEP1V2
+	DECQ CX
+	JNZ  tail1v2
+	JMP  tailstore
+
+tailv3:
+	CMPQ m+24(FP), $2
+	JLT  tail1v3
+	JEQ  tail2v3
+
+tail3v3:
+	ZPSTEP3V3
+	DECQ CX
+	JNZ  tail3v3
+	JMP  tailstore
+
+tail2v3:
+	ZPSTEP2V3
+	DECQ CX
+	JNZ  tail2v3
+	JMP  tailstore
+
+tail1v3:
+	ZPSTEP1V3
+	DECQ CX
+	JNZ  tail1v3
+	JMP  tailstore
 
 tailstore:
 	CMPB add+64(FP), $0
@@ -1879,4 +2031,190 @@ out:
 
 done:
 	VZEROUPPER
+	RET
+
+// The transpose kernel: dst = srcᵀ over the first rows × cols elements
+// of src, both multiples of 4, in 4×4 blocks. A block is four row loads,
+// two rounds of shuffles (pairs of rows unpacked, then 128-bit halves
+// exchanged) and four stores into dst's rows c..c+3 at column r. The
+// outer loop takes eight source columns at a time (four for a last
+// strip), the inner one walks down every source row: each source line is
+// read whole once and each of the strip's dst rows is written front to
+// back, so a power-of-two row stride, which maps a column's lines into a
+// couple of cache sets, never has more than a strip's lines in flight.
+//
+// Registers: SI src at column c of row 0, DI dst row c, AX src row r at
+// column c, BX dst row c at column r, R14 dst row c+4 at column r, CX
+// rows left, R8 columns left, R9 scratch, R10 and R12 one and three dst
+// rows in bytes, R11 and R13 one and three src rows; Y0-Y7 one block.
+
+// One 4×4 block from the src rows at off(AX) (stride R11) into the dst
+// rows at dp (stride R10).
+#define TBLOCK(off, dp) \
+	VMOVUPD    off(AX), Y0; \
+	VMOVUPD    off(AX)(R11*1), Y1; \
+	VMOVUPD    off(AX)(R11*2), Y2; \
+	VMOVUPD    off(AX)(R13*1), Y3; \
+	VUNPCKLPD  Y1, Y0, Y4; \
+	VUNPCKHPD  Y1, Y0, Y5; \
+	VUNPCKLPD  Y3, Y2, Y6; \
+	VUNPCKHPD  Y3, Y2, Y7; \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3; \
+	VMOVUPD    Y0, (dp); \
+	VMOVUPD    Y1, (dp)(R10*1); \
+	VMOVUPD    Y2, (dp)(R10*2); \
+	VMOVUPD    Y3, (dp)(R12*1)
+
+// Four source rows of an eight-column strip (at AX) into dst at BX and
+// R14, after asking for the rows sixteen further down (R9 scratch) to be
+// brought into L2: a strip's loads come a cache line per row from lines
+// the prefetchers do not see coming.
+#define TSTEP \
+	LEAQ       (AX)(R11*8), R9; \
+	LEAQ       (R9)(R11*8), R9; \
+	PREFETCHT1 (R9); \
+	PREFETCHT1 (R9)(R11*1); \
+	PREFETCHT1 (R9)(R11*2); \
+	PREFETCHT1 (R9)(R13*1); \
+	TBLOCK(0, BX); \
+	TBLOCK(32, R14); \
+	LEAQ (AX)(R11*4), AX; \
+	ADDQ $32, BX; \
+	ADDQ $32, R14
+
+// func transposeBlocks64(dst, src *float64, rows, cols, dstStride, srcStride int)
+TEXT ·transposeBlocks64(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ cols+24(FP), R8
+	MOVQ dstStride+32(FP), R10
+	SHLQ $3, R10
+	MOVQ srcStride+40(FP), R11
+	SHLQ $3, R11
+	LEAQ (R10)(R10*2), R12
+	LEAQ (R11)(R11*2), R13
+
+strip8:
+	CMPQ R8, $8
+	JLT  strip4
+	MOVQ SI, AX
+	MOVQ DI, BX
+	LEAQ (DI)(R10*4), R14
+	MOVQ rows+16(FP), CX
+
+rows8:
+	TSTEP
+	SUBQ $4, CX
+	JNZ  rows8
+	ADDQ $64, SI
+	LEAQ (DI)(R10*8), DI
+	SUBQ $8, R8
+	JMP  strip8
+
+strip4:
+	CMPQ R8, $4
+	JLT  tdone
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ rows+16(FP), CX
+
+rows4:
+	TBLOCK(0, BX)
+	LEAQ (AX)(R11*4), AX
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JNZ  rows4
+
+tdone:
+	VZEROUPPER
+	RET
+
+// The clip norm's column walk, sumSquaresStrips64: sum plus the squares
+// of the first 8·strips columns of src (rows × stride, row-major), added
+// one at a time down column 0, then down column 1, and so on, each
+// square (VMULSD) and each sum (VADDSD) rounded on its own. The columns
+// go in strips of eight through two buffers of 8·rows elements: while
+// the sums walk one strip's buffer front to back, TSTEP transposes the
+// next strip into the other, four source rows per 32 sums, so the loads
+// of the next strip are in flight under the sums' chain of dependent
+// adds instead of after it. rows is a positive multiple of 4.
+//
+// Registers: SI src at the strip to transpose next, AX its row r, BX and
+// R14 the buffer at rows r of columns 0-3 and 4-7, R10 and R12 one and
+// three buffer columns in bytes (rows·8), R11 and R13 one and three src
+// rows, R9 the prefetch address, DI the buffer the sums walk and R8
+// their place in it, R15 the other buffer, CX rows left in a pass, DX
+// strips left to transpose; X15 the sum, X8 a square.
+
+#define SQ(off) \
+	VMOVSD off(R8), X8; \
+	VMULSD X8, X8, X8; \
+	VADDSD X8, X15, X15
+#define SQ8(off) \
+	SQ(off); SQ(off+8); SQ(off+16); SQ(off+24); \
+	SQ(off+32); SQ(off+40); SQ(off+48); SQ(off+56)
+
+// The next 32 elements of the walked buffer.
+#define SQ32 \
+	SQ8(0); SQ8(64); SQ8(128); SQ8(192); \
+	ADDQ $256, R8
+
+// func sumSquaresStrips64(sum float64, src *float64, rows, strips, stride int, a, b *float64) float64
+TEXT ·sumSquaresStrips64(SB), NOSPLIT, $0-64
+	VMOVSD sum+0(FP), X15
+	MOVQ   src+8(FP), SI
+	MOVQ   rows+16(FP), R10
+	SHLQ   $3, R10
+	LEAQ   (R10)(R10*2), R12
+	MOVQ   stride+32(FP), R11
+	SHLQ   $3, R11
+	LEAQ   (R11)(R11*2), R13
+	MOVQ   a+40(FP), DI
+	MOVQ   b+48(FP), R15
+	MOVQ   strips+24(FP), DX
+
+	MOVQ SI, AX
+	MOVQ DI, BX
+	LEAQ (BX)(R10*4), R14
+	MOVQ rows+16(FP), CX
+
+first:
+	TSTEP
+	SUBQ $4, CX
+	JNZ  first
+	ADDQ $64, SI
+	DECQ DX
+
+strip:
+	TESTQ DX, DX
+	JZ    last
+	MOVQ  SI, AX
+	MOVQ  R15, BX
+	LEAQ  (BX)(R10*4), R14
+	MOVQ  DI, R8
+	MOVQ  rows+16(FP), CX
+
+both:
+	TSTEP
+	SQ32
+	SUBQ $4, CX
+	JNZ  both
+	XCHGQ DI, R15
+	ADDQ  $64, SI
+	DECQ  DX
+	JMP   strip
+
+last:
+	MOVQ DI, R8
+	MOVQ rows+16(FP), CX
+
+sums:
+	SQ32
+	SUBQ $4, CX
+	JNZ  sums
+	VZEROUPPER
+	VMOVSD X15, ret+56(FP)
 	RET

@@ -49,3 +49,11 @@ func prodTile64(dst, a, b *float64, m, n, k, ars, aks int, add bool) {
 func prod512Tile64(dst, a, b *float64, m, n, k, ars, aks int, add bool) {
 	panic("tensor: prod512Tile64 without AVX-512 support")
 }
+
+func transposeBlocks64(dst, src *float64, rows, cols, dstStride, srcStride int) {
+	panic("tensor: transposeBlocks64 without AVX2 support")
+}
+
+func sumSquaresStrips64(sum float64, src *float64, rows, strips, stride int, a, b *float64) float64 {
+	panic("tensor: sumSquaresStrips64 without AVX2 support")
+}

@@ -28,8 +28,10 @@
 //
 // The dot form — a row of a against a row of b, element k in lane k mod
 // lanes, the lanes folded in one fixed order — remains only for MatMulT
-// and MatMulT32 (dotTile64/32, dot512Tile64/32, and dotLanes, the same
-// arithmetic in Go). The backward pass's products, MatMul and TMatMul,
+// and MatMulT32 (dotTile64/32, dot512Tile64/32), cmd/eugenebench's GEMM
+// rungs; their portable loop (dotUnrolled) does not fuse, so it differs
+// from them in the last bits, and nothing that is trained or served goes
+// through them. The backward pass's products, MatMul and TMatMul,
 // run a micro-kernel of their own (prodTile64, prod512Tile64) that must
 // not fuse: one VMULPD and one VADDPD per term, in the order the portable
 // loops round, so on every path they give the portable loops' bits. The
@@ -199,10 +201,9 @@ func runProduct64(j gemmJob) {
 }
 
 // Transpose writes srcᵀ into dst, which must be src.Cols×src.Rows and
-// not src. Eight source rows go at a time, so that each row of dst gets
-// eight contiguous elements while the eight rows of src are read
-// across: a row-by-row walk writes dst a cache line per element, which
-// at a 256-wide layer's row stride is four times slower.
+// not src. At float64 with AVX2 the kernel transposeBlocks64 moves 4×4
+// blocks through registers, eight source rows a pass; the edges left
+// over, and every other path, go through transposeRange.
 //
 //eugene:noalloc
 func Transpose[T Float](dst, src *Mat[T]) {
@@ -210,32 +211,51 @@ func Transpose[T Float](dst, src *Mat[T]) {
 		panic(fmt.Sprintf("tensor: Transpose dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, src.Cols, src.Rows))
 	}
 	rows, cols := src.Rows, src.Cols
-	r := 0
-	for ; r+8 <= rows; r += 8 {
+	r0, c0 := 0, 0
+	if d, ok := as[float64](&dst.Data); ok && hasAVX2FMA && rows >= 4 && cols >= 4 {
+		s, _ := as[float64](&src.Data)
+		r0, c0 = rows&^3, cols&^3
+		transposeBlocks64(&d[0], &s[0], r0, c0, rows, cols)
+	}
+	transposeRange(dst, src, 0, r0, c0, cols)
+	transposeRange(dst, src, r0, rows, 0, cols)
+}
+
+// transposeRange is Transpose over src's rows [rlo, rhi) and columns
+// [clo, chi) in portable Go. Eight source rows go at a time, so that
+// each row of dst gets eight contiguous elements while the eight rows of
+// src are read across: a row-by-row walk writes dst a cache line per
+// element, which at a 256-wide layer's row stride is four times slower.
+//
+//eugene:noalloc
+func transposeRange[T Float](dst, src *Mat[T], rlo, rhi, clo, chi int) {
+	rows := src.Rows
+	r := rlo
+	for ; r+8 <= rhi; r += 8 {
 		s0, s1, s2, s3 := src.Row(r), src.Row(r+1), src.Row(r+2), src.Row(r+3)
 		s4, s5, s6, s7 := src.Row(r+4), src.Row(r+5), src.Row(r+6), src.Row(r+7)
-		for c := range cols {
+		for c := clo; c < chi; c++ {
 			d := dst.Data[c*rows+r : c*rows+r+8]
 			d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
 			d[4], d[5], d[6], d[7] = s4[c], s5[c], s6[c], s7[c]
 		}
 	}
-	for ; r < rows; r++ {
-		for c, v := range src.Row(r) {
-			dst.Data[c*rows+r] = v
+	for ; r < rhi; r++ {
+		for c, v := range src.Row(r)[clo:chi] {
+			dst.Data[(clo+c)*rows+r] = v
 		}
 	}
 }
 
 // MatMulT computes dst = a·bᵀ, i.e. dst[i][j] = Σ_k a[i][k]·b[j][k].
 // dst must be a.Rows×b.Rows and distinct from the operands. Each output
-// is a dot product of two contiguous rows: element k in lane k mod 4 of
-// one FMA chain (mod 8 at float32), the lanes folded in one fixed order
-// and +0 added (dotLanes), whatever the path — the micro-kernels
-// dotTile64 and, with AVX-512, dot512Tile64 give dotLanes' bits. It is
-// cmd/eugenebench's GEMM rung. A row's result does not depend on the
-// rows it was multiplied with, and a product split over helper
-// goroutines (parallel.go) equals the serial one.
+// is a dot product of two contiguous rows: with AVX2 element k in lane
+// k mod 4 of one FMA chain (mod 8 at float32), the lanes folded in one
+// fixed order (dotTile64, and with AVX-512 dot512Tile64, which gives its
+// bits); without, dotUnrolled, which does not fuse and so differs in the
+// last bits. It is cmd/eugenebench's GEMM rung. A row's result does not
+// depend on the rows it was multiplied with, and a product split over
+// helper goroutines (parallel.go) equals the serial one.
 //
 //eugene:noalloc
 func MatMulT(dst, a, b *Matrix) {
@@ -313,7 +333,7 @@ func matMulTScalar[T Float](dst, a, b *Mat[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow, drow := a.Row(i), dst.Row(i)
 		for j := range drow {
-			drow[j] = dotLanes(arow, b.Row(j))
+			drow[j] = dotUnrolled(arow, b.Row(j))
 		}
 	}
 }
@@ -624,21 +644,6 @@ func tMatMulPortable(dst, a, b *Matrix) {
 	}
 }
 
-// dotLanes is the inner product of a and b (lengths must match) as the
-// dot kernels compute it: element k in lane k mod lanes of one FMA chain
-// from +0 (dot64, dot32), then the lanes folded and +0 added.
-//
-//eugene:noalloc
-func dotLanes[T Float](a, b []T) T {
-	if a, ok := as[float64](&a); ok {
-		b, _ := as[float64](&b)
-		return T(dot64(a, b))
-	}
-	a32, _ := as[float32](&a)
-	b32, _ := as[float32](&b)
-	return T(dot32(a32, b32))
-}
-
 // as is *s when T is S: a generic body's way into a kernel of one type.
 //
 //eugene:noalloc
@@ -651,50 +656,25 @@ func as[S, T Float](s *[]T) ([]S, bool) {
 	return *p, true
 }
 
-// dot64 is dotLanes at float64: four lanes, folded (l0+l1)+(l2+l3). A
-// lane the last step does not reach adds +0, as the kernels' masked
-// loads make it.
+// dotUnrolled is the 4-way unrolled inner-product loop behind Dot and
+// MatMulT's portable path. Four independent accumulators break the
+// add-latency dependency chain; lengths must match (callers check).
 //
 //eugene:noalloc
-func dot64(a, b []float64) float64 {
-	var l0, l1, l2, l3 float64
-	b = b[:len(a)]
+func dotUnrolled[T Float](a, b []T) T {
+	var s0, s1, s2, s3 T
+	n := len(a)
 	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		l0 = math.FMA(a[i], b[i], l0)
-		l1 = math.FMA(a[i+1], b[i+1], l1)
-		l2 = math.FMA(a[i+2], b[i+2], l2)
-		l3 = math.FMA(a[i+3], b[i+3], l3)
+	for ; i+4 <= n; i += 4 {
+		s0 += a[i] * b[i]
+		s1 += a[i+1] * b[i+1]
+		s2 += a[i+2] * b[i+2]
+		s3 += a[i+3] * b[i+3]
 	}
-	if r := len(a) - i; r > 0 {
-		l0 = math.FMA(a[i], b[i], l0)
-		l1, l2, l3 = l1+0, l2+0, l3+0
-		if r > 1 {
-			l1 = math.FMA(a[i+1], b[i+1], l1)
-		}
-		if r > 2 {
-			l2 = math.FMA(a[i+2], b[i+2], l2)
-		}
+	for ; i < n; i++ {
+		s0 += a[i] * b[i]
 	}
-	return (l0 + l1) + (l2 + l3) + 0
-}
-
-// dot32 is dotLanes at float32: eight lanes, folded ((l0+l1)+(l2+l3)) +
-// ((l4+l5)+(l6+l7)), a lane the last step does not reach adding +0.
-//
-//eugene:noalloc
-func dot32(a, b []float32) float32 {
-	var l [8]float32
-	b = b[:len(a)]
-	for i, v := range a {
-		l[i%8] = fma32(v, b[i], l[i%8])
-	}
-	if r := len(a) % 8; r > 0 {
-		for q := r; q < 8; q++ {
-			l[q] += 0
-		}
-	}
-	return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])) + 0
+	return (s0 + s1) + (s2 + s3)
 }
 
 // axpyUnrolled computes dst[i] += alpha*src[i] with a 4-way unrolled
@@ -783,6 +763,39 @@ func Convert[D, S Float](dst []D, src []S) {
 // Narrow is Convert from float64 to float32. cmd/eugenebench names it.
 func Narrow(dst []float32, src []float64) { Convert(dst, src) }
 
+// SumSquaresByColumn returns sum with the square of every element of m
+// added to it one at a time, down column 0, then down column 1, and so
+// on: each square rounded, then each sum, with no fused multiply-add at
+// any GOAMD64 level.
+// The order is the column-major walk whatever m's layout in memory,
+// which is how training's clip norm reads a weight gradient stored
+// in×out in the out×in order a snapshot keeps. A walk straight down the
+// columns of a matrix whose row stride is a power of two maps a column
+// into a couple of cache sets and misses on every element, so with AVX2
+// the kernel sumSquaresStrips64 transposes strips of eight columns into
+// a scratch while it sums the previous strip, and the sums walk the
+// scratch front to back; the last columns of a width that is not a
+// multiple of eight, and every other path, walk m.
+func SumSquaresByColumn(sum float64, m *Matrix) float64 {
+	rows, cols := m.Rows, m.Cols
+	c := 0
+	if hasAVX2FMA && rows%4 == 0 && rows > 0 && cols >= 8 {
+		var scratch [2 * 8 * 256]float64
+		buf := scratch[:]
+		if 16*rows > len(buf) {
+			buf = make([]float64, 16*rows)
+		}
+		c = cols &^ 7
+		sum = sumSquaresStrips64(sum, &m.Data[0], rows, c/8, cols, &buf[0], &buf[8*rows])
+	}
+	for ; c < cols; c++ {
+		for i := c; i < len(m.Data); i += cols {
+			sum += float64(m.Data[i] * m.Data[i]) // rounded apart: never fused
+		}
+	}
+	return sum
+}
+
 // ColSums accumulates the per-column sums of m into dst (length m.Cols);
 // the bias-gradient reduction.
 func ColSums(dst []float64, m *Matrix) {
@@ -858,13 +871,12 @@ func ArgMax(v []float64) (int, float64) {
 	return best, bestV
 }
 
-// Dot returns the inner product of a and b (lengths must match): one
-// output of MatMulT.
+// Dot returns the inner product of a and b (lengths must match).
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
-	return dotLanes(a, b)
+	return dotUnrolled(a, b)
 }
 
 func checkSameShape[A, B Float](op string, a *Mat[A], b *Mat[B]) {

@@ -244,12 +244,16 @@ func BenchmarkMatMul64(b *testing.B) {
 }
 
 func TestTranspose(t *testing.T) {
-	perType(t, testTranspose[float64], testTranspose[float32])
+	onEachPath(t, func(t *testing.T) {
+		perType(t, testTranspose[float64], testTranspose[float32])
+	})
 }
 
+// testTranspose covers shapes under, at and over the kernel's 4×4
+// blocks and 8-row strips, with edges of every width.
 func testTranspose[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, s := range [][2]int{{0, 3}, {3, 0}, {1, 1}, {7, 5}, {8, 8}, {9, 13}, {17, 256}, {256, 20}} {
+	for _, s := range [][2]int{{0, 3}, {3, 0}, {1, 1}, {3, 9}, {9, 3}, {4, 4}, {7, 5}, {8, 8}, {9, 13}, {12, 4}, {4, 12}, {17, 256}, {256, 20}, {20, 256}, {255, 258}} {
 		src, _ := randMat[T](rng, s[0], s[1])
 		dst := New[T](s[1], s[0])
 		Transpose(dst, src)
@@ -267,4 +271,25 @@ func testTranspose[T Float](t *testing.T) {
 		}
 	}()
 	Transpose(New[T](2, 3), New[T](2, 3))
+}
+
+// TestSumSquaresByColumn holds every path to the column-major walk in
+// Go, bit for bit, over heights under, at and past the kernel's buffers
+// and widths with and without a partial strip.
+func TestSumSquaresByColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	onEachPath(t, func(t *testing.T) {
+		for _, s := range [][2]int{{0, 0}, {1, 1}, {4, 8}, {3, 9}, {8, 7}, {12, 17}, {20, 256}, {256, 256}, {256, 10}, {260, 24}, {300, 16}} {
+			m, _ := randMat[float64](rng, s[0], s[1])
+			want := 0.5
+			for c := 0; c < m.Cols; c++ {
+				for r := 0; r < m.Rows; r++ {
+					want += float64(m.At(r, c) * m.At(r, c))
+				}
+			}
+			if got := SumSquaresByColumn(0.5, m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%dx%d: %v, want %v", s[0], s[1], got, want)
+			}
+		}
+	})
 }
