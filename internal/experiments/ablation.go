@@ -38,7 +38,7 @@ func (l *Lab) CalibAblation(concurrency int, cfg Fig4Config) (*CalibAblationResu
 		var sum float64
 		for rep := 0; rep < cfg.Reps; rep++ {
 			order := rand.New(rand.NewSource(cfg.Seed + int64(rep))).Perm(l.Holdout.Len())
-			var source sched.TaskSource
+			var source func(id int) *sched.Task
 			if model == calibratedModel {
 				source = l.taskSource(order)
 			} else {
@@ -77,10 +77,10 @@ const (
 )
 
 // rawTaskSource is taskSource over the uncalibrated model.
-func (l *Lab) rawTaskSource(order []int) sched.TaskSource {
+func (l *Lab) rawTaskSource(order []int) func(id int) *sched.Task {
 	model := l.Model
 	holdout := l.Holdout
-	return sched.TaskSourceFunc(func(id int) *sched.Task {
+	return func(id int) *sched.Task {
 		idx := order[id%len(order)]
 		x, label := holdout.Sample(idx)
 		runner := model.NewRunner(x)
@@ -92,7 +92,7 @@ func (l *Lab) rawTaskSource(order []int) sched.TaskSource {
 				return sched.StageResult{Pred: out.Pred, Conf: out.Conf}
 			},
 		}
-	})
+	}
 }
 
 // Render prints the ablation.

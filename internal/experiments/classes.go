@@ -69,8 +69,8 @@ func (l *Lab) ServiceClasses(cfg ServiceClassConfig) (*ServiceClassResult, error
 		order := rand.New(rand.NewSource(cfg.Seed)).Perm(l.Holdout.Len())
 		classRng := rand.New(rand.NewSource(cfg.Seed + 1))
 		base := l.taskSource(order)
-		source := sched.TaskSourceFunc(func(id int) *sched.Task {
-			t := base.Next(id)
+		source := func(id int) *sched.Task {
+			t := base(id)
 			if classRng.Float64() < cfg.ChatShare {
 				t.Class = "chatbot"
 				t.RelDeadline = cfg.ChatDeadline
@@ -82,7 +82,7 @@ func (l *Lab) ServiceClasses(cfg ServiceClassConfig) (*ServiceClassResult, error
 				t.RelDeadline = cfg.CameraDeadline
 			}
 			return t
-		})
+		}
 		m, err := sched.Simulate(sched.SimConfig{
 			Workers:     cfg.Workers,
 			Concurrency: cfg.Concurrency,

@@ -150,10 +150,10 @@ func (l *Lab) Fig4(cfg Fig4Config) (*Fig4Result, error) {
 
 // taskSource cycles holdout samples in the given order, wrapping a
 // staged.Runner per task.
-func (l *Lab) taskSource(order []int) sched.TaskSource {
+func (l *Lab) taskSource(order []int) func(id int) *sched.Task {
 	model := l.Calibrated
 	holdout := l.Holdout
-	return sched.TaskSourceFunc(func(id int) *sched.Task {
+	return func(id int) *sched.Task {
 		idx := order[id%len(order)]
 		x, label := holdout.Sample(idx)
 		runner := model.NewRunner(x)
@@ -168,7 +168,7 @@ func (l *Lab) taskSource(order []int) sched.TaskSource {
 				return sched.StageResult{Pred: out.Pred, Conf: out.Conf}
 			},
 		}
-	})
+	}
 }
 
 // Render prints Figure 4's three panels as tables.

@@ -212,7 +212,6 @@ type liveTask struct {
 	task   Task
 	hidden []float64
 	done   chan Response
-	start  time.Time
 	// sub numbers the SubmitBatch call the task came with; zero for a
 	// single submission.
 	sub int64
@@ -244,19 +243,24 @@ type expEntry struct {
 	at  Ticks
 }
 
-// expHeap orders in-system tasks by wall-clock expiry; the deadline
-// daemon's single timer always tracks the minimum. Hand-rolled sift
-// functions instead of container/heap keep entries unboxed (no
-// interface allocation on the submit hot path); with a uniform
-// relative deadline pushes arrive in order and sift-up is O(1).
+// expHeap orders in-system tasks by expiry, equal expiries by gen (for
+// Simulate, whose tasks are not recycled, the order they arrived in);
+// the deadline daemon's single timer always tracks the minimum.
+// Hand-rolled sift functions instead of container/heap keep entries
+// unboxed (no interface allocation on the submit hot path); with a
+// uniform relative deadline pushes arrive in order and sift-up is O(1).
 type expHeap []expEntry
+
+func (a expEntry) before(b expEntry) bool {
+	return a.at < b.at || a.at == b.at && a.gen < b.gen
+}
 
 func (h *expHeap) push(e expEntry) {
 	*h = append(*h, e)
 	s := *h
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if s[i].at >= s[p].at {
+		if !s[i].before(s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
@@ -277,10 +281,10 @@ func (h *expHeap) popMin() expEntry {
 		if c >= n {
 			break
 		}
-		if c+1 < n && s[c+1].at < s[c].at {
+		if c+1 < n && s[c+1].before(s[c]) {
 			c++
 		}
-		if s[c].at >= s[i].at {
+		if !s[c].before(s[i]) {
 			break
 		}
 		s[i], s[c] = s[c], s[i]
@@ -289,35 +293,31 @@ func (h *expHeap) popMin() expEntry {
 	return e
 }
 
-// Live is the real-time counterpart of Simulate and the paper's
-// RTDeepIoT scheduler (Section III): one ready queue, one Policy that
-// picks the globally best (task, stage) from it, and a pool of workers.
-// Ready tasks are bucketed by the stage they will run next, so a worker
-// coalesces the policy's pick with up to MaxBatch same-stage tasks into
-// one batched forward pass by scanning one bucket, and puts the
-// survivors back on the queue for whichever worker is free next. A
-// deadline daemon — one timer over a min-heap of expiries — flags
-// overdue tasks through per-task atomic bits; owners observe the flag at
-// stage boundaries, so expiry never contends with dispatch. It mirrors
-// the paper's user-space scheduler + TensorFlow process pool +
-// named-pipe reporting, with a shared-memory queue in place of pipes.
+// Live is the paper's RTDeepIoT scheduler (Section III) on the wall
+// clock: the scheduler core that Simulate drives on a virtual one (see
+// queue), with a pool of workers, admission and a deadline daemon
+// around it. A worker takes the core's next same-stage group under mu,
+// runs it as one batched forward pass, and puts the survivors back on
+// the queue for whichever worker is free next. The daemon — one timer
+// over a min-heap of expiries — flags overdue tasks through per-task
+// atomic bits; the core observes the flag at stage boundaries, so expiry
+// never contends with dispatch. It mirrors the paper's user-space
+// scheduler + TensorFlow process pool + named-pipe reporting, with a
+// shared-memory queue in place of pipes.
 type Live struct {
 	cfg LiveConfig
 
 	nextID  atomic.Int64
 	nextSub atomic.Int64
 
-	// mu guards everything a pick touches: the ready queue, the stopped
-	// flag, the policy's pick state and the pick scratch. Workers with
-	// nothing to run sleep on work, which is signalled whenever the
-	// queue gains tasks, the daemon flags one, or the executor stops.
+	// mu guards the scheduler core (the ready queue, the policy's pick
+	// state) and the stopped flag. Workers with nothing to run sleep on
+	// work, which is signalled whenever the queue gains tasks, the daemon
+	// flags one, or the executor stops.
 	mu      sync.Mutex
 	work    *sync.Cond
-	buckets [][]*liveTask
+	q       queue
 	stopped bool
-	policy  Policy
-	states  []*TaskState
-	flat    []*liveTask
 	// idle counts the workers waiting on work; a worker a Broadcast
 	// woke still counts until it has the lock.
 	idle int
@@ -372,7 +372,7 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 	}
 	l := &Live{
 		cfg:      cfg,
-		policy:   policy,
+		q:        queue{policy: policy, maxBatch: cfg.MaxBatch},
 		expKick:  make(chan struct{}, 1),
 		admitSem: make(chan struct{}, cfg.QueueDepth),
 		stopCh:   make(chan struct{}),
@@ -420,7 +420,6 @@ func (l *Live) getTask(input []float64, numStages int) *liveTask {
 	t.ownsBuf = false
 	t.sem = false
 	t.sub = 0
-	t.start = now
 	return t
 }
 
@@ -518,10 +517,19 @@ func (l *Live) daemon() {
 	}
 }
 
-// recordFinish folds one finished task into the serving counters.
+// finalize delivers a task's response at now and folds it into the
+// serving counters. Callers must own the task, which is answered once;
+// the buffered channel makes the send non-blocking.
 //
 //eugene:noalloc
-func (l *Live) recordFinish(stages int, expired bool, lat time.Duration) {
+func (l *Live) finalize(t *liveTask, expired bool, now Ticks) {
+	st := &t.state
+	if t.sem {
+		// Release the admission token; never blocks (the task held it).
+		<-l.admitSem
+		t.sem = false
+	}
+	stages, lat := st.Executed, time.Duration(now-st.Arrival)
 	if stages > 0 {
 		l.answered.Add(1)
 		// Feed the admission model's stages-per-task average with every
@@ -541,25 +549,6 @@ func (l *Live) recordFinish(stages int, expired bool, lat time.Duration) {
 	}
 	l.latHist[latBucket(lat)].Add(1)
 	l.inSystem.Add(-1)
-}
-
-// finalize delivers a task's response. Callers must own the task; the
-// buffered channel makes the send non-blocking.
-//
-//eugene:noalloc
-func (l *Live) finalize(t *liveTask, expired bool) {
-	st := &t.state
-	if st.Finalized {
-		return
-	}
-	st.Finalized = true
-	if t.sem {
-		// Release the admission token; never blocks (the task held it).
-		<-l.admitSem
-		t.sem = false
-	}
-	lat := time.Since(t.start)
-	l.recordFinish(st.Executed, expired, lat)
 	t.done <- Response{
 		Pred:    st.Pred,
 		Conf:    st.Conf,
@@ -597,10 +586,9 @@ func (l *Live) Stats() LiveStats {
 	return s
 }
 
-// push puts ready tasks on the queue, each in the bucket of the stage
-// it runs next; once the executor has stopped it answers them as
-// expired instead, as Stop's drain would have. Waking workers for the
-// new tasks is the caller's, after the lock is released.
+// push puts ready tasks on the queue; once the executor has stopped it
+// answers them as expired instead, as Stop's drain would have. Waking
+// workers for the new tasks is the caller's, after the lock is released.
 //
 //eugene:noalloc
 func (l *Live) push(tasks []*liveTask) {
@@ -613,16 +601,13 @@ func (l *Live) push(tasks []*liveTask) {
 //
 //eugene:noalloc
 func (l *Live) pushLocked(tasks []*liveTask) {
+	if !l.stopped {
+		l.q.push(tasks...)
+		return
+	}
+	now := l.nowTicks()
 	for _, t := range tasks {
-		if l.stopped {
-			l.finalize(t, true)
-			continue
-		}
-		s := t.state.Executed
-		for len(l.buckets) <= s {
-			l.buckets = append(l.buckets, nil)
-		}
-		l.buckets[s] = append(l.buckets[s], t)
+		l.finalize(t, true, now)
 	}
 }
 
@@ -759,12 +744,10 @@ func (l *Live) Stop() {
 	// here to hold tasks unanswered while their submitters see the stop.
 	failpoint.Hit("sched.drain")
 	l.mu.Lock()
-	for _, b := range l.buckets {
-		for _, t := range b {
-			l.finalize(t, true)
-		}
+	for _, b := range l.q.buckets {
+		l.pushLocked(b) // answered as expired, the executor being stopped
 	}
-	l.buckets = nil
+	l.q.buckets = nil
 	l.mu.Unlock()
 }
 
@@ -833,17 +816,22 @@ func sameBase(a, b []float64) bool {
 	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
-// finish recycles the task's arena row and delivers its response.
+// finish recycles the task's arena row and delivers its response; it is
+// a driver hook of the core, as are groupCap and forceExit.
 //
 //eugene:noalloc
-func (ws *workerState) finish(t *liveTask, expired bool) {
+func (ws *workerState) finish(t *liveTask, expired bool, now Ticks) {
 	if t.ownsBuf {
 		ws.putBuf(t.hidden)
 		t.ownsBuf = false
 	}
 	t.hidden = nil
-	ws.live.finalize(t, expired)
+	ws.live.finalize(t, expired, now)
 }
+
+func (ws *workerState) groupCap(slack Ticks) int { return ws.live.groupCap(slack) }
+
+func (ws *workerState) forceExit(slack Ticks) bool { return ws.live.forceExit(slack) }
 
 // worker is one scheduler worker: take the policy's next same-stage
 // group off the queue, run it as one batched forward pass, put the
@@ -884,8 +872,9 @@ func (ws *workerState) take(surv []*liveTask) ([]*liveTask, int) {
 	defer l.mu.Unlock()
 	l.pushLocked(surv)
 	for !l.stopped {
-		if group, stage := ws.pickLocked(); group != nil {
-			if l.idle > 0 && len(l.flat) > len(group) {
+		if group, stage := l.q.pick(l.nowTicks(), l.idle, ws.group, ws); group != nil {
+			ws.group = group
+			if l.idle > 0 && len(l.q.flat) > len(group) {
 				// Work is left over for a worker that waits.
 				l.work.Signal()
 			}
@@ -896,105 +885,6 @@ func (ws *workerState) take(surv []*liveTask) ([]*liveTask, int) {
 		l.idle--
 	}
 	return nil, 0
-}
-
-// groupSize is how many of a bucket's n tasks one dispatch takes while
-// idle other workers wait for work: an even share for the picker and
-// each of them, so that a lone caller's batch still runs on every free
-// core, but never under half of maxBatch, since a smaller group streams
-// a stage's weights for too few rows, and never over maxBatch. A worker
-// whose peers are all busy takes up to maxBatch; a bucket of at most
-// maxBatch/2 tasks is never split.
-func groupSize(n, idle, maxBatch int) int {
-	share := (n + idle) / (1 + idle)
-	return min(max(share, maxBatch/2), maxBatch)
-}
-
-// pickLocked walks the queue once — finalizing daemon-flagged tasks,
-// listing the rest — asks the policy for a leader among those, and
-// coalesces same-stage tasks from the leader's bucket, its batch-mates
-// first, into one dispatch group of at most groupSize and the admission
-// cap. Returns nil when the policy has nothing runnable. Callers hold
-// mu.
-//
-//eugene:noalloc
-func (ws *workerState) pickLocked() ([]*liveTask, int) {
-	l := ws.live
-	states := l.states[:0]
-	flat := l.flat[:0]
-	for s, b := range l.buckets {
-		kept := b[:0]
-		for _, t := range b {
-			if t.dead.Load() {
-				ws.finish(t, true)
-				continue
-			}
-			kept = append(kept, t)
-			states = append(states, &t.state)
-			flat = append(flat, t)
-		}
-		clear(b[len(kept):])
-		l.buckets[s] = kept
-	}
-	l.states, l.flat = states, flat
-	if len(flat) == 0 {
-		return nil, 0
-	}
-	nowT := l.nowTicks()
-	i := l.policy.Pick(nowT, states)
-	if i < 0 {
-		return nil, 0
-	}
-	leader := flat[i]
-	stage := leader.state.Executed
-	bucket := l.buckets[stage]
-	// Under admission control the group is also capped by the slack of
-	// the tightest deadline among the candidates: a full-width batch in
-	// front of a nearly-due task would miss that deadline on dispatch
-	// time alone.
-	minDeadline := leader.state.Deadline
-	for _, t := range bucket {
-		if t != leader && !t.dead.Load() && nowT < t.state.Deadline && t.state.Deadline < minDeadline {
-			minDeadline = t.state.Deadline
-		}
-	}
-	capN := min(l.groupCap(minDeadline-nowT), groupSize(len(bucket), l.idle, l.cfg.MaxBatch))
-	// The leader's batch-mates come first; other submissions fill in
-	// only while the group holds less than half of MaxBatch, so singles
-	// and small batches still coalesce. A call is answered when its last
-	// row is: a group that mixed halves of two batches would tie each
-	// call to the other's slower half, and one stalled dispatch would
-	// hold two calls back rather than one.
-	group := append(ws.group[:0], leader)
-	kept := bucket[:0]
-	for _, t := range bucket {
-		if t == leader {
-			continue
-		}
-		if leader.sub != 0 && t.sub == leader.sub && len(group) < capN && !t.dead.Load() && nowT < t.state.Deadline {
-			group = append(group, t)
-			continue
-		}
-		kept = append(kept, t)
-	}
-	if leader.sub == 0 || 2*len(group) < l.cfg.MaxBatch {
-		rest := kept
-		kept = kept[:0]
-		for _, t := range rest {
-			if len(group) < capN && !t.dead.Load() && nowT < t.state.Deadline {
-				group = append(group, t)
-				continue
-			}
-			kept = append(kept, t)
-		}
-	}
-	clear(bucket[len(kept):])
-	l.buckets[stage] = kept
-	for _, t := range group {
-		t.state.InFlight = true
-	}
-	ws.group = group
-	return group, stage
 }
 
 // run executes one same-stage group as a batched forward pass, commits
@@ -1037,8 +927,6 @@ func (ws *workerState) run(group []*liveTask, stage int) []*liveTask {
 	hidden, res := ws.exec.ExecStageBatch(rows, stage, dst)
 	tensor.Release()
 	l.adm.observeDispatch(len(group), time.Since(dispatchStart))
-	nowT := l.nowTicks()
-	surv := ws.surv[:0]
 	for i, t := range group {
 		row := hidden[i]
 		if len(row) > ws.maxW {
@@ -1060,38 +948,7 @@ func (ws *workerState) run(group []*liveTask, stage int) []*liveTask {
 			dst[i] = nil
 		}
 		t.hidden = row
-		st := &t.state
-		st.InFlight = false
-		if t.dead.Load() {
-			// The deadline daemon flagged the task while this stage was
-			// in flight; the result is discarded and the response
-			// carries the last completed stage's answer, like the
-			// paper's daemon interrupting between TensorFlow ops.
-			ws.finish(t, true)
-			continue
-		}
-		st.PrevConf = st.Conf
-		st.Conf = res[i].Conf
-		st.Pred = res[i].Pred
-		st.Executed++
-		if st.Remaining() == 0 {
-			ws.finish(t, false)
-			continue
-		}
-		if nowT >= st.Deadline {
-			ws.finish(t, true)
-			continue
-		}
-		if l.forceExit(st.Deadline - nowT) {
-			// Degradation ladder: under sustained admission pressure a
-			// task whose remaining slack cannot cover another stage
-			// answers now with the confidence it has, instead of
-			// burning a dispatch it cannot finish.
-			ws.finish(t, false)
-			continue
-		}
-		surv = append(surv, t)
 	}
-	ws.surv = surv
-	return surv
+	ws.surv = l.q.commit(group, res, l.nowTicks(), ws.surv[:0], ws)
+	return ws.surv
 }

@@ -117,7 +117,7 @@ func TestLiveConcurrentBatchesTakeFullGroups(t *testing.T) {
 	}
 }
 
-// TestLiveGroupRule pins pickLocked's group size, min(admission slack
+// TestLiveGroupRule pins the core's group size, min(admission slack
 // cap, MaxBatch, max(ceil(bucket ÷ (1 + idle)), MaxBatch/2)), on a queue
 // built by hand: no worker runs, so every case is exact.
 func TestLiveGroupRule(t *testing.T) {
@@ -141,27 +141,20 @@ func TestLiveGroupRule(t *testing.T) {
 		{"MaxBatch 1, a peer idle", 1, 64, 1, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := LiveConfig{Workers: 1, Deadline: time.Hour, QueueDepth: 256, MaxBatch: tc.maxBatch}
-			cfg.Admission = tc.slack > 0
-			l := &Live{cfg: cfg, policy: NewFIFO(), epoch: time.Now()}
-			l.work = sync.NewCond(&l.mu)
+			q := &queue{policy: NewFIFO(), maxBatch: tc.maxBatch}
+			d := &testDriver{}
 			if tc.slack > 0 {
-				// An hour's deadline at an hour/slack a task: the clock
-				// the pick reads moves the slack by nothing that counts.
-				warmAdmission(l, time.Duration(float64(time.Hour)/tc.slack), 3)
+				// An hour's deadline at an hour/slack a stage.
+				d.stageCost = Ticks(float64(time.Hour) / tc.slack)
 			}
-			for _, in := range rowsOf(tc.bucket) {
-				l.pushLocked([]*liveTask{l.getTask(in, 3)})
+			for i := 0; i < tc.bucket; i++ {
+				q.push(queuedTask(i, 0, 0, Ticks(time.Hour)))
 			}
-			l.idle = tc.idle
-			ws := &workerState{live: l}
-			l.mu.Lock()
-			group, stage := ws.pickLocked()
-			l.mu.Unlock()
+			group, stage := q.pick(0, tc.idle, nil, d)
 			if stage != 0 || len(group) != tc.want {
 				t.Fatalf("picked %d tasks at stage %d, want %d at stage 0", len(group), stage, tc.want)
 			}
-			if left := len(l.buckets[0]); left != tc.bucket-tc.want {
+			if left := len(q.buckets[0]); left != tc.bucket-tc.want {
 				t.Fatalf("%d tasks left queued, want %d", left, tc.bucket-tc.want)
 			}
 		})
@@ -186,22 +179,15 @@ func TestLiveGroupKeepsBatchesApart(t *testing.T) {
 		{"interleaved rows: only the leader's", []part{{1, 1}, {2, 1}, {1, 40}, {2, 40}}, []part{{1, 41}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := LiveConfig{Workers: 1, Deadline: time.Hour, QueueDepth: 256, MaxBatch: 64}
-			l := &Live{cfg: cfg, policy: NewFIFO(), epoch: time.Now()}
-			l.work = sync.NewCond(&l.mu)
+			q := &queue{policy: NewFIFO(), maxBatch: 64}
 			queued := 0
 			for _, p := range tc.queue {
-				for _, in := range rowsOf(p.rows) {
-					task := l.getTask(in, 3)
-					task.sub = int64(p.sub)
-					l.pushLocked([]*liveTask{task})
+				for i := 0; i < p.rows; i++ {
+					q.push(queuedTask(queued, int64(p.sub), 0, Ticks(time.Hour)))
+					queued++
 				}
-				queued += p.rows
 			}
-			ws := &workerState{live: l}
-			l.mu.Lock()
-			group, _ := ws.pickLocked()
-			l.mu.Unlock()
+			group, _ := q.pick(0, 0, nil, &testDriver{})
 			var got []part
 			for _, task := range group {
 				if n := len(got); n > 0 && got[n-1].sub == int(task.sub) {
@@ -213,7 +199,7 @@ func TestLiveGroupKeepsBatchesApart(t *testing.T) {
 			if !slices.Equal(got, tc.want) {
 				t.Fatalf("group %v, want %v", got, tc.want)
 			}
-			if left := len(l.buckets[0]); left != queued-len(group) {
+			if left := len(q.buckets[0]); left != queued-len(group) {
 				t.Fatalf("%d tasks left queued, want %d", left, queued-len(group))
 			}
 		})

@@ -40,14 +40,14 @@ func (r *recordingPolicy) Pick(now Ticks, tasks []*TaskState) int {
 	return i
 }
 
-// TestLiveMatchesSimulate uses the simulator as Live's oracle: one
+// TestLiveMatchesSimulate runs the one scheduler core under its two
+// drivers, Live on the wall clock and Simulate on a virtual one: one
 // worker, no coalescing, a deadline nothing reaches and one batch of
 // tasks that are all in the system from the start. Every policy must
-// then make the same (task, stage) picks in the same order on the live
-// queue as on the simulator's task list, and every task must leave at
-// the same stage. What Live adds — stage buckets, the candidate list it
-// rebuilds for every pick, requeueing between stages — may not show in
-// the schedule.
+// then make the same (task, stage) picks in the same order under both,
+// and every task must leave at the same stage. What Live adds around the
+// core — goroutines, the condition variable, submission as one batch —
+// may not show in the schedule.
 //
 // Simulate admits its time-0 arrivals one event at a time, so its first
 // pick sees task 0 alone where Live's sees all n; stubPredictor is
@@ -77,14 +77,14 @@ func TestLiveMatchesSimulate(t *testing.T) {
 			echo := &echoExec{}
 			in := inputs()
 			m, err := Simulate(SimConfig{Workers: 1, Concurrency: n, TotalTasks: n, StageCost: 1, Deadline: 1 << 40},
-				simPolicy, TaskSourceFunc(func(id int) *Task {
+				simPolicy, func(id int) *Task {
 					h := in[id]
 					return &Task{NumStages: stages, Run: func(stage int) StageResult {
 						var res StageResult
 						h, res = echo.result(h, stage)
 						return res
 					}}
-				}))
+				})
 			if err != nil {
 				t.Fatal(err)
 			}

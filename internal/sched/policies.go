@@ -118,7 +118,7 @@ func (g *Greedy) replan(now Ticks, tasks []*TaskState) bool {
 // RoundRobin is the paper's stage-level round-robin baseline: it cycles
 // through tasks in ID order, executing one stage per visit. The cycle
 // is kept as the last served ID, not as a position in the candidate
-// list, because the live executor's list changes order with every
+// list, because the scheduler core's list changes order with every
 // dispatch.
 type RoundRobin struct {
 	last int

@@ -1,8 +1,8 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 )
 
 // SimConfig describes one closed-loop simulation: Concurrency tasks are
@@ -36,190 +36,148 @@ func (c SimConfig) Validate() error {
 	return nil
 }
 
-// TaskSource supplies tasks on demand; Next is called once per issued
-// task. Implementations typically wrap a test set and a staged model.
-type TaskSource interface {
-	Next(id int) *Task
-}
-
-// TaskSourceFunc adapts a function to the TaskSource interface.
-type TaskSourceFunc func(id int) *Task
-
-// Next implements TaskSource.
-func (f TaskSourceFunc) Next(id int) *Task { return f(id) }
-
-// event kinds for the simulator, in processing order at equal
-// timestamps: a stage finishing exactly at the deadline counts, and
-// replacement arrivals are admitted last.
-const (
-	evStageDone = iota + 1
-	evDeadline
-	evArrival
-)
-
-type event struct {
-	at   Ticks
-	kind int
-	seq  int // tie-break for determinism
-	task *TaskState
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// sim is Simulate's virtual-clock driver of the scheduler core.
+type sim struct {
+	cfg  SimConfig
+	next func(id int) *Task
+	q    queue
+	// running holds the stages in flight, each as its task and the tick
+	// it ends, in the order they were dispatched, which is the order they
+	// end in: every stage costs StageCost.
+	running []expEntry
+	// deadlines is the daemon's heap. An entry whose gen is no longer
+	// its task's belongs to a task already answered.
+	deadlines expHeap
+	// arriving holds the tasks issued this tick, admitted after the
+	// tick's stage ends and deadlines.
+	arriving []*liveTask
+	issued   int
+	metrics  Metrics
 }
 
 // Simulate runs the closed-loop experiment under the given policy and
-// returns per-task outcomes. It is single-goroutine and fully
-// deterministic: model execution happens inline at stage-completion
-// events.
-func Simulate(cfg SimConfig, policy Policy, source TaskSource) (*Metrics, error) {
+// returns per-task outcomes; next supplies the task issued with each ID.
+// It drives Live's scheduler core on a virtual clock, deterministically:
+// Workers slots of one task (MaxBatch 1), StageCost ticks per dispatch,
+// Task.Run for ExecStageBatch. Within a tick, stages end first (one
+// ending at its task's deadline counts), deadlines pass next, and the
+// tick's arrivals are admitted last, each followed by a dispatch.
+func Simulate(cfg SimConfig, policy Policy, next func(id int) *Task) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if policy == nil || source == nil {
+	if policy == nil || next == nil {
 		return nil, fmt.Errorf("sched: nil policy or source")
 	}
-	var (
-		events  eventHeap
-		seq     int
-		active  []*TaskState
-		metrics Metrics
-		idle    = cfg.Workers
-		issued  int
-		done    int
-	)
-	push := func(at Ticks, kind int, t *TaskState) {
-		seq++
-		heap.Push(&events, &event{at: at, kind: kind, seq: seq, task: t})
+	s := &sim{cfg: cfg, next: next, q: queue{policy: policy, maxBatch: 1}}
+	for i := 0; i < cfg.Concurrency; i++ {
+		s.issue(0)
 	}
-	arrive := func(at Ticks) {
-		if issued >= cfg.TotalTasks {
-			return
+	for now := Ticks(0); ; {
+		for len(s.running) > 0 && s.running[0].at == now {
+			t := s.running[0].t
+			s.running = s.running[1:]
+			res := []StageResult{t.state.Task.Run(t.state.Executed)}
+			s.q.push(s.q.commit([]*liveTask{t}, res, now, nil, s)...)
+			s.dispatch(now)
 		}
-		task := source.Next(issued)
-		if task.NumStages < 1 || task.Run == nil {
-			panic(fmt.Sprintf("sched: source produced invalid task %d", issued))
-		}
-		task.ID = issued
-		issued++
-		rel := cfg.Deadline
-		if task.RelDeadline > 0 {
-			rel = task.RelDeadline
-		}
-		st := &TaskState{Task: task, Arrival: at, Deadline: at + rel, Pred: -1}
-		push(at, evArrival, st)
-	}
-	finalize := func(now Ticks, t *TaskState, expired bool) {
-		if t.Finalized {
-			return
-		}
-		t.Finalized = true
-		done++
-		metrics.Outcomes = append(metrics.Outcomes, TaskOutcome{
-			ID:       t.Task.ID,
-			Class:    t.Task.Class,
-			Stages:   t.Executed,
-			Correct:  t.Executed > 0 && t.Pred == t.Task.Label,
-			Answered: t.Executed > 0,
-			Expired:  expired,
-			Latency:  now - t.Arrival,
-		})
-		// Closed loop: replace the departed task.
-		arrive(now)
-	}
-	dispatch := func(now Ticks) {
-		for idle > 0 {
-			i := policy.Pick(now, active)
-			if i < 0 {
-				return
+		for len(s.deadlines) > 0 && s.deadlines[0].at == now {
+			if e := s.deadlines.popMin(); e.gen == e.t.gen {
+				s.expire(e.t, now)
+				s.dispatch(now)
 			}
-			t := active[i]
-			if !t.Runnable(now) {
-				panic(fmt.Sprintf("sched: policy %q picked non-runnable task %d", policy.Name(), t.Task.ID))
-			}
-			t.InFlight = true
-			t.Aborted = false
-			idle--
-			push(now+cfg.StageCost, evStageDone, t)
+		}
+		for i := 0; i < len(s.arriving); i++ {
+			t := s.arriving[i]
+			s.q.push(t)
+			s.deadlines.push(expEntry{t: t, gen: t.gen, at: t.state.Deadline})
+			s.dispatch(now)
+		}
+		s.arriving = s.arriving[:0]
+		switch {
+		case len(s.running) > 0 && (len(s.deadlines) == 0 || s.running[0].at < s.deadlines[0].at):
+			now = s.running[0].at
+		case len(s.deadlines) > 0:
+			now = s.deadlines[0].at
+		default:
+			return &s.metrics, nil
 		}
 	}
-
-	for i := 0; i < cfg.Concurrency && i < cfg.TotalTasks; i++ {
-		arrive(0)
-	}
-	for events.Len() > 0 {
-		e := heap.Pop(&events).(*event)
-		now := e.at
-		t := e.task
-		switch e.kind {
-		case evArrival:
-			active = append(active, t)
-			push(t.Deadline, evDeadline, t)
-			dispatch(now)
-		case evStageDone:
-			if t.Finalized {
-				// The deadline daemon interrupted this stage; the
-				// worker was already reclaimed.
-				continue
-			}
-			res := t.Task.Run(t.Executed)
-			t.PrevConf = t.Conf
-			t.Conf = res.Conf
-			t.Pred = res.Pred
-			t.Executed++
-			t.InFlight = false
-			idle++
-			if t.Remaining() == 0 {
-				finalize(now, t, false)
-			}
-			dispatch(now)
-		case evDeadline:
-			if t.Finalized {
-				continue
-			}
-			if t.InFlight {
-				// Interrupt the in-flight stage: the daemon signals
-				// the worker, which returns to the pool immediately.
-				t.Aborted = true
-				t.InFlight = false
-				idle++
-			}
-			finalize(now, t, true)
-			dispatch(now)
-		}
-		// Compact the active list occasionally so Pick scans stay
-		// proportional to live tasks.
-		if len(active) > 4*cfg.Concurrency {
-			live := active[:0]
-			for _, a := range active {
-				if !a.Finalized {
-					live = append(live, a)
-				}
-			}
-			active = live
-		}
-	}
-	if done != issued {
-		return nil, fmt.Errorf("sched: simulation finalized %d of %d issued tasks", done, issued)
-	}
-	return &metrics, nil
 }
+
+// issue draws the next task, unless TotalTasks have been issued, to
+// arrive at now. Its ID is its gen, which orders equal deadlines by
+// arrival in the daemon's heap.
+func (s *sim) issue(now Ticks) {
+	if s.issued >= s.cfg.TotalTasks {
+		return
+	}
+	task := s.next(s.issued)
+	if task.NumStages < 1 || task.Run == nil {
+		panic(fmt.Sprintf("sched: source produced invalid task %d", s.issued))
+	}
+	task.ID = s.issued
+	s.issued++
+	rel := s.cfg.Deadline
+	if task.RelDeadline > 0 {
+		rel = task.RelDeadline
+	}
+	s.arriving = append(s.arriving, &liveTask{
+		gen:   uint64(task.ID),
+		state: TaskState{Task: task, Arrival: now, Deadline: now + rel, Pred: -1},
+	})
+}
+
+// dispatch fills the free worker slots from the core.
+func (s *sim) dispatch(now Ticks) {
+	for len(s.running) < s.cfg.Workers {
+		group, _ := s.q.pick(now, s.cfg.Workers-len(s.running)-1, nil, s)
+		if group == nil {
+			return
+		}
+		s.running = append(s.running, expEntry{t: group[0], at: now + s.cfg.StageCost})
+	}
+}
+
+// expire is the deadline daemon at t's deadline. A queued task is
+// flagged and swept off the queue, so it is answered now and the closed
+// loop issues its replacement now, not at the next pick.
+func (s *sim) expire(t *liveTask, now Ticks) {
+	for i, f := range s.running {
+		if f.t == t {
+			// The one place the two drivers differ: here the daemon
+			// interrupts the stage and its worker is free at once, as in
+			// the paper. Live's worker holds its core until the stage
+			// ends, a property of the wall clock, and the core's commit
+			// answers the flagged task then.
+			s.running = slices.Delete(s.running, i, i+1)
+			s.finish(t, true, now)
+			return
+		}
+	}
+	t.dead.Store(true)
+	s.q.sweep(now, s)
+}
+
+// finish records the task's outcome and, closing the loop, issues its
+// replacement.
+func (s *sim) finish(t *liveTask, expired bool, now Ticks) {
+	t.gen++ // its deadline entry goes stale, as a recycled Live task's does
+	st := &t.state
+	s.metrics.Outcomes = append(s.metrics.Outcomes, TaskOutcome{
+		ID:       st.Task.ID,
+		Class:    st.Task.Class,
+		Stages:   st.Executed,
+		Correct:  st.Executed > 0 && st.Pred == st.Task.Label,
+		Answered: st.Executed > 0,
+		Expired:  expired,
+		Latency:  now - st.Arrival,
+	})
+	s.issue(now)
+}
+
+// groupCap is one task per dispatch.
+func (s *sim) groupCap(Ticks) int { return 1 }
+
+// forceExit is never: the simulation has no admission control.
+func (s *sim) forceExit(Ticks) bool { return false }

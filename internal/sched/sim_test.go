@@ -56,7 +56,7 @@ func TestSimConfigValidate(t *testing.T) {
 func TestSimulateAllTasksFinalized(t *testing.T) {
 	cfg := SimConfig{Workers: 2, Concurrency: 4, TotalTasks: 50, StageCost: 10, Deadline: 100}
 	src := &syntheticSource{rng: rand.New(rand.NewSource(1)), decay: 0.5}
-	m, err := Simulate(cfg, NewFIFO(), src)
+	m, err := Simulate(cfg, NewFIFO(), src.Next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSimulateGenerousBudgetRunsAllStages(t *testing.T) {
 	cfg := SimConfig{Workers: 8, Concurrency: 2, TotalTasks: 30, StageCost: 10, Deadline: 1000}
 	for _, p := range []Policy{NewFIFO(), NewRoundRobin(), NewGreedy(1, flatPriors(), "greedy")} {
 		src := &syntheticSource{rng: rand.New(rand.NewSource(2)), decay: 0.5}
-		m, err := Simulate(cfg, p, src)
+		m, err := Simulate(cfg, p, src.Next)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -97,7 +97,7 @@ func TestSimulateDeadlineEnforced(t *testing.T) {
 	// and none may report more stages than fit in the deadline.
 	cfg := SimConfig{Workers: 1, Concurrency: 10, TotalTasks: 40, StageCost: 10, Deadline: 25}
 	src := &syntheticSource{rng: rand.New(rand.NewSource(3)), decay: 0.5}
-	m, err := Simulate(cfg, NewFIFO(), src)
+	m, err := Simulate(cfg, NewFIFO(), src.Next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSimulateDeterminism(t *testing.T) {
 	cfg := SimConfig{Workers: 3, Concurrency: 6, TotalTasks: 60, StageCost: 7, Deadline: 40}
 	run := func() []TaskOutcome {
 		src := &syntheticSource{rng: rand.New(rand.NewSource(4)), decay: 0.6}
-		m, err := Simulate(cfg, NewGreedy(2, flatPriors(), "g"), src)
+		m, err := Simulate(cfg, NewGreedy(2, flatPriors(), "g"), src.Next)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestGreedyPrefersUnansweredTasks(t *testing.T) {
 	// first-stage utility (prior − 0) dominates marginal gains.
 	cfg := SimConfig{Workers: 2, Concurrency: 8, TotalTasks: 40, StageCost: 10, Deadline: 40}
 	src := &syntheticSource{rng: rand.New(rand.NewSource(5)), decay: 0.5}
-	m, err := Simulate(cfg, NewGreedy(1, flatPriors(), "g"), src)
+	m, err := Simulate(cfg, NewGreedy(1, flatPriors(), "g"), src.Next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFIFOStrandsLateArrivals(t *testing.T) {
 	// the back of the queue entirely.
 	cfg := SimConfig{Workers: 2, Concurrency: 8, TotalTasks: 40, StageCost: 10, Deadline: 40}
 	src := &syntheticSource{rng: rand.New(rand.NewSource(5)), decay: 0.5}
-	m, err := Simulate(cfg, NewFIFO(), src)
+	m, err := Simulate(cfg, NewFIFO(), src.Next)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestGreedyBeatsFIFOUnderContention(t *testing.T) {
 	cfg := SimConfig{Workers: 2, Concurrency: 10, TotalTasks: 100, StageCost: 10, Deadline: 50}
 	run := func(p Policy) float64 {
 		src := &syntheticSource{rng: rand.New(rand.NewSource(6)), decay: 0.5}
-		m, err := Simulate(cfg, p, src)
+		m, err := Simulate(cfg, p, src.Next)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +200,10 @@ func TestRoundRobinCycles(t *testing.T) {
 		}
 		// Simulate instantaneous completion so the task stays runnable.
 	}
-	// Tasks in flight are skipped.
-	tasks[0].InFlight = true
-	if got := rr.Pick(now, tasks); got == 0 {
-		t.Fatal("RR picked an in-flight task")
+	// A task in flight is not among the candidates: the cycle goes on
+	// past it.
+	if got := rr.Pick(now, []*TaskState{tasks[1], tasks[2]}); got != 0 {
+		t.Fatalf("RR picked %d without task 0, want 0 (task 1)", got)
 	}
 }
 
@@ -215,12 +215,12 @@ func TestFIFOPicksOldest(t *testing.T) {
 	if got := (FIFO{}).Pick(0, tasks); got != 1 {
 		t.Fatalf("FIFO picked index %d, want 1 (earlier arrival)", got)
 	}
-	tasks[1].InFlight = true
-	if got := (FIFO{}).Pick(0, tasks); got != 0 {
+	// With the oldest in flight, and so not among the candidates, the
+	// other is next.
+	if got := (FIFO{}).Pick(0, tasks[:1]); got != 0 {
 		t.Fatalf("FIFO picked %d with oldest busy", got)
 	}
-	tasks[0].Finalized = true
-	if got := (FIFO{}).Pick(0, tasks); got != -1 {
+	if got := (FIFO{}).Pick(100, tasks); got != -1 {
 		t.Fatal("FIFO should return -1 with nothing runnable")
 	}
 }
@@ -385,7 +385,7 @@ func TestPerTaskRelativeDeadline(t *testing.T) {
 	// Tasks with a tight RelDeadline must expire earlier than the
 	// simulation-wide constraint allows.
 	cfg := SimConfig{Workers: 1, Concurrency: 4, TotalTasks: 12, StageCost: 10, Deadline: 100}
-	src := TaskSourceFunc(func(id int) *Task {
+	src := func(id int) *Task {
 		t := &Task{Label: 0, NumStages: 3, Class: "loose"}
 		t.Run = func(stage int) StageResult { return StageResult{Pred: 0, Conf: 0.9} }
 		if id%2 == 0 {
@@ -393,7 +393,7 @@ func TestPerTaskRelativeDeadline(t *testing.T) {
 			t.RelDeadline = 15 // one stage at most
 		}
 		return t
-	})
+	}
 	m, err := Simulate(cfg, NewFIFO(), src)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package sched implements Eugene's utility-maximizing inference
 // scheduling (paper Section III): the greedy RTDeepIoT-k scheduler with
-// lookahead, the constant-slope RTDeepIoT-DC-k variant, stage-level
-// round-robin and FIFO baselines, a deterministic event-driven simulator
-// with per-task latency constraints (the paper's daemon process), and a
-// live goroutine-pool executor.
+// lookahead, the constant-slope RTDeepIoT-DC-k variant, and stage-level
+// round-robin and FIFO baselines. One scheduler core (queue) holds the
+// ready tasks, picks, groups, requeues and expires them, and two drivers
+// run it: Live, a goroutine-pool executor on the wall clock with the
+// paper's deadline daemon, and Simulate, a deterministic closed loop on
+// a virtual clock.
 package sched
 
 import (
@@ -55,7 +57,7 @@ func (t *Task) EffectiveWeight() float64 {
 	return t.Weight
 }
 
-// TaskState is the scheduler-visible state of an in-system task.
+// TaskState is the scheduler-visible state of a queued task.
 type TaskState struct {
 	Task     *Task
 	Arrival  Ticks
@@ -70,13 +72,6 @@ type TaskState struct {
 	PrevConf float64
 	// Pred is the current answer (−1 before any stage has run).
 	Pred int
-	// InFlight marks a stage currently executing on a worker.
-	InFlight bool
-	// Finalized marks tasks that completed or expired.
-	Finalized bool
-	// Aborted marks an in-flight stage interrupted by the deadline
-	// daemon.
-	Aborted bool
 }
 
 // Remaining returns the number of stages not yet executed.
@@ -85,7 +80,7 @@ func (s *TaskState) Remaining() int { return s.Task.NumStages - s.Executed }
 // Runnable reports whether the scheduler may dispatch this task's next
 // stage at time now.
 func (s *TaskState) Runnable(now Ticks) bool {
-	return !s.Finalized && !s.InFlight && s.Remaining() > 0 && now < s.Deadline
+	return s.Remaining() > 0 && now < s.Deadline
 }
 
 // Predictor estimates confidence at future stages (paper Section III-B).
@@ -101,11 +96,12 @@ type Predictor interface {
 }
 
 // Policy selects which runnable task's next stage to execute. Pick is
-// called by the engine whenever a worker is free; it must return the
-// index into tasks of a runnable task, or −1 when nothing should run.
-// Policies may keep internal state (timelines, rotation cursors); each
-// instance is called from a single goroutine at a time (the live
-// executor picks under its queue lock).
+// called by the scheduler core whenever a worker is free, with the
+// queued tasks stage by stage, each stage's in the order they became
+// ready; it must return the index into tasks of a runnable task, or −1
+// when nothing should run. Policies may keep internal state (timelines,
+// rotation cursors); each instance is called from a single goroutine at
+// a time (the live executor picks under its queue lock).
 type Policy interface {
 	Name() string
 	Pick(now Ticks, tasks []*TaskState) int
