@@ -34,8 +34,8 @@
 // -block-profile-rate n samples one blocking event per n nanoseconds
 // blocked; both feed the /debug/pprof/mutex and /debug/pprof/block
 // endpoints on the -pprof listener and are off (0) by default — the
-// dynamic counterpart of the lockorder/blockinlock static analyzers
-// when a contention regression needs a callstack.
+// dynamic counterpart of the locks static analyzer when a contention
+// regression needs a callstack.
 //
 // Router mode:
 //

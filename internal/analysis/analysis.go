@@ -4,10 +4,9 @@
 // on the standard library so the module keeps zero dependencies.
 //
 // The analyzers in the subpackages machine-enforce invariants that
-// previously lived only in comments and reviewer memory — the
-// atomic-only access discipline on concurrently-read fields, the
-// sync.Pool arena pairing in the scheduler, the float64 precision
-// boundary around the scheduler, the lock order. See cmd/eugenevet for
+// previously lived only in comments and reviewer memory — typed
+// atomics only, the sync.Pool arena pairing in the scheduler, the lock
+// order and no blocking under a lock. See cmd/eugenevet for
 // the driver (`go vet -vettool`) and CONTRIBUTING.md for the table of
 // invariants and what enforces each.
 package analysis

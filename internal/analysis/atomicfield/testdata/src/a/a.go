@@ -3,35 +3,20 @@ package a
 import "sync/atomic"
 
 type counter struct {
-	n    int64 // accessed with sync/atomic in inc: every access must be atomic
-	safe atomic.Int64
-	mu   int64 // never touched atomically: plain access is fine
+	n    int64
+	safe atomic.Int64 // typed: its methods are the only way in
+	p    atomic.Pointer[int]
 }
 
 func (c *counter) inc() {
-	atomic.AddInt64(&c.n, 1)
+	atomic.AddInt64(&c.n, 1) // want `atomic\.AddInt64 makes only this access atomic; use a typed atomic`
+	c.safe.Add(1)
+	c.p.Store(nil)
 }
 
 func (c *counter) read() int64 {
-	return c.n // want `non-atomic access to n`
+	return atomic.LoadInt64(&c.n) + c.safe.Load() // want `atomic\.LoadInt64 makes only this access atomic`
 }
 
-func (c *counter) write() {
-	c.n = 0 // want `non-atomic access to n`
-	c.safe.Store(0)
-	c.mu = 1
-}
-
-func (c *counter) loadOK() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-var hits int64
-
-func bump() {
-	atomic.AddInt64(&hits, 1)
-}
-
-func peek() int64 {
-	return hits // want `non-atomic access to hits`
-}
+// bump hides the function behind a value; it is still a use.
+var bump = atomic.AddInt64 // want `atomic\.AddInt64 makes only this access atomic`

@@ -1,7 +1,7 @@
-// Package a seeds blockinlock violations — sleeps, waits, I/O, and
-// channel operations under a held mutex — next to the legal shapes:
-// blocking after release, on a released branch, or behind a select
-// with a default clause.
+// Package a seeds the blocking-under-lock violations of the locks
+// analyzer (sleeps, waits, I/O and channel operations under a held
+// mutex) next to the legal shapes: blocking after release, on a
+// released branch, or behind a select with a default clause.
 package a
 
 import (

@@ -1,12 +1,15 @@
+// Package lockorder_test holds the lock-order cases of the locks
+// analyzer, which was the lockorder analyzer before it merged with
+// blockinlock into one lock walk.
 package lockorder_test
 
 import (
 	"testing"
 
 	"eugene/internal/analysis/analysistest"
-	"eugene/internal/analysis/lockorder"
+	"eugene/internal/analysis/locks"
 )
 
 func TestLockOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", lockorder.Analyzer, "a")
+	analysistest.Run(t, "testdata", locks.Analyzer, "a")
 }

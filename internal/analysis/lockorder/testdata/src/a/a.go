@@ -1,7 +1,8 @@
-// Package a seeds lockorder violations: a direct two-lock cycle, a
+// Package a seeds the lock-order violations of the locks analyzer next
+// to the legal shapes that must stay silent: a direct two-lock cycle, a
 // transitive cycle through a same-package call, a declared-order
-// violation, and a stale directive — plus clean shapes (declared
-// direction, release-before-acquire) that must stay silent.
+// violation and a stale directive, beside the declared direction and
+// release-before-acquire.
 package a
 
 import "sync"

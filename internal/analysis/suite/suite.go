@@ -5,11 +5,9 @@ package suite
 import (
 	"eugene/internal/analysis"
 	"eugene/internal/analysis/atomicfield"
-	"eugene/internal/analysis/blockinlock"
 	"eugene/internal/analysis/hotpathalloc"
-	"eugene/internal/analysis/lockorder"
+	"eugene/internal/analysis/locks"
 	"eugene/internal/analysis/poolput"
-	"eugene/internal/analysis/precisionboundary"
 	"eugene/internal/analysis/uncheckederr"
 )
 
@@ -18,10 +16,8 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicfield.Analyzer,
 		poolput.Analyzer,
-		precisionboundary.Analyzer,
 		uncheckederr.Analyzer,
-		lockorder.Analyzer,
-		blockinlock.Analyzer,
+		locks.Analyzer,
 		hotpathalloc.Analyzer,
 	}
 }

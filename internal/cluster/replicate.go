@@ -21,7 +21,7 @@ type storeEntry struct {
 
 // The store is the router's source of truth, so replication paths read
 // it first and then touch per-node install state: store.mu nests
-// outside node.mu (enforced by the lockorder analyzer).
+// outside node.mu (enforced by the locks analyzer).
 //
 //eugene:lockorder store.mu before node.mu
 type store struct {

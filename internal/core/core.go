@@ -986,7 +986,7 @@ func (s *Service) Close() {
 // it back for the caller to Stop *after* releasing s.mu. Stop joins the
 // pool's worker goroutines, so calling it under the registry lock would
 // stall every Infer/Stats reader behind a slow in-flight request — the
-// shape the blockinlock analyzer rejects. Each pool is detached exactly
+// shape the locks analyzer rejects. Each pool is detached exactly
 // once, so the caller's Stop never races another stopper; submitters
 // still holding the old pointer get sched.ErrStopped and retry through
 // liveFor, which re-reads the current model under the lock.

@@ -576,10 +576,11 @@ func TestTrainReplacesServingPool(t *testing.T) {
 	}
 }
 
-// TestHotSwapStopsPoolOutsideLock is the -race regression for the
-// blockinlock finding: Register/InstallSnapshotBytes/Close used to call
-// Live.Stop — which joins worker goroutines — while holding s.mu,
-// stalling every registry reader behind the drain. The pool is now
+// TestHotSwapStopsPoolOutsideLock is the -race regression for what the
+// locks analyzer found blocking under a lock: Register,
+// InstallSnapshotBytes and Close used to call Live.Stop — which joins
+// worker goroutines — while holding s.mu, stalling every registry
+// reader behind the drain. The pool is now
 // detached under the lock and stopped after release, so readers
 // (Infer, Stats, Models) must stay responsive while swaps churn, and
 // each detached pool must be stopped exactly once.

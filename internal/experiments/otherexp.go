@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
@@ -477,13 +478,18 @@ func indexByClass(s *dataset.Set, classes int) [][]int {
 	return out
 }
 
-// timeNS measures the per-call cost of fn in nanoseconds by running it
-// enough times to dominate timer resolution.
+// timeNS measures the per-call cost of fn in nanoseconds: the fastest
+// of several rounds, each of enough calls to dominate timer resolution,
+// so that one preemption on a loaded host cannot inflate the figure.
 func timeNS(fn func()) float64 {
-	const iters = 2000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		fn()
+	const rounds, iters = 5, 2000
+	best := time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			fn()
+		}
+		best = min(best, time.Since(start))
 	}
-	return float64(time.Since(start).Nanoseconds()) / iters
+	return float64(best.Nanoseconds()) / iters
 }

@@ -164,7 +164,9 @@ func (q *queue) commit(group []*liveTask, res []StageResult, now Ticks, surv []*
 		st.Executed++
 		switch {
 		case st.Remaining() == 0:
-			d.finish(t, false, now)
+			// A daemon that has not flagged the task yet does not make a
+			// late answer on time.
+			d.finish(t, now > st.Deadline, now)
 		case now > st.Deadline:
 			d.finish(t, true, now)
 		case d.forceExit(st.Deadline - now):

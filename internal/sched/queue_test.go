@@ -25,10 +25,12 @@ type testDriver struct {
 	expired   []finishRecord
 }
 
-// finishRecord is one answer: the task and the tick it was given.
+// finishRecord is one answer: the task, the tick it was given and
+// whether the daemon had flagged the task by then.
 type finishRecord struct {
-	t   *liveTask
-	now Ticks
+	t       *liveTask
+	now     Ticks
+	flagged bool
 }
 
 func (d *testDriver) finish(t *liveTask, expired bool, now Ticks) {
@@ -36,10 +38,11 @@ func (d *testDriver) finish(t *liveTask, expired bool, now Ticks) {
 		d.finished = make(map[*liveTask]int)
 	}
 	d.finished[t]++
+	r := finishRecord{t, now, t.dead.Load()}
 	if expired {
-		d.expired = append(d.expired, finishRecord{t, now})
+		d.expired = append(d.expired, r)
 	} else {
-		d.onTime = append(d.onTime, finishRecord{t, now})
+		d.onTime = append(d.onTime, r)
 	}
 }
 
@@ -56,10 +59,11 @@ func (d *testDriver) groupCap(slack Ticks) int {
 // at the served shape: MaxBatch 64, four workers, and 4096 tasks queued
 // at once at mixed stages, in batches and singles, with deadlines spread
 // so that they expire mid-queue and mid-stage. A daemon flags every task
-// whose deadline has come before each step, as Live's does. Every task
-// must be answered exactly once, none past its deadline as on time, no
-// group may hold a flagged, overdue or mixed-stage task, and the bucket
-// sizes must always sum to what is queued.
+// whose deadline has come before each step, as Live's does, or, lagging
+// as a late timer would, only every lag ticks. Every task must be
+// answered exactly once, none past its deadline or flagged as on time,
+// no group may hold a flagged, overdue or mixed-stage task, and the
+// bucket sizes must always sum to what is queued.
 func TestQueueConservesTasksAtServingShape(t *testing.T) {
 	const (
 		n        = 4096
@@ -70,10 +74,12 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy Policy
+		lag    Ticks // the daemon flags only at multiples of lag; 0 is every step
 	}{
-		{"Greedy-1", NewGreedy(1, flatPriors(), "g1")},
-		{"RR", NewRoundRobin()},
-		{"FIFO", NewFIFO()},
+		{"Greedy-1", NewGreedy(1, flatPriors(), "g1"), 0},
+		{"RR", NewRoundRobin(), 0},
+		{"FIFO", NewFIFO(), 0},
+		{"FIFO-lagging", NewFIFO(), 3 * cost},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
@@ -104,6 +110,9 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 			}
 			// The daemon flags in task order, which is not queue order.
 			flag := func(now Ticks) {
+				if tc.lag > 0 {
+					now -= now % tc.lag
+				}
 				for _, task := range tasks {
 					if task.state.Deadline <= now {
 						task.dead.Store(true)
@@ -173,10 +182,13 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 					t.Fatalf("task %d answered %d times", task.task.ID, got)
 				}
 			}
+			// A stage that ends at its task's deadline comes first, so an
+			// unflagged task may be answered on time at its deadline, never
+			// after it.
 			for _, r := range d.onTime {
-				if r.now >= r.t.state.Deadline || r.t.state.Remaining() != 0 {
-					t.Fatalf("task %d answered on time at %d, due %d, with %d stages left",
-						r.t.task.ID, r.now, r.t.state.Deadline, r.t.state.Remaining())
+				if r.flagged || r.now > r.t.state.Deadline || r.t.state.Remaining() != 0 {
+					t.Fatalf("task %d answered on time at %d, due %d, flagged %v, with %d stages left",
+						r.t.task.ID, r.now, r.t.state.Deadline, r.flagged, r.t.state.Remaining())
 				}
 			}
 			if len(d.onTime) == 0 || len(d.expired) == 0 {
