@@ -10,9 +10,11 @@
 //
 //	//eugene:lockorder Router.devMu before Router.nodesMu
 //
-// after which the declared edge leaves cycle detection, an acquisition
-// against it is reported even without a completed cycle, and a
-// directive naming a lock the package never acquires is stale.
+// after which an acquisition against it is reported even without a
+// completed cycle, and a directive naming a lock the package never
+// acquires is stale. A directive legalizes a direction, not a cycle: the
+// declared edge stays in cycle detection, so A before B together with
+// B→C and C→A is still reported.
 //
 // Blocking under a lock: a blocked holder stalls every goroutine that
 // needs the lock, so the calls in blockingCalls, channel sends and
@@ -54,8 +56,8 @@ var Analyzer = &analysis.Analyzer{
 Builds the package's lock graph: an edge A→B when B is acquired while A
 is held, flow-sensitively and through same-package calls. Cycles are
 potential deadlocks. //eugene:lockorder A before B declares a legal
-edge; acquiring against a declared order is reported even without a
-full cycle. The same walk reports I/O, sleeps, channel waits and
+direction, not a legal cycle; acquiring against a declared order is
+reported even without a full cycle. The same walk reports I/O, sleeps, channel waits and
 goroutine joins under a lock: channel operations are exempt inside a
 select with a default clause, sync.Cond.Wait by contract.`,
 	Run: run,
@@ -187,7 +189,6 @@ func (c *checker) checkOrder() {
 			c.pass.Reportf(d.pos, "lockorder directive names %q, but the package never acquires a lock by that name", missing)
 			continue
 		}
-		delete(byKey, edgeKey{a, b}) // the declared direction is legal
 		if rev, ok := byKey[edgeKey{b, a}]; ok {
 			c.pass.Reportf(rev.pos, "acquires %s while holding %s%s, violating the declared lock order %q before %q",
 				c.names[a], c.names[b], viaSuffix(rev), d.a, d.b)

@@ -500,23 +500,31 @@ type stageBatchModel interface {
 // result buffer is owned by the single worker goroutine driving it.
 type execAdapter struct {
 	m stageBatchModel
-	// alt, when non-nil, is the reduced-precision (f32) variant of m
-	// served while the degradation gauge reads sched.DegradeTier —
-	// the ladder's cheapest rung before outright rejection. Both
-	// models share the float64 hidden-state boundary, so switching
-	// between dispatches (even mid-task) is safe.
-	alt     stageBatchModel
-	degrade *atomic.Int32
-	res     []sched.StageResult
+	// tier, when non-nil, is the pool's reduced-precision (f32) tier,
+	// served while the degradation gauge reads sched.DegradeTier — the
+	// ladder's cheapest rung before outright rejection. alt is this
+	// worker's clone of it, made at the first dispatch after the tier is
+	// published. Both precisions share the float64 hidden-state
+	// boundary, so switching between dispatches (even mid-task) is safe.
+	tier *f32Tier
+	alt  stageBatchModel
+	res  []sched.StageResult
 }
 
 // model picks the serving model for this dispatch: the f32 tier under
-// deep degradation, the primary otherwise.
+// deep degradation once it is frozen, the primary otherwise.
 func (e *execAdapter) model() stageBatchModel {
-	if e.alt != nil && e.degrade.Load() >= sched.DegradeTier {
-		return e.alt
+	if e.tier == nil || e.tier.degrade.Load() < sched.DegradeTier {
+		return e.m
 	}
-	return e.m
+	if e.alt == nil {
+		f := e.tier.get()
+		if f == nil {
+			return e.m
+		}
+		e.alt = f.Clone()
+	}
+	return e.alt
 }
 
 // ExecStageBatch implements sched.StageExecutor: the whole group flows
@@ -540,6 +548,37 @@ func (e *execAdapter) ExecStageBatch(hidden [][]float64, stage int, dst [][]floa
 // NumStages implements sched.StageExecutor.
 func (e *execAdapter) NumStages() int { return e.m.NumStages() }
 
+// f32Tier is a float64 pool's degradation tier, shared by its workers.
+// Most pools never reach sched.DegradeTier, so the tier is frozen only
+// the first time a dispatch finds the gauge there, once per pool and on
+// a goroutine of its own rather than in that dispatch, and published
+// through frozen. Until then dispatches serve the float64 model, the
+// ladder's level-1 behaviour.
+type f32Tier struct {
+	degrade *atomic.Int32
+	freeze  func() (*staged.Frozen[float32], error)
+	started atomic.Bool
+	frozen  atomic.Pointer[staged.Frozen[float32]]
+}
+
+// get returns the frozen tier, or nil while it is not yet published; the
+// first call starts the freeze. A freeze error leaves the tier nil and
+// the pool on float64: the compiler's errors do not depend on the
+// precision, so one the float64 freeze passed does not fail here.
+func (t *f32Tier) get() *staged.Frozen[float32] {
+	if f := t.frozen.Load(); f != nil {
+		return f
+	}
+	if t.started.CompareAndSwap(false, true) {
+		go func() {
+			if f, err := t.freeze(); err == nil {
+				t.frozen.Store(f)
+			}
+		}()
+	}
+	return nil
+}
+
 // frozenClones freezes m once at T and returns one clone per worker. The
 // clones share the freeze's weights — at float64 those are m's own — so
 // a pool holds one weight set whatever its size.
@@ -557,10 +596,11 @@ func frozenClones[T tensor.Float](m *staged.Model, workers int) ([]stageBatchMod
 
 // newExecs builds the executors of a pool serving m, one per worker, at
 // the configured precision. With degrade set (admission control) a
-// float64 pool also carries the float32 freeze as its degradation tier:
-// when the scheduler's ladder reaches DegradeTier, workers serve the
-// cheaper model instead of rejecting more traffic. A model the compiler
-// rejects (staged.Freeze) gets no pool at either precision.
+// float64 pool also carries an f32Tier: when the scheduler's ladder
+// reaches DegradeTier, workers serve the float32 freeze instead of
+// rejecting more traffic. A model the compiler rejects (staged.Freeze)
+// gets no pool at either precision: its errors are the same at both, so
+// the primary's freeze stands for the tier's.
 func (s *Service) newExecs(name string, m *staged.Model, degrade *atomic.Int32) ([]sched.StageExecutor, error) {
 	freeze := frozenClones[float64]
 	if s.cfg.Precision == PrecisionF32 {
@@ -570,19 +610,13 @@ func (s *Service) newExecs(name string, m *staged.Model, degrade *atomic.Int32) 
 	if err != nil {
 		return nil, fmt.Errorf("core: freezing %q for serving: %w", name, err)
 	}
-	var tier []stageBatchModel
+	var tier *f32Tier
 	if degrade != nil && s.cfg.Precision != PrecisionF32 {
-		if tier, err = frozenClones[float32](m, s.cfg.Workers); err != nil {
-			return nil, fmt.Errorf("core: freezing %q for the f32 tier: %w", name, err)
-		}
+		tier = &f32Tier{degrade: degrade, freeze: func() (*staged.Frozen[float32], error) { return staged.Freeze[float32](m) }}
 	}
 	execs := make([]sched.StageExecutor, s.cfg.Workers)
 	for i := range execs {
-		ad := &execAdapter{m: primary[i]}
-		if tier != nil {
-			ad.alt, ad.degrade = tier[i], degrade
-		}
-		execs[i] = ad
+		execs[i] = &execAdapter{m: primary[i], tier: tier}
 	}
 	return execs, nil
 }

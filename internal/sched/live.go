@@ -199,8 +199,9 @@ type LiveStats struct {
 }
 
 // liveTask is one in-system request. Task records are pooled: gen
-// counts incarnations so that stale deadline-heap entries from a
-// previous life can never flag the next one (see expEntry).
+// counts incarnations, bumped when the record is recycled, so that a
+// deadline-heap entry of a previous life is stale and can never flag the
+// next one (see expEntry).
 //
 // Ownership discipline: between stages a task belongs to the ready
 // queue (access under Live.mu); during a stage it belongs to the
@@ -225,18 +226,16 @@ type liveTask struct {
 	// boundaries: expiry notification never touches queue or dispatch
 	// state.
 	dead atomic.Bool
-	// reuseMu serializes the daemon's gen check against pool reuse; it
+	// reuseMu serializes the daemon's gen check against recycling; it
 	// is never held while executing or dispatching.
 	reuseMu sync.Mutex
 	gen     uint64
 }
 
 // expEntry is one deadline-heap record. at is stored by value so heap
-// maintenance never dereferences (possibly recycled) tasks; gen is
-// compared under reuseMu before the dead flag is set. The heap holds a
-// deadline's worth of submissions (stale entries leave only when due),
-// so it grows with goodput: at is Ticks, not a time.Time, which makes an
-// entry 24 bytes rather than 40.
+// ordering never dereferences (possibly recycled) tasks; gen is compared
+// under reuseMu before the dead flag is set, and an entry whose gen is
+// no longer its task's is stale: the task was answered and recycled.
 type expEntry struct {
 	t   *liveTask
 	gen uint64
@@ -245,7 +244,10 @@ type expEntry struct {
 
 // expHeap orders in-system tasks by expiry, equal expiries by gen (for
 // Simulate, whose tasks are not recycled, the order they arrived in);
-// the deadline daemon's single timer always tracks the minimum.
+// the deadline daemon's single timer is armed at or before the minimum.
+// Live drops stale entries off the top on every push, so its heap holds
+// the tasks in the system and, behind the oldest of them, the stale
+// entries of tasks answered since.
 // Hand-rolled sift functions instead of container/heap keep entries
 // unboxed (no interface allocation on the submit hot path); with a
 // uniform relative deadline pushes arrive in order and sift-up is O(1).
@@ -324,7 +326,10 @@ type Live struct {
 
 	expMu    sync.Mutex
 	expiries expHeap
-	expKick  chan struct{}
+	// armed is the expiry the daemon's timer is set for, -1 while it is
+	// idle; guarded by expMu. A push due no earlier needs no kick.
+	armed   Ticks
+	expKick chan struct{}
 
 	// admitSem is the QueueDepth counting semaphore for single
 	// submissions; tokens are released when the task finalizes.
@@ -373,6 +378,7 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 	l := &Live{
 		cfg:      cfg,
 		q:        queue{policy: policy, maxBatch: cfg.MaxBatch},
+		armed:    -1,
 		expKick:  make(chan struct{}, 1),
 		admitSem: make(chan struct{}, cfg.QueueDepth),
 		stopCh:   make(chan struct{}),
@@ -405,10 +411,6 @@ func (l *Live) getTask(input []float64, numStages int) *liveTask {
 		t = &liveTask{done: make(chan Response, 1)}
 	}
 	now := time.Now()
-	t.reuseMu.Lock()
-	t.gen++
-	t.dead.Store(false)
-	t.reuseMu.Unlock()
 	t.task = Task{ID: int(l.nextID.Add(1)), NumStages: numStages}
 	t.state = TaskState{
 		Task:     &t.task,
@@ -426,23 +428,43 @@ func (l *Live) getTask(input []float64, numStages int) *liveTask {
 // putTask returns a finished task to the arena. Only the submitter may
 // call it, and only after reading the response: at that point the
 // owner has dropped every reference and the done channel is empty.
-// Stale deadline-heap entries are neutralized by the gen counter.
+// Bumping gen makes the task's deadline-heap entry stale, so the next
+// push drops it and the daemon never flags the record's next life.
 //
 //eugene:noalloc
 func (l *Live) putTask(t *liveTask) {
 	t.hidden = nil
 	t.state.Task = nil
+	t.reuseMu.Lock()
+	t.gen++
+	t.dead.Store(false)
+	t.reuseMu.Unlock()
 	l.taskPool.Put(t)
 }
 
-// addExpiry registers tasks with the deadline daemon. Deadlines are
-// uniform, so a push only re-arms the daemon when the heap was empty
-// (or, defensively, when the new expiry precedes the current minimum).
+// stale reports whether e's task has been recycled since e was pushed.
+func (e expEntry) stale() bool {
+	e.t.reuseMu.Lock()
+	defer e.t.reuseMu.Unlock()
+	return e.t.gen != e.gen
+}
+
+// addExpiry registers tasks with the deadline daemon, first dropping the
+// stale entries off the top of the heap: those of tasks answered since,
+// which with a uniform deadline are the oldest. The heap then holds what
+// is in the system rather than a deadline's worth of submissions. The
+// daemon is kicked only when its timer is not already armed at or
+// before a new expiry (an idle daemon, or, defensively, an expiry ahead
+// of the armed one): a push that finds the heap emptied of stale
+// entries does not wake a daemon that will wake anyway.
 func (l *Live) addExpiry(tasks ...*liveTask) {
 	l.expMu.Lock()
+	for len(l.expiries) > 0 && l.expiries[0].stale() {
+		l.expiries.popMin()
+	}
 	kick := false
 	for _, t := range tasks {
-		if len(l.expiries) == 0 || t.state.Deadline < l.expiries[0].at {
+		if l.armed < 0 || t.state.Deadline < l.armed {
 			kick = true
 		}
 		l.expiries.push(expEntry{t: t, gen: t.gen, at: t.state.Deadline})
@@ -487,6 +509,7 @@ func (l *Live) daemon() {
 		if len(l.expiries) > 0 {
 			next = l.expiries[0].at
 		}
+		l.armed = next
 		l.expMu.Unlock()
 		marked := false
 		for _, e := range due {
