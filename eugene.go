@@ -46,8 +46,8 @@ import (
 )
 
 // Config controls a Service: the worker-pool size (the paper's process
-// pool), the per-request latency constraint enforced by the deadline
-// daemon, and the RTDeepIoT lookahead k.
+// pool), the per-request latency constraint, which the scheduler
+// enforces at every pick and stage end, and the RTDeepIoT lookahead k.
 type Config = core.Config
 
 // TrainOptions bundles model and training hyperparameters.

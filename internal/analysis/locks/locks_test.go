@@ -7,6 +7,9 @@ import (
 	"eugene/internal/analysis/locks"
 )
 
+// TestLocks runs the analyzer over its three fixtures: the lock-order
+// rule (order), the blocking-under-lock rule (blocking), and the cases
+// that need both at once (a).
 func TestLocks(t *testing.T) {
-	analysistest.Run(t, "testdata", locks.Analyzer, "a")
+	analysistest.Run(t, "testdata", locks.Analyzer, "order", "blocking", "a")
 }

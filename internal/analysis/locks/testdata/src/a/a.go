@@ -2,7 +2,7 @@
 // at once, or a declared order and a cycle: one function acquires
 // against a declared order and sleeps under the lock it took, and a
 // three-lock cycle runs through a declared edge. The per-rule cases live
-// in the fixtures of the lockorder and blockinlock test directories.
+// in the order and blocking fixtures beside this one.
 package a
 
 import (

@@ -1,8 +1,8 @@
-// Package a seeds the blocking-under-lock violations of the locks
+// Package blocking seeds the blocking-under-lock violations of the locks
 // analyzer (sleeps, waits, I/O and channel operations under a held
 // mutex) next to the legal shapes: blocking after release, on a
 // released branch, or behind a select with a default clause.
-package a
+package blocking
 
 import (
 	"io"

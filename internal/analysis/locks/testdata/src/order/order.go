@@ -1,9 +1,9 @@
-// Package a seeds the lock-order violations of the locks analyzer next
+// Package order seeds the lock-order violations of the locks analyzer next
 // to the legal shapes that must stay silent: a direct two-lock cycle, a
 // transitive cycle through a same-package call, a declared-order
 // violation and a stale directive, beside the declared direction and
 // release-before-acquire.
-package a
+package order
 
 import "sync"
 

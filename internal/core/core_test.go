@@ -53,7 +53,7 @@ func testService(t *testing.T) (*Service, *dataset.Set, *dataset.Set) {
 
 // TestServiceCloseJoinsItsGoroutines: Close stops every model's
 // sched.Live, returns promptly, and leaves the process with the
-// goroutines it had before the service existed. A worker or daemon that
+// goroutines it had before the service existed. A worker that
 // stops watching its stop channel fails here in seconds and by name. It
 // is the package's first test because every later one closes a Service
 // in its cleanup, and would hang on the same defect until the

@@ -54,7 +54,9 @@ type LiveConfig struct {
 	// Workers is the goroutine-pool size (the paper's process pool).
 	Workers int
 	// Deadline is the maximum latency per task, enforced by the
-	// deadline daemon.
+	// scheduler core from the clock: a task still queued at its deadline
+	// is answered at the next pick, and a stage that ends past it is
+	// discarded.
 	Deadline time.Duration
 	// QueueDepth bounds admission: at most this many Submit tasks may
 	// be in the system at once (excess submitters block, context-
@@ -198,16 +200,12 @@ type LiveStats struct {
 	P99 time.Duration `json:"p99"`
 }
 
-// liveTask is one in-system request. Task records are pooled: gen
-// counts incarnations, bumped when the record is recycled, so that a
-// deadline-heap entry of a previous life is stale and can never flag the
-// next one (see expEntry).
+// liveTask is one in-system request. Task records are pooled.
 //
 // Ownership discipline: between stages a task belongs to the ready
 // queue (access under Live.mu); during a stage it belongs to the
 // executing worker. Only the owner reads or writes state/hidden and
-// only the owner finalizes, so no per-task lock guards them. The
-// deadline daemon communicates exclusively through the dead flag.
+// only the owner finalizes, so no per-task lock guards them.
 type liveTask struct {
 	state  TaskState
 	task   Task
@@ -222,90 +220,21 @@ type liveTask struct {
 	// ownsBuf marks hidden as a worker-arena buffer, recycled when the
 	// task finishes or the executor swaps the row out.
 	ownsBuf bool
-	// dead is set by the deadline daemon and checked lock-free at stage
-	// boundaries: expiry notification never touches queue or dispatch
-	// state.
-	dead atomic.Bool
-	// reuseMu serializes the daemon's gen check against recycling; it
-	// is never held while executing or dispatching.
-	reuseMu sync.Mutex
-	gen     uint64
-}
-
-// expEntry is one deadline-heap record. at is stored by value so heap
-// ordering never dereferences (possibly recycled) tasks; gen is compared
-// under reuseMu before the dead flag is set, and an entry whose gen is
-// no longer its task's is stale: the task was answered and recycled.
-type expEntry struct {
-	t   *liveTask
-	gen uint64
-	at  Ticks
-}
-
-// expHeap orders in-system tasks by expiry, equal expiries by gen (for
-// Simulate, whose tasks are not recycled, the order they arrived in);
-// the deadline daemon's single timer is armed at or before the minimum.
-// Live drops stale entries off the top on every push, so its heap holds
-// the tasks in the system and, behind the oldest of them, the stale
-// entries of tasks answered since.
-// Hand-rolled sift functions instead of container/heap keep entries
-// unboxed (no interface allocation on the submit hot path); with a
-// uniform relative deadline pushes arrive in order and sift-up is O(1).
-type expHeap []expEntry
-
-func (a expEntry) before(b expEntry) bool {
-	return a.at < b.at || a.at == b.at && a.gen < b.gen
-}
-
-func (h *expHeap) push(e expEntry) {
-	*h = append(*h, e)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *expHeap) popMin() expEntry {
-	s := *h
-	n := len(s) - 1
-	e := s[0]
-	s[0] = s[n]
-	s[n] = expEntry{}
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && s[c+1].before(s[c]) {
-			c++
-		}
-		if !s[c].before(s[i]) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
-	}
-	return e
 }
 
 // Live is the paper's RTDeepIoT scheduler (Section III) on the wall
 // clock: the scheduler core that Simulate drives on a virtual one (see
-// queue), with a pool of workers, admission and a deadline daemon
-// around it. A worker takes the core's next same-stage group under mu,
-// runs it as one batched forward pass, and puts the survivors back on
-// the queue for whichever worker is free next. The daemon — one timer
-// over a min-heap of expiries — flags overdue tasks through per-task
-// atomic bits; the core observes the flag at stage boundaries, so expiry
-// never contends with dispatch. It mirrors the paper's user-space
-// scheduler + TensorFlow process pool + named-pipe reporting, with a
-// shared-memory queue in place of pipes.
+// queue), with a pool of workers and admission around it. A worker
+// takes the core's next same-stage group under mu, runs it as one
+// batched forward pass, and puts the survivors back on the queue for
+// whichever worker is free next. The paper's deadline daemon is the
+// clock the core already reads: a pick answers the queued tasks that
+// are due, and a stage's commit discards a result that came too late.
+// A worker sleeps only when its pick has nothing to run, which after the
+// sweep means an empty queue (see Policy), so no due task waits on an
+// idle pool. It mirrors the paper's user-space scheduler + TensorFlow
+// process pool + named-pipe reporting, with a shared-memory queue in
+// place of pipes.
 type Live struct {
 	cfg LiveConfig
 
@@ -314,8 +243,8 @@ type Live struct {
 
 	// mu guards the scheduler core (the ready queue, the policy's pick
 	// state) and the stopped flag. Workers with nothing to run sleep on
-	// work, which is signalled whenever the queue gains tasks, the daemon
-	// flags one, or the executor stops.
+	// work, which is signalled whenever the queue gains tasks or the
+	// executor stops.
 	mu      sync.Mutex
 	work    *sync.Cond
 	q       queue
@@ -323,13 +252,6 @@ type Live struct {
 	// idle counts the workers waiting on work; a worker a Broadcast
 	// woke still counts until it has the lock.
 	idle int
-
-	expMu    sync.Mutex
-	expiries expHeap
-	// armed is the expiry the daemon's timer is set for, -1 while it is
-	// idle; guarded by expMu. A push due no earlier needs no kick.
-	armed   Ticks
-	expKick chan struct{}
 
 	// admitSem is the QueueDepth counting semaphore for single
 	// submissions; tokens are released when the task finalizes.
@@ -339,8 +261,8 @@ type Live struct {
 	batchPool sync.Pool // *[]*liveTask
 	bufPool   sync.Pool // *[]float64: hidden-row overflow shared across workers
 
-	// stopCh is closed when stopped is set, for the submitters and the
-	// daemon, which wait in selects.
+	// stopCh is closed when stopped is set, for the submitters, which
+	// wait in selects.
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 	epoch  time.Time
@@ -378,8 +300,6 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 	l := &Live{
 		cfg:      cfg,
 		q:        queue{policy: policy, maxBatch: cfg.MaxBatch},
-		armed:    -1,
-		expKick:  make(chan struct{}, 1),
 		admitSem: make(chan struct{}, cfg.QueueDepth),
 		stopCh:   make(chan struct{}),
 		epoch:    time.Now(),
@@ -389,8 +309,6 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 		l.wg.Add(1)
 		go l.worker(exec)
 	}
-	l.wg.Add(1)
-	go l.daemon()
 	return l, nil
 }
 
@@ -428,116 +346,12 @@ func (l *Live) getTask(input []float64, numStages int) *liveTask {
 // putTask returns a finished task to the arena. Only the submitter may
 // call it, and only after reading the response: at that point the
 // owner has dropped every reference and the done channel is empty.
-// Bumping gen makes the task's deadline-heap entry stale, so the next
-// push drops it and the daemon never flags the record's next life.
 //
 //eugene:noalloc
 func (l *Live) putTask(t *liveTask) {
 	t.hidden = nil
 	t.state.Task = nil
-	t.reuseMu.Lock()
-	t.gen++
-	t.dead.Store(false)
-	t.reuseMu.Unlock()
 	l.taskPool.Put(t)
-}
-
-// stale reports whether e's task has been recycled since e was pushed.
-func (e expEntry) stale() bool {
-	e.t.reuseMu.Lock()
-	defer e.t.reuseMu.Unlock()
-	return e.t.gen != e.gen
-}
-
-// addExpiry registers tasks with the deadline daemon, first dropping the
-// stale entries off the top of the heap: those of tasks answered since,
-// which with a uniform deadline are the oldest. The heap then holds what
-// is in the system rather than a deadline's worth of submissions. The
-// daemon is kicked only when its timer is not already armed at or
-// before a new expiry (an idle daemon, or, defensively, an expiry ahead
-// of the armed one): a push that finds the heap emptied of stale
-// entries does not wake a daemon that will wake anyway.
-func (l *Live) addExpiry(tasks ...*liveTask) {
-	l.expMu.Lock()
-	for len(l.expiries) > 0 && l.expiries[0].stale() {
-		l.expiries.popMin()
-	}
-	kick := false
-	for _, t := range tasks {
-		if l.armed < 0 || t.state.Deadline < l.armed {
-			kick = true
-		}
-		l.expiries.push(expEntry{t: t, gen: t.gen, at: t.state.Deadline})
-	}
-	l.expMu.Unlock()
-	if kick {
-		select {
-		case l.expKick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// daemon is the deadline watchdog: one timer armed to the earliest
-// expiry. Expiring a task is a gen-checked atomic flag set — it never
-// touches the queue, task state, or dispatch, so a storm of expiries
-// cannot stall the serving path. Owners observe the flag at the next
-// stage boundary and deliver the expired response with the last
-// completed stage's answer.
-func (l *Live) daemon() {
-	defer l.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var due []expEntry
-	for {
-		select {
-		case <-l.stopCh:
-			return
-		case <-l.expKick:
-		case <-timer.C:
-		}
-		now := l.nowTicks()
-		due = due[:0]
-		l.expMu.Lock()
-		for len(l.expiries) > 0 && l.expiries[0].at <= now {
-			due = append(due, l.expiries.popMin())
-		}
-		next := Ticks(-1)
-		if len(l.expiries) > 0 {
-			next = l.expiries[0].at
-		}
-		l.armed = next
-		l.expMu.Unlock()
-		marked := false
-		for _, e := range due {
-			e.t.reuseMu.Lock()
-			if e.t.gen == e.gen {
-				e.t.dead.Store(true)
-				marked = true
-			}
-			e.t.reuseMu.Unlock()
-		}
-		if marked {
-			// Sleeping workers sweep the flagged tasks off the queue.
-			// The flags are set outside mu, so take it for the wake-up:
-			// a worker that swept just before them is by now waiting.
-			l.mu.Lock()
-			l.work.Broadcast()
-			l.mu.Unlock()
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		if next >= 0 {
-			timer.Reset(time.Duration(next - l.nowTicks()))
-		}
-	}
 }
 
 // finalize delivers a task's response at now and folds it into the
@@ -668,7 +482,6 @@ func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Resp
 	t.sem = true
 	l.submitted.Add(1)
 	l.inSystem.Add(1)
-	l.addExpiry(t)
 	l.push([]*liveTask{t})
 	l.work.Signal()
 	select {
@@ -729,7 +542,6 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	}
 	l.submitted.Add(uint64(len(batch)))
 	l.inSystem.Add(int64(len(batch)))
-	l.addExpiry(batch...)
 	l.push(batch)
 	l.work.Broadcast()
 	out := make([]Response, len(batch))

@@ -157,40 +157,3 @@ func TestLiveAllocsAtServingShape(t *testing.T) {
 		t.Errorf("%.4f allocs/request at the serving shape, budget 0.1 — the forward pass allocates under the scheduler", got)
 	}
 }
-
-// TestLiveDeadlineHeapHoldsInFlight: a deadline-heap entry leaves with
-// its task, not at its expiry. One caller serves 200 64-row batches
-// under a 2 s deadline, which none of them comes near; afterwards the
-// heap holds at most the last batch's entries, where a heap that kept
-// every entry until it was due would hold all 12 800.
-func TestLiveDeadlineHeapHoldsInFlight(t *testing.T) {
-	const batches, rows = 200, 64
-	l, err := NewLive(LiveConfig{Workers: 2, Deadline: 2 * time.Second, QueueDepth: rows},
-		NewFIFO(), []StageExecutor{&allocExec{}, &allocExec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(l.Stop)
-	inputs := make([][]float64, rows)
-	for i := range inputs {
-		inputs[i] = []float64{float64(i)}
-	}
-	for b := 0; b < batches; b++ {
-		resps, err := l.SubmitBatch(context.Background(), inputs, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range resps {
-			if r.Stages != 3 || r.Expired {
-				t.Fatalf("batch %d: response %+v, want 3 stages in time", b, r)
-			}
-		}
-	}
-	l.expMu.Lock()
-	held := len(l.expiries)
-	l.expMu.Unlock()
-	if held > rows {
-		t.Fatalf("deadline heap holds %d entries after %d batches of %d answered tasks, want at most one batch's %d",
-			held, batches, rows, rows)
-	}
-}

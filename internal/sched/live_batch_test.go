@@ -185,8 +185,8 @@ func TestLiveExpiryInsideBatch(t *testing.T) {
 		t.Fatalf("stats %+v, want %d expired and empty queue", s, n)
 	}
 	// The pool must still answer fresh work after a batch-wide expiry.
-	// Let the worker finish the abandoned in-flight stage first — like
-	// the paper's daemon, expiry cannot preempt a stage mid-GEMM, so a
+	// Let the worker finish the abandoned in-flight stage first — as in
+	// the paper, expiry cannot preempt a stage mid-GEMM, so a
 	// task submitted while the worker drains would burn deadline
 	// waiting for it.
 	time.Sleep(150 * time.Millisecond)

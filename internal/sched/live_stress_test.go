@@ -45,7 +45,7 @@ func checkConservation(t *testing.T, l *Live) LiveStats {
 // and SubmitBatch callers using random stage counts, and checks every
 // completed task's answer against the sequential reference. Run under
 // -race this exercises the shared queue, tasks changing workers between
-// stages, the deadline daemon, and the task/buffer arenas at once.
+// stages, deadlines, and the task/buffer arenas at once.
 func TestLiveStress(t *testing.T) {
 	const (
 		workers   = 8

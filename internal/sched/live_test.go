@@ -239,8 +239,8 @@ func TestLiveSubmitBackpressure(t *testing.T) {
 
 func TestLiveExpiryUnanswered(t *testing.T) {
 	// One worker whose single in-flight stage outlives the deadline:
-	// the deadline daemon must finalize the task with zero stages and
-	// Submit must surface ErrUnanswered.
+	// its commit must discard the late result and answer with zero
+	// stages, and Submit must surface ErrUnanswered.
 	l := newTestLive(t, 1, 20*time.Millisecond, 200*time.Millisecond)
 	resp, err := l.Submit(context.Background(), []float64{1}, 3)
 	if err != ErrUnanswered {

@@ -43,8 +43,11 @@ func (q *queue) push(tasks ...*liveTask) {
 	}
 }
 
-// sweep answers the queued tasks the deadline daemon has flagged as
-// expired and lists the rest, stage by stage, as a pick's candidates.
+// sweep answers the queued tasks that are due by now as expired, with
+// the stages they have run, and lists the rest, stage by stage, as a
+// pick's candidates. It is the paper's deadline daemon, run from the
+// clock at the one point a queued task's fate is decided: a worker's
+// pick.
 //
 //eugene:noalloc
 func (q *queue) sweep(now Ticks, d driver) {
@@ -52,7 +55,7 @@ func (q *queue) sweep(now Ticks, d driver) {
 	for s, b := range q.buckets {
 		kept := b[:0]
 		for _, t := range b {
-			if t.dead.Load() {
+			if now >= t.state.Deadline {
 				d.finish(t, true, now)
 				continue
 			}
@@ -81,7 +84,8 @@ func groupSize(n, idle, maxBatch int) int {
 // pick sweeps the queue, asks the policy for a leader among what is
 // left, and coalesces same-stage tasks from the leader's bucket, its
 // batch-mates first, into group[:0], at most groupSize (idle other
-// workers waiting) and the driver's cap. nil means nothing to run.
+// workers waiting) and the driver's cap. nil means nothing to run. The
+// sweep leaves only tasks due after now, so any of them may join.
 //
 //eugene:noalloc
 func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveTask, int) {
@@ -102,7 +106,7 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 	// time alone.
 	minDeadline := leader.state.Deadline
 	for _, t := range bucket {
-		if t != leader && !t.dead.Load() && now < t.state.Deadline && t.state.Deadline < minDeadline {
+		if t.state.Deadline < minDeadline {
 			minDeadline = t.state.Deadline
 		}
 	}
@@ -119,7 +123,7 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 		if t == leader {
 			continue
 		}
-		if leader.sub != 0 && t.sub == leader.sub && len(group) < capN && !t.dead.Load() && now < t.state.Deadline {
+		if leader.sub != 0 && t.sub == leader.sub && len(group) < capN {
 			group = append(group, t)
 			continue
 		}
@@ -129,7 +133,7 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 		rest := kept
 		kept = kept[:0]
 		for _, t := range rest {
-			if len(group) < capN && !t.dead.Load() && now < t.state.Deadline {
+			if len(group) < capN {
 				group = append(group, t)
 				continue
 			}
@@ -150,11 +154,11 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 func (q *queue) commit(group []*liveTask, res []StageResult, now Ticks, surv []*liveTask, d driver) []*liveTask {
 	for i, t := range group {
 		st := &t.state
-		if t.dead.Load() {
-			// The deadline daemon flagged the task while this stage was
-			// in flight; the result is discarded and the answer is the
-			// last completed stage's, like the paper's daemon
-			// interrupting between TensorFlow ops.
+		if now > st.Deadline {
+			// The stage ended past the deadline: its result is discarded
+			// and the answer is the last stage that ended in time, as if
+			// the paper's daemon had interrupted it between TensorFlow
+			// ops.
 			d.finish(t, true, now)
 			continue
 		}
@@ -164,11 +168,7 @@ func (q *queue) commit(group []*liveTask, res []StageResult, now Ticks, surv []*
 		st.Executed++
 		switch {
 		case st.Remaining() == 0:
-			// A daemon that has not flagged the task yet does not make a
-			// late answer on time.
-			d.finish(t, now > st.Deadline, now)
-		case now > st.Deadline:
-			d.finish(t, true, now)
+			d.finish(t, false, now)
 		case d.forceExit(st.Deadline - now):
 			// Degradation ladder: under sustained admission pressure a
 			// task whose slack cannot cover another stage answers with
@@ -176,9 +176,9 @@ func (q *queue) commit(group []*liveTask, res []StageResult, now Ticks, surv []*
 			// cannot finish.
 			d.finish(t, false, now)
 		default:
-			// A task due exactly now is not runnable any more either, but
-			// is the daemon's to answer: at equal times a deadline comes
-			// after the stage ends.
+			// A task due exactly now is not runnable any more either: at
+			// equal times a deadline comes after the stage ends, and the
+			// next pick's sweep answers it.
 			surv = append(surv, t)
 		}
 	}

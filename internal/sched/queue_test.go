@@ -25,12 +25,10 @@ type testDriver struct {
 	expired   []finishRecord
 }
 
-// finishRecord is one answer: the task, the tick it was given and
-// whether the daemon had flagged the task by then.
+// finishRecord is one answer: the task and the tick it was given.
 type finishRecord struct {
-	t       *liveTask
-	now     Ticks
-	flagged bool
+	t   *liveTask
+	now Ticks
 }
 
 func (d *testDriver) finish(t *liveTask, expired bool, now Ticks) {
@@ -38,7 +36,7 @@ func (d *testDriver) finish(t *liveTask, expired bool, now Ticks) {
 		d.finished = make(map[*liveTask]int)
 	}
 	d.finished[t]++
-	r := finishRecord{t, now, t.dead.Load()}
+	r := finishRecord{t, now}
 	if expired {
 		d.expired = append(d.expired, r)
 	} else {
@@ -58,12 +56,11 @@ func (d *testDriver) groupCap(slack Ticks) int {
 // TestQueueConservesTasksAtServingShape drives the core on a fake clock
 // at the served shape: MaxBatch 64, four workers, and 4096 tasks queued
 // at once at mixed stages, in batches and singles, with deadlines spread
-// so that they expire mid-queue and mid-stage. A daemon flags every task
-// whose deadline has come before each step, as Live's does, or, lagging
-// as a late timer would, only every lag ticks. Every task must be
-// answered exactly once, none past its deadline or flagged as on time,
-// no group may hold a flagged, overdue or mixed-stage task, and the
-// bucket sizes must always sum to what is queued.
+// so that they expire mid-queue and mid-stage. The clock the core is
+// given is all it knows of the deadlines. Every task must be answered
+// exactly once, on time only by its deadline and expired only from it
+// on, no group may hold an overdue or mixed-stage task, and the bucket
+// sizes must always sum to what is queued.
 func TestQueueConservesTasksAtServingShape(t *testing.T) {
 	const (
 		n        = 4096
@@ -74,12 +71,10 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy Policy
-		lag    Ticks // the daemon flags only at multiples of lag; 0 is every step
 	}{
-		{"Greedy-1", NewGreedy(1, flatPriors(), "g1"), 0},
-		{"RR", NewRoundRobin(), 0},
-		{"FIFO", NewFIFO(), 0},
-		{"FIFO-lagging", NewFIFO(), 3 * cost},
+		{"Greedy-1", NewGreedy(1, flatPriors(), "g1")},
+		{"RR", NewRoundRobin()},
+		{"FIFO", NewFIFO()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
@@ -108,17 +103,6 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 					t.Fatalf("%s: buckets hold %d tasks, %d queued", when, sum, queued)
 				}
 			}
-			// The daemon flags in task order, which is not queue order.
-			flag := func(now Ticks) {
-				if tc.lag > 0 {
-					now -= now % tc.lag
-				}
-				for _, task := range tasks {
-					if task.state.Deadline <= now {
-						task.dead.Store(true)
-					}
-				}
-			}
 			type flight struct {
 				group []*liveTask
 				at    Ticks
@@ -126,7 +110,6 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 			var running []flight
 			inFlight := make(map[*liveTask]bool)
 			for now := Ticks(0); ; {
-				flag(now)
 				for len(running) < workers {
 					swept := len(d.finished)
 					group, stage := q.pick(now, workers-len(running)-1, nil, d)
@@ -140,9 +123,9 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 						t.Fatalf("a group of %d", len(group))
 					}
 					for _, task := range group {
-						if task.state.Executed != stage || task.dead.Load() || now >= task.state.Deadline || inFlight[task] {
-							t.Fatalf("task %d picked at stage %d: executed %d, flagged %v, due %d at %d, in flight %v",
-								task.task.ID, stage, task.state.Executed, task.dead.Load(), task.state.Deadline, now, inFlight[task])
+						if task.state.Executed != stage || now >= task.state.Deadline || inFlight[task] {
+							t.Fatalf("task %d picked at stage %d: executed %d, due %d at %d, in flight %v",
+								task.task.ID, stage, task.state.Executed, task.state.Deadline, now, inFlight[task])
 						}
 						inFlight[task] = true
 					}
@@ -161,7 +144,6 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 				f := running[first]
 				running = append(running[:first], running[first+1:]...)
 				now = f.at
-				flag(now)
 				res := make([]StageResult, len(f.group))
 				for i := range res {
 					res[i] = StageResult{Pred: 1, Conf: 0.5}
@@ -182,19 +164,87 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 					t.Fatalf("task %d answered %d times", task.task.ID, got)
 				}
 			}
-			// A stage that ends at its task's deadline comes first, so an
-			// unflagged task may be answered on time at its deadline, never
-			// after it.
+			// A stage that ends at its task's deadline comes first, so a
+			// task may be answered on time at its deadline, never after
+			// it, and expired at its deadline, never before it.
 			for _, r := range d.onTime {
-				if r.flagged || r.now > r.t.state.Deadline || r.t.state.Remaining() != 0 {
-					t.Fatalf("task %d answered on time at %d, due %d, flagged %v, with %d stages left",
-						r.t.task.ID, r.now, r.t.state.Deadline, r.flagged, r.t.state.Remaining())
+				if r.now > r.t.state.Deadline || r.t.state.Remaining() != 0 {
+					t.Fatalf("task %d answered on time at %d, due %d, with %d stages left",
+						r.t.task.ID, r.now, r.t.state.Deadline, r.t.state.Remaining())
+				}
+			}
+			for _, r := range d.expired {
+				if r.now < r.t.state.Deadline {
+					t.Fatalf("task %d answered expired at %d, due %d", r.t.task.ID, r.now, r.t.state.Deadline)
 				}
 			}
 			if len(d.onTime) == 0 || len(d.expired) == 0 {
 				t.Fatalf("%d answered on time, %d expired: the run should have both", len(d.onTime), len(d.expired))
 			}
 			t.Logf("%d on time, %d expired", len(d.onTime), len(d.expired))
+		})
+	}
+}
+
+// TestQueueAnswersByClock holds the core's deadline rule on a fake clock,
+// with nothing but the time to go by. A queued task is answered expired
+// at the first pick at or after its deadline. A stage that ends after
+// the deadline, by one tick, is discarded: the answer is expired and
+// carries the stages that ended in time, with their prediction and
+// confidence. A last stage that ends on the deadline counts.
+func TestQueueAnswersByClock(t *testing.T) {
+	const due = 100
+	prev := StageResult{Pred: 4, Conf: 0.5} // what the task answers before its next stage
+	late := StageResult{Pred: 7, Conf: 0.9} // the next stage's result
+	for _, tc := range []struct {
+		name    string
+		stage   int   // the stage the task runs next, of three
+		pickAt  Ticks // when a worker picks
+		endAt   Ticks // when the picked stage ends; 0 when nothing is picked
+		expired bool
+		want    StageResult
+	}{
+		{"stage ends a tick late", 1, due - 10, due + 1, true, prev},
+		{"last stage ends a tick late", 2, due - 10, due + 1, true, prev},
+		{"last stage ends on the deadline", 2, due - 10, due, false, late},
+		{"queued and due at the pick", 1, due, 0, true, prev},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			task := queuedTask(0, 0, tc.stage, due)
+			task.state.Pred, task.state.Conf = prev.Pred, prev.Conf
+			q := &queue{policy: NewFIFO(), maxBatch: 1}
+			d := &testDriver{}
+			q.push(task)
+			group, _ := q.pick(tc.pickAt, 0, nil, d)
+			if tc.endAt == 0 {
+				if group != nil {
+					t.Fatalf("picked a task due at %d at %d", due, tc.pickAt)
+				}
+			} else {
+				if len(group) != 1 {
+					t.Fatalf("picked %d tasks at %d, want the one queued", len(group), tc.pickAt)
+				}
+				if surv := q.commit(group, []StageResult{late}, tc.endAt, nil, d); len(surv) != 0 {
+					t.Fatalf("the task survived a stage ending at %d, due %d", tc.endAt, due)
+				}
+			}
+			answers := d.onTime
+			if tc.expired {
+				answers = d.expired
+			}
+			if d.finished[task] != 1 || len(answers) != 1 {
+				t.Fatalf("answered %d times, %d on time and %d expired; want once, expired %v",
+					d.finished[task], len(d.onTime), len(d.expired), tc.expired)
+			}
+			executed := tc.stage
+			if tc.want == late {
+				executed++
+			}
+			st := task.state
+			if st.Executed != executed || st.Pred != tc.want.Pred || st.Conf != tc.want.Conf {
+				t.Fatalf("answered with %d stages, pred %d, conf %v; want %d, %d, %v",
+					st.Executed, st.Pred, st.Conf, executed, tc.want.Pred, tc.want.Conf)
+			}
 		})
 	}
 }

@@ -10,7 +10,8 @@ import (
 // until TotalTasks have been issued), Workers execute one stage at a
 // time, each stage costs StageCost ticks, and every task must finish
 // within Deadline ticks of its arrival (the paper's maximum latency
-// constraint, enforced by the daemon).
+// constraint, enforced by the scheduler core from the clock; a stage
+// still in flight at the deadline is interrupted).
 type SimConfig struct {
 	Workers     int
 	Concurrency int
@@ -44,10 +45,10 @@ type sim struct {
 	// running holds the stages in flight, each as its task and the tick
 	// it ends, in the order they were dispatched, which is the order they
 	// end in: every stage costs StageCost.
-	running []expEntry
-	// deadlines is the daemon's heap. An entry whose gen is no longer
-	// its task's belongs to a task already answered.
-	deadlines expHeap
+	running []event
+	// deadlines holds every issued task's deadline, answered tasks' too:
+	// an event whose task has left passes without effect.
+	deadlines deadlineHeap
 	// arriving holds the tasks issued this tick, admitted after the
 	// tick's stage ends and deadlines.
 	arriving []*liveTask
@@ -82,15 +83,13 @@ func Simulate(cfg SimConfig, policy Policy, next func(id int) *Task) (*Metrics, 
 			s.dispatch(now)
 		}
 		for len(s.deadlines) > 0 && s.deadlines[0].at == now {
-			if e := s.deadlines.popMin(); e.gen == e.t.gen {
-				s.expire(e.t, now)
-				s.dispatch(now)
-			}
+			s.expire(s.deadlines.popMin().t, now)
+			s.dispatch(now)
 		}
 		for i := 0; i < len(s.arriving); i++ {
 			t := s.arriving[i]
 			s.q.push(t)
-			s.deadlines.push(expEntry{t: t, gen: t.gen, at: t.state.Deadline})
+			s.deadlines.push(event{t: t, at: t.state.Deadline})
 			s.dispatch(now)
 		}
 		s.arriving = s.arriving[:0]
@@ -106,8 +105,7 @@ func Simulate(cfg SimConfig, policy Policy, next func(id int) *Task) (*Metrics, 
 }
 
 // issue draws the next task, unless TotalTasks have been issued, to
-// arrive at now. Its ID is its gen, which orders equal deadlines by
-// arrival in the daemon's heap.
+// arrive at now. Its ID orders equal deadlines by arrival.
 func (s *sim) issue(now Ticks) {
 	if s.issued >= s.cfg.TotalTasks {
 		return
@@ -123,7 +121,6 @@ func (s *sim) issue(now Ticks) {
 		rel = task.RelDeadline
 	}
 	s.arriving = append(s.arriving, &liveTask{
-		gen:   uint64(task.ID),
 		state: TaskState{Task: task, Arrival: now, Deadline: now + rel, Pred: -1},
 	})
 }
@@ -135,34 +132,34 @@ func (s *sim) dispatch(now Ticks) {
 		if group == nil {
 			return
 		}
-		s.running = append(s.running, expEntry{t: group[0], at: now + s.cfg.StageCost})
+		s.running = append(s.running, event{t: group[0], at: now + s.cfg.StageCost})
 	}
 }
 
-// expire is the deadline daemon at t's deadline. A queued task is
-// flagged and swept off the queue, so it is answered now and the closed
-// loop issues its replacement now, not at the next pick.
+// expire is the paper's deadline daemon at t's deadline. A queued task
+// is answered now by the core's sweep, with any other task due by now,
+// so that the closed loop issues its replacement now, not at the next
+// pick. A task already answered is in neither place, and its deadline
+// passes without effect.
 func (s *sim) expire(t *liveTask, now Ticks) {
 	for i, f := range s.running {
 		if f.t == t {
-			// The one place the two drivers differ: here the daemon
+			// The one place the two drivers differ: here the deadline
 			// interrupts the stage and its worker is free at once, as in
 			// the paper. Live's worker holds its core until the stage
 			// ends, a property of the wall clock, and the core's commit
-			// answers the flagged task then.
+			// discards the late result then.
 			s.running = slices.Delete(s.running, i, i+1)
 			s.finish(t, true, now)
 			return
 		}
 	}
-	t.dead.Store(true)
 	s.q.sweep(now, s)
 }
 
 // finish records the task's outcome and, closing the loop, issues its
 // replacement.
 func (s *sim) finish(t *liveTask, expired bool, now Ticks) {
-	t.gen++ // its deadline entry goes stale, as a recycled Live task's does
 	st := &t.state
 	s.metrics.Outcomes = append(s.metrics.Outcomes, TaskOutcome{
 		ID:       st.Task.ID,
@@ -181,3 +178,58 @@ func (s *sim) groupCap(Ticks) int { return 1 }
 
 // forceExit is never: the simulation has no admission control.
 func (s *sim) forceExit(Ticks) bool { return false }
+
+// event is a task at a tick: the end of the stage it has in flight, or
+// its deadline.
+type event struct {
+	t  *liveTask
+	at Ticks
+}
+
+// deadlineHeap orders Simulate's deadline events by tick, equal ticks
+// by task ID, which is the order the tasks arrived in. Hand-rolled sift
+// functions instead of container/heap keep the events unboxed; with a
+// uniform relative deadline they arrive in order and sift-up is O(1).
+type deadlineHeap []event
+
+func (a event) before(b event) bool {
+	return a.at < b.at || a.at == b.at && a.t.state.Task.ID < b.t.state.Task.ID
+}
+
+func (h *deadlineHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].before(s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *deadlineHeap) popMin() event {
+	s := *h
+	n := len(s) - 1
+	e := s[0]
+	s[0] = s[n]
+	s[n] = event{}
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	return e
+}

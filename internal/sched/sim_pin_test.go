@@ -46,7 +46,12 @@ func outcomeDigest(outcomes []TaskOutcome) string {
 // mid-run — as a digest of all of them in the order they were finalized,
 // plus the first four in full. The values were recorded from the event
 // loop Simulate had before it drove the scheduler core, which the core
-// reproduces but for one case, marked below.
+// reproduces but for one case, marked below, and re-recorded once when
+// the core came to decide expiry from the clock alone: a queued task due
+// at a tick is now answered by the first sweep at that tick, in queue
+// order, where a flag set by its own deadline event answered it in
+// arrival order. The outcomes are the same ones; only their order within
+// a tick moved, and it moved six of the ten digests.
 func TestSimulatePinned(t *testing.T) {
 	for _, tc := range []struct {
 		concurrency int
@@ -54,20 +59,20 @@ func TestSimulatePinned(t *testing.T) {
 		digest      string
 		first       []TaskOutcome
 	}{
-		{6, "Greedy-1", "ad89e38564a5d0b2e2dac3166ae2c77471f089625be1316c1acef143fe54c055", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 5, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 4, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}}},
+		{6, "Greedy-1", "c6e4fd55957097c79f9dea19e75647fdf68511164b9acde4605acb76f982a204", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 5, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 4, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}}},
 		{6, "Greedy-2", "51ae2ff624a9631d26c1d89f20563848d352afc9c6015fd150516e89a0586dc8", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 5, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 4, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}}},
 		// Re-recorded once (was 382b0038…): the DC predictor gives a
 		// task one stage in exactly the prior slope, so such tasks tie, and
 		// the core offers candidates stage by stage where the old loop
 		// offered them in arrival order.
-		{6, "DC-2", "7eafd81baa76e568d5c371c09387d9166870191f8463db4c65e02a48e3173234", []TaskOutcome{{ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 4, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}}},
+		{6, "DC-2", "64a2f13e154c589a5b20f1bed0f4c092bc97d768e84e165a46b42e64c730400d", []TaskOutcome{{ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 28}, {ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 4, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}}},
 		{6, "RR", "33e60126d456aa5a7bc968a5d8e242587769a1dea43ecea02f63f8000af5666e", []TaskOutcome{{ID: 0, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 1, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 3, Stages: 2, Correct: false, Answered: true, Expired: true, Latency: 40}}},
 		{6, "FIFO", "52cc27c2b20600c7c42516f539a721886199534ef39b8528d86096dafd5ccceb", []TaskOutcome{{ID: 0, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 1, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 3, Stages: 2, Correct: false, Answered: true, Expired: true, Latency: 40}}},
-		{9, "Greedy-1", "45ec0b41c4409a6f5654bf3e9a62859536aee8fcb275a7473a3a583536942c0e", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 8, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 1, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}}},
-		{9, "Greedy-2", "6590cd94417493c12ef30bf5f862ac56792d8ed18369361769df6b7ed54920c6", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 8, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 1, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}}},
-		{9, "DC-2", "d92bd52bea8e9824ce8e8926ff3744382f8197e8f929880b7f100d7e8295f80a", []TaskOutcome{{ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 1, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 3, Stages: 2, Correct: false, Answered: true, Expired: true, Latency: 40}}},
+		{9, "Greedy-1", "57e2b2b9ed460c901ac273a924580453261ffacaa6d5bf70064f2d5bf25415f6", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 8, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 1, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}}},
+		{9, "Greedy-2", "b49ea6359284df0f311016066370b846d1f66f9c12ae120ef7cc0b0407f44a20", []TaskOutcome{{ID: 3, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 8, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 0, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 1, Stages: 1, Correct: true, Answered: true, Expired: true, Latency: 40}}},
+		{9, "DC-2", "656451f6444f128c40c74ad78860c41a40c2f63da18ec9f70714c5e569d34177", []TaskOutcome{{ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 35}, {ID: 6, Stages: 1, Correct: false, Answered: true, Expired: true, Latency: 40}, {ID: 7, Stages: 1, Correct: false, Answered: true, Expired: true, Latency: 40}, {ID: 8, Stages: 1, Correct: false, Answered: true, Expired: true, Latency: 40}}},
 		{9, "RR", "344957579a9fe1baab7b307c7c6aa24ccbade44b2b3a3c6ae6ae098d7f88a030", []TaskOutcome{{ID: 0, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 1, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 2, Stages: 2, Correct: true, Answered: true, Expired: true, Latency: 40}, {ID: 3, Stages: 2, Correct: false, Answered: true, Expired: true, Latency: 40}}},
-		{9, "FIFO", "e2fe3803405c867a1160e2531cc4f51ccc7fae070a12536df5897a64e88f718b", []TaskOutcome{{ID: 0, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 1, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 3, Stages: 2, Correct: false, Answered: true, Expired: true, Latency: 40}}},
+		{9, "FIFO", "acee45b85eb8a30033eddad6b8125394bb5e3f0c2e554939b5d7de26a01a32ec", []TaskOutcome{{ID: 0, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 1, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 2, Stages: 3, Correct: true, Answered: true, Expired: false, Latency: 21}, {ID: 6, Stages: 0, Correct: false, Answered: false, Expired: true, Latency: 40}}},
 	} {
 		t.Run(fmt.Sprintf("%s/N=%d", tc.policy, tc.concurrency), func(t *testing.T) {
 			var p Policy

@@ -2,10 +2,10 @@
 // scheduling (paper Section III): the greedy RTDeepIoT-k scheduler with
 // lookahead, the constant-slope RTDeepIoT-DC-k variant, and stage-level
 // round-robin and FIFO baselines. One scheduler core (queue) holds the
-// ready tasks, picks, groups, requeues and expires them, and two drivers
-// run it: Live, a goroutine-pool executor on the wall clock with the
-// paper's deadline daemon, and Simulate, a deterministic closed loop on
-// a virtual clock.
+// ready tasks, picks, groups, requeues and expires them, deciding expiry
+// from the time it is given, and two drivers run it: Live, a
+// goroutine-pool executor on the wall clock, and Simulate, a
+// deterministic closed loop on a virtual clock.
 package sched
 
 import (
@@ -97,9 +97,11 @@ type Predictor interface {
 
 // Policy selects which runnable task's next stage to execute. Pick is
 // called by the scheduler core whenever a worker is free, with the
-// queued tasks stage by stage, each stage's in the order they became
-// ready; it must return the index into tasks of a runnable task, or −1
-// when nothing should run. Policies may keep internal state (timelines,
+// queued tasks that are due after now, stage by stage, each stage's in
+// the order they became ready; it must return the index into tasks of a
+// runnable task, or −1 only when none is: a worker given −1 sleeps until
+// more work is queued, and a queued task is answered at its deadline
+// only by a pick. Policies may keep internal state (timelines,
 // rotation cursors); each instance is called from a single goroutine at
 // a time (the live executor picks under its queue lock).
 type Policy interface {
