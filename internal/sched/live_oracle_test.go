@@ -34,9 +34,7 @@ type recordingPolicy struct {
 
 func (r *recordingPolicy) Pick(now Ticks, tasks []*TaskState) int {
 	i := r.Policy.Pick(now, tasks)
-	if i >= 0 {
-		r.picks = append(r.picks, pick{tasks[i].Task.ID - r.firstID, tasks[i].Executed})
-	}
+	r.picks = append(r.picks, pick{tasks[i].Task.ID - r.firstID, tasks[i].Executed})
 	return i
 }
 

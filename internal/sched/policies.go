@@ -48,33 +48,29 @@ func NewGreedy(k int, pred Predictor, label string) *Greedy {
 func (g *Greedy) Name() string { return g.label }
 
 // Pick implements Policy.
-func (g *Greedy) Pick(now Ticks, tasks []*TaskState) int {
+func (g *Greedy) Pick(_ Ticks, tasks []*TaskState) int {
 	for {
 		// Consume the planned timeline first, skipping entries that
-		// became stale (task finalized, expired, or picked up already).
+		// became stale (task answered, or picked up already). A plan
+		// over a non-empty list holds one of its tasks, so the pass
+		// after a replan returns.
 		for g.next < len(g.timeline) {
 			id := g.timeline[g.next]
 			g.next++
 			for i, t := range tasks {
-				if t.Task.ID == id && t.Runnable(now) {
+				if t.Task.ID == id {
 					return i
 				}
 			}
 		}
-		if !g.replan(now, tasks) {
-			return -1
-		}
+		g.replan(tasks)
 	}
 }
 
-// replan rebuilds the (exhausted) timeline; returns false when no task
-// is plannable.
-func (g *Greedy) replan(now Ticks, tasks []*TaskState) bool {
+// replan rebuilds the (exhausted) timeline.
+func (g *Greedy) replan(tasks []*TaskState) {
 	cands := g.cands[:0]
 	for i, t := range tasks {
-		if !t.Runnable(now) {
-			continue
-		}
 		cands = append(cands, virt{
 			idx: i, last: t.Executed - 1,
 			prev: t.PrevConf, cur: t.Conf,
@@ -112,7 +108,6 @@ func (g *Greedy) replan(now Ticks, tasks []*TaskState) bool {
 		best.last++
 		best.left--
 	}
-	return len(g.timeline) > 0
 }
 
 // RoundRobin is the paper's stage-level round-robin baseline: it cycles
@@ -130,16 +125,13 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{last: -1} }
 // Name implements Policy.
 func (r *RoundRobin) Name() string { return "RR" }
 
-// Pick implements Policy: the runnable task with the lowest ID above
-// the last one served, or, past the end of the cycle, the lowest ID.
-func (r *RoundRobin) Pick(now Ticks, tasks []*TaskState) int {
-	next, first := -1, -1
+// Pick implements Policy: the task with the lowest ID above the last
+// one served, or, past the end of the cycle, the lowest ID.
+func (r *RoundRobin) Pick(_ Ticks, tasks []*TaskState) int {
+	next, first := -1, 0
 	for i, t := range tasks {
-		if !t.Runnable(now) {
-			continue
-		}
 		id := t.Task.ID
-		if first < 0 || id < tasks[first].Task.ID {
+		if id < tasks[first].Task.ID {
 			first = i
 		}
 		if id > r.last && (next < 0 || id < tasks[next].Task.ID) {
@@ -149,9 +141,7 @@ func (r *RoundRobin) Pick(now Ticks, tasks []*TaskState) int {
 	if next < 0 {
 		next = first
 	}
-	if next >= 0 {
-		r.last = tasks[next].Task.ID
-	}
+	r.last = tasks[next].Task.ID
 	return next
 }
 
@@ -166,13 +156,10 @@ func NewFIFO() *FIFO { return &FIFO{} }
 func (FIFO) Name() string { return "FIFO" }
 
 // Pick implements Policy.
-func (FIFO) Pick(now Ticks, tasks []*TaskState) int {
-	best := -1
+func (FIFO) Pick(_ Ticks, tasks []*TaskState) int {
+	best := 0
 	for i, t := range tasks {
-		if !t.Runnable(now) {
-			continue
-		}
-		if best == -1 || t.Arrival < tasks[best].Arrival ||
+		if t.Arrival < tasks[best].Arrival ||
 			(t.Arrival == tasks[best].Arrival && t.Task.ID < tasks[best].Task.ID) {
 			best = i
 		}

@@ -93,11 +93,7 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 	if len(q.flat) == 0 {
 		return nil, 0
 	}
-	i := q.policy.Pick(now, q.states)
-	if i < 0 {
-		return nil, 0
-	}
-	leader := q.flat[i]
+	leader := q.flat[q.policy.Pick(now, q.states)]
 	stage := leader.state.Executed
 	bucket := q.buckets[stage]
 	// The group is also capped by the slack of the tightest deadline

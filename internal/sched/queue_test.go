@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,36 +18,35 @@ func queuedTask(id int, sub int64, stage int, deadline Ticks) *liveTask {
 	return t
 }
 
-// testDriver is a driver on a fake clock: it records every answer and
-// caps groups as admission would at stageCost ticks a stage (no cap when
-// zero).
+// testDriver is a driver on a fake clock: it logs every answer, caps
+// groups as admission would at stageCost ticks a stage (no cap when
+// zero), and forces a task out when it has less than exitBelow ticks of
+// slack left.
 type testDriver struct {
-	stageCost Ticks
-	finished  map[*liveTask]int
-	onTime    []finishRecord
-	expired   []finishRecord
+	stageCost, exitBelow Ticks
+	answers              []answer
 }
 
-// finishRecord is one answer: the task and the tick it was given.
-type finishRecord struct {
-	t   *liveTask
-	now Ticks
+// answer is one finish: the task, whether it expired, and the tick.
+type answer struct {
+	t       *liveTask
+	expired bool
+	now     Ticks
+}
+
+func (a answer) String() string {
+	how := "on time"
+	if a.expired {
+		how = "expired"
+	}
+	return fmt.Sprintf("task %d %s at %d", a.t.task.ID, how, a.now)
 }
 
 func (d *testDriver) finish(t *liveTask, expired bool, now Ticks) {
-	if d.finished == nil {
-		d.finished = make(map[*liveTask]int)
-	}
-	d.finished[t]++
-	r := finishRecord{t, now}
-	if expired {
-		d.expired = append(d.expired, r)
-	} else {
-		d.onTime = append(d.onTime, r)
-	}
+	d.answers = append(d.answers, answer{t, expired, now})
 }
 
-func (d *testDriver) forceExit(Ticks) bool { return false }
+func (d *testDriver) forceExit(slack Ticks) bool { return slack < d.exitBelow }
 
 func (d *testDriver) groupCap(slack Ticks) int {
 	if d.stageCost == 0 {
@@ -53,14 +55,313 @@ func (d *testDriver) groupCap(slack Ticks) int {
 	return max(1, int(slack/d.stageCost))
 }
 
-// TestQueueConservesTasksAtServingShape drives the core on a fake clock
+// Where a task is, in the oracle's model.
+const (
+	isQueued = iota
+	isInFlight
+	isAnswered
+)
+
+// taskModel is the oracle's record of one task.
+type taskModel struct {
+	where          int
+	executed, pred int
+	conf, prevConf float64
+	deadline       Ticks
+	expired        bool // how it was answered
+}
+
+// coreOracle drives the scheduler core on a fake clock and, after every
+// operation, checks it exactly against a plain model of each task. A
+// pick must answer expired exactly the queued tasks due by now, hand the
+// policy exactly the rest, stage by stage in the order they became
+// ready, get a FIFO or RR policy's leader back, and take the group the
+// rule in queue.pick describes, written here from its statement rather
+// than its code. A commit must discard a stage that ended past its
+// task's deadline, apply any other, answer the tasks that are done or
+// forced out and hand back the rest. Nothing else may be answered, and
+// every task's state and every bucket must match the model.
+type coreOracle struct {
+	t        testing.TB
+	q        *queue
+	d        *testDriver
+	policy   Policy // the policy under test; q runs it through checkedPolicy
+	maxBatch int
+	now      Ticks
+	tasks    []*liveTask
+	model    map[*liveTask]*taskModel
+	// ready is the model's queue: the queued tasks by the stage they run
+	// next, each in the order it became ready.
+	ready [][]*liveTask
+	// flights are the groups in flight, in the order they were picked.
+	flights [][]*liveTask
+	// cands are the tasks the pick under way must offer the policy, and
+	// leader the index it chose (−1 until it is asked).
+	cands  []*liveTask
+	leader int
+	// rrLast is the last leader's ID, which a round-robin policy's next
+	// leader follows.
+	rrLast int
+}
+
+func newCoreOracle(t testing.TB, policy Policy, maxBatch int, d *testDriver) *coreOracle {
+	o := &coreOracle{t: t, d: d, policy: policy, maxBatch: maxBatch,
+		model: make(map[*liveTask]*taskModel), rrLast: -1}
+	o.q = &queue{policy: checkedPolicy{o}, maxBatch: maxBatch}
+	return o
+}
+
+// checkedPolicy is the policy under test as the core sees it: it checks
+// the candidates it is given and the leader it returns.
+type checkedPolicy struct{ o *coreOracle }
+
+func (p checkedPolicy) Name() string { return p.o.policy.Name() }
+
+func (p checkedPolicy) Pick(now Ticks, tasks []*TaskState) int {
+	o := p.o
+	o.t.Helper()
+	if o.leader >= 0 || now != o.now {
+		o.t.Fatalf("Pick called at %d in a pick at %d that had called it already: %v", now, o.now, o.leader >= 0)
+	}
+	if len(tasks) != len(o.cands) {
+		o.t.Fatalf("Pick at %d got %d candidates, %d queued", now, len(tasks), len(o.cands))
+	}
+	for i, st := range tasks {
+		if st != &o.cands[i].state {
+			o.t.Fatalf("candidate %d at %d is task %d, want task %d", i, now, st.Task.ID, o.cands[i].task.ID)
+		}
+		if st.Remaining() == 0 || now >= st.Deadline {
+			o.t.Fatalf("candidate task %d is not runnable at %d: %d stages left, due %d", st.Task.ID, now, st.Remaining(), st.Deadline)
+		}
+	}
+	i := o.policy.Pick(now, tasks)
+	if i < 0 || i >= len(tasks) {
+		o.t.Fatalf("%s picked index %d of %d", o.policy.Name(), i, len(tasks))
+	}
+	// FIFO's leader is the oldest arrival, ties broken by ID; RR's the
+	// lowest ID above the last one served, wrapping round; Greedy's any
+	// candidate.
+	var rank func(*TaskState) [2]Ticks
+	switch o.policy.(type) {
+	case FIFO, *FIFO:
+		rank = func(st *TaskState) [2]Ticks { return [2]Ticks{st.Arrival, Ticks(st.Task.ID)} }
+	case *RoundRobin:
+		rank = func(st *TaskState) [2]Ticks {
+			var wrapped Ticks
+			if st.Task.ID <= o.rrLast {
+				wrapped = 1
+			}
+			return [2]Ticks{wrapped, Ticks(st.Task.ID)}
+		}
+	}
+	if rank != nil {
+		want := slices.MinFunc(tasks, func(a, b *TaskState) int {
+			ra, rb := rank(a), rank(b)
+			return cmp.Or(cmp.Compare(ra[0], rb[0]), cmp.Compare(ra[1], rb[1]))
+		})
+		if want != tasks[i] {
+			o.t.Fatalf("%s picked task %d at %d, want task %d", o.policy.Name(), tasks[i].Task.ID, now, want.Task.ID)
+		}
+	}
+	o.leader, o.rrLast = i, tasks[i].Task.ID
+	return i
+}
+
+// push queues new tasks, as one submission.
+func (o *coreOracle) push(tasks ...*liveTask) {
+	o.t.Helper()
+	for _, t := range tasks {
+		st := &t.state
+		o.model[t] = &taskModel{executed: st.Executed, pred: st.Pred, conf: st.Conf, prevConf: st.PrevConf, deadline: st.Deadline}
+		o.queue(t)
+	}
+	o.tasks = append(o.tasks, tasks...)
+	o.q.push(tasks...)
+	o.check()
+}
+
+// queue puts a task in the model's bucket for the stage it runs next.
+func (o *coreOracle) queue(t *liveTask) {
+	m := o.model[t]
+	m.where = isQueued
+	for len(o.ready) <= m.executed {
+		o.ready = append(o.ready, nil)
+	}
+	o.ready[m.executed] = append(o.ready[m.executed], t)
+}
+
+// pick has a worker pick at the current tick with idle peers waiting,
+// and reports whether it got a group, which is then in flight.
+func (o *coreOracle) pick(idle int) bool {
+	o.t.Helper()
+	var swept []answer
+	o.cands = o.cands[:0]
+	for s, b := range o.ready {
+		o.ready[s] = slices.DeleteFunc(b, func(t *liveTask) bool {
+			if o.now >= o.model[t].deadline {
+				swept = append(swept, answer{t, true, o.now})
+				return true
+			}
+			o.cands = append(o.cands, t)
+			return false
+		})
+	}
+	o.leader = -1
+	group, stage := o.q.pick(o.now, idle, nil, o.d)
+	o.answered(swept, "the sweep")
+	if len(o.cands) == 0 {
+		if group != nil || o.leader >= 0 {
+			o.t.Fatalf("a pick at %d with nothing queued returned %d tasks, asked the policy %v", o.now, len(group), o.leader >= 0)
+		}
+		o.check()
+		return false
+	}
+	if o.leader < 0 {
+		o.t.Fatalf("a pick at %d with %d queued did not ask the policy", o.now, len(o.cands))
+	}
+	leader := o.cands[o.leader]
+	if want := o.model[leader].executed; stage != want {
+		o.t.Fatalf("a pick at %d returned stage %d for a leader at stage %d", o.now, stage, want)
+	}
+	// The leader, its batch-mates, then, after a single or a group under
+	// half of maxBatch, the bucket's other tasks; all in bucket order and
+	// capped by the tightest slack in the bucket and the idle share.
+	bucket := o.ready[stage]
+	tightest := Ticks(math.MaxInt64)
+	want := []*liveTask{leader}
+	var others []*liveTask
+	for _, t := range bucket {
+		tightest = min(tightest, o.model[t].deadline)
+		switch {
+		case t == leader:
+		case leader.sub != 0 && t.sub == leader.sub:
+			want = append(want, t)
+		default:
+			others = append(others, t)
+		}
+	}
+	if leader.sub == 0 || 2*len(want) < o.maxBatch {
+		want = append(want, others...)
+	}
+	want = want[:min(len(want), o.d.groupCap(tightest-o.now), groupSize(len(bucket), idle, o.maxBatch))]
+	if !slices.Equal(group, want) {
+		o.t.Fatalf("a pick at %d, %d idle, took %v, want %v", o.now, idle, ids(group), ids(want))
+	}
+	for _, t := range group {
+		o.model[t].where = isInFlight
+	}
+	o.ready[stage] = slices.DeleteFunc(bucket, func(t *liveTask) bool { return o.model[t].where == isInFlight })
+	o.flights = append(o.flights, group)
+	o.check()
+	return true
+}
+
+// commit ends flight i's stage at tick at, no earlier than the current
+// one, with one result a row, and queues the survivors again.
+func (o *coreOracle) commit(i int, at Ticks, res []StageResult) {
+	o.t.Helper()
+	o.now = at
+	group := o.flights[i]
+	o.flights = slices.Delete(o.flights, i, i+1)
+	var answers []answer
+	var surv []*liveTask
+	for j, t := range group {
+		m := o.model[t]
+		if o.now > m.deadline {
+			answers = append(answers, answer{t, true, o.now})
+			continue
+		}
+		m.prevConf, m.conf, m.pred = m.conf, res[j].Conf, res[j].Pred
+		m.executed++
+		if m.executed == t.task.NumStages || o.d.forceExit(m.deadline-o.now) {
+			answers = append(answers, answer{t, false, o.now})
+		} else {
+			surv = append(surv, t)
+		}
+	}
+	got := o.q.commit(group, res, o.now, nil, o.d)
+	o.answered(answers, "a commit")
+	if !slices.Equal(got, surv) {
+		o.t.Fatalf("a commit at %d handed back %v, want %v", o.now, ids(got), ids(surv))
+	}
+	for _, t := range surv {
+		o.queue(t)
+	}
+	o.q.push(surv...)
+	o.check()
+}
+
+// answered checks that the driver was given exactly these answers since
+// the last operation, and records them.
+func (o *coreOracle) answered(want []answer, by string) {
+	o.t.Helper()
+	if !slices.Equal(o.d.answers, want) {
+		o.t.Fatalf("%s at %d answered %v, want %v", by, o.now, o.d.answers, want)
+	}
+	for _, a := range want {
+		m := o.model[a.t]
+		m.where, m.expired = isAnswered, a.expired
+	}
+	o.d.answers = o.d.answers[:0]
+}
+
+// check holds every task's state and every bucket to the model.
+func (o *coreOracle) check() {
+	o.t.Helper()
+	for _, t := range o.tasks {
+		m, st := o.model[t], &t.state
+		if st.Executed != m.executed || st.Pred != m.pred || st.Conf != m.conf || st.PrevConf != m.prevConf || st.Deadline != m.deadline {
+			o.t.Fatalf("at %d task %d has executed %d, pred %d, conf %v (prev %v), due %d; want %d, %d, %v (%v), %d",
+				o.now, t.task.ID, st.Executed, st.Pred, st.Conf, st.PrevConf, st.Deadline,
+				m.executed, m.pred, m.conf, m.prevConf, m.deadline)
+		}
+	}
+	for s := range max(len(o.q.buckets), len(o.ready)) {
+		var got, want []*liveTask
+		if s < len(o.q.buckets) {
+			got = o.q.buckets[s]
+		}
+		if s < len(o.ready) {
+			want = o.ready[s]
+		}
+		if !slices.Equal(got, want) {
+			o.t.Fatalf("at %d bucket %d holds %v, want %v", o.now, s, ids(got), ids(want))
+		}
+	}
+}
+
+// drain runs the core dry, committing the oldest group in flight a tick
+// on or else picking with no peer idle, and then checks that every task
+// was answered.
+func (o *coreOracle) drain() {
+	o.t.Helper()
+	for {
+		if len(o.flights) > 0 {
+			o.commit(0, o.now+1, make([]StageResult, len(o.flights[0])))
+		} else if !o.pick(0) {
+			break
+		}
+	}
+	for _, t := range o.tasks {
+		if o.model[t].where != isAnswered {
+			o.t.Fatalf("task %d left unanswered with nothing queued or in flight", t.task.ID)
+		}
+	}
+}
+
+func ids(tasks []*liveTask) []int {
+	out := make([]int, len(tasks))
+	for i, t := range tasks {
+		out[i] = t.task.ID
+	}
+	return out
+}
+
+// TestQueueConservesTasksAtServingShape runs the core under the oracle
 // at the served shape: MaxBatch 64, four workers, and 4096 tasks queued
 // at once at mixed stages, in batches and singles, with deadlines spread
 // so that they expire mid-queue and mid-stage. The clock the core is
-// given is all it knows of the deadlines. Every task must be answered
-// exactly once, on time only by its deadline and expired only from it
-// on, no group may hold an overdue or mixed-stage task, and the bucket
-// sizes must always sum to what is queued.
+// given is all it knows of the deadlines.
 func TestQueueConservesTasksAtServingShape(t *testing.T) {
 	const (
 		n        = 4096
@@ -78,8 +379,7 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
-			q := &queue{policy: tc.policy, maxBatch: maxBatch}
-			d := &testDriver{}
+			o := newCoreOracle(t, tc.policy, maxBatch, &testDriver{})
 			var tasks []*liveTask
 			for sub := int64(1); len(tasks) < n; sub++ {
 				size := 1 + rng.Intn(maxBatch)
@@ -91,160 +391,201 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 					tasks = append(tasks, queuedTask(len(tasks), sub, rng.Intn(3), deadline))
 				}
 			}
-			q.push(tasks...)
-			queued := n
-			checkQueued := func(when string) {
-				t.Helper()
-				sum := 0
-				for _, b := range q.buckets {
-					sum += len(b)
+			o.push(tasks...)
+			var ends []Ticks // when each group in flight ends
+			for {
+				for len(o.flights) < workers && o.pick(workers-len(o.flights)-1) {
+					ends = append(ends, o.now+Ticks(1+rng.Intn(2*cost)))
 				}
-				if sum != queued {
-					t.Fatalf("%s: buckets hold %d tasks, %d queued", when, sum, queued)
-				}
-			}
-			type flight struct {
-				group []*liveTask
-				at    Ticks
-			}
-			var running []flight
-			inFlight := make(map[*liveTask]bool)
-			for now := Ticks(0); ; {
-				for len(running) < workers {
-					swept := len(d.finished)
-					group, stage := q.pick(now, workers-len(running)-1, nil, d)
-					queued -= len(d.finished) - swept
-					if group == nil {
-						break
-					}
-					queued -= len(group)
-					checkQueued("after a pick")
-					if len(group) > maxBatch {
-						t.Fatalf("a group of %d", len(group))
-					}
-					for _, task := range group {
-						if task.state.Executed != stage || now >= task.state.Deadline || inFlight[task] {
-							t.Fatalf("task %d picked at stage %d: executed %d, due %d at %d, in flight %v",
-								task.task.ID, stage, task.state.Executed, task.state.Deadline, now, inFlight[task])
-						}
-						inFlight[task] = true
-					}
-					running = append(running, flight{group, now + Ticks(1+rng.Intn(2*cost))})
-				}
-				if len(running) == 0 {
+				if len(o.flights) == 0 {
 					break
 				}
 				// The earliest dispatch ends next.
 				first := 0
-				for i, f := range running {
-					if f.at < running[first].at {
+				for i, at := range ends {
+					if at < ends[first] {
 						first = i
 					}
 				}
-				f := running[first]
-				running = append(running[:first], running[first+1:]...)
-				now = f.at
-				res := make([]StageResult, len(f.group))
+				res := make([]StageResult, len(o.flights[first]))
 				for i := range res {
 					res[i] = StageResult{Pred: 1, Conf: 0.5}
 				}
-				for _, task := range f.group {
-					delete(inFlight, task)
-				}
-				surv := q.commit(f.group, res, now, nil, d)
-				q.push(surv...)
-				queued += len(surv)
-				checkQueued("after a commit")
+				o.commit(first, ends[first], res)
+				ends = slices.Delete(ends, first, first+1)
 			}
-			if queued != 0 {
-				t.Fatalf("%d tasks still queued with nothing running", queued)
-			}
-			for _, task := range tasks {
-				if got := d.finished[task]; got != 1 {
-					t.Fatalf("task %d answered %d times", task.task.ID, got)
+			o.drain()
+			expired := 0
+			for _, m := range o.model {
+				if m.expired {
+					expired++
 				}
 			}
-			// A stage that ends at its task's deadline comes first, so a
-			// task may be answered on time at its deadline, never after
-			// it, and expired at its deadline, never before it.
-			for _, r := range d.onTime {
-				if r.now > r.t.state.Deadline || r.t.state.Remaining() != 0 {
-					t.Fatalf("task %d answered on time at %d, due %d, with %d stages left",
-						r.t.task.ID, r.now, r.t.state.Deadline, r.t.state.Remaining())
-				}
-			}
-			for _, r := range d.expired {
-				if r.now < r.t.state.Deadline {
-					t.Fatalf("task %d answered expired at %d, due %d", r.t.task.ID, r.now, r.t.state.Deadline)
-				}
-			}
-			if len(d.onTime) == 0 || len(d.expired) == 0 {
-				t.Fatalf("%d answered on time, %d expired: the run should have both", len(d.onTime), len(d.expired))
-			}
-			t.Logf("%d on time, %d expired", len(d.onTime), len(d.expired))
+			t.Logf("%d on time, %d expired", n-expired, expired)
 		})
 	}
 }
 
-// TestQueueAnswersByClock holds the core's deadline rule on a fake clock,
-// with nothing but the time to go by. A queued task is answered expired
-// at the first pick at or after its deadline. A stage that ends after
-// the deadline, by one tick, is discarded: the answer is expired and
-// carries the stages that ended in time, with their prediction and
-// confidence. A last stage that ends on the deadline counts.
+// The operations of a FuzzQueue script, each an opcode byte followed by
+// its arguments.
+const (
+	opSingle  = iota // the stage spec (stageSpec), ticks to the deadline
+	opBatch          // rows − 1, the stage spec, then each row's ticks to its deadline
+	opPick           // idle peers
+	opCommit         // the flight, ticks to the stage's end, then each row's result (scriptResult)
+	opAdvance        // ticks
+	numOps
+)
+
+// scriptPolicies are the policies a script's first byte chooses from.
+var scriptPolicies = []func() Policy{
+	func() Policy { return NewGreedy(1, flatPriors(), "g1") },
+	func() Policy { return NewGreedy(2, flatPriors(), "g2") },
+	func() Policy { return NewRoundRobin() },
+	func() Policy { return NewFIFO() },
+}
+
+// maxScriptTasks bounds a script's pushes, and so the oracle's work per
+// operation.
+const maxScriptTasks = 256
+
+// stageSpec encodes a task of stages stages that runs stage next.
+func stageSpec(stage, stages int) byte { return byte(3*stage + stages - 1) }
+
+// scriptResult decodes a row's stage result.
+func scriptResult(b byte) StageResult { return StageResult{Pred: int(b % 8), Conf: float64(b) / 255} }
+
+// runScript runs a FuzzQueue script under the oracle and drains the
+// core. A script is four header bytes (the policy, maxBatch − 1, the
+// test driver's stage cost and its force-exit slack), then operations;
+// one that ends mid-operation reads zeros. A task pushed at stage s > 0
+// answers pred s at confidence s/4 before its next stage.
+func runScript(t testing.TB, script []byte) *coreOracle {
+	next := func() byte {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return b
+	}
+	policy := scriptPolicies[int(next())%len(scriptPolicies)]()
+	maxBatch := 1 + int(next()%64)
+	o := newCoreOracle(t, policy, maxBatch, &testDriver{stageCost: Ticks(next() % 16), exitBelow: Ticks(next() % 32)})
+	for len(script) > 0 {
+		switch op := next() % numOps; op {
+		case opSingle, opBatch:
+			rows, sub := 1, int64(0)
+			if op == opBatch {
+				rows, sub = 1+int(next()%64), int64(len(o.tasks)+1)
+			}
+			spec := next()
+			stages := 1 + int(spec%3)
+			stage := int(spec/3) % stages
+			batch := make([]*liveTask, rows)
+			for i := range batch {
+				task := queuedTask(len(o.tasks)+i, sub, stage, o.now+Ticks(next()))
+				task.task.NumStages, task.state.Arrival = stages, o.now
+				if stage > 0 {
+					task.state.Pred, task.state.Conf = stage, float64(stage)/4
+				}
+				batch[i] = task
+			}
+			if len(o.tasks)+rows <= maxScriptTasks {
+				o.push(batch...)
+			}
+		case opPick:
+			o.pick(int(next() % 4))
+		case opCommit:
+			i, ticks := int(next()), Ticks(next())
+			if len(o.flights) == 0 {
+				continue
+			}
+			i %= len(o.flights)
+			res := make([]StageResult, len(o.flights[i]))
+			for j := range res {
+				res[j] = scriptResult(next())
+			}
+			o.commit(i, o.now+ticks, res)
+		case opAdvance:
+			o.now += Ticks(next())
+		}
+	}
+	o.drain()
+	return o
+}
+
+// byClockCases hold the core's deadline rule on one task of three stages
+// due at tick 100, FIFO at MaxBatch 1, with nothing but the time to go
+// by. A queued task is answered expired at the first pick at or after
+// its deadline. A stage that ends after the deadline, by one tick, is
+// discarded: the answer is expired and carries the stages that ended in
+// time, with their prediction and confidence. A last stage that ends on
+// the deadline counts.
+var byClockCases = []struct {
+	name          string
+	stage         int  // the stage the task runs next
+	pickAt, endAt byte // when a worker picks, and when its stage ends (0: nothing is picked)
+	expired       bool
+}{
+	{"stage ends a tick late", 1, 90, 101, true},
+	{"last stage ends a tick late", 2, 90, 101, true},
+	{"last stage ends on the deadline", 2, 90, 100, false},
+	{"queued and due at the pick", 1, 100, 0, true},
+}
+
+// byClockLate is the result of the stage a byClockCases worker runs.
+const byClockLate = 0xe7
+
+// byClockScript is a byClockCases case as a FuzzQueue script.
+func byClockScript(stage int, pickAt, endAt byte) []byte {
+	script := []byte{3, 0, 0, 0, // FIFO, MaxBatch 1, no cap, no forced exit
+		opSingle, stageSpec(stage, 3), 100, opAdvance, pickAt, opPick, 0}
+	if endAt != 0 {
+		script = append(script, opCommit, 0, endAt-pickAt, byClockLate)
+	}
+	return script
+}
+
+// TestQueueAnswersByClock runs byClockCases under the oracle and pins
+// the answer each must get.
 func TestQueueAnswersByClock(t *testing.T) {
-	const due = 100
-	prev := StageResult{Pred: 4, Conf: 0.5} // what the task answers before its next stage
-	late := StageResult{Pred: 7, Conf: 0.9} // the next stage's result
-	for _, tc := range []struct {
-		name    string
-		stage   int   // the stage the task runs next, of three
-		pickAt  Ticks // when a worker picks
-		endAt   Ticks // when the picked stage ends; 0 when nothing is picked
-		expired bool
-		want    StageResult
-	}{
-		{"stage ends a tick late", 1, due - 10, due + 1, true, prev},
-		{"last stage ends a tick late", 2, due - 10, due + 1, true, prev},
-		{"last stage ends on the deadline", 2, due - 10, due, false, late},
-		{"queued and due at the pick", 1, due, 0, true, prev},
-	} {
+	for _, tc := range byClockCases {
 		t.Run(tc.name, func(t *testing.T) {
-			task := queuedTask(0, 0, tc.stage, due)
-			task.state.Pred, task.state.Conf = prev.Pred, prev.Conf
-			q := &queue{policy: NewFIFO(), maxBatch: 1}
-			d := &testDriver{}
-			q.push(task)
-			group, _ := q.pick(tc.pickAt, 0, nil, d)
-			if tc.endAt == 0 {
-				if group != nil {
-					t.Fatalf("picked a task due at %d at %d", due, tc.pickAt)
-				}
-			} else {
-				if len(group) != 1 {
-					t.Fatalf("picked %d tasks at %d, want the one queued", len(group), tc.pickAt)
-				}
-				if surv := q.commit(group, []StageResult{late}, tc.endAt, nil, d); len(surv) != 0 {
-					t.Fatalf("the task survived a stage ending at %d, due %d", tc.endAt, due)
-				}
+			o := runScript(t, byClockScript(tc.stage, tc.pickAt, tc.endAt))
+			want := taskModel{where: isAnswered, executed: tc.stage, pred: tc.stage, conf: float64(tc.stage) / 4,
+				deadline: 100, expired: tc.expired}
+			if !tc.expired {
+				late := scriptResult(byClockLate)
+				want.executed, want.pred, want.conf, want.prevConf = tc.stage+1, late.Pred, late.Conf, want.conf
 			}
-			answers := d.onTime
-			if tc.expired {
-				answers = d.expired
-			}
-			if d.finished[task] != 1 || len(answers) != 1 {
-				t.Fatalf("answered %d times, %d on time and %d expired; want once, expired %v",
-					d.finished[task], len(d.onTime), len(d.expired), tc.expired)
-			}
-			executed := tc.stage
-			if tc.want == late {
-				executed++
-			}
-			st := task.state
-			if st.Executed != executed || st.Pred != tc.want.Pred || st.Conf != tc.want.Conf {
-				t.Fatalf("answered with %d stages, pred %d, conf %v; want %d, %d, %v",
-					st.Executed, st.Pred, st.Conf, executed, tc.want.Pred, tc.want.Conf)
+			if got := *o.model[o.tasks[0]]; got != want {
+				t.Fatalf("answered %+v, want %+v", got, want)
 			}
 		})
 	}
+}
+
+// FuzzQueue runs scripts of pushes, picks, commits and clock advances
+// (see runScript) against the scheduler core under the oracle. Its seeds
+// are byClockCases and, under each policy, a served-shape mix of two
+// batches and singles at MaxBatch 64 with a slack cap and forced exits.
+func FuzzQueue(f *testing.F) {
+	for _, tc := range byClockCases {
+		f.Add(byClockScript(tc.stage, tc.pickAt, tc.endAt))
+	}
+	for p := range scriptPolicies {
+		script := []byte{byte(p), 63, 3, 4, opBatch, 31, stageSpec(0, 3)}
+		for i := range 32 {
+			script = append(script, byte(20+7*i))
+		}
+		script = append(script, opSingle, stageSpec(1, 3), 40, opBatch, 63, stageSpec(0, 2))
+		for i := range 64 {
+			script = append(script, byte(250-3*i))
+		}
+		script = append(script, opPick, 1, opPick, 0, opAdvance, 5, opSingle, stageSpec(0, 1), 9,
+			opCommit, 0, 12, 200, 100, 50, opPick, 2, opCommit, 1, 30, 10, 20, opAdvance, 60, opPick, 0)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) { runScript(t, script) })
 }

@@ -5,7 +5,9 @@
 // ready tasks, picks, groups, requeues and expires them, deciding expiry
 // from the time it is given, and two drivers run it: Live, a
 // goroutine-pool executor on the wall clock, and Simulate, a
-// deterministic closed loop on a virtual clock.
+// deterministic closed loop on a virtual clock. FuzzQueue holds the core
+// to an exact model of every task after each step, and the policies rely
+// on what it proves: every task they are offered is runnable.
 package sched
 
 import (
@@ -77,12 +79,6 @@ type TaskState struct {
 // Remaining returns the number of stages not yet executed.
 func (s *TaskState) Remaining() int { return s.Task.NumStages - s.Executed }
 
-// Runnable reports whether the scheduler may dispatch this task's next
-// stage at time now.
-func (s *TaskState) Runnable(now Ticks) bool {
-	return s.Remaining() > 0 && now < s.Deadline
-}
-
 // Predictor estimates confidence at future stages (paper Section III-B).
 type Predictor interface {
 	// Prior returns the expected confidence at the given stage before
@@ -95,15 +91,17 @@ type Predictor interface {
 	Predict(last int, prev, cur float64, target int) float64
 }
 
-// Policy selects which runnable task's next stage to execute. Pick is
-// called by the scheduler core whenever a worker is free, with the
-// queued tasks that are due after now, stage by stage, each stage's in
-// the order they became ready; it must return the index into tasks of a
-// runnable task, or −1 only when none is: a worker given −1 sleeps until
-// more work is queued, and a queued task is answered at its deadline
-// only by a pick. Policies may keep internal state (timelines,
-// rotation cursors); each instance is called from a single goroutine at
-// a time (the live executor picks under its queue lock).
+// Policy selects which queued task's next stage to execute. The
+// scheduler core calls Pick whenever a worker is free and tasks are
+// queued, with every queued task, stage by stage, each stage's in the
+// order they became ready: tasks is never empty, and every task on it is
+// runnable at now, with a stage left and due after now (the core's sweep
+// answers the overdue ones first). Pick returns the index into tasks of
+// the one to run; now lets a policy weigh each task's slack. FuzzQueue's
+// oracle holds the core and the policies to this contract. Policies may
+// keep internal state (timelines, rotation cursors); each instance is
+// called from a single goroutine at a time (the live executor picks
+// under its queue lock).
 type Policy interface {
 	Name() string
 	Pick(now Ticks, tasks []*TaskState) int
