@@ -75,7 +75,8 @@ type taskModel struct {
 // operation, checks it exactly against a plain model of each task. A
 // pick must answer expired exactly the queued tasks due by now, hand the
 // policy exactly the rest, stage by stage in the order they became
-// ready, get a FIFO or RR policy's leader back, and take the group the
+// ready, get the policy's leader back (FIFO's and RR's from their rules,
+// Greedy's from a reference model of its plan), and take the group the
 // rule in queue.pick describes, written here from its statement rather
 // than its code. A commit must discard a stage that ended past its
 // task's deadline, apply any other, answer the tasks that are done or
@@ -102,13 +103,83 @@ type coreOracle struct {
 	// rrLast is the last leader's ID, which a round-robin policy's next
 	// leader follows.
 	rrLast int
+	// greedy is the reference model of a Greedy policy under test; nil
+	// for the others.
+	greedy *refGreedy
 }
 
 func newCoreOracle(t testing.TB, policy Policy, maxBatch int, d *testDriver) *coreOracle {
 	o := &coreOracle{t: t, d: d, policy: policy, maxBatch: maxBatch,
 		model: make(map[*liveTask]*taskModel), rrLast: -1}
 	o.q = &queue{policy: checkedPolicy{o}, maxBatch: maxBatch}
+	if g, ok := policy.(*Greedy); ok {
+		o.greedy = &refGreedy{k: g.K, pred: g.Pred}
+	}
 	return o
+}
+
+// refGreedy is the reference model of Greedy's pick, written over the
+// candidate list in the order the core lists it: the next task of the
+// planned timeline that is still listed, and, once the timeline runs out,
+// a new plan of k selections, each the candidate with the greatest
+// weighted predicted confidence gain (the first such in list order),
+// advanced virtually so that a later selection may take its next stage.
+type refGreedy struct {
+	k        int
+	pred     Predictor
+	timeline []int // planned task IDs
+	next     int   // the first entry not yet consumed
+}
+
+func (g *refGreedy) pick(tasks []*TaskState) int {
+	for {
+		for g.next < len(g.timeline) {
+			id := g.timeline[g.next]
+			g.next++
+			for i, t := range tasks {
+				if t.Task.ID == id {
+					return i
+				}
+			}
+		}
+		g.replan(tasks)
+	}
+}
+
+func (g *refGreedy) replan(tasks []*TaskState) {
+	type virt struct {
+		last, left        int
+		prev, cur, weight float64
+	}
+	cands := make([]virt, len(tasks))
+	for i, t := range tasks {
+		cands[i] = virt{t.Executed - 1, t.Remaining(), t.PrevConf, t.Conf, t.Task.EffectiveWeight()}
+	}
+	g.timeline, g.next = g.timeline[:0], 0
+	for range g.k {
+		best := -1
+		var bestGain, bestPred float64
+		for i, v := range cands {
+			if v.left == 0 {
+				continue
+			}
+			predicted := g.pred.Prior(v.last + 1)
+			if v.last >= 0 {
+				predicted = g.pred.Predict(v.last, v.prev, v.cur, v.last+1)
+			}
+			if gain := (predicted - v.cur) * v.weight; best < 0 || gain > bestGain {
+				best, bestGain, bestPred = i, gain, predicted
+			}
+		}
+		if best < 0 {
+			break
+		}
+		g.timeline = append(g.timeline, tasks[best].Task.ID)
+		v := &cands[best]
+		v.prev, v.cur = v.cur, bestPred
+		v.last++
+		v.left--
+	}
 }
 
 // checkedPolicy is the policy under test as the core sees it: it checks
@@ -139,9 +210,10 @@ func (p checkedPolicy) Pick(now Ticks, tasks []*TaskState) int {
 		o.t.Fatalf("%s picked index %d of %d", o.policy.Name(), i, len(tasks))
 	}
 	// FIFO's leader is the oldest arrival, ties broken by ID; RR's the
-	// lowest ID above the last one served, wrapping round; Greedy's any
-	// candidate.
+	// lowest ID above the last one served, wrapping round; Greedy's the
+	// reference model's.
 	var rank func(*TaskState) [2]Ticks
+	var want *TaskState
 	switch o.policy.(type) {
 	case FIFO, *FIFO:
 		rank = func(st *TaskState) [2]Ticks { return [2]Ticks{st.Arrival, Ticks(st.Task.ID)} }
@@ -153,15 +225,17 @@ func (p checkedPolicy) Pick(now Ticks, tasks []*TaskState) int {
 			}
 			return [2]Ticks{wrapped, Ticks(st.Task.ID)}
 		}
+	case *Greedy:
+		want = tasks[o.greedy.pick(tasks)]
 	}
 	if rank != nil {
-		want := slices.MinFunc(tasks, func(a, b *TaskState) int {
+		want = slices.MinFunc(tasks, func(a, b *TaskState) int {
 			ra, rb := rank(a), rank(b)
 			return cmp.Or(cmp.Compare(ra[0], rb[0]), cmp.Compare(ra[1], rb[1]))
 		})
-		if want != tasks[i] {
-			o.t.Fatalf("%s picked task %d at %d, want task %d", o.policy.Name(), tasks[i].Task.ID, now, want.Task.ID)
-		}
+	}
+	if want != tasks[i] {
+		o.t.Fatalf("%s picked task %d at %d, want task %d", o.policy.Name(), tasks[i].Task.ID, now, want.Task.ID)
 	}
 	o.leader, o.rrLast = i, tasks[i].Task.ID
 	return i
@@ -437,12 +511,16 @@ const (
 	numOps
 )
 
-// scriptPolicies are the policies a script's first byte chooses from.
-var scriptPolicies = []func() Policy{
-	func() Policy { return NewGreedy(1, flatPriors(), "g1") },
-	func() Policy { return NewGreedy(2, flatPriors(), "g2") },
-	func() Policy { return NewRoundRobin() },
-	func() Policy { return NewFIFO() },
+// scriptPolicies are the policies a script's first byte chooses from:
+// Greedy over the DC predictor, whose flat priors make fresh tasks tie,
+// and over a GP predictor, whose gains differ by confidence.
+var scriptPolicies = []func(testing.TB) Policy{
+	func(testing.TB) Policy { return NewGreedy(1, flatPriors(), "g1") },
+	func(testing.TB) Policy { return NewGreedy(2, flatPriors(), "g2") },
+	func(testing.TB) Policy { return NewRoundRobin() },
+	func(testing.TB) Policy { return NewFIFO() },
+	func(t testing.TB) Policy { return NewGreedy(1, syntheticGP(t), "gp1") },
+	func(t testing.TB) Policy { return NewGreedy(2, syntheticGP(t), "gp2") },
 }
 
 // maxScriptTasks bounds a script's pushes, and so the oracle's work per
@@ -469,7 +547,7 @@ func runScript(t testing.TB, script []byte) *coreOracle {
 		script = script[1:]
 		return b
 	}
-	policy := scriptPolicies[int(next())%len(scriptPolicies)]()
+	policy := scriptPolicies[int(next())%len(scriptPolicies)](t)
 	maxBatch := 1 + int(next()%64)
 	o := newCoreOracle(t, policy, maxBatch, &testDriver{stageCost: Ticks(next() % 16), exitBelow: Ticks(next() % 32)})
 	for len(script) > 0 {

@@ -14,7 +14,7 @@ import (
 // from its exact curves (c_b = 1 − (1 − c_a)·0.6^(b−a), priors the means
 // over a uniform difficulty) rather than fitted, so that no kernel path
 // can move its bits.
-func syntheticGP(t *testing.T) *GPPredictor {
+func syntheticGP(t testing.TB) *GPPredictor {
 	t.Helper()
 	line := func(gap int) *gp.PiecewiseLinear {
 		f := 1.0
