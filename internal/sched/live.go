@@ -220,6 +220,13 @@ type liveTask struct {
 	// ownsBuf marks hidden as a worker-arena buffer, recycled when the
 	// task finishes or the executor swaps the row out.
 	ownsBuf bool
+
+	// The scheduler core's index of the task while it is queued (see
+	// queue): its place in its bucket, and its neighbours in ready order
+	// among its batch-mates there (nil otherwise).
+	pos          int
+	mates        *mates
+	mprev, mnext *liveTask
 }
 
 // Live is the paper's RTDeepIoT scheduler (Section III) on the wall
@@ -314,8 +321,8 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 
 func (l *Live) nowTicks() Ticks { return Ticks(time.Since(l.epoch)) }
 
-// getTask checks a task record out of the arena and stamps it with the
-// shared per-executor deadline. The input slice is taken over without
+// getTask checks a task record out of the arena and stamps it with its
+// arrival and deadline (see stamp). The input slice is taken over without
 // copying: Submit/SubmitBatch callers hand freshly allocated slices
 // (HTTP decoding, batch assembly) and must not mutate them afterwards.
 // Executors never write to stage-0 inputs (see StageExecutor), so the
@@ -323,24 +330,25 @@ func (l *Live) nowTicks() Ticks { return Ticks(time.Since(l.epoch)) }
 // cancellation or an executor-stop retry.
 //
 //eugene:noalloc
-func (l *Live) getTask(input []float64, numStages int) *liveTask {
+func (l *Live) getTask(input []float64, numStages int, arrival, deadline Ticks) *liveTask {
 	t, _ := l.taskPool.Get().(*liveTask)
 	if t == nil {
 		t = &liveTask{done: make(chan Response, 1)}
 	}
-	now := time.Now()
 	t.task = Task{ID: int(l.nextID.Add(1)), NumStages: numStages}
-	t.state = TaskState{
-		Task:     &t.task,
-		Arrival:  Ticks(now.Sub(l.epoch)),
-		Deadline: Ticks(now.Add(l.cfg.Deadline).Sub(l.epoch)),
-		Pred:     -1,
-	}
+	t.state = TaskState{Task: &t.task, Arrival: arrival, Deadline: deadline, Pred: -1}
 	t.hidden = input
 	t.ownsBuf = false
 	t.sem = false
 	t.sub = 0
 	return t
+}
+
+// stamp reads the clock for a submission: its arrival now and the
+// shared per-executor deadline.
+func (l *Live) stamp() (arrival, deadline Ticks) {
+	now := time.Now()
+	return Ticks(now.Sub(l.epoch)), Ticks(now.Add(l.cfg.Deadline).Sub(l.epoch))
 }
 
 // putTask returns a finished task to the arena. Only the submitter may
@@ -478,7 +486,8 @@ func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Resp
 	case <-ctx.Done():
 		return Response{}, ctx.Err()
 	}
-	t := l.getTask(input, numStages)
+	arrival, deadline := l.stamp()
+	t := l.getTask(input, numStages, arrival, deadline)
 	t.sem = true
 	l.submitted.Add(1)
 	l.inSystem.Add(1)
@@ -535,8 +544,11 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	}
 	batch := (*bp)[:0]
 	sub := l.nextSub.Add(1)
+	// One clock read for the whole call: its rows arrive together, and a
+	// read a row would delay the first dispatch of a large batch.
+	arrival, deadline := l.stamp()
 	for _, in := range inputs {
-		t := l.getTask(in, numStages)
+		t := l.getTask(in, numStages, arrival, deadline)
 		t.sub = sub
 		batch = append(batch, t)
 	}
@@ -579,10 +591,7 @@ func (l *Live) Stop() {
 	// here to hold tasks unanswered while their submitters see the stop.
 	failpoint.Hit("sched.drain")
 	l.mu.Lock()
-	for _, b := range l.q.buckets {
-		l.pushLocked(b) // answered as expired, the executor being stopped
-	}
-	l.q.buckets = nil
+	l.pushLocked(l.q.drain(nil)) // answered as expired, the executor being stopped
 	l.mu.Unlock()
 }
 
@@ -709,7 +718,7 @@ func (ws *workerState) take(surv []*liveTask) ([]*liveTask, int) {
 	for !l.stopped {
 		if group, stage := l.q.pick(l.nowTicks(), l.idle, ws.group, ws); group != nil {
 			ws.group = group
-			if l.idle > 0 && len(l.q.flat) > len(group) {
+			if l.idle > 0 && l.q.n > 0 {
 				// Work is left over for a worker that waits.
 				l.work.Signal()
 			}

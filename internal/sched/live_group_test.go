@@ -154,7 +154,7 @@ func TestLiveGroupRule(t *testing.T) {
 			if stage != 0 || len(group) != tc.want {
 				t.Fatalf("picked %d tasks at stage %d, want %d at stage 0", len(group), stage, tc.want)
 			}
-			if left := len(q.buckets[0]); left != tc.bucket-tc.want {
+			if left := q.buckets[0].n; left != tc.bucket-tc.want {
 				t.Fatalf("%d tasks left queued, want %d", left, tc.bucket-tc.want)
 			}
 		})
@@ -199,7 +199,7 @@ func TestLiveGroupKeepsBatchesApart(t *testing.T) {
 			if !slices.Equal(got, tc.want) {
 				t.Fatalf("group %v, want %v", got, tc.want)
 			}
-			if left := len(q.buckets[0]); left != queued-len(group) {
+			if left := q.buckets[0].n; left != queued-len(group) {
 				t.Fatalf("%d tasks left queued, want %d", left, queued-len(group))
 			}
 		})

@@ -32,10 +32,10 @@ type recordingPolicy struct {
 	picks   []pick
 }
 
-func (r *recordingPolicy) Pick(now Ticks, tasks []*TaskState) int {
-	i := r.Policy.Pick(now, tasks)
-	r.picks = append(r.picks, pick{tasks[i].Task.ID - r.firstID, tasks[i].Executed})
-	return i
+func (r *recordingPolicy) leader(q *queue, now Ticks) *liveTask {
+	t := r.Policy.leader(q, now)
+	r.picks = append(r.picks, pick{t.state.Task.ID - r.firstID, t.state.Executed})
+	return t
 }
 
 // TestLiveMatchesSimulate runs the one scheduler core under its two

@@ -1,20 +1,87 @@
 package sched
 
+import (
+	"math"
+	"slices"
+)
+
 // queue is the scheduler core that both drivers run, Live on the wall
 // clock and Simulate on a virtual one: the ready tasks, bucketed by the
 // stage they run next, the Policy's pick, the group, and the commit of a
 // dispatch's results. It takes the time as an argument, never blocks,
 // reads no clock and takes no lock: Live calls it under its mu.
+//
+// The core keeps its tasks indexed as they enter (push) and leave (the
+// sweep, a pick's group, drain), so that a pick costs O(stages + group),
+// not O(queue). Each bucket keeps its tasks' deadlines and policy keys
+// (see Policy) in columns, in ready order, the order they were pushed
+// in, under a tree that sums every block of 64 places up by its earliest
+// deadline and least key; each submission's tasks there are also listed
+// apart. The leader is the least key of all, ties going to the earlier
+// task in ready order: stage by stage, each stage's tasks in the order
+// they became ready.
 type queue struct {
 	policy   Policy
 	maxBatch int
-	// buckets[s] holds the ready tasks whose next stage is s, each in
-	// the order it became ready.
-	buckets [][]*liveTask
-	// states and flat are the last pick's candidates, reused across
-	// picks: flat[i] is the task whose state is states[i].
-	states []*TaskState
-	flat   []*liveTask
+	// buckets[s] holds the ready tasks whose next stage is s.
+	buckets []bucket
+	// n counts the queued tasks.
+	n int
+	// due is the sweep's scratch, and free the mates lists of
+	// submissions that left a bucket, for reuse.
+	due  []*liveTask
+	free []*mates
+}
+
+// rank is a policy's key for a queued task: the least leads.
+type rank struct{ hi, lo int64 }
+
+func (a rank) less(b rank) bool { return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo }
+
+// bucket is the ready tasks of one stage. Its places number them in
+// ready order, and tasks, keys and dues are its columns: the task at
+// each place (nil where one has left), its policy key (absent where no
+// task is, or one is hidden) and its deadline (never where no task is).
+// A task keeps its place in liveTask.pos. Over the places' blocks is an
+// implicit tree of nodes: nodes[1] is the root, node i has children 2i
+// and 2i+1, and node len(nodes)/2+j is block j's leaf; one block has no
+// tree above its leaf.
+type bucket struct {
+	tasks []*liveTask
+	keys  []rank
+	dues  []Ticks
+	nodes []node
+	// first is the first place held (or end), end the first unused one,
+	// and n the tasks present.
+	first, end, n int
+	// dirty holds the blocks changed since the tree was last updated.
+	dirty []int
+	// subs holds the list of each submission with tasks here.
+	subs []*mates
+}
+
+// blockPlaces is how many places a leaf of a bucket's tree sums up:
+// enough that a bucket at the served batch size has no tree above one
+// leaf, and that a group's leaves are few.
+const blockPlaces = 64
+
+// absent is the key of a place without a task, and of a hidden task's.
+var absent = rank{math.MaxInt64, math.MaxInt64}
+
+// node sums up the places under it: the least key there and its place
+// (the leftmost of equals; −1 if every key is absent), and the earliest
+// deadline.
+type node struct {
+	key  rank
+	due  Ticks
+	best int
+}
+
+// mates is one submission's tasks in a bucket, in ready order; a single
+// submission (sub 0) has none.
+type mates struct {
+	sub        int64
+	head, tail *liveTask
 }
 
 // driver is what the core asks of the clock it runs under and of its
@@ -30,43 +97,164 @@ type driver interface {
 	forceExit(slack Ticks) bool
 }
 
-// push queues ready tasks, each in the bucket of the stage it runs next.
+// push queues ready tasks, each at the end of the bucket of the stage it
+// runs next, under the key the policy gives it now.
 //
 //eugene:noalloc
 func (q *queue) push(tasks ...*liveTask) {
+	var m *mates // the last task's mates, which the next one likely shares
 	for _, t := range tasks {
 		s := t.state.Executed
 		for len(q.buckets) <= s {
-			q.buckets = append(q.buckets, nil)
+			q.buckets = append(q.buckets, bucket{})
 		}
-		q.buckets[s] = append(q.buckets[s], t)
+		b := &q.buckets[s]
+		if b.n == 0 {
+			b.first, b.end = 0, 0 // every place is empty: start afresh
+		}
+		if b.end == len(b.tasks) {
+			b.rebuild()
+		}
+		t.pos = b.end
+		b.end++
+		b.tasks[t.pos], b.keys[t.pos], b.dues[t.pos] = t, q.policy.key(t), t.state.Deadline
+		b.mark(t.pos)
+		b.n++
+		if t.sub != 0 {
+			if m == nil || m.sub != t.sub || m.tail.state.Executed != s {
+				m = q.mates(b, t.sub)
+			}
+			t.mprev = m.tail
+			if m.tail != nil {
+				m.tail.mnext = t
+			} else {
+				m.head = t
+			}
+			m.tail = t
+			t.mates = m
+		}
+		q.n++
+	}
+	for s := range q.buckets {
+		q.buckets[s].update()
 	}
 }
 
+// mates returns the list of submission sub's tasks in bucket b, opening
+// an empty one if it has none there. A bucket holds few submissions at
+// a time, so the search is short.
+//
+//eugene:noalloc
+func (q *queue) mates(b *bucket, sub int64) *mates {
+	for _, m := range b.subs {
+		if m.sub == sub {
+			return m
+		}
+	}
+	if len(q.free) == 0 {
+		q.free = append(q.free, new(mates))
+	}
+	m := q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	m.sub = sub
+	b.subs = append(b.subs, m)
+	return m
+}
+
+// remove takes a queued task out of bucket b, which holds it. The
+// caller updates b's tree once it has removed all it will.
+//
+//eugene:noalloc
+func (q *queue) remove(b *bucket, t *liveTask) {
+	if m := t.mates; m != nil {
+		if t.mprev != nil {
+			t.mprev.mnext = t.mnext
+		} else {
+			m.head = t.mnext
+		}
+		if t.mnext != nil {
+			t.mnext.mprev = t.mprev
+		} else {
+			m.tail = t.mprev
+		}
+		if m.head == nil {
+			i := slices.Index(b.subs, m)
+			last := len(b.subs) - 1
+			b.subs[i], b.subs[last] = b.subs[last], nil
+			b.subs = b.subs[:last]
+			q.free = append(q.free, m)
+		}
+	}
+	t.mprev, t.mnext, t.mates = nil, nil, nil
+	b.tasks[t.pos], b.keys[t.pos], b.dues[t.pos] = nil, absent, math.MaxInt64
+	b.mark(t.pos)
+	b.n--
+	q.n--
+}
+
+// queued reports whether t is in the queue.
+func (q *queue) queued(t *liveTask) bool {
+	s := t.state.Executed
+	return s < len(q.buckets) && t.pos < q.buckets[s].end && q.buckets[s].tasks[t.pos] == t
+}
+
+// key is the key a queued task was pushed with, or absent while it is
+// hidden.
+func (q *queue) key(t *liveTask) rank { return q.buckets[t.state.Executed].keys[t.pos] }
+
+// rekey sets a queued task's key: absent hides it from best.
+//
+//eugene:noalloc
+func (q *queue) rekey(t *liveTask, k rank) {
+	b := &q.buckets[t.state.Executed]
+	b.keys[t.pos] = k
+	b.mark(t.pos)
+	b.update()
+}
+
+// best returns the queued task of least key, the earlier in ready order
+// among equals; nil if none is queued.
+//
+//eugene:noalloc
+func (q *queue) best() *liveTask {
+	var lead *liveTask
+	var k rank
+	for s := range q.buckets {
+		b := &q.buckets[s]
+		if b.n == 0 {
+			continue
+		}
+		if root := &b.nodes[1]; root.best >= 0 && (lead == nil || root.key.less(k)) {
+			lead, k = b.tasks[root.best], root.key
+		}
+	}
+	return lead
+}
+
 // sweep answers the queued tasks that are due by now as expired, with
-// the stages they have run, and lists the rest, stage by stage, as a
-// pick's candidates. It is the paper's deadline daemon, run from the
-// clock at the one point a queued task's fate is decided: a worker's
-// pick.
+// the stages they have run, stage by stage, each stage's in ready order.
+// It is the paper's deadline daemon, run from the clock at the one point
+// a queued task's fate is decided: a worker's pick. The tree leads it to
+// the due tasks alone.
 //
 //eugene:noalloc
 func (q *queue) sweep(now Ticks, d driver) {
-	states, flat := q.states[:0], q.flat[:0]
-	for s, b := range q.buckets {
-		kept := b[:0]
-		for _, t := range b {
-			if now >= t.state.Deadline {
-				d.finish(t, true, now)
-				continue
-			}
-			kept = append(kept, t)
-			states = append(states, &t.state)
-			flat = append(flat, t)
+	for s := range q.buckets {
+		b := &q.buckets[s]
+		if b.n == 0 || b.nodes[1].due > now {
+			continue
 		}
-		clear(b[len(kept):])
-		q.buckets[s] = kept
+		due := b.dueBy(now, 1, q.due[:0])
+		for _, t := range due {
+			q.remove(b, t)
+		}
+		b.update()
+		for _, t := range due {
+			d.finish(t, true, now)
+		}
+		clear(due)
+		q.due = due[:0]
 	}
-	q.states, q.flat = states, flat
 }
 
 // groupSize is how many of a bucket's n tasks one dispatch takes while
@@ -90,23 +278,16 @@ func groupSize(n, idle, maxBatch int) int {
 //eugene:noalloc
 func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveTask, int) {
 	q.sweep(now, d)
-	if len(q.flat) == 0 {
+	if q.n == 0 {
 		return nil, 0
 	}
-	leader := q.flat[q.policy.Pick(now, q.states)]
+	leader := q.policy.leader(q, now)
 	stage := leader.state.Executed
-	bucket := q.buckets[stage]
-	// The group is also capped by the slack of the tightest deadline
-	// among the candidates: under admission control a full-width batch
-	// in front of a nearly-due task would miss that deadline on dispatch
-	// time alone.
-	minDeadline := leader.state.Deadline
-	for _, t := range bucket {
-		if t.state.Deadline < minDeadline {
-			minDeadline = t.state.Deadline
-		}
-	}
-	capN := min(d.groupCap(minDeadline-now), groupSize(len(bucket), idle, q.maxBatch))
+	b := &q.buckets[stage]
+	// The group is also capped by the slack of the tightest deadline in
+	// the bucket: under admission control a full-width batch in front of
+	// a nearly-due task would miss that deadline on dispatch time alone.
+	capN := min(d.groupCap(b.nodes[1].due-now), groupSize(b.n, idle, q.maxBatch))
 	// The leader's batch-mates come first; other submissions fill in
 	// only while the group holds less than half of maxBatch, so singles
 	// and small batches still coalesce. A call is answered when its last
@@ -114,30 +295,23 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 	// call to the other's slower half, and one stalled dispatch would
 	// hold two calls back rather than one.
 	group = append(group[:0], leader)
-	kept := bucket[:0]
-	for _, t := range bucket {
-		if t == leader {
-			continue
+	if m := leader.mates; m != nil {
+		for t := m.head; t != nil && len(group) < capN; t = t.mnext {
+			if t != leader {
+				group = append(group, t)
+			}
 		}
-		if leader.sub != 0 && t.sub == leader.sub && len(group) < capN {
-			group = append(group, t)
-			continue
-		}
-		kept = append(kept, t)
+	}
+	for _, t := range group {
+		q.remove(b, t)
 	}
 	if leader.sub == 0 || 2*len(group) < q.maxBatch {
-		rest := kept
-		kept = kept[:0]
-		for _, t := range rest {
-			if len(group) < capN {
-				group = append(group, t)
-				continue
-			}
-			kept = append(kept, t)
+		for t := b.head(); t != nil && len(group) < capN; t = b.head() {
+			q.remove(b, t)
+			group = append(group, t)
 		}
 	}
-	clear(bucket[len(kept):])
-	q.buckets[stage] = kept
+	b.update()
 	return group, stage
 }
 
@@ -179,4 +353,152 @@ func (q *queue) commit(group []*liveTask, res []StageResult, now Ticks, surv []*
 		}
 	}
 	return surv
+}
+
+// drain empties the queue and returns what it held, appended to tasks
+// stage by stage, each stage's in ready order.
+func (q *queue) drain(tasks []*liveTask) []*liveTask {
+	for s := range q.buckets {
+		b := &q.buckets[s]
+		for t := b.head(); t != nil; t = b.head() {
+			q.remove(b, t)
+			tasks = append(tasks, t)
+		}
+		b.update()
+	}
+	return tasks
+}
+
+// head returns the bucket's first task in ready order, nil if it is
+// empty. Each place it passes over is empty and stays behind it.
+//
+//eugene:noalloc
+func (b *bucket) head() *liveTask {
+	for ; b.first < b.end; b.first++ {
+		if t := b.tasks[b.first]; t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// mark notes that place p changed, for update.
+//
+//eugene:noalloc
+func (b *bucket) mark(p int) {
+	if j := p / blockPlaces; len(b.dirty) == 0 || b.dirty[len(b.dirty)-1] != j {
+		b.dirty = append(b.dirty, j)
+	}
+}
+
+// update sums up each block changed since the last update again, and the
+// nodes above it. An empty bucket's tree is not read, so its blocks wait
+// for the bucket's next update with tasks.
+//
+//eugene:noalloc
+func (b *bucket) update() {
+	if b.n == 0 {
+		return
+	}
+	slices.Sort(b.dirty)
+	leaves := len(b.nodes) / 2
+	for k, j := range b.dirty {
+		if k > 0 && b.dirty[k-1] == j {
+			continue
+		}
+		b.sum(j)
+		for i := (leaves + j) / 2; i >= 1; i /= 2 {
+			b.pull(i)
+		}
+	}
+	b.dirty = b.dirty[:0]
+}
+
+// sum sets block j's leaf from its places.
+//
+//eugene:noalloc
+func (b *bucket) sum(j int) {
+	n := node{key: absent, due: math.MaxInt64, best: -1}
+	lo := j * blockPlaces
+	hi := max(lo, min(lo+blockPlaces, b.end))
+	for _, due := range b.dues[lo:hi] {
+		n.due = min(n.due, due)
+	}
+	for p, k := range b.keys[lo:hi] {
+		if k != absent && (n.best < 0 || k.less(n.key)) {
+			n.key, n.best = k, lo+p
+		}
+	}
+	b.nodes[len(b.nodes)/2+j] = n
+}
+
+// pull sets node i from its children.
+//
+//eugene:noalloc
+func (b *bucket) pull(i int) {
+	n, l, r := &b.nodes[i], &b.nodes[2*i], &b.nodes[2*i+1]
+	if l.best < 0 || r.best >= 0 && r.key.less(l.key) {
+		n.key, n.best = r.key, r.best
+	} else {
+		n.key, n.best = l.key, l.best
+	}
+	n.due = min(l.due, r.due)
+}
+
+// dueBy appends the tasks under node i due by now to out, in ready
+// order, visiting only the nodes above them.
+//
+//eugene:noalloc
+func (b *bucket) dueBy(now Ticks, i int, out []*liveTask) []*liveTask {
+	if b.nodes[i].due > now {
+		return out
+	}
+	if leaves := len(b.nodes) / 2; i >= leaves {
+		j := i - leaves
+		for p := j * blockPlaces; p < min((j+1)*blockPlaces, b.end); p++ {
+			if b.dues[p] <= now {
+				out = append(out, b.tasks[p])
+			}
+		}
+		return out
+	}
+	return b.dueBy(now, 2*i+1, b.dueBy(now, 2*i, out))
+}
+
+// rebuild renumbers the bucket's places from 0 in ready order, making
+// room for at least as many pushes again as it holds tasks, and sums
+// every block up afresh. Reached when the places run out, once per that
+// many pushes.
+//
+//eugene:noalloc
+func (b *bucket) rebuild() {
+	size := max(len(b.tasks), blockPlaces)
+	for size < 2*(b.n+1) {
+		size *= 2
+	}
+	tasks, keys, dues := b.tasks[b.first:b.end], b.keys, b.dues
+	if cap(b.tasks) < size {
+		b.tasks, b.keys, b.dues = make([]*liveTask, size), make([]rank, size), make([]Ticks, size)
+		b.nodes = make([]node, 2*size/blockPlaces)
+	}
+	// Renumbering in ready order only moves tasks to lower places, so
+	// the columns can move within themselves.
+	n := 0
+	for _, t := range tasks {
+		if t != nil {
+			b.tasks[n], b.keys[n], b.dues[n] = t, keys[t.pos], dues[t.pos]
+			t.pos = n
+			n++
+		}
+	}
+	b.first, b.end = 0, n
+	clear(b.tasks[n:])
+	leaves := len(b.nodes) / 2
+	for j := range leaves {
+		b.sum(j)
+	}
+	for i := leaves - 1; i >= 1; i-- {
+		b.pull(i)
+	}
+	b.dirty = b.dirty[:0]
 }

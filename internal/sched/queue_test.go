@@ -111,7 +111,7 @@ type coreOracle struct {
 func newCoreOracle(t testing.TB, policy Policy, maxBatch int, d *testDriver) *coreOracle {
 	o := &coreOracle{t: t, d: d, policy: policy, maxBatch: maxBatch,
 		model: make(map[*liveTask]*taskModel), rrLast: -1}
-	o.q = &queue{policy: checkedPolicy{o}, maxBatch: maxBatch}
+	o.q = &queue{policy: checkedPolicy{policy, o}, maxBatch: maxBatch}
 	if g, ok := policy.(*Greedy); ok {
 		o.greedy = &refGreedy{k: g.K, pred: g.Pred}
 	}
@@ -183,39 +183,39 @@ func (g *refGreedy) replan(tasks []*TaskState) {
 }
 
 // checkedPolicy is the policy under test as the core sees it: it checks
-// the candidates it is given and the leader it returns.
-type checkedPolicy struct{ o *coreOracle }
+// that the core asks for one leader a pick, with tasks queued, and that
+// the leader is the one the reference model picks from the candidates.
+type checkedPolicy struct {
+	Policy
+	o *coreOracle
+}
 
-func (p checkedPolicy) Name() string { return p.o.policy.Name() }
-
-func (p checkedPolicy) Pick(now Ticks, tasks []*TaskState) int {
+func (p checkedPolicy) leader(q *queue, now Ticks) *liveTask {
 	o := p.o
 	o.t.Helper()
 	if o.leader >= 0 || now != o.now {
-		o.t.Fatalf("Pick called at %d in a pick at %d that had called it already: %v", now, o.now, o.leader >= 0)
+		o.t.Fatalf("leader asked at %d in a pick at %d that had asked already: %v", now, o.now, o.leader >= 0)
 	}
-	if len(tasks) != len(o.cands) {
-		o.t.Fatalf("Pick at %d got %d candidates, %d queued", now, len(tasks), len(o.cands))
+	if len(o.cands) == 0 {
+		o.t.Fatalf("leader asked at %d with nothing queued", now)
 	}
-	for i, st := range tasks {
-		if st != &o.cands[i].state {
-			o.t.Fatalf("candidate %d at %d is task %d, want task %d", i, now, st.Task.ID, o.cands[i].task.ID)
-		}
-		if st.Remaining() == 0 || now >= st.Deadline {
-			o.t.Fatalf("candidate task %d is not runnable at %d: %d stages left, due %d", st.Task.ID, now, st.Remaining(), st.Deadline)
-		}
+	leader := p.Policy.leader(q, now)
+	i := slices.Index(o.cands, leader)
+	if i < 0 {
+		o.t.Fatalf("%s led with task %d at %d, which is not queued", o.policy.Name(), leader.state.Task.ID, now)
 	}
-	i := o.policy.Pick(now, tasks)
-	if i < 0 || i >= len(tasks) {
-		o.t.Fatalf("%s picked index %d of %d", o.policy.Name(), i, len(tasks))
+	// The candidates, stage by stage in the order they became ready, as
+	// the reference models pick from them: FIFO's leader is the oldest
+	// arrival, ties broken by ID; RR's the lowest ID above the last one
+	// served, wrapping round; Greedy's the reference plan's.
+	tasks := make([]*TaskState, len(o.cands))
+	for j, t := range o.cands {
+		tasks[j] = &t.state
 	}
-	// FIFO's leader is the oldest arrival, ties broken by ID; RR's the
-	// lowest ID above the last one served, wrapping round; Greedy's the
-	// reference model's.
 	var rank func(*TaskState) [2]Ticks
 	var want *TaskState
 	switch o.policy.(type) {
-	case FIFO, *FIFO:
+	case *FIFO:
 		rank = func(st *TaskState) [2]Ticks { return [2]Ticks{st.Arrival, Ticks(st.Task.ID)} }
 	case *RoundRobin:
 		rank = func(st *TaskState) [2]Ticks {
@@ -237,8 +237,8 @@ func (p checkedPolicy) Pick(now Ticks, tasks []*TaskState) int {
 	if want != tasks[i] {
 		o.t.Fatalf("%s picked task %d at %d, want task %d", o.policy.Name(), tasks[i].Task.ID, now, want.Task.ID)
 	}
-	o.leader, o.rrLast = i, tasks[i].Task.ID
-	return i
+	o.leader, o.rrLast = i, leader.state.Task.ID
+	return leader
 }
 
 // push queues new tasks, as one submission.
@@ -390,18 +390,68 @@ func (o *coreOracle) check() {
 				m.executed, m.pred, m.conf, m.prevConf, m.deadline)
 		}
 	}
+	queued := 0
 	for s := range max(len(o.q.buckets), len(o.ready)) {
-		var got, want []*liveTask
-		if s < len(o.q.buckets) {
-			got = o.q.buckets[s]
-		}
+		var want []*liveTask
 		if s < len(o.ready) {
 			want = o.ready[s]
 		}
+		queued += len(want)
+		got := bucketTasks(o.q, s)
 		if !slices.Equal(got, want) {
 			o.t.Fatalf("at %d bucket %d holds %v, want %v", o.now, s, ids(got), ids(want))
 		}
+		if s >= len(o.q.buckets) {
+			continue
+		}
+		// The bucket's indexes hold the same tasks: its tree, whose root
+		// keeps the earliest deadline, and the list of each submission's,
+		// in the order they became ready.
+		b := &o.q.buckets[s]
+		tightest := Ticks(math.MaxInt64)
+		for _, t := range want {
+			tightest = min(tightest, t.state.Deadline)
+		}
+		due := Ticks(math.MaxInt64)
+		if b.n > 0 { // an empty bucket's tree is not read
+			due = b.nodes[1].due
+		}
+		if b.n != len(want) || due != tightest {
+			o.t.Fatalf("at %d bucket %d counts %d tasks due by %d, want %d due by %d", o.now, s, b.n, due, len(want), tightest)
+		}
+		for _, m := range b.subs {
+			var got []*liveTask
+			for t := m.head; t != nil; t = t.mnext {
+				got = append(got, t)
+			}
+			mates := slices.DeleteFunc(slices.Clone(want), func(t *liveTask) bool { return t.sub != m.sub })
+			if len(mates) == 0 || !slices.Equal(got, mates) {
+				o.t.Fatalf("at %d bucket %d lists %v for submission %d, want %v", o.now, s, ids(got), m.sub, ids(mates))
+			}
+		}
 	}
+	if o.q.n != queued {
+		o.t.Fatalf("at %d the core counts %d tasks queued, want %d", o.now, o.q.n, queued)
+	}
+	for _, t := range o.tasks {
+		if isQueued := o.model[t].where == isQueued; isQueued != o.q.queued(t) {
+			o.t.Fatalf("at %d task %d is queued %v in the core, %v in the model", o.now, t.task.ID, !isQueued, isQueued)
+		}
+	}
+}
+
+// bucketTasks lists the core's bucket s in ready order.
+func bucketTasks(q *queue, s int) []*liveTask {
+	var tasks []*liveTask
+	if s < len(q.buckets) {
+		b := &q.buckets[s]
+		for _, t := range b.tasks[b.first:b.end] {
+			if t != nil {
+				tasks = append(tasks, t)
+			}
+		}
+	}
+	return tasks
 }
 
 // drain runs the core dry, committing the oldest group in flight a tick

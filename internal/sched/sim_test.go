@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"eugene/internal/tensor"
@@ -185,38 +186,69 @@ func TestGreedyBeatsFIFOUnderContention(t *testing.T) {
 	}
 }
 
+// policyQueue queues tasks in these states, in this order, in a core
+// that runs p, and returns the core and the tasks.
+func policyQueue(p Policy, states ...*TaskState) (*queue, []*liveTask) {
+	q := &queue{policy: p, maxBatch: 1}
+	tasks := make([]*liveTask, len(states))
+	for i, st := range states {
+		tasks[i] = &liveTask{state: *st}
+	}
+	q.push(tasks...)
+	return q, tasks
+}
+
+// leaderIndex is the index in tasks of the core's policy's leader.
+func leaderIndex(q *queue, tasks []*liveTask, now Ticks) int {
+	return slices.Index(tasks, q.policy.leader(q, now))
+}
+
+// unqueue takes a task out of the core, as a dispatch would.
+func unqueue(q *queue, t *liveTask) {
+	b := &q.buckets[t.state.Executed]
+	q.remove(b, t)
+	b.update()
+}
+
 func TestRoundRobinCycles(t *testing.T) {
 	now := Ticks(0)
 	mk := func(id int) *TaskState {
 		return &TaskState{Task: &Task{ID: id, NumStages: 3}, Deadline: 100}
 	}
-	tasks := []*TaskState{mk(0), mk(1), mk(2)}
-	rr := NewRoundRobin()
+	q, tasks := policyQueue(NewRoundRobin(), mk(0), mk(1), mk(2))
+	// Each leader runs a stage and is queued again, as after a commit.
+	lead := func() int {
+		group, _ := q.pick(now, 0, nil, &testDriver{})
+		q.push(group...)
+		return slices.Index(tasks, group[0])
+	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	for step, w := range want {
-		got := rr.Pick(now, tasks)
+		got := lead()
 		if got != w {
 			t.Fatalf("step %d: picked %d, want %d", step, got, w)
 		}
 	}
 	// A task in flight is not among the candidates: the cycle goes on
 	// past it.
-	if got := rr.Pick(now, []*TaskState{tasks[1], tasks[2]}); got != 0 {
-		t.Fatalf("RR picked %d without task 0, want 0 (task 1)", got)
+	unqueue(q, tasks[0])
+	if got := lead(); got != 1 {
+		t.Fatalf("RR picked %d without task 0, want 1", got)
 	}
 }
 
 func TestFIFOPicksOldest(t *testing.T) {
-	tasks := []*TaskState{
-		{Task: &Task{ID: 1, NumStages: 1}, Arrival: 10, Deadline: 100},
-		{Task: &Task{ID: 0, NumStages: 1}, Arrival: 5, Deadline: 100},
-	}
-	if got := (FIFO{}).Pick(0, tasks); got != 1 {
+	q, tasks := policyQueue(NewFIFO(),
+		&TaskState{Task: &Task{ID: 1, NumStages: 1}, Arrival: 10, Deadline: 100},
+		&TaskState{Task: &Task{ID: 0, NumStages: 1}, Arrival: 5, Deadline: 100},
+	)
+	if got := leaderIndex(q, tasks, 0); got != 1 {
 		t.Fatalf("FIFO picked index %d, want 1 (earlier arrival)", got)
 	}
 	// With the oldest in flight, and so not among the candidates, the
 	// other is next.
-	if got := (FIFO{}).Pick(0, tasks[:1]); got != 0 {
+	unqueue(q, tasks[1])
+	if got := leaderIndex(q, tasks, 0); got != 0 {
 		t.Fatalf("FIFO picked %d with oldest busy", got)
 	}
 }
@@ -360,8 +392,8 @@ func TestWeightedGreedyPrefersHeavyTasks(t *testing.T) {
 		return &TaskState{Task: &Task{ID: id, NumStages: 3, Weight: w}, Deadline: 100}
 	}
 	// Both unstarted: identical predicted gain, but task 1 is weighted.
-	tasks := []*TaskState{mk(0, 1), mk(1, 4)}
-	if got := g.Pick(0, tasks); got != 1 {
+	q, tasks := policyQueue(g, mk(0, 1), mk(1, 4))
+	if got := leaderIndex(q, tasks, 0); got != 1 {
 		t.Fatalf("weighted greedy picked %d, want the weighted task", got)
 	}
 }

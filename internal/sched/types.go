@@ -7,7 +7,7 @@
 // goroutine-pool executor on the wall clock, and Simulate, a
 // deterministic closed loop on a virtual clock. FuzzQueue holds the core
 // to an exact model of every task after each step, and the policies rely
-// on what it proves: every task they are offered is runnable.
+// on what it proves: every task queued when they lead is runnable.
 package sched
 
 import (
@@ -92,19 +92,25 @@ type Predictor interface {
 }
 
 // Policy selects which queued task's next stage to execute. The
-// scheduler core calls Pick whenever a worker is free and tasks are
-// queued, with every queued task, stage by stage, each stage's in the
-// order they became ready: tasks is never empty, and every task on it is
-// runnable at now, with a stage left and due after now (the core's sweep
-// answers the overdue ones first). Pick returns the index into tasks of
-// the one to run; now lets a policy weigh each task's slack. FuzzQueue's
-// oracle holds the core and the policies to this contract. Policies may
-// keep internal state (timelines, rotation cursors); each instance is
-// called from a single goroutine at a time (the live executor picks
-// under its queue lock).
+// scheduler core asks it for a key for each task it queues, while the
+// task's state is fixed until it leaves the queue, and keeps its tasks
+// indexed by those keys; when a worker is free and the queue is not
+// empty, the core calls leader for the task to run next, which the
+// policy chooses with the core's help: best is the least key, ties to
+// the earlier task in ready order (stage by stage, each stage's tasks in
+// the order they became ready). Every queued task is then runnable at
+// now, with a stage left and due after now (the core's sweep answers the
+// overdue ones first). now lets a policy weigh each task's slack.
+// FuzzQueue's oracle holds the core and the policies to this contract,
+// against reference models that pick from the whole candidate list.
+// Policies may keep internal state (timelines, rotation cursors); an
+// instance serves one queue, called from a single goroutine at a time
+// (the live executor picks under its queue lock). Its methods other
+// than Name are unexported: the policies are this package's.
 type Policy interface {
 	Name() string
-	Pick(now Ticks, tasks []*TaskState) int
+	key(t *liveTask) rank
+	leader(q *queue, now Ticks) *liveTask
 }
 
 // TaskOutcome records one task's fate for metrics.
