@@ -83,11 +83,11 @@ var pickBenchPolicies = []struct {
 }
 
 // warmPickBench builds a pickBench at depth n and runs it until every
-// task has been through all three stages about once, so that the
+// task has been through all three stages about four times, so that the
 // buckets, the policy's state and the scratch are at their steady size.
 func warmPickBench(policy Policy, n int) *pickBench {
 	b := newPickBench(policy, n)
-	for range 3*n/DefaultMaxBatch + 16 {
+	for range 12*n/DefaultMaxBatch + 16 {
 		b.cycle()
 	}
 	return b

@@ -92,21 +92,22 @@ type Predictor interface {
 }
 
 // Policy selects which queued task's next stage to execute. The
-// scheduler core asks it for a key for each task it queues, while the
-// task's state is fixed until it leaves the queue, and keeps its tasks
-// indexed by those keys; when a worker is free and the queue is not
-// empty, the core calls leader for the task to run next, which the
-// policy chooses with the core's help: best is the least key, ties to
-// the earlier task in ready order (stage by stage, each stage's tasks in
-// the order they became ready). Every queued task is then runnable at
-// now, with a stage left and due after now (the core's sweep answers the
-// overdue ones first). now lets a policy weigh each task's slack.
-// FuzzQueue's oracle holds the core and the policies to this contract,
-// against reference models that pick from the whole candidate list.
-// Policies may keep internal state (timelines, rotation cursors); an
-// instance serves one queue, called from a single goroutine at a time
-// (the live executor picks under its queue lock). Its methods other
-// than Name are unexported: the policies are this package's.
+// scheduler core asks it for a key for each task as the task is queued;
+// the task's state does not change until it leaves the queue, so the
+// key holds that long. The core indexes its tasks by key: its best is
+// the least key, ties to the earlier task in ready order (stage by
+// stage, each stage's tasks in the order they became ready). When a
+// worker is free and the queue is not empty, the core calls leader,
+// which returns the queued task to run next, found with the core's
+// help. Every queued task is then runnable at now, with a stage left
+// and due after now (the core's sweep answers the overdue ones first);
+// now lets a policy weigh each task's slack. FuzzQueue's oracle holds
+// the core and the policies to this contract, against reference models
+// that pick from the whole candidate list. Policies may keep internal
+// state (timelines, rotation cursors); an instance serves one queue,
+// called from a single goroutine at a time (the live executor picks
+// under its queue lock). Only Name is exported: the policies are this
+// package's.
 type Policy interface {
 	Name() string
 	key(t *liveTask) rank
