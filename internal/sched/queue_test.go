@@ -73,15 +73,17 @@ type taskModel struct {
 
 // coreOracle drives the scheduler core on a fake clock and, after every
 // operation, checks it exactly against a plain model of each task. A
-// pick must answer expired exactly the queued tasks due by now, hand the
-// policy exactly the rest, stage by stage in the order they became
-// ready, get the policy's leader back (FIFO's and RR's from their rules,
-// Greedy's from a reference model of its plan), and take the group the
-// rule in queue.pick describes, written here from its statement rather
-// than its code. A commit must discard a stage that ended past its
-// task's deadline, apply any other, answer the tasks that are done or
-// forced out and hand back the rest. Nothing else may be answered, and
-// every task's state and every bucket must match the model.
+// pick must answer expired exactly the queued tasks due by now, in
+// queue order, leaving the rest as the candidates, stage by stage in
+// the order they became ready; lead with the task the policy's
+// reference model picks from them (FIFO's and RR's by their rules,
+// Greedy's by a copy of its plan over a candidate list); and take the
+// group the rule in queue.pick describes, written here from its
+// statement rather than its code. A commit must discard a stage that
+// ended past its task's deadline, apply any other, answer the tasks
+// that are done or forced out and hand back the rest. Nothing else may
+// be answered, and every task's state, every bucket and its index must
+// match the model.
 type coreOracle struct {
 	t        testing.TB
 	q        *queue
