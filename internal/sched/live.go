@@ -211,9 +211,9 @@ type liveTask struct {
 	task   Task
 	hidden []float64
 	done   chan Response
-	// sub numbers the SubmitBatch call the task came with; zero for a
-	// single submission.
-	sub int64
+	// sub is the SubmitBatch call the task came with; nil for a single
+	// submission.
+	sub *submission
 	// sem marks tasks holding an admitSem token (single submissions),
 	// released at finalize.
 	sem bool
@@ -221,11 +221,11 @@ type liveTask struct {
 	// task finishes or the executor swaps the row out.
 	ownsBuf bool
 
-	// The scheduler core's index of the task while it is queued (see
-	// queue): its place in its bucket, and its neighbours in ready order
-	// among its batch-mates there (nil otherwise).
+	// The scheduler core's index of the task (see queue): its place in
+	// its bucket while it is queued, −1 once it has left, and its
+	// neighbours in ready order among its batch-mates there (nil
+	// otherwise).
 	pos          int
-	mates        *mates
 	mprev, mnext *liveTask
 }
 
@@ -245,8 +245,7 @@ type liveTask struct {
 type Live struct {
 	cfg LiveConfig
 
-	nextID  atomic.Int64
-	nextSub atomic.Int64
+	nextID atomic.Int64
 
 	// mu guards the scheduler core (the ready queue, the policy's pick
 	// state) and the stopped flag. Workers with nothing to run sleep on
@@ -265,7 +264,7 @@ type Live struct {
 	admitSem chan struct{}
 
 	taskPool  sync.Pool // *liveTask
-	batchPool sync.Pool // *[]*liveTask
+	batchPool sync.Pool // *batchCall
 	bufPool   sync.Pool // *[]float64: hidden-row overflow shared across workers
 
 	// stopCh is closed when stopped is set, for the submitters, which
@@ -340,7 +339,7 @@ func (l *Live) getTask(input []float64, numStages int, arrival, deadline Ticks) 
 	t.hidden = input
 	t.ownsBuf = false
 	t.sem = false
-	t.sub = 0
+	t.sub = nil
 	return t
 }
 
@@ -537,19 +536,20 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	}
 	l.adm.demand.Add(int64(len(inputs)))
 	defer l.adm.demand.Add(-int64(len(inputs)))
-	bp, _ := l.batchPool.Get().(*[]*liveTask)
-	if bp == nil {
-		s := make([]*liveTask, 0, len(inputs))
-		bp = &s
+	c, _ := l.batchPool.Get().(*batchCall)
+	if c == nil {
+		c = &batchCall{tasks: make([]*liveTask, 0, len(inputs))}
 	}
-	batch := (*bp)[:0]
-	sub := l.nextSub.Add(1)
+	if len(c.sub.mates) < numStages {
+		c.sub.mates = make([]mates, numStages)
+	}
+	batch := c.tasks[:0]
 	// One clock read for the whole call: its rows arrive together, and a
 	// read a row would delay the first dispatch of a large batch.
 	arrival, deadline := l.stamp()
 	for _, in := range inputs {
 		t := l.getTask(in, numStages, arrival, deadline)
-		t.sub = sub
+		t.sub = &c.sub
 		batch = append(batch, t)
 	}
 	l.submitted.Add(uint64(len(batch)))
@@ -570,9 +570,18 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	for _, t := range batch {
 		l.putTask(t)
 	}
-	*bp = batch
-	l.batchPool.Put(bp)
+	// Every task is answered, so none is queued any more: the
+	// submission's lists are empty for the next call.
+	c.tasks = batch
+	l.batchPool.Put(c)
 	return out, nil
+}
+
+// batchCall is a SubmitBatch call's pooled state: its tasks, and its
+// submission, whose batch-mate lists the scheduler core keeps.
+type batchCall struct {
+	tasks []*liveTask
+	sub   submission
 }
 
 // Stop shuts the executor down and waits for its goroutines. Queued

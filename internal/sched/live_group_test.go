@@ -148,7 +148,7 @@ func TestLiveGroupRule(t *testing.T) {
 				d.stageCost = Ticks(float64(time.Hour) / tc.slack)
 			}
 			for i := 0; i < tc.bucket; i++ {
-				q.push(queuedTask(i, 0, 0, Ticks(time.Hour)))
+				q.push(queuedTask(i, nil, 0, Ticks(time.Hour)))
 			}
 			group, stage := q.pick(0, tc.idle, nil, d)
 			if stage != 0 || len(group) != tc.want {
@@ -180,20 +180,27 @@ func TestLiveGroupKeepsBatchesApart(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := &queue{policy: NewFIFO(), maxBatch: 64}
+			subs := submissions{}
 			queued := 0
 			for _, p := range tc.queue {
 				for i := 0; i < p.rows; i++ {
-					q.push(queuedTask(queued, int64(p.sub), 0, Ticks(time.Hour)))
+					q.push(queuedTask(queued, subs.of(int64(p.sub)), 0, Ticks(time.Hour)))
 					queued++
 				}
 			}
 			group, _ := q.pick(0, 0, nil, &testDriver{})
 			var got []part
 			for _, task := range group {
-				if n := len(got); n > 0 && got[n-1].sub == int(task.sub) {
+				sub := 0
+				for n, s := range subs {
+					if s == task.sub {
+						sub = int(n)
+					}
+				}
+				if n := len(got); n > 0 && got[n-1].sub == sub {
 					got[n-1].rows++
 				} else {
-					got = append(got, part{int(task.sub), 1})
+					got = append(got, part{sub, 1})
 				}
 			}
 			if !slices.Equal(got, tc.want) {

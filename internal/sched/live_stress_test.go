@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -168,6 +169,49 @@ func TestLiveExpiryStress(t *testing.T) {
 						t.Errorf("client %d: non-expired task ran %d stages", c, r.Stages)
 						return
 					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	checkConservation(t, l)
+}
+
+// TestLiveGreedyPlanOutlivesItsTasks runs Greedy-2 on two workers while
+// callers submit singles and small batches under a deadline of about
+// two stages, so tasks leave the queue before the plan reaches them:
+// taken into the other worker's group, or expired and their records
+// handed to the next call. Under -race it checks that the plan tells a
+// task that left apart without reading the state its new owner writes.
+func TestLiveGreedyPlanOutlivesItsTasks(t *testing.T) {
+	const workers, clients, perClient = 2, 8, 60
+	execs := make([]StageExecutor, workers)
+	for i := range execs {
+		execs[i] = &slowExec{delay: 200 * time.Microsecond}
+	}
+	l, err := NewLive(LiveConfig{Workers: workers, Deadline: 500 * time.Microsecond, QueueDepth: 64, MaxBatch: 4},
+		NewGreedy(2, flatPriors(), "g2"), execs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Stop()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				if i%3 == 0 {
+					if _, err := l.SubmitBatch(context.Background(), [][]float64{{float64(c)}, {float64(i)}}, 3); err != nil {
+						t.Errorf("client %d: %v", c, err)
+						return
+					}
+					continue
+				}
+				if _, err := l.Submit(context.Background(), []float64{float64(c)}, 3); err != nil && !errors.Is(err, ErrUnanswered) {
+					t.Errorf("client %d: %v", c, err)
+					return
 				}
 			}
 		}(c)

@@ -16,10 +16,10 @@ import (
 // not O(queue). Each bucket keeps its tasks' deadlines and policy keys
 // (see Policy) in columns, in ready order, the order they were pushed
 // in, under a tree that sums every block of 64 places up by its earliest
-// deadline and least key; each submission's tasks there are also listed
-// apart. The leader is the least key of all, ties going to the earlier
-// task in ready order: stage by stage, each stage's tasks in the order
-// they became ready.
+// deadline and least key; each submission lists its own tasks there
+// (see submission). The leader is the least key of all, ties going to
+// the earlier task in ready order: stage by stage, each stage's tasks in
+// the order they became ready.
 type queue struct {
 	policy   Policy
 	maxBatch int
@@ -27,10 +27,8 @@ type queue struct {
 	buckets []bucket
 	// n counts the queued tasks.
 	n int
-	// due is the sweep's scratch, and free the mates lists of
-	// submissions that left a bucket, for reuse.
-	due  []*liveTask
-	free []*mates
+	// due is the sweep's scratch.
+	due []*liveTask
 }
 
 // rank is a policy's key for a queued task: the least leads.
@@ -42,10 +40,11 @@ func (a rank) less(b rank) bool { return a.hi < b.hi || a.hi == b.hi && a.lo < b
 // ready order, and tasks, keys and dues are its columns: the task at
 // each place (nil where one has left), its policy key (absent where no
 // task is, or one is hidden) and its deadline (never where no task is).
-// A task keeps its place in liveTask.pos. Over the places' blocks is an
-// implicit tree of nodes: nodes[1] is the root, node i has children 2i
-// and 2i+1, and node len(nodes)/2+j is block j's leaf; one block has no
-// tree above its leaf.
+// A task keeps its place in liveTask.pos while it is queued, and −1
+// otherwise. Over the places' blocks is an implicit tree of nodes:
+// nodes[1] is the root, node i has children 2i and 2i+1, and node
+// len(nodes)/2+j is block j's leaf; one block has no tree above its
+// leaf.
 type bucket struct {
 	tasks []*liveTask
 	keys  []rank
@@ -56,8 +55,6 @@ type bucket struct {
 	first, end, n int
 	// dirty holds the blocks changed since the tree was last updated.
 	dirty []int
-	// subs holds the list of each submission with tasks here.
-	subs []*mates
 }
 
 // blockPlaces is how many places a leaf of a bucket's tree sums up:
@@ -77,12 +74,15 @@ type node struct {
 	best int
 }
 
-// mates is one submission's tasks in a bucket, in ready order; a single
-// submission (sub 0) has none.
-type mates struct {
-	sub        int64
-	head, tail *liveTask
-}
+// submission is one SubmitBatch call's index in the core: mates[s] lists
+// its tasks in bucket s, so a task finds its batch-mates in O(1). The
+// caller sizes mates to the tasks' stage count. A single submission has
+// none (liveTask.sub is nil).
+type submission struct{ mates []mates }
+
+// mates is one submission's tasks in a bucket, in ready order, linked
+// through liveTask.mprev and mnext.
+type mates struct{ head, tail *liveTask }
 
 // driver is what the core asks of the clock it runs under and of its
 // admission control.
@@ -102,7 +102,6 @@ type driver interface {
 //
 //eugene:noalloc
 func (q *queue) push(tasks ...*liveTask) {
-	var m *mates // the last task's mates, which the next one likely shares
 	for _, t := range tasks {
 		s := t.state.Executed
 		for len(q.buckets) <= s {
@@ -120,10 +119,8 @@ func (q *queue) push(tasks ...*liveTask) {
 		b.tasks[t.pos], b.keys[t.pos], b.dues[t.pos] = t, q.policy.key(t), t.state.Deadline
 		b.mark(t.pos)
 		b.n++
-		if t.sub != 0 {
-			if m == nil || m.sub != t.sub || m.tail.state.Executed != s {
-				m = q.mates(b, t.sub)
-			}
+		if t.sub != nil {
+			m := &t.sub.mates[s]
 			t.mprev = m.tail
 			if m.tail != nil {
 				m.tail.mnext = t
@@ -131,7 +128,6 @@ func (q *queue) push(tasks ...*liveTask) {
 				m.head = t
 			}
 			m.tail = t
-			t.mates = m
 		}
 		q.n++
 	}
@@ -140,33 +136,13 @@ func (q *queue) push(tasks ...*liveTask) {
 	}
 }
 
-// mates returns the list of submission sub's tasks in bucket b, opening
-// an empty one if it has none there. A bucket holds few submissions at
-// a time, so the search is short.
-//
-//eugene:noalloc
-func (q *queue) mates(b *bucket, sub int64) *mates {
-	for _, m := range b.subs {
-		if m.sub == sub {
-			return m
-		}
-	}
-	if len(q.free) == 0 {
-		q.free = append(q.free, new(mates))
-	}
-	m := q.free[len(q.free)-1]
-	q.free = q.free[:len(q.free)-1]
-	m.sub = sub
-	b.subs = append(b.subs, m)
-	return m
-}
-
 // remove takes a queued task out of bucket b, which holds it. The
 // caller updates b's tree once it has removed all it will.
 //
 //eugene:noalloc
 func (q *queue) remove(b *bucket, t *liveTask) {
-	if m := t.mates; m != nil {
+	if t.sub != nil {
+		m := &t.sub.mates[t.state.Executed]
 		if t.mprev != nil {
 			t.mprev.mnext = t.mnext
 		} else {
@@ -177,23 +153,24 @@ func (q *queue) remove(b *bucket, t *liveTask) {
 		} else {
 			m.tail = t.mprev
 		}
-		if m.head == nil {
-			i := slices.Index(b.subs, m)
-			last := len(b.subs) - 1
-			b.subs[i], b.subs[last] = b.subs[last], nil
-			b.subs = b.subs[:last]
-			q.free = append(q.free, m)
-		}
 	}
-	t.mprev, t.mnext, t.mates = nil, nil, nil
+	t.mprev, t.mnext = nil, nil
 	b.tasks[t.pos], b.keys[t.pos], b.dues[t.pos] = nil, absent, math.MaxInt64
 	b.mark(t.pos)
+	t.pos = -1
 	b.n--
 	q.n--
 }
 
-// queued reports whether t is in the queue.
+// queued reports whether t is in the queue. A task that left it reads −1
+// at pos, which only the core writes, so queued tells it apart without
+// reading its state, which its new owner may be writing: a worker
+// running its stage, or, once it is answered, the next call its record
+// is handed to.
 func (q *queue) queued(t *liveTask) bool {
+	if t.pos < 0 {
+		return false
+	}
 	s := t.state.Executed
 	return s < len(q.buckets) && t.pos < q.buckets[s].end && q.buckets[s].tasks[t.pos] == t
 }
@@ -295,8 +272,8 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 	// call to the other's slower half, and one stalled dispatch would
 	// hold two calls back rather than one.
 	group = append(group[:0], leader)
-	if m := leader.mates; m != nil {
-		for t := m.head; t != nil && len(group) < capN; t = t.mnext {
+	if leader.sub != nil {
+		for t := leader.sub.mates[stage].head; t != nil && len(group) < capN; t = t.mnext {
 			if t != leader {
 				group = append(group, t)
 			}
@@ -305,7 +282,7 @@ func (q *queue) pick(now Ticks, idle int, group []*liveTask, d driver) ([]*liveT
 	for _, t := range group {
 		q.remove(b, t)
 	}
-	if leader.sub == 0 || 2*len(group) < q.maxBatch {
+	if leader.sub == nil || 2*len(group) < q.maxBatch {
 		for t := b.head(); t != nil && len(group) < capN; t = b.head() {
 			q.remove(b, t)
 			group = append(group, t)
@@ -421,11 +398,10 @@ func (b *bucket) sum(j int) {
 	n := node{key: absent, due: math.MaxInt64, best: -1}
 	lo := j * blockPlaces
 	hi := max(lo, min(lo+blockPlaces, b.end))
-	for _, due := range b.dues[lo:hi] {
-		n.due = min(n.due, due)
-	}
+	dues := b.dues[lo:hi]
 	for p, k := range b.keys[lo:hi] {
-		if k != absent && (n.best < 0 || k.less(n.key)) {
+		n.due = min(n.due, dues[p])
+		if k.less(n.key) { // an absent key is never less
 			n.key, n.best = k, lo+p
 		}
 	}

@@ -14,11 +14,15 @@ type pickBench struct {
 	q     queue
 	now   Ticks
 	id    int
-	sub   int64
 	group []*liveTask
 	surv  []*liveTask
 	done  []*liveTask
 	res   []StageResult
+	// subs are the submissions handed out so far, reused round the ring
+	// from next once their tasks have all finished, as SubmitBatch pools
+	// them.
+	subs []*submission
+	next int
 }
 
 func newPickBench(policy Policy, n int) *pickBench {
@@ -34,12 +38,12 @@ func newPickBench(policy Policy, n int) *pickBench {
 // queueFresh queues tasks as one new submission of three-stage tasks
 // arriving now, due long after the run.
 func (b *pickBench) queueFresh(tasks []*liveTask) {
-	b.sub++
+	sub := b.freeSub()
 	for _, t := range tasks {
 		b.id++
 		t.task = Task{ID: b.id, NumStages: 3}
 		t.state = TaskState{Task: &t.task, Arrival: b.now, Deadline: math.MaxInt64, Pred: -1}
-		t.sub = b.sub
+		t.sub = sub
 	}
 	b.q.push(tasks...)
 }
@@ -63,6 +67,22 @@ func (b *pickBench) cycle() {
 		b.queueFresh(b.done)
 		b.done = b.done[:0]
 	}
+}
+
+// freeSub returns the next submission round the ring that has no task
+// left, or a new one. Between cycles no task is in flight, so a
+// submission whose lists are empty has none.
+func (b *pickBench) freeSub() *submission {
+	for range b.subs {
+		s := b.subs[b.next]
+		b.next = (b.next + 1) % len(b.subs)
+		if s.mates[0].head == nil && s.mates[1].head == nil && s.mates[2].head == nil {
+			return s
+		}
+	}
+	s := &submission{mates: make([]mates, 3)}
+	b.subs = append(b.subs, s)
+	return s
 }
 
 func (b *pickBench) finish(t *liveTask, _ bool, _ Ticks) { b.done = append(b.done, t) }

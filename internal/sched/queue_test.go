@@ -10,12 +10,27 @@ import (
 )
 
 // queuedTask builds a core task: the id-th to arrive (at tick id), of
-// submission sub, ready for the given stage of three, due at deadline.
-func queuedTask(id int, sub int64, stage int, deadline Ticks) *liveTask {
+// submission sub (nil for a single), ready for the given stage of three,
+// due at deadline.
+func queuedTask(id int, sub *submission, stage int, deadline Ticks) *liveTask {
 	t := &liveTask{sub: sub}
 	t.task = Task{ID: id, NumStages: 3}
 	t.state = TaskState{Task: &t.task, Arrival: Ticks(id), Deadline: deadline, Executed: stage, Pred: -1}
 	return t
+}
+
+// submissions hands out a submission per number, as SubmitBatch makes one
+// per call; number 0 is a single submission.
+type submissions map[int64]*submission
+
+func (s submissions) of(n int64) *submission {
+	if n == 0 {
+		return nil
+	}
+	if s[n] == nil {
+		s[n] = &submission{mates: make([]mates, 3)}
+	}
+	return s[n]
 }
 
 // testDriver is a driver on a fake clock: it logs every answer, caps
@@ -310,13 +325,13 @@ func (o *coreOracle) pick(idle int) bool {
 		tightest = min(tightest, o.model[t].deadline)
 		switch {
 		case t == leader:
-		case leader.sub != 0 && t.sub == leader.sub:
+		case leader.sub != nil && t.sub == leader.sub:
 			want = append(want, t)
 		default:
 			others = append(others, t)
 		}
 	}
-	if leader.sub == 0 || 2*len(want) < o.maxBatch {
+	if leader.sub == nil || 2*len(want) < o.maxBatch {
 		want = append(want, others...)
 	}
 	want = want[:min(len(want), o.d.groupCap(tightest-o.now), groupSize(len(bucket), idle, o.maxBatch))]
@@ -392,6 +407,12 @@ func (o *coreOracle) check() {
 				m.executed, m.pred, m.conf, m.prevConf, m.deadline)
 		}
 	}
+	var subs []*submission
+	for _, t := range o.tasks {
+		if t.sub != nil && !slices.Contains(subs, t.sub) {
+			subs = append(subs, t.sub)
+		}
+	}
 	queued := 0
 	for s := range max(len(o.q.buckets), len(o.ready)) {
 		var want []*liveTask
@@ -407,8 +428,8 @@ func (o *coreOracle) check() {
 			continue
 		}
 		// The bucket's indexes hold the same tasks: its tree, whose root
-		// keeps the earliest deadline, and the list of each submission's,
-		// in the order they became ready.
+		// keeps the earliest deadline, and each submission's list of its
+		// tasks here, in the order they became ready.
 		b := &o.q.buckets[s]
 		tightest := Ticks(math.MaxInt64)
 		for _, t := range want {
@@ -421,14 +442,14 @@ func (o *coreOracle) check() {
 		if b.n != len(want) || due != tightest {
 			o.t.Fatalf("at %d bucket %d counts %d tasks due by %d, want %d due by %d", o.now, s, b.n, due, len(want), tightest)
 		}
-		for _, m := range b.subs {
+		for _, sub := range subs {
 			var got []*liveTask
-			for t := m.head; t != nil; t = t.mnext {
+			for t := sub.mates[s].head; t != nil; t = t.mnext {
 				got = append(got, t)
 			}
-			mates := slices.DeleteFunc(slices.Clone(want), func(t *liveTask) bool { return t.sub != m.sub })
-			if len(mates) == 0 || !slices.Equal(got, mates) {
-				o.t.Fatalf("at %d bucket %d lists %v for submission %d, want %v", o.now, s, ids(got), m.sub, ids(mates))
+			mates := slices.DeleteFunc(slices.Clone(want), func(t *liveTask) bool { return t.sub != sub })
+			if !slices.Equal(got, mates) {
+				o.t.Fatalf("at %d bucket %d lists %v for a submission, want %v", o.now, s, ids(got), ids(mates))
 			}
 		}
 	}
@@ -507,6 +528,7 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			o := newCoreOracle(t, tc.policy, maxBatch, &testDriver{})
 			var tasks []*liveTask
+			subs := submissions{}
 			for sub := int64(1); len(tasks) < n; sub++ {
 				size := 1 + rng.Intn(maxBatch)
 				if rng.Intn(4) == 0 {
@@ -514,7 +536,7 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 				}
 				for i := 0; i < size && len(tasks) < n; i++ {
 					deadline := Ticks(1 + rng.Intn(n*cost/maxBatch))
-					tasks = append(tasks, queuedTask(len(tasks), sub, rng.Intn(3), deadline))
+					tasks = append(tasks, queuedTask(len(tasks), subs.of(sub), rng.Intn(3), deadline))
 				}
 			}
 			o.push(tasks...)
@@ -602,6 +624,7 @@ func runScript(t testing.TB, script []byte) *coreOracle {
 	policy := scriptPolicies[int(next())%len(scriptPolicies)](t)
 	maxBatch := 1 + int(next()%64)
 	o := newCoreOracle(t, policy, maxBatch, &testDriver{stageCost: Ticks(next() % 16), exitBelow: Ticks(next() % 32)})
+	subs := submissions{}
 	for len(script) > 0 {
 		switch op := next() % numOps; op {
 		case opSingle, opBatch:
@@ -614,7 +637,7 @@ func runScript(t testing.TB, script []byte) *coreOracle {
 			stage := int(spec/3) % stages
 			batch := make([]*liveTask, rows)
 			for i := range batch {
-				task := queuedTask(len(o.tasks)+i, sub, stage, o.now+Ticks(next()))
+				task := queuedTask(len(o.tasks)+i, subs.of(sub), stage, o.now+Ticks(next()))
 				task.task.NumStages, task.state.Arrival = stages, o.now
 				if stage > 0 {
 					task.state.Pred, task.state.Conf = stage, float64(stage)/4
