@@ -529,10 +529,12 @@ func TestQueueConservesTasksAtServingShape(t *testing.T) {
 			o := newCoreOracle(t, tc.policy, maxBatch, &testDriver{})
 			var tasks []*liveTask
 			subs := submissions{}
-			for sub := int64(1); len(tasks) < n; sub++ {
-				size := 1 + rng.Intn(maxBatch)
+			for next := int64(1); len(tasks) < n; {
+				size, sub := 1+rng.Intn(maxBatch), next
 				if rng.Intn(4) == 0 {
 					size, sub = 1, 0 // a single submission
+				} else {
+					next++
 				}
 				for i := 0; i < size && len(tasks) < n; i++ {
 					deadline := Ticks(1 + rng.Intn(n*cost/maxBatch))
