@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,16 @@ type ModelEntry struct {
 	StageAccs []float64
 }
 
+// entryOf is the registry entry a snapshot bundle restores.
+func entryOf(name string, snap *snapshot.ModelSnapshot) *ModelEntry {
+	return &ModelEntry{Name: name, Model: snap.Model, Alpha: snap.Alpha, Pred: snap.Pred, StageAccs: snap.StageAccs}
+}
+
+// snapshot is the bundle that restores e.
+func (e *ModelEntry) snapshot() *snapshot.ModelSnapshot {
+	return &snapshot.ModelSnapshot{Model: e.Model, Alpha: e.Alpha, StageAccs: e.StageAccs, Pred: e.Pred}
+}
+
 // Config controls the serving engine.
 type Config struct {
 	// Workers is the inference pool size.
@@ -60,10 +71,10 @@ type Config struct {
 	// disables batching). Larger batches raise throughput under load at
 	// the cost of coarser per-dispatch deadline granularity.
 	MaxBatch int
-	// DataDir enables snapshot persistence: every Train, Calibrate,
-	// BuildPredictor, and snapshot install atomically writes the
-	// model's bundle to <DataDir>/<name>.snap, and NewService restores
-	// every bundle found there, so a restarted server answers
+	// DataDir enables snapshot persistence: every publish (Train,
+	// Register, Calibrate, BuildPredictor, snapshot install) atomically
+	// writes the model's bundle to <DataDir>/<name>.snap, and NewService
+	// restores every bundle found there, so a restarted server answers
 	// bitwise-identically to the one that trained — no retraining.
 	// Empty disables persistence (in-memory registry only).
 	DataDir string
@@ -126,9 +137,12 @@ type Service struct {
 	trainData map[string]*dataset.Set
 
 	// snapMu serializes all snapshot disk writes (a single global
-	// writer: persistence events are rare — train/calibrate/predictor —
-	// so cross-model write contention is irrelevant, and the registry
-	// lock is never held across disk I/O).
+	// writer: persistence events are rare — one per publish — so
+	// cross-model write contention is irrelevant, and the registry lock
+	// is never held across disk I/O). persist reads the entry it writes
+	// under snapMu, so the last write is of the last entry published.
+	//
+	//eugene:lockorder Service.snapMu before Service.mu
 	snapMu sync.Mutex
 
 	devMu   sync.Mutex
@@ -137,6 +151,11 @@ type Service struct {
 
 // ErrClosed is returned for operations on a closed service.
 var ErrClosed = errors.New("core: service closed")
+
+// errChanged is publish's refusal when the model a publisher derived its
+// entry from is no longer registered; its callers name the operation
+// around it ("model %q changed during calibration; retry").
+var errChanged = errors.New("changed")
 
 // Conditions a caller (internal/service, for one) tells apart with
 // errors.Is. Each text is the phrase its messages have always carried,
@@ -211,42 +230,74 @@ func (s *Service) loadSnapshots() error {
 		if err != nil {
 			return fmt.Errorf("core: restoring model %q: %w", name, err)
 		}
-		s.models[name] = &ModelEntry{
-			Name:      name,
-			Model:     snap.Model,
-			Alpha:     snap.Alpha,
-			Pred:      snap.Pred,
-			StageAccs: snap.StageAccs,
-		}
+		s.models[name] = entryOf(name, snap)
 	}
 	return nil
 }
 
 // persist snapshots the named model's current registry entry to
-// DataDir; a no-op without a DataDir. The entry is re-read so the
-// freshest published state wins. On error the in-memory registry keeps
-// the (already published) new state — callers surface the error so the
-// operator learns durability is broken, but serving continues.
+// DataDir; a no-op without a DataDir. The entry is read under snapMu, so
+// of two racing publishes the write that lands last is of the later
+// entry. On error the in-memory registry keeps the (already published)
+// new state — callers surface the error so the operator learns
+// durability is broken, but serving continues.
 func (s *Service) persist(name string) error {
 	if s.cfg.DataDir == "" {
 		return nil
 	}
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	entry, err := s.get(name)
 	if err != nil {
 		return err
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	snap := &snapshot.ModelSnapshot{
-		Model:     entry.Model,
-		Alpha:     entry.Alpha,
-		StageAccs: entry.StageAccs,
-		Pred:      entry.Pred,
-	}
-	if err := snapshot.SaveModel(s.snapshotPath(name), snap); err != nil {
+	if err := snapshot.SaveModel(s.snapshotPath(name), entry.snapshot()); err != nil {
 		return fmt.Errorf("core: persisting %q: %w", name, err)
 	}
 	return nil
+}
+
+// publish makes next the registry entry for name; every registry write
+// (Train, Register, Calibrate, BuildPredictor, InstallSnapshotBytes)
+// goes through it. Under s.mu it refuses with ErrClosed after Close and,
+// when from is non-nil, with errChanged unless from is still the
+// registered model (a retrain or swap raced the publisher's work). It
+// keeps the retained training data when from is set (the model's
+// lineage is unchanged), replaces it with train when that is non-nil,
+// and drops it otherwise, since it described the replaced model.
+//
+// The old pool is detached under the lock and stopped after release:
+// Stop joins the pool's worker goroutines, so calling it under s.mu
+// would stall every Infer/Stats reader behind a slow in-flight request
+// — the shape the locks analyzer rejects. Each pool is detached exactly
+// once, so this Stop never races another stopper; submitters still
+// holding the old pointer get sched.ErrStopped and retry through
+// liveFor, which starts a pool for the new entry. Last, the entry is
+// persisted.
+func (s *Service) publish(name string, next *ModelEntry, from *staged.Model, train *dataset.Set) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return ErrClosed
+	}
+	if cur, ok := s.models[name]; from != nil && (!ok || cur.Model != from) {
+		s.mu.Unlock()
+		return errChanged
+	}
+	s.models[name] = next
+	stale := s.serving[name]
+	delete(s.serving, name)
+	switch {
+	case train != nil:
+		s.trainData[name] = train
+	case from == nil:
+		delete(s.trainData, name)
+	}
+	s.mu.Unlock()
+	if stale != nil {
+		stale.Stop()
+	}
+	return s.persist(name)
 }
 
 // TrainOptions bundles model and training hyperparameters for the
@@ -268,8 +319,10 @@ func DefaultTrainOptions(in, classes int) TrainOptions {
 }
 
 // Train fits a staged model on the client-supplied data and registers it
-// under name, replacing any previous model of that name. With a DataDir,
-// the new model is also snapshotted; a persistence error is returned
+// under name, replacing any previous model of that name, and retains
+// the data for later reduction requests (hot-class subset models for
+// device caching) that do not re-upload it. With a DataDir, the new
+// model is also snapshotted; a persistence error is returned
 // (durability was requested and is broken) but the model stays
 // registered and serving in memory.
 func (s *Service) Train(name string, train *dataset.Set, opts TrainOptions) (*ModelEntry, error) {
@@ -287,41 +340,31 @@ func (s *Service) Train(name string, train *dataset.Set, opts TrainOptions) (*Mo
 		return nil, fmt.Errorf("core: training model %q: %w", name, err)
 	}
 	entry := &ModelEntry{Name: name, Model: m, StageAccs: m.EvalAllStages(train)}
-	s.mu.Lock()
-	stale := s.detachLocked(name)
-	s.models[name] = entry
-	// Retain the training set for later reduction requests (hot-class
-	// subset models for device caching) that do not re-upload data.
-	s.trainData[name] = train
-	s.mu.Unlock()
-	if stale != nil {
-		stale.Stop()
-	}
-	if err := s.persist(name); err != nil {
+	if err := s.publish(name, entry, nil, train); err != nil {
 		return nil, err
 	}
 	return entry, nil
 }
 
-// Register installs an externally trained model.
+// Register installs an externally trained model, replacing any model of
+// that name (and the training data retained for it), and persists it
+// like every other publish.
 func (s *Service) Register(name string, m *staged.Model) (*ModelEntry, error) {
 	if name == "" || m == nil {
 		return nil, fmt.Errorf("core: bad registration (%q, %v)", name, m == nil)
 	}
 	entry := &ModelEntry{Name: name, Model: m}
-	s.mu.Lock()
-	stale := s.detachLocked(name)
-	s.models[name] = entry
-	s.mu.Unlock()
-	if stale != nil {
-		stale.Stop()
+	if err := s.publish(name, entry, nil, nil); err != nil {
+		return nil, err
 	}
 	return entry, nil
 }
 
 // Calibrate runs the RTDeepIoT entropy calibration (paper Eq. 4) on the
-// named model using held-out calibration data, then rebuilds the GP
-// predictor if one existed. Serving is restarted lazily.
+// named model using held-out calibration data and publishes the
+// calibrated model. The GP predictor is dropped, since the confidences
+// it was fitted to changed: the model serves FIFO until BuildPredictor
+// runs again. Serving is restarted lazily.
 func (s *Service) Calibrate(name string, calibSet *dataset.Set, cfg calib.EntropyCalibConfig) (float64, error) {
 	entry, err := s.get(name)
 	if err != nil {
@@ -337,28 +380,14 @@ func (s *Service) Calibrate(name string, calibSet *dataset.Set, cfg calib.Entrop
 	if err != nil {
 		return 0, fmt.Errorf("core: calibrating %q: %w", name, err)
 	}
-	s.mu.Lock()
-	if cur, ok := s.models[name]; !ok || cur.Model != entry.Model {
-		// The model was retrained or replaced while calibration ran;
-		// publishing the calibrated old model would clobber it.
-		s.mu.Unlock()
-		return 0, fmt.Errorf("core: model %q changed during calibration; retry", name)
-	}
 	// Copy-on-write: publish a fresh entry so readers holding the old
-	// pointer keep a consistent (model, predictor) pair. Pred is
-	// deliberately dropped — the confidences changed.
-	s.models[name] = &ModelEntry{
-		Name:      name,
-		Model:     calibrated,
-		Alpha:     alpha,
-		StageAccs: entry.StageAccs,
-	}
-	stale := s.detachLocked(name)
-	s.mu.Unlock()
-	if stale != nil {
-		stale.Stop()
-	}
-	if err := s.persist(name); err != nil {
+	// pointer keep a consistent (model, predictor) pair. If the model was
+	// retrained or replaced while calibration ran, publishing the
+	// calibrated old model would clobber it.
+	next := &ModelEntry{Name: name, Model: calibrated, Alpha: alpha, StageAccs: entry.StageAccs}
+	if err := s.publish(name, next, entry.Model, nil); errors.Is(err, errChanged) {
+		return 0, fmt.Errorf("core: model %q %w during calibration; retry", name, err)
+	} else if err != nil {
 		return 0, err
 	}
 	return alpha, nil
@@ -381,24 +410,16 @@ func (s *Service) BuildPredictor(name string, data *dataset.Set, cfg sched.GPPre
 	if err != nil {
 		return fmt.Errorf("core: fitting predictor for %q: %w", name, err)
 	}
-	s.mu.Lock()
-	cur, ok := s.models[name]
-	if !ok || cur.Model != entry.Model {
-		// The model was retrained or recalibrated while the predictor
-		// was fitting; installing it would pair a predictor with the
-		// wrong confidence surface.
-		s.mu.Unlock()
-		return fmt.Errorf("core: model %q changed during predictor build; retry", name)
-	}
-	next := *cur
+	// If the model was retrained or recalibrated while the predictor was
+	// fitting, installing it would pair a predictor with the wrong
+	// confidence surface.
+	next := *entry
 	next.Pred = pred
-	s.models[name] = &next
-	stale := s.detachLocked(name)
-	s.mu.Unlock()
-	if stale != nil {
-		stale.Stop()
+	err = s.publish(name, &next, entry.Model, nil)
+	if errors.Is(err, errChanged) {
+		return fmt.Errorf("core: model %q %w during predictor build; retry", name, err)
 	}
-	return s.persist(name)
+	return err
 }
 
 // Infer schedules one inference request on the named model's worker pool
@@ -417,18 +438,9 @@ func (s *Service) Infer(ctx context.Context, name string, input []float64) (sche
 	if err := checkWidth(name, entry.Model.In, input); err != nil {
 		return sched.Response{}, err
 	}
-	live, stages, err := s.liveFor(name)
-	if err != nil {
-		return sched.Response{}, err
-	}
-	resp, err := live.Submit(ctx, input, stages)
-	if errors.Is(err, sched.ErrStopped) {
-		if live, stages, err = s.liveFor(name); err != nil {
-			return sched.Response{}, err
-		}
+	return submit(s, name, func(live *sched.Live, stages int) (sched.Response, error) {
 		return live.Submit(ctx, input, stages)
-	}
-	return resp, err
+	})
 }
 
 // InferBatch schedules len(inputs) requests in one scheduler interaction
@@ -448,18 +460,26 @@ func (s *Service) InferBatch(ctx context.Context, name string, inputs [][]float6
 			return nil, fmt.Errorf("batch index %d: %w", i, err)
 		}
 	}
+	return submit(s, name, func(live *sched.Live, stages int) ([]sched.Response, error) {
+		return live.SubmitBatch(ctx, inputs, stages)
+	})
+}
+
+// submit runs call on name's pool, and once more on a fresh pool if a
+// concurrent publish stopped that one mid-request (sched.ErrStopped).
+func submit[R any](s *Service, name string, call func(*sched.Live, int) (R, error)) (R, error) {
 	live, stages, err := s.liveFor(name)
 	if err != nil {
-		return nil, err
+		return *new(R), err
 	}
-	resps, err := live.SubmitBatch(ctx, inputs, stages)
+	r, err := call(live, stages)
 	if errors.Is(err, sched.ErrStopped) {
 		if live, stages, err = s.liveFor(name); err != nil {
-			return nil, err
+			return *new(R), err
 		}
-		return live.SubmitBatch(ctx, inputs, stages)
+		return call(live, stages)
 	}
-	return resps, err
+	return r, err
 }
 
 // checkWidth rejects inputs whose width does not match the model: an
@@ -734,16 +754,10 @@ func (s *Service) SnapshotBytesPrecision(name, precision string) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	snap := &snapshot.ModelSnapshot{
-		Model:     entry.Model,
-		Alpha:     entry.Alpha,
-		StageAccs: entry.StageAccs,
-		Pred:      entry.Pred,
-	}
 	if precision != "" && precision != PrecisionF64 && precision != PrecisionF32 {
 		return nil, fmt.Errorf("core: snapshot precision %q must be %q or %q", precision, PrecisionF64, PrecisionF32)
 	}
-	raw, err := snapshot.MarshalModel(snap, precision == PrecisionF32)
+	raw, err := snapshot.MarshalModel(entry.snapshot(), precision == PrecisionF32)
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding snapshot of %q: %w", name, err)
 	}
@@ -761,27 +775,7 @@ func (s *Service) InstallSnapshotBytes(name string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("%w %q: %w", ErrInstall, name, err)
 	}
-	entry := &ModelEntry{
-		Name:      name,
-		Model:     snap.Model,
-		Alpha:     snap.Alpha,
-		Pred:      snap.Pred,
-		StageAccs: snap.StageAccs,
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	stale := s.detachLocked(name)
-	s.models[name] = entry
-	// Any retained training data described the replaced model.
-	delete(s.trainData, name)
-	s.mu.Unlock()
-	if stale != nil {
-		stale.Stop()
-	}
-	return s.persist(name)
+	return s.publish(name, entryOf(name, snap), nil, nil)
 }
 
 // deviceState is the server-side record of one device's request stream
@@ -940,7 +934,7 @@ func (s *Service) DeviceSubset(device string, hidden, epochs int) (*cache.Subset
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.sub != nil && equalInts(st.subHot, d.Hot) {
+	if st.sub != nil && slices.Equal(st.subHot, d.Hot) {
 		return st.sub, d, nil
 	}
 	sub, err := s.Reduce(st.model, nil, d.Hot, hidden, epochs)
@@ -949,18 +943,6 @@ func (s *Service) DeviceSubset(device string, hidden, epochs int) (*cache.Subset
 	}
 	st.sub, st.subHot = sub, append([]int(nil), d.Hot...)
 	return sub, d, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Models lists registered model names.
@@ -1000,8 +982,8 @@ func (s *Service) Stats() map[string]sched.LiveStats {
 	return out
 }
 
-// Close stops all serving pools; subsequent inferences fail with
-// ErrClosed rather than restarting pools.
+// Close stops all serving pools; subsequent inferences and publishes
+// fail with ErrClosed rather than restarting pools or writing snapshots.
 func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -1014,23 +996,6 @@ func (s *Service) Close() {
 	for _, live := range stopping {
 		live.Stop()
 	}
-}
-
-// detachLocked removes name's serving pool from the registry and hands
-// it back for the caller to Stop *after* releasing s.mu. Stop joins the
-// pool's worker goroutines, so calling it under the registry lock would
-// stall every Infer/Stats reader behind a slow in-flight request — the
-// shape the locks analyzer rejects. Each pool is detached exactly
-// once, so the caller's Stop never races another stopper; submitters
-// still holding the old pointer get sched.ErrStopped and retry through
-// liveFor, which re-reads the current model under the lock.
-func (s *Service) detachLocked(name string) *sched.Live {
-	live, ok := s.serving[name]
-	if !ok {
-		return nil
-	}
-	delete(s.serving, name)
-	return live
 }
 
 func (s *Service) get(name string) (*ModelEntry, error) {
