@@ -66,6 +66,16 @@ const (
 	PrecisionF32 = "f32"
 )
 
+// CheckPrecision rejects a precision other than PrecisionF64,
+// PrecisionF32 or empty (the float64 default): the one set a serving
+// pool, a snapshot download and a subset download choose from.
+func CheckPrecision(p string) error {
+	if p != "" && p != PrecisionF64 && p != PrecisionF32 {
+		return fmt.Errorf("precision %q must be %q or %q", p, PrecisionF64, PrecisionF32)
+	}
+	return nil
+}
+
 // DefaultConfig serves with 4 workers, a 200 ms deadline, k = 1 and the
 // default stage-batch cap.
 func DefaultConfig() Config {
@@ -77,10 +87,8 @@ func (c Config) Validate() error {
 	if c.Workers < 1 || c.Deadline <= 0 || c.QueueDepth < 1 || c.Lookahead < 1 || c.MaxBatch < 0 {
 		return fmt.Errorf("core: bad config %+v", c)
 	}
-	switch c.Precision {
-	case "", PrecisionF64, PrecisionF32:
-	default:
-		return fmt.Errorf("core: precision %q must be %q or %q", c.Precision, PrecisionF64, PrecisionF32)
+	if err := CheckPrecision(c.Precision); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -293,8 +293,8 @@ func (s *Service) SnapshotBytesPrecision(name, precision string) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if precision != "" && precision != PrecisionF64 && precision != PrecisionF32 {
-		return nil, fmt.Errorf("core: snapshot precision %q must be %q or %q", precision, PrecisionF64, PrecisionF32)
+	if err := CheckPrecision(precision); err != nil {
+		return nil, fmt.Errorf("core: snapshot %w", err)
 	}
 	raw, err := snapshot.MarshalModel(entry.snapshot(), precision == PrecisionF32)
 	if err != nil {

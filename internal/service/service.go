@@ -763,10 +763,8 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, MaxTrainBody, &req) {
 		return
 	}
-	switch req.Precision {
-	case "", core.PrecisionF64, core.PrecisionF32:
-	default:
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", req.Precision))
+	if err := core.CheckPrecision(req.Precision); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Hidden < 0 || req.Epochs < 0 {
@@ -796,12 +794,11 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 // "f64", or "f32"), writing the 400 itself on an unknown value.
 func precisionParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	p := r.URL.Query().Get("precision")
-	switch p {
-	case "", core.PrecisionF64, core.PrecisionF32:
-		return p, true
+	if err := core.CheckPrecision(p); err != nil {
+		WriteError(w, http.StatusBadRequest, err)
+		return "", false
 	}
-	WriteError(w, http.StatusBadRequest, fmt.Errorf("bad precision %q (want f64 or f32)", p))
-	return "", false
+	return p, true
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
