@@ -1,9 +1,9 @@
 // Package failpoint is Eugene's fault-injection framework: named sites
 // planted at proven-fragile seams (snapshot save/rename, pool teardown
 // mid-batch, queue drain during stop, HTTP handler I/O, cluster proxy
-// forwarding and snapshot replication) that chaos tests — or an
-// operator via the EUGENE_FAILPOINTS environment variable — can arm
-// with error, delay, or panic actions.
+// forwarding and snapshot replication) that chaos tests can arm with
+// error, delay, or panic actions. Nothing outside a test arms a site,
+// so a production binary never fires one.
 //
 // The package is stdlib-only and compiles to a near-no-op when no
 // failpoint is armed: Inject/Hit are a single atomic load and a
@@ -11,14 +11,11 @@
 //
 // # Arming failpoints
 //
-// From a test:
+// One site at a time, or several from a spec list:
 //
 //	failpoint.Enable("snapshot.save.rename", "error(disk gone)")
 //	defer failpoint.Disable("snapshot.save.rename")
-//
-// From the environment (evaluated at process start):
-//
-//	EUGENE_FAILPOINTS='sched.dispatch=delay(5ms);snapshot.save.rename=2*error'
+//	failpoint.EnableSpec("sched.dispatch=delay(5ms);snapshot.save.rename=2*error")
 //
 // # Action specs
 //
@@ -35,7 +32,6 @@ package failpoint
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,22 +76,11 @@ var (
 	armed atomic.Int64
 
 	mu    sync.Mutex
-	sites map[string]*action
+	sites = make(map[string]*action)
 	// fired counts activations per site, kept across Disable so chaos
 	// suites can assert coverage after the run.
-	fired map[string]*atomic.Int64
-)
-
-func init() {
-	sites = make(map[string]*action)
 	fired = make(map[string]*atomic.Int64)
-	if spec := os.Getenv("EUGENE_FAILPOINTS"); spec != "" {
-		if err := EnableSpec(spec); err != nil {
-			// A typo in the env var should be loud, not silently inert.
-			fmt.Fprintln(os.Stderr, "failpoint:", err)
-		}
-	}
-}
+)
 
 // parseAction parses one action spec (see the package comment).
 func parseAction(site, spec string) (*action, error) {
@@ -167,7 +152,7 @@ func Enable(site, spec string) error {
 }
 
 // EnableSpec arms several sites from a semicolon-separated
-// "site=action" list (the EUGENE_FAILPOINTS format).
+// "site=action" list.
 func EnableSpec(spec string) error {
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
