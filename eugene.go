@@ -138,12 +138,14 @@ func (s *Service) Train(name string, data *Set, opts TrainOptions) (*ModelEntry,
 }
 
 // Calibrate runs RTDeepIoT entropy calibration on held-out data and
-// returns the chosen α.
+// returns the chosen α. It drops the model's GP predictor, whose
+// confidences changed: the model serves FIFO until BuildPredictor runs
+// again.
 func (s *Service) Calibrate(name string, data *Set) (float64, error) {
 	return s.inner.Calibrate(name, data, calib.DefaultEntropyCalibConfig())
 }
 
-// CalibrateWith runs calibration with explicit settings.
+// CalibrateWith is Calibrate with explicit settings.
 func (s *Service) CalibrateWith(name string, data *Set, cfg CalibConfig) (float64, error) {
 	return s.inner.Calibrate(name, data, cfg)
 }
