@@ -96,7 +96,7 @@ func run() error {
 	workers := flag.Int("workers", 4, "inference worker pool size")
 	deadline := flag.Duration("deadline", 200*time.Millisecond, "per-request latency constraint")
 	lookahead := flag.Int("lookahead", 1, "RTDeepIoT scheduler lookahead k")
-	queue := flag.Int("queue", 256, "admission queue depth")
+	queue := flag.Int("queue", 256, "most rows one inference call may submit (a larger infer-batch is refused with 413)")
 	maxBatch := flag.Int("maxbatch", 0, "most same-stage tasks coalesced per batched forward pass; a worker takes that many only while its peers are busy (0 = default 64, 1 disables)")
 	precision := flag.String("precision", "", "serving precision: f64 (default) or f32 (frozen float32 weights, 8-lane SIMD hot path)")
 	admission := flag.Bool("admission", true, "SLO admission control: reject requests predicted to miss their deadline (429 + Retry-After) and degrade gracefully under overload")
@@ -174,34 +174,32 @@ func run() error {
 	}
 
 	front := service.NewServer(svc)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           front,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		WriteTimeout:      30 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	// The deferred svc.Close stops the worker pools after the drain: a
+	// request mid-handler must still find a live scheduler.
+	return serve(service.NewHTTPServer(*addr, front), front, "eugened", *drainTimeout,
+		fmt.Sprintf("eugened listening on %s (workers=%d deadline=%v k=%d maxbatch=%d precision=%s admission=%v)",
+			*addr, *workers, *deadline, *lookahead, effectiveMaxBatch, effectivePrecision, *admission))
+}
 
-	// Drain on SIGINT/SIGTERM: readiness flips first so probes route new
-	// work elsewhere, then Shutdown lets in-flight requests finish, and
-	// the deferred svc.Close stops the worker pools last — a request
-	// mid-handler must still find a live scheduler.
+// serve runs srv until SIGINT/SIGTERM and then drains it: readiness
+// flips first so probes route new work elsewhere, then Shutdown lets
+// in-flight requests finish within drainTimeout. name begins the drain's
+// log lines; banner is logged once the signal handler is in place.
+func serve(srv *http.Server, h interface{ SetDraining(bool) }, name string, drainTimeout time.Duration, banner string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
 	go func() {
 		<-ctx.Done()
 		stop() // restore default handling: a second signal kills immediately
-		log.Printf("eugened draining (timeout %v)", *drainTimeout)
-		front.SetDraining(true)
-		sctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		log.Printf("%s draining (timeout %v)", name, drainTimeout)
+		h.SetDraining(true)
+		sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		done <- srv.Shutdown(sctx)
 	}()
 
-	log.Printf("eugened listening on %s (workers=%d deadline=%v k=%d maxbatch=%d precision=%s admission=%v)",
-		*addr, *workers, *deadline, *lookahead, effectiveMaxBatch, effectivePrecision, *admission)
+	log.Print(banner)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
@@ -212,7 +210,7 @@ func run() error {
 		if err := <-done; err != nil {
 			return fmt.Errorf("draining: %w", err)
 		}
-		log.Printf("eugened drained cleanly")
+		log.Printf("%s drained cleanly", name)
 	}
 	return nil
 }
@@ -247,37 +245,7 @@ func runRouter(opts routerOptions) error {
 	defer router.Close()
 	router.Start(context.Background())
 
-	srv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           router,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		WriteTimeout:      30 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		stop()
-		log.Printf("eugened router draining (timeout %v)", opts.drainTimeout)
-		router.SetDraining(true)
-		sctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
-		defer cancel()
-		done <- srv.Shutdown(sctx)
-	}()
-
-	log.Printf("eugened router listening on %s (replicas=%d probe=%v sync=%v fail-threshold=%d)",
-		opts.addr, len(nodes), opts.probeInterval, opts.syncInterval, opts.failThreshold)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if ctx.Err() != nil {
-		if err := <-done; err != nil {
-			return fmt.Errorf("draining: %w", err)
-		}
-		log.Printf("eugened router drained cleanly")
-	}
-	return nil
+	return serve(service.NewHTTPServer(opts.addr, router), router, "eugened router", opts.drainTimeout,
+		fmt.Sprintf("eugened router listening on %s (replicas=%d probe=%v sync=%v fail-threshold=%d)",
+			opts.addr, len(nodes), opts.probeInterval, opts.syncInterval, opts.failThreshold))
 }

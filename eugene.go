@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"eugene/internal/cache"
 	"eugene/internal/calib"
@@ -286,22 +285,9 @@ func NewResilientClient(base string) *Client { return service.NewResilientClient
 func NewFailoverClient(bases ...string) *Client { return service.NewFailoverClient(bases...) }
 
 // ListenAndServe starts an HTTP server for the service on addr and
-// blocks. The server carries production timeouts so a dead or stalled
-// peer cannot pin a connection forever: 5 s to present headers, 5 min
-// to stream a request body (dataset uploads are large but not
-// unbounded), 30 min to finish a response, and 2 min keep-alive idle.
-// Note that net/http's write timeout spans handler execution, so it
-// also bounds the longest synchronous request — a training run on a
-// near-cap dataset must finish inside it. For different limits or
-// graceful shutdown, build your own http.Server around Handler.
+// blocks, with the timeouts of service.NewHTTPServer. For different
+// limits or graceful shutdown, build your own http.Server around
+// Handler.
 func (s *Service) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		WriteTimeout:      30 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	return srv.ListenAndServe()
+	return service.NewHTTPServer(addr, s.Handler()).ListenAndServe()
 }

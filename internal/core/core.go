@@ -22,7 +22,8 @@ type Config struct {
 	Workers int
 	// Deadline is the per-request latency constraint.
 	Deadline time.Duration
-	// QueueDepth bounds the admission queue.
+	// QueueDepth is the most rows one inference call may submit; a
+	// larger InferBatch is refused (sched.ErrBatchTooLarge).
 	QueueDepth int
 	// Lookahead is the RTDeepIoT k parameter.
 	Lookahead int

@@ -111,11 +111,6 @@ type admitState struct {
 	taskStages ewma
 	// dispatches counts cost observations (warm-up gate).
 	dispatches atomic.Uint64
-	// demand counts requests inside Submit/SubmitBatch — queued,
-	// executing, or blocked on the admission semaphore. Unlike
-	// inSystem it sees submitters still waiting for a QueueDepth
-	// token, so the admission forecast reflects the true backlog.
-	demand atomic.Int64
 	// rejectRate is the admission-rejection EWMA behind the ladder.
 	rejectRate ewma
 	// level is the current degradation level (Degrade* constants).
@@ -174,10 +169,10 @@ func (l *Live) noteDecision(rejected bool) {
 }
 
 // admit runs the SLO admission check for n incoming tasks: using the
-// observed per-stage cost and the current backlog (queued, executing,
-// and semaphore-blocked requests), it forecasts the completion time of
-// the last of the n tasks and rejects with ErrOverloaded when the
-// forecast already misses the deadline. Admission is a no-op while
+// observed per-stage cost and the current backlog (the tasks in the
+// system, queued or executing, that are not answered yet), it forecasts
+// the completion time of the last of the n tasks and rejects with
+// ErrOverloaded when the forecast already misses the deadline. Admission is a no-op while
 // LiveConfig.Admission is false or the cost model is cold.
 func (l *Live) admit(n int) error {
 	if !l.cfg.Admission {
@@ -187,7 +182,7 @@ func (l *Live) admit(n int) error {
 	if taskNs <= 0 {
 		return nil
 	}
-	backlog := float64(l.adm.demand.Load()) + float64(n)
+	backlog := float64(l.inSystem.Load()) + float64(n)
 	predicted := time.Duration(backlog / float64(l.cfg.Workers) * taskNs)
 	if predicted <= l.cfg.Deadline {
 		l.noteDecision(false)

@@ -43,7 +43,7 @@ func TestAdmitColdPoolAdmitsEverything(t *testing.T) {
 	// No dispatches observed: even an absurd backlog must be admitted —
 	// rejecting on a zero cost estimate would refuse the first request
 	// a fresh pool ever sees.
-	l.adm.demand.Store(1 << 20)
+	l.inSystem.Store(1 << 20)
 	if err := l.admit(1); err != nil {
 		t.Fatalf("cold admit returned %v", err)
 	}
@@ -52,7 +52,7 @@ func TestAdmitColdPoolAdmitsEverything(t *testing.T) {
 func TestAdmitRejectsWhenForecastMissesDeadline(t *testing.T) {
 	l := newAdmitLive(t, 1, 10*time.Millisecond, 0, nil)
 	warmAdmission(l, time.Millisecond, 3) // 3ms per task
-	l.adm.demand.Store(100)               // forecast: 100×3ms = 300ms ≫ 10ms
+	l.inSystem.Store(100)                 // forecast: 100×3ms = 300ms ≫ 10ms
 	err := l.admit(1)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) {
@@ -72,7 +72,7 @@ func TestAdmitRejectsWhenForecastMissesDeadline(t *testing.T) {
 func TestAdmitAcceptsWithinDeadline(t *testing.T) {
 	l := newAdmitLive(t, 4, 100*time.Millisecond, 0, nil)
 	warmAdmission(l, time.Millisecond, 3)
-	l.adm.demand.Store(4) // forecast: (4+1)/4 × 3ms ≈ 3.75ms ≪ 100ms
+	l.inSystem.Store(4) // forecast: (4+1)/4 × 3ms ≈ 3.75ms ≪ 100ms
 	if err := l.admit(1); err != nil {
 		t.Fatalf("admit returned %v", err)
 	}
@@ -81,7 +81,7 @@ func TestAdmitAcceptsWithinDeadline(t *testing.T) {
 func TestAdmitDisabledNeverRejects(t *testing.T) {
 	l := newTestLive(t, 1, time.Millisecond, 0) // Admission false
 	warmAdmission(l, time.Second, 3)
-	l.adm.demand.Store(1 << 20)
+	l.inSystem.Store(1 << 20)
 	if err := l.admit(1); err != nil {
 		t.Fatalf("admission-off admit returned %v", err)
 	}

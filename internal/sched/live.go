@@ -58,12 +58,9 @@ type LiveConfig struct {
 	// is answered at the next pick, and a stage that ends past it is
 	// discarded.
 	Deadline time.Duration
-	// QueueDepth bounds admission: at most this many Submit tasks may
-	// be in the system at once (excess submitters block, context-
-	// aware), and one SubmitBatch may not exceed it (batches are
-	// admitted atomically rather than counted against the in-system
-	// bound, so concurrent batches cannot deadlock on partial
-	// reservations).
+	// QueueDepth is the most rows one call may submit: a SubmitBatch of
+	// more is refused with ErrBatchTooLarge. It bounds a call, not the
+	// system; what is in the system is the admission forecast's backlog.
 	QueueDepth int
 	// MaxBatch caps how many same-stage pending tasks a worker
 	// coalesces into one dispatch (one ExecStageBatch call).
@@ -211,12 +208,9 @@ type liveTask struct {
 	task   Task
 	hidden []float64
 	done   chan Response
-	// sub is the SubmitBatch call the task came with; nil for a single
-	// submission.
+	// sub is the SubmitBatch call the task came with; nil for a call of
+	// one row.
 	sub *submission
-	// sem marks tasks holding an admitSem token (single submissions),
-	// released at finalize.
-	sem bool
 	// ownsBuf marks hidden as a worker-arena buffer, recycled when the
 	// task finishes or the executor swaps the row out.
 	ownsBuf bool
@@ -259,10 +253,6 @@ type Live struct {
 	// woke still counts until it has the lock.
 	idle int
 
-	// admitSem is the QueueDepth counting semaphore for single
-	// submissions; tokens are released when the task finalizes.
-	admitSem chan struct{}
-
 	taskPool  sync.Pool // *liveTask
 	batchPool sync.Pool // *batchCall
 	bufPool   sync.Pool // *[]float64: hidden-row overflow shared across workers
@@ -304,11 +294,10 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	l := &Live{
-		cfg:      cfg,
-		q:        queue{policy: policy, maxBatch: cfg.MaxBatch},
-		admitSem: make(chan struct{}, cfg.QueueDepth),
-		stopCh:   make(chan struct{}),
-		epoch:    time.Now(),
+		cfg:    cfg,
+		q:      queue{policy: policy, maxBatch: cfg.MaxBatch},
+		stopCh: make(chan struct{}),
+		epoch:  time.Now(),
 	}
 	l.work = sync.NewCond(&l.mu)
 	for _, exec := range executors {
@@ -321,7 +310,7 @@ func NewLive(cfg LiveConfig, policy Policy, executors []StageExecutor) (*Live, e
 func (l *Live) nowTicks() Ticks { return Ticks(time.Since(l.epoch)) }
 
 // getTask checks a task record out of the arena and stamps it with its
-// arrival and deadline (see stamp). The input slice is taken over without
+// arrival and deadline. The input slice is taken over without
 // copying: Submit/SubmitBatch callers hand freshly allocated slices
 // (HTTP decoding, batch assembly) and must not mutate them afterwards.
 // Executors never write to stage-0 inputs (see StageExecutor), so the
@@ -338,16 +327,8 @@ func (l *Live) getTask(input []float64, numStages int, arrival, deadline Ticks) 
 	t.state = TaskState{Task: &t.task, Arrival: arrival, Deadline: deadline, Pred: -1}
 	t.hidden = input
 	t.ownsBuf = false
-	t.sem = false
 	t.sub = nil
 	return t
-}
-
-// stamp reads the clock for a submission: its arrival now and the
-// shared per-executor deadline.
-func (l *Live) stamp() (arrival, deadline Ticks) {
-	now := time.Now()
-	return Ticks(now.Sub(l.epoch)), Ticks(now.Add(l.cfg.Deadline).Sub(l.epoch))
 }
 
 // putTask returns a finished task to the arena. Only the submitter may
@@ -368,11 +349,6 @@ func (l *Live) putTask(t *liveTask) {
 //eugene:noalloc
 func (l *Live) finalize(t *liveTask, expired bool, now Ticks) {
 	st := &t.state
-	if t.sem {
-		// Release the admission token; never blocks (the task held it).
-		<-l.admitSem
-		t.sem = false
-	}
 	stages, lat := st.Executed, time.Duration(now-st.Arrival)
 	if stages > 0 {
 		l.answered.Add(1)
@@ -455,55 +431,17 @@ func (l *Live) pushLocked(tasks []*liveTask) {
 	}
 }
 
-// Submit enqueues one task and blocks until it is answered, expires, or
-// ctx is done. Submit takes ownership of input: the caller must not
-// mutate it afterwards (even after an early return on context
-// cancellation, when stages may still be executing against it).
+// Submit is SubmitBatch for one row: it returns that row's response,
+// with ErrUnanswered when its deadline passed before any stage ran.
 func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Response, error) {
-	if numStages < 1 {
-		return Response{}, fmt.Errorf("sched: task needs ≥1 stage")
-	}
-	// Refuse new work once stopped.
-	select {
-	case <-l.stopCh:
-		return Response{}, ErrStopped
-	default:
-	}
-	// SLO admission: reject now if the backlog forecast says this
-	// request cannot meet its deadline anyway.
-	if err := l.admit(1); err != nil {
+	out, err := l.SubmitBatch(ctx, [][]float64{input}, numStages)
+	if err != nil {
 		return Response{}, err
 	}
-	l.adm.demand.Add(1)
-	defer l.adm.demand.Add(-1)
-	// Admission backpressure: block while QueueDepth single submissions
-	// are already in the system.
-	select {
-	case l.admitSem <- struct{}{}:
-	case <-l.stopCh:
-		return Response{}, ErrStopped
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
+	if out[0].Unanswered() {
+		return out[0], ErrUnanswered
 	}
-	arrival, deadline := l.stamp()
-	t := l.getTask(input, numStages, arrival, deadline)
-	t.sem = true
-	l.submitted.Add(1)
-	l.inSystem.Add(1)
-	l.push([]*liveTask{t})
-	l.work.Signal()
-	select {
-	case r := <-t.done:
-		l.putTask(t)
-		if r.Unanswered() {
-			return r, ErrUnanswered
-		}
-		return r, nil
-	case <-l.stopCh:
-		return Response{}, ErrStopped
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	}
+	return out[0], nil
 }
 
 // SubmitBatch enqueues len(inputs) tasks in one step — every worker
@@ -512,8 +450,9 @@ func (l *Live) Submit(ctx context.Context, input []float64, numStages int) (Resp
 // reported through Response.Expired / Response.Unanswered rather than
 // an error, so one late task does not hide the other answers. The error
 // is reserved for whole-batch failures (stopped executor, cancelled
-// context). Like Submit, it takes ownership of the input slices; the
-// caller must not mutate them.
+// context). It takes ownership of the input slices: the caller must not
+// mutate them, even after an early return on a cancelled context, when
+// stages may still be executing against them.
 func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages int) ([]Response, error) {
 	if numStages < 1 {
 		return nil, fmt.Errorf("sched: task needs ≥1 stage")
@@ -534,8 +473,6 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	if err := l.admit(len(inputs)); err != nil {
 		return nil, err
 	}
-	l.adm.demand.Add(int64(len(inputs)))
-	defer l.adm.demand.Add(-int64(len(inputs)))
 	c, _ := l.batchPool.Get().(*batchCall)
 	if c == nil {
 		c = &batchCall{tasks: make([]*liveTask, 0, len(inputs))}
@@ -546,16 +483,25 @@ func (l *Live) SubmitBatch(ctx context.Context, inputs [][]float64, numStages in
 	batch := c.tasks[:0]
 	// One clock read for the whole call: its rows arrive together, and a
 	// read a row would delay the first dispatch of a large batch.
-	arrival, deadline := l.stamp()
+	now := time.Now()
+	arrival, deadline := Ticks(now.Sub(l.epoch)), Ticks(now.Add(l.cfg.Deadline).Sub(l.epoch))
 	for _, in := range inputs {
 		t := l.getTask(in, numStages, arrival, deadline)
-		t.sub = &c.sub
+		if len(inputs) > 1 {
+			// A row alone in its call has no batch-mates: the core keeps
+			// it as a single.
+			t.sub = &c.sub
+		}
 		batch = append(batch, t)
 	}
 	l.submitted.Add(uint64(len(batch)))
 	l.inSystem.Add(int64(len(batch)))
 	l.push(batch)
-	l.work.Broadcast()
+	if len(batch) == 1 {
+		l.work.Signal() // one row is work for one worker
+	} else {
+		l.work.Broadcast()
+	}
 	out := make([]Response, len(batch))
 	for i, t := range batch {
 		select {

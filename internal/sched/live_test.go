@@ -204,36 +204,47 @@ func TestLiveSubmitBatchAfterStop(t *testing.T) {
 	}
 }
 
-func TestLiveSubmitBackpressure(t *testing.T) {
-	// QueueDepth 2 with a slow single worker: two submissions fill the
-	// admission semaphore, so a third must block until its context
-	// expires rather than being admitted.
-	execs := []StageExecutor{&slowExec{delay: 100 * time.Millisecond}}
-	l, err := NewLive(LiveConfig{Workers: 1, Deadline: time.Second, QueueDepth: 2},
-		NewFIFO(), execs)
+// TestLiveSingleDeadlineFromCall holds a single submission to the
+// paper's rule that a latency constraint counts from the request's
+// arrival: with the only worker busy on another single, a second one
+// must be answered within its deadline plus the stage in flight at it,
+// and the latency it reports must be the time since its call.
+func TestLiveSingleDeadlineFromCall(t *testing.T) {
+	const (
+		stage    = 100 * time.Millisecond
+		deadline = 120 * time.Millisecond
+		slack    = 50 * time.Millisecond
+	)
+	l, err := NewLive(LiveConfig{Workers: 1, Deadline: deadline, QueueDepth: 1},
+		NewFIFO(), []StageExecutor{&slowExec{delay: stage}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Stop)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = l.Submit(context.Background(), []float64{1}, 3)
-		}()
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		_, _ = l.Submit(context.Background(), []float64{1}, 3)
+	}()
+	// Wait until a worker has taken the first single off the queue.
+	for queued := true; queued; {
+		time.Sleep(time.Millisecond)
+		l.mu.Lock()
+		queued = l.submitted.Load() == 0 || l.q.n > 0
+		l.mu.Unlock()
 	}
-	time.Sleep(20 * time.Millisecond) // let both occupy the queue
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := l.Submit(ctx, []float64{2}, 3); err != context.DeadlineExceeded {
-		t.Fatalf("err = %v, want context.DeadlineExceeded from blocked admission", err)
+	start := time.Now()
+	r, err := l.Submit(context.Background(), []float64{2}, 3)
+	wall := time.Since(start)
+	<-first
+	if err != nil && err != ErrUnanswered {
+		t.Fatalf("second single: %v", err)
 	}
-	wg.Wait()
-	// Capacity must be released as tasks finish: a fresh submission is
-	// admitted and answered.
-	if r, err := l.Submit(context.Background(), []float64{3}, 1); err != nil || r.Stages != 1 {
-		t.Fatalf("post-drain submit: %+v, %v", r, err)
+	if wall > deadline+stage+slack {
+		t.Errorf("second single answered %v after its call, want ≤ %v (deadline + one stage + slack)", wall, deadline+stage+slack)
+	}
+	if d := r.Latency - wall; d < -20*time.Millisecond || d > 20*time.Millisecond {
+		t.Errorf("second single reports latency %v, measured %v since its call", r.Latency, wall)
 	}
 }
 

@@ -410,6 +410,25 @@ func NewServer(svc *core.Service) *Server {
 	return s
 }
 
+// NewHTTPServer is the listener every Eugene front end serves on: h on
+// addr with production timeouts, so a dead or stalled peer cannot pin a
+// connection forever. It gives 5 s to present headers, 5 min to stream
+// a request body (dataset uploads are large but not unbounded), 30 min
+// to finish a response, and 2 min keep-alive idle. net/http's write
+// timeout spans handler execution, so it also bounds the longest
+// synchronous request: a training run on a near-cap dataset must finish
+// inside it.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       5 * time.Minute,
+		WriteTimeout:      30 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // DecodeBody JSON-decodes a capped request body into v, writing the
 // error response (413 for an oversized body, 400 otherwise) itself and
 // returning false on failure. The infer endpoints do not come through
