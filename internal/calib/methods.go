@@ -180,9 +180,18 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 	if calibSet.Len() < 4 {
 		return nil, 0, fmt.Errorf("calib: calibration set of %d samples is too small", calibSet.Len())
 	}
-	fit, sel := calibSet.Split(calibSet.Len() / 2)
-	fitLogits, fitLabels := stageLogits(m, fit)
-	selLogits, selLabels := stageLogits(m, sel)
+	// The first half of the set fits the candidate scales and the second
+	// selects among them. PredictRows gives a row the logits it has
+	// alone, so one pass over the whole set gives both halves' logits,
+	// and the refit's.
+	logits, labels := stageLogits(m, calibSet)
+	half := calibSet.Len() / 2
+	fitLabels, selLabels := labels[:half], labels[half:]
+	fitLogits, selLogits := make([]*tensor.Matrix, len(logits)), make([]*tensor.Matrix, len(logits))
+	for st, z := range logits {
+		fitLogits[st] = tensor.FromSlice(half, z.Cols, z.Data[:half*z.Cols])
+		selLogits[st] = tensor.FromSlice(z.Rows-half, z.Cols, z.Data[half*z.Cols:])
+	}
 	iters := cfg.Epochs * 25
 
 	stages := m.NumStages()
@@ -218,9 +227,7 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 			}
 		}
 	}
-	// Refit the winning α on the full calibration set. Split cuts it into
-	// a head and a tail in order, and PredictRows gives a row the logits
-	// it has alone, so its logits are the two halves' end to end.
+	// Refit the winning α on the full calibration set.
 	declined := func(st int) bool { return bestScales[st] == 1 && bestAlphas[st] == 0 }
 	finalScales := make([]float64, stages)
 	tensor.Each(stages, func(st int) {
@@ -228,8 +235,7 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 			finalScales[st] = 1 // calibration declined for this stage
 			return
 		}
-		all := append(fitLogits[st][:len(fitLogits[st]):len(fitLogits[st])], selLogits[st]...)
-		finalScales[st] = fitHeadScale(all, calibSet.Labels, bestAlphas[st], iters, cfg.LR)
+		finalScales[st] = fitHeadScale(logits[st], labels, bestAlphas[st], iters, cfg.LR)
 	})
 	var alphaSum float64
 	for st := 0; st < stages; st++ {
@@ -241,70 +247,74 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 }
 
 // scaledECE computes the ECE of one stage's logits under a logit scale.
-func scaledECE(logits [][]float64, labels []int, scale float64, bins int) (float64, error) {
-	confs := make([]float64, len(logits))
-	correct := make([]bool, len(logits))
-	if len(logits) == 0 {
+func scaledECE(z *tensor.Matrix, labels []int, scale float64, bins int) (float64, error) {
+	if z.Rows == 0 {
 		return 0, nil
 	}
-	classes := len(logits[0])
-	probs := tensor.NewMatrix(1, classes)
-	scaled := tensor.NewMatrix(1, classes)
-	for i, z := range logits {
-		for c, v := range z {
-			scaled.Data[c] = scale * v
-		}
-		tensor.Softmax(probs, scaled)
-		pred, conf := tensor.ArgMax(probs.Row(0))
+	scaled := tensor.NewMatrix(z.Rows, z.Cols)
+	for i, v := range z.Data {
+		scaled.Data[i] = scale * v
+	}
+	confs := make([]float64, z.Rows)
+	correct := make([]bool, z.Rows)
+	readConfs(confs, correct, tensor.NewMatrix(z.Rows, z.Cols), scaled, labels)
+	return ECE(confs, correct, bins)
+}
+
+// readConfs writes the softmax of every row of z into probs, and each
+// row's arg-max confidence into confs and whether the arg-max is the
+// row's label into correct.
+func readConfs(confs []float64, correct []bool, probs, z *tensor.Matrix, labels []int) {
+	tensor.Softmax(probs, z)
+	for i := range confs {
+		pred, conf := tensor.ArgMax(probs.Row(i))
 		confs[i] = conf
 		correct[i] = pred == labels[i]
 	}
-	return ECE(confs, correct, bins)
 }
 
 // stageLogits collects per-stage log-probability vectors (equivalent to
 // logits up to a per-sample constant, which softmax ignores) for every
-// sample, so the scale optimization needs no further network passes.
-func stageLogits(m *staged.Model, set *dataset.Set) ([][][]float64, []int) {
-	logits := make([][][]float64, m.NumStages())
+// sample, one matrix a stage with a row a sample, so the scale
+// optimization needs no further network passes.
+func stageLogits(m *staged.Model, set *dataset.Set) ([]*tensor.Matrix, []int) {
+	logits := make([]*tensor.Matrix, m.NumStages())
 	for s := range logits {
-		logits[s] = make([][]float64, set.Len())
+		logits[s] = tensor.NewMatrix(set.Len(), m.Classes)
 	}
 	for i, outs := range m.PredictRows(set.X) {
 		for s, o := range outs {
-			lg := make([]float64, len(o.Probs))
-			for c, p := range o.Probs {
-				lg[c] = math.Log(math.Max(p, 1e-12))
-			}
-			logits[s][i] = lg
+			tensor.LogFloor(logits[s].Row(i), o.Probs, 1e-12)
 		}
 	}
 	return logits, set.Labels
 }
 
 // fitHeadScale gradient-descends one stage's logit scale s on the Eq. 4
-// loss L(s) = mean CE(softmax(s·z), y) + α·H(softmax(s·z)).
-func fitHeadScale(logits [][]float64, labels []int, alpha float64, iters int, lr float64) float64 {
-	if len(logits) == 0 {
+// loss L(s) = mean CE(softmax(s·z), y) + α·H(softmax(s·z)), z a row a
+// sample. Each step runs every row at once through tensor.Softmax and
+// nn.EntropyLogsRows, and then sums the gradient in one chain, rows in
+// order and classes in order within a row.
+func fitHeadScale(z *tensor.Matrix, labels []int, alpha float64, iters int, lr float64) float64 {
+	if z.Rows == 0 {
 		return 1
 	}
 	scale := 1.0
-	classes := len(logits[0])
-	probs := tensor.NewMatrix(1, classes)
-	scaled := tensor.NewMatrix(1, classes)
-	lp := make([]float64, classes)
+	scaled := tensor.NewMatrix(z.Rows, z.Cols)
+	probs := tensor.NewMatrix(z.Rows, z.Cols)
+	lp := tensor.NewMatrix(z.Rows, z.Cols)
+	hs := make([]float64, z.Rows)
 	for it := 0; it < iters; it++ {
+		for i, v := range z.Data {
+			scaled.Data[i] = scale * v
+		}
+		tensor.Softmax(probs, scaled)
+		if alpha != 0 {
+			nn.EntropyLogsRows(hs, lp, probs)
+		}
 		var grad float64
-		for i, z := range logits {
-			for c, v := range z {
-				scaled.Data[c] = scale * v
-			}
-			tensor.Softmax(probs, scaled)
-			p := probs.Row(0)
-			var h float64
-			if alpha != 0 {
-				h = nn.EntropyLogs(p, lp)
-			}
+		for i, h := range hs {
+			p, zr, lpr := probs.Row(i), z.Row(i), lp.Row(i)
 			// dL/d(s·z_j), then chain through z_j.
 			for c := range p {
 				g := p[c]
@@ -312,12 +322,12 @@ func fitHeadScale(logits [][]float64, labels []int, alpha float64, iters int, lr
 					g -= 1
 				}
 				if alpha != 0 {
-					g += alpha * (-p[c] * (lp[c] + h))
+					g += alpha * (-p[c] * (lpr[c] + h))
 				}
-				grad += g * z[c]
+				grad += g * zr[c]
 			}
 		}
-		grad /= float64(len(logits))
+		grad /= float64(z.Rows)
 		scale -= lr * grad
 		if scale < 0.01 {
 			scale = 0.01
@@ -369,22 +379,17 @@ func TemperatureScale(m *staged.Model, val *dataset.Set, bins int) ([]float64, e
 	logitsPerStage, labels := stageLogits(m, val)
 	temps := make([]float64, stages)
 	grid := []float64{0.5, 0.67, 0.8, 1, 1.25, 1.5, 2, 3, 4}
-	for s := 0; s < stages; s++ {
+	confs := make([]float64, val.Len())
+	correct := make([]bool, val.Len())
+	probs := tensor.NewMatrix(val.Len(), m.Classes)
+	scaled := tensor.NewMatrix(val.Len(), m.Classes)
+	for s, z := range logitsPerStage {
 		bestT, bestE := 1.0, math.Inf(1)
 		for _, t := range grid {
-			confs := make([]float64, val.Len())
-			correct := make([]bool, val.Len())
-			probs := tensor.NewMatrix(1, m.Classes)
-			scaled := tensor.NewMatrix(1, m.Classes)
-			for i := range confs {
-				for c, v := range logitsPerStage[s][i] {
-					scaled.Data[c] = v / t
-				}
-				tensor.Softmax(probs, scaled)
-				pred, conf := tensor.ArgMax(probs.Row(0))
-				confs[i] = conf
-				correct[i] = pred == labels[i]
+			for i, v := range z.Data {
+				scaled.Data[i] = v / t
 			}
+			readConfs(confs, correct, probs, scaled, labels)
 			e, err := ECE(confs, correct, bins)
 			if err != nil {
 				return nil, err
@@ -406,18 +411,13 @@ func EvalWithTemperature(m *staged.Model, set *dataset.Set, temps []float64) (*S
 		return nil, fmt.Errorf("calib: %d temperatures for %d stages", len(temps), stages)
 	}
 	ev := newStageEval(stages, set.Len())
-	probs := tensor.NewMatrix(1, m.Classes)
-	scaled := tensor.NewMatrix(1, m.Classes)
-	for i, outs := range m.PredictRows(set.X) {
-		for s, o := range outs {
-			for c, p := range o.Probs {
-				scaled.Data[c] = math.Log(math.Max(p, 1e-12)) / temps[s]
-			}
-			tensor.Softmax(probs, scaled)
-			pred, conf := tensor.ArgMax(probs.Row(0))
-			ev.Confs[s][i] = conf
-			ev.Correct[s][i] = pred == set.Labels[i]
+	logitsPerStage, labels := stageLogits(m, set)
+	probs := tensor.NewMatrix(set.Len(), m.Classes)
+	for s, z := range logitsPerStage {
+		for i := range z.Data {
+			z.Data[i] /= temps[s]
 		}
+		readConfs(ev.Confs[s], ev.Correct[s], probs, z, labels)
 	}
 	return ev, nil
 }

@@ -236,6 +236,15 @@ func oldFitHeadScale(logits [][]float64, labels []int, alpha float64, iters int,
 	return scale
 }
 
+// rowsMatrix stacks equal-length rows into a matrix.
+func rowsMatrix(rows [][]float64) *tensor.Matrix {
+	m := tensor.NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 // TestFitHeadScaleMatchesTwoLogs: on random logits from mild to
 // saturated — rows where the losing classes' probabilities fall below
 // 1e-12 and, at the largest spreads, underflow to exactly zero — the
@@ -253,7 +262,7 @@ func TestFitHeadScaleMatchesTwoLogs(t *testing.T) {
 			labels[i] = rng.Intn(6)
 		}
 		for _, alpha := range []float64{0, 0.1, -0.1, 0.5, -2} {
-			got, want := fitHeadScale(logits, labels, alpha, 60, 0.03), oldFitHeadScale(logits, labels, alpha, 60, 0.03)
+			got, want := fitHeadScale(rowsMatrix(logits), labels, alpha, 60, 0.03), oldFitHeadScale(logits, labels, alpha, 60, 0.03)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("spread %v α %v: scale %v, the two-log formula gives %v", spread, alpha, got, want)
 			}

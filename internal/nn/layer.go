@@ -225,15 +225,19 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return r.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It selects the upstream gradient or +0 by
+// a bit mask, branch-free like Forward: a masked element is +0 (never
+// g·0, which is −0 for a negative g), so the gradient has the bits of
+// the branch it replaces.
 func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	r.gin = ensure(r.gin, gradOut.Rows, gradOut.Cols)
+	gin, mask := r.gin.Data[:len(gradOut.Data)], r.mask[:len(gradOut.Data)]
 	for i, g := range gradOut.Data {
-		if r.mask[i] {
-			r.gin.Data[i] = g
-		} else {
-			r.gin.Data[i] = 0
+		var keep uint64
+		if mask[i] {
+			keep = ^uint64(0)
 		}
+		gin[i] = math.Float64frombits(math.Float64bits(g) & keep)
 	}
 	return r.gin
 }

@@ -22,9 +22,12 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 	probs := tensor.NewMatrix(logits.Rows, logits.Cols)
 	tensor.Softmax(probs, logits)
 	invB := 1 / float64(logits.Rows)
-	var lp []float64
+	var lp *tensor.Matrix
+	var hs []float64
 	if alpha != 0 {
-		lp = make([]float64, logits.Cols)
+		lp = tensor.NewMatrix(logits.Rows, logits.Cols)
+		hs = make([]float64, logits.Rows)
+		EntropyLogsRows(hs, lp, probs)
 	}
 	var loss float64
 	for r := 0; r < logits.Rows; r++ {
@@ -37,7 +40,7 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 		loss += -math.Log(math.Max(p[y], 1e-12))
 		var h float64
 		if alpha != 0 {
-			h = EntropyLogs(p, lp)
+			h = hs[r]
 			loss += alpha * h
 		}
 		for c := range p {
@@ -46,7 +49,7 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 				g[c] -= 1
 			}
 			if alpha != 0 {
-				g[c] += alpha * (-p[c] * (lp[c] + h))
+				g[c] += alpha * (-p[c] * (lp.At(r, c) + h))
 			}
 			g[c] *= invB
 		}
@@ -54,27 +57,41 @@ func SoftmaxCE(gradLogits, logits *tensor.Matrix, labels []int, alpha float64) f
 	return loss * invB
 }
 
-// logFloor is log(1e-12): the Eq. 4 gradient's log p for p below 1e-12.
-var logFloor = math.Log(1e-12)
+// entropyFloor is the Eq. 4 gradient's floor under p: log p for p below
+// it is log(entropyFloor).
+const entropyFloor = 1e-12
 
-// EntropyLogs returns the entropy H(p) of a probability vector,
-// tensor.Entropy(p) bit for bit, and writes into lp the clamped logs the
-// Eq. 4 gradient takes, lp[c] = log(max(p[c], 1e-12)) bit for bit. Where
-// the two logs agree (p ≥ 1e-12: every class but a saturated row's
-// losers) it takes one math.Log for both.
-func EntropyLogs(p, lp []float64) float64 {
+// logEntropyFloor is log(entropyFloor).
+var logEntropyFloor = math.Log(entropyFloor)
+
+// EntropyLogsRows writes every row's entropy H(p) into hs,
+// tensor.Entropy(p.Row(r)) bit for bit, and into lp the clamped logs the
+// Eq. 4 gradient takes, lp[r][c] = log(max(p[r][c], 1e-12)) bit for bit.
+// It takes one log per element, all in one tensor.LogFloor over the
+// whole matrix (SIMD lanes where the CPU has them): the entropy reads
+// log p as it comes, and the logs of p < 1e-12 are then clamped to
+// log(1e-12). hs has a slot per row and lp p's shape.
+func EntropyLogsRows(hs []float64, lp, p *tensor.Matrix) {
+	if len(hs) != p.Rows || lp.Rows != p.Rows || lp.Cols != p.Cols {
+		panic(fmt.Sprintf("nn: EntropyLogsRows got %d entropies and %dx%d logs for %dx%d probabilities", len(hs), lp.Rows, lp.Cols, p.Rows, p.Cols))
+	}
+	tensor.LogFloor(lp.Data, p.Data, math.Inf(-1))
+	for r := range hs {
+		hs[r] = entropyClampLogs(p.Row(r), lp.Row(r))
+	}
+}
+
+// entropyClampLogs is −Σ p·log p over the positive p in order, reading
+// log p from lp, and then clamps lp at log(1e-12) where p < 1e-12.
+func entropyClampLogs(p, lp []float64) float64 {
+	lp = lp[:len(p)]
 	var h float64
 	for c, v := range p {
-		l := logFloor
-		if !(v < 1e-12) { // v ≥ 1e-12, or NaN
-			l = math.Log(math.Max(v, 1e-12))
-		}
-		lp[c] = l
 		if v > 0 {
-			if v < 1e-12 {
-				l = math.Log(v)
-			}
-			h -= v * l
+			h -= v * lp[c]
+		}
+		if v < entropyFloor {
+			lp[c] = logEntropyFloor
 		}
 	}
 	return h

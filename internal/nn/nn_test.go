@@ -457,7 +457,8 @@ func TestDenseBackwardAllocs(t *testing.T) {
 }
 
 // oldSoftmaxCEGrad is SoftmaxCE's α ≠ 0 gradient as it was before
-// EntropyLogs: tensor.Entropy for H and a second math.Log per class.
+// the one-log entropy (EntropyLogsRows): tensor.Entropy for H and a
+// second math.Log per class.
 func oldSoftmaxCEGrad(p []float64, y int, alpha float64) []float64 {
 	h := tensor.Entropy(p)
 	g := make([]float64, len(p))
@@ -472,11 +473,11 @@ func oldSoftmaxCEGrad(p []float64, y int, alpha float64) []float64 {
 	return g
 }
 
-// TestEntropyLogsMatchesTwoLogs holds EntropyLogs to the two formulas it
-// replaces, bit for bit, on rows that are mild, saturated past 1e-12 and
-// saturated to exact zeros, and on the subnormal, zero and NaN entries a
-// probability vector can carry; and SoftmaxCE's gradient, which now uses
-// it, to the old gradient.
+// TestEntropyLogsMatchesTwoLogs holds EntropyLogsRows, one row at a
+// time, to the two formulas it replaces, bit for bit, on rows that are
+// mild, saturated past 1e-12 and saturated to exact zeros, and on the
+// subnormal, zero and NaN entries a probability vector can carry; and
+// SoftmaxCE's gradient, which uses it, to the old gradient.
 func TestEntropyLogsMatchesTwoLogs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rows := [][]float64{
@@ -508,14 +509,53 @@ func TestEntropyLogsMatchesTwoLogs(t *testing.T) {
 		}
 	}
 	for _, p := range rows {
-		lp := make([]float64, len(p))
-		h := EntropyLogs(p, lp)
-		if want := tensor.Entropy(p); math.Float64bits(h) != math.Float64bits(want) {
-			t.Fatalf("EntropyLogs(%v) = %v, tensor.Entropy gives %v", p, h, want)
+		hs, lp := make([]float64, 1), tensor.NewMatrix(1, len(p))
+		EntropyLogsRows(hs, lp, tensor.FromSlice(1, len(p), p))
+		if want := tensor.Entropy(p); math.Float64bits(hs[0]) != math.Float64bits(want) {
+			t.Fatalf("EntropyLogsRows(%v) = %v, tensor.Entropy gives %v", p, hs[0], want)
 		}
 		for c, v := range p {
-			if want := math.Log(math.Max(v, 1e-12)); math.Float64bits(lp[c]) != math.Float64bits(want) {
-				t.Fatalf("EntropyLogs(%v) log [%d] = %v, want %v", p, c, lp[c], want)
+			if want := math.Log(math.Max(v, 1e-12)); math.Float64bits(lp.Data[c]) != math.Float64bits(want) {
+				t.Fatalf("EntropyLogsRows(%v) log [%d] = %v, want %v", p, c, lp.Data[c], want)
+			}
+		}
+	}
+}
+
+// TestEntropyLogsRowsMatchesTwoLogs is TestEntropyLogsMatchesTwoLogs on
+// whole matrices of one to 67 rows and one to 17 classes
+// (every lane tail of the log kernel, and calls that span lane blocks),
+// from mild rows to rows saturated past 1e-12 and to exact zeros, with
+// subnormal, zero and NaN entries mixed in, every row's entropy is
+// tensor.Entropy's and every clamped log math.Log(max(p, 1e-12))'s, bit
+// for bit.
+func TestEntropyLogsRowsMatchesTwoLogs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{1e-12, 5e-13, 0, math.Copysign(0, -1), 5e-324, 1e-300, math.NaN()}
+	for rows := 1; rows <= 67; rows += 3 {
+		for cols := 1; cols <= 17; cols++ {
+			logits := tensor.NewMatrix(rows, cols)
+			for i := range logits.Data {
+				logits.Data[i] = []float64{1, 10, 40, 200, 800}[i%5] * rng.NormFloat64()
+			}
+			p := tensor.NewMatrix(rows, cols)
+			tensor.Softmax(p, logits)
+			for i := range p.Data {
+				if rng.Intn(9) == 0 {
+					p.Data[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			hs, lp := make([]float64, rows), tensor.NewMatrix(rows, cols)
+			EntropyLogsRows(hs, lp, p)
+			for r := 0; r < rows; r++ {
+				if want := tensor.Entropy(p.Row(r)); math.Float64bits(hs[r]) != math.Float64bits(want) {
+					t.Fatalf("%d×%d row %d: entropy %v, tensor.Entropy gives %v", rows, cols, r, hs[r], want)
+				}
+				for c, v := range p.Row(r) {
+					if want := math.Log(math.Max(v, 1e-12)); math.Float64bits(lp.At(r, c)) != math.Float64bits(want) {
+						t.Fatalf("%d×%d: log [%d][%d] = %v, want %v", rows, cols, r, c, lp.At(r, c), want)
+					}
+				}
 			}
 		}
 	}

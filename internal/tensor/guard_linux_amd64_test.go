@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"syscall"
 	"testing"
@@ -122,6 +123,51 @@ func TestTrainingKernelsStayInRows(t *testing.T) {
 				if sum != wantSum && (sum == sum || wantSum == wantSum) {
 					t.Fatalf("SumSquaresByColumn %dx%d: %v, want %v", rows, cols, sum, wantSum)
 				}
+			}
+		}
+	})
+}
+
+// TestLaneKernelsStayInRows holds the exp and log lanes to their masked
+// tails: for every length from one to 130, the input and the output end
+// exactly where a PROT_NONE page begins, so a lane that loads or stores
+// past the slice faults; every result must still be math.Exp's and
+// math.Log's, and Softmax on guarded logits and probabilities the
+// scalar loop's.
+func TestLaneKernelsStayInRows(t *testing.T) {
+	onEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(40))
+		srcMem, dstMem := guarded[float64](t), guarded[float64](t)
+		for n := 1; n <= 130; n++ {
+			xs := laneInputs(rng, n)
+			d := atEnd(dstMem, n)
+			copy(d, xs)
+			expInPlace(d)
+			for i, x := range xs {
+				if want := math.Exp(x); math.Float64bits(d[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d: exp [%d] = %v, math.Exp gives %v", n, i, d[i], want)
+				}
+			}
+			s := atEnd(srcMem, n)
+			copy(s, xs)
+			LogFloor(d, s, 1e-12)
+			for i, x := range xs {
+				if want := math.Log(math.Max(x, 1e-12)); math.Float64bits(d[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d: log [%d] = %v, math.Log gives %v", n, i, d[i], want)
+				}
+			}
+			for _, cols := range []int{1, 3, 8, 10} {
+				if n%cols != 0 {
+					continue
+				}
+				src := specialMatrix[float64](rng, n/cols, cols)
+				gsrc := &Matrix{Rows: n / cols, Cols: cols, Data: atEnd(srcMem, n)}
+				copy(gsrc.Data, src.Data)
+				got := &Matrix{Rows: n / cols, Cols: cols, Data: atEnd(dstMem, n)}
+				want := NewMatrix(n/cols, cols)
+				Softmax(got, gsrc)
+				softmaxScalar(want, src)
+				assertBitwise(t, fmt.Sprintf("Softmax %dx%d", n/cols, cols), got, want)
 			}
 		}
 	})

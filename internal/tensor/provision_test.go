@@ -14,10 +14,12 @@ import (
 )
 
 // provisionPin is the sha256 of TestProvisioningPin's bundle. Training
-// runs through every product in this package, so a change anywhere here
-// — or in nn, staged, calib or gp — that moves one trained bit fails
-// this test. Every kernel path gives the portable loops' bits, so one
-// pin holds for all of them: go test ./internal/tensor and go test
+// runs through every product in this package, and Eq. 4's calibration
+// through Softmax and LogFloor — the exp and log lanes, which must give
+// math.Exp's and math.Log's bits — so a change anywhere here — or in
+// nn, staged, calib or gp — that moves one trained or calibrated bit
+// fails this test. Every kernel path gives the portable loops' bits, so
+// one pin holds for all of them: go test ./internal/tensor and go test
 // -tags noasm ./internal/tensor must provision the same bundle.
 const provisionPin = "306b30baefe5f789a428cf89c6d75c6483651c888e54b1e640b63467af0e80a6"
 

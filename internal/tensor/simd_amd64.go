@@ -155,3 +155,29 @@ func transposeBlocks64(dst, src *float64, rows, cols, dstStride, srcStride int)
 //
 //go:noescape
 func sumSquaresStrips64(sum float64, src *float64, rows, strips, stride int, a, b *float64) float64
+
+// expLanes sets d[i] = math.Exp(d[i]) for i < n, 1 ≤ n ≤ 64, with
+// archExp's FMA branch in four lanes, and returns the lanes it left for
+// the scalar call (bit i: d[i] still holds its input) — those whose
+// exponent leaves the normal range (lanes_amd64.s has the rule).
+//
+//go:noescape
+func expLanes(d *float64, n int) (bad uint64)
+
+// exp512Lanes is expLanes in eight lanes, on AVX-512.
+//
+//go:noescape
+func exp512Lanes(d *float64, n int) (bad uint64)
+
+// logLanes sets dst[i] = math.Log(src[i]) for i < n, 1 ≤ n ≤ 64, with
+// archLog's sequence in four lanes, for every src[i] with lo ≤ src[i] <
+// +Inf (lo at least the smallest normal), and returns the others' bits:
+// dst[i] holds src[i] there. dst is src or does not overlap it.
+//
+//go:noescape
+func logLanes(dst, src *float64, n int, lo float64) (bad uint64)
+
+// log512Lanes is logLanes in eight lanes, on AVX-512.
+//
+//go:noescape
+func log512Lanes(dst, src *float64, n int, lo float64) (bad uint64)

@@ -57,3 +57,19 @@ func transposeBlocks64(dst, src *float64, rows, cols, dstStride, srcStride int) 
 func sumSquaresStrips64(sum float64, src *float64, rows, strips, stride int, a, b *float64) float64 {
 	panic("tensor: sumSquaresStrips64 without AVX2 support")
 }
+
+func expLanes(d *float64, n int) uint64 {
+	panic("tensor: expLanes without AVX2/FMA support")
+}
+
+func exp512Lanes(d *float64, n int) uint64 {
+	panic("tensor: exp512Lanes without AVX-512 support")
+}
+
+func logLanes(dst, src *float64, n int, lo float64) uint64 {
+	panic("tensor: logLanes without AVX2/FMA support")
+}
+
+func log512Lanes(dst, src *float64, n int, lo float64) uint64 {
+	panic("tensor: log512Lanes without AVX-512 support")
+}

@@ -821,28 +821,90 @@ func ColSums(dst []float64, m *Matrix) {
 // tier spends the few extra cycles here to keep its confidence surface
 // as close to the float64 model's as its logits allow.
 //
+// Every row is exp(v − max) over the row, each times the reciprocal of
+// their sum taken in column order. The exponentials of the whole matrix
+// go through expInPlace (SIMD lanes with math.Exp's bits, where the CPU
+// has them); the max and the sum run four rows at a time, so that four
+// chains run side by side. A NaN logit makes its row all NaN.
+//
 //eugene:noalloc
 func Softmax[T Float](dst *Matrix, src *Mat[T]) {
 	checkSameShape("Softmax", dst, src)
-	for r := 0; r < src.Rows; r++ {
-		in := src.Row(r)
-		out := dst.Row(r)
-		maxv := in[0]
+	n := src.Cols
+	r := 0
+	for ; r+4 <= src.Rows; r += 4 {
+		shiftRows4(dst.Data[r*n:(r+4)*n], src.Data[r*n:(r+4)*n], n)
+	}
+	for ; r < src.Rows; r++ {
+		shiftRows4(dst.Row(r), src.Row(r), n)
+	}
+	expInPlace(dst.Data)
+	r = 0
+	for ; r+4 <= dst.Rows; r += 4 {
+		normalizeRows4(dst.Data[r*n:(r+4)*n], n)
+	}
+	for ; r < dst.Rows; r++ {
+		normalizeRows4(dst.Row(r), n)
+	}
+}
+
+// shiftRows4 sets out[j] = in[j] − max(row) for the rows of n in in,
+// four of them or one, with the difference taken in T. The max is the
+// max builtin, branch-free: a branch on which logit leads mispredicts
+// a couple of times a row. Where it parts from that branch — +0 over
+// −0, NaN over the first element — no output moves: exp(±0) is 1, and
+// a row with a NaN is NaN throughout either way.
+//
+//eugene:noalloc
+func shiftRows4[T Float](out []float64, in []T, n int) {
+	if len(in) == n {
+		m := in[0]
 		for _, v := range in[1:] {
-			if v > maxv {
-				maxv = v
-			}
+			m = max(m, v)
 		}
-		var sum float64
-		for c, v := range in {
-			e := math.Exp(float64(v - maxv))
-			out[c] = e
-			sum += e
+		for j, v := range in {
+			out[j] = float64(v - m)
 		}
-		inv := 1 / sum
-		for c := range out {
-			out[c] *= inv
+		return
+	}
+	a := in[:n]
+	b, c, d := in[n:][:len(a)], in[2*n:][:len(a)], in[3*n:][:len(a)]
+	ma, mb, mc, md := a[0], b[0], c[0], d[0]
+	for j := 1; j < len(a); j++ {
+		ma, mb, mc, md = max(ma, a[j]), max(mb, b[j]), max(mc, c[j]), max(md, d[j])
+	}
+	oa := out[:len(a)]
+	ob, oc, od := out[n:][:len(a)], out[2*n:][:len(a)], out[3*n:][:len(a)]
+	for j := range a {
+		oa[j], ob[j], oc[j], od[j] = float64(a[j]-ma), float64(b[j]-mb), float64(c[j]-mc), float64(d[j]-md)
+	}
+}
+
+// normalizeRows4 multiplies each of the rows of n in e, four or one, by
+// the reciprocal of its sum, taken from +0 in column order.
+//
+//eugene:noalloc
+func normalizeRows4(e []float64, n int) {
+	if len(e) == n {
+		var s float64
+		for _, v := range e {
+			s += v
 		}
+		inv := 1 / s
+		for j := range e {
+			e[j] *= inv
+		}
+		return
+	}
+	a := e[:n]
+	b, c, d := e[n:][:len(a)], e[2*n:][:len(a)], e[3*n:][:len(a)]
+	var sa, sb, sc, sd float64
+	for j := range a {
+		sa, sb, sc, sd = sa+a[j], sb+b[j], sc+c[j], sd+d[j]
+	}
+	ia, ib, ic, id := 1/sa, 1/sb, 1/sc, 1/sd
+	for j := range a {
+		a[j], b[j], c[j], d[j] = a[j]*ia, b[j]*ib, c[j]*ic, d[j]*id
 	}
 }
 
