@@ -247,10 +247,9 @@ func (f *testFleet) assertConserved(t *testing.T, before fleetCounts) {
 // because every later one that closes a Router would hang on the same
 // defect until the ten-minute timeout, and say less.
 func TestRouterCloseJoinsItsGoroutines(t *testing.T) {
-	// tensor's GEMM helpers live as long as the process and are nobody's
-	// to join: start them before the baseline is taken.
-	rows := 128 * tensor.Parallelism()
-	tensor.MatMulT(tensor.NewMatrix(rows, 256), tensor.NewMatrix(rows, 256), tensor.NewMatrix(256, 256))
+	// tensor's helpers live as long as the process and are nobody's to
+	// join: start them before the baseline is taken.
+	tensor.Each(tensor.Parallelism(), func(int) {})
 	base := runtime.NumGoroutine()
 
 	mux := readyOKMux(nil)

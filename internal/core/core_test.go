@@ -59,10 +59,9 @@ func testService(t *testing.T) (*Service, *dataset.Set, *dataset.Set) {
 // in its cleanup, and would hang on the same defect until the
 // ten-minute timeout.
 func TestServiceCloseJoinsItsGoroutines(t *testing.T) {
-	// tensor's GEMM helpers live as long as the process and are nobody's
-	// to join: start them before the baseline is taken.
-	rows := 128 * tensor.Parallelism()
-	tensor.MatMulT(tensor.NewMatrix(rows, 256), tensor.NewMatrix(rows, 256), tensor.NewMatrix(256, 256))
+	// tensor's helpers live as long as the process and are nobody's to
+	// join: start them before the baseline is taken.
+	tensor.Each(tensor.Parallelism(), func(int) {})
 	base := runtime.NumGoroutine()
 
 	svc, _, test := testService(t)

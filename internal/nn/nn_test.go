@@ -423,8 +423,8 @@ func TestDenseBackwardScratchReuse(t *testing.T) {
 // TestDenseBackwardAllocs pins the backward pass's steady state: after
 // the first call has sized the gradient buffers and the scratch, a
 // Dense.Backward at the benchmark's training shape (a batch of 20 through
-// 256 → 256) allocates nothing — both products run under the fan-out
-// grain — with no lane, and with an open lane taking its weight gradient
+// 256 → 256) allocates nothing — both products run on their caller —
+// with no lane, and with an open lane taking its weight gradient
 // (on a helper, or inline where no core is free). Both give the same
 // gradients.
 func TestDenseBackwardAllocs(t *testing.T) {

@@ -33,7 +33,7 @@ func (e *allocExec) ExecStageBatch(hidden [][]float64, stage int, _ [][]float64)
 
 // modelExec runs a real staged model under the scheduler the way
 // core's adapter does, so the allocations of the forward pass (tensor's
-// GEMM fan-out among them) count against the pool that dispatched it.
+// kernels among them) count against the pool that dispatched it.
 type modelExec struct {
 	m   *staged.Model
 	res []StageResult

@@ -367,9 +367,9 @@ func (m *Model) Predict(x []float64, upTo int) []StageOutput {
 }
 
 // predictBlock is the most rows PredictRows sends through one forward
-// pass. A block's largest product (64 × 256 × 256 at the served shape)
-// stays under tensor's fan-out grain, so evaluation runs on its caller's
-// core as the one-row passes did.
+// pass: the served batch, so a block's products are the shapes serving
+// runs (64 × 256 × 256 at the largest) and its scratch a served batch's.
+// Evaluation runs on its caller's core, as the one-row passes did.
 const predictBlock = 64
 
 // PredictRows is Predict through the whole network for every row of x:

@@ -27,7 +27,8 @@ func testDenseIsBatchInvariant[T Float](t *testing.T) {
 	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 61} {
 		shapes = append(shapes, shape{m, 256, 256}, shape{m, 10, 12})
 	}
-	// The odd shapes of TestParallelRowsMatchesSerial.
+	// Odd shapes: tile-aligned and ragged rows, a wide batch with few
+	// outputs, odd everything, a 16-lane f32 block with a scalar tail.
 	shapes = append(shapes, shape{64, 96, 128}, shape{61, 96, 128}, shape{128, 40, 64}, shape{9, 257, 129}, shape{64, 64, 48})
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(int64(31 + s.m)))

@@ -66,7 +66,7 @@ func testDenseMatchesPortable[T Float](t *testing.T) {
 						r = nil
 					}
 					want := garbageMatrix[T](rng, m, n)
-					denseScalar(want, a, w, b, r, relu, 0, m)
+					denseScalar(want, a, w, b, r, relu)
 					for _, path := range kernelPaths() {
 						UseKernelPath(path)
 						got := garbageMatrix[T](rng, m, n)

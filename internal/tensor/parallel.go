@@ -6,72 +6,45 @@ import (
 	"sync/atomic"
 )
 
-// Intra-op parallelism: work splits over helper goroutines only when the
-// split pays for itself and the cores are free to take it.
+// The helper pool runs the package's two kinds of work that are not a
+// single product: Each, which spreads n independent tasks over the caller
+// and idle helpers (the optimizer step, the Eq. 4 grid), and a Lane,
+// which hands an ordered queue of jobs to one helper while the caller
+// goes on (training's weight gradients). Every product — MatMul, TMatMul,
+// MatMulT, Dense — runs inline on its caller over all its rows: the
+// scheduler's workers already share the cores by handing each a whole
+// stage, so a product never splits underneath them.
 //
-//   - Size. Every chunk of a GEMM is at least gemmGrain mul-adds, so a
-//     product under two grains runs inline on its caller without
-//     touching the pool. That covers every GEMM of the serving path: the
-//     scheduler already shares the cores by handing stages of ≤ MaxBatch
-//     rows to its workers, and one wake-up per stage is cheaper than one
-//     per GEMM.
 //   - Occupancy. The limit caps the goroutines that hold a core: callers
-//     inside over-grain products, in Each or with a lane open, the
-//     helpers they reserved, and every serving dispatch in flight (Hold).
-//     A caller takes helpers only for the cores nothing else holds at
-//     that moment, and only helpers that are idle; it never queues work
-//     behind a busy helper and never starts a goroutine of its own.
-//     Callers are never held back, so c of them at once run max(limit,
-//     c) goroutines (one that arrives while another's helpers are
-//     mid-chunk adds itself on top until those chunks end). Products
-//     under two grains are not counted: they finish within a chunk's
-//     time, and counting them would put a shared cache line on every
-//     matvec.
+//     in Each or with a lane open, the helpers they reserved, and every
+//     serving dispatch in flight (Hold). A caller takes helpers only for
+//     the cores nothing else holds at that moment, and only helpers that
+//     are idle; it never queues work behind a busy helper and never
+//     starts a goroutine of its own. Callers are never held back, so c of
+//     them at once run max(limit, c) goroutines (one that arrives while
+//     another's helpers are busy adds itself on top until they finish).
 //   - Dispatches. A serving dispatch holds its core for its whole stage:
-//     one add and one subtract around ExecStageBatch, not one per GEMM.
-//     The products inside it are under two grains at every served shape
-//     (TestGemmChunks), so they never touch the count and the dispatch's
-//     hold is its core's one count. A Train or subset-model request on a
-//     replica whose workers are busy therefore takes no helper and runs
-//     on its own core.
-//   - Work that is not a product has two forms. Each spreads n
-//     independent tasks over the caller and the idle helpers. A Lane
-//     hands an ordered queue of jobs to one helper while the caller goes
-//     on; with no helper free when it opens, each job runs inline as it
-//     is queued, which is the order the work would have had without it.
-//     Every task and job writes only its own outputs, so no result
-//     depends on which goroutine ran it or on how many cores there were.
-const (
-	// gemmGrain is the least work, in mul-adds, worth a chunk of its
-	// own. BenchmarkMatMulTFanOut (rows × 256 × 256, serial against a
-	// forced two-way split on two cores, medians of three): at 64 rows,
-	// 2 M mul-adds per chunk, the split loses (f64 268 → 284 µs, f32 142
-	// → 158); at 128 rows, 4 M per chunk, it wins in one precision and
-	// loses in the other (548 → 440, 252 → 298); at 256 rows, 8 M per
-	// chunk, it wins in both (1081 → 717, 553 → 473) and keeps winning
-	// above (4096 rows: 15.4 → 9.8 ms, 9.5 → 5.7 ms).
-	gemmGrain = 1 << 23
-	// maxParallelism bounds the pool (sanity cap, not a tuning knob).
-	maxParallelism = 256
-)
+//     one add and one subtract around ExecStageBatch, not one per GEMM. A
+//     Train or subset-model request on a replica whose workers are busy
+//     therefore takes no helper and runs on its own core.
+//   - Order. Each's tasks and a lane's jobs write only their own
+//     outputs, and a lane with no helper free when it opens runs each job
+//     inline as it is queued, which is the order the work would have had
+//     without it. So no result depends on which goroutine ran it or on
+//     how many cores there were.
 
-// gemmJob is one piece of work for a helper: a row range of one product,
-// a share of an Each, or a lane to drain. It travels by value, and run is
-// a package-level function, never a closure, so handing a product's chunk
-// or a lane's job to a helper allocates nothing.
+// maxParallelism bounds the pool (sanity cap, not a tuning knob).
+const maxParallelism = 256
+
+// gemmJob is one piece of work for a helper: a share of an Each, a lane
+// to drain, or a lane's TMatMul. It travels by value, and run is a
+// package-level function, never a closure, so handing a lane's job to a
+// helper allocates nothing.
 type gemmJob struct {
-	run             func(gemmJob)
-	dst, a, b       *Matrix
-	dst32, a32, b32 *Matrix32
-	bias            []float64
-	bias32          []float32
-	res             *Matrix
-	res32           *Matrix32
-	relu            bool
-	transA          bool // runProduct64: dst += aᵀ·b rather than dst = a·b
-	each            *eachJob
-	queue           chan gemmJob // runLane: the lane's jobs
-	lo, hi          int
+	run       func(gemmJob)
+	dst, a, b *Matrix      // runTMatMul's operands
+	each      *eachJob     // runEach's tasks
+	queue     chan gemmJob // runLane: the lane's jobs
 }
 
 // gemmHelper is one pool goroutine. Whoever receives it from
@@ -103,9 +76,9 @@ var gemmPool struct {
 }
 
 func init() {
-	// Default to one goroutine per schedulable core, like a BLAS:
-	// explicit SetParallelism overrides. Helpers spawn lazily on the
-	// first piece of work that splits, so merely importing tensor starts
+	// Default to one goroutine per schedulable core: explicit
+	// SetParallelism overrides. Helpers spawn lazily on the first Each or
+	// lane that finds a core free, so merely importing tensor starts
 	// nothing.
 	gemmPool.limit.Store(int32(min(runtime.GOMAXPROCS(0), maxParallelism)))
 	gemmPool.idle = make(chan *gemmHelper, maxParallelism)
@@ -124,8 +97,8 @@ func SetParallelism(n int) {
 func Parallelism() int { return int(gemmPool.limit.Load()) }
 
 // Hold counts the caller's core as busy until the matching Release, so
-// that no Each, lane or product takes a helper for it meanwhile. A
-// serving dispatch holds its core for its whole stage.
+// that no Each or lane takes a helper for it meanwhile. A serving
+// dispatch holds its core for its whole stage.
 //
 //eugene:noalloc
 func Hold() { gemmPool.inKernels.Add(1) }
@@ -148,29 +121,6 @@ func reserve(want int) int32 {
 			return n
 		}
 	}
-}
-
-// gemmChunks is the fan-out rule: how many chunks a rows-high product
-// of muladds mul-adds is split into when free cores (the caller's
-// included) are not held. Each chunk is at least a grain and at least a
-// register tile.
-func gemmChunks(rows, muladds, free int) int {
-	return max(1, min(muladds/gemmGrain, rows/narrowTile, free))
-}
-
-// fanOut runs j over rows [0, rows), split by gemmChunks.
-//
-//eugene:noalloc
-func fanOut(j gemmJob, rows, muladds int) {
-	want := gemmChunks(rows, muladds, maxParallelism)
-	if want == 1 {
-		j.lo, j.hi = 0, rows
-		j.run(j)
-		return
-	}
-	n := reserve(want)
-	parallelRows(j, rows, int(n))
-	gemmPool.inKernels.Add(-n)
 }
 
 // ensureHelpers lazily grows the pool to n goroutines; the atomic fast
@@ -223,31 +173,6 @@ func join(taken *gemmHelper) {
 		gemmPool.idle <- h
 		h = next
 	}
-}
-
-// parallelRows runs j over rows [0, rows) in up to n chunks: one per
-// idle helper it can take, the first on the caller. Chunks begin on
-// register-tile boundaries so that no chunk but the last runs a ragged
-// tile; the result is the serial one bit for bit wherever they begin,
-// because the kernel reduces a row the same way in any tile. With no
-// helper idle the caller runs the whole range. Both precisions fan out
-// through here.
-//
-//eugene:noalloc
-func parallelRows(j gemmJob, rows, n int) {
-	tiles := (rows + narrowTile - 1) / narrowTile
-	taken, k := takeHelpers(min(n, tiles) - 1)
-	k++ // chunks: the caller's, and one per helper taken
-	// Chunk i of k covers tiles [i·tiles/k, (i+1)·tiles/k).
-	i := 1
-	for h := taken; h != nil; h = h.next {
-		j.lo, j.hi = i*tiles/k*narrowTile, min((i+1)*tiles/k*narrowTile, rows)
-		h.job <- j
-		i++
-	}
-	j.lo, j.hi = 0, min(tiles/k*narrowTile, rows)
-	j.run(j)
-	join(taken)
 }
 
 // eachJob is one Each call's tasks, shared by the goroutines running

@@ -17,7 +17,7 @@ var portableFuses bool
 // tMatMulPortable at every row count of the register tile and past it,
 // column counts around the 4- and 8-lane vectors and the 16- and
 // 32-column groups (masked tails included), depths from one term to 256,
-// and one product large enough to be split over helpers. The operands
+// and one product of 300 rows. The operands
 // mix normal values with zeros of both signs, subnormals, infinities and
 // NaNs of three payloads, one of them signalling; dst starts as garbage
 // (the same garbage on both sides for TMatMul, which adds to it). A NaN
@@ -39,7 +39,7 @@ func TestProductKernelsMatchPortable(t *testing.T) {
 				}
 			}
 		}
-		checkProducts(t, rng, 300, 256, 256) // over two fan-out grains
+		checkProducts(t, rng, 300, 256, 256) // a training-sized batch, many tiles
 	})
 }
 
@@ -166,4 +166,28 @@ func BenchmarkBackwardProducts(b *testing.B) {
 	b.Run("MatMul/kernel", func(b *testing.B) { onEachPath(b, func(b *testing.B) { run(b, matMul) }) })
 	b.Run("TMatMul/portable", func(b *testing.B) { run(b, func() { tMatMulPortable(gw, g, x) }) })
 	b.Run("TMatMul/kernel", func(b *testing.B) { onEachPath(b, func(b *testing.B) { run(b, tMatMul) }) })
+}
+
+// gemmOperands returns a rows×k and an n×k operand pair in both
+// precisions, holding the same values.
+func gemmOperands(seed int64, rows, n, k int) (a, b *Matrix, a32, b32 *Matrix32) {
+	rng := rand.New(rand.NewSource(seed))
+	a32, a = randMat[float32](rng, rows, k)
+	b32, b = randMat[float32](rng, n, k)
+	return a, b, a32, b32
+}
+
+// TestMatMulTAllocs is the dynamic half of //eugene:noalloc on MatMulT
+// and MatMulT32 for a large product (1024 × 256 × 256), which runs on
+// its caller and allocates nothing.
+func TestMatMulTAllocs(t *testing.T) {
+	const m, n, k = 1024, 256, 256
+	a, b, a32, b32 := gemmOperands(23, m, n, k)
+	dst, dst32 := NewMatrix(m, n), NewMatrix32(m, n)
+	if avg := testing.AllocsPerRun(20, func() { MatMulT(dst, a, b) }); avg != 0 {
+		t.Errorf("MatMulT: %v allocs per product, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { MatMulT32(dst32, a32, b32) }); avg != 0 {
+		t.Errorf("MatMulT32: %v allocs per product, want 0", avg)
+	}
 }

@@ -142,7 +142,7 @@ func Ensure[T Float](m *Mat[T], rows, cols int) *Mat[T] {
 // (nn.Dense computes it as (W·gᵀ)ᵀ). dst must be a.Rows×b.Cols and
 // distinct from both operands. With AVX2 it runs the training products'
 // micro-kernel (prodTile64, or its 512-bit twin prod512Tile64 with
-// AVX-512) through the fan-out rule; without, the portable ikj loop
+// AVX-512) on the caller; without, the portable ikj loop
 // (matMulPortable). All three sum each output from zero in ascending k
 // with one multiply and one add per term, so they give the same bits —
 // the portable loop is the kernels' bitwise reference. Unlike Dense and
@@ -162,7 +162,7 @@ func MatMul(dst, a, b *Matrix) {
 		matMulPortable(dst, a, b)
 		return
 	}
-	fanOut(gemmJob{run: runProduct64, dst: dst, a: a, b: b}, a.Rows, a.Rows*b.Cols*a.Cols)
+	runProduct64(dst, a, b, false)
 }
 
 // matMulPortable is MatMul in portable Go: a cache-friendly ikj loop
@@ -181,22 +181,22 @@ func matMulPortable(dst, a, b *Matrix) {
 	}
 }
 
-// runProduct64 is MatMul (TMatMul when j.transA) over rows [j.lo, j.hi)
-// of dst, one register tile of rows at a time. TMatMul's tiles add their
-// sums to dst; MatMul's store them.
+// runProduct64 is MatMul (TMatMul when transA) over every row of dst,
+// one register tile of rows at a time. TMatMul's tiles add their sums to
+// dst; MatMul's store them.
 //
 //eugene:noalloc
-func runProduct64(j gemmJob) {
-	n, k, ars, aks := j.b.Cols, j.a.Cols, j.a.Cols, 1
-	if j.transA {
-		k, ars, aks = j.a.Rows, 1, j.a.Cols
+func runProduct64(dst, a, b *Matrix, transA bool) {
+	n, k, ars, aks := b.Cols, a.Cols, a.Cols, 1
+	if transA {
+		k, ars, aks = a.Rows, 1, a.Cols
 	}
 	tile := prodTile64
 	if hasAVX512 {
 		tile = prod512Tile64
 	}
-	for i := j.lo; i < j.hi; i += narrowTile {
-		tile(&j.dst.Data[i*n], &j.a.Data[i*ars], &j.b.Data[0], min(narrowTile, j.hi-i), n, k, ars, aks, j.transA)
+	for i := 0; i < dst.Rows; i += narrowTile {
+		tile(&dst.Data[i*n], &a.Data[i*ars], &b.Data[0], min(narrowTile, dst.Rows-i), n, k, ars, aks, transA)
 	}
 }
 
@@ -253,14 +253,26 @@ func transposeRange[T Float](dst, src *Mat[T], rlo, rhi, clo, chi int) {
 // k mod 4 of one FMA chain (mod 8 at float32), the lanes folded in one
 // fixed order (dotTile64, and with AVX-512 dot512Tile64, which gives its
 // bits); without, dotUnrolled, which does not fuse and so differs in the
-// last bits. It is cmd/eugenebench's GEMM rung. A row's result does not
-// depend on the rows it was multiplied with, and a product split over
-// helper goroutines (parallel.go) equals the serial one.
+// last bits. It is cmd/eugenebench's GEMM rung. It runs on its caller,
+// and a row's result does not depend on the rows it was multiplied with.
 //
 //eugene:noalloc
 func MatMulT(dst, a, b *Matrix) {
 	checkMatMulT(dst, a, b)
-	fanOut(gemmJob{run: runMatMulT64, dst: dst, a: a, b: b}, a.Rows, a.Rows*b.Rows*a.Cols)
+	n, k, m := b.Rows, a.Cols, a.Rows
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		matMulTScalar(dst, a, b)
+		return
+	}
+	i := 0
+	if hasAVX512 && n >= wideGroup {
+		for ; m-i >= 2; i += rowTile {
+			dot512Tile64(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], min(rowTile, m-i), n, k)
+		}
+	}
+	for ; i < m; i += narrowTile {
+		dotTile64(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], min(narrowTile, m-i), n, k)
+	}
 }
 
 // MatMulT32 is MatMulT in float32.
@@ -268,7 +280,20 @@ func MatMulT(dst, a, b *Matrix) {
 //eugene:noalloc
 func MatMulT32(dst, a, b *Matrix32) {
 	checkMatMulT(dst, a, b)
-	fanOut(gemmJob{run: runMatMulT32, dst32: dst, a32: a, b32: b}, a.Rows, a.Rows*b.Rows*a.Cols)
+	n, k, m := b.Rows, a.Cols, a.Rows
+	if !hasAVX2FMA || n == 0 || k == 0 {
+		matMulTScalar(dst, a, b)
+		return
+	}
+	i := 0
+	if hasAVX512 && n >= wideGroup {
+		for ; m-i >= 2; i += rowTile {
+			dot512Tile32(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], min(rowTile, m-i), n, k)
+		}
+	}
+	for ; i < m; i += narrowTile {
+		dotTile32(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], min(narrowTile, m-i), n, k)
+	}
 }
 
 func checkMatMulT[T Float](dst, a, b *Mat[T]) {
@@ -286,51 +311,11 @@ func checkMatMulT[T Float](dst, a, b *Mat[T]) {
 // whose bits the AVX-512 one gives.
 const wideGroup = 8
 
-// runMatMulT64 is MatMulT over rows [j.lo, j.hi) of a and dst.
+// matMulTScalar is MatMulT in portable Go.
 //
 //eugene:noalloc
-func runMatMulT64(j gemmJob) {
-	n, k := j.b.Rows, j.a.Cols
-	if !hasAVX2FMA || n == 0 || k == 0 {
-		matMulTScalar(j.dst, j.a, j.b, j.lo, j.hi)
-		return
-	}
-	i := j.lo
-	if hasAVX512 && n >= wideGroup {
-		for ; j.hi-i >= 2; i += rowTile {
-			dot512Tile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], min(rowTile, j.hi-i), n, k)
-		}
-	}
-	for ; i < j.hi; i += narrowTile {
-		dotTile64(&j.dst.Data[i*n], &j.a.Data[i*k], &j.b.Data[0], min(narrowTile, j.hi-i), n, k)
-	}
-}
-
-// runMatMulT32 is runMatMulT64 at float32.
-//
-//eugene:noalloc
-func runMatMulT32(j gemmJob) {
-	n, k := j.b32.Rows, j.a32.Cols
-	if !hasAVX2FMA || n == 0 || k == 0 {
-		matMulTScalar(j.dst32, j.a32, j.b32, j.lo, j.hi)
-		return
-	}
-	i := j.lo
-	if hasAVX512 && n >= wideGroup {
-		for ; j.hi-i >= 2; i += rowTile {
-			dot512Tile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], min(rowTile, j.hi-i), n, k)
-		}
-	}
-	for ; i < j.hi; i += narrowTile {
-		dotTile32(&j.dst32.Data[i*n], &j.a32.Data[i*k], &j.b32.Data[0], min(narrowTile, j.hi-i), n, k)
-	}
-}
-
-// matMulTScalar is MatMulT over rows [lo, hi) in portable Go.
-//
-//eugene:noalloc
-func matMulTScalar[T Float](dst, a, b *Mat[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
+func matMulTScalar[T Float](dst, a, b *Mat[T]) {
+	for i := 0; i < a.Rows; i++ {
 		arow, drow := a.Row(i), dst.Row(i)
 		for j := range drow {
 			drow[j] = dotUnrolled(arow, b.Row(j))
@@ -368,8 +353,7 @@ func matMulTScalar[T Float](dst, a, b *Mat[T], lo, hi int) {
 // AVX2 kernel, which wastes fewer lanes on it. Without either,
 // denseScalar is the chain in Go. Every path gives the same bits, because no output's
 // sum is split over lanes or depends on its neighbours: Dense on rows
-// [0, m) equals m one-row calls bit for bit, and a product split over
-// helper goroutines (parallel.go) equals the serial one.
+// [0, m) equals m one-row calls bit for bit. It runs on its caller.
 func Dense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool) {
 	switch d := any(dst).(type) {
 	case *Matrix:
@@ -379,18 +363,6 @@ func Dense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool) {
 		b, _ := any(bias).([]float32)
 		dense32(d, any(a).(*Matrix32), any(w).(*Matrix32), b, any(res).(*Matrix32), relu)
 	}
-}
-
-//eugene:noalloc
-func dense64(dst, a, w *Matrix, bias []float64, res *Matrix, relu bool) {
-	checkDense(dst, a, w, bias, res)
-	fanOut(gemmJob{run: runDense64, dst: dst, a: a, b: w, bias: bias, res: res, relu: relu}, a.Rows, a.Rows*w.Cols*a.Cols)
-}
-
-//eugene:noalloc
-func dense32(dst, a, w *Matrix32, bias []float32, res *Matrix32, relu bool) {
-	checkDense(dst, a, w, bias, res)
-	fanOut(gemmJob{run: runDense32, dst32: dst, a32: a, b32: w, bias32: bias, res32: res, relu: relu}, a.Rows, a.Rows*w.Cols*a.Cols)
 }
 
 func checkDense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T]) {
@@ -413,60 +385,61 @@ func checkDense[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T]) {
 
 // Row tiles. rowTile is the most rows of a one outer-product kernel call
 // takes (and one AVX-512 dot kernel call); narrowTile the most one AVX2
-// dot kernel call and one product kernel call take, and the grain the
-// fan-out splits rows on.
+// dot kernel call and one product kernel call take.
 const (
 	rowTile    = 6
 	narrowTile = 3
 )
 
-// runDense64 is Dense over rows [j.lo, j.hi) of a and dst at float64.
+// dense64 is Dense at float64.
 //
 //eugene:noalloc
-func runDense64(j gemmJob) {
-	n, k := j.b.Cols, j.a.Cols
+func dense64(dst, a, w *Matrix, bias []float64, resM *Matrix, relu bool) {
+	checkDense(dst, a, w, bias, resM)
+	n, k, m := w.Cols, a.Cols, a.Rows
 	if !hasAVX2FMA || n == 0 || k == 0 {
-		denseScalar(j.dst, j.a, j.b, j.bias, j.res, j.relu, j.lo, j.hi)
+		denseScalar(dst, a, w, bias, resM, relu)
 		return
 	}
 	var res []float64
-	if j.res != nil {
-		res = j.res.Data
+	if resM != nil {
+		res = resM.Data
 	}
 	for c := 0; c < n; {
 		tile, cols := outer512Tile64, min(32, n-c)
 		if !hasAVX512 || cols <= 8 {
 			tile, cols = outerTile64, min(8, n-c)
 		}
-		for i := j.lo; i < j.hi; i += rowTile {
-			tile(&j.dst.Data[i*n+c], &j.a.Data[i*k], &j.b.Data[c], rowAt(j.bias, c), rowAt(res, i*n+c),
-				min(rowTile, j.hi-i), n, k, cols, j.relu)
+		for i := 0; i < m; i += rowTile {
+			tile(&dst.Data[i*n+c], &a.Data[i*k], &w.Data[c], rowAt(bias, c), rowAt(res, i*n+c),
+				min(rowTile, m-i), n, k, cols, relu)
 		}
 		c += cols
 	}
 }
 
-// runDense32 is runDense64 at float32.
+// dense32 is Dense at float32.
 //
 //eugene:noalloc
-func runDense32(j gemmJob) {
-	n, k := j.b32.Cols, j.a32.Cols
+func dense32(dst, a, w *Matrix32, bias []float32, resM *Matrix32, relu bool) {
+	checkDense(dst, a, w, bias, resM)
+	n, k, m := w.Cols, a.Cols, a.Rows
 	if !hasAVX2FMA || n == 0 || k == 0 {
-		denseScalar(j.dst32, j.a32, j.b32, j.bias32, j.res32, j.relu, j.lo, j.hi)
+		denseScalar(dst, a, w, bias, resM, relu)
 		return
 	}
 	var res []float32
-	if j.res32 != nil {
-		res = j.res32.Data
+	if resM != nil {
+		res = resM.Data
 	}
 	for c := 0; c < n; {
 		tile, cols := outer512Tile32, min(64, n-c)
 		if !hasAVX512 || cols <= 16 {
 			tile, cols = outerTile32, min(16, n-c)
 		}
-		for i := j.lo; i < j.hi; i += rowTile {
-			tile(&j.dst32.Data[i*n+c], &j.a32.Data[i*k], &j.b32.Data[c], rowAt(j.bias32, c), rowAt(res, i*n+c),
-				min(rowTile, j.hi-i), n, k, cols, j.relu)
+		for i := 0; i < m; i += rowTile {
+			tile(&dst.Data[i*n+c], &a.Data[i*k], &w.Data[c], rowAt(bias, c), rowAt(res, i*n+c),
+				min(rowTile, m-i), n, k, cols, relu)
 		}
 		c += cols
 	}
@@ -483,16 +456,16 @@ func rowAt[T Float](s []T, i int) *T {
 	return &s[i]
 }
 
-// denseScalar is Dense over rows [lo, hi) in portable Go — the only path
+// denseScalar is Dense in portable Go — the only path
 // off amd64, under -tags noasm and on a CPU without AVX2 and FMA, and
 // the definition the kernels give the bits of. A row of dst holds its
 // outputs' chains while a's row streams down w's rows in memory order,
 // four k steps to a pass over the row.
 //
 //eugene:noalloc
-func denseScalar[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool, lo, hi int) {
+func denseScalar[T Float](dst, a, w *Mat[T], bias []T, res *Mat[T], relu bool) {
 	n := w.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		drow, arow := dst.Row(i), a.Row(i)
 		clear(drow)
 		k := 0
@@ -616,8 +589,7 @@ func runTMatMul(j gemmJob) {
 		tMatMulPortable(j.dst, j.a, j.b)
 		return
 	}
-	j.run, j.transA = runProduct64, true
-	fanOut(j, j.a.Cols, j.a.Cols*j.b.Cols*j.a.Rows)
+	runProduct64(j.dst, j.a, j.b, true)
 }
 
 // tMatMulPortable is TMatMul in portable Go: each output row summed in a
