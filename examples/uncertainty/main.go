@@ -89,8 +89,7 @@ func run() error {
 		for i := 0; i < holdout.Len(); i++ {
 			x, y := holdout.Sample(i)
 			var out staged.StageOutput
-			for s := 0; s < calibrated.NumStages(); s++ {
-				out = calibrated.Predict(x, s)[s]
+			for _, out = range calibrated.Predict(x, calibrated.NumStages()-1) {
 				if out.Conf >= tau {
 					break
 				}

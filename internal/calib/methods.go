@@ -171,8 +171,9 @@ func DefaultEntropyCalibConfig() EntropyCalibConfig {
 // reads the cells in grid order, so the result does not depend on how
 // many cores ran them.
 //
-// It returns the calibrated model (the input model is not mutated) and
-// the mean of the chosen per-stage α values (reported for inspection).
+// It returns the calibrated model, a clone of m (m itself is only read
+// and cloned), and the mean of the chosen per-stage α values (reported
+// for inspection).
 func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibConfig) (*staged.Model, float64, error) {
 	if len(cfg.Alphas) == 0 || cfg.Epochs < 1 || cfg.Bins < 1 {
 		return nil, 0, fmt.Errorf("calib: bad entropy calibration config %+v", cfg)
@@ -180,6 +181,9 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 	if calibSet.Len() < 4 {
 		return nil, 0, fmt.Errorf("calib: calibration set of %d samples is too small", calibSet.Len())
 	}
+	// Forward passes write layer scratch, so they run on the clone that
+	// becomes the calibrated model, never on m.
+	m = m.Clone()
 	// The first half of the set fits the candidate scales and the second
 	// selects among them. PredictRows gives a row the logits it has
 	// alone, so one pass over the whole set gives both halves' logits,
@@ -243,7 +247,8 @@ func EntropyCalibrate(m *staged.Model, calibSet *dataset.Set, cfg EntropyCalibCo
 			alphaSum += bestAlphas[st]
 		}
 	}
-	return applyHeadScales(m, finalScales), alphaSum / float64(stages), nil
+	scaleHeads(m, finalScales)
+	return m, alphaSum / float64(stages), nil
 }
 
 // scaledECE computes the ECE of one stage's logits under a logit scale.
@@ -336,18 +341,16 @@ func fitHeadScale(z *tensor.Matrix, labels []int, alpha float64, iters int, lr f
 	return scale
 }
 
-// applyHeadScales clones the model and multiplies each exit head's final
-// linear layer by the per-stage scale, which scales its logits exactly.
-func applyHeadScales(m *staged.Model, scales []float64) *staged.Model {
-	c := m.Clone()
-	for s, st := range c.Stages {
+// scaleHeads multiplies each exit head's final linear layer of m by the
+// per-stage scale, which scales its logits exactly.
+func scaleHeads(m *staged.Model, scales []float64) {
+	for s, st := range m.Stages {
 		for _, p := range lastDense(st.Head).Params() {
 			for i := range p.Value {
 				p.Value[i] *= scales[s]
 			}
 		}
 	}
-	return c
 }
 
 // lastDense finds the final Dense layer of a head.

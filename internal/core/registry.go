@@ -214,10 +214,10 @@ func (s *Service) Calibrate(name string, calibSet *dataset.Set, cfg calib.Entrop
 	if err := checkSet(name, entry.Model, calibSet); err != nil {
 		return 0, err
 	}
-	// Work on a private clone: forward passes mutate layer scratch
-	// buffers, and the published model may be serving concurrent
-	// Calibrate/BuildPredictor calls.
-	calibrated, alpha, err := calib.EntropyCalibrate(entry.Model.Clone(), calibSet, cfg)
+	// EntropyCalibrate only clones the published model, which may be
+	// serving concurrent Calibrate/BuildPredictor calls; its forward
+	// passes write the clone's layer scratch.
+	calibrated, alpha, err := calib.EntropyCalibrate(entry.Model, calibSet, cfg)
 	if err != nil {
 		return 0, fmt.Errorf("core: calibrating %q: %w", name, err)
 	}
@@ -244,8 +244,8 @@ func (s *Service) BuildPredictor(name string, data *dataset.Set, cfg sched.GPPre
 	if err := checkSet(name, entry.Model, data); err != nil {
 		return err
 	}
-	// Clone for the same reason as Calibrate: keep forward-pass scratch
-	// buffers off the shared registry model.
+	// Forward passes write layer scratch: run them on a clone, off the
+	// shared registry model, as EntropyCalibrate does.
 	curves, _ := entry.Model.Clone().ConfidenceCurves(data)
 	pred, err := sched.NewGPPredictor(curves, cfg)
 	if err != nil {

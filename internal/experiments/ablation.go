@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"eugene/internal/sched"
+	"eugene/internal/staged"
 )
 
 // CalibAblationResult probes the interaction between the paper's
@@ -34,23 +35,18 @@ func (l *Lab) CalibAblation(concurrency int, cfg Fig4Config) (*CalibAblationResu
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fitting raw GP: %w", err)
 	}
-	run := func(model modelKind, pred sched.Predictor) (float64, error) {
+	run := func(model *staged.Model, pred sched.Predictor) (float64, error) {
+		outs := model.PredictRows(l.Holdout.X)
 		var sum float64
 		for rep := 0; rep < cfg.Reps; rep++ {
 			order := rand.New(rand.NewSource(cfg.Seed + int64(rep))).Perm(l.Holdout.Len())
-			var source func(id int) *sched.Task
-			if model == calibratedModel {
-				source = l.taskSource(order)
-			} else {
-				source = l.rawTaskSource(order)
-			}
 			m, err := sched.Simulate(sched.SimConfig{
 				Workers:     cfg.Workers,
 				Concurrency: concurrency,
 				TotalTasks:  cfg.TasksPerRun,
 				StageCost:   cfg.StageCost,
 				Deadline:    cfg.Deadline,
-			}, sched.NewGreedy(1, pred, "ablate"), source)
+			}, sched.NewGreedy(1, pred, "ablate"), l.holdoutTasks(outs, order))
 			if err != nil {
 				return 0, err
 			}
@@ -58,41 +54,15 @@ func (l *Lab) CalibAblation(concurrency int, cfg Fig4Config) (*CalibAblationResu
 		}
 		return sum / float64(cfg.Reps), nil
 	}
-	cal, err := run(calibratedModel, l.Pred)
+	cal, err := run(l.Calibrated, l.Pred)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := run(rawModel, rawPred)
+	raw, err := run(l.Model, rawPred)
 	if err != nil {
 		return nil, err
 	}
 	return &CalibAblationResult{Concurrency: concurrency, Calibrated: cal, Uncalibrated: raw}, nil
-}
-
-type modelKind int
-
-const (
-	calibratedModel modelKind = iota + 1
-	rawModel
-)
-
-// rawTaskSource is taskSource over the uncalibrated model.
-func (l *Lab) rawTaskSource(order []int) func(id int) *sched.Task {
-	model := l.Model
-	holdout := l.Holdout
-	return func(id int) *sched.Task {
-		idx := order[id%len(order)]
-		x, label := holdout.Sample(idx)
-		runner := model.NewRunner(x)
-		return &sched.Task{
-			Label:     label,
-			NumStages: model.NumStages(),
-			Run: func(stage int) sched.StageResult {
-				out := runner.RunStage()
-				return sched.StageResult{Pred: out.Pred, Conf: out.Conf}
-			},
-		}
-	}
 }
 
 // Render prints the ablation.

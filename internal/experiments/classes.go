@@ -61,6 +61,7 @@ func (l *Lab) ServiceClasses(cfg ServiceClassConfig) (*ServiceClassResult, error
 		Stats:    make(map[string]map[string]sched.ClassStats),
 		Policies: []string{"weighted", "class-blind"},
 	}
+	outs := l.Calibrated.PredictRows(l.Holdout.X)
 	for _, weighted := range []bool{true, false} {
 		name := "class-blind"
 		if weighted {
@@ -68,7 +69,7 @@ func (l *Lab) ServiceClasses(cfg ServiceClassConfig) (*ServiceClassResult, error
 		}
 		order := rand.New(rand.NewSource(cfg.Seed)).Perm(l.Holdout.Len())
 		classRng := rand.New(rand.NewSource(cfg.Seed + 1))
-		base := l.taskSource(order)
+		base := l.holdoutTasks(outs, order)
 		source := func(id int) *sched.Task {
 			t := base(id)
 			if classRng.Float64() < cfg.ChatShare {

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"eugene/internal/staged"
 )
 
 // quickLab is shared across tests in this package (training even the
@@ -258,4 +262,43 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
+}
+
+// TestHoldoutTasksMatchPredict pins the tables' task source: every stage
+// a task runs answers with Predict's prediction and confidence for the
+// task's holdout row, and asking for a stage out of order panics.
+func TestHoldoutTasksMatchPredict(t *testing.T) {
+	lab := getQuickLab(t)
+	n := lab.Holdout.Len()
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for _, m := range []*staged.Model{lab.Calibrated, lab.Model} {
+		source := lab.holdoutTasks(m.PredictRows(lab.Holdout.X), order)
+		for id := range n + 2 { // past the end: the order wraps
+			x, label := lab.Holdout.Sample(order[id%n])
+			want := m.Predict(x, m.NumStages()-1)
+			task := source(id)
+			if task.Label != label || task.NumStages != len(want) {
+				t.Fatalf("task %d: label %d of %d stages, want %d of %d", id, task.Label, task.NumStages, label, len(want))
+			}
+			for s, w := range want {
+				if got := task.Run(s); got.Pred != w.Pred || math.Float64bits(got.Conf) != math.Float64bits(w.Conf) {
+					t.Fatalf("task %d stage %d: (%d, %v), Predict (%d, %v)", id, s, got.Pred, got.Conf, w.Pred, w.Conf)
+				}
+			}
+		}
+	}
+
+	task := lab.holdoutTasks(lab.Calibrated.PredictRows(lab.Holdout.X), order)(0)
+	mustPanic := func(stage int) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("stage %d out of order did not panic", stage)
+			}
+		}()
+		task.Run(stage)
+	}
+	mustPanic(1) // skips stage 0
+	task.Run(0)
+	mustPanic(0) // repeats it
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"eugene/internal/sched"
+	"eugene/internal/staged"
 )
 
 // Fig4Config controls the scheduler scalability experiment (paper
@@ -112,6 +113,7 @@ func (l *Lab) Fig4(cfg Fig4Config) (*Fig4Result, error) {
 		res.Policies = append(res.Policies, s.name)
 	}
 	res.Cells = make([][]Fig4Cell, len(specs))
+	outs := l.Calibrated.PredictRows(l.Holdout.X)
 	for pi, spec := range specs {
 		res.Cells[pi] = make([]Fig4Cell, len(cfg.Concurrency))
 		for ci, n := range cfg.Concurrency {
@@ -119,7 +121,7 @@ func (l *Lab) Fig4(cfg Fig4Config) (*Fig4Result, error) {
 			var stages, unanswered, streamStd float64
 			for rep := 0; rep < cfg.Reps; rep++ {
 				order := rand.New(rand.NewSource(cfg.Seed + int64(rep))).Perm(l.Holdout.Len())
-				source := l.taskSource(order)
+				source := l.holdoutTasks(outs, order)
 				sim := sched.SimConfig{
 					Workers:     cfg.Workers,
 					Concurrency: n,
@@ -148,23 +150,22 @@ func (l *Lab) Fig4(cfg Fig4Config) (*Fig4Result, error) {
 	return res, nil
 }
 
-// taskSource cycles holdout samples in the given order, wrapping a
-// staged.Runner per task.
-func (l *Lab) taskSource(order []int) func(id int) *sched.Task {
-	model := l.Calibrated
-	holdout := l.Holdout
+// holdoutTasks cycles holdout samples in the given order. outs is one
+// PredictRows pass over the holdout, and a task's stages answer from its
+// row of it, in order.
+func (l *Lab) holdoutTasks(outs [][]staged.StageOutput, order []int) func(id int) *sched.Task {
 	return func(id int) *sched.Task {
 		idx := order[id%len(order)]
-		x, label := holdout.Sample(idx)
-		runner := model.NewRunner(x)
+		next := 0
 		return &sched.Task{
-			Label:     label,
-			NumStages: model.NumStages(),
+			Label:     l.Holdout.Labels[idx],
+			NumStages: len(outs[idx]),
 			Run: func(stage int) sched.StageResult {
-				if runner.NextStage() != stage {
-					panic(fmt.Sprintf("experiments: stage %d requested, runner at %d", stage, runner.NextStage()))
+				if stage != next {
+					panic(fmt.Sprintf("experiments: stage %d requested, task at %d", stage, next))
 				}
-				out := runner.RunStage()
+				next++
+				out := outs[idx][stage]
 				return sched.StageResult{Pred: out.Pred, Conf: out.Conf}
 			},
 		}

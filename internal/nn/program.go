@@ -80,7 +80,7 @@ type scratch[T tensor.Float] struct{ bufs []*tensor.Mat[T] }
 // tree's input width; the returned program's Out is its verified output
 // width. Two inputs are rejected: layer types with no op, and
 // Monte-Carlo dropout, which samples masks per forward pass and runs on
-// the tree (Forward, staged.Model.Predict/ExecStage).
+// the tree (Forward, staged.Model.Predict/PredictRows).
 func Compile[T tensor.Float](root Layer, in int) (*Program[T], error) {
 	if in < 1 {
 		return nil, fmt.Errorf("nn: Compile input width %d must be positive", in)

@@ -36,8 +36,8 @@ type Task struct {
 	// NumStages is the total number of exit stages.
 	NumStages int
 	// Run executes the given stage (stages must run in order) and
-	// returns the exit output. Supplied by the caller, typically
-	// wrapping a staged.Runner.
+	// returns the exit output. Supplied by the caller; the experiments
+	// read it from one staged.Model.PredictRows pass.
 	Run func(stage int) StageResult
 	// Weight scales this task's utility in weighted scheduling — the
 	// paper's Section V service-class extension ("an interactive voice

@@ -32,22 +32,40 @@ func randRows(rng *rand.Rand, n, width int) [][]float64 {
 	return rows
 }
 
-// TestExecStageBatchMatchesExecStage pins the batched engine to the
-// single-sample reference on the layer tree: running B tasks through
+// treeStage runs one stage of m's layer tree for one task: hidden is
+// the raw input at stage 0 and the last stage's trunk activation after.
+// It returns the new trunk activation, copied out of layer scratch, and
+// the stage's exit output: the reference the batched engine is held to.
+func treeStage(m *Model, hidden []float64, stage int) ([]float64, StageOutput) {
+	h := tensor.FromSlice(1, len(hidden), hidden)
+	if stage == 0 {
+		h = m.Stem.Forward(h, false)
+	}
+	s := m.Stages[stage]
+	h = s.Body.Forward(h, false)
+	next := append([]float64(nil), h.Row(0)...)
+	probs := tensor.NewMatrix(1, m.Classes)
+	tensor.Softmax(probs, s.Head.Forward(h, false))
+	pred, conf := tensor.ArgMax(probs.Data)
+	return next, StageOutput{Stage: stage, Pred: pred, Conf: conf}
+}
+
+// TestExecStageBatchMatchesLayerTree pins the batched engine to the
+// layer tree run one task at a time: running B tasks through
 // ExecStageBatch stage by stage must produce the per-task predictions,
-// confidences, and hidden states of B independent ExecStage chains, and
+// confidences, and hidden states of B independent treeStage chains, and
 // keep the buffer-ownership contract (stage-0 inputs never written).
 // The dense kernel reduces a row the same way whatever it is batched
 // with, and the tree runs the same kernel one row at a time, so float64
 // must agree exactly; float32 to float32 tolerance.
-func TestExecStageBatchMatchesExecStage(t *testing.T) {
+func TestExecStageBatchMatchesLayerTree(t *testing.T) {
 	// float64 goes through Model.ExecStageBatch, so the delegation to
 	// the model's own freeze is what is checked.
 	t.Run("f64", func(t *testing.T) {
-		testExecStageBatchMatchesExecStage(t, 0, func(m *Model) execFn { return m.ExecStageBatch })
+		testExecStageBatchMatchesLayerTree(t, 0, func(m *Model) execFn { return m.ExecStageBatch })
 	})
 	t.Run("f32", func(t *testing.T) {
-		testExecStageBatchMatchesExecStage(t, 1e-4, func(m *Model) execFn {
+		testExecStageBatchMatchesLayerTree(t, 1e-4, func(m *Model) execFn {
 			f, err := Freeze[float32](m)
 			if err != nil {
 				t.Fatalf("Freeze: %v", err)
@@ -60,7 +78,7 @@ func TestExecStageBatchMatchesExecStage(t *testing.T) {
 	})
 }
 
-func testExecStageBatchMatchesExecStage(t *testing.T, tol float64, engine func(*Model) execFn) {
+func testExecStageBatchMatchesLayerTree(t *testing.T, tol float64, engine func(*Model) execFn) {
 	for _, b := range []int{1, 6} {
 		t.Run(fmt.Sprintf("B=%d", b), func(t *testing.T) {
 			testExecStageBatchRows(t, b, tol, engine)
@@ -130,7 +148,7 @@ func testExecStageBatchRows(t *testing.T, b int, tol float64, engine func(*Model
 			}
 		}
 		for i := 0; i < b; i++ {
-			wantHidden, want := single.ExecStage(singleHidden[i], stage)
+			wantHidden, want := treeStage(single, singleHidden[i], stage)
 			singleHidden[i] = wantHidden
 			if outs[i].Pred != want.Pred {
 				t.Fatalf("stage %d task %d: pred %d, want %d (conf %v vs %v)", stage, i, outs[i].Pred, want.Pred, outs[i].Conf, want.Conf)
@@ -171,7 +189,7 @@ func TestExecStageBatchSingleton(t *testing.T) {
 	if len(next) != 1 || len(outs) != 1 {
 		t.Fatalf("singleton batch returned %d hidden, %d outputs", len(next), len(outs))
 	}
-	wantHidden, want := m.Clone().ExecStage(x, 0)
+	wantHidden, want := treeStage(m.Clone(), x, 0)
 	if outs[0].Pred != want.Pred || math.Abs(outs[0].Conf-want.Conf) > 1e-9 {
 		t.Fatalf("singleton (%d, %v), want (%d, %v)", outs[0].Pred, outs[0].Conf, want.Pred, want.Conf)
 	}

@@ -47,8 +47,7 @@ func Freeze32(m *Model) (*Frozen32, error) { return Freeze[float32](m) }
 
 // Freeze compiles a trained model into its serving form at T. The model
 // is only read. Models the compiler has no ops for — Monte-Carlo
-// dropout — are rejected; they run through Predict, ExecStage and
-// Runner.
+// dropout — are rejected; they run through Predict and PredictRows.
 func Freeze[T tensor.Float](m *Model) (*Frozen[T], error) {
 	f := &Frozen[T]{In: m.In, Classes: m.Classes, Widths: append([]int(nil), m.Widths...)}
 	stem, err := nn.Compile[T](m.Stem, m.In)
@@ -83,6 +82,26 @@ func Freeze[T tensor.Float](m *Model) (*Frozen[T], error) {
 	}
 	f.shareScratch()
 	return f, nil
+}
+
+// ExecStageBatch runs one stage for a same-stage batch on the model's
+// own float64 compile (Frozen.ExecStageBatch has the contract), built on
+// first use. The compile aliases the layers' weights, so training steps
+// taken between calls are served; like the rest of a Model it is
+// owner-goroutine only. It panics for a model Freeze rejects.
+// cmd/eugenebench calls it: its staged rung and its pools drive a
+// *Model.
+//
+//eugene:noalloc
+func (m *Model) ExecStageBatch(hidden [][]float64, stage int, dst [][]float64) ([][]float64, []StageOutput) {
+	if m.frozen == nil {
+		f, err := Freeze[float64](m)
+		if err != nil {
+			panic(fmt.Sprintf("staged: ExecStageBatch: %v", err))
+		}
+		m.frozen = f
+	}
+	return m.frozen.ExecStageBatch(hidden, stage, dst)
 }
 
 // shareScratch puts every program of f on one set of scratch buffers:

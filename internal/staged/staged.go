@@ -8,7 +8,7 @@
 // Model is the trainable form, layer trees in float64; Frozen is the
 // form that is served, the model compiled once at float64 or float32
 // (Freeze), one clone per worker over shared weights. The model's own
-// Predict, ExecStage and Runner run the trees one sample at a time:
+// PredictRows runs the trees, and Predict is PredictRows on one row:
 // the reference the batched engine is tested against, and the path for
 // what Freeze rejects (Monte-Carlo dropout).
 package staged
@@ -314,8 +314,8 @@ type StageOutput struct {
 // logits. When train is true, activations are cached for Backward.
 //
 // The logit matrices are the heads' own output buffers, not copies: the
-// next forward pass through the model (ForwardAll, Predict, ExecStage,
-// a Runner) overwrites them. Read or copy what is needed before that.
+// next forward pass through the model (ForwardAll, Predict,
+// PredictRows) overwrites them. Read or copy what is needed before that.
 func (m *Model) ForwardAll(x *tensor.Matrix, train bool) []*tensor.Matrix {
 	h := m.Stem.Forward(x, train)
 	logits := make([]*tensor.Matrix, len(m.Stages))
@@ -348,38 +348,31 @@ func (m *Model) Backward(gradLogits []*tensor.Matrix) {
 	m.Stem.Backward(gTrunk)
 }
 
-// Predict runs one sample through stages [0, upTo] (inclusive) and
-// returns the outputs of every executed stage. upTo = NumStages()-1 runs
-// the full network.
+// Predict returns the outputs of stages [0, upTo] (inclusive) for one
+// sample: PredictRows on the one row, cut to upTo+1. upTo =
+// NumStages()-1 is the full network.
 func (m *Model) Predict(x []float64, upTo int) []StageOutput {
 	if upTo < 0 || upTo >= len(m.Stages) {
 		panic(fmt.Sprintf("staged: stage %d outside [0,%d)", upTo, len(m.Stages)))
 	}
-	in := tensor.FromSlice(1, len(x), x)
-	h := m.Stem.Forward(in, false)
-	outs := make([]StageOutput, 0, upTo+1)
-	for i := 0; i <= upTo; i++ {
-		s := m.Stages[i]
-		h = s.Body.Forward(h, false)
-		outs = append(outs, exitOutput(i, s.Head.Forward(h, false)))
-	}
-	return outs
+	return m.PredictRows(tensor.FromSlice(1, len(x), x))[0][: upTo+1 : upTo+1]
 }
 
 // predictBlock is the most rows PredictRows sends through one forward
 // pass: the served batch, so a block's products are the shapes serving
 // runs (64 × 256 × 256 at the largest) and its scratch a served batch's.
-// Evaluation runs on its caller's core, as the one-row passes did.
+// Evaluation runs on its caller's core.
 const predictBlock = 64
 
-// PredictRows is Predict through the whole network for every row of x:
-// out[i] is Predict(x.Row(i), NumStages()-1), bit for bit, because the
-// dense kernel's result for a row does not depend on the rows it is
-// batched with and every other layer works row by row. The rows go
+// PredictRows runs every row of x through the whole network and returns
+// each row's stage outputs. A row's outputs do not depend on the rows it
+// is batched with, bit for bit, because the dense kernel's result for a
+// row does not and every other layer works row by row. The rows go
 // through ForwardAll in blocks of up to predictBlock, so a set costs a
 // forward pass per block instead of one per row. The one exception is
-// Monte-Carlo dropout, whose masks are drawn in block order rather than
-// row order: same distribution, other draws.
+// Monte-Carlo dropout, whose masks come from one stream in block order,
+// so a row's draws depend on the rows before it: same distribution,
+// other draws.
 func (m *Model) PredictRows(x *tensor.Matrix) [][]StageOutput {
 	stages := len(m.Stages)
 	out := make([][]StageOutput, x.Rows)

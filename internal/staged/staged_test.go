@@ -80,83 +80,6 @@ func TestPredictShapes(t *testing.T) {
 	}
 }
 
-func TestRunnerMatchesPredict(t *testing.T) {
-	m, err := New(rand.New(rand.NewSource(2)), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 8)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := m.Predict(x, 2)
-	r := m.NewRunner(x)
-	for i := 0; i < 3; i++ {
-		if r.Done() {
-			t.Fatal("runner done early")
-		}
-		got := r.RunStage()
-		if got.Pred != want[i].Pred || math.Abs(got.Conf-want[i].Conf) > 1e-9 {
-			t.Fatalf("stage %d: runner (%d,%v) vs predict (%d,%v)",
-				i, got.Pred, got.Conf, want[i].Pred, want[i].Conf)
-		}
-	}
-	if !r.Done() {
-		t.Fatal("runner not done after all stages")
-	}
-}
-
-// TestInterleavedRunners verifies that two runners sharing one model can
-// interleave stage execution without corrupting each other — the
-// scheduler does exactly this.
-func TestInterleavedRunners(t *testing.T) {
-	m, err := New(rand.New(rand.NewSource(4)), tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	xa := make([]float64, 8)
-	xb := make([]float64, 8)
-	for i := range xa {
-		xa[i] = rng.NormFloat64()
-		xb[i] = rng.NormFloat64()
-	}
-	wantA := m.Predict(xa, 2)
-	wantB := m.Predict(xb, 2)
-	ra := m.NewRunner(xa)
-	rb := m.NewRunner(xb)
-	// Interleave: a0 b0 b1 a1 a2 b2.
-	order := []struct {
-		r    *Runner
-		want []StageOutput
-	}{
-		{ra, wantA}, {rb, wantB}, {rb, wantB}, {ra, wantA}, {ra, wantA}, {rb, wantB},
-	}
-	for step, o := range order {
-		idx := o.r.NextStage()
-		got := o.r.RunStage()
-		if got.Pred != o.want[idx].Pred || math.Abs(got.Conf-o.want[idx].Conf) > 1e-9 {
-			t.Fatalf("interleaved step %d stage %d: got (%d,%v) want (%d,%v)",
-				step, idx, got.Pred, got.Conf, o.want[idx].Pred, o.want[idx].Conf)
-		}
-	}
-}
-
-func TestRunnerPanicsAfterDone(t *testing.T) {
-	m, _ := New(rand.New(rand.NewSource(6)), tinyConfig())
-	r := m.NewRunner(make([]float64, 8))
-	for !r.Done() {
-		r.RunStage()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on RunStage after done")
-		}
-	}()
-	r.RunStage()
-}
-
 func TestTrainImprovesAccuracyAndDepthHelps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -166,7 +89,7 @@ func TestTrainImprovesAccuracyAndDepthHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.EvalStageAccuracy(train, 2)
+	before := m.EvalAllStages(train)[2]
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 25
 	if _, err := m.Train(cfg, train); err != nil {
@@ -315,11 +238,13 @@ func TestMCDropoutChangesHeadOutputs(t *testing.T) {
 	}
 }
 
-// TestPredictRowsMatchesPredict holds the batched evaluation pass to the
-// one-row reference bit for bit — prediction, confidence and every
-// probability at every stage — at odd row counts inside one block and
-// across block boundaries, on the served trunk's shape (thin bottleneck
-// heads, dropout that is the identity at inference).
+// TestPredictRowsMatchesPredict holds a row's outputs in a block of
+// PredictRows to its outputs alone (Predict, one row) bit for bit —
+// prediction, confidence and every probability at every stage — at odd
+// row counts inside one block and across block boundaries, on the
+// served trunk's shape (thin bottleneck heads, dropout that is the
+// identity at inference). Predict cut short returns exactly the first
+// upTo+1 of them.
 func TestPredictRowsMatchesPredict(t *testing.T) {
 	m, err := New(rand.New(rand.NewSource(12)), Config{
 		In: 32, Hidden: 64, Classes: 10, StageCount: 3, BlocksPerStage: 2,
@@ -339,15 +264,20 @@ func TestPredictRowsMatchesPredict(t *testing.T) {
 			t.Fatalf("%d rows in, %d out", rows, len(got))
 		}
 		for i, outs := range got {
-			want := m.Predict(x.Row(i), m.NumStages()-1)
-			for s, o := range outs {
-				w := want[s]
-				if o.Stage != s || o.Pred != w.Pred || math.Float64bits(o.Conf) != math.Float64bits(w.Conf) || len(o.Probs) != len(w.Probs) {
-					t.Fatalf("%d rows, row %d stage %d: batched %+v, Predict %+v", rows, i, s, o, w)
+			for upTo := range m.NumStages() {
+				want := m.Predict(x.Row(i), upTo)
+				if len(want) != upTo+1 {
+					t.Fatalf("Predict up to stage %d returned %d outputs", upTo, len(want))
 				}
-				for c, p := range o.Probs {
-					if math.Float64bits(p) != math.Float64bits(w.Probs[c]) {
-						t.Fatalf("%d rows, row %d stage %d: P(class %d) = %v batched, %v by Predict", rows, i, s, c, p, w.Probs[c])
+				for s, w := range want {
+					o := outs[s]
+					if o.Stage != s || o.Pred != w.Pred || math.Float64bits(o.Conf) != math.Float64bits(w.Conf) || len(o.Probs) != len(w.Probs) {
+						t.Fatalf("%d rows, row %d stage %d: batched %+v, Predict %+v", rows, i, s, o, w)
+					}
+					for c, p := range o.Probs {
+						if math.Float64bits(p) != math.Float64bits(w.Probs[c]) {
+							t.Fatalf("%d rows, row %d stage %d: P(class %d) = %v batched, %v by Predict", rows, i, s, c, p, w.Probs[c])
+						}
 					}
 				}
 			}

@@ -89,27 +89,12 @@ func (m *Model) Train(cfg TrainConfig, train *dataset.Set) (float64, error) {
 		})
 		lastLoss = epochLoss / float64(batches)
 		if cfg.Verbose != nil {
-			acc := m.EvalStageAccuracy(train, m.NumStages()-1)
+			acc := m.EvalAllStages(train)[m.NumStages()-1]
 			cfg.Verbose(epoch, lastLoss, acc)
 		}
 		opt.LR *= cfg.LRDecay
 	}
 	return lastLoss, nil
-}
-
-// EvalStageAccuracy returns the arg-max accuracy of the given exit stage
-// over the set.
-func (m *Model) EvalStageAccuracy(set *dataset.Set, stage int) float64 {
-	if set.Len() == 0 {
-		return 0
-	}
-	var correct int
-	for i, outs := range m.PredictRows(set.X) {
-		if outs[stage].Pred == set.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(set.Len())
 }
 
 // EvalAllStages returns per-stage accuracy over the set in one pass.
